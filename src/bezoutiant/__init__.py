@@ -37,8 +37,6 @@ from .transform import (
     ClosedTransform,
     TrigForm,
     closed_form,
-    derivative_transform,
-    eval_transform,
     reflected_transform,
     trig_form,
 )
@@ -80,8 +78,6 @@ __all__ = [
     "ClosedTransform",
     "TrigForm",
     "closed_form",
-    "derivative_transform",
-    "eval_transform",
     "reflected_transform",
     "trig_form",
     "SearchRect",

@@ -4,6 +4,11 @@ Everything in this module is exact.  Coefficients are `fractions.Fraction`
 (arbitrary precision), and no operation here ever touches a float except
 the explicit `*_float` evaluation helpers, which form the boundary to the
 numerical layers.
+
+Loops that would otherwise reduce a `Fraction` after every operation run on
+integer numerators over one common denominator instead (`numerators`,
+`from_numerators`, `taylor_shift`); each result entry is reduced once at
+the end, which yields the same canonical `Fraction`s.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -100,6 +106,8 @@ class GaussianRational:
         return o - self
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return GaussianRational(self.re * other, self.im * other)
         o = self._coerce(other)
         if o is NotImplemented:
             return o
@@ -167,6 +175,37 @@ def _as_gr(x) -> GaussianRational:
     if isinstance(x, (int, Fraction)):
         return GR(x)
     raise TypeError(f"cannot interpret {x!r} as a Gaussian rational")
+
+
+def numerators(values) -> tuple:
+    """Integer numerators (re, im) of Gaussian rationals over their least common denominator."""
+    den = 1
+    for v in values:
+        den = lcm(den, v.re.denominator, v.im.denominator)
+    re = [v.re.numerator * (den // v.re.denominator) for v in values]
+    im = [v.im.numerator * (den // v.im.denominator) for v in values]
+    return re, im, den
+
+
+def from_numerators(re, im, den) -> tuple:
+    """Gaussian rationals (re[k] + i im[k]) / den, each reduced once."""
+    return tuple(GaussianRational(Fraction(r, den), Fraction(i, den))
+                 for r, i in zip(re, im))
+
+
+def taylor_shift(re: list, im: list, xr: int, xi: int = 0) -> None:
+    """In place: coefficients of p(x + s) from those of p(s), x = xr + i xi.
+
+    Integer (re, im) lists in ascending powers; Horner's rule run once per
+    degree, O(n^2) Gaussian-integer multiply-adds (von zur Gathen and
+    Gerhard 1997, method B).
+    """
+    n = len(re) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            r, m = re[j + 1], im[j + 1]
+            re[j] += xr * r - xi * m
+            im[j] += xr * m + xi * r
 
 
 @dataclass(frozen=True)
@@ -264,13 +303,41 @@ class Poly:
     # -- transforms of the argument ---------------------------------------
 
     def compose_affine(self, c0, c1) -> "Poly":
-        """Exact composition p(c0 + c1*t)."""
+        """Exact composition p(c0 + c1*t): a Taylor shift by c0, then t -> c1*t."""
         c0, c1 = _as_gr(c0), _as_gr(c1)
-        lin = Poly.of(c0, c1)
-        acc = Poly.of()
-        for c in reversed(self.coeffs):
-            acc = acc * lin + Poly.of(c)
-        return acc
+        re, im, den = numerators(self.coeffs)
+        n = len(re) - 1
+        # With c0 = (xr + i xi)/xd, xd^n p(c0 + w/xd) has Gaussian-integer
+        # coefficients; its w^k coefficient times (xd c1)^k / (xd^n den) is
+        # the t^k coefficient of p(c0 + c1 t).
+        (xr,), (xi,), xd = numerators((c0,))
+        (yr,), (yi,), yd = numerators((c1,))
+        for j in range(n + 1):
+            re[j] *= xd ** (n - j)
+            im[j] *= xd ** (n - j)
+        if xr or xi:
+            taylor_shift(re, im, xr, xi)
+        yr, yi = yr * xd, yi * xd
+        pr, pi = 1, 0  # (yr + i yi)^k
+        for k in range(n + 1):
+            re[k], im[k] = re[k] * pr - im[k] * pi, re[k] * pi + im[k] * pr
+            pr, pi = pr * yr - pi * yi, pr * yi + pi * yr
+        dens = [xd ** n * den * yd ** k for k in range(n + 1)]
+        return Poly(tuple(GaussianRational(Fraction(r, d), Fraction(i, d))
+                          for r, i, d in zip(re, im, dens)))
+
+    def jet(self, x, n: int | None = None) -> tuple:
+        """(p(x), p'(x), ..., p^(n)(x)), n defaulting to the degree.
+
+        p^(k)(x) = k! * [s^k] p(x + s), read off one Taylor shift.
+        """
+        shifted = self.compose_affine(x, 1).coeffs
+        n = self.degree if n is None else n
+        out, fact = [], 1
+        for k in range(n + 1):
+            fact *= k or 1
+            out.append(shifted[k] * fact if k < len(shifted) else GR_ZERO)
+        return tuple(out)
 
     def conjugate(self) -> "Poly":
         """Coefficient-wise conjugate; equals conj(p(t)) for real t."""
@@ -303,38 +370,12 @@ class Poly:
         return f"Poly({list(self.coeffs)!r})"
 
 
-# Spec-facing operation aliases for the density-polynomial contract.
-
-def poly_eval(p: Poly, x) -> GaussianRational:
-    return p(x)
-
-
-def poly_definite_integral(p: Poly, lo, hi) -> GaussianRational:
-    return p.integral(lo, hi)
-
-
-def poly_derivative(p: Poly, order: int = 1) -> Poly:
-    return p.derivative(order)
-
-
-def poly_reflect_conj(p: Poly, a, conjugate: bool = True) -> Poly:
-    if _frac_sign(a) <= 0:
-        raise ValueError("reflection endpoint a must be positive")
-    return p.reflect(a, conjugate=conjugate)
-
-
-def _frac_sign(a) -> int:
-    f = _frac(a) if not isinstance(a, Fraction) else a
-    return (f > 0) - (f < 0)
-
-
 @dataclass(frozen=True)
 class MPoly:
     """Multivariate polynomial over Gaussian rationals.
 
     `terms` maps exponent tuples (length `nvars`) to nonzero coefficients.
-    Used with nvars=2 as the bivariate kernel carrier and with nvars=3 as
-    scratch space for symbolic integration in a third variable.
+    The kernel pieces are arity-2 instances in (x, t).
     """
 
     nvars: int
@@ -365,14 +406,6 @@ class MPoly:
         exp = [0] * nvars
         exp[idx] = 1
         return cls(nvars, {tuple(exp): GR_ONE})
-
-    @classmethod
-    def from_poly(cls, p: Poly, arg: "MPoly") -> "MPoly":
-        """Compose the univariate p with a multivariate argument (Horner)."""
-        acc = cls.zero(arg.nvars)
-        for c in reversed(p.coeffs):
-            acc = acc * arg + cls.const(arg.nvars, c)
-        return acc
 
     # -- predicates --------------------------------------------------------
 
@@ -492,17 +525,6 @@ class MPoly:
             acc = acc + term
         return acc
 
-    def eval_float(self, values: Sequence):
-        """Evaluate at complex floats / numpy arrays (broadcasting)."""
-        acc = 0j
-        for exp, c in self.terms.items():
-            term = complex(c)
-            for v, e in zip(values, exp):
-                if e:
-                    term = term * np.asarray(v, dtype=complex) ** e
-            acc = acc + term
-        return acc
-
     def to_json(self):
         return [
             {"exp": list(exp), "coeff": c.to_json()}
@@ -511,6 +533,3 @@ class MPoly:
 
     def __repr__(self):
         return f"MPoly({self.nvars}, {self.terms!r})"
-
-
-BivariatePoly = MPoly  # arity-2 instances carry the kernel pieces

@@ -5,23 +5,47 @@ mass), the Bezoutiant is the integral operator
 
     (Tf)(x) = c * int_0^a f(t) U(x, t) dt,
 
-where U is given piecewise by exact symbolic integration of
+where U is the integral of
 
-    Psi_2(a-s) conj(Psi_1)(a-s-x+t) - Psi_2(s+x-t) conj(Psi_1)(s)
+    Psi_2(a-s) g1(a-s-x+t) - Psi_2(s+x-t) g1(s),    g1 = conj Psi_1,
 
 over s in [t, a] (x < t) resp. [t, a+t-x] (x > t).  Every identity this
 module checks (adjoint action on 1, the Phi-difference relation, diagonal
 continuity) is verified as an exact polynomial identity, never numerically.
+
+The kernel needs only one-dimensional integrals.  Put u = x - t and
+
+    A(y, u) = int_0^y Psi_2(sigma) g1(sigma - u) d sigma.
+
+In the first product substitute sigma = a - s; s in [t, a] becomes
+sigma in [0, a-t], and s in [t, a-u] becomes sigma in [u, a-t].  In the
+second substitute sigma = s + u; s in [t, a] becomes sigma in [x, a+u],
+and s in [t, a-u] becomes sigma in [x, a].  Hence
+
+    U_lower = A(a-t, u) - A(a+u, u) + A(x, u),
+    U_upper = A(a-t, u) - A(u, u) - A(a, u) + A(x, u).
+
+A is a dense table in (y, u): with g1(sigma - u) = sum_{i,l} g_{i+l}
+C(i+l, i) (-1)^l sigma^i u^l, the coefficient of y^(m+1) u^l is
+(1/(m+1)) sum_{i+k=m} psi2_k g_{i+l} C(i+l, i) (-1)^l.  One Taylor shift
+of each u-column by a gives the table of A(a+w, u), from which A(a-t, u)
+(w = -t), A(a+u, u) (w = u) and A(a, u) (w = 0) are read without further
+integration.  Expanding u^l = (x-t)^l by binomial sums returns both pieces
+in (x, t).  All of it runs on integer numerators over one common
+denominator, and each kernel coefficient is reduced once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import comb, lcm
 
 import numpy as np
 
-from .exact import GR, GR_ONE, GR_ZERO, GaussianRational, MPoly, Poly, _frac
+from .exact import (GR, GR_ONE, GR_ZERO, GaussianRational, MPoly, Poly, _frac,
+                    numerators, taylor_shift)
 
 ALPHA_DEFAULT = GR_ONE
 BETA_DEFAULT = GR_ZERO
@@ -44,6 +68,14 @@ class NormalizedPair:
     a: Fraction
     r1: GaussianRational
     r2: GaussianRational
+
+    @cached_property
+    def jets(self) -> tuple:
+        """(Psi_2, conj Psi_1) derivatives at 0, then at a, for k = 0..max degree."""
+        n = max(self.psi1.degree, self.psi2.degree)
+        g1 = self.psi1.conjugate()
+        return (self.psi2.jet(0, n), g1.jet(0, n),
+                self.psi2.jet(self.a, n), g1.jet(self.a, n))
 
 
 @dataclass(frozen=True)
@@ -76,12 +108,24 @@ class BezoutKernel:
         piece = self.u_lower if _frac(x) < _frac(t) else self.u_upper
         return piece.eval([x, t])
 
+    @cached_property
+    def _float_pieces(self) -> tuple:
+        """Dense complex coefficients C[i, j] of x^i t^j for both pieces."""
+        out = []
+        for piece in (self.u_lower, self.u_upper):
+            rows = 1 + max((i for i, _ in piece.terms), default=0)
+            cols = 1 + max((j for _, j in piece.terms), default=0)
+            coeffs = np.zeros((rows, cols), dtype=complex)
+            for (i, j), c in piece.terms.items():
+                coeffs[i, j] = complex(c)
+            out.append(coeffs)
+        return tuple(out)
+
     def u_float(self, x, t):
         """Float evaluation on scalars or broadcastable arrays."""
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
-        lower = self.u_lower.eval_float([x, t])
-        upper = self.u_upper.eval_float([x, t])
+        lower, upper = (_horner_xt(c, x, t) for c in self._float_pieces)
         return np.where(x < t, lower, upper)
 
     def to_json(self):
@@ -91,6 +135,15 @@ class BezoutKernel:
             "u_lower": self.u_lower.to_json(),
             "u_upper": self.u_upper.to_json(),
         }
+
+
+def _horner_xt(coeffs: np.ndarray, x: np.ndarray, t: np.ndarray):
+    """sum_ij coeffs[i, j] x^i t^j: Horner in x over rows evaluated in t."""
+    polyval = np.polynomial.polynomial.polyval
+    acc = polyval(t, coeffs[-1])
+    for row in coeffs[-2::-1]:
+        acc = acc * x + polyval(t, row)
+    return acc
 
 
 def normalize_pair(psi1: Poly, psi2: Poly, a) -> NormalizedPair:
@@ -125,17 +178,79 @@ def build_m_functions(
     return MFunctions(phi1, phi2, m1, m2, alpha, beta, a)
 
 
-def _kernel_integrand(pair: NormalizedPair) -> MPoly:
-    """Integrand of U in arity-3 variables (s, x, t) = (0, 1, 2)."""
-    a = pair.a
-    s = MPoly.var(3, 0)
-    x = MPoly.var(3, 1)
-    t = MPoly.var(3, 2)
-    ca = MPoly.const(3, GR(a))
-    g1 = pair.psi1.conjugate()
-    term1 = MPoly.from_poly(pair.psi2, ca - s) * MPoly.from_poly(g1, ca - s - x + t)
-    term2 = MPoly.from_poly(pair.psi2, s + x - t) * MPoly.from_poly(g1, s)
-    return term1 - term2
+def _kernel_pieces(pair: NormalizedPair) -> tuple:
+    """(U_lower, U_upper) from the table of A(y, u); see the module doc."""
+    pr, pi, pd = numerators(pair.psi2.coeffs)
+    gr, gi, gd = numerators(pair.psi1.conjugate().coeffs)
+    d1, d2 = len(gr) - 1, len(pr) - 1
+    top = d1 + d2 + 1  # highest power of y in A, and total degree of U
+    ell = lcm(*range(1, top + 1))
+    p, q = pair.a.numerator, pair.a.denominator
+    size = range(top + 1)
+
+    # A[m][l] = [y^m u^l] A(y, u), numerators over pd gd ell: the s^i u^l
+    # coefficient of g1(s - u) is g_{i+l} C(i+l, i) (-1)^l.
+    are = [[0] * (d1 + 1) for _ in size]
+    aim = [[0] * (d1 + 1) for _ in size]
+    for l in range(d1 + 1):
+        for i in range(d1 - l + 1):
+            b = comb(i + l, i) * (-1) ** l
+            br, bi = gr[i + l] * b, gi[i + l] * b
+            for k in range(d2 + 1):
+                w = ell // (i + k + 1)
+                are[i + k + 1][l] += (pr[k] * br - pi[k] * bi) * w
+                aim[i + k + 1][l] += (pr[k] * bi + pi[k] * br) * w
+
+    # sh[i][l] = [w^i u^l] A(a + w, u): each column shifted by a = p/q,
+    # numerators over pd gd ell q^top, the common denominator from here on.
+    sre = [[0] * (d1 + 1) for _ in size]
+    sim = [[0] * (d1 + 1) for _ in size]
+    for l in range(d1 + 1):
+        cre = [are[j][l] * q ** (top - j) for j in size]
+        cim = [aim[j][l] * q ** (top - j) for j in size]
+        taylor_shift(cre, cim, p)
+        for i in size:
+            sre[i][l], sim[i][l] = cre[i] * q ** i, cim[i] * q ** i
+            are[i][l], aim[i][l] = are[i][l] * q ** top, aim[i][l] * q ** top
+    den = pd * gd * ell * q ** top
+
+    sign_binom = [[comb(l, r) * (-1) ** (l - r) for r in range(l + 1)] for l in size]
+    ure = [[0] * (top + 1) for _ in size]
+    uim = [[0] * (top + 1) for _ in size]
+
+    def add(re, im, cr, ci, xp, tp, l):
+        """out += (cr + i ci) x^xp t^tp (x - t)^l."""
+        if cr or ci:
+            for r, b in enumerate(sign_binom[l]):
+                re[xp + r][tp + l - r] += cr * b
+                im[xp + r][tp + l - r] += ci * b
+
+    # shared part A(x, u) + A(a - t, u), u = x - t; column l has degree
+    # top - l in y.  Collect the univariate parts A(a + u, u) (lower) and
+    # A(u, u) + A(a, u) (upper) as coefficients of u^j on the way.
+    lo_re, lo_im = [0] * (top + 1), [0] * (top + 1)
+    up_re, up_im = [0] * (top + 1), [0] * (top + 1)
+    for l in range(d1 + 1):
+        up_re[l] += sre[0][l]
+        up_im[l] += sim[0][l]
+        for m in range(top - l + 1):
+            add(ure, uim, are[m][l], aim[m][l], m, 0, l)
+            sign = (-1) ** m
+            add(ure, uim, sre[m][l] * sign, sim[m][l] * sign, 0, m, l)
+            lo_re[m + l] += sre[m][l]
+            lo_im[m + l] += sim[m][l]
+            up_re[m + l] += are[m][l]
+            up_im[m + l] += aim[m][l]
+    lower = ([row[:] for row in ure], [row[:] for row in uim])
+    for j in size:
+        add(*lower, -lo_re[j], -lo_im[j], 0, 0, j)
+        add(ure, uim, -up_re[j], -up_im[j], 0, 0, j)
+
+    def to_mpoly(re, im):
+        return MPoly(2, {(i, j): GaussianRational(Fraction(re[i][j], den), Fraction(im[i][j], den))
+                         for i in size for j in size if re[i][j] or im[i][j]})
+
+    return to_mpoly(*lower), to_mpoly(ure, uim)
 
 
 def build_kernel(
@@ -143,17 +258,11 @@ def build_kernel(
     alpha: GaussianRational = ALPHA_DEFAULT,
     beta: GaussianRational = BETA_DEFAULT,
 ) -> BezoutKernel:
-    """Exact symbolic s-integration of the two region integrals."""
+    """Exact kernel pieces from one table of one-dimensional integrals."""
     denom = alpha.conjugate() + beta
     if not denom:
         raise DegenerateChoiceError("conj(alpha) + beta must be nonzero")
-    integrand = _kernel_integrand(pair)
-    a3 = MPoly.const(3, GR(pair.a))
-    s_var = 0
-    t3 = MPoly.var(3, 2)
-    x3 = MPoly.var(3, 1)
-    u_lower = integrand.definite_integral(s_var, t3, a3).drop_var(s_var)
-    u_upper = integrand.definite_integral(s_var, t3, a3 + t3 - x3).drop_var(s_var)
+    u_lower, u_upper = _kernel_pieces(pair)
     c = -(GR_ONE / denom)  # R_k = 1 after normalization
     return BezoutKernel(c, u_lower, u_upper, pair.a)
 

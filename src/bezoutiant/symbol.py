@@ -6,6 +6,24 @@ V(x - t).  A nonnegative order of L(D) -- or, without algebraicity of the
 coefficients, V not identically zero -- rules out common zeros of F_1 and
 the reflected transform F_{2,1}.  The monomial family x^m (a-x)^n admits a
 closed order formula, cross-validated here against the general expansion.
+
+Both L(D) and V come from derivative values of the densities at the two
+endpoints, tabulated once per pair (`NormalizedPair.jets`, one Taylor shift
+per endpoint and density; `Poly.jet`).  With g1 = conj Psi_1 and Q = deg Psi_1,
+put
+
+    A_k = Psi_2^(k)(0),  B_k = (-1)^(k+1) g1^(k)(0),
+    C_k = Psi_2^(k)(a),  E_k = (-1)^k g1^(k)(a),          k = 0..Q,
+
+and W_r = sum_{i+j=r} (A_i B_j + E_i C_j), the bilinear boundary sum.  Then
+
+    L(D) = sum_{s<Q} W_{Q-1-s} D^s,        V(u) = sum_{m<=Q} W_{Q+m} u^m / m!.
+
+The second identity uses h(u) = g1(a-u), whose derivatives satisfy
+h^(p)(u) = (-1)^p g1^(p)(a-u), so the reflected products in V are
+derivatives of one polynomial and their Taylor coefficients at 0 are E_k.
+Each half of W is summed once, on integer numerators over one common
+denominator.
 """
 
 from __future__ import annotations
@@ -15,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .exact import GR, GR_ONE, GaussianRational, Poly, _frac
+from .exact import GR, GR_ONE, GaussianRational, Poly, _frac, from_numerators, numerators
 from .kernel import NormalizedPair, ZeroMassError, normalize_pair
 
 
@@ -65,43 +83,48 @@ class DiffOperator:
         return self.coeffs[-1]
 
 
+def _boundary_sums(pair: NormalizedPair, lo: int, hi: int) -> tuple:
+    """W_r = sum_{i+j=r} [A_i B_j + E_i C_j] for lo <= r < hi (see module doc)."""
+    psi2_0, g1_0, psi2_a, g1_a = pair.jets
+    ar, ai, ad = numerators(psi2_0)
+    br, bi, bd = numerators(g1_0)
+    cr, ci, cd = numerators(psi2_a)
+    er, ei, ed = numerators(g1_a)
+    for k in range(len(br)):
+        if k % 2 == 0:  # B_k = (-1)^(k+1) g1^(k)(0)
+            br[k], bi[k] = -br[k], -bi[k]
+        else:           # E_k = (-1)^k g1^(k)(a)
+            er[k], ei[k] = -er[k], -ei[k]
+    n = len(ar)
+    wr, wi = [], []
+    for r in range(lo, hi):
+        sr = si = tr = ti = 0
+        for i in range(max(0, r - n + 1), min(r, n - 1) + 1):
+            j = r - i
+            sr += ar[i] * br[j] - ai[i] * bi[j]
+            si += ar[i] * bi[j] + ai[i] * br[j]
+            tr += er[i] * cr[j] - ei[i] * ci[j]
+            ti += er[i] * ci[j] + ei[i] * cr[j]
+        wr.append(sr * ed * cd + tr * ad * bd)
+        wi.append(si * ed * cd + ti * ad * bd)
+    return from_numerators(wr, wi, ad * bd * cd * ed)
+
+
 def v_symbol(pair: NormalizedPair) -> Poly:
-    """Exact symbol V(u) from the degree-Q diagonal of derivative products."""
+    """Exact symbol V(u): its u^m coefficient is W_{Q+m} / m!."""
     q1, q2 = pair.psi1.degree, pair.psi2.degree
     if q1 < q2:
         raise OrderViolationError("requires deg Psi_1 >= deg Psi_2")
-    Q = q1
-    a = pair.a
-    g1 = pair.psi1.conjugate()  # conj(Psi_1) at real arguments
-    acc = Poly.of()
-    for p in range(Q + 1):
-        k = Q - p
-        sign_k = GR((-1) ** (k + 1))
-        term1 = pair.psi2.derivative(p) * (sign_k * g1.derivative(k)(0))
-        sign_p = GR((-1) ** p)
-        refl = g1.derivative(p).compose_affine(a, -1)  # conj(Psi_1)^{(p)}(a-u)
-        term2 = refl * (sign_p * pair.psi2.derivative(k)(a))
-        acc = acc + term1 + term2
-    return acc
+    w = _boundary_sums(pair, q1, 2 * q1 + 1)
+    return Poly(tuple(c * Fraction(1, math.factorial(m)) for m, c in enumerate(w)))
 
 
 def l_operator(pair: NormalizedPair) -> DiffOperator:
-    """Exact coefficients of L(D) = sum_{p+k+s=Q-1} [...] D^s."""
+    """Exact coefficients of L(D) = sum_s W_{Q-1-s} D^s."""
     q1, q2 = pair.psi1.degree, pair.psi2.degree
     if q1 < q2:
         raise OrderViolationError("requires deg Psi_1 >= deg Psi_2")
-    Q = q1
-    a = pair.a
-    g1 = pair.psi1.conjugate()
-    coeffs = [GR(0)] * max(Q, 0)
-    for s in range(Q):
-        total = GR(0)
-        for p in range(Q - s):
-            k = Q - 1 - s - p
-            total = total + GR((-1) ** (k + 1)) * pair.psi2.derivative(p)(0) * g1.derivative(k)(0)
-            total = total + GR((-1) ** p) * pair.psi2.derivative(k)(a) * g1.derivative(p)(a)
-        coeffs[s] = total
-    return DiffOperator(tuple(coeffs))
+    return DiffOperator(tuple(reversed(_boundary_sums(pair, 0, q1))))
 
 
 def monomial_density(m: int, n: int, a) -> Poly:

@@ -8,6 +8,17 @@ repeated integration by parts,
 with Gaussian-rational Laurent coefficients.  Near z = 0 the closed form
 cancels catastrophically, so a truncated Taylor series built from the exact
 moments mu_n = int_0^a t^n g(t) dt is used instead.
+
+Both sets of exact data come from one pass over the density g:
+
+* Laurent coefficients.  Integrating by parts j times gives
+  p_j = -i^j g^(j-1)(a) and q_j = i^j g^(j-1)(0), so `osc` and `plain`
+  are the jets of g at a and at 0 (`Poly.jet`, one Taylor shift each)
+  multiplied by units.
+* Moments.  With g(t) = sum_k g_k t^k,
+  mu_n = sum_k g_k a^(n+k+1) / (n+k+1), a sum over one table of the
+  powers of a; the sums run on integer numerators over one common
+  denominator, and each moment is reduced once.
 """
 
 from __future__ import annotations
@@ -19,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exact import GR, GR_I, Poly, _frac
+from .exact import GR_I, GaussianRational, Poly, _frac, from_numerators, numerators
 
 #: Crossover radius between the moment Taylor series and the Laurent form.
 SWITCH_RADIUS = 0.5
@@ -33,6 +44,29 @@ OVERFLOW_LIMIT = 700.0
 
 class EvaluationOverflow(ValueError):
     """e^{|a Im z|} exceeds double range; evaluation refused, not extended."""
+
+
+def _times_i_power(v: GaussianRational, j: int) -> GaussianRational:
+    """i^j * v, exactly."""
+    re, im = v.re, v.im
+    for _ in range(j % 4):
+        re, im = -im, re
+    return GaussianRational(re, im)
+
+
+def _moments(g: Poly, a: Fraction, count: int) -> tuple:
+    """mu_n = int_0^a t^n g(t) dt = sum_k g_k a^(n+k+1) / (n+k+1), n < count."""
+    re, im, den = numerators(g.coeffs)
+    top = count + len(re) - 1  # largest power n + k + 1
+    p, q = a.numerator, a.denominator
+    ell = math.lcm(*range(1, top + 1))
+    # a^m / m = w[m] / (q^top ell)
+    w = [0] + [p ** m * q ** (top - m) * (ell // m) for m in range(1, top + 1)]
+    mre, mim = [], []
+    for n in range(count):
+        mre.append(sum(c * w[n + k + 1] for k, c in enumerate(re)))
+        mim.append(sum(c * w[n + k + 1] for k, c in enumerate(im)))
+    return from_numerators(mre, mim, den * q ** top * ell)
 
 
 @dataclass(frozen=True)
@@ -57,23 +91,10 @@ class ClosedTransform:
             raise ValueError("interval endpoint a must be positive")
         if n_moments is None:
             n_moments = g.degree + 1 + EXTRA_MOMENTS
-        osc, plain = [], []
-        deriv = g
-        minus_i_pow = GR(1)
-        sign = GR(1)
-        for _ in range(g.degree + 1):
-            # p_j = (-1)^{j-1} (-i)^j g^{(j-1)}(a),  q_j = -p_j|_{t=0}
-            minus_i_pow = minus_i_pow * GR(0, -1)
-            osc.append(sign * minus_i_pow * deriv(a))
-            plain.append(-(sign * minus_i_pow * deriv(0)))
-            deriv = deriv.derivative()
-            sign = -sign
-        moments = []
-        mono = g
-        for _ in range(n_moments):
-            moments.append(mono.integral(0, a))
-            mono = mono.times_x()
-        return cls(a, g, tuple(osc), tuple(plain), tuple(moments))
+        # p_j = -i^j g^(j-1)(a),  q_j = i^j g^(j-1)(0),  j = 1..deg+1
+        osc = tuple(-_times_i_power(v, j) for j, v in enumerate(g.jet(a), 1))
+        plain = tuple(_times_i_power(v, j) for j, v in enumerate(g.jet(0), 1))
+        return cls(a, g, osc, plain, _moments(g, a, n_moments))
 
     def scaled(self, factor) -> "ClosedTransform":
         """Transform of the density multiplied by an exact constant."""
@@ -142,15 +163,6 @@ def closed_form(psi: Poly, a) -> ClosedTransform:
 def reflected_transform(psi2: Poly, a) -> ClosedTransform:
     """F_{2,1}(z) = int_0^a e^{izt} Psi_2(a-t) dt (no conjugation)."""
     return ClosedTransform.from_density(psi2.reflect(a, conjugate=False), a)
-
-
-def derivative_transform(psi: Poly, a) -> ClosedTransform:
-    """Closed form of F'(z) for F = closed_form(psi, a)."""
-    return closed_form(psi, a).derivative()
-
-
-def eval_transform(F: ClosedTransform, z: complex) -> complex:
-    return F(z)
 
 
 @dataclass(frozen=True)

@@ -97,8 +97,9 @@ def test_missing_file_exit_code(tmp_path):
 
 
 def test_spec_validation_paths():
-    with pytest.raises(SpecError, match="^a:"):
-        ProblemSpec.from_json({"a": "-1", "psi1": ["1"], "psi2": ["1"]})
+    for a in ("-1", "0"):
+        with pytest.raises(SpecError, match="^a: must be positive"):
+            ProblemSpec.from_json({"a": a, "psi1": ["1"], "psi2": ["1"]})
     with pytest.raises(SpecError, match="^psi2:"):
         ProblemSpec.from_json({"a": "1", "psi1": ["1"], "psi2": []})
     with pytest.raises(SpecError, match="^grid_n:"):

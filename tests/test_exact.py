@@ -2,16 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from bezoutiant.exact import (
-    GR,
-    MPoly,
-    Poly,
-    parse_rational,
-    poly_definite_integral,
-    poly_derivative,
-    poly_eval,
-    poly_reflect_conj,
-)
+from bezoutiant.exact import GR, MPoly, Poly, parse_rational
 from conftest import random_gr, random_poly
 
 
@@ -49,29 +40,46 @@ def test_json_roundtrip():
 
 
 def test_poly_eval_examples():
-    assert poly_eval(Poly.of(0, 2), F(1, 2)) == GR(1)
-    assert poly_eval(Poly.of(0, -1, 1), 0) == GR(0)
+    assert Poly.of(0, 2)(F(1, 2)) == GR(1)
+    assert Poly.of(0, -1, 1)(0) == GR(0)
     p = Poly.of(0, GR(0, 1), 3)  # 3t^2 + i t
-    assert poly_eval(p, F(1, 3)) == GR(F(1, 3), F(1, 3))
+    assert p(F(1, 3)) == GR(F(1, 3), F(1, 3))
 
 
 def test_poly_definite_integral_examples():
-    assert poly_definite_integral(Poly.of(1), 0, 1) == GR(1)
-    assert poly_definite_integral(Poly.of(0, 1), 0, 1) == GR(F(1, 2))
-    assert poly_definite_integral(Poly.of(0, 2, -1), 0, 2) == GR(F(4, 3))
+    assert Poly.of(1).integral(0, 1) == GR(1)
+    assert Poly.of(0, 1).integral(0, 1) == GR(F(1, 2))
+    assert Poly.of(0, 2, -1).integral(0, 2) == GR(F(4, 3))
 
 
 def test_poly_derivative_examples():
-    assert poly_derivative(Poly.of(0, 0, 0, 1), 2) == Poly.of(0, 6)
-    assert poly_derivative(Poly.of(5), 1).is_zero
-    assert poly_derivative(Poly.of(0, 1, 2), 1) == Poly.of(1, 4)
+    assert Poly.of(0, 0, 0, 1).derivative(2) == Poly.of(0, 6)
+    assert Poly.of(5).derivative(1).is_zero
+    assert Poly.of(0, 1, 2).derivative(1) == Poly.of(1, 4)
 
 
 def test_poly_reflect_conj_examples():
-    assert poly_reflect_conj(Poly.of(1), 1) == Poly.of(1)
-    assert poly_reflect_conj(Poly.of(0, 2), 1) == Poly.of(2, -2)
+    assert Poly.of(1).reflect(1) == Poly.of(1)
+    assert Poly.of(0, 2).reflect(1) == Poly.of(2, -2)
     # p = i t, a = 2: conj(i(2 - t)) = -2i + i t
-    assert poly_reflect_conj(Poly.of(0, GR(0, 1)), 2) == Poly.of(GR(0, -2), GR(0, 1))
+    assert Poly.of(0, GR(0, 1)).reflect(2) == Poly.of(GR(0, -2), GR(0, 1))
+    assert Poly.of(0, GR(0, 1)).reflect(2, conjugate=False) == Poly.of(GR(0, 2), GR(0, -1))
+
+
+def test_compose_affine_examples():
+    p = Poly.of(1, 2, 3)  # 1 + 2t + 3t^2
+    assert p.compose_affine(1, 1) == Poly.of(6, 8, 3)
+    assert p.compose_affine(0, 2) == Poly.of(1, 4, 12)
+    # p(i + (1/2) t) = -2 + 2i + (1 + 3i) t + (3/4) t^2
+    assert p.compose_affine(GR(0, 1), F(1, 2)) == Poly.of(GR(-2, 2), GR(1, 3), F(3, 4))
+    assert Poly.of().compose_affine(3, 5).is_zero
+
+
+def test_jet_examples():
+    p = Poly.of(1, 2, 3)
+    assert p.jet(1) == (GR(6), GR(8), GR(6))
+    assert p.jet(0, 4) == (GR(1), GR(2), GR(6), GR(0), GR(0))
+    assert Poly.of().jet(2) == ()
 
 
 def test_integral_additivity(rng):
@@ -116,11 +124,3 @@ def test_mpoly_definite_integral():
     x = MPoly.var(2, 0)
     res = (t * 2).definite_integral(1, MPoly.zero(2), x).drop_var(1)
     assert res.to_univariate() == Poly.of(0, 0, 1)
-
-
-def test_mpoly_from_poly_composition():
-    p = Poly.of(1, 0, 1)  # 1 + t^2
-    s = MPoly.var(3, 0)
-    x = MPoly.var(3, 1)
-    q = MPoly.from_poly(p, s + x)
-    assert q.eval([2, 3, 0]) == GR(26)

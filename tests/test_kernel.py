@@ -29,6 +29,9 @@ def test_normalize_examples():
     assert pair.psi1 == TWO_T and pair.r1 == GR(F(1, 2))
     with pytest.raises(ZeroMassError):
         normalize_pair(Poly.of(F(-1, 2), 1), ONE, 1)
+    for a in (0, -1, F(-1, 2)):
+        with pytest.raises(ValueError, match="positive"):
+            normalize_pair(ONE, ONE, a)
 
 
 def test_m_functions_coincidence():

@@ -1,0 +1,165 @@
+"""Independent sympy oracles for the exact core.
+
+Jets, moments, the kernel pieces, L(D) and V(u) are each recomputed
+from their textbook definitions with sympy (symbolic derivatives and
+integrals) and compared exactly on hypothesis-generated densities.
+"""
+
+from fractions import Fraction
+
+import pytest
+import sympy as sp
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from bezoutiant.exact import GR, Poly
+from bezoutiant.kernel import build_kernel, normalize_pair
+from bezoutiant.symbol import l_operator, v_symbol
+from bezoutiant.transform import ClosedTransform
+
+s, u, x, t = sp.symbols("s u x t")
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+gaussians = st.builds(GR, rationals, rationals)
+reals = st.builds(GR, rationals)
+endpoints = st.sampled_from([Fraction(1), Fraction(7, 3)])
+
+
+def polys(max_degree):
+    return st.lists(st.one_of(gaussians, reals), min_size=1,
+                    max_size=max_degree + 1).map(lambda cs: Poly(tuple(cs)))
+
+
+def sym(c):
+    """A Gaussian rational as a sympy number."""
+    return sp.Rational(c.re.numerator, c.re.denominator) + sp.I * sp.Rational(
+        c.im.numerator, c.im.denominator)
+
+
+def sym_poly(p: Poly, var):
+    return sum((sym(c) * var ** k for k, c in enumerate(p.coeffs)), sp.Integer(0))
+
+
+def same(lhs, rhs) -> bool:
+    return sp.expand(lhs - rhs) == 0
+
+
+def integrate(expr, lo, hi):
+    """int_lo^hi expr ds for a polynomial in s (sympy's polynomial antiderivative)."""
+    anti = sp.Poly(sp.expand(expr), s).integrate().as_expr()
+    return anti.subs(s, hi) - anti.subs(s, lo)
+
+
+ORACLE = settings(max_examples=15, deadline=None, derandomize=True)
+
+
+@ORACLE
+@given(polys(6), st.one_of(gaussians, reals))
+def test_jet_matches_sympy_derivatives(p, at):
+    expr = sym_poly(p, s)
+    n = p.degree + 1
+    jet = p.jet(at, n)
+    assert len(jet) == n + 1
+    for k, value in enumerate(jet):
+        assert same(sym(value), sp.diff(expr, s, k).subs(s, sym(at)))
+
+
+@ORACLE
+@given(polys(6), endpoints)
+def test_moments_match_sympy_integrals(g, a):
+    F = ClosedTransform.from_density(g, a)
+    expr = sym_poly(g, s)
+    A = sp.Rational(a.numerator, a.denominator)
+    assert len(F.moments) == g.degree + 33
+    for n in (0, 1, 5, len(F.moments) - 1):
+        assert same(sym(F.moments[n]), integrate(s ** n * expr, 0, A))
+
+
+@ORACLE
+@given(polys(5), endpoints)
+def test_laurent_coefficients_match_sympy(g, a):
+    # F(z) = e^{iaz} sum_j p_j z^-j + sum_j q_j z^-j with
+    # p_j = (-1)^(j-1) (-i)^j g^(j-1)(a), q_j = -(-1)^(j-1) (-i)^j g^(j-1)(0)
+    F = ClosedTransform.from_density(g, a)
+    expr = sym_poly(g, s)
+    A = sp.Rational(a.numerator, a.denominator)
+    assert len(F.osc) == len(F.plain) == g.degree + 1
+    for j in range(1, g.degree + 2):
+        d = sp.diff(expr, s, j - 1)
+        unit = (-1) ** (j - 1) * (-sp.I) ** j
+        assert same(sym(F.osc[j - 1]), unit * d.subs(s, A))
+        assert same(sym(F.plain[j - 1]), -unit * d.subs(s, 0))
+
+
+def _normalized(psi1, psi2, a):
+    assume(psi1.integral(0, a) and psi2.integral(0, a))
+    if psi1.degree < psi2.degree:
+        psi1, psi2 = psi2, psi1
+    return normalize_pair(psi1, psi2, a)
+
+
+@pytest.mark.parametrize("a", [Fraction(1), Fraction(7, 3)])
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(psi1=polys(4), psi2=polys(4))
+@example(psi1=Poly.of(1, GR(0, -2), 3, Fraction(1, 2), GR(-1, 1)),
+         psi2=Poly.of(2, 0, -1, GR(0, 1), 4))
+def test_kernel_pieces_match_sympy_integration(a, psi1, psi2):
+    pair = _normalized(psi1, psi2, a)
+    k = build_kernel(pair)
+    A = sp.Rational(a.numerator, a.denominator)
+    p2 = sym_poly(pair.psi2, s)
+    g1 = sym_poly(pair.psi1.conjugate(), s)
+    integrand = (p2.subs(s, A - s) * g1.subs(s, A - s - x + t)
+                 - p2.subs(s, s + x - t) * g1)
+    lower = integrate(integrand, t, A)
+    upper = integrate(integrand, t, A + t - x)
+
+    def piece(mp):
+        return sum((sym(c) * x ** i * t ** j for (i, j), c in mp.terms.items()),
+                   sp.Integer(0))
+
+    for got, want in ((k.u_lower, lower), (k.u_upper, upper)):
+        assert sp.Poly(piece(got) - want, x, t, domain="QQ_I").is_zero
+
+
+def _endpoint_derivatives(pair):
+    Q = pair.psi1.degree
+    A = sp.Rational(pair.a.numerator, pair.a.denominator)
+    p2 = sym_poly(pair.psi2, s)
+    g1 = sym_poly(pair.psi1.conjugate(), s)
+    d2 = [sp.diff(p2, s, k) for k in range(Q + 1)]
+    d1 = [sp.diff(g1, s, k) for k in range(Q + 1)]
+    return Q, A, d1, d2
+
+
+@ORACLE
+@given(polys(6), polys(6), endpoints)
+def test_l_operator_matches_textbook_double_sum(psi1, psi2, a):
+    pair = _normalized(psi1, psi2, a)
+    Q, A, d1, d2 = _endpoint_derivatives(pair)
+    want = []
+    for order in range(Q):
+        total = sp.Integer(0)
+        for p in range(Q - order):
+            k = Q - 1 - order - p
+            total += (-1) ** (k + 1) * d2[p].subs(s, 0) * d1[k].subs(s, 0)
+            total += (-1) ** p * d2[k].subs(s, A) * d1[p].subs(s, A)
+        want.append(total)
+    while want and sp.expand(want[-1]) == 0:
+        want.pop()
+    got = l_operator(pair).coeffs
+    assert len(got) == len(want)
+    assert all(same(sym(c), w) for c, w in zip(got, want))
+
+
+@ORACLE
+@given(polys(5), polys(5), endpoints)
+def test_v_symbol_matches_textbook_sum(psi1, psi2, a):
+    pair = _normalized(psi1, psi2, a)
+    Q, A, d1, d2 = _endpoint_derivatives(pair)
+    want = sp.Integer(0)
+    for p in range(Q + 1):
+        k = Q - p
+        want += (-1) ** (k + 1) * d1[k].subs(s, 0) * d2[p].subs(s, u)
+        want += (-1) ** p * d2[k].subs(s, A) * d1[p].subs(s, A - u)
+    assert same(sym_poly(v_symbol(pair), u), want)

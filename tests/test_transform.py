@@ -9,8 +9,6 @@ from bezoutiant.transform import (
     ClosedTransform,
     EvaluationOverflow,
     closed_form,
-    derivative_transform,
-    eval_transform,
     reflected_transform,
     trig_form,
 )
@@ -103,23 +101,27 @@ def test_reflection_involution_exact(rng):
 
 
 def test_derivative_transform():
-    Fd = derivative_transform(ONE, 1)
+    Fd = closed_form(ONE, 1).derivative()
     assert abs(Fd(0) - 0.5j) < 1e-14  # i mu_1
     Ft = closed_form(ONE, 1)
     h = 1e-6
     z = 2 * math.pi
     fd = (Ft(z + h) - Ft(z - h)) / (2 * h)
     assert abs(Fd(z) - fd) < 1e-8
-    Fd2 = derivative_transform(TWO_T, 1)
+    Fd2 = closed_form(TWO_T, 1).derivative()
     assert abs(Fd2(0) - 2j / 3) < 1e-14
 
 
 def test_derivative_matches_transform_method(rng):
+    # F' is the transform of i t g(t); compare with a central difference
     psi = random_admissible_poly(rng, 4, 1)
     Ft = closed_form(psi, 1)
-    Fd = derivative_transform(psi, 1)
+    Fd = Ft.derivative()
+    assert Fd.density == psi.conjugate().times_x() * GR(0, 1)
+    h = 1e-5
     for z in (0.1, 2.0 + 1.0j, -7.5 - 0.3j):
-        assert abs(Ft.derivative()(z) - Fd(z)) < 1e-12 * max(1, abs(Fd(z)))
+        fd = (Ft(z + h) - Ft(z - h)) / (2 * h)
+        assert abs(Fd(z) - fd) < 1e-7 * max(1, abs(Fd(z)))
 
 
 def test_trig_form_constant():
@@ -164,6 +166,12 @@ def test_overflow_guard():
         Ft(1j * 1e4)
 
 
-def test_eval_transform_alias():
+def test_call_matches_eval_many():
     Ft = closed_form(ONE, 1)
-    assert eval_transform(Ft, 0.3) == Ft(0.3)
+    assert Ft(0.3) == Ft.eval_many(np.array([0.3]))[0]
+
+
+def test_nonpositive_endpoint_rejected():
+    for a in (0, -1, F(-1, 2)):
+        with pytest.raises(ValueError, match="positive"):
+            ClosedTransform.from_density(ONE, a)
