@@ -4,6 +4,26 @@ Zeros inside a rectangle are counted by the winding integral of F'/F over
 the boundary, isolated by recursive quadrisection, and polished by Newton
 iteration using the exact closed form of F'.  This is the numerical side
 of the artifact: it never trusts the symbolic verdict and vice versa.
+
+Contour evaluation is batched.  A winding integral cuts each edge into
+Gauss-Legendre panels, and one panel level of every box in a batch (4
+edges x all panels x 20 nodes) goes to `eval_many` as one array, F and F'
+one call each, in chunks of at most _CHUNK_POINTS points.  Panel sums
+are reduced with array operations and added in the same order as a
+per-panel loop would add them, so the integrals are the same floats.
+`_certified_windings` certifies the four children of a quadrisection
+together: at each doubling of the panels (4 to 256) it evaluates only the
+boxes not yet certified, and each box keeps the one-box rule (two
+successive integrals within `stab_tol` and within 0.1 of an integer).
+The seven candidate cut lines of a split are scored in one call too.
+
+Split retry.  `_split_coord` ranks its candidate lines by the smallest
+|F| sampled on them.  If the children of the best pair of cuts do not
+certify, or their counts do not add up to the parent's, the next-ranked
+pair is tried; only when every pair fails is the best pair's error
+raised.  A zero on or near the first cut line therefore no longer ends
+the search.  F'' is built only when a cluster below the subdivision floor
+has to be resolved.
 """
 
 from __future__ import annotations
@@ -86,6 +106,14 @@ class ZeroSet:
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 
+#: Panels per edge tried in turn by `_certified_windings`.
+_PANEL_LEVELS = (4, 8, 16, 32, 64, 128, 256)
+
+#: Most contour points handed to one `eval_many` call.  A batch of four
+#: boxes certifies at 8 panels in one call; a batch that runs to 256 panels
+#: is evaluated piecewise, so its temporaries stay a few hundred kB.
+_CHUNK_POINTS = 4096
+
 
 def _box_corners(box):
     x0, x1, y0, y1 = box
@@ -98,31 +126,67 @@ def _boundary_samples(box, n_per_edge=128) -> np.ndarray:
     return np.concatenate([a + (b - a) * t for a, b in zip(cs, cs[1:] + cs[:1])])
 
 
-def _winding_integral(F, Fp, box, panels_per_edge):
-    cs = _box_corners(box)
-    total = 0j
-    for a, b in zip(cs, cs[1:] + cs[:1]):
-        edges = np.linspace(0.0, 1.0, panels_per_edge + 1)
-        for t0, t1 in zip(edges[:-1], edges[1:]):
-            t = 0.5 * (t1 - t0) * _GL_NODES + 0.5 * (t1 + t0)
-            z = a + (b - a) * t
-            vals = Fp.eval_many(z) / F.eval_many(z)
-            total += (b - a) * 0.5 * (t1 - t0) * np.sum(_GL_WEIGHTS * vals)
-    return total / (2j * math.pi)
+def _winding_integrals(F, Fp, boxes, panels_per_edge) -> np.ndarray:
+    """(1/2 pi i) times the contour integral of F'/F around each box.
+
+    Every edge of every box is cut into `panels_per_edge` Gauss-Legendre
+    panels.  A panel row holds the nodes of one panel; the rows of all
+    boxes are evaluated together, at most _CHUNK_POINTS points per
+    `eval_many` call.
+    """
+    corners = np.array([_box_corners(b) for b in boxes])
+    start = corners.ravel()
+    delta = np.roll(corners, -1, axis=1).ravel() - start
+    edges = np.linspace(0.0, 1.0, panels_per_edge + 1)
+    width = edges[1:] - edges[:-1]
+    t = 0.5 * width[:, None] * _GL_NODES + 0.5 * (edges[1:] + edges[:-1])[:, None]
+    edge, panel = np.divmod(np.arange(start.size * panels_per_edge), panels_per_edge)
+    sums = np.empty(edge.size, dtype=complex)
+    step = _CHUNK_POINTS // _GL_NODES.size
+    for lo in range(0, edge.size, step):
+        e, p = edge[lo:lo + step, None], panel[lo:lo + step]
+        z = (start[e] + delta[e] * t[p]).ravel()
+        vals = (Fp.eval_many(z) / F.eval_many(z)).reshape(-1, _GL_NODES.size)
+        sums[lo:lo + step] = np.sum(_GL_WEIGHTS * vals, axis=1)
+    terms = delta[edge] * 0.5 * width[panel] * sums
+    # cumsum adds the panels in the order the scalar loop did
+    return np.cumsum(terms.reshape(len(boxes), -1), axis=1)[:, -1] / (2j * math.pi)
+
+
+def _certified_windings(F, Fp, boxes, stab_tol=1e-3) -> list:
+    """Winding numbers of several boxes, certified together.
+
+    Each box doubles its panels until two successive integrals agree to
+    `stab_tol` and lie within 0.1 of an integer; a box that has not
+    certified at the last level raises.  Each level evaluates only the
+    boxes that are still open.
+    """
+    counts = [None] * len(boxes)
+    prev = [None] * len(boxes)
+    open_ = list(range(len(boxes)))
+    for panels in _PANEL_LEVELS:
+        vals = _winding_integrals(F, Fp, [boxes[i] for i in open_], panels)
+        still = []
+        for i, val in zip(open_, vals):
+            val = complex(val)
+            if prev[i] is not None and abs(val - prev[i]) < stab_tol:
+                n = round(val.real)
+                if abs(val - n) <= 0.1:
+                    counts[i] = int(n)
+                    continue
+            prev[i] = val
+            still.append(i)
+        open_ = still
+        if not open_:
+            return counts
+    i = open_[0]
+    raise NonIntegerWindingError(
+        f"winding integral did not certify an integer on {boxes[i]}: {prev[i]}")
 
 
 def _certified_winding(F, Fp, box, stab_tol=1e-3):
-    """Winding number with adaptive panel doubling until stable and integral."""
-    prev = None
-    for panels in (4, 8, 16, 32, 64, 128, 256):
-        val = _winding_integral(F, Fp, box, panels)
-        if prev is not None and abs(val - prev) < stab_tol:
-            n = round(val.real)
-            if abs(val - n) <= 0.1:
-                return int(n)
-        prev = val
-    raise NonIntegerWindingError(
-        f"winding integral did not certify an integer on {box}: {prev}")
+    """Winding number of one box (see `_certified_windings`)."""
+    return _certified_windings(F, Fp, [box], stab_tol)[0]
 
 
 def _guarded_box(F, rect: SearchRect, threshold_rel=1e-8, attempts=5):
@@ -190,17 +254,25 @@ def _newton_multiple(F, Fp, Fpp, z0: complex, tol: float, box, max_iter=80):
     return None
 
 
-def _split_coord(F, lo, hi, other_lo, other_hi, vertical):
-    """Pick a split position whose cut line stays well away from zeros."""
-    best, best_min = None, -1.0
-    for frac in (0.5, 0.44, 0.56, 0.38, 0.62, 0.32, 0.68):
-        c = lo + frac * (hi - lo)
-        t = np.linspace(other_lo, other_hi, 33)
-        z = (c + 1j * t) if vertical else (t + 1j * c)
-        m = float(np.min(np.abs(F.eval_many(z))))
-        if m > best_min:
-            best, best_min = c, m
-    return best
+#: Candidate cut lines, as fractions of the side, in order of preference.
+_SPLIT_FRACS = (0.5, 0.44, 0.56, 0.38, 0.62, 0.32, 0.68)
+
+
+def _split_coord(F, lo, hi, other_lo, other_hi, vertical) -> list:
+    """Candidate split positions, best first.
+
+    Each cut line is sampled at 33 points, all lines in one `eval_many`
+    call.  Lines rank by the smallest |F| seen on them, largest first;
+    ties keep the order of _SPLIT_FRACS and lines with a NaN sample come
+    last.
+    """
+    cs = [lo + frac * (hi - lo) for frac in _SPLIT_FRACS]
+    c = np.array(cs)[:, None]
+    t = np.linspace(other_lo, other_hi, 33)
+    z = (c + 1j * t) if vertical else (t + 1j * c)
+    mins = np.min(np.abs(F.eval_many(z.ravel())).reshape(z.shape), axis=1)
+    order = sorted(range(len(cs)), key=lambda k: (bool(np.isnan(mins[k])), -mins[k]))
+    return [cs[k] for k in order]
 
 
 def _in_box(z, box, pad=0.0):
@@ -208,10 +280,37 @@ def _in_box(z, box, pad=0.0):
     return x0 - pad <= z.real <= x1 + pad and y0 - pad <= z.imag <= y1 + pad
 
 
+def _quadrisect(F, Fp, box, count):
+    """Four children of the box and their winding numbers, which sum to count.
+
+    The ranked cut lines of `_split_coord` are paired best with best,
+    second with second, and so on; a pair whose children do not certify,
+    or whose counts do not add up, gives way to the next.  If none works,
+    the best pair's error is raised.
+    """
+    x0, x1, y0, y1 = box
+    first_error = None
+    for xs, ys in zip(_split_coord(F, x0, x1, y0, y1, vertical=True),
+                      _split_coord(F, y0, y1, x0, x1, vertical=False)):
+        children = [
+            (x0, xs, y0, ys), (xs, x1, y0, ys),
+            (x0, xs, ys, y1), (xs, x1, ys, y1),
+        ]
+        try:
+            counts = _certified_windings(F, Fp, children)
+        except NonIntegerWindingError as exc:
+            first_error = first_error or exc
+            continue
+        if sum(counts) == count:
+            return children, counts
+        first_error = first_error or NonIntegerWindingError(
+            f"child counts {counts} do not sum to parent count {count}")
+    raise first_error
+
+
 def locate_zeros(F: ClosedTransform, rect: SearchRect, tol: float = 1e-10) -> ZeroSet:
     """Isolate every zero in the rectangle by quadrisection, polish by Newton."""
     Fp = F.derivative()
-    Fpp = Fp.derivative()
     box, _ = _guarded_box(F, rect)
     total = _certified_winding(F, Fp, box)
     floor = 100.0 * tol
@@ -221,7 +320,7 @@ def locate_zeros(F: ClosedTransform, rect: SearchRect, tol: float = 1e-10) -> Ze
     def resolve_cluster(b, count):
         x0, x1, y0, y1 = b
         z0 = complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
-        z = _newton_multiple(F, Fp, Fpp, z0, tol, b)
+        z = _newton_multiple(F, Fp, Fp.derivative(), z0, tol, b)
         if z is not None:
             eps = max(20.0 * tol, 1e-9)
             tiny = (z.real - eps, z.real + eps, z.imag - eps, z.imag + eps)
@@ -249,17 +348,7 @@ def locate_zeros(F: ClosedTransform, rect: SearchRect, tol: float = 1e-10) -> Ze
         if diam < floor:
             resolve_cluster(b, count)
             return
-        xs = _split_coord(F, x0, x1, y0, y1, vertical=True)
-        ys = _split_coord(F, y0, y1, x0, x1, vertical=False)
-        children = [
-            (x0, xs, y0, ys), (xs, x1, y0, ys),
-            (x0, xs, ys, y1), (xs, x1, ys, y1),
-        ]
-        counts = [_certified_winding(F, Fp, c) for c in children]
-        if sum(counts) != count:
-            raise NonIntegerWindingError(
-                f"child counts {counts} do not sum to parent count {count}")
-        for c, n in zip(children, counts):
+        for c, n in zip(*_quadrisect(F, Fp, b, count)):
             process(c, n)
 
     process(box, total)

@@ -1,11 +1,17 @@
-"""Exact outputs on the fixture corpus, compared with recorded golden files.
+"""Outputs on the fixture corpus, compared with recorded golden files.
 
-Each golden file holds the `decide`+`kernel` report (without its
+Each file in `golden/` holds the `decide`+`kernel` report (without its
 provenance block) and the Laurent coefficients and moments of F_1 and
 F_{2,1}.  Every entry is an exact rational string, so equality here means
 bit-identical exact output.
 
-To record the files again (only after a deliberate change of an exact
+Each file in `golden_zeros/` holds the exit code and the `zero_sets`,
+`comparison` and `conflict` entries of the `decide`+`zeros` report, the
+numeric half of `bezoutiant verify`.  Floats go through JSON as their
+shortest round-trip repr, so equality here means the same zeros, float
+for float.
+
+To record the files again (only after a deliberate change of a recorded
 output), run from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -21,6 +27,7 @@ from bezoutiant.transform import closed_form, reflected_transform
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
+GOLDEN_ZEROS = FIXTURES / "golden_zeros"
 CASES = sorted(p.stem for p in FIXTURES.glob("*.json") if p.stem != "bad_rational")
 
 
@@ -45,6 +52,12 @@ def record(name: str) -> dict:
     }
 
 
+def record_zeros(name: str) -> dict:
+    report, code = run(FIXTURES / f"{name}.json", None, tasks=("decide", "zeros"))
+    return {"exit_code": code,
+            **{k: report.get(k) for k in ("zero_sets", "comparison", "conflict")}}
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_golden_exact_outputs(name):
     want = json.loads((GOLDEN / f"{name}.json").read_text())
@@ -53,9 +66,17 @@ def test_golden_exact_outputs(name):
     assert got == want
 
 
+@pytest.mark.parametrize("name", CASES)
+def test_golden_zero_sets(name):
+    want = json.loads((GOLDEN_ZEROS / f"{name}.json").read_text())
+    got = json.loads(json.dumps(record_zeros(name)))
+    assert got == want
+
+
 if __name__ == "__main__":
-    GOLDEN.mkdir(exist_ok=True)
-    for case in CASES:
-        with open(GOLDEN / f"{case}.json", "w") as fh:
-            json.dump(record(case), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+    for folder, recorder in ((GOLDEN, record), (GOLDEN_ZEROS, record_zeros)):
+        folder.mkdir(exist_ok=True)
+        for case in CASES:
+            with open(folder / f"{case}.json", "w") as fh:
+                json.dump(recorder(case), fh, indent=1, sort_keys=True)
+                fh.write("\n")

@@ -1,4 +1,6 @@
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +8,16 @@ import pytest
 from bezoutiant.exact import GR, Poly
 from bezoutiant.transform import closed_form, reflected_transform
 from bezoutiant.zeros import (
+    _GL_NODES,
+    _GL_WEIGHTS,
+    _SPLIT_FRACS,
+    NonIntegerWindingError,
     SearchRect,
+    _box_corners,
+    _certified_winding,
+    _certified_windings,
+    _split_coord,
+    _winding_integrals,
     bessel_reference,
     compare_zero_sets,
     count_zeros,
@@ -140,3 +151,91 @@ def test_residual_invariant():
         (rect.re_min, rect.re_max, rect.im_min, rect.im_max))))))
     for r in zs.zeros:
         assert r.residual <= 1e-9 * max(1.0, sup)
+
+
+# -- batched contour evaluation ----------------------------------------------
+
+def _panel_loop_winding(F, Fp, box, panels_per_edge):
+    """The scalar oracle: two eval_many calls per panel, one panel at a time."""
+    cs = _box_corners(box)
+    total = 0j
+    for a, b in zip(cs, cs[1:] + cs[:1]):
+        edges = np.linspace(0.0, 1.0, panels_per_edge + 1)
+        for t0, t1 in zip(edges[:-1], edges[1:]):
+            t = 0.5 * (t1 - t0) * _GL_NODES + 0.5 * (t1 + t0)
+            z = a + (b - a) * t
+            vals = Fp.eval_many(z) / F.eval_many(z)
+            total += (b - a) * 0.5 * (t1 - t0) * np.sum(_GL_WEIGHTS * vals)
+    return total / (2j * math.pi)
+
+
+#: Criterion 9's rectangles and the zero counts of (e^{iz} - 1)/(iz) in them.
+CRITERION_9_BOXES = [
+    ((-1, 1, -1, 1), 0), ((-7, 7, -1, 1), 2), ((5, 8, -1, 1), 1),
+    ((-13, 13, -1, 1), 4), ((1, 5, -1, 1), 0), ((-40, 40, -1, 1), 12),
+    ((6, 7, -1, 1), 1), ((12, 13, -1, 1), 1), ((-26, -5, -1, 1), 4),
+    ((0.5, 3, -1, 1), 0),
+]
+
+
+def test_winding_integrals_match_panel_loop():
+    F = reflected_transform(Poly.of(1, GR(0, 2), -3, GR(1, 1)), 2)
+    Fp = F.derivative()
+    boxes = [(-10.0, 3.0, -5.0, 2.0), (-3.1, 7.7, -1.0, 4.0), (0.1, 0.2, 0.3, 0.5),
+             (-20.5, 20.0, -5.5, 5.5)]
+    # 256 panels x 4 edges x 4 boxes spans several eval_many chunks
+    for panels in (4, 8, 64, 256):
+        got = _winding_integrals(F, Fp, boxes, panels)
+        assert got.shape == (len(boxes),)
+        for box, val in zip(boxes, got):
+            want = _panel_loop_winding(F, Fp, box, panels)
+            assert abs(val - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_certified_windings_batch_equals_single():
+    Ft = closed_form(ONE, 1)
+    Fp = Ft.derivative()
+    boxes = [box for box, _ in CRITERION_9_BOXES]
+    batch = _certified_windings(Ft, Fp, boxes)
+    assert batch == [_certified_winding(Ft, Fp, b) for b in boxes]
+    assert batch == [want for _, want in CRITERION_9_BOXES]
+
+
+def test_certified_windings_error_names_failing_box():
+    # zeros of (e^{iz} - 1)/(iz) at 2 pi and 4 pi lie on these boxes' edges
+    Ft = closed_form(ONE, 1)
+    Fp = Ft.derivative()
+    good, bad, worse = (5, 8, -1, 1), (1, 2 * math.pi, -1, 1), (4 * math.pi, 14, -1, 1)
+    with pytest.raises(NonIntegerWindingError, match=re.escape(str(bad))):
+        _certified_windings(Ft, Fp, [good, bad, worse])
+    with pytest.raises(NonIntegerWindingError, match=re.escape(str(worse))):
+        _certified_windings(Ft, Fp, [worse, good])
+
+
+def test_split_coord_ranks_every_candidate():
+    Ft = closed_form(ONE, 1)
+    # all seven vertical cuts of [-13, 13] x [-1, 1], largest min |F| first
+    ranked = _split_coord(Ft, -13.0, 13.0, -1.0, 1.0, vertical=True)
+    assert sorted(ranked) == sorted(-13.0 + f * 26.0 for f in _SPLIT_FRACS)
+    t = np.linspace(-1.0, 1.0, 33)
+    mins = [float(np.min(np.abs(Ft.eval_many(c + 1j * t)))) for c in ranked]
+    assert mins == sorted(mins, reverse=True)
+
+
+def test_split_retry_degree_15_rational_pair():
+    # A degree-15/14 real pair on [0, 1].  For both transforms the
+    # best-ranked first cut is x = 0, and the children it makes do not
+    # certify (for F_1 the integral is NaN), so the locator must fall back
+    # to the next-ranked pair of cuts.
+    psi1 = Poly.of(*map(Fraction, ["1/2", "-2", "2/3", "-2/3", "5", "0", "3/2", "1/6",
+                             "5", "-3", "-1/3", "1", "-4/5", "-2/3", "-5/6", "-3/4"]))
+    psi2 = Poly.of(*map(Fraction, ["-5/6", "-5/2", "-1/2", "2", "-3/5", "6", "2/5", "2/5",
+                             "0", "-1/3", "-4", "-1", "-1", "-2", "-3/2"]))
+    rect = SearchRect(-40, 40, -5, 5)
+    for F in (closed_form(psi1, 1), reflected_transform(psi2, 1)):
+        with np.errstate(divide="ignore", invalid="ignore"):  # the NaN first cut
+            zs = locate_zeros(F, rect)
+        assert zs.total_count == len(zs.zeros) == 12
+        for r in zs.zeros:
+            assert r.multiplicity == 1 and r.residual <= 1e-9
+            assert -40 <= r.z.real <= 40 and -5 <= r.z.imag <= 5
