@@ -155,6 +155,13 @@ def _spec_hash(spec_path) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def _refinement_sizes(grid_n: int) -> list:
+    """Halving ladder ending at grid_n, ascending: grid_n, grid_n // 2, ...
+    while >= 32, at most four sizes; [grid_n // 2, grid_n] if fewer qualify."""
+    sizes = [grid_n >> i for i in range(4) if grid_n >> i >= 32]
+    return sizes[::-1] if len(sizes) > 1 else [grid_n // 2, grid_n]
+
+
 def run(spec_path, out_path, tasks=None, rect=None, tol=None, grid_n=None):
     """Execute the requested pipeline; returns (report_dict, exit_code)."""
     started = time.monotonic()
@@ -190,8 +197,8 @@ def run(spec_path, out_path, tasks=None, rect=None, tol=None, grid_n=None):
         if "kernel" in spec.tasks:
             report["kernel"] = kern.to_json()
         if "operator-check" in spec.tasks:
-            sizes = sorted({32, 64, min(128, max(32, spec.grid_n)), spec.grid_n})
-            report["operator"] = convergence_study(pair, kern, mf, sizes=sizes)
+            report["operator"] = convergence_study(
+                pair, kern, mf, sizes=_refinement_sizes(spec.grid_n))
 
     if "zeros" in spec.tasks and verdict.outcome != OUTCOME_INCONCLUSIVE:
         f1 = closed_form(spec.psi1, spec.a)

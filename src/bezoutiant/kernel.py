@@ -128,6 +128,20 @@ class BezoutKernel:
         lower, upper = (_horner_xt(c, x, t) for c in self._float_pieces)
         return np.where(x < t, lower, upper)
 
+    def u_grid(self, x, t) -> np.ndarray:
+        """U on the tensor grid of 1-D node arrays: entry [i, j] is U(x_i, t_j).
+
+        Each piece is V_x C V_t^T with Vandermonde matrices V, two small
+        matrix products; the triangle x_i < t_j takes the lower piece.
+        """
+        x = np.asarray(x, dtype=float)
+        t = np.asarray(t, dtype=float)
+        vander = lambda v, m: np.vander(v, m, increasing=True)
+        lower, out = ((vander(x, c.shape[0]) @ c) @ vander(t, c.shape[1]).T
+                      for c in self._float_pieces)
+        np.copyto(out, lower, where=x[:, None] < t[None, :])
+        return out
+
     def to_json(self):
         return {
             "a": str(self.a),

@@ -1,13 +1,45 @@
 """Quadrature discretization of the realization operators.
 
 The operators A, B_k, T and the rank-one product N_2 N_1* are replaced by
-matrices on a midpoint-rule grid (order 2, robust across the kernel's
-diagonal kink).  The structural identity
+Nystrom matrices on a grid with nodes x_j and positive weights w_j (the
+midpoint rule in practice: order 2, robust across the kernel's diagonal
+kink).  The structural identity
 
     T B_1 - B_2* T = N_2 N_1*
 
 then holds up to discretization error, whose decay under grid refinement
 is the quantity reported here.
+
+None of the dense operator matrices is formed except T.  With W = diag(w)
+and 1 the vector of ones, the matrices are
+
+    A[i, j] = i w_j (j < i),  i w_i / 2 (j = i),  0 (j > i)   f -> i int_0^x f
+    B_k     = A + 1 r_k^T,    r_k = -i w conj(Phi_k(x))       P_k* f
+    T[i, j] = c U(x_i, x_j) w_j
+    N_2 N_1* = n_2 (w conj(n_1))^T,  n_2 = -i (conj(alpha) + beta) M_2(x),
+                                     n_1 = conj(M_2(a - x)),
+
+and the L^2(0, a) adjoint of a matrix M is M* = W^{-1} M^H W, so that
+A*[i, j] = -i w_j for j > i and -i w_i / 2 on the diagonal.  With the
+suffix sums S_j(v) = sum_{k>=j} v_k, the midpoint integral of f from node
+j to a is S_j(w f) - w_j f_j / 2, and
+
+    (T A)[i, j]  =  i w_j (S_j(T[i, :]) - T[i, j] / 2)      (along rows)
+    (A* T)[i, j] = -i (S_i(w T[:, j]) - w_i T[i, j] / 2)   (along columns)
+    (1 r_2^T)* T = (W^{-1} conj(r_2)) (w^T T).
+
+The residual is therefore
+
+    T B_1 - B_2* T - N_2 N_1*
+        = i [S_rows(T) W + S_cols(W T) - T[i, j] (w_i + w_j) / 2]
+          + [T 1, -W^{-1} conj(r_2), -n_2] [r_1; w^T T; w conj(n_1)],
+
+two cumulative sums and one n x 3 by 3 x n product: O(n^2) per grid for
+any positive weights, where the dense form costs two complex n^3 products.
+The sequential cumulative sums carry more rounding error than the dense
+products: on degree 3-8 pairs at n = 256 the residual is within 1e-11
+relative of a long-double evaluation of the dense form on the same T
+(dense float64: 2e-13), far below the discretization error it measures.
 """
 
 from __future__ import annotations
@@ -39,25 +71,31 @@ class Grid:
 
 
 @dataclass(frozen=True)
-class DiscretizedOperator:
-    label: str
-    matrix: np.ndarray
+class Discretization:
+    """The Nystrom matrix of T and the vectors that fix every other operator.
+
+    `row1`, `row2` are r_1, r_2 of B_k = A + 1 r_k^T; `n1`, `n2` give
+    N_2 N_1* = n_2 (w conj(n_1))^T (see the module docstring).
+    """
+
     grid: Grid
+    t: np.ndarray
+    row1: np.ndarray
+    row2: np.ndarray
+    n1: np.ndarray
+    n2: np.ndarray
 
 
 def kernel_matrix(k: BezoutKernel, grid: Grid) -> np.ndarray:
     """Nystrom matrix of T: T[i, j] = c U(x_i, t_j) w_j."""
-    x = grid.nodes[:, None]
-    t = grid.nodes[None, :]
-    return complex(k.c) * k.u_float(x, t) * grid.weights[None, :]
+    t = k.u_grid(grid.nodes, grid.nodes)
+    t *= complex(k.c) * grid.weights
+    return t
 
 
-def _cumulative_matrix(grid: Grid) -> np.ndarray:
-    """Midpoint discretization of f -> i * int_0^x f(t) dt."""
-    n = grid.n
-    m = np.tril(np.ones((n, n)), -1) * grid.weights[None, :]
-    m += np.diag(grid.weights) * 0.5
-    return 1j * m
+def _suffix_sums(m: np.ndarray, axis: int) -> np.ndarray:
+    """sum_{k>=j} m_k along `axis`, as a view of one new array."""
+    return np.flip(np.cumsum(np.flip(m, axis), axis=axis), axis)
 
 
 def _poly_nodes(p, nodes: np.ndarray) -> np.ndarray:
@@ -69,47 +107,38 @@ def discretize_all(
     k: BezoutKernel,
     mf: MFunctions,
     grid: Grid,
-) -> dict:
-    """All discretized operators keyed by label."""
-    a = float(pair.a)
-    t_mat = kernel_matrix(k, grid)
-    a_mat = _cumulative_matrix(grid)
-    ones = np.ones(grid.n, dtype=complex)
-    ops = {"T": t_mat, "A": a_mat}
-    for label, phi in (("B1", mf.phi1), ("B2", mf.phi2)):
-        # P_k* f = -i int_0^a f(t) conj(Phi_k(t)) dt
-        row = -1j * grid.weights * np.conj(_poly_nodes(phi, grid.nodes))
-        ops[label] = a_mat + np.outer(ones, row)
-    scale = complex(mf.alpha.conjugate() + mf.beta)
-    m2_nodes = _poly_nodes(mf.m2, grid.nodes)
-    n2 = -1j * scale * m2_nodes
-    n1 = np.conj(_poly_nodes(mf.m2, a - grid.nodes))
-    ops["N1"] = n1.reshape(-1, 1)
-    ops["N2"] = n2.reshape(-1, 1)
-    # N_1* f = int f conj(N_1) -> row of weights * conj(N_1)
-    ops["N2N1star"] = np.outer(n2, grid.weights * np.conj(n1))
-    return {
-        label: DiscretizedOperator(label, m, grid) for label, m in ops.items()
-    }
-
-
-def _adjoint(op: np.ndarray, grid: Grid) -> np.ndarray:
-    """L^2(0,a) adjoint of a Nystrom matrix: W^{-1} M^H W."""
+) -> Discretization:
+    """T and the vectors r_1, r_2, n_1, n_2 on the grid."""
     w = grid.weights
-    return (op.conj().T * w[None, :]) / w[:, None]
+    # P_k* f = -i int_0^a f(t) conj(Phi_k(t)) dt
+    row1, row2 = (-1j * w * np.conj(_poly_nodes(phi, grid.nodes))
+                  for phi in (mf.phi1, mf.phi2))
+    scale = complex(mf.alpha.conjugate() + mf.beta)
+    n2 = -1j * scale * _poly_nodes(mf.m2, grid.nodes)
+    n1 = np.conj(_poly_nodes(mf.m2, float(pair.a) - grid.nodes))
+    return Discretization(grid, kernel_matrix(k, grid), row1, row2, n1, n2)
 
 
-def identity_residual(ops: dict, norm: str = "fro") -> float:
+def identity_residual(ops: Discretization, norm: str = "fro") -> float:
     """Norm of T B_1 - B_2* T - N_2 N_1* on the common grid."""
-    grid = ops["T"].grid
-    t = ops["T"].matrix
-    b1 = ops["B1"].matrix
-    b2s = _adjoint(ops["B2"].matrix, grid)
-    res = t @ b1 - b2s @ t - ops["N2N1star"].matrix
+    w = ops.grid.weights
+    t = ops.t
+    left = np.stack([t.sum(axis=1), -np.conj(ops.row2) / w, -ops.n2], axis=1)
+    right = np.stack([ops.row1, w @ t, w * np.conj(ops.n1)])
+    # r = R / i has the norms of R.  It is updated in place: at n = 256 a
+    # fresh n x n array costs page faults comparable to the arithmetic on it.
+    wt = w[:, None] * t
+    r = _suffix_sums(t, 1)
+    r *= w
+    r += _suffix_sums(wt, 0)
+    wt += t * w
+    wt *= 0.5
+    r -= wt
+    r -= (1j * left) @ right
     if norm == "fro":
-        return float(np.linalg.norm(res, "fro"))
+        return float(np.linalg.norm(r, "fro"))
     if norm == "spectral":
-        return float(np.linalg.norm(res, 2))
+        return float(np.linalg.norm(r, 2))
     raise ValueError(f"unknown norm {norm!r}")
 
 
@@ -140,9 +169,8 @@ def apply_to_exponential(k: BezoutKernel, z: complex, grid: Grid) -> float:
     return float(np.sqrt(np.sum(grid.weights * np.abs(vec) ** 2)))
 
 
-def operator_norm_bound(ops: dict) -> float:
+def operator_norm_bound(ops: Discretization) -> float:
     """L^2 operator norm of the discretized T (compare against |c| * int h)."""
-    grid = ops["T"].grid
-    s = np.sqrt(grid.weights)
-    sym = ops["T"].matrix * (s[:, None] / s[None, :])
+    s = np.sqrt(ops.grid.weights)
+    sym = ops.t * (s[:, None] / s[None, :])
     return float(np.linalg.norm(sym, 2))

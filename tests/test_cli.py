@@ -70,6 +70,19 @@ def test_cubic_pair(tmp_path):
     assert report["comparison"]["common"] == []
 
 
+@pytest.mark.parametrize("grid_n, sizes", [
+    (16, [8, 16]), (20, [10, 20]), (48, [24, 48]), (100, [50, 100]),
+    (256, [32, 64, 128, 256])])
+def test_operator_check_grid_ladder(grid_n, sizes):
+    # every step halves the grid, so each ratio is a refinement ratio (4 at order 2)
+    report, code = run(FIXTURES / "cubic_vs_quadratic.json", None,
+                       tasks=("decide", "operator-check"), grid_n=grid_n)
+    assert code == EXIT_OK
+    assert report["operator"]["sizes"] == sizes
+    for ratio in report["operator"]["ratios"]:
+        assert 3.2 <= ratio <= 4.8
+
+
 def test_zero_mass_exit_code(tmp_path):
     code, report = _run_fixture("zero_mass.json", tmp_path)
     assert code == EXIT_INCONCLUSIVE

@@ -1,3 +1,5 @@
+from fractions import Fraction as F
+
 import numpy as np
 
 from bezoutiant.exact import GR, Poly
@@ -9,6 +11,7 @@ from bezoutiant.kernel import (
 )
 from bezoutiant.operator_lab import (
     Grid,
+    _suffix_sums,
     apply_to_exponential,
     convergence_study,
     discretize_all,
@@ -22,11 +25,40 @@ ONE = Poly.of(1)
 TWO_T = Poly.of(0, 2)
 
 
-def _setup(psi1, psi2, a=1):
+PARAMETER_CHOICES = ((GR(1), GR(0)), (GR(0), GR(1)), (GR(2, -1), GR(1)))
+
+
+def _setup(psi1, psi2, a=1, alpha=GR(1), beta=GR(0)):
     pair = normalize_pair(psi1, psi2, a)
-    k = build_kernel(pair)
-    mf = build_m_functions(pair)
+    k = build_kernel(pair, alpha, beta)
+    mf = build_m_functions(pair, alpha, beta)
     return pair, k, mf
+
+
+def _random_grid(n, a, seed):
+    """Sorted random nodes in (0, a) with random positive weights."""
+    gen, a = np.random.default_rng(seed), float(a)
+    return Grid(np.sort(gen.uniform(0, a, n)), gen.uniform(0.2, 2.0, n) * a / n, a)
+
+
+def _adjoint(m, grid):
+    """L^2(0,a) adjoint of a Nystrom matrix: W^{-1} M^H W."""
+    w = grid.weights
+    return (m.conj().T * w[None, :]) / w[:, None]
+
+
+def _dense_residual(pair, mf, grid, t_mat, norm):
+    """Reference: every operator as a dense matrix, two complex n^3 products."""
+    n, w, x = grid.n, grid.weights, grid.nodes
+    a_mat = 1j * (np.tril(np.ones((n, n)), -1) * w[None, :] + np.diag(w) * 0.5)
+    ones = np.ones(n, dtype=complex)
+    b1, b2 = (a_mat + np.outer(ones, -1j * w * np.conj(np.asarray(phi.eval_float(x), complex)))
+              for phi in (mf.phi1, mf.phi2))
+    m2 = np.asarray(mf.m2.eval_float(x), complex)
+    n2 = -1j * complex(mf.alpha.conjugate() + mf.beta) * m2
+    n1 = np.conj(np.asarray(mf.m2.eval_float(float(pair.a) - x), complex))
+    res = t_mat @ b1 - _adjoint(b2, grid) @ t_mat - np.outer(n2, w * np.conj(n1))
+    return float(np.linalg.norm(res, "fro" if norm == "fro" else 2))
 
 
 def test_grid_uniform():
@@ -38,24 +70,23 @@ def test_grid_uniform():
 
 
 def test_cumulative_operator_on_constants():
-    # midpoint nodes make A applied to 1 exactly i*x at the nodes
-    pair, k, mf = _setup(ONE, TWO_T)
+    # midpoint nodes make A applied to 1 exactly i*x at the nodes; the
+    # structured form reads it off the suffix sums: A 1 = i (a - S(w) + w / 2)
     g = Grid.uniform(16, 1)
-    ops = discretize_all(pair, k, mf, g)
-    got = ops["A"].matrix @ np.ones(g.n)
-    assert np.max(np.abs(got - 1j * g.nodes)) < 1e-14
+    for axis, w in ((0, g.weights), (1, np.tile(g.weights, (3, 1)))):
+        got = 1j * (g.a - _suffix_sums(w, axis) + w / 2)
+        assert np.max(np.abs(got - 1j * g.nodes)) < 1e-14
 
 
 def test_adjoint_applied_to_one_matches_exact():
     # T* 1 = conj(M2(a - x)); the Nystrom adjoint reproduces it to O(h^2)
-    from bezoutiant.operator_lab import _adjoint
     pair, k, mf = _setup(ONE, TWO_T)
     exact = mf.m2.reflect(pair.a)
     errs = []
     for n in (32, 64):
         g = Grid.uniform(n, 1)
         ops = discretize_all(pair, k, mf, g)
-        got = _adjoint(ops["T"].matrix, g) @ np.ones(g.n)
+        got = _adjoint(ops.t, g) @ np.ones(g.n)
         want = np.asarray(exact.eval_float(g.nodes), dtype=complex)
         errs.append(np.max(np.abs(got - want)))
     assert errs[0] < 1e-2
@@ -64,10 +95,11 @@ def test_adjoint_applied_to_one_matches_exact():
 
 def test_coincidence_discretization_is_zero():
     pair, k, mf = _setup(ONE, ONE)
-    g = Grid.uniform(32, 1)
-    ops = discretize_all(pair, k, mf, g)
-    assert np.all(ops["T"].matrix == 0)
-    assert identity_residual(ops) == 0.0
+    for g in (Grid.uniform(32, 1), _random_grid(33, 1, seed=7)):
+        ops = discretize_all(pair, k, mf, g)
+        assert np.all(ops.t == 0)
+        for norm in ("fro", "spectral"):
+            assert identity_residual(ops, norm) == 0.0
 
 
 def test_identity_residual_decay():
@@ -99,14 +131,28 @@ def test_residual_spectral_norm_option():
 def test_identity_holds_for_every_parameter_choice():
     # the structural identity is exact for any admissible (alpha, beta);
     # discretization error differs but must vanish at order 2 in each case
-    pair = normalize_pair(ONE, TWO_T, 1)
-    for alpha, beta in ((GR(1), GR(0)), (GR(0), GR(1)), (GR(2, -1), GR(1))):
-        k = build_kernel(pair, alpha, beta)
-        mf = build_m_functions(pair, alpha, beta)
+    for alpha, beta in PARAMETER_CHOICES:
+        pair, k, mf = _setup(ONE, TWO_T, 1, alpha, beta)
         coarse = identity_residual(discretize_all(pair, k, mf, Grid.uniform(48, 1)))
         fine = identity_residual(discretize_all(pair, k, mf, Grid.uniform(96, 1)))
         assert coarse < 1e-3
         assert coarse / fine > 3.0
+
+
+def test_structured_residual_matches_dense(rng):
+    # same float64 T on both sides: only the assembly of the residual differs
+    for a in (1, F(7, 3), 1, F(7, 3)):
+        psi1 = random_admissible_poly(rng, rng.randint(0, 8), a)
+        psi2 = random_admissible_poly(rng, rng.randint(0, 8), a)
+        for alpha, beta in PARAMETER_CHOICES:
+            pair, k, mf = _setup(psi1, psi2, a, alpha, beta)
+            for n in (16, 33, 64):
+                for g in (Grid.uniform(n, a), _random_grid(n, a, seed=n)):
+                    ops = discretize_all(pair, k, mf, g)
+                    for norm in ("fro", "spectral"):
+                        want = _dense_residual(pair, mf, g, ops.t, norm)
+                        got = identity_residual(ops, norm)
+                        assert abs(got - want) <= 1e-11 * want, (n, norm, got, want)
 
 
 def test_apply_to_exponential_thresholds():
