@@ -450,16 +450,6 @@ class MPoly:
 
     # -- calculus ----------------------------------------------------------
 
-    def partial(self, var: int) -> "MPoly":
-        out = {}
-        for exp, c in self.terms.items():
-            if exp[var] == 0:
-                continue
-            e = list(exp)
-            e[var] -= 1
-            out[tuple(e)] = c * exp[var]
-        return MPoly(self.nvars, out)
-
     def antiderivative(self, var: int) -> "MPoly":
         out = {}
         for exp, c in self.terms.items():
@@ -515,14 +505,20 @@ class MPoly:
     # -- evaluation --------------------------------------------------------
 
     def eval(self, values: Sequence) -> GaussianRational:
-        vals = [_as_gr(v) for v in values]
+        """Exact value; the powers of each variable are tabulated once."""
+        powers = []
+        for k, v in enumerate(values):
+            v = _as_gr(v)
+            v = v if v.im else v.re  # real powers scale coefficients without a complex product
+            row = [1]
+            for _ in range(max((e[k] for e in self.terms), default=0)):
+                row.append(row[-1] * v)
+            powers.append(row)
         acc = GR_ZERO
         for exp, c in self.terms.items():
-            term = c
-            for v, e in zip(vals, exp):
-                for _ in range(e):
-                    term = term * v
-            acc = acc + term
+            for row, e in zip(powers, exp):
+                c = c * row[e]
+            acc = acc + c
         return acc
 
     def to_json(self):

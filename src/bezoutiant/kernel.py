@@ -366,14 +366,3 @@ def kernel_bound(pair: NormalizedPair, n_grid: int = 401) -> KernelEnvelope:
     integral = float(np.trapezoid(vals, us))
     return KernelEnvelope(pair, integral)
 
-
-def kernel_grid_csv(k: BezoutKernel, n: int, path) -> None:
-    """Write U on an n x n grid over [0,a]^2 as CSV rows (x, t, re, im)."""
-    a = float(k.a)
-    xs = np.linspace(0.0, a, n)
-    with open(path, "w") as fh:
-        fh.write("x,t,u_re,u_im\n")
-        for x in xs:
-            row = k.u_float(x, xs)
-            for t, v in zip(xs, np.atleast_1d(row)):
-                fh.write(f"{x!r},{t!r},{v.real!r},{v.imag!r}\n")

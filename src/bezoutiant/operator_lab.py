@@ -98,10 +98,6 @@ def _suffix_sums(m: np.ndarray, axis: int) -> np.ndarray:
     return np.flip(np.cumsum(np.flip(m, axis), axis=axis), axis)
 
 
-def _poly_nodes(p, nodes: np.ndarray) -> np.ndarray:
-    return np.asarray(p.eval_float(nodes), dtype=complex)
-
-
 def discretize_all(
     pair: NormalizedPair,
     k: BezoutKernel,
@@ -111,11 +107,11 @@ def discretize_all(
     """T and the vectors r_1, r_2, n_1, n_2 on the grid."""
     w = grid.weights
     # P_k* f = -i int_0^a f(t) conj(Phi_k(t)) dt
-    row1, row2 = (-1j * w * np.conj(_poly_nodes(phi, grid.nodes))
+    row1, row2 = (-1j * w * np.conj(phi.eval_float(grid.nodes))
                   for phi in (mf.phi1, mf.phi2))
     scale = complex(mf.alpha.conjugate() + mf.beta)
-    n2 = -1j * scale * _poly_nodes(mf.m2, grid.nodes)
-    n1 = np.conj(_poly_nodes(mf.m2, float(pair.a) - grid.nodes))
+    n2 = -1j * scale * mf.m2.eval_float(grid.nodes)
+    n1 = np.conj(mf.m2.eval_float(float(pair.a) - grid.nodes))
     return Discretization(grid, kernel_matrix(k, grid), row1, row2, n1, n2)
 
 

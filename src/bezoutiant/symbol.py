@@ -2,8 +2,7 @@
 
 Differentiating Tf a total of Q+1 times (Q = deg Psi_1 >= deg Psi_2)
 produces a differential operator L(D) plus a convolution with the symbol
-V(x - t).  A nonnegative order of L(D) -- or, without algebraicity of the
-coefficients, V not identically zero -- rules out common zeros of F_1 and
+V(x - t).  A nonnegative order of L(D) rules out common zeros of F_1 and
 the reflected transform F_{2,1}.  The monomial family x^m (a-x)^n admits a
 closed order formula, cross-validated here against the general expansion.
 
@@ -24,6 +23,24 @@ h^(p)(u) = (-1)^p g1^(p)(a-u), so the reflected products in V are
 derivatives of one polynomial and their Taylor coefficients at 0 are E_k.
 Each half of W is summed once, on integer numerators over one common
 denominator.
+
+V vanishes identically.  Put T_r(x) = sum_{i+j=r} (-1)^j Psi_2^(i)(x) g1^(j)(x);
+then W_r = T_r(a) - T_r(0).  In the derivative of T_r the inner terms
+telescope,
+
+    T_r' = Psi_2^(r+1) g1 + (-1)^r Psi_2 g1^(r+1),
+
+so W_r = int_0^a (Psi_2^(r+1) g1 + (-1)^r Psi_2 g1^(r+1)) dt.  For r >= Q
+both derivatives of order r+1 > Q >= deg Psi_2 vanish, hence W_r = 0 and
+V = 0 for every polynomial pair.  `decide` therefore reads only L(D);
+`v_symbol` stays as a checked artifact of the paper's construction.
+
+The verdict reads every exact test from the normalized pair, the same
+densities L(D) and the kernel U are built from.  Dividing by the masses
+makes the tests scale-free: Psi_2 = c conj Psi_1(a-x) for a constant c
+(then F_{2,1} = c F_1) leaves normalized densities with
+psi_1 = conj psi_2(a-x), the coincidence case, and a density symmetric up
+to a unit factor is symmetric once normalized.
 """
 
 from __future__ import annotations
@@ -33,7 +50,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .exact import GR, GR_ONE, GaussianRational, Poly, _frac, from_numerators, numerators
+from .exact import GR, GR_ONE, Poly, _frac, from_numerators, numerators
 from .kernel import NormalizedPair, ZeroMassError, normalize_pair
 
 
@@ -75,12 +92,6 @@ class DiffOperator:
     def order(self) -> Optional[int]:
         """Largest s with nonzero coefficient, or None for the zero operator."""
         return len(self.coeffs) - 1 if self.coeffs else None
-
-    @property
-    def leading(self) -> GaussianRational:
-        if self.is_zero:
-            raise ValueError("zero operator has no leading coefficient")
-        return self.coeffs[-1]
 
 
 def _boundary_sums(pair: NormalizedPair, lo: int, hi: int) -> tuple:
@@ -208,11 +219,6 @@ class Verdict:
         }
 
 
-def is_coincident(psi1: Poly, psi2: Poly, a) -> bool:
-    """Psi_1(x) = conj(Psi_2(a - x)) as exact polynomials."""
-    return psi1 == psi2.reflect(_frac(a))
-
-
 def decide(psi1: Poly, psi2: Poly, a, coeff_class: str = COEFF_RATIONAL) -> Verdict:
     """Render the common-zero verdict for F_1 and F_{2,1}.
 
@@ -238,16 +244,15 @@ def decide(psi1: Poly, psi2: Poly, a, coeff_class: str = COEFF_RATIONAL) -> Verd
                        False, False, diagnostics)
     diagnostics["normalizers"] = [pair.r1.to_json(), pair.r2.to_json()]
 
-    asym = psi1 != psi1.reflect(a)  # Psi_1(x) != conj(Psi_1(a-x))
-    coincident = is_coincident(psi1, psi2, a)
+    asym = pair.psi1 != pair.psi1.reflect(a)  # psi_1(x) != conj(psi_1(a-x))
+    coincident = pair.psi1 == pair.psi2.reflect(a)
     diagnostics["coincidence"] = coincident
     if coincident:
         return Verdict(OUTCOME_COINCIDE, "coincidence case", asym, asym,
                        diagnostics)
 
-    V = v_symbol(pair)
     L = l_operator(pair)
-    diagnostics["v_is_zero"] = V.is_zero
+    diagnostics["v_is_zero"] = True  # W_r = 0 for r >= Q (module doc)
     diagnostics["l_order"] = L.order
 
     if coeff_class == COEFF_RATIONAL:
@@ -257,9 +262,6 @@ def decide(psi1: Poly, psi2: Poly, a, coeff_class: str = COEFF_RATIONAL) -> Verd
             theorem = "zero operator, exact coefficients"
         return Verdict(OUTCOME_NO_COMMON, theorem, asym, asym, diagnostics)
 
-    if not V.is_zero:
-        return Verdict(OUTCOME_NO_COMMON, "nonzero symbol", asym, asym,
-                       diagnostics)
     diagnostics["reason"] = "zero symbol with non-algebraic coefficients: no criterion applies"
     return Verdict(OUTCOME_INCONCLUSIVE, "no applicable criterion",
                    asym, asym, diagnostics)

@@ -96,16 +96,6 @@ class ClosedTransform:
         plain = tuple(_times_i_power(v, j) for j, v in enumerate(g.jet(0), 1))
         return cls(a, g, osc, plain, _moments(g, a, n_moments))
 
-    def scaled(self, factor) -> "ClosedTransform":
-        """Transform of the density multiplied by an exact constant."""
-        return ClosedTransform(
-            self.a,
-            self.density * factor,
-            tuple(c * factor for c in self.osc),
-            tuple(c * factor for c in self.plain),
-            tuple(c * factor for c in self.moments),
-        )
-
     def derivative(self) -> "ClosedTransform":
         """Closed form of F'(z) = i * int_0^a t e^{izt} g(t) dt."""
         return ClosedTransform.from_density(

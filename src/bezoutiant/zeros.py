@@ -28,7 +28,6 @@ has to be resolved.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -92,14 +91,6 @@ class ZeroSet:
                 for r in self.zeros
             ],
         }
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["z_re", "z_im", "multiplicity", "residual"])
-            for r in self.zeros:
-                w.writerow([repr(r.z.real), repr(r.z.imag),
-                            r.multiplicity, repr(r.residual)])
 
 
 # -- contour machinery ------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from bezoutiant.cli import (
     main,
     run,
 )
+from bezoutiant.exact import GR, Poly
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -52,6 +54,22 @@ def test_verify_coincidence(tmp_path):
     z1 = report["zero_sets"]["F1"]["zeros"]
     z2 = report["zero_sets"]["F21"]["zeros"]
     assert len(z1) == len(z2) == 8  # 2 pi k, |k| <= 4
+
+
+def test_scaled_gaussian_pair_coincides(tmp_path):
+    # psi2 = c conj(psi1(a - x)), so F21 = c F1 and the zero sets coincide
+    a, c = F(7, 3), GR(F(-3, 2), F(5, 4))
+    psi1 = Poly.of(GR(1, 2), 3, GR(F(-1, 2), F(1, 3)), GR(0, -2))
+    spec = tmp_path / "scaled.json"
+    spec.write_text(json.dumps({
+        "a": "7/3", "psi1": psi1.to_json(), "psi2": (psi1.reflect(a) * c).to_json(),
+        "rect": {"re_min": -20, "re_max": 20, "im_min": -5, "im_max": 5},
+        "tasks": ["decide", "zeros"]}))
+    report, code = run(spec, tmp_path / "o.json")
+    assert code == EXIT_OK
+    assert report["verdict"]["outcome"] == "ZeroSetsCoincide"
+    assert report["conflict"] is False
+    assert report["zero_sets"]["F1"]["total_count"] > 0
 
 
 def test_full_task_list_via_run(tmp_path):

@@ -217,15 +217,9 @@ def test_kernel_bound_trivial_for_coincidence():
     assert np.all(np.abs(k.u_float(0.3, np.linspace(0, 1, 11))) <= env(0.3 - np.linspace(0, 1, 11)))
 
 
-def test_kernel_json_and_csv(tmp_path):
+def test_kernel_json():
     pair = normalize_pair(ONE, TWO_T, 1)
     k = build_kernel(pair)
     d = k.to_json()
     assert d["c"] == "-1"
     assert d["a"] == "1"
-    from bezoutiant.kernel import kernel_grid_csv
-    path = tmp_path / "u.csv"
-    kernel_grid_csv(k, 5, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x,t,u_re,u_im"
-    assert len(lines) == 26

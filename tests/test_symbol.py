@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bezoutiant.exact import GR, Poly
 from bezoutiant.kernel import build_kernel, normalize_pair
@@ -12,12 +14,15 @@ from bezoutiant.symbol import (
     OUTCOME_COINCIDE,
     OUTCOME_INCONCLUSIVE,
     OUTCOME_NO_COMMON,
+    _boundary_sums,
     decide,
     l_operator,
     monomial_density,
     monomial_order,
     v_symbol,
 )
+from bezoutiant.transform import closed_form
+from bezoutiant.zeros import SearchRect, locate_zeros, structure_checks
 from conftest import random_admissible_poly
 
 ONE = Poly.of(1)
@@ -36,6 +41,36 @@ def test_v_symbol_coincidence_pairs(rng):
         if not psi1.integral(0, 1) or psi1.degree < psi2.degree:
             continue
         assert v_symbol(normalize_pair(psi1, psi2, 1)).is_zero
+
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+gaussian_polys = st.lists(st.builds(GR, rationals, rationals), min_size=1,
+                          max_size=11).map(lambda cs: Poly(tuple(cs)))
+
+
+def _nth_derivative(p: Poly, n: int) -> Poly:
+    for _ in range(n):
+        p = p.derivative()
+    return p
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(gaussian_polys, gaussian_polys, st.sampled_from([F(1), F(7, 3), F(1, 2)]))
+def test_boundary_sum_identity_and_zero_symbol(p, q, a):
+    # W_r = int_0^a (Psi_2^(r+1) g1 + (-1)^r Psi_2 g1^(r+1)), which is 0
+    # for r >= Q: V vanishes for every pair (symbol module doc)
+    psi1, psi2 = (p, q) if p.degree >= q.degree else (q, p)
+    assume(psi1.integral(0, a) and psi2.integral(0, a))
+    pair = normalize_pair(psi1, psi2, a)
+    Q = pair.psi1.degree
+    g1 = pair.psi1.conjugate()
+    w = _boundary_sums(pair, 0, 2 * Q + 1)
+    for r, w_r in enumerate(w):
+        integrand = (_nth_derivative(pair.psi2, r + 1) * g1
+                     + pair.psi2 * _nth_derivative(g1, r + 1) * (-1) ** r)
+        assert w_r == integrand.integral(0, a)
+    assert not any(w[Q:])
+    assert v_symbol(pair).is_zero
 
 
 def test_v_symbol_order_violation():
@@ -106,11 +141,34 @@ def test_decide_fixture_no_common():
     assert v.no_real_zeros and v.no_conjugate_pairs
 
 
-def test_decide_coincidence():
+def test_decide_coincidence(rng):
     v = decide(ONE, ONE, 1)
     assert v.outcome == OUTCOME_COINCIDE
     v = decide(monomial_density(1, 2, 1), monomial_density(2, 1, 1), 1)
     assert v.outcome == OUTCOME_COINCIDE
+    # psi2 = c conj(psi1(a - x)) gives F21 = c F1: the normalized pair is
+    # coincident whatever the constant c
+    v = decide(ONE, Poly.of(2), 1)
+    assert v.outcome == OUTCOME_COINCIDE
+    for _ in range(6):
+        psi1 = random_admissible_poly(rng, rng.randint(0, 5), F(7, 3))
+        c = GR(F(rng.randint(-9, 9), rng.randint(1, 4)), F(rng.randint(1, 9), 3))
+        v = decide(psi1, psi1.reflect(F(7, 3)) * c, F(7, 3))
+        assert v.outcome == OUTCOME_COINCIDE and v.diagnostics["coincidence"]
+
+
+def test_decide_flags_symmetric_up_to_unit_factor():
+    # psi1 = i(1 + x - x^2) equals -conj(psi1(1 - x)); once normalized it
+    # is symmetric, and F1 does have real zeros
+    psi1 = Poly.of(GR(0, 1), GR(0, 1), GR(0, -1))
+    assert psi1 == psi1.reflect(1) * -1
+    v = decide(psi1, ONE, 1)
+    assert v.outcome == OUTCOME_NO_COMMON
+    assert not v.no_real_zeros and not v.no_conjugate_pairs
+    # the located zeros are real, so a no_real_zeros claim would be false
+    zs = locate_zeros(closed_form(psi1, 1), SearchRect(-20, 20, -5, 5))
+    assert zs.total_count == 6
+    assert not structure_checks(zs).no_real_zeros
 
 
 def test_decide_symmetric_density_flags():
