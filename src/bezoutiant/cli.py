@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -33,10 +34,11 @@ import numpy as np
 from . import __version__
 from .exact import Poly, parse_rational
 from .kernel import (
+    NormalizedPair,
     ZeroMassError,
     build_kernel,
     build_m_functions,
-    normalize_pair,
+    normalize_pair,  # not called here; perfbench/spans.py wraps cli.normalize_pair
 )
 from .operator_lab import convergence_study
 from .symbol import (
@@ -126,11 +128,8 @@ class ProblemSpec:
         grid_n = obj.get("grid_n", 64)
         if not isinstance(grid_n, int) or grid_n < 16:
             fail("grid_n", "must be an integer >= 16")
-        try:
-            tol = float(obj.get("tol", 1e-10))
-            delta = float(obj.get("delta", 1e-3))
-        except (TypeError, ValueError) as exc:
-            fail("tol", str(exc))
+        tol = _positive_float("tol", obj.get("tol", 1e-10))
+        delta = _positive_float("delta", obj.get("delta", 1e-3))
 
         tasks = tuple(obj.get("tasks", ["decide", "zeros"]))
         for t in tasks:
@@ -139,6 +138,17 @@ class ProblemSpec:
 
         return cls(a, polys[0], polys[1], coeff_class, rect, grid_n, tol,
                    delta, tasks)
+
+
+def _positive_float(path: str, value) -> float:
+    """value as a finite float > 0, else a SpecError at `path`."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError) as exc:
+        raise SpecError(path, str(exc)) from None
+    if not (math.isfinite(x) and x > 0):
+        raise SpecError(path, f"must be a finite number > 0, got {value!r}")
+    return x
 
 
 def _load_spec(spec_path) -> ProblemSpec:
@@ -167,6 +177,8 @@ def run(spec_path, out_path, tasks=None, rect=None, tol=None, grid_n=None):
     started = time.monotonic()
     try:
         spec = _load_spec(spec_path)
+        if tol is not None:
+            spec.tol = _positive_float("tol", tol)
     except (SpecError, OSError) as exc:
         report = {"error": str(exc)}
         _write_report(report, out_path)
@@ -176,8 +188,6 @@ def run(spec_path, out_path, tasks=None, rect=None, tol=None, grid_n=None):
         spec.tasks = tuple(tasks)
     if rect is not None:
         spec.rect = rect
-    if tol is not None:
-        spec.tol = tol
     if grid_n is not None:
         spec.grid_n = grid_n
 
@@ -191,7 +201,9 @@ def run(spec_path, out_path, tasks=None, rect=None, tol=None, grid_n=None):
 
     needs_pair = {"kernel", "operator-check"} & set(spec.tasks)
     if needs_pair and verdict.outcome != OUTCOME_INCONCLUSIVE:
-        pair = normalize_pair(spec.psi1, spec.psi2, spec.a)
+        pair = verdict.pair
+        if verdict.diagnostics["swapped"]:  # back to the spec's order
+            pair = NormalizedPair(pair.psi2, pair.psi1, pair.a, pair.r2, pair.r1)
         mf = build_m_functions(pair)
         kern = build_kernel(pair)
         if "kernel" in spec.tasks:

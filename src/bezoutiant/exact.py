@@ -8,7 +8,18 @@ numerical layers.
 Loops that would otherwise reduce a `Fraction` after every operation run on
 integer numerators over one common denominator instead (`numerators`,
 `from_numerators`, `taylor_shift`); each result entry is reduced once at
-the end, which yields the same canonical `Fraction`s.
+the end, which yields the same canonical `Fraction`s.  This covers
+
+* definite integrals (`Poly.integral`): int_lo^hi p = sum_k c_k
+  (hi^(k+1) - lo^(k+1)) / (k+1) is one sum of Gaussian-integer products
+  over den q^(n+1) lcm(1..n+1), with q the bounds' common denominator;
+* division by a scalar (`Poly.__truediv__`): each coefficient of p / r is
+  one Gaussian-integer product (p_r + i p_i)(r_r - i r_i) r_d over
+  den |r|^2, for r = (r_r + i r_i) / r_d;
+* derivative jets (`Poly.jet_numerators`): p^(k)(x) = k! [s^k] p(x + s)
+  from one Taylor shift, with k! and the powers of x's denominator folded
+  into the integers, so callers that sum over jets (`symbol`) read the
+  integer lists directly and `Poly.jet` reduces each entry once.
 """
 
 from __future__ import annotations
@@ -208,6 +219,25 @@ def taylor_shift(re: list, im: list, xr: int, xi: int = 0) -> None:
             im[j] += xr * m + xi * r
 
 
+def _shifted_numerators(coeffs, x: GaussianRational) -> tuple:
+    """(re, im, den, xd) with [s^k] p(x + s) = (re[k] + i im[k]) xd^k / den.
+
+    With x = (xr + i xi)/xd, xd^n p(x + w/xd) has Gaussian-integer
+    coefficients over the common denominator of p's coefficients; its w^k
+    coefficient comes from one Taylor shift by xr + i xi.
+    """
+    re, im, den = numerators(coeffs)
+    (xr,), (xi,), xd = numerators((x,))
+    n = len(re) - 1
+    if xd != 1:
+        for j in range(n + 1):
+            re[j] *= xd ** (n - j)
+            im[j] *= xd ** (n - j)
+    if xr or xi:
+        taylor_shift(re, im, xr, xi)
+    return re, im, den * xd ** max(n, 0), xd
+
+
 @dataclass(frozen=True)
 class Poly:
     """Univariate polynomial with Gaussian-rational coefficients.
@@ -273,6 +303,17 @@ class Poly:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, r) -> "Poly":
+        """p / r for a nonzero scalar r, each coefficient reduced once."""
+        pr, pi, den = numerators(self.coeffs)
+        (rr,), (ri,), rd = numerators((_as_gr(r),))
+        d = den * (rr * rr + ri * ri)
+        if not d:
+            raise ZeroDivisionError("division of a polynomial by zero")
+        return Poly(tuple(GaussianRational(Fraction((x * rr + y * ri) * rd, d),
+                                           Fraction((y * rr - x * ri) * rd, d))
+                          for x, y in zip(pr, pi)))
+
     # -- calculus ----------------------------------------------------------
 
     def __call__(self, x) -> GaussianRational:
@@ -297,47 +338,62 @@ class Poly:
             c * Fraction(1, k + 1) for k, c in enumerate(self.coeffs)))
 
     def integral(self, lo, hi) -> GaussianRational:
-        P = self.antiderivative()
-        return P(hi) - P(lo)
+        """int_lo^hi p = sum_k c_k (hi^(k+1) - lo^(k+1)) / (k+1), reduced once."""
+        re, im, den = numerators(self.coeffs)
+        (l_re, h_re), (l_im, h_im), q = numerators((_as_gr(lo), _as_gr(hi)))
+        top = len(re)
+        ell = lcm(*range(1, top + 1))
+        # with bounds L/q and H/q, term k is c_k (H^m - L^m) q^(top-m) (ell/m)
+        # over q^top ell, m = k + 1
+        sr = si = 0
+        hm_re, hm_im, lm_re, lm_im = 1, 0, 1, 0  # H^m, L^m
+        for k in range(top):
+            m = k + 1
+            hm_re, hm_im = hm_re * h_re - hm_im * h_im, hm_re * h_im + hm_im * h_re
+            lm_re, lm_im = lm_re * l_re - lm_im * l_im, lm_re * l_im + lm_im * l_re
+            w = q ** (top - m) * (ell // m)
+            dr, di = (hm_re - lm_re) * w, (hm_im - lm_im) * w
+            sr += re[k] * dr - im[k] * di
+            si += re[k] * di + im[k] * dr
+        d = den * q ** top * ell
+        return GaussianRational(Fraction(sr, d), Fraction(si, d))
 
     # -- transforms of the argument ---------------------------------------
 
     def compose_affine(self, c0, c1) -> "Poly":
         """Exact composition p(c0 + c1*t): a Taylor shift by c0, then t -> c1*t."""
-        c0, c1 = _as_gr(c0), _as_gr(c1)
-        re, im, den = numerators(self.coeffs)
-        n = len(re) - 1
-        # With c0 = (xr + i xi)/xd, xd^n p(c0 + w/xd) has Gaussian-integer
-        # coefficients; its w^k coefficient times (xd c1)^k / (xd^n den) is
-        # the t^k coefficient of p(c0 + c1 t).
-        (xr,), (xi,), xd = numerators((c0,))
-        (yr,), (yi,), yd = numerators((c1,))
-        for j in range(n + 1):
-            re[j] *= xd ** (n - j)
-            im[j] *= xd ** (n - j)
-        if xr or xi:
-            taylor_shift(re, im, xr, xi)
+        # the t^k coefficient of p(c0 + c1 t) is [s^k] p(c0 + s) c1^k
+        re, im, den, xd = _shifted_numerators(self.coeffs, _as_gr(c0))
+        (yr,), (yi,), yd = numerators((_as_gr(c1),))
         yr, yi = yr * xd, yi * xd
         pr, pi = 1, 0  # (yr + i yi)^k
-        for k in range(n + 1):
+        for k in range(len(re)):
             re[k], im[k] = re[k] * pr - im[k] * pi, re[k] * pi + im[k] * pr
             pr, pi = pr * yr - pi * yi, pr * yi + pi * yr
-        dens = [xd ** n * den * yd ** k for k in range(n + 1)]
+        dens = [den * yd ** k for k in range(len(re))]
         return Poly(tuple(GaussianRational(Fraction(r, d), Fraction(i, d))
                           for r, i, d in zip(re, im, dens)))
 
-    def jet(self, x, n: int | None = None) -> tuple:
-        """(p(x), p'(x), ..., p^(n)(x)), n defaulting to the degree.
+    def jet_numerators(self, x, n: int | None = None) -> tuple:
+        """(re, im, den) with p^(k)(x) = (re[k] + i im[k]) / den, k = 0..n.
 
-        p^(k)(x) = k! * [s^k] p(x + s), read off one Taylor shift.
+        n defaults to the degree.  p^(k)(x) = k! [s^k] p(x + s), read off
+        one Taylor shift; k! and xd^k are folded into the integers.
         """
-        shifted = self.compose_affine(x, 1).coeffs
+        re, im, den, xd = _shifted_numerators(self.coeffs, _as_gr(x))
         n = self.degree if n is None else n
-        out, fact = [], 1
-        for k in range(n + 1):
-            fact *= k or 1
-            out.append(shifted[k] * fact if k < len(shifted) else GR_ZERO)
-        return tuple(out)
+        pad = [0] * (n + 1 - len(re))
+        re, im = re[:n + 1] + pad, im[:n + 1] + pad
+        f = 1  # k! xd^k
+        for k in range(1, n + 1):
+            f *= k * xd
+            re[k] *= f
+            im[k] *= f
+        return re, im, den
+
+    def jet(self, x, n: int | None = None) -> tuple:
+        """(p(x), p'(x), ..., p^(n)(x)), n defaulting to the degree."""
+        return from_numerators(*self.jet_numerators(x, n))
 
     def conjugate(self) -> "Poly":
         """Coefficient-wise conjugate; equals conj(p(t)) for real t."""

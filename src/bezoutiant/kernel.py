@@ -71,11 +71,15 @@ class NormalizedPair:
 
     @cached_property
     def jets(self) -> tuple:
-        """(Psi_2, conj Psi_1) derivatives at 0, then at a, for k = 0..max degree."""
+        """Derivatives of (Psi_2, conj Psi_1) at 0, then at a, k = 0..max degree.
+
+        Each jet is an integer triple (re, im, den) from
+        `Poly.jet_numerators`: the k-th derivative is (re[k] + i im[k]) / den.
+        """
         n = max(self.psi1.degree, self.psi2.degree)
         g1 = self.psi1.conjugate()
-        return (self.psi2.jet(0, n), g1.jet(0, n),
-                self.psi2.jet(self.a, n), g1.jet(self.a, n))
+        return (self.psi2.jet_numerators(0, n), g1.jet_numerators(0, n),
+                self.psi2.jet_numerators(self.a, n), g1.jet_numerators(self.a, n))
 
 
 @dataclass(frozen=True)
@@ -161,7 +165,14 @@ def _horner_xt(coeffs: np.ndarray, x: np.ndarray, t: np.ndarray):
 
 
 def normalize_pair(psi1: Poly, psi2: Poly, a) -> NormalizedPair:
-    """Divide each density by its exact mass R_k = int_0^a psi_k."""
+    """Divide each density by its exact mass R_k = int_0^a psi_k.
+
+    Both steps run on integer numerators and reduce each output once: the
+    mass is one sum over the coefficients (`Poly.integral`), and with
+    R_k = (r_r + i r_i) / r_d each coefficient (p_r + i p_i) / den of
+    psi_k becomes (p_r + i p_i)(r_r - i r_i) r_d / (den |r|^2)
+    (`Poly.__truediv__`).
+    """
     a = _frac(a)
     if a <= 0:
         raise ValueError("interval endpoint a must be positive")
@@ -169,7 +180,7 @@ def normalize_pair(psi1: Poly, psi2: Poly, a) -> NormalizedPair:
     r2 = psi2.integral(0, a)
     if not r1 or not r2:
         raise ZeroMassError("a density has zero mass on [0, a]")
-    return NormalizedPair(psi1 * (GR_ONE / r1), psi2 * (GR_ONE / r2), a, r1, r2)
+    return NormalizedPair(psi1 / r1, psi2 / r2, a, r1, r2)
 
 
 def build_m_functions(
@@ -181,12 +192,9 @@ def build_m_functions(
     if not denom:
         raise DegenerateChoiceError("conj(alpha) + beta must be nonzero")
     a = pair.a
-    phi = []
-    for psi in (pair.psi1, pair.psi2):
-        P = psi.antiderivative()
-        phi.append(Poly.of(P(a)) - P)  # int_t^a psi
-    phi1, phi2 = phi
     one = Poly.of(GR_ONE)
+    # int_t^a psi = P(a) - P(t) with P(a) = 1, the normalized mass
+    phi1, phi2 = (one - psi.antiderivative() for psi in (pair.psi1, pair.psi2))
     m2 = (phi2 + phi1.reflect(a) - one) * (GR_ONE / denom)
     m1 = phi2 - m2 * beta
     return MFunctions(phi1, phi2, m1, m2, alpha, beta, a)

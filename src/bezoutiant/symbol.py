@@ -7,9 +7,9 @@ the reflected transform F_{2,1}.  The monomial family x^m (a-x)^n admits a
 closed order formula, cross-validated here against the general expansion.
 
 Both L(D) and V come from derivative values of the densities at the two
-endpoints, tabulated once per pair (`NormalizedPair.jets`, one Taylor shift
-per endpoint and density; `Poly.jet`).  With g1 = conj Psi_1 and Q = deg Psi_1,
-put
+endpoints, tabulated once per pair as integer numerators
+(`NormalizedPair.jets`, one Taylor shift per endpoint and density;
+`Poly.jet_numerators`).  With g1 = conj Psi_1 and Q = deg Psi_1, put
 
     A_k = Psi_2^(k)(0),  B_k = (-1)^(k+1) g1^(k)(0),
     C_k = Psi_2^(k)(a),  E_k = (-1)^k g1^(k)(a),          k = 0..Q,
@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .exact import GR, GR_ONE, Poly, _frac, from_numerators, numerators
+from .exact import GR, GR_ONE, Poly, _frac, from_numerators
 from .kernel import NormalizedPair, ZeroMassError, normalize_pair
 
 
@@ -96,17 +96,15 @@ class DiffOperator:
 
 def _boundary_sums(pair: NormalizedPair, lo: int, hi: int) -> tuple:
     """W_r = sum_{i+j=r} [A_i B_j + E_i C_j] for lo <= r < hi (see module doc)."""
-    psi2_0, g1_0, psi2_a, g1_a = pair.jets
-    ar, ai, ad = numerators(psi2_0)
-    br, bi, bd = numerators(g1_0)
-    cr, ci, cd = numerators(psi2_a)
-    er, ei, ed = numerators(g1_a)
-    for k in range(len(br)):
-        if k % 2 == 0:  # B_k = (-1)^(k+1) g1^(k)(0)
-            br[k], bi[k] = -br[k], -bi[k]
-        else:           # E_k = (-1)^k g1^(k)(a)
-            er[k], ei[k] = -er[k], -ei[k]
+    (ar, ai, ad), (br, bi, bd), (cr, ci, cd), (er, ei, ed) = pair.jets
+    # B_k = (-1)^(k+1) g1^(k)(0), E_k = (-1)^k g1^(k)(a)
+    br, bi = ([v if k % 2 else -v for k, v in enumerate(vs)] for vs in (br, bi))
+    er, ei = ([-v if k % 2 else v for k, v in enumerate(vs)] for vs in (er, ei))
     n = len(ar)
+    # both halves over lcm(ad bd, cd ed): the jets at a differ from those at
+    # 0 by powers of a's denominator, so this is cd ed, not all four dens
+    den = math.lcm(ad * bd, cd * ed)
+    s_scale, t_scale = den // (ad * bd), den // (cd * ed)
     wr, wi = [], []
     for r in range(lo, hi):
         sr = si = tr = ti = 0
@@ -116,9 +114,9 @@ def _boundary_sums(pair: NormalizedPair, lo: int, hi: int) -> tuple:
             si += ar[i] * bi[j] + ai[i] * br[j]
             tr += er[i] * cr[j] - ei[i] * ci[j]
             ti += er[i] * ci[j] + ei[i] * cr[j]
-        wr.append(sr * ed * cd + tr * ad * bd)
-        wi.append(si * ed * cd + ti * ad * bd)
-    return from_numerators(wr, wi, ad * bd * cd * ed)
+        wr.append(sr * s_scale + tr * t_scale)
+        wi.append(si * s_scale + ti * t_scale)
+    return from_numerators(wr, wi, den)
 
 
 def v_symbol(pair: NormalizedPair) -> Poly:
@@ -203,11 +201,15 @@ COEFF_NONALGEBRAIC = "nonalgebraic-float"
 
 @dataclass(frozen=True)
 class Verdict:
+    """The verdict; `pair` is the normalized, ordered pair it was read from
+    (None when a mass vanishes), kept for the kernel and not reported."""
+
     outcome: str
     theorem: str
     no_real_zeros: bool
     no_conjugate_pairs: bool
     diagnostics: dict = field(default_factory=dict)
+    pair: Optional[NormalizedPair] = field(default=None, compare=False, repr=False)
 
     def to_json(self):
         return {
@@ -249,7 +251,7 @@ def decide(psi1: Poly, psi2: Poly, a, coeff_class: str = COEFF_RATIONAL) -> Verd
     diagnostics["coincidence"] = coincident
     if coincident:
         return Verdict(OUTCOME_COINCIDE, "coincidence case", asym, asym,
-                       diagnostics)
+                       diagnostics, pair)
 
     L = l_operator(pair)
     diagnostics["v_is_zero"] = True  # W_r = 0 for r >= Q (module doc)
@@ -260,8 +262,8 @@ def decide(psi1: Poly, psi2: Poly, a, coeff_class: str = COEFF_RATIONAL) -> Verd
             theorem = "nonnegative operator order"
         else:
             theorem = "zero operator, exact coefficients"
-        return Verdict(OUTCOME_NO_COMMON, theorem, asym, asym, diagnostics)
+        return Verdict(OUTCOME_NO_COMMON, theorem, asym, asym, diagnostics, pair)
 
     diagnostics["reason"] = "zero symbol with non-algebraic coefficients: no criterion applies"
     return Verdict(OUTCOME_INCONCLUSIVE, "no applicable criterion",
-                   asym, asym, diagnostics)
+                   asym, asym, diagnostics, pair)

@@ -15,6 +15,7 @@ from bezoutiant.cli import (
     run,
 )
 from bezoutiant.exact import GR, Poly
+from bezoutiant.kernel import build_kernel, normalize_pair
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -81,6 +82,20 @@ def test_full_task_list_via_run(tmp_path):
     assert report["kernel"]["c"] == "-1"
 
 
+def test_kernel_of_swapped_pair_keeps_spec_order(tmp_path):
+    # decide orders the pair by degree; the kernel is built on the spec's order
+    psi1 = Poly.of(GR(1, 2), F(-1, 3))
+    psi2 = Poly.of(3, GR(0, -1), GR(F(1, 2), 1), 2)
+    spec = tmp_path / "swapped.json"
+    spec.write_text(json.dumps({"a": "7/3", "psi1": psi1.to_json(),
+                                "psi2": psi2.to_json()}))
+    report, code = run(spec, None, tasks=("decide", "kernel"))
+    assert code == EXIT_OK and report["verdict"]["diagnostics"]["swapped"]
+    want = build_kernel(normalize_pair(psi1, psi2, F(7, 3))).to_json()
+    assert want != build_kernel(normalize_pair(psi2, psi1, F(7, 3))).to_json()
+    assert json.loads(json.dumps(report["kernel"])) == json.loads(json.dumps(want))
+
+
 def test_cubic_pair(tmp_path):
     code, report = _run_fixture("cubic_vs_quadratic.json", tmp_path, "verify")
     assert code == EXIT_OK
@@ -142,6 +157,26 @@ def test_spec_validation_paths():
     with pytest.raises(SpecError, match="^coeff_class:"):
         ProblemSpec.from_json({"a": "1", "psi1": ["1"], "psi2": ["1"],
                                "coeff_class": "float32"})
+    for key in ("tol", "delta"):
+        for bad in (0, -1, float("nan"), float("inf"), "1e-3x", None):
+            with pytest.raises(SpecError, match=f"^{key}:"):
+                ProblemSpec.from_json({"a": "1", "psi1": ["1"], "psi2": ["1"],
+                                       key: bad})
+
+
+@pytest.mark.parametrize("tol", [0, -1, float("nan")])
+def test_bad_tolerance_exit_code(tmp_path, tol):
+    # in the problem file, and as the verify --tol override
+    spec = json.loads((FIXTURES / "cubic_vs_quadratic.json").read_text())
+    bad = tmp_path / "bad_tol.json"
+    bad.write_text(json.dumps({**spec, "tol": tol}))
+    out = tmp_path / "out.json"
+    for argv in (["verify", "--input", str(bad)],
+                 ["verify", "--input", str(FIXTURES / "cubic_vs_quadratic.json"),
+                  "--tol", str(tol)]):
+        out.unlink(missing_ok=True)
+        assert main([*argv, "--output", str(out)]) == EXIT_INPUT_ERROR
+        assert json.loads(out.read_text())["error"].startswith("tol:")
 
 
 def test_rect_override(tmp_path):

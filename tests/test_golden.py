@@ -17,6 +17,7 @@ output), run from the repository root:
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -28,7 +29,9 @@ from bezoutiant.transform import closed_form, reflected_transform
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
 GOLDEN_ZEROS = FIXTURES / "golden_zeros"
+GOLDEN_HIGHDEG = FIXTURES / "golden_highdeg"
 CASES = sorted(p.stem for p in FIXTURES.glob("*.json") if p.stem != "bad_rational")
+HIGHDEG_CASES = sorted(p.stem for p in (FIXTURES / "highdeg").glob("*.json"))
 
 
 def _transform_json(F):
@@ -39,8 +42,8 @@ def _transform_json(F):
     }
 
 
-def record(name: str) -> dict:
-    path = FIXTURES / f"{name}.json"
+def record(name: str, folder: Path = FIXTURES) -> dict:
+    path = folder / f"{name}.json"
     report, code = run(path, None, tasks=("decide", "kernel"))
     report.pop("provenance")
     spec = ProblemSpec.from_json(json.loads(path.read_text()))
@@ -50,6 +53,17 @@ def record(name: str) -> dict:
         "F1": _transform_json(closed_form(spec.psi1, spec.a)),
         "F21": _transform_json(reflected_transform(spec.psi2, spec.a)),
     }
+
+
+def record_highdeg(name: str) -> dict:
+    out = record(name, FIXTURES / "highdeg")
+    kernel = out["report"]["kernel"]
+    canonical = json.dumps(kernel, sort_keys=True, separators=(",", ":"))
+    out["report"]["kernel"] = {
+        "sha256": hashlib.sha256(canonical.encode()).hexdigest(),
+        "terms": [len(kernel["u_lower"]), len(kernel["u_upper"])],
+    }
+    return out
 
 
 def record_zeros(name: str) -> dict:
@@ -66,6 +80,13 @@ def test_golden_exact_outputs(name):
     assert got == want
 
 
+@pytest.mark.parametrize("name", HIGHDEG_CASES)
+def test_golden_highdeg_exact_outputs(name):
+    want = json.loads((GOLDEN_HIGHDEG / f"{name}.json").read_text())
+    got = json.loads(json.dumps(record_highdeg(name)))
+    assert got == want
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_golden_zero_sets(name):
     want = json.loads((GOLDEN_ZEROS / f"{name}.json").read_text())
@@ -74,9 +95,11 @@ def test_golden_zero_sets(name):
 
 
 if __name__ == "__main__":
-    for folder, recorder in ((GOLDEN, record), (GOLDEN_ZEROS, record_zeros)):
+    for folder, recorder, cases in ((GOLDEN, record, CASES),
+                                    (GOLDEN_ZEROS, record_zeros, CASES),
+                                    (GOLDEN_HIGHDEG, record_highdeg, HIGHDEG_CASES)):
         folder.mkdir(exist_ok=True)
-        for case in CASES:
+        for case in cases:
             with open(folder / f"{case}.json", "w") as fh:
                 json.dump(recorder(case), fh, indent=1, sort_keys=True)
                 fh.write("\n")

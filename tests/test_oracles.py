@@ -1,8 +1,12 @@
-"""Independent sympy oracles for the exact core.
+"""Independent oracles for the exact core.
 
 Jets, moments, the kernel pieces, L(D) and V(u) are each recomputed
 from their textbook definitions with sympy (symbolic derivatives and
 integrals) and compared exactly on hypothesis-generated densities.
+
+The integer-numerator paths (masses, normalization, jets, L(D)) are also
+compared with the direct formulas evaluated one `Fraction` operation at a
+time, on densities up to degree 16 with coefficient heights up to 1e6.
 """
 
 from fractions import Fraction
@@ -12,9 +16,9 @@ import sympy as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bezoutiant.exact import GR, Poly
+from bezoutiant.exact import GR, GaussianRational, Poly
 from bezoutiant.kernel import build_kernel, normalize_pair
-from bezoutiant.symbol import l_operator, v_symbol
+from bezoutiant.symbol import DiffOperator, l_operator, v_symbol
 from bezoutiant.transform import ClosedTransform
 
 s, u, x, t = sp.symbols("s u x t")
@@ -23,6 +27,7 @@ rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 gaussians = st.builds(GR, rationals, rationals)
 reals = st.builds(GR, rationals)
 endpoints = st.sampled_from([Fraction(1), Fraction(7, 3)])
+wide_endpoints = st.sampled_from([Fraction(1), Fraction(7, 3), Fraction(1, 2)])
 
 
 def polys(max_degree):
@@ -163,3 +168,88 @@ def test_v_symbol_matches_textbook_sum(psi1, psi2, a):
         want += (-1) ** (k + 1) * d1[k].subs(s, 0) * d2[p].subs(s, u)
         want += (-1) ** p * d2[k].subs(s, A) * d1[p].subs(s, A - u)
     assert same(sym_poly(v_symbol(pair), u), want)
+
+
+# -- Fraction-by-Fraction references for the integer-numerator paths --------
+
+@st.composite
+def tall_polys(draw, max_degree=16):
+    """Real or Gaussian densities of degree <= 16, coefficient height 6 or 1e6."""
+    h = draw(st.sampled_from([6, 10 ** 6]))
+    part = st.builds(Fraction, st.integers(-h, h), st.integers(1, h))
+    gaussian = draw(st.booleans())
+    n = draw(st.integers(0, max_degree))
+    return Poly(tuple(GR(draw(part), draw(part) if gaussian else 0) for _ in range(n + 1)))
+
+
+def horner_ref(coeffs, x):
+    acc = GR(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def integral_ref(p, lo, hi):
+    """Antiderivative c_k / (k+1) t^(k+1), then two Horner passes."""
+    anti = [GR(0)] + [c * Fraction(1, k + 1) for k, c in enumerate(p.coeffs)]
+    return horner_ref(anti, hi) - horner_ref(anti, lo)
+
+
+def jet_ref(p, x, n):
+    """p^(k)(x), k = 0..n: differentiate the coefficient list, then Horner."""
+    cs, out = list(p.coeffs), []
+    for _ in range(n + 1):
+        out.append(horner_ref(cs, x))
+        cs = [c * k for k, c in enumerate(cs)][1:]
+    return tuple(out)
+
+
+def normalize_ref(psi1, psi2, a):
+    r1, r2 = integral_ref(psi1, 0, a), integral_ref(psi2, 0, a)
+    return (Poly(tuple(c * (GR(1) / r1) for c in psi1.coeffs)),
+            Poly(tuple(c * (GR(1) / r2) for c in psi2.coeffs)), r1, r2)
+
+
+def l_operator_ref(psi1, psi2, a):
+    """L(D) = sum_s W_{Q-1-s} D^s with W_r = sum_{i+j=r} (A_i B_j + E_i C_j)."""
+    q = psi1.degree
+    g1 = psi1.conjugate()
+    A, C = jet_ref(psi2, 0, q), jet_ref(psi2, a, q)
+    B = [v * (-1) ** (k + 1) for k, v in enumerate(jet_ref(g1, 0, q))]
+    E = [v * (-1) ** k for k, v in enumerate(jet_ref(g1, a, q))]
+    w = [sum((A[i] * B[r - i] + E[i] * C[r - i] for i in range(r + 1)), GR(0))
+         for r in range(q)]
+    return DiffOperator(tuple(reversed(w)))
+
+
+NUMERATORS = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+@NUMERATORS
+@given(tall_polys(), st.one_of(wide_endpoints.map(GR), gaussians),
+       st.one_of(wide_endpoints.map(GR), gaussians))
+def test_integral_matches_fraction_reference(p, lo, hi):
+    assert p.integral(lo, hi) == integral_ref(p, lo, hi)
+    assert p.integral(0, hi.re) == integral_ref(p, 0, hi.re)
+
+
+@NUMERATORS
+@given(tall_polys(), st.one_of(wide_endpoints, gaussians, reals), st.integers(0, 3))
+def test_jet_matches_fraction_reference(p, at, extra):
+    n = p.degree + extra
+    x = at if isinstance(at, GaussianRational) else GR(at)
+    assert p.jet(at, n) == jet_ref(p, x, n)
+    assert p.jet(at) == jet_ref(p, x, p.degree)
+
+
+@NUMERATORS
+@given(tall_polys(), tall_polys(), wide_endpoints)
+def test_normalize_and_l_operator_match_fraction_reference(psi1, psi2, a):
+    assume(integral_ref(psi1, 0, a) and integral_ref(psi2, 0, a))
+    if psi1.degree < psi2.degree:
+        psi1, psi2 = psi2, psi1
+    pair = normalize_pair(psi1, psi2, a)
+    n1, n2, r1, r2 = normalize_ref(psi1, psi2, a)
+    assert (pair.psi1, pair.psi2, pair.r1, pair.r2) == (n1, n2, r1, r2)
+    assert pair.psi1.integral(0, a) == pair.psi2.integral(0, a) == GR(1)
+    assert l_operator(pair) == l_operator_ref(n1, n2, a)
