@@ -17,8 +17,6 @@ from .kernel import (
     build_kernel,
     build_m_functions,
     check_adjoint_identity,
-    check_phi_difference,
-    kernel_bound,
     normalize_pair,
 )
 from .symbol import (
@@ -35,10 +33,8 @@ from .symbol import (
 )
 from .transform import (
     ClosedTransform,
-    TrigForm,
     closed_form,
     reflected_transform,
-    trig_form,
 )
 from .zeros import (
     SearchRect,
@@ -62,8 +58,6 @@ __all__ = [
     "build_kernel",
     "build_m_functions",
     "check_adjoint_identity",
-    "check_phi_difference",
-    "kernel_bound",
     "normalize_pair",
     "CoincidenceCaseError",
     "DiffOperator",
@@ -76,10 +70,8 @@ __all__ = [
     "monomial_order",
     "v_symbol",
     "ClosedTransform",
-    "TrigForm",
     "closed_form",
     "reflected_transform",
-    "trig_form",
     "SearchRect",
     "ZeroSet",
     "bessel_reference",

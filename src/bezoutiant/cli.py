@@ -125,9 +125,7 @@ class ProblemSpec:
         except (TypeError, ValueError) as exc:
             fail("rect", str(exc))
 
-        grid_n = obj.get("grid_n", 64)
-        if not isinstance(grid_n, int) or grid_n < 16:
-            fail("grid_n", "must be an integer >= 16")
+        grid_n = _grid_size(obj.get("grid_n", 64))
         tol = _positive_float("tol", obj.get("tol", 1e-10))
         delta = _positive_float("delta", obj.get("delta", 1e-3))
 
@@ -138,6 +136,13 @@ class ProblemSpec:
 
         return cls(a, polys[0], polys[1], coeff_class, rect, grid_n, tol,
                    delta, tasks)
+
+
+def _grid_size(value) -> int:
+    """value as a grid size (an integer >= 16), else a SpecError at grid_n."""
+    if not isinstance(value, int) or value < 16:
+        raise SpecError("grid_n", "must be an integer >= 16")
+    return value
 
 
 def _positive_float(path: str, value) -> float:
@@ -179,6 +184,8 @@ def run(spec_path, out_path, tasks=None, rect=None, tol=None, grid_n=None):
         spec = _load_spec(spec_path)
         if tol is not None:
             spec.tol = _positive_float("tol", tol)
+        if grid_n is not None:
+            spec.grid_n = _grid_size(grid_n)
     except (SpecError, OSError) as exc:
         report = {"error": str(exc)}
         _write_report(report, out_path)
@@ -188,8 +195,6 @@ def run(spec_path, out_path, tasks=None, rect=None, tol=None, grid_n=None):
         spec.tasks = tuple(tasks)
     if rect is not None:
         spec.rect = rect
-    if grid_n is not None:
-        spec.grid_n = grid_n
 
     report: dict = {"tasks": list(spec.tasks)}
     exit_code = EXIT_OK

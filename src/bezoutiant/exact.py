@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -428,142 +428,47 @@ class Poly:
 
 @dataclass(frozen=True)
 class MPoly:
-    """Multivariate polynomial over Gaussian rationals.
+    """Polynomial in (x, t) over Gaussian rationals: a kernel piece of U.
 
-    `terms` maps exponent tuples (length `nvars`) to nonzero coefficients.
-    The kernel pieces are arity-2 instances in (x, t).
+    `terms` maps exponent pairs (i, j) of x^i t^j to nonzero coefficients;
+    two pieces are equal when their term dicts are.
     """
 
-    nvars: int
     terms: dict
 
     def __post_init__(self):
         clean = {}
         for exp, c in self.terms.items():
             c = _as_gr(c)
-            if len(exp) != self.nvars:
-                raise ValueError(f"exponent {exp} has wrong arity")
             if c:
                 clean[tuple(exp)] = c
         object.__setattr__(self, "terms", clean)
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, nvars: int) -> "MPoly":
-        return cls(nvars, {})
-
-    @classmethod
-    def const(cls, nvars: int, c) -> "MPoly":
-        return cls(nvars, {(0,) * nvars: _as_gr(c)})
-
-    @classmethod
-    def var(cls, nvars: int, idx: int) -> "MPoly":
-        exp = [0] * nvars
-        exp[idx] = 1
-        return cls(nvars, {tuple(exp): GR_ONE})
-
-    # -- predicates --------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __eq__(self, other):
-        if not isinstance(other, MPoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other: "MPoly") -> "MPoly":
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            out[exp] = out.get(exp, GR_ZERO) + c
-        return MPoly(self.nvars, out)
-
-    def __sub__(self, other: "MPoly") -> "MPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "MPoly":
-        return MPoly(self.nvars, {e: -c for e, c in self.terms.items()})
-
     def __mul__(self, other) -> "MPoly":
-        if isinstance(other, (GaussianRational, int, Fraction)):
-            g = _as_gr(other)
-            return MPoly(self.nvars, {e: c * g for e, c in self.terms.items()})
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, GR_ZERO) + c1 * c2
-        return MPoly(self.nvars, out)
+        """Product with a scalar."""
+        g = _as_gr(other)
+        return MPoly({e: c * g for e, c in self.terms.items()})
 
-    __rmul__ = __mul__
+    def definite_integral(self, lo, hi) -> Poly:
+        """int_lo^hi p(s, t) ds as a polynomial in t; each bound is a rational or "t"."""
+        out = [GR_ZERO] * (1 + max((i + 1 + j for i, j in self.terms), default=-1))
+        for (i, j), c in self.terms.items():
+            c = c * Fraction(1, i + 1)  # s^i -> (hi^(i+1) - lo^(i+1)) / (i+1)
+            for bound, sign in ((hi, 1), (lo, -1)):
+                if bound == "t":
+                    out[i + 1 + j] += c * sign
+                else:
+                    out[j] += c * (sign * _frac(bound) ** (i + 1))
+        return Poly(tuple(out))
 
-    def conjugate(self) -> "MPoly":
-        return MPoly(self.nvars, {e: c.conjugate() for e, c in self.terms.items()})
-
-    # -- calculus ----------------------------------------------------------
-
-    def antiderivative(self, var: int) -> "MPoly":
-        out = {}
-        for exp, c in self.terms.items():
-            e = list(exp)
-            e[var] += 1
-            out[tuple(e)] = c * Fraction(1, e[var])
-        return MPoly(self.nvars, out)
-
-    def subst_poly(self, var: int, repl: "MPoly") -> "MPoly":
-        """Substitute variable `var` by a polynomial of the same arity."""
-        acc = MPoly.zero(self.nvars)
-        for exp, c in self.terms.items():
-            rest = list(exp)
-            rest[var] = 0
-            term = MPoly(self.nvars, {tuple(rest): c})
-            for _ in range(exp[var]):
-                term = term * repl
-            acc = acc + term
-        return acc
-
-    def definite_integral(self, var: int, lo: "MPoly", hi: "MPoly") -> "MPoly":
-        G = self.antiderivative(var)
-        return G.subst_poly(var, hi) - G.subst_poly(var, lo)
-
-    # -- variable plumbing -------------------------------------------------
-
-    def swap_vars(self, i: int, j: int) -> "MPoly":
-        out = {}
-        for exp, c in self.terms.items():
-            e = list(exp)
-            e[i], e[j] = e[j], e[i]
-            out[tuple(e)] = c
-        return MPoly(self.nvars, out)
-
-    def drop_var(self, var: int) -> "MPoly":
-        """Remove a variable that no term uses."""
-        out = {}
-        for exp, c in self.terms.items():
-            if exp[var] != 0:
-                raise ValueError(f"variable {var} still present in {exp}")
-            out[exp[:var] + exp[var + 1:]] = c
-        return MPoly(self.nvars - 1, out)
-
-    def to_univariate(self, var: int = 0) -> Poly:
-        if self.nvars != 1:
-            raise ValueError("to_univariate requires arity 1")
-        n = max((e[0] for e in self.terms), default=-1) + 1
-        cs = [GR_ZERO] * n
-        for exp, c in self.terms.items():
-            cs[exp[0]] = c
-        return Poly(tuple(cs))
-
-    # -- evaluation --------------------------------------------------------
-
-    def eval(self, values: Sequence) -> GaussianRational:
-        """Exact value; the powers of each variable are tabulated once."""
+    def eval(self, x, t) -> GaussianRational:
+        """Exact p(x, t); the powers of each variable are tabulated once."""
         powers = []
-        for k, v in enumerate(values):
+        for k, v in enumerate((x, t)):
             v = _as_gr(v)
             v = v if v.im else v.re  # real powers scale coefficients without a complex product
             row = [1]
@@ -571,10 +476,8 @@ class MPoly:
                 row.append(row[-1] * v)
             powers.append(row)
         acc = GR_ZERO
-        for exp, c in self.terms.items():
-            for row, e in zip(powers, exp):
-                c = c * row[e]
-            acc = acc + c
+        for (i, j), c in self.terms.items():
+            acc = acc + c * powers[0][i] * powers[1][j]
         return acc
 
     def to_json(self):
@@ -582,6 +485,3 @@ class MPoly:
             {"exp": list(exp), "coeff": c.to_json()}
             for exp, c in sorted(self.terms.items())
         ]
-
-    def __repr__(self):
-        return f"MPoly({self.nvars}, {self.terms!r})"

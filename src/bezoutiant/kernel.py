@@ -10,8 +10,8 @@ where U is the integral of
     Psi_2(a-s) g1(a-s-x+t) - Psi_2(s+x-t) g1(s),    g1 = conj Psi_1,
 
 over s in [t, a] (x < t) resp. [t, a+t-x] (x > t).  Every identity this
-module checks (adjoint action on 1, the Phi-difference relation, diagonal
-continuity) is verified as an exact polynomial identity, never numerically.
+module checks (adjoint action on 1, diagonal continuity) is verified as
+an exact polynomial identity, never numerically.
 
 The kernel needs only one-dimensional integrals.  Put u = x - t and
 
@@ -44,8 +44,8 @@ from math import comb, lcm
 
 import numpy as np
 
-from .exact import (GR, GR_ONE, GR_ZERO, GaussianRational, MPoly, Poly, _frac,
-                    numerators, taylor_shift)
+from .exact import (GR_ONE, GR_ZERO, GaussianRational, MPoly, Poly, _frac, numerators,
+                    taylor_shift)
 
 ALPHA_DEFAULT = GR_ONE
 BETA_DEFAULT = GR_ZERO
@@ -99,7 +99,6 @@ class MFunctions:
 class BezoutKernel:
     """Kernel c * U(x, t), with U stored per region as exact bivariate polys.
 
-    Variable order in the MPoly pieces is (x, t) = (var 0, var 1);
     `u_lower` is valid for x < t, `u_upper` for x > t.
     """
 
@@ -110,7 +109,7 @@ class BezoutKernel:
 
     def u_at(self, x, t) -> GaussianRational:
         piece = self.u_lower if _frac(x) < _frac(t) else self.u_upper
-        return piece.eval([x, t])
+        return piece.eval(x, t)
 
     @cached_property
     def _float_pieces(self) -> tuple:
@@ -269,8 +268,8 @@ def _kernel_pieces(pair: NormalizedPair) -> tuple:
         add(ure, uim, -up_re[j], -up_im[j], 0, 0, j)
 
     def to_mpoly(re, im):
-        return MPoly(2, {(i, j): GaussianRational(Fraction(re[i][j], den), Fraction(im[i][j], den))
-                         for i in size for j in size if re[i][j] or im[i][j]})
+        return MPoly({(i, j): GaussianRational(Fraction(re[i][j], den), Fraction(im[i][j], den))
+                      for i in size for j in size if re[i][j] or im[i][j]})
 
     return to_mpoly(*lower), to_mpoly(ure, uim)
 
@@ -290,20 +289,13 @@ def build_kernel(
 
 
 def adjoint_apply_to_one(k: BezoutKernel) -> Poly:
-    """(T* 1)(x) = conj(c) int_0^a conj(U(t, x)) dt, as an exact polynomial."""
-    # swap (x, t) so each piece, read as a function of (x, t), is U(t, x);
-    # t < x then selects the original lower region.
-    w_lower = k.u_lower.swap_vars(0, 1).conjugate()
-    w_upper = k.u_upper.swap_vars(0, 1).conjugate()
-    t_var = 1
-    x2 = MPoly.var(2, 0)
-    zero2 = MPoly.zero(2)
-    a2 = MPoly.const(2, GR(k.a))
-    total = (
-        w_lower.definite_integral(t_var, zero2, x2)
-        + w_upper.definite_integral(t_var, x2, a2)
-    ).drop_var(t_var)
-    return (total * k.c.conjugate()).to_univariate()
+    """(T* 1)(x) = conj(c) int_0^a conj(U(t, x)) dt, as an exact polynomial.
+
+    Read in (s, t) with t in the role of x, this is
+    conj(c (int_0^t U_lower(s, t) ds + int_t^a U_upper(s, t) ds)).
+    """
+    lower, upper = k.u_lower * k.c, k.u_upper * k.c
+    return (lower.definite_integral(0, "t") + upper.definite_integral("t", k.a)).conjugate()
 
 
 def check_adjoint_identity(k: BezoutKernel, mf: MFunctions) -> bool:
@@ -311,66 +303,14 @@ def check_adjoint_identity(k: BezoutKernel, mf: MFunctions) -> bool:
     return adjoint_apply_to_one(k) == mf.m2.reflect(mf.a)
 
 
-def check_phi_difference(mf: MFunctions) -> bool:
-    """Exact check of Phi_1 - [1 - conj(Phi_2(a-t))] = (alpha + conj(beta)) conj(M_2(a-t))."""
-    one = Poly.of(GR_ONE)
-    lhs = mf.phi1 - (one - mf.phi2.reflect(mf.a))
-    rhs = mf.m2.reflect(mf.a) * (mf.alpha + mf.beta.conjugate())
-    return lhs == rhs
+def _on_diagonal(u: MPoly) -> Poly:
+    """p(x, x) as a univariate polynomial."""
+    cs = [GR_ZERO] * (1 + max((i + j for i, j in u.terms), default=-1))
+    for (i, j), c in u.terms.items():
+        cs[i + j] += c
+    return Poly(tuple(cs))
 
 
 def check_diagonal_continuity(k: BezoutKernel) -> bool:
     """u_lower(x, x) = u_upper(x, x) as polynomials."""
-    x2 = MPoly.var(2, 0)
-    on_diag = lambda u: u.subst_poly(1, x2).drop_var(1)
-    return on_diag(k.u_lower) == on_diag(k.u_upper)
-
-
-@dataclass(frozen=True)
-class KernelEnvelope:
-    """Numerical majorant h on [-a, a] with |U(x, t)| <= h(x - t)."""
-
-    pair: NormalizedPair
-    integral: float
-
-    def __call__(self, u):
-        return _envelope_values(self.pair, np.atleast_1d(np.asarray(u, float)))
-
-
-#: u values per block in `_envelope_values`; each holds 8 panels x 48 nodes.
-_ENVELOPE_BLOCK = 32
-
-
-def _envelope_values(pair: NormalizedPair, us: np.ndarray) -> np.ndarray:
-    """h(u) by 8-panel Gauss-Legendre quadrature, vectorized over u and nodes."""
-    a = float(pair.a)
-    g1 = pair.psi1.conjugate()
-    nodes, weights = np.polynomial.legendre.leggauss(48)
-    flat = us.ravel()
-    out = np.empty(flat.shape)
-    for k in range(0, flat.size, _ENVELOPE_BLOCK):
-        u = flat[k:k + _ENVELOPE_BLOCK]
-        # both products are supported on s in [max(0,-u), min(a, a-u)]
-        lo, hi = np.maximum(0.0, -u), np.minimum(a, a - u)
-        edges = np.arange(9) * ((hi - lo) / 8)[:, None] + lo[:, None]
-        edges[:, -1] = hi
-        sl, sr = edges[:, :-1, None], edges[:, 1:, None]
-        s = 0.5 * (sr - sl) * nodes + 0.5 * (sr + sl)
-        w = 0.5 * (sr - sl) * weights
-        u3 = u[:, None, None]
-        v = np.abs(pair.psi2.eval_float(a - s) * g1.eval_float(a - s - u3)) + np.abs(
-            pair.psi2.eval_float(s + u3) * g1.eval_float(s))
-        # cumsum adds the panels in the order the scalar loop did
-        acc = np.cumsum(np.sum(w * v, axis=-1), axis=1)[:, -1]
-        out[k:k + _ENVELOPE_BLOCK] = np.where(hi > lo, acc, 0.0)
-    return out.reshape(us.shape)
-
-
-def kernel_bound(pair: NormalizedPair, n_grid: int = 401) -> KernelEnvelope:
-    """Tabulate h and its finite integral over [-a, a] by quadrature."""
-    a = float(pair.a)
-    us = np.linspace(-a, a, n_grid)
-    vals = _envelope_values(pair, us)
-    integral = float(np.trapezoid(vals, us))
-    return KernelEnvelope(pair, integral)
-
+    return _on_diagonal(k.u_lower) == _on_diagonal(k.u_upper)

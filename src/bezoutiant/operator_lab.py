@@ -145,28 +145,18 @@ def convergence_study(
     sizes=(32, 64, 128, 256),
     norm: str = "fro",
 ) -> dict:
-    """Residuals and refinement ratios over a sequence of grid sizes."""
+    """Residuals and refinement ratios over a sequence of grid sizes.
+
+    A ratio whose finer residual is 0 (the coincidence case) is None.
+    """
     residuals = []
     for n in sizes:
         ops = discretize_all(pair, k, mf, Grid.uniform(n, pair.a))
         residuals.append(identity_residual(ops, norm))
     ratios = [
-        residuals[i] / residuals[i + 1] if residuals[i + 1] != 0 else float("inf")
+        residuals[i] / residuals[i + 1] if residuals[i + 1] != 0 else None
         for i in range(len(residuals) - 1)
     ]
     return {"norm": norm, "sizes": list(sizes),
             "residuals": residuals, "ratios": ratios}
 
-
-def apply_to_exponential(k: BezoutKernel, z: complex, grid: Grid) -> float:
-    """Weighted grid 2-norm of T applied to x -> e^{izx}."""
-    t_mat = kernel_matrix(k, grid)
-    vec = t_mat @ np.exp(1j * z * grid.nodes)
-    return float(np.sqrt(np.sum(grid.weights * np.abs(vec) ** 2)))
-
-
-def operator_norm_bound(ops: Discretization) -> float:
-    """L^2 operator norm of the discretized T (compare against |c| * int h)."""
-    s = np.sqrt(ops.grid.weights)
-    sym = ops.t * (s[:, None] / s[None, :])
-    return float(np.linalg.norm(sym, 2))

@@ -154,31 +154,3 @@ def reflected_transform(psi2: Poly, a) -> ClosedTransform:
     """F_{2,1}(z) = int_0^a e^{izt} Psi_2(a-t) dt (no conjugation)."""
     return ClosedTransform.from_density(psi2.reflect(a, conjugate=False), a)
 
-
-@dataclass(frozen=True)
-class TrigForm:
-    """Exact P, Q, R with z^scale * F(z) = P(z) cos(az) + Q(z) sin(az) + R(z)."""
-
-    P: Poly
-    Q: Poly
-    R: Poly
-    scale: int
-    a: Fraction
-
-    def eval_float(self, z) -> complex:
-        a = float(self.a)
-        return (
-            self.P.eval_float(z) * np.cos(a * z)
-            + self.Q.eval_float(z) * np.sin(a * z)
-            + self.R.eval_float(z)
-        )
-
-
-def trig_form(F: ClosedTransform) -> TrigForm:
-    """Split e^{iaz} into cos + i sin over the Laurent parts and clear z^-j."""
-    m = len(F.osc)
-    # z^m * sum_j c_j z^{-j} has ascending coefficient c_{m-k} at z^k.
-    p_coeffs = tuple(F.osc[m - 1 - k] for k in range(m))
-    r_coeffs = tuple(F.plain[m - 1 - k] for k in range(m))
-    P = Poly(p_coeffs)
-    return TrigForm(P, P * GR_I, Poly(r_coeffs), m, F.a)

@@ -367,7 +367,7 @@ class CompareReport:
 
     def to_json(self):
         return {
-            "min_distance": self.min_distance,
+            "min_distance": self.min_distance if math.isfinite(self.min_distance) else None,
             "delta": self.delta,
             "common": [
                 {"z1_re": a.real, "z1_im": a.imag,

@@ -179,6 +179,27 @@ def test_bad_tolerance_exit_code(tmp_path, tol):
         assert json.loads(out.read_text())["error"].startswith("tol:")
 
 
+@pytest.mark.parametrize("grid", [0, 4, 15])
+def test_bad_grid_override_exit_code(tmp_path, grid):
+    # verify --grid follows the problem file's grid_n rule
+    code, report = _run_fixture("const_vs_linear.json", tmp_path, "verify", ("--grid", str(grid)))
+    assert code == EXIT_INPUT_ERROR
+    assert report["error"].startswith("grid_n:")
+
+
+def test_grid_override_runs(tmp_path):
+    code, report = _run_fixture("const_vs_linear.json", tmp_path, "verify", ("--grid", "16"))
+    assert code == EXIT_OK
+    assert report["operator"]["sizes"] == [8, 16]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.json")))
+def test_verify_reports_are_strict_json(tmp_path, name):
+    # no Infinity or NaN: empty zero sets and 0/0 residual ratios are null
+    _, report = _run_fixture(name, tmp_path, "verify")
+    json.dumps(report, allow_nan=False)
+
+
 def test_rect_override(tmp_path):
     out = tmp_path / "r.json"
     code = main(["verify", "--input", str(FIXTURES / "coincidence.json"),

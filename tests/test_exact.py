@@ -109,16 +109,20 @@ def test_zero_trimming_and_degree():
 
 
 def test_mpoly_roundtrip(rng):
-    x = MPoly.var(2, 0)
-    t = MPoly.var(2, 1)
-    p = x * x * GR(3) + x * t - MPoly.const(2, GR(F(1, 2)))
-    assert p.eval([F(1, 2), 2]) == GR(F(3, 4) + 1 - F(1, 2))
-    assert p.swap_vars(0, 1).swap_vars(0, 1) == p
+    # 3x^2 + x t - 1/2, with zero terms dropped
+    p = MPoly({(2, 0): 3, (1, 1): 1, (0, 0): GR(F(-1, 2)), (0, 3): 0})
+    assert p.terms.keys() == {(2, 0), (1, 1), (0, 0)}
+    assert p.eval(F(1, 2), 2) == GR(F(3, 4) + 1 - F(1, 2))
+    assert p.eval(GR(0, 1), 1) == GR(-3, 1) + GR(F(-1, 2))
+    assert p == MPoly(dict(p.terms)) and p != p * 2
+    assert (p * GR(0, 1)).eval(1, 1) == GR(0, F(7, 2))
+    assert MPoly({(0, 0): 0}).is_zero
+    assert p.to_json()[0] == {"exp": [0, 0], "coeff": "-1/2"}
 
 
 def test_mpoly_definite_integral():
-    # int_0^x 2t dt = x^2 in variables (x, t) = (0, 1)
-    t = MPoly.var(2, 1)
-    x = MPoly.var(2, 0)
-    res = (t * 2).definite_integral(1, MPoly.zero(2), x).drop_var(1)
-    assert res.to_univariate() == Poly.of(0, 0, 1)
+    # int_0^t 2s ds = t^2;  int_t^3 2s t ds = 9t - t^3;  int_1^2 s t^2 ds = 3/2 t^2
+    assert MPoly({(1, 0): 2}).definite_integral(0, "t") == Poly.of(0, 0, 1)
+    assert MPoly({(1, 1): 2}).definite_integral("t", 3) == Poly.of(0, 9, 0, -1)
+    assert MPoly({(1, 2): 1}).definite_integral(1, F(2)) == Poly.of(0, 0, F(3, 2))
+    assert MPoly({}).definite_integral(0, "t").is_zero

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -12,8 +13,6 @@ from bezoutiant.kernel import (
     build_m_functions,
     check_adjoint_identity,
     check_diagonal_continuity,
-    check_phi_difference,
-    kernel_bound,
     normalize_pair,
 )
 from conftest import random_admissible_poly
@@ -83,11 +82,8 @@ def test_kernel_coincidence_vanishes():
 def test_kernel_fixture():
     pair = normalize_pair(ONE, TWO_T, 1)
     k = build_kernel(pair)
-    x = MPoly.var(2, 0)
-    t = MPoly.var(2, 1)
-    one = MPoly.const(2, 1)
-    assert k.u_lower == (x * -2) * (one - t)
-    assert k.u_upper == (t * -2) * (one - x)
+    assert k.u_lower == MPoly({(1, 0): -2, (1, 1): 2})  # -2x(1-t)
+    assert k.u_upper == MPoly({(0, 1): -2, (1, 1): 2})  # -2t(1-x)
     assert k.c == GR(-1)
     # diagonal value -2x(1-x)
     assert k.u_at(F(1, 4), F(1, 4)) == GR(F(-2, 4) * F(3, 4))
@@ -111,6 +107,22 @@ def test_adjoint_identity_fixture():
     assert check_adjoint_identity(k, mf)
 
 
+def test_exact_checks_reject_a_perturbed_coefficient(rng):
+    # one real or imaginary coefficient of either piece, moved by 1/7
+    for a in (1, F(7, 3)):
+        pair = normalize_pair(random_admissible_poly(rng, 3, a),
+                              random_admissible_poly(rng, 2, a), a)
+        k, mf = build_kernel(pair), build_m_functions(pair)
+        assert check_adjoint_identity(k, mf) and check_diagonal_continuity(k)
+        for piece in ("u_lower", "u_upper"):
+            terms = dict(getattr(k, piece).terms)
+            exp = rng.choice(sorted(terms))
+            for delta in (GR(F(1, 7)), GR(0, F(1, 7))):
+                bad = replace(k, **{piece: MPoly({**terms, exp: terms[exp] + delta})})
+                assert not check_adjoint_identity(bad, mf), (piece, exp, delta)
+                assert not check_diagonal_continuity(bad), (piece, exp, delta)
+
+
 def test_adjoint_identity_random(rng):
     for _ in range(20):
         pair = normalize_pair(
@@ -121,13 +133,6 @@ def test_adjoint_identity_random(rng):
         k = build_kernel(pair)
         mf = build_m_functions(pair)
         assert check_adjoint_identity(k, mf)
-        assert check_phi_difference(mf)
-
-
-def test_phi_difference_coincidence():
-    pair = normalize_pair(ONE, ONE, 1)
-    mf = build_m_functions(pair)
-    assert check_phi_difference(mf)
 
 
 def test_alpha_beta_independence(rng):
@@ -197,24 +202,6 @@ def test_u_grid_error_at_high_degree(rng):
                                     random_admissible_poly(rng, 16, 1), 1))
     err, horner_err, _ = _errors_against_exact(k, nodes, samples)
     assert err <= 2 * horner_err
-
-
-def test_kernel_bound_envelope():
-    pair = normalize_pair(ONE, TWO_T, 1)
-    env = kernel_bound(pair)
-    k = build_kernel(pair)
-    xs = np.linspace(0, 1, 100)
-    u = np.abs(k.u_float(xs[:, None], xs[None, :]))
-    h = env((xs[:, None] - xs[None, :]).ravel()).reshape(100, 100)
-    assert np.max(u - h) <= 1e-9
-    assert np.isfinite(env.integral) and env.integral > 0
-
-
-def test_kernel_bound_trivial_for_coincidence():
-    pair = normalize_pair(ONE, ONE, 1)
-    env = kernel_bound(pair)
-    k = build_kernel(pair)
-    assert np.all(np.abs(k.u_float(0.3, np.linspace(0, 1, 11))) <= env(0.3 - np.linspace(0, 1, 11)))
 
 
 def test_kernel_json():

@@ -6,18 +6,15 @@ from bezoutiant.exact import GR, Poly
 from bezoutiant.kernel import (
     build_kernel,
     build_m_functions,
-    kernel_bound,
     normalize_pair,
 )
 from bezoutiant.operator_lab import (
     Grid,
     _suffix_sums,
-    apply_to_exponential,
     convergence_study,
     discretize_all,
     identity_residual,
     kernel_matrix,
-    operator_norm_bound,
 )
 from conftest import random_admissible_poly
 
@@ -153,28 +150,6 @@ def test_structured_residual_matches_dense(rng):
                         want = _dense_residual(pair, mf, g, ops.t, norm)
                         got = identity_residual(ops, norm)
                         assert abs(got - want) <= 1e-11 * want, (n, norm, got, want)
-
-
-def test_apply_to_exponential_thresholds():
-    pair, k, mf = _setup(TWO_T, ONE)
-    g = Grid.uniform(128, 1)
-    at_zero = apply_to_exponential(k, 0.0, g)
-    at_common = apply_to_exponential(k, 2 * np.pi, g)
-    assert at_zero > 0
-    # 2*pi is a zero of F1 but not of F21; the image must stay well away
-    # from zero (measured value ~0.0716)
-    assert at_common > 0.03
-    # continuity in z
-    near = apply_to_exponential(k, 2 * np.pi + 1e-6, g)
-    assert abs(near - at_common) < 1e-4
-
-
-def test_operator_norm_bounded_by_kernel_envelope():
-    pair, k, mf = _setup(ONE, TWO_T)
-    env = kernel_bound(pair)
-    g = Grid.uniform(96, 1)
-    ops = discretize_all(pair, k, mf, g)
-    assert operator_norm_bound(ops) <= abs(complex(k.c)) * env.integral + 1e-8
 
 
 def test_kernel_matrix_shape_and_scaling():

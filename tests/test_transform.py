@@ -10,7 +10,6 @@ from bezoutiant.transform import (
     EvaluationOverflow,
     closed_form,
     reflected_transform,
-    trig_form,
 )
 from conftest import quadrature_transform, random_admissible_poly
 
@@ -122,26 +121,6 @@ def test_derivative_matches_transform_method(rng):
     for z in (0.1, 2.0 + 1.0j, -7.5 - 0.3j):
         fd = (Ft(z + h) - Ft(z - h)) / (2 * h)
         assert abs(Fd(z) - fd) < 1e-7 * max(1, abs(Fd(z)))
-
-
-def test_trig_form_constant():
-    tf = trig_form(closed_form(ONE, 1))
-    # z F(z) = -i cos z + sin z + i
-    assert tf.P == Poly.of(GR(0, -1))
-    assert tf.Q == Poly.of(1)
-    assert tf.R == Poly.of(GR(0, 1))
-    assert tf.scale == 1
-
-
-def test_trig_form_consistency(rng):
-    for psi, a in ((TWO_T, 1), (Poly.of(1, GR(0, 1), 3), 1), (Poly.of(0, 2, -1), 2)):
-        Ft = closed_form(psi, a)
-        tf = trig_form(Ft)
-        for _ in range(10):
-            z = complex(rng.uniform(0.6, 20), rng.uniform(-2, 2))
-            lhs = tf.eval_float(z)
-            rhs = z ** tf.scale * Ft(z)
-            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
 def test_real_density_conjugate_symmetry(rng):
