@@ -19,6 +19,14 @@ Both sets of exact data come from one pass over the density g:
   mu_n = sum_k g_k a^(n+k+1) / (n+k+1), a sum over one table of the
   powers of a; the sums run on integer numerators over one common
   denominator, and each moment is reduced once.
+
+`derivative()` builds F' from F's own exact data: differentiating the
+closed form gives p'_j = i a p_j - (j-1) p_{j-1} and q'_j = -(j-1) q_{j-1}
+(the jets of i t g, since (t g)^(k) = t g^(k) + k g^(k-1)), and the
+moments are mu'_n = i mu_{n+1}, so only one new moment of g is computed.
+`eval_many(z, with_derivative=True)` returns (F(z), F'(z)) from one pass
+that shares the Taylor/Laurent split, 1/z and e^{iaz}; each value equals
+the separate evaluation bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exact import GR_I, GaussianRational, Poly, _frac, from_numerators, numerators
+from .exact import GR_I, GR_ZERO, GaussianRational, Poly, _frac, from_numerators, numerators
 
 #: Crossover radius between the moment Taylor series and the Laurent form.
 SWITCH_RADIUS = 0.5
@@ -54,8 +62,8 @@ def _times_i_power(v: GaussianRational, j: int) -> GaussianRational:
     return GaussianRational(re, im)
 
 
-def _moments(g: Poly, a: Fraction, count: int) -> tuple:
-    """mu_n = int_0^a t^n g(t) dt = sum_k g_k a^(n+k+1) / (n+k+1), n < count."""
+def _moments(g: Poly, a: Fraction, count: int, first: int = 0) -> tuple:
+    """mu_n = int_0^a t^n g(t) dt = sum_k g_k a^(n+k+1) / (n+k+1), first <= n < count."""
     re, im, den = numerators(g.coeffs)
     top = count + len(re) - 1  # largest power n + k + 1
     p, q = a.numerator, a.denominator
@@ -63,7 +71,7 @@ def _moments(g: Poly, a: Fraction, count: int) -> tuple:
     # a^m / m = w[m] / (q^top ell)
     w = [0] + [p ** m * q ** (top - m) * (ell // m) for m in range(1, top + 1)]
     mre, mim = [], []
-    for n in range(count):
+    for n in range(first, count):
         mre.append(sum(c * w[n + k + 1] for k, c in enumerate(re)))
         mim.append(sum(c * w[n + k + 1] for k, c in enumerate(im)))
     return from_numerators(mre, mim, den * q ** top * ell)
@@ -85,21 +93,41 @@ class ClosedTransform:
     moments: tuple
 
     @classmethod
-    def from_density(cls, g: Poly, a, n_moments: int | None = None) -> "ClosedTransform":
+    def from_density(cls, g: Poly, a) -> "ClosedTransform":
         a = _frac(a)
         if a <= 0:
             raise ValueError("interval endpoint a must be positive")
-        if n_moments is None:
-            n_moments = g.degree + 1 + EXTRA_MOMENTS
         # p_j = -i^j g^(j-1)(a),  q_j = i^j g^(j-1)(0),  j = 1..deg+1
         osc = tuple(-_times_i_power(v, j) for j, v in enumerate(g.jet(a), 1))
         plain = tuple(_times_i_power(v, j) for j, v in enumerate(g.jet(0), 1))
-        return cls(a, g, osc, plain, _moments(g, a, n_moments))
+        return cls(a, g, osc, plain, _moments(g, a, g.degree + 1 + EXTRA_MOMENTS))
 
     def derivative(self) -> "ClosedTransform":
-        """Closed form of F'(z) = i * int_0^a t e^{izt} g(t) dt."""
-        return ClosedTransform.from_density(
-            self.density.times_x() * GR_I, self.a, len(self.moments))
+        """Closed form of F'(z) = i * int_0^a t e^{izt} g(t) dt, built once.
+
+        It comes from F's own exact data, with no second Taylor shift or
+        moment table.  Differentiating the closed form term by term gives
+
+            p'_j = i a p_j - (j-1) p_{j-1},    q'_j = -(j-1) q_{j-1},
+
+        for j = 1..deg+2; these are the jets of i t g(t), since
+        (t g)^(k)(x) = x g^(k)(x) + k g^(k-1)(x).  The moments are
+        mu'_n = i mu_{n+1}, so only the last one needs a new moment of g.
+        """
+        return self._derivative
+
+    @cached_property
+    def _derivative(self) -> "ClosedTransform":
+        a = self.a
+        p = self.osc + (GR_ZERO,)
+        q = self.plain + (GR_ZERO,)
+        n = len(p) if self.osc else 0
+        osc = tuple(_times_i_power(p[m] * a, 1) - p[m - 1] * m for m in range(n))
+        plain = tuple(-(q[m - 1] * m) for m in range(n))
+        count = len(self.moments)
+        mu = self.moments[1:] + _moments(self.density, a, count + 1, first=count)
+        return ClosedTransform(a, self.density.times_x() * GR_I, osc, plain,
+                               tuple(_times_i_power(m, 1) for m in mu))
 
     # -- float evaluation --------------------------------------------------
 
@@ -115,31 +143,44 @@ class ClosedTransform:
         )
         return a, osc, plain, taylor
 
-    def eval_many(self, z) -> np.ndarray:
-        """Vectorized evaluation at an array of complex points."""
+    def eval_many(self, z, with_derivative: bool = False):
+        """Vectorized evaluation at an array of complex points.
+
+        With `with_derivative` the result is the pair (F(z), F'(z)).  Both
+        share the overflow check, the Taylor/Laurent split, 1/z and
+        e^{iaz}, and each equals, bit for bit, what `eval_many` of F and of
+        `derivative()` returns on its own.
+        """
         z = np.asarray(z, dtype=complex)
-        a, osc, plain, taylor = self._float_data
+        forms = [self._float_data]
+        if with_derivative:
+            forms.append(self.derivative()._float_data)
+        a = forms[0][0]
         if np.any(np.abs(z.imag) * a > OVERFLOW_LIMIT):
             raise EvaluationOverflow(
                 f"|a Im z| exceeds {OVERFLOW_LIMIT}; result would overflow")
-        out = np.empty_like(z)
+        outs = [np.empty_like(z) for _ in forms]
         small = np.abs(z) < SWITCH_RADIUS
         if np.any(small):
             zs = z[small]
-            acc = np.zeros_like(zs)
-            for c in taylor[::-1]:
-                acc = acc * zs + c
-            out[small] = acc
-        if np.any(~small):
-            zl = z[~small]
+            for out, (_, _, _, taylor) in zip(outs, forms):
+                acc = np.zeros_like(zs)
+                for c in taylor[::-1]:
+                    acc = acc * zs + c
+                out[small] = acc
+        large = ~small
+        if np.any(large):
+            zl = z[large]
             w = 1.0 / zl
-            acc_o = np.zeros_like(zl)
-            acc_p = np.zeros_like(zl)
-            for po, pp in zip(osc[::-1], plain[::-1]):
-                acc_o = (acc_o + po) * w
-                acc_p = (acc_p + pp) * w
-            out[~small] = np.exp(1j * a * zl) * acc_o + acc_p
-        return out
+            e = np.exp(1j * a * zl)
+            for out, (_, osc, plain, _) in zip(outs, forms):
+                acc_o = np.zeros_like(zl)
+                acc_p = np.zeros_like(zl)
+                for po, pp in zip(osc[::-1], plain[::-1]):
+                    acc_o = (acc_o + po) * w
+                    acc_p = (acc_p + pp) * w
+                out[large] = e * acc_o + acc_p
+        return tuple(outs) if with_derivative else outs[0]
 
     def __call__(self, z: complex) -> complex:
         return complex(self.eval_many(np.array([z]))[0])

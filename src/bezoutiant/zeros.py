@@ -5,10 +5,11 @@ the boundary, isolated by recursive quadrisection, and polished by Newton
 iteration using the exact closed form of F'.  This is the numerical side
 of the artifact: it never trusts the symbolic verdict and vice versa.
 
-Contour evaluation is batched.  A winding integral cuts each edge into
-Gauss-Legendre panels, and one panel level of every box in a batch (4
-edges x all panels x 20 nodes) goes to `eval_many` as one array, F and F'
-one call each, in chunks of at most _CHUNK_POINTS points.  Panel sums
+Contour evaluation is batched and fused.  A winding integral cuts each
+edge into Gauss-Legendre panels, and one panel level of every box in a
+batch (4 edges x all panels x 20 nodes) goes to `eval_many` as one array,
+in chunks of at most _CHUNK_POINTS points; each call returns F and F'
+together (`with_derivative=True`), sharing e^{iaz} and 1/z.  Panel sums
 are reduced with array operations and added in the same order as a
 per-panel loop would add them, so the integrals are the same floats.
 `_certified_windings` certifies the four children of a quadrisection
@@ -16,6 +17,19 @@ together: at each doubling of the panels (4 to 256) it evaluates only the
 boxes not yet certified, and each box keeps the one-box rule (two
 successive integrals within `stab_tol` and within 0.1 of an integer).
 The seven candidate cut lines of a split are scored in one call too.
+
+Contour-seeded Newton.  The same nodes also give the first moment
+(1/2 pi i) * integral of z F'/F, the sum of the zeros inside (Delves and
+Lyness 1967), so each certified box comes with its centroid at no extra
+evaluation.  A cell with one zero starts Newton there, or at its centre
+when the centroid lies outside the cell; each Newton step is one fused
+single-point `eval_many` call.
+
+Acceptance.  A Newton result counts as the cell's zero only inside the
+cell padded by _ACCEPT_PAD * tol; otherwise the cell is quadrisected, so a
+start that runs to a neighbour's zero cannot claim it.  `locate_zeros`
+raises ClusterUnresolvedError rather than report a zero outside the
+guarded box or two zeros closer than the subdivision floor 100 * tol.
 
 Split retry.  `_split_coord` ranks its candidate lines by the smallest
 |F| sampled on them.  If the children of the best pair of cuts do not
@@ -117,13 +131,15 @@ def _boundary_samples(box, n_per_edge=128) -> np.ndarray:
     return np.concatenate([a + (b - a) * t for a, b in zip(cs, cs[1:] + cs[:1])])
 
 
-def _winding_integrals(F, Fp, boxes, panels_per_edge) -> np.ndarray:
-    """(1/2 pi i) times the contour integral of F'/F around each box.
+def _winding_integrals(F, boxes, panels_per_edge) -> tuple:
+    """(1/2 pi i) times the contour integrals of F'/F and z F'/F around each box.
 
-    Every edge of every box is cut into `panels_per_edge` Gauss-Legendre
-    panels.  A panel row holds the nodes of one panel; the rows of all
-    boxes are evaluated together, at most _CHUNK_POINTS points per
-    `eval_many` call.
+    The first is the winding number, the number of zeros inside; the
+    second is the sum of those zeros (Delves and Lyness 1967).  Every edge
+    of every box is cut into `panels_per_edge` Gauss-Legendre panels.  A
+    panel row holds the nodes of one panel; the rows of all boxes are
+    evaluated together, F and F' in one `eval_many` call of at most
+    _CHUNK_POINTS points.  Returns the two arrays, one entry per box.
     """
     corners = np.array([_box_corners(b) for b in boxes])
     start = corners.ravel()
@@ -132,52 +148,57 @@ def _winding_integrals(F, Fp, boxes, panels_per_edge) -> np.ndarray:
     width = edges[1:] - edges[:-1]
     t = 0.5 * width[:, None] * _GL_NODES + 0.5 * (edges[1:] + edges[:-1])[:, None]
     edge, panel = np.divmod(np.arange(start.size * panels_per_edge), panels_per_edge)
-    sums = np.empty(edge.size, dtype=complex)
+    sums = np.empty((2, edge.size), dtype=complex)
     step = _CHUNK_POINTS // _GL_NODES.size
     for lo in range(0, edge.size, step):
         e, p = edge[lo:lo + step, None], panel[lo:lo + step]
         z = (start[e] + delta[e] * t[p]).ravel()
-        vals = (Fp.eval_many(z) / F.eval_many(z)).reshape(-1, _GL_NODES.size)
-        sums[lo:lo + step] = np.sum(_GL_WEIGHTS * vals, axis=1)
+        f, fp = F.eval_many(z, with_derivative=True)
+        vals = _GL_WEIGHTS * (fp / f).reshape(-1, _GL_NODES.size)
+        sums[0, lo:lo + step] = np.sum(vals, axis=1)
+        sums[1, lo:lo + step] = np.sum(vals * z.reshape(vals.shape), axis=1)
     terms = delta[edge] * 0.5 * width[panel] * sums
     # cumsum adds the panels in the order the scalar loop did
-    return np.cumsum(terms.reshape(len(boxes), -1), axis=1)[:, -1] / (2j * math.pi)
+    totals = np.cumsum(terms.reshape(2, len(boxes), -1), axis=2)[:, :, -1] / (2j * math.pi)
+    return totals[0], totals[1]
 
 
-def _certified_windings(F, Fp, boxes, stab_tol=1e-3) -> list:
-    """Winding numbers of several boxes, certified together.
+def _certified_windings(F, boxes, stab_tol=1e-3) -> list:
+    """Winding numbers of several boxes, certified together, with centroids.
 
     Each box doubles its panels until two successive integrals agree to
     `stab_tol` and lie within 0.1 of an integer; a box that has not
     certified at the last level raises.  Each level evaluates only the
-    boxes that are still open.
+    boxes that are still open.  Returns one (count, centroid) pair per
+    box: the centroid is the mean of the box's zeros, the first contour
+    moment over the count at the certifying level, or None for count 0.
     """
-    counts = [None] * len(boxes)
+    out = [None] * len(boxes)
     prev = [None] * len(boxes)
     open_ = list(range(len(boxes)))
     for panels in _PANEL_LEVELS:
-        vals = _winding_integrals(F, Fp, [boxes[i] for i in open_], panels)
+        vals, moments = _winding_integrals(F, [boxes[i] for i in open_], panels)
         still = []
-        for i, val in zip(open_, vals):
+        for i, val, moment in zip(open_, vals, moments):
             val = complex(val)
             if prev[i] is not None and abs(val - prev[i]) < stab_tol:
                 n = round(val.real)
                 if abs(val - n) <= 0.1:
-                    counts[i] = int(n)
+                    out[i] = (int(n), complex(moment) / n if n else None)
                     continue
             prev[i] = val
             still.append(i)
         open_ = still
         if not open_:
-            return counts
+            return out
     i = open_[0]
     raise NonIntegerWindingError(
         f"winding integral did not certify an integer on {boxes[i]}: {prev[i]}")
 
 
-def _certified_winding(F, Fp, box, stab_tol=1e-3):
-    """Winding number of one box (see `_certified_windings`)."""
-    return _certified_windings(F, Fp, [box], stab_tol)[0]
+def _certified_winding(F, box, stab_tol=1e-3):
+    """(count, centroid) of one box (see `_certified_windings`)."""
+    return _certified_windings(F, [box], stab_tol)[0]
 
 
 def _guarded_box(F, rect: SearchRect, threshold_rel=1e-8, attempts=5):
@@ -196,40 +217,45 @@ def _guarded_box(F, rect: SearchRect, threshold_rel=1e-8, attempts=5):
 
 def count_zeros(F: ClosedTransform, rect: SearchRect) -> int:
     """Number of zeros of F inside the rectangle, with multiplicity."""
-    Fp = F.derivative()
     box, _ = _guarded_box(F, rect)
-    return _certified_winding(F, Fp, box)
+    return _certified_winding(F, box)[0]
 
 
 # -- localization -----------------------------------------------------------
 
-def _newton(F, Fp, z0: complex, tol: float, box, max_iter=60):
+def _values(F, z: complex) -> tuple:
+    """(F(z), F'(z)) at one point, from one `eval_many` call."""
+    f, fp = F.eval_many(np.array([z]), with_derivative=True)
+    return complex(f[0]), complex(fp[0])
+
+
+def _newton(F, z0: complex, tol: float, box, max_iter=60):
     x0, x1, y0, y1 = box
     pad = max(x1 - x0, y1 - y0)
     z = z0
     for _ in range(max_iter):
-        fp = Fp(z)
+        f, fp = _values(F, z)
         if fp == 0:
             return None
-        dz = F(z) / fp
+        dz = f / fp
         z = z - dz
         if not (x0 - pad <= z.real <= x1 + pad and y0 - pad <= z.imag <= y1 + pad):
             return None
         if abs(dz) <= tol:
-            fp = Fp(z)
+            f, fp = _values(F, z)
             if fp != 0:
-                z = z - F(z) / fp
+                z = z - f / fp
             return z
     return None
 
 
-def _newton_multiple(F, Fp, Fpp, z0: complex, tol: float, box, max_iter=80):
+def _newton_multiple(F, Fpp, z0: complex, tol: float, box, max_iter=80):
     """Newton on u = F/F', quadratic also at multiple zeros."""
     x0, x1, y0, y1 = box
     pad = 2.0 * max(x1 - x0, y1 - y0) + 1.0
     z = z0
     for _ in range(max_iter):
-        f, fp, fpp = F(z), Fp(z), Fpp(z)
+        (f, fp), fpp = _values(F, z), Fpp(z)
         if fp == 0:
             return None
         u = f / fp
@@ -266,13 +292,18 @@ def _split_coord(F, lo, hi, other_lo, other_hi, vertical) -> list:
     return [cs[k] for k in order]
 
 
+#: A Newton result counts as its cell's zero only within this many
+#: multiples of `tol` outside the cell.
+_ACCEPT_PAD = 10.0
+
+
 def _in_box(z, box, pad=0.0):
     x0, x1, y0, y1 = box
     return x0 - pad <= z.real <= x1 + pad and y0 - pad <= z.imag <= y1 + pad
 
 
-def _quadrisect(F, Fp, box, count):
-    """Four children of the box and their winding numbers, which sum to count.
+def _quadrisect(F, box, count):
+    """Four children of the box and their (count, centroid) pairs; the counts sum to count.
 
     The ranked cut lines of `_split_coord` are paired best with best,
     second with second, and so on; a pair whose children do not certify,
@@ -288,22 +319,30 @@ def _quadrisect(F, Fp, box, count):
             (x0, xs, ys, y1), (xs, x1, ys, y1),
         ]
         try:
-            counts = _certified_windings(F, Fp, children)
+            results = _certified_windings(F, children)
         except NonIntegerWindingError as exc:
             first_error = first_error or exc
             continue
+        counts = [n for n, _ in results]
         if sum(counts) == count:
-            return children, counts
+            return children, results
         first_error = first_error or NonIntegerWindingError(
             f"child counts {counts} do not sum to parent count {count}")
     raise first_error
 
 
 def locate_zeros(F: ClosedTransform, rect: SearchRect, tol: float = 1e-10) -> ZeroSet:
-    """Isolate every zero in the rectangle by quadrisection, polish by Newton."""
-    Fp = F.derivative()
+    """Isolate every zero in the rectangle by quadrisection, polish by Newton.
+
+    A cell with one zero starts Newton from its certified centroid, or
+    from its centre when the centroid lies outside the cell, and keeps the
+    result only inside the cell padded by _ACCEPT_PAD * tol; otherwise the
+    cell is quadrisected.  A zero outside the guarded box, or two zeros
+    closer than the subdivision floor 100 * tol, raise
+    ClusterUnresolvedError instead of being reported.
+    """
     box, _ = _guarded_box(F, rect)
-    total = _certified_winding(F, Fp, box)
+    total, centroid = _certified_winding(F, box)
     floor = 100.0 * tol
 
     found: list = []
@@ -311,12 +350,12 @@ def locate_zeros(F: ClosedTransform, rect: SearchRect, tol: float = 1e-10) -> Ze
     def resolve_cluster(b, count):
         x0, x1, y0, y1 = b
         z0 = complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
-        z = _newton_multiple(F, Fp, Fp.derivative(), z0, tol, b)
+        z = _newton_multiple(F, F.derivative().derivative(), z0, tol, b)
         if z is not None:
             eps = max(20.0 * tol, 1e-9)
             tiny = (z.real - eps, z.real + eps, z.imag - eps, z.imag + eps)
             try:
-                if _certified_winding(F, Fp, tiny) == count:
+                if _certified_winding(F, tiny)[0] == count:
                     found.append((z, count))
                     return
             except (NonIntegerWindingError, ZeroDivisionError):
@@ -324,33 +363,42 @@ def locate_zeros(F: ClosedTransform, rect: SearchRect, tol: float = 1e-10) -> Ze
         raise ClusterUnresolvedError(
             f"cell {b} holds {count} zeros below the subdivision floor")
 
-    def process(b, count):
+    def process(b, count, centroid):
         x0, x1, y0, y1 = b
         diam = math.hypot(x1 - x0, y1 - y0)
         if count == 0:
             return
         if count == 1:
-            z0 = complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
-            z = _newton(F, Fp, z0, tol, b)
-            if z is not None and _in_box(z, b, pad=0.05 * diam):
+            if not _in_box(centroid, b):
+                centroid = complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
+            z = _newton(F, centroid, tol, b)
+            if z is not None and _in_box(z, b, pad=_ACCEPT_PAD * tol):
                 found.append((z, 1))
                 return
-            # Newton escaped or failed: tighten the cell first.
+            # Newton escaped, failed or left the cell: tighten the cell first.
         if diam < floor:
             resolve_cluster(b, count)
             return
-        for c, n in zip(*_quadrisect(F, Fp, b, count)):
-            process(c, n)
+        children, results = _quadrisect(F, b, count)
+        for c, (n, c_centroid) in zip(children, results):
+            process(c, n, c_centroid)
 
-    process(box, total)
+    process(box, total, centroid)
 
-    records = []
-    for z, mult in sorted(found, key=lambda p: (p[0].real, p[0].imag)):
-        records.append(ZeroRecord(z, mult, abs(F(z))))
-    zs = ZeroSet(tuple(records), rect, total)
-    if sum(r.multiplicity for r in records) != total:
+    found.sort(key=lambda p: (p[0].real, p[0].imag))
+    for i, (z, _) in enumerate(found):
+        if not _in_box(z, box):
+            raise ClusterUnresolvedError(f"zero {z} lies outside the guarded box {box}")
+        for w, _ in found[i + 1:]:
+            if abs(z - w) < floor:
+                raise ClusterUnresolvedError(
+                    f"zeros {z} and {w} lie closer than the subdivision floor {floor}")
+    if sum(mult for _, mult in found) != total:
         raise ClusterUnresolvedError("multiplicity total does not match winding count")
-    return zs
+    residuals = np.abs(F.eval_many(np.array([z for z, _ in found], dtype=complex)))
+    records = tuple(ZeroRecord(z, mult, float(r))
+                    for (z, mult), r in zip(found, residuals))
+    return ZeroSet(records, rect, total)
 
 
 # -- set comparison and structure checks ------------------------------------

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -11,7 +12,7 @@ from bezoutiant.transform import (
     closed_form,
     reflected_transform,
 )
-from conftest import quadrature_transform, random_admissible_poly
+from conftest import quadrature_transform, random_admissible_poly, random_poly
 
 ONE = Poly.of(1)
 T = Poly.of(0, 1)
@@ -121,6 +122,39 @@ def test_derivative_matches_transform_method(rng):
     for z in (0.1, 2.0 + 1.0j, -7.5 - 0.3j):
         fd = (Ft(z + h) - Ft(z - h)) / (2 * h)
         assert abs(Fd(z) - fd) < 1e-7 * max(1, abs(Fd(z)))
+
+
+def _transform_of_i_t(Ft):
+    """The transform of i t g built from scratch, with as many moments as Ft."""
+    full = ClosedTransform.from_density(Ft.density.times_x() * GR(0, 1), Ft.a)
+    return replace(full, moments=full.moments[:len(Ft.moments)])
+
+
+def test_derivative_equals_transform_of_i_t_g(rng):
+    # F' from F's own data equals the transform of i t g built from scratch
+    for k in range(36):
+        g = random_poly(rng, rng.randint(0, 16), complex_coeffs=k % 2 == 1)
+        for a in (F(1), F(7, 3), F(1, 2)):
+            Ft = ClosedTransform.from_density(g, a)
+            assert Ft.derivative() == _transform_of_i_t(Ft)
+            assert Ft.derivative().derivative() == _transform_of_i_t(_transform_of_i_t(Ft))
+    zero = ClosedTransform.from_density(Poly(()), 1)
+    assert zero.derivative() == _transform_of_i_t(zero)
+
+
+def test_eval_many_with_derivative_bit_identical(rng):
+    gen = np.random.default_rng(7)
+    for k in range(12):
+        Ft = ClosedTransform.from_density(random_poly(rng, rng.randint(0, 12)), F(7, 3))
+        Fd = Ft.derivative()
+        # |z| < 0.5 (Taylor) and |z| >= 0.5 (Laurent) mixed in one array
+        small = gen.uniform(-0.35, 0.35, 9) + 1j * gen.uniform(-0.35, 0.35, 9)
+        large = gen.uniform(-20, 20, 40) + 1j * gen.uniform(-4, 4, 40)
+        z = gen.permutation(np.concatenate([small, large, [0.5, 0.5j, 0.0]]))
+        for pts in (z, z[:1], small[:1], large[:1]):
+            f, fp = Ft.eval_many(pts, with_derivative=True)
+            assert np.array_equal(f, Ft.eval_many(pts))
+            assert np.array_equal(fp, Fd.eval_many(pts))
 
 
 def test_real_density_conjugate_symmetry(rng):

@@ -1,21 +1,28 @@
+import json
 import math
 import re
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
+from bezoutiant import zeros
+from bezoutiant.cli import ProblemSpec
 from bezoutiant.exact import GR, Poly
 from bezoutiant.transform import closed_form, reflected_transform
 from bezoutiant.zeros import (
     _GL_NODES,
     _GL_WEIGHTS,
     _SPLIT_FRACS,
+    ClusterUnresolvedError,
     NonIntegerWindingError,
     SearchRect,
     _box_corners,
     _certified_winding,
     _certified_windings,
+    _guarded_box,
     _split_coord,
     _winding_integrals,
     bessel_reference,
@@ -24,6 +31,8 @@ from bezoutiant.zeros import (
     locate_zeros,
     structure_checks,
 )
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 ONE = Poly.of(1)
 TWO_T = Poly.of(0, 2)
@@ -151,9 +160,13 @@ def test_residual_invariant():
 # -- batched contour evaluation ----------------------------------------------
 
 def _panel_loop_winding(F, Fp, box, panels_per_edge):
-    """The scalar oracle: two eval_many calls per panel, one panel at a time."""
+    """The scalar oracle: two eval_many calls per panel, one panel at a time.
+
+    Returns the winding number and the first moment, the integrals of
+    F'/F and z F'/F over 2 pi i.
+    """
     cs = _box_corners(box)
-    total = 0j
+    total = moment = 0j
     for a, b in zip(cs, cs[1:] + cs[:1]):
         edges = np.linspace(0.0, 1.0, panels_per_edge + 1)
         for t0, t1 in zip(edges[:-1], edges[1:]):
@@ -161,7 +174,8 @@ def _panel_loop_winding(F, Fp, box, panels_per_edge):
             z = a + (b - a) * t
             vals = Fp.eval_many(z) / F.eval_many(z)
             total += (b - a) * 0.5 * (t1 - t0) * np.sum(_GL_WEIGHTS * vals)
-    return total / (2j * math.pi)
+            moment += (b - a) * 0.5 * (t1 - t0) * np.sum(_GL_WEIGHTS * vals * z)
+    return total / (2j * math.pi), moment / (2j * math.pi)
 
 
 #: Criterion 9's rectangles and the zero counts of (e^{iz} - 1)/(iz) in them.
@@ -180,31 +194,35 @@ def test_winding_integrals_match_panel_loop():
              (-20.5, 20.0, -5.5, 5.5)]
     # 256 panels x 4 edges x 4 boxes spans several eval_many chunks
     for panels in (4, 8, 64, 256):
-        got = _winding_integrals(F, Fp, boxes, panels)
-        assert got.shape == (len(boxes),)
-        for box, val in zip(boxes, got):
-            want = _panel_loop_winding(F, Fp, box, panels)
+        got, moments = _winding_integrals(F, boxes, panels)
+        assert got.shape == moments.shape == (len(boxes),)
+        for box, val, moment in zip(boxes, got, moments):
+            want, want_moment = _panel_loop_winding(F, Fp, box, panels)
             assert abs(val - want) <= 1e-12 * max(1.0, abs(want))
+            assert abs(moment - want_moment) <= 1e-12 * max(1.0, abs(want_moment))
 
 
 def test_certified_windings_batch_equals_single():
     Ft = closed_form(ONE, 1)
-    Fp = Ft.derivative()
     boxes = [box for box, _ in CRITERION_9_BOXES]
-    batch = _certified_windings(Ft, Fp, boxes)
-    assert batch == [_certified_winding(Ft, Fp, b) for b in boxes]
-    assert batch == [want for _, want in CRITERION_9_BOXES]
+    batch = _certified_windings(Ft, boxes)
+    single = [_certified_winding(Ft, b) for b in boxes]
+    assert [n for n, _ in batch] == [n for n, _ in single]
+    assert [n for n, _ in batch] == [want for _, want in CRITERION_9_BOXES]
+    for (n, c), (_, c1) in zip(batch, single):
+        assert (c is None) == (c1 is None) == (n == 0)
+        if n:
+            assert abs(c - c1) <= 1e-12 * abs(c1)
 
 
 def test_certified_windings_error_names_failing_box():
     # zeros of (e^{iz} - 1)/(iz) at 2 pi and 4 pi lie on these boxes' edges
     Ft = closed_form(ONE, 1)
-    Fp = Ft.derivative()
     good, bad, worse = (5, 8, -1, 1), (1, 2 * math.pi, -1, 1), (4 * math.pi, 14, -1, 1)
     with pytest.raises(NonIntegerWindingError, match=re.escape(str(bad))):
-        _certified_windings(Ft, Fp, [good, bad, worse])
+        _certified_windings(Ft, [good, bad, worse])
     with pytest.raises(NonIntegerWindingError, match=re.escape(str(worse))):
-        _certified_windings(Ft, Fp, [worse, good])
+        _certified_windings(Ft, [worse, good])
 
 
 def test_split_coord_ranks_every_candidate():
@@ -234,3 +252,110 @@ def test_split_retry_degree_15_rational_pair():
         for r in zs.zeros:
             assert r.multiplicity == 1 and r.residual <= 1e-9
             assert -40 <= r.z.real <= 40 and -5 <= r.z.imag <= 5
+
+
+# -- contour-seeded Newton and the acceptance rule ---------------------------
+
+def test_certified_centroid_is_the_zero():
+    # (e^{iaz} - 1)/(iaz) vanishes at z = 2 pi k / a
+    for a in (Fraction(1), Fraction(7, 3)):
+        Ft = closed_form(ONE, a)
+        step = 2 * math.pi / float(a)
+        for k in (1, 2, -3):
+            box = (k * step - 0.4 * step, k * step + 0.3 * step, -1.0, 1.0)
+            n, centroid = _certified_winding(Ft, box)
+            assert n == 1 and abs(centroid - k * step) < 1e-6
+        # two zeros: the centroid is their mean
+        n, centroid = _certified_winding(Ft, (0.5 * step, 2.5 * step, -1.0, 1.0))
+        assert n == 2 and abs(centroid - 1.5 * step) < 1e-6
+        assert _certified_winding(Ft, (0.1 * step, 0.9 * step, -1.0, 1.0)) == (0, None)
+
+
+def _fixture_transforms(name):
+    spec = ProblemSpec.from_json(json.loads((FIXTURES / f"{name}.json").read_text()))
+    return spec, closed_form(spec.psi1, spec.a), reflected_transform(spec.psi2, spec.a)
+
+
+def _loose_acceptance(monkeypatch):
+    """The acceptance this locator once had: Newton from each cell's centre,
+    its result kept up to several units outside the cell."""
+    certified = zeros._certified_windings
+
+    def no_centroids(F, boxes, stab_tol=1e-3):
+        return [(n, complex("nan")) for n, _ in certified(F, boxes, stab_tol)]
+
+    monkeypatch.setattr(zeros, "_certified_windings", no_centroids)
+    monkeypatch.setattr(zeros, "_ACCEPT_PAD", 4e10)
+
+
+def test_no_zero_reported_twice(monkeypatch):
+    # F_{2,1} once reported 9.2945-1.3289i twice and missed 1.2904-2.9333i:
+    # Newton from a neighbouring cell's centre landed on its zero
+    spec, _, F21 = _fixture_transforms("gaussian_quartic_cubic")
+    zs = locate_zeros(F21, spec.rect, spec.tol)
+    pts = zs.points()
+    assert zs.total_count == len(pts) == 5
+    assert min(abs(z - w) for i, z in enumerate(pts) for w in pts[i + 1:]) > 1.0
+    assert min(abs(z - complex(1.2904162229576, -2.9333012882320)) for z in pts) < 1e-9
+    _loose_acceptance(monkeypatch)
+    with pytest.raises(ClusterUnresolvedError, match="closer than"):
+        locate_zeros(F21, spec.rect, spec.tol)
+
+
+def test_no_zero_reported_outside_rectangle(monkeypatch):
+    # F_{2,1} of cubic_vs_quadratic once reported +-21.398-5.521i, outside
+    # [-40,40]x[-5,5], in place of the zeros +-14.959-4.857i inside it
+    spec, _, F21 = _fixture_transforms("cubic_vs_quadratic")
+    zs = locate_zeros(F21, spec.rect, spec.tol)
+    pts = sorted(zs.points(), key=lambda z: z.real)
+    assert zs.total_count == len(pts) == 4
+    for z, want in zip(pts, (-14.958911406214, -8.366815506674, 8.366815506674,
+                             14.958911406214)):
+        assert abs(z.real - want) < 1e-9 and -5 <= z.imag <= 5
+    _loose_acceptance(monkeypatch)
+    with pytest.raises(ClusterUnresolvedError, match="outside the guarded box"):
+        locate_zeros(F21, spec.rect, spec.tol)
+
+
+def _mp_transform(F):
+    """int_0^a e^{izt} g(t) dt in mpmath, from g alone: the Taylor series
+    for |z| < 1, else I_k = int_0^a t^k e^{izt} dt by integrating by parts."""
+    def mpq(x):
+        return mpmath.mpf(x.numerator) / x.denominator
+    g = [mpmath.mpc(mpq(c.re), mpq(c.im)) for c in F.density.coeffs]
+    a = mpq(F.a)
+
+    def f(z):
+        if abs(z) < 1:  # mu_n = sum_k g_k a^(n+k+1) / (n+k+1)
+            mu = [sum(c * a ** (n + k + 1) / (n + k + 1) for k, c in enumerate(g))
+                  for n in range(80)]
+            return sum((1j * z) ** n / mpmath.factorial(n) * m for n, m in enumerate(mu))
+        e = mpmath.exp(1j * a * z)
+        moment = (e - 1) / (1j * z)
+        total = g[0] * moment
+        for k in range(1, len(g)):
+            moment = (a ** k * e - k * moment) / (1j * z)
+            total += g[k] * moment
+        return total
+    return f
+
+
+CORPUS = sorted(p.stem for p in FIXTURES.glob("*.json") if p.stem != "bad_rational")
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_located_zeros_match_mpmath(name):
+    spec, F1, F21 = _fixture_transforms(name)
+    for F in (F1, F21):
+        zs = locate_zeros(F, spec.rect, spec.tol)
+        box, _ = _guarded_box(F, spec.rect)
+        f, fp = _mp_transform(F), _mp_transform(F.derivative())
+        for r in zs.zeros:
+            with mpmath.workdps(50):
+                root = complex(mpmath.findroot(f, mpmath.mpc(r.z), df=fp, solver="newton"))
+            assert abs(root - r.z) <= 1e-12 * max(1.0, abs(r.z))
+            assert zeros._in_box(r.z, box)
+        simple = [r.z for r in zs.zeros if r.multiplicity == 1]
+        for i, z in enumerate(simple):
+            assert all(abs(z - w) > spec.delta for w in simple[i + 1:])
+        assert sum(r.multiplicity for r in zs.zeros) == zs.total_count
