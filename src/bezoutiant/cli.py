@@ -15,7 +15,12 @@ Problem files are JSON with exact rational coefficient strings:
     }
 
 Exit codes: 0 success, 1 input error, 2 inconclusive verdict, 3 conflict
-between the symbolic verdict and the numerical zero comparison.
+between the symbolic verdict and the numerical zero comparison, 4 numeric
+refusal: the zero locator declined to answer (an evaluation would
+overflow, a winding number did not certify, a cluster stayed unresolved or
+the boundary could not be moved off a zero).  A refusal still writes the
+report, with its verdict and an `error` block naming the stage, the
+transform, the exception type and its message.
 """
 
 from __future__ import annotations
@@ -49,8 +54,15 @@ from .symbol import (
     OUTCOME_NO_COMMON,
     decide,
 )
-from .transform import closed_form, reflected_transform
-from .zeros import SearchRect, compare_zero_sets, locate_zeros
+from .transform import EvaluationOverflow, closed_form, reflected_transform
+from .zeros import (
+    BoundaryZeroError,
+    ClusterUnresolvedError,
+    NonIntegerWindingError,
+    SearchRect,
+    compare_zero_sets,
+    locate_zeros,
+)
 
 ALL_TASKS = ("decide", "zeros", "kernel", "operator-check")
 
@@ -58,6 +70,11 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_CONFLICT = 3
+EXIT_NUMERIC_REFUSAL = 4
+
+#: Errors by which the zero locator refuses to answer (exit 4).
+NUMERIC_REFUSALS = (EvaluationOverflow, NonIntegerWindingError,
+                    ClusterUnresolvedError, BoundaryZeroError)
 
 
 class SpecError(ValueError):
@@ -218,10 +235,16 @@ def run(spec_path, out_path, tasks=None, rect=None, tol=None, grid_n=None):
                 pair, kern, mf, sizes=_refinement_sizes(spec.grid_n))
 
     if "zeros" in spec.tasks and verdict.outcome != OUTCOME_INCONCLUSIVE:
-        f1 = closed_form(spec.psi1, spec.a)
-        f21 = reflected_transform(spec.psi2, spec.a)
-        z1 = locate_zeros(f1, spec.rect, spec.tol)
-        z21 = locate_zeros(f21, spec.rect, spec.tol)
+        located = []
+        for name, F in (("F1", closed_form(spec.psi1, spec.a)),
+                        ("F21", reflected_transform(spec.psi2, spec.a))):
+            try:
+                located.append(locate_zeros(F, spec.rect, spec.tol))
+            except NUMERIC_REFUSALS as exc:
+                report["error"] = {"stage": "zeros", "transform": name,
+                                   "type": type(exc).__name__, "message": str(exc)}
+                return _finish(report, EXIT_NUMERIC_REFUSAL, spec_path, out_path, started)
+        z1, z21 = located
         comparison = compare_zero_sets(z1, z21, spec.delta)
         report["zero_sets"] = {"F1": z1.to_json(), "F21": z21.to_json()}
         report["comparison"] = comparison.to_json()
@@ -243,6 +266,11 @@ def run(spec_path, out_path, tasks=None, rect=None, tol=None, grid_n=None):
         if conflict:
             exit_code = EXIT_CONFLICT
 
+    return _finish(report, exit_code, spec_path, out_path, started)
+
+
+def _finish(report, exit_code, spec_path, out_path, started):
+    """Add the provenance block, write the report; returns (report, exit_code)."""
     report["provenance"] = {
         "tool": f"bezoutiant {__version__}",
         "spec_sha256": _spec_hash(spec_path),

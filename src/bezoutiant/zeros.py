@@ -1,7 +1,8 @@
 """Argument-principle zero localization for the exponential transforms.
 
 Zeros inside a rectangle are counted by the winding integral of F'/F over
-the boundary, isolated by recursive quadrisection, and polished by Newton
+the boundary, found from the contour's higher moments, isolated by
+recursive quadrisection where that fails, and polished by Newton
 iteration using the exact closed form of F'.  This is the numerical side
 of the artifact: it never trusts the symbolic verdict and vice versa.
 
@@ -9,27 +10,34 @@ Contour evaluation is batched and fused.  A winding integral cuts each
 edge into Gauss-Legendre panels, and one panel level of every box in a
 batch (4 edges x all panels x 20 nodes) goes to `eval_many` as one array,
 in chunks of at most _CHUNK_POINTS points; each call returns F and F'
-together (`with_derivative=True`), sharing e^{iaz} and 1/z.  Panel sums
-are reduced with array operations and added in the same order as a
-per-panel loop would add them, so the integrals are the same floats.
+together (`with_derivative=True`), sharing e^{iaz} and 1/z.  Each chunk
+adds its nodes' terms to the moments of the boxes they belong to, so no
+per-panel array outlives its chunk; the sums agree with a per-panel loop
+to rounding.
 `_certified_windings` certifies the four children of a quadrisection
 together: at each doubling of the panels (4 to 256) it evaluates only the
 boxes not yet certified, and each box keeps the one-box rule (two
 successive integrals within `stab_tol` and within 0.1 of an integer).
 The seven candidate cut lines of a split are scored in one call too.
 
-Contour-seeded Newton.  The same nodes also give the first moment
-(1/2 pi i) * integral of z F'/F, the sum of the zeros inside (Delves and
-Lyness 1967), so each certified box comes with its centroid at no extra
-evaluation.  A cell with one zero starts Newton there, or at its centre
-when the centroid lies outside the cell; each Newton step is one fused
-single-point `eval_many` call.
+Moment solve.  The same nodes also give the scaled moments
+sigma_k = (1/2 pi i) * integral of ((z - c)/r)^k F'/F dz, k <= _MOMENT_CAP,
+with c the box centre and r its half-diagonal; they are the power sums of
+the scaled zeros (z_j - c)/r, which lie in the unit disk (Delves and
+Lyness 1967).  Each certified box comes with them at no extra evaluation.
+A box with n zeros, 1 <= n <= _MOMENT_CAP, is solved in one step:
+Newton's identities turn sigma_1..sigma_n into a monic polynomial, a few
+vectorized Aberth steps give its roots (no LAPACK call), and one
+vectorized Newton run on F polishes all n of them, one fused `eval_many`
+call per step.  For n = 1 the start is the box's first-moment centroid.
 
-Acceptance.  A Newton result counts as the cell's zero only inside the
-cell padded by _ACCEPT_PAD * tol; otherwise the cell is quadrisected, so a
-start that runs to a neighbour's zero cannot claim it.  `locate_zeros`
-raises ClusterUnresolvedError rather than report a zero outside the
-guarded box or two zeros closer than the subdivision floor 100 * tol.
+Acceptance.  The solve is accepted only if all n Newton runs converge
+inside the box padded by _ACCEPT_PAD * tol and the n zeros lie at least
+the subdivision floor 100 * tol apart; otherwise the box is quadrisected
+and its children are solved the same way, so a start that runs to a
+neighbour's zero, or two starts that find one zero, cannot claim it.
+`locate_zeros` raises ClusterUnresolvedError rather than report a zero
+outside the guarded box or two zeros closer than the floor.
 
 Split retry.  `_split_coord` ranks its candidate lines by the smallest
 |F| sampled on them.  If the children of the best pair of cuts do not
@@ -131,60 +139,85 @@ def _boundary_samples(box, n_per_edge=128) -> np.ndarray:
     return np.concatenate([a + (b - a) * t for a, b in zip(cs, cs[1:] + cs[:1])])
 
 
-def _winding_integrals(F, boxes, panels_per_edge) -> tuple:
-    """(1/2 pi i) times the contour integrals of F'/F and z F'/F around each box.
+#: Most zeros a box may hold to be solved from its contour moments
+#: (`_moment_solve`); a box with more is quadrisected first.  Every moment
+#: costs one more multiply and sum per contour node, on every box
+#: evaluated, and the roots Newton's identities give lose accuracy as their
+#: number grows, so a failed solve (a wasted Newton pass) gets likelier.
+#: A rectangle 40 wide and 10 high held at most 6 zeros for the densities
+#: of degree <= 8 at a = 1 tried, so it is solved in one step; wider ones
+#: are split until their boxes hold this few.
+_MOMENT_CAP = 7
 
-    The first is the winding number, the number of zeros inside; the
-    second is the sum of those zeros (Delves and Lyness 1967).  Every edge
-    of every box is cut into `panels_per_edge` Gauss-Legendre panels.  A
-    panel row holds the nodes of one panel; the rows of all boxes are
-    evaluated together, F and F' in one `eval_many` call of at most
-    _CHUNK_POINTS points.  Returns the two arrays, one entry per box.
+
+def _box_scale(box):
+    """Centre c and half-diagonal r of the box: (z - c) / r maps it into the unit disk."""
+    x0, x1, y0, y1 = box
+    return complex(0.5 * (x0 + x1), 0.5 * (y0 + y1)), 0.5 * math.hypot(x1 - x0, y1 - y0)
+
+
+def _winding_integrals(F, boxes, panels_per_edge) -> np.ndarray:
+    """Scaled contour moments of each box, one row per box.
+
+    Row entry k is sigma_k = (1/2 pi i) * integral of ((z - c)/r)^k F'/F dz
+    around the box, k = 0.._MOMENT_CAP, with c and r from `_box_scale`:
+    sigma_0 is the winding number, the number of zeros inside, and sigma_k
+    the sum of the k-th powers of their scaled positions (Delves and
+    Lyness 1967).  Every edge of every box is cut into `panels_per_edge`
+    Gauss-Legendre panels.  A panel row holds the nodes of one panel; the
+    rows of all boxes are evaluated together, F and F' in one `eval_many`
+    call of at most _CHUNK_POINTS points, and each chunk adds its rows'
+    terms to the moments of the boxes they belong to.
     """
     corners = np.array([_box_corners(b) for b in boxes])
+    scales = [_box_scale(b) for b in boxes]
+    centre = np.array([c for c, _ in scales])
+    radius = np.array([r for _, r in scales])
     start = corners.ravel()
     delta = np.roll(corners, -1, axis=1).ravel() - start
     edges = np.linspace(0.0, 1.0, panels_per_edge + 1)
     width = edges[1:] - edges[:-1]
     t = 0.5 * width[:, None] * _GL_NODES + 0.5 * (edges[1:] + edges[:-1])[:, None]
     edge, panel = np.divmod(np.arange(start.size * panels_per_edge), panels_per_edge)
-    sums = np.empty((2, edge.size), dtype=complex)
+    moments = np.zeros((len(boxes), _MOMENT_CAP + 1), dtype=complex)
     step = _CHUNK_POINTS // _GL_NODES.size
     for lo in range(0, edge.size, step):
-        e, p = edge[lo:lo + step, None], panel[lo:lo + step]
-        z = (start[e] + delta[e] * t[p]).ravel()
-        f, fp = F.eval_many(z, with_derivative=True)
-        vals = _GL_WEIGHTS * (fp / f).reshape(-1, _GL_NODES.size)
-        sums[0, lo:lo + step] = np.sum(vals, axis=1)
-        sums[1, lo:lo + step] = np.sum(vals * z.reshape(vals.shape), axis=1)
-    terms = delta[edge] * 0.5 * width[panel] * sums
-    # cumsum adds the panels in the order the scalar loop did
-    totals = np.cumsum(terms.reshape(2, len(boxes), -1), axis=2)[:, :, -1] / (2j * math.pi)
-    return totals[0], totals[1]
+        e, p = edge[lo:lo + step], panel[lo:lo + step]
+        box = e // 4
+        z = start[e, None] + delta[e, None] * t[p]
+        f, fp = F.eval_many(z.ravel(), with_derivative=True)
+        terms = (delta[e] * 0.5 * width[p])[:, None] * _GL_WEIGHTS * (fp / f).reshape(z.shape)
+        u = (z - centre[box, None]) / radius[box, None]
+        # the rows of one box are contiguous: sum each run of them
+        first = np.flatnonzero(np.r_[True, box[1:] != box[:-1]])
+        for k in range(_MOMENT_CAP + 1):
+            moments[box[first], k] += np.add.reduceat(np.sum(terms, axis=1), first)
+            terms = terms * u
+    return moments / (2j * math.pi)
 
 
 def _certified_windings(F, boxes, stab_tol=1e-3) -> list:
-    """Winding numbers of several boxes, certified together, with centroids.
+    """Winding numbers of several boxes, certified together, with moments.
 
     Each box doubles its panels until two successive integrals agree to
     `stab_tol` and lie within 0.1 of an integer; a box that has not
     certified at the last level raises.  Each level evaluates only the
-    boxes that are still open.  Returns one (count, centroid) pair per
-    box: the centroid is the mean of the box's zeros, the first contour
-    moment over the count at the certifying level, or None for count 0.
+    boxes that are still open.  Returns one (count, sigma) pair per box,
+    sigma being the box's scaled moments (see `_winding_integrals`) at the
+    certifying level.
     """
     out = [None] * len(boxes)
     prev = [None] * len(boxes)
     open_ = list(range(len(boxes)))
     for panels in _PANEL_LEVELS:
-        vals, moments = _winding_integrals(F, [boxes[i] for i in open_], panels)
+        sigmas = _winding_integrals(F, [boxes[i] for i in open_], panels)
         still = []
-        for i, val, moment in zip(open_, vals, moments):
-            val = complex(val)
+        for i, sigma in zip(open_, sigmas):
+            val = complex(sigma[0])
             if prev[i] is not None and abs(val - prev[i]) < stab_tol:
                 n = round(val.real)
                 if abs(val - n) <= 0.1:
-                    out[i] = (int(n), complex(moment) / n if n else None)
+                    out[i] = (int(n), sigma)
                     continue
             prev[i] = val
             still.append(i)
@@ -197,7 +230,7 @@ def _certified_windings(F, boxes, stab_tol=1e-3) -> list:
 
 
 def _certified_winding(F, box, stab_tol=1e-3):
-    """(count, centroid) of one box (see `_certified_windings`)."""
+    """(count, sigma) of one box (see `_certified_windings`)."""
     return _certified_windings(F, [box], stab_tol)[0]
 
 
@@ -229,23 +262,65 @@ def _values(F, z: complex) -> tuple:
     return complex(f[0]), complex(fp[0])
 
 
-def _newton(F, z0: complex, tol: float, box, max_iter=60):
+def _power_sum_roots(sigma, n, max_iter=50):
+    """The n numbers whose k-th power sums are sigma[k], k = 1..n.
+
+    Newton's identities give the monic polynomial with these roots,
+    sigma_k + c_1 sigma_{k-1} + ... + c_{k-1} sigma_1 + k c_k = 0, and a vectorized
+    Aberth iteration finds its roots from n starts on a circle around their
+    mean.  Scaled moments (`_winding_integrals`) put the roots in the unit
+    disk, so the stopping test is absolute; the steps shrink cubically, so
+    after a step below 1e-8 the roots are as good as the moments.
+    """
+    s = [complex(v) for v in sigma[:n + 1]]
+    c = [1.0 + 0j]
+    for k in range(1, n + 1):
+        c.append(-(s[k] + sum(c[i] * s[k - i] for i in range(1, k))) / k)
+    z = s[1] / n + 0.8 * np.exp(2j * math.pi * (np.arange(n) + 0.25) / n)
+    eye = np.eye(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            p, dp = 1.0, 0.0  # Horner for the polynomial and its derivative
+            for ck in c[1:]:
+                dp = dp * z + p
+                p = p * z + ck
+            w = p / dp
+            # sum over k != j of 1 / (z_j - z_k): the diagonal adds 1 / 1
+            repel = (1.0 / (z[:, None] - z + eye)).sum(axis=1) - 1.0
+            step = w / (1.0 - w * repel)
+            z = z - step
+            if not abs(step).max() > 1e-8:  # converged, or NaN
+                break
+    return z
+
+
+def _newton(F, z0, tol: float, box, max_iter=60):
+    """Newton from every start in z0 at once: the converged points, or None.
+
+    Per point, a step with F' = 0, or one that leaves the box padded by its
+    larger side, fails, and so does a point still moving after max_iter
+    steps; a point stops once |dz| <= tol.  One point failing fails all of
+    them.  Each step is one fused `eval_many` call for the points still
+    moving; when none is left, one more step polishes all of them.
+    """
     x0, x1, y0, y1 = box
     pad = max(x1 - x0, y1 - y0)
-    z = z0
+    z = np.array(z0, dtype=complex)
+    moving = np.arange(z.size)
     for _ in range(max_iter):
-        f, fp = _values(F, z)
-        if fp == 0:
+        f, fp = F.eval_many(z[moving], with_derivative=True)
+        if np.any(fp == 0):
             return None
         dz = f / fp
-        z = z - dz
-        if not (x0 - pad <= z.real <= x1 + pad and y0 - pad <= z.imag <= y1 + pad):
+        z[moving] -= dz
+        zm = z[moving]
+        if not np.all((x0 - pad <= zm.real) & (zm.real <= x1 + pad)
+                      & (y0 - pad <= zm.imag) & (zm.imag <= y1 + pad)):
             return None
-        if abs(dz) <= tol:
-            f, fp = _values(F, z)
-            if fp != 0:
-                z = z - f / fp
-            return z
+        moving = moving[np.abs(dz) > tol]
+        if moving.size == 0:
+            f, fp = F.eval_many(z, with_derivative=True)
+            return z - np.divide(f, fp, out=np.zeros_like(z), where=fp != 0)
     return None
 
 
@@ -302,8 +377,25 @@ def _in_box(z, box, pad=0.0):
     return x0 - pad <= z.real <= x1 + pad and y0 - pad <= z.imag <= y1 + pad
 
 
+def _moment_solve(F, box, count, sigma, tol, floor):
+    """The box's `count` zeros from its scaled moments, or None.
+
+    The roots of the power sums sigma_1..sigma_count start one vectorized
+    Newton run.  The result is accepted only if every start converges
+    inside the box padded by _ACCEPT_PAD * tol and the zeros lie at least
+    `floor` apart.
+    """
+    c, r = _box_scale(box)
+    z = _newton(F, c + r * _power_sum_roots(sigma, count), tol, box)
+    if z is None or not all(_in_box(w, box, pad=_ACCEPT_PAD * tol) for w in z):
+        return None
+    if any(abs(w - v) < floor for i, w in enumerate(z) for v in z[:i]):
+        return None
+    return [complex(w) for w in z]
+
+
 def _quadrisect(F, box, count):
-    """Four children of the box and their (count, centroid) pairs; the counts sum to count.
+    """Four children of the box and their (count, sigma) pairs; the counts sum to count.
 
     The ranked cut lines of `_split_coord` are paired best with best,
     second with second, and so on; a pair whose children do not certify,
@@ -332,17 +424,16 @@ def _quadrisect(F, box, count):
 
 
 def locate_zeros(F: ClosedTransform, rect: SearchRect, tol: float = 1e-10) -> ZeroSet:
-    """Isolate every zero in the rectangle by quadrisection, polish by Newton.
+    """Every zero in the rectangle, from contour moments or quadrisection.
 
-    A cell with one zero starts Newton from its certified centroid, or
-    from its centre when the centroid lies outside the cell, and keeps the
-    result only inside the cell padded by _ACCEPT_PAD * tol; otherwise the
-    cell is quadrisected.  A zero outside the guarded box, or two zeros
-    closer than the subdivision floor 100 * tol, raise
+    A cell with at most _MOMENT_CAP zeros is solved from its scaled
+    moments (`_moment_solve`); a cell with more, or whose solve is not
+    accepted, is quadrisected.  A zero outside the guarded box, or two
+    zeros closer than the subdivision floor 100 * tol, raise
     ClusterUnresolvedError instead of being reported.
     """
     box, _ = _guarded_box(F, rect)
-    total, centroid = _certified_winding(F, box)
+    total, sigma = _certified_winding(F, box)
     floor = 100.0 * tol
 
     found: list = []
@@ -363,27 +454,25 @@ def locate_zeros(F: ClosedTransform, rect: SearchRect, tol: float = 1e-10) -> Ze
         raise ClusterUnresolvedError(
             f"cell {b} holds {count} zeros below the subdivision floor")
 
-    def process(b, count, centroid):
+    def process(b, count, sigma):
         x0, x1, y0, y1 = b
-        diam = math.hypot(x1 - x0, y1 - y0)
         if count == 0:
             return
-        if count == 1:
-            if not _in_box(centroid, b):
-                centroid = complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
-            z = _newton(F, centroid, tol, b)
-            if z is not None and _in_box(z, b, pad=_ACCEPT_PAD * tol):
-                found.append((z, 1))
+        if count <= _MOMENT_CAP:
+            zs = _moment_solve(F, b, count, sigma, tol, floor)
+            if zs is not None:
+                found.extend((z, 1) for z in zs)
                 return
-            # Newton escaped, failed or left the cell: tighten the cell first.
-        if diam < floor:
+            # Newton escaped, failed, left the cell or found a zero twice:
+            # tighten the cell first.
+        if math.hypot(x1 - x0, y1 - y0) < floor:
             resolve_cluster(b, count)
             return
         children, results = _quadrisect(F, b, count)
-        for c, (n, c_centroid) in zip(children, results):
-            process(c, n, c_centroid)
+        for c, (n, c_sigma) in zip(children, results):
+            process(c, n, c_sigma)
 
-    process(box, total, centroid)
+    process(box, total, sigma)
 
     found.sort(key=lambda p: (p[0].real, p[0].imag))
     for i, (z, _) in enumerate(found):

@@ -8,12 +8,15 @@ from bezoutiant.cli import (
     EXIT_CONFLICT,
     EXIT_INCONCLUSIVE,
     EXIT_INPUT_ERROR,
+    EXIT_NUMERIC_REFUSAL,
     EXIT_OK,
+    NUMERIC_REFUSALS,
     ProblemSpec,
     SpecError,
     main,
     run,
 )
+from bezoutiant import cli
 from bezoutiant.exact import GR, Poly
 from bezoutiant.kernel import build_kernel, normalize_pair
 
@@ -198,6 +201,39 @@ def test_verify_reports_are_strict_json(tmp_path, name):
     # no Infinity or NaN: empty zero sets and 0/0 residual ratios are null
     _, report = _run_fixture(name, tmp_path, "verify")
     json.dumps(report, allow_nan=False)
+
+
+def test_numeric_refusal_exit_code(tmp_path):
+    # Im z up to 800 with a = 1: e^{iaz} would overflow on the boundary
+    code, report = _run_fixture("cubic_vs_quadratic.json", tmp_path, "verify",
+                                ("--rect", "-10", "10", "-800", "800"))
+    assert code == EXIT_NUMERIC_REFUSAL
+    json.dumps(report, allow_nan=False)
+    assert report["verdict"]["outcome"] == "NoCommonZeros"
+    assert "zero_sets" not in report and "provenance" in report
+    assert report["error"]["stage"] == "zeros"
+    assert report["error"]["transform"] == "F1"
+    assert report["error"]["type"] == "EvaluationOverflow"
+    assert "overflow" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("exc_type", NUMERIC_REFUSALS, ids=lambda e: e.__name__)
+def test_every_numeric_refusal_writes_a_report(tmp_path, monkeypatch, exc_type):
+    real, calls = cli.locate_zeros, []
+
+    def refuse_second(F, rect, tol):  # F1 is located, F21 refused
+        calls.append(F)
+        if len(calls) == 2:
+            raise exc_type("refused")
+        return real(F, rect, tol)
+
+    monkeypatch.setattr(cli, "locate_zeros", refuse_second)
+    out = tmp_path / "r.json"
+    report, code = run(FIXTURES / "const_vs_linear.json", out, tasks=("decide", "zeros"))
+    assert code == EXIT_NUMERIC_REFUSAL
+    assert json.loads(out.read_text()) == report
+    assert report["error"] == {"stage": "zeros", "transform": "F21",
+                               "type": exc_type.__name__, "message": "refused"}
 
 
 def test_rect_override(tmp_path):

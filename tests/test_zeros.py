@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -20,6 +21,7 @@ from bezoutiant.zeros import (
     NonIntegerWindingError,
     SearchRect,
     _box_corners,
+    _box_scale,
     _certified_winding,
     _certified_windings,
     _guarded_box,
@@ -162,20 +164,24 @@ def test_residual_invariant():
 def _panel_loop_winding(F, Fp, box, panels_per_edge):
     """The scalar oracle: two eval_many calls per panel, one panel at a time.
 
-    Returns the winding number and the first moment, the integrals of
-    F'/F and z F'/F over 2 pi i.
+    Returns the scaled moments sigma_k, k = 0.._MOMENT_CAP: the integrals
+    of ((z - c)/r)^k F'/F over 2 pi i, c the box centre, r its half-diagonal.
     """
+    x0, x1, y0, y1 = box
+    c = complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
+    r = 0.5 * math.hypot(x1 - x0, y1 - y0)
     cs = _box_corners(box)
-    total = moment = 0j
+    sigma = [0j] * (zeros._MOMENT_CAP + 1)
     for a, b in zip(cs, cs[1:] + cs[:1]):
         edges = np.linspace(0.0, 1.0, panels_per_edge + 1)
         for t0, t1 in zip(edges[:-1], edges[1:]):
             t = 0.5 * (t1 - t0) * _GL_NODES + 0.5 * (t1 + t0)
             z = a + (b - a) * t
             vals = Fp.eval_many(z) / F.eval_many(z)
-            total += (b - a) * 0.5 * (t1 - t0) * np.sum(_GL_WEIGHTS * vals)
-            moment += (b - a) * 0.5 * (t1 - t0) * np.sum(_GL_WEIGHTS * vals * z)
-    return total / (2j * math.pi), moment / (2j * math.pi)
+            for k in range(len(sigma)):
+                sigma[k] += (b - a) * 0.5 * (t1 - t0) * np.sum(
+                    _GL_WEIGHTS * vals * ((z - c) / r) ** k)
+    return np.array(sigma) / (2j * math.pi)
 
 
 #: Criterion 9's rectangles and the zero counts of (e^{iz} - 1)/(iz) in them.
@@ -194,12 +200,11 @@ def test_winding_integrals_match_panel_loop():
              (-20.5, 20.0, -5.5, 5.5)]
     # 256 panels x 4 edges x 4 boxes spans several eval_many chunks
     for panels in (4, 8, 64, 256):
-        got, moments = _winding_integrals(F, boxes, panels)
-        assert got.shape == moments.shape == (len(boxes),)
-        for box, val, moment in zip(boxes, got, moments):
-            want, want_moment = _panel_loop_winding(F, Fp, box, panels)
-            assert abs(val - want) <= 1e-12 * max(1.0, abs(want))
-            assert abs(moment - want_moment) <= 1e-12 * max(1.0, abs(want_moment))
+        got = _winding_integrals(F, boxes, panels)
+        assert got.shape == (len(boxes), zeros._MOMENT_CAP + 1)
+        for box, sigma in zip(boxes, got):
+            want = _panel_loop_winding(F, Fp, box, panels)
+            assert np.all(np.abs(sigma - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 def test_certified_windings_batch_equals_single():
@@ -209,10 +214,8 @@ def test_certified_windings_batch_equals_single():
     single = [_certified_winding(Ft, b) for b in boxes]
     assert [n for n, _ in batch] == [n for n, _ in single]
     assert [n for n, _ in batch] == [want for _, want in CRITERION_9_BOXES]
-    for (n, c), (_, c1) in zip(batch, single):
-        assert (c is None) == (c1 is None) == (n == 0)
-        if n:
-            assert abs(c - c1) <= 1e-12 * abs(c1)
+    for (_, sigma), (_, sigma1) in zip(batch, single):
+        assert np.all(np.abs(sigma - sigma1) <= 1e-12 * np.maximum(1.0, np.abs(sigma1)))
 
 
 def test_certified_windings_error_names_failing_box():
@@ -258,17 +261,21 @@ def test_split_retry_degree_15_rational_pair():
 
 def test_certified_centroid_is_the_zero():
     # (e^{iaz} - 1)/(iaz) vanishes at z = 2 pi k / a
+    def centroid(Ft, box):
+        n, sigma = _certified_winding(Ft, box)
+        c, r = _box_scale(box)
+        return n, c + r * sigma[1] / sigma[0]
+
     for a in (Fraction(1), Fraction(7, 3)):
         Ft = closed_form(ONE, a)
         step = 2 * math.pi / float(a)
         for k in (1, 2, -3):
-            box = (k * step - 0.4 * step, k * step + 0.3 * step, -1.0, 1.0)
-            n, centroid = _certified_winding(Ft, box)
-            assert n == 1 and abs(centroid - k * step) < 1e-6
+            n, z = centroid(Ft, (k * step - 0.4 * step, k * step + 0.3 * step, -1.0, 1.0))
+            assert n == 1 and abs(z - k * step) < 1e-6
         # two zeros: the centroid is their mean
-        n, centroid = _certified_winding(Ft, (0.5 * step, 2.5 * step, -1.0, 1.0))
-        assert n == 2 and abs(centroid - 1.5 * step) < 1e-6
-        assert _certified_winding(Ft, (0.1 * step, 0.9 * step, -1.0, 1.0)) == (0, None)
+        n, z = centroid(Ft, (0.5 * step, 2.5 * step, -1.0, 1.0))
+        assert n == 2 and abs(z - 1.5 * step) < 1e-6
+        assert _certified_winding(Ft, (0.1 * step, 0.9 * step, -1.0, 1.0))[0] == 0
 
 
 def _fixture_transforms(name):
@@ -277,14 +284,17 @@ def _fixture_transforms(name):
 
 
 def _loose_acceptance(monkeypatch):
-    """The acceptance this locator once had: Newton from each cell's centre,
-    its result kept up to several units outside the cell."""
+    """The acceptance this locator once had: only one-zero cells solved,
+    Newton from each cell's centre (sigma_1 = 0), its result kept up to
+    several units outside the cell."""
     certified = zeros._certified_windings
 
-    def no_centroids(F, boxes, stab_tol=1e-3):
-        return [(n, complex("nan")) for n, _ in certified(F, boxes, stab_tol)]
+    def centres(F, boxes, stab_tol=1e-3):
+        return [(n, np.r_[sigma[0], np.zeros(sigma.size - 1)])
+                for n, sigma in certified(F, boxes, stab_tol)]
 
-    monkeypatch.setattr(zeros, "_certified_windings", no_centroids)
+    monkeypatch.setattr(zeros, "_MOMENT_CAP", 1)
+    monkeypatch.setattr(zeros, "_certified_windings", centres)
     monkeypatch.setattr(zeros, "_ACCEPT_PAD", 4e10)
 
 
@@ -359,3 +369,104 @@ def test_located_zeros_match_mpmath(name):
         for i, z in enumerate(simple):
             assert all(abs(z - w) > spec.delta for w in simple[i + 1:])
         assert sum(r.multiplicity for r in zs.zeros) == zs.total_count
+
+
+# -- the moment solve ---------------------------------------------------------
+
+def test_power_sum_roots_rebuild_known_roots():
+    # Newton's identities and Aberth from the exact power sums of 7 roots
+    q = Fraction
+    roots = [GR(q(1, 2), q(1, 3)), GR(q(-2, 3), q(1, 5)), GR(q(1, 7), q(-3, 4)),
+             GR(q(-1, 4), q(-1, 2)), GR(q(3, 5), q(-1, 6)), GR(0, q(4, 5)), GR(q(-4, 5), 0)]
+    sigma = [GR(len(roots))]
+    powers = [GR(1)] * len(roots)
+    for _ in range(len(roots)):
+        powers = [p * r for p, r in zip(powers, roots)]
+        sigma.append(sum(powers[1:], powers[0]))
+    got = zeros._power_sum_roots(np.array([complex(s) for s in sigma]), len(roots))
+    want = [complex(r) for r in roots]
+    assert len(got) == len(want)
+    for w in want:
+        assert min(abs(g - w) for g in got) <= 1e-12
+    for g in got:
+        assert min(abs(g - w) for w in want) <= 1e-12
+
+
+def _forced_quadrisection(monkeypatch):
+    """Moment solve for one-zero cells only; every other cell is quadrisected."""
+    monkeypatch.setattr(zeros, "_MOMENT_CAP", 1)
+
+
+def _assert_same_zero_sets(F, got, want):
+    """Same count and multiplicities; each zero of either set lies within
+    max(1e-12 max(1, |z|), 2 |F(z) / F'(z)|) of one of the other."""
+    assert got.total_count == want.total_count
+    assert sorted(r.multiplicity for r in got.zeros) == sorted(r.multiplicity for r in want.zeros)
+    for this, other in ((got, want), (want, got)):
+        pts = np.array(this.points(), dtype=complex)
+        f, fp = F.eval_many(pts, with_derivative=True)
+        for z, step in zip(pts, np.abs(f / fp)):
+            near = min(abs(w - z) for w in other.points())
+            assert near <= max(1e-12 * max(1.0, abs(z)), 2 * step)
+
+
+def _outcome(F, rect):
+    try:
+        return locate_zeros(F, rect)
+    except (NonIntegerWindingError, ClusterUnresolvedError) as exc:
+        return type(exc)
+
+
+def test_moment_solve_matches_forced_quadrisection(monkeypatch):
+    # Gaussian densities of degree 1-8 with integer parts up to 6 on the
+    # rectangles of the zeros-wide benchmark workload
+    rng = random.Random(20091)
+    cases = []
+    for degree in range(1, 9):
+        for half_width in (10, 20, 10, 20):
+            coeffs = [GR(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(degree)]
+            coeffs.append(GR(rng.choice([-6, -3, 1, 2, 5]), rng.randint(-6, 6)))
+            cases.append((closed_form(Poly.of(*coeffs), 1),
+                          SearchRect(-half_width, half_width, -5, 5)))
+    solved = [_outcome(F, rect) for F, rect in cases]
+    _forced_quadrisection(monkeypatch)
+    for (F, rect), got in zip(cases, solved):
+        want = _outcome(F, rect)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            _assert_same_zero_sets(F, got, want)
+    assert sum(not isinstance(s, type) for s in solved) >= 30
+
+
+def test_moment_solve_falls_back_to_quadrisection(monkeypatch):
+    # all starts on one point: Newton finds one zero n times, the solve is
+    # refused and the cell is quadrisected as if it had no moment solve
+    spec, F1, F21 = _fixture_transforms("gaussian_quartic_cubic")
+    roots, refused = zeros._power_sum_roots, []
+
+    def one_point(sigma, n):
+        refused.append(n > 1)
+        return np.full(n, roots(sigma, n)[0])
+
+    with monkeypatch.context() as m:
+        m.setattr(zeros, "_power_sum_roots", one_point)
+        got = [locate_zeros(F, spec.rect, spec.tol) for F in (F1, F21)]
+    assert any(refused)
+    _forced_quadrisection(monkeypatch)
+    want = [locate_zeros(F, spec.rect, spec.tol) for F in (F1, F21)]
+    assert got == want
+
+
+def test_moment_solve_rejects_a_zero_outside_its_box(monkeypatch):
+    # the box holds 2 pi; a start at the neighbouring zero 4 pi, outside the
+    # box but inside Newton's padded box, converges there and is refused
+    Ft = closed_form(ONE, 1)
+    box = (4.0, 8.5, -1.0, 1.0)
+    n, sigma = _certified_winding(Ft, box)
+    assert n == 1
+    assert np.allclose(zeros._moment_solve(Ft, box, n, sigma, 1e-10, 1e-8), [2 * math.pi])
+    c, r = _box_scale(box)
+    monkeypatch.setattr(zeros, "_power_sum_roots",
+                        lambda sigma, n: np.array([(4 * math.pi - c) / r]))
+    assert zeros._moment_solve(Ft, box, n, sigma, 1e-10, 1e-8) is None
