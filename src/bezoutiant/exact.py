@@ -71,16 +71,19 @@ class GaussianRational:
 
     @classmethod
     def of(cls, re: RationalLike, im: RationalLike = 0) -> "GaussianRational":
-        return cls(_frac(re), _frac(im))
+        return cls(re, im)
 
     @classmethod
     def from_json(cls, obj) -> "GaussianRational":
-        """Accepts "p/q" (real) or {"re": "p/q", "im": "r/s"}."""
-        if isinstance(obj, (str, int)):
-            return cls.of(_frac(obj))
-        if isinstance(obj, dict):
-            return cls.of(_frac(obj.get("re", 0)), _frac(obj.get("im", 0)))
-        raise ValueError(f"bad Gaussian rational literal {obj!r}")
+        """Accepts "p/q" or an integer (real) or {"re": "p/q", "im": "r/s"}.
+
+        Any other part (a float, null, a boolean, a list) raises ValueError.
+        """
+        parts = (obj.get("re", 0), obj.get("im", 0)) if isinstance(obj, dict) else (obj, 0)
+        for part in parts:
+            if not isinstance(part, (str, int)) or isinstance(part, bool):
+                raise ValueError(f"bad Gaussian rational literal {obj!r}")
+        return cls(*parts)
 
     def to_json(self):
         if self.im == 0:

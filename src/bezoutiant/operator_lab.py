@@ -115,13 +115,13 @@ def discretize_all(
     return Discretization(grid, kernel_matrix(k, grid), row1, row2, n1, n2)
 
 
-def identity_residual(ops: Discretization, norm: str = "fro") -> float:
-    """Norm of T B_1 - B_2* T - N_2 N_1* on the common grid."""
+def identity_residual(ops: Discretization) -> float:
+    """Frobenius norm of T B_1 - B_2* T - N_2 N_1* on the common grid."""
     w = ops.grid.weights
     t = ops.t
     left = np.stack([t.sum(axis=1), -np.conj(ops.row2) / w, -ops.n2], axis=1)
     right = np.stack([ops.row1, w @ t, w * np.conj(ops.n1)])
-    # r = R / i has the norms of R.  It is updated in place: at n = 256 a
+    # r = R / i has the norm of R.  It is updated in place: at n = 256 a
     # fresh n x n array costs page faults comparable to the arithmetic on it.
     wt = w[:, None] * t
     r = _suffix_sums(t, 1)
@@ -131,11 +131,7 @@ def identity_residual(ops: Discretization, norm: str = "fro") -> float:
     wt *= 0.5
     r -= wt
     r -= (1j * left) @ right
-    if norm == "fro":
-        return float(np.linalg.norm(r, "fro"))
-    if norm == "spectral":
-        return float(np.linalg.norm(r, 2))
-    raise ValueError(f"unknown norm {norm!r}")
+    return float(np.linalg.norm(r, "fro"))
 
 
 def convergence_study(
@@ -143,7 +139,6 @@ def convergence_study(
     k: BezoutKernel,
     mf: MFunctions,
     sizes=(32, 64, 128, 256),
-    norm: str = "fro",
 ) -> dict:
     """Residuals and refinement ratios over a sequence of grid sizes.
 
@@ -152,11 +147,11 @@ def convergence_study(
     residuals = []
     for n in sizes:
         ops = discretize_all(pair, k, mf, Grid.uniform(n, pair.a))
-        residuals.append(identity_residual(ops, norm))
+        residuals.append(identity_residual(ops))
     ratios = [
         residuals[i] / residuals[i + 1] if residuals[i + 1] != 0 else None
         for i in range(len(residuals) - 1)
     ]
-    return {"norm": norm, "sizes": list(sizes),
+    return {"norm": "fro", "sizes": list(sizes),
             "residuals": residuals, "ratios": ratios}
 

@@ -40,7 +40,14 @@ densities L(D) and the kernel U are built from.  Dividing by the masses
 makes the tests scale-free: Psi_2 = c conj Psi_1(a-x) for a constant c
 (then F_{2,1} = c F_1) leaves normalized densities with
 psi_1 = conj psi_2(a-x), the coincidence case, and a density symmetric up
-to a unit factor is symmetric once normalized.
+to a unit factor is symmetric once normalized.  Both mirror tests read
+the same jets as L(D), since two polynomials agree iff all their
+derivatives at 0 do:
+
+    coincident  <=>  g1^(k)(0) = (-1)^k Psi_2^(k)(a)       for all k,
+    symmetric   <=>  g1^(k)(0) = (-1)^k conj g1^(k)(a)     for all k,
+
+compared by cross-multiplying the integer numerators (`_mirrored`).
 """
 
 from __future__ import annotations
@@ -117,6 +124,18 @@ def _boundary_sums(pair: NormalizedPair, lo: int, hi: int) -> tuple:
         wr.append(sr * s_scale + tr * t_scale)
         wi.append(si * s_scale + ti * t_scale)
     return from_numerators(wr, wi, den)
+
+
+def _mirrored(left, right, conjugate: bool) -> bool:
+    """left^(k)(0) == (-1)^k right^(k)(a) for every k, on two jet triples of
+    `NormalizedPair.jets`; with conjugate=True, conj right^(k)(a)."""
+    (lr, li, ld), (rr, ri, rd) = left, right
+    for k in range(len(lr)):
+        sr = -rd if k % 2 else rd
+        si = -sr if conjugate else sr
+        if lr[k] * sr != rr[k] * ld or li[k] * si != ri[k] * ld:
+            return False
+    return True
 
 
 def v_symbol(pair: NormalizedPair) -> Poly:
@@ -246,8 +265,9 @@ def decide(psi1: Poly, psi2: Poly, a, coeff_class: str = COEFF_RATIONAL) -> Verd
                        False, False, diagnostics)
     diagnostics["normalizers"] = [pair.r1.to_json(), pair.r2.to_json()]
 
-    asym = pair.psi1 != pair.psi1.reflect(a)  # psi_1(x) != conj(psi_1(a-x))
-    coincident = pair.psi1 == pair.psi2.reflect(a)
+    _, g1_0, psi2_a, g1_a = pair.jets
+    asym = not _mirrored(g1_0, g1_a, conjugate=True)  # psi_1(x) != conj(psi_1(a-x))
+    coincident = _mirrored(g1_0, psi2_a, conjugate=False)  # psi_1(x) == conj(psi_2(a-x))
     diagnostics["coincidence"] = coincident
     if coincident:
         return Verdict(OUTCOME_COINCIDE, "coincidence case", asym, asym,

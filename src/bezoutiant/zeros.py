@@ -3,8 +3,10 @@
 Zeros inside a rectangle are counted by the winding integral of F'/F over
 the boundary, found from the contour's higher moments, isolated by
 recursive quadrisection where that fails, and polished by Newton
-iteration using the exact closed form of F'.  This is the numerical side
-of the artifact: it never trusts the symbolic verdict and vice versa.
+iteration using the exact closed form of F'.  A cluster that no cell above
+the subdivision floor separates is reported as one zero of its multiplicity,
+located at its centroid.  This is the numerical side of the artifact: it
+never trusts the symbolic verdict and vice versa.
 
 Contour evaluation is batched and fused.  A winding integral cuts each
 edge into Gauss-Legendre panels, and one panel level of every box in a
@@ -44,8 +46,12 @@ Split retry.  `_split_coord` ranks its candidate lines by the smallest
 certify, or their counts do not add up to the parent's, the next-ranked
 pair is tried; only when every pair fails is the best pair's error
 raised.  A zero on or near the first cut line therefore no longer ends
-the search.  F'' is built only when a cluster below the subdivision floor
-has to be resolved.
+the search.
+
+Clusters.  A cell below the subdivision floor whose zeros were not solved
+is located at its centroid c + r sigma_1 / sigma_0, the mean of its zeros,
+from the moments it already has (no F'' is built), and is reported as one
+zero of that multiplicity if a tiny box around it certifies the same count.
 """
 
 from __future__ import annotations
@@ -256,12 +262,6 @@ def count_zeros(F: ClosedTransform, rect: SearchRect) -> int:
 
 # -- localization -----------------------------------------------------------
 
-def _values(F, z: complex) -> tuple:
-    """(F(z), F'(z)) at one point, from one `eval_many` call."""
-    f, fp = F.eval_many(np.array([z]), with_derivative=True)
-    return complex(f[0]), complex(fp[0])
-
-
 def _power_sum_roots(sigma, n, max_iter=50):
     """The n numbers whose k-th power sums are sigma[k], k = 1..n.
 
@@ -321,28 +321,6 @@ def _newton(F, z0, tol: float, box, max_iter=60):
         if moving.size == 0:
             f, fp = F.eval_many(z, with_derivative=True)
             return z - np.divide(f, fp, out=np.zeros_like(z), where=fp != 0)
-    return None
-
-
-def _newton_multiple(F, Fpp, z0: complex, tol: float, box, max_iter=80):
-    """Newton on u = F/F', quadratic also at multiple zeros."""
-    x0, x1, y0, y1 = box
-    pad = 2.0 * max(x1 - x0, y1 - y0) + 1.0
-    z = z0
-    for _ in range(max_iter):
-        (f, fp), fpp = _values(F, z), Fpp(z)
-        if fp == 0:
-            return None
-        u = f / fp
-        up = 1.0 - f * fpp / (fp * fp)
-        if up == 0:
-            return None
-        dz = u / up
-        z = z - dz
-        if not (x0 - pad <= z.real <= x1 + pad and y0 - pad <= z.imag <= y1 + pad):
-            return None
-        if abs(dz) <= tol:
-            return z
     return None
 
 
@@ -428,9 +406,11 @@ def locate_zeros(F: ClosedTransform, rect: SearchRect, tol: float = 1e-10) -> Ze
 
     A cell with at most _MOMENT_CAP zeros is solved from its scaled
     moments (`_moment_solve`); a cell with more, or whose solve is not
-    accepted, is quadrisected.  A zero outside the guarded box, or two
-    zeros closer than the subdivision floor 100 * tol, raise
-    ClusterUnresolvedError instead of being reported.
+    accepted, is quadrisected.  A cell below the subdivision floor
+    100 * tol whose zeros are still unsolved is reported at its centroid,
+    as one zero of their multiplicity.  A zero outside the guarded box, or
+    two zeros closer than the floor, raise ClusterUnresolvedError instead
+    of being reported.
     """
     box, _ = _guarded_box(F, rect)
     total, sigma = _certified_winding(F, box)
@@ -438,19 +418,18 @@ def locate_zeros(F: ClosedTransform, rect: SearchRect, tol: float = 1e-10) -> Ze
 
     found: list = []
 
-    def resolve_cluster(b, count):
-        x0, x1, y0, y1 = b
-        z0 = complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
-        z = _newton_multiple(F, F.derivative().derivative(), z0, tol, b)
-        if z is not None:
-            eps = max(20.0 * tol, 1e-9)
-            tiny = (z.real - eps, z.real + eps, z.imag - eps, z.imag + eps)
-            try:
-                if _certified_winding(F, tiny)[0] == count:
-                    found.append((z, count))
-                    return
-            except (NonIntegerWindingError, ZeroDivisionError):
-                pass
+    def resolve_cluster(b, count, sigma):
+        # the first moment is the mean of the cell's zeros: the cluster's position
+        c, r = _box_scale(b)
+        z = complex(c + r * sigma[1] / sigma[0])
+        eps = max(20.0 * tol, 1e-9)
+        tiny = (z.real - eps, z.real + eps, z.imag - eps, z.imag + eps)
+        try:
+            if _certified_winding(F, tiny)[0] == count:
+                found.append((z, count))
+                return
+        except (NonIntegerWindingError, ZeroDivisionError):
+            pass
         raise ClusterUnresolvedError(
             f"cell {b} holds {count} zeros below the subdivision floor")
 
@@ -466,7 +445,7 @@ def locate_zeros(F: ClosedTransform, rect: SearchRect, tol: float = 1e-10) -> Ze
             # Newton escaped, failed, left the cell or found a zero twice:
             # tighten the cell first.
         if math.hypot(x1 - x0, y1 - y0) < floor:
-            resolve_cluster(b, count)
+            resolve_cluster(b, count, sigma)
             return
         children, results = _quadrisect(F, b, count)
         for c, (n, c_sigma) in zip(children, results):

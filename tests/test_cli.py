@@ -138,6 +138,17 @@ def test_malformed_rational_exit_code(tmp_path):
     assert "psi1" in report["error"]
 
 
+@pytest.mark.parametrize("literal", [{"re": 1.5}, {"re": "1", "im": None}, None, 1.5,
+                                     True, ["1"]])
+def test_bad_coefficient_literal_exit_code(tmp_path, literal):
+    # a part that is not a rational string or an integer is an input error
+    bad = tmp_path / "bad_literal.json"
+    bad.write_text(json.dumps({"a": "1", "psi1": ["1", literal], "psi2": ["1"]}))
+    out = tmp_path / "out.json"
+    assert main(["verify", "--input", str(bad), "--output", str(out)]) == EXIT_INPUT_ERROR
+    assert json.loads(out.read_text())["error"].startswith("psi1:")
+
+
 def test_missing_file_exit_code(tmp_path):
     out = tmp_path / "out.json"
     code = main(["decide", "--input", str(tmp_path / "nope.json"),

@@ -44,7 +44,7 @@ def _adjoint(m, grid):
     return (m.conj().T * w[None, :]) / w[:, None]
 
 
-def _dense_residual(pair, mf, grid, t_mat, norm):
+def _dense_residual(pair, mf, grid, t_mat):
     """Reference: every operator as a dense matrix, two complex n^3 products."""
     n, w, x = grid.n, grid.weights, grid.nodes
     a_mat = 1j * (np.tril(np.ones((n, n)), -1) * w[None, :] + np.diag(w) * 0.5)
@@ -55,7 +55,7 @@ def _dense_residual(pair, mf, grid, t_mat, norm):
     n2 = -1j * complex(mf.alpha.conjugate() + mf.beta) * m2
     n1 = np.conj(np.asarray(mf.m2.eval_float(float(pair.a) - x), complex))
     res = t_mat @ b1 - _adjoint(b2, grid) @ t_mat - np.outer(n2, w * np.conj(n1))
-    return float(np.linalg.norm(res, "fro" if norm == "fro" else 2))
+    return float(np.linalg.norm(res, "fro"))
 
 
 def test_grid_uniform():
@@ -95,8 +95,7 @@ def test_coincidence_discretization_is_zero():
     for g in (Grid.uniform(32, 1), _random_grid(33, 1, seed=7)):
         ops = discretize_all(pair, k, mf, g)
         assert np.all(ops.t == 0)
-        for norm in ("fro", "spectral"):
-            assert identity_residual(ops, norm) == 0.0
+        assert identity_residual(ops) == 0.0
 
 
 def test_identity_residual_decay():
@@ -114,15 +113,6 @@ def test_identity_residual_decay_random(rng):
     study = convergence_study(pair, k, mf, sizes=(32, 64, 128))
     for ratio in study["ratios"]:
         assert 3.2 <= ratio <= 4.8
-
-
-def test_residual_spectral_norm_option():
-    pair, k, mf = _setup(ONE, TWO_T)
-    g = Grid.uniform(64, 1)
-    ops = discretize_all(pair, k, mf, g)
-    fro = identity_residual(ops, "fro")
-    spec = identity_residual(ops, "spectral")
-    assert 0 < spec <= fro
 
 
 def test_identity_holds_for_every_parameter_choice():
@@ -146,10 +136,9 @@ def test_structured_residual_matches_dense(rng):
             for n in (16, 33, 64):
                 for g in (Grid.uniform(n, a), _random_grid(n, a, seed=n)):
                     ops = discretize_all(pair, k, mf, g)
-                    for norm in ("fro", "spectral"):
-                        want = _dense_residual(pair, mf, g, ops.t, norm)
-                        got = identity_residual(ops, norm)
-                        assert abs(got - want) <= 1e-11 * want, (n, norm, got, want)
+                    want = _dense_residual(pair, mf, g, ops.t)
+                    got = identity_residual(ops)
+                    assert abs(got - want) <= 1e-11 * want, (n, got, want)
 
 
 def test_kernel_matrix_shape_and_scaling():

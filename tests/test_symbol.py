@@ -15,6 +15,7 @@ from bezoutiant.symbol import (
     OUTCOME_INCONCLUSIVE,
     OUTCOME_NO_COMMON,
     _boundary_sums,
+    _mirrored,
     decide,
     l_operator,
     monomial_density,
@@ -71,6 +72,46 @@ def test_boundary_sum_identity_and_zero_symbol(p, q, a):
         assert w_r == integrand.integral(0, a)
     assert not any(w[Q:])
     assert v_symbol(pair).is_zero
+
+
+UNITS = [GR(1), GR(-1), GR(0, 1), GR(0, -1), GR(F(3, 5), F(4, 5))]
+
+
+@st.composite
+def mirror_pairs(draw):
+    """(psi1, psi2, a, kind): random, scaled-coincident or unit-symmetric
+    pairs, in either degree order."""
+    p, q = draw(gaussian_polys), draw(gaussian_polys)
+    a = draw(st.sampled_from([F(1), F(7, 3), F(1, 2)]))
+    kind = draw(st.sampled_from(["random", "coincident", "symmetric"]))
+    if kind == "coincident":  # Psi_2 = c conj Psi_1(a-x)
+        c = draw(st.builds(GR, rationals, rationals))
+        assume(c)
+        q = p.reflect(a) * c
+    elif kind == "symmetric":  # p = u conj p(a-x) for the unit u
+        p = p + p.reflect(a) * draw(st.sampled_from(UNITS))
+    if draw(st.booleans()):
+        p, q = q, p
+        kind = "swapped " + kind
+    return p, q, a, kind
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(mirror_pairs())
+def test_mirror_tests_from_jets_match_reflect(case):
+    # the jet comparisons in `decide` against the reflect definitions
+    psi1, psi2, a, kind = case
+    assume(psi1.integral(0, a) and psi2.integral(0, a))
+    pair = normalize_pair(psi1, psi2, a)
+    _, g1_0, psi2_a, g1_a = pair.jets
+    symmetric = pair.psi1 == pair.psi1.reflect(a)
+    coincident = pair.psi1 == pair.psi2.reflect(a)
+    assert _mirrored(g1_0, g1_a, conjugate=True) == symmetric
+    assert _mirrored(g1_0, psi2_a, conjugate=False) == coincident
+    if kind == "symmetric":
+        assert symmetric
+    if kind in ("coincident", "swapped coincident"):
+        assert coincident
 
 
 def test_v_symbol_order_violation():

@@ -12,7 +12,7 @@ import pytest
 from bezoutiant import zeros
 from bezoutiant.cli import ProblemSpec
 from bezoutiant.exact import GR, Poly
-from bezoutiant.transform import closed_form, reflected_transform
+from bezoutiant.transform import ClosedTransform, closed_form, reflected_transform
 from bezoutiant.zeros import (
     _GL_NODES,
     _GL_WEIGHTS,
@@ -359,11 +359,17 @@ def test_located_zeros_match_mpmath(name):
     for F in (F1, F21):
         zs = locate_zeros(F, spec.rect, spec.tol)
         box, _ = _guarded_box(F, spec.rect)
-        f, fp = _mp_transform(F), _mp_transform(F.derivative())
         for r in zs.zeros:
+            # a zero of multiplicity m is a simple zero of F^(m-1) at which
+            # F, ..., F^(m-2) vanish too
+            ds = [F]
+            while len(ds) <= r.multiplicity:
+                ds.append(ds[-1].derivative())
+            mp = [_mp_transform(d) for d in ds]
             with mpmath.workdps(50):
-                root = complex(mpmath.findroot(f, mpmath.mpc(r.z), df=fp, solver="newton"))
-            assert abs(root - r.z) <= 1e-12 * max(1.0, abs(r.z))
+                root = mpmath.findroot(mp[-2], mpmath.mpc(r.z), df=mp[-1], solver="newton")
+                assert all(abs(f(root)) < 1e-30 for f in mp[:-2])
+            assert abs(complex(root) - r.z) <= 1e-12 * max(1.0, abs(r.z))
             assert zeros._in_box(r.z, box)
         simple = [r.z for r in zs.zeros if r.multiplicity == 1]
         for i, z in enumerate(simple):
@@ -470,3 +476,30 @@ def test_moment_solve_rejects_a_zero_outside_its_box(monkeypatch):
     monkeypatch.setattr(zeros, "_power_sum_roots",
                         lambda sigma, n: np.array([(4 * math.pi - c) / r]))
     assert zeros._moment_solve(Ft, box, n, sigma, 1e-10, 1e-8) is None
+
+
+# -- multiple zeros -------------------------------------------------------------
+
+def _multiple_zero_density(z0, m):
+    """(D + i z0)^m [t^m (1-t)^m].  Its transform on [0, 1] is, by parts,
+    (i (z0 - z))^m times that of t^m (1-t)^m: a zero of multiplicity m at z0."""
+    h = Poly.of(1)
+    for _ in range(m):
+        h = h * Poly.of(0, 1) * Poly.of(1, -1)
+    for _ in range(m):
+        h = h.derivative() + h * (GR(0, 1) * z0)
+    return h
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-4])
+@pytest.mark.parametrize("m, err", [(2, 1e-10), (3, 1e-6)])
+def test_multiple_zero_located_at_cluster_centroid(m, err, tol):
+    # no cell above the floor 100 tol separates the m zeros at z0, so the
+    # cluster is reported once, with multiplicity m, at its centroid
+    rect = SearchRect(-10, 10, -3, 3)
+    for z0 in (GR(3), GR(Fraction(5, 2), Fraction(1, 2)), GR(7, -1)):
+        F = ClosedTransform.from_density(_multiple_zero_density(z0, m), 1)
+        zs = locate_zeros(F, rect, tol)
+        assert zs.total_count == m
+        assert [r.multiplicity for r in zs.zeros] == [m]
+        assert abs(zs.zeros[0].z - complex(z0)) < err
