@@ -173,18 +173,15 @@ def _positive_float(path: str, value) -> float:
     return x
 
 
-def _load_spec(spec_path) -> ProblemSpec:
-    with open(spec_path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SpecError("$", f"invalid JSON: {exc}") from None
-    return ProblemSpec.from_json(obj)
-
-
-def _spec_hash(spec_path) -> str:
+def _load_spec(spec_path) -> tuple[ProblemSpec, str]:
+    """(spec, sha256 hex digest of the file's bytes), from one read of the file."""
     with open(spec_path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        data = fh.read()
+    try:
+        obj = json.loads(data)
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8/16/32
+        raise SpecError("$", f"invalid JSON: {exc}") from None
+    return ProblemSpec.from_json(obj), hashlib.sha256(data).hexdigest()
 
 
 def _refinement_sizes(grid_n: int) -> list:
@@ -198,7 +195,7 @@ def run(spec_path, out_path, tasks=None, rect=None, tol=None, grid_n=None):
     """Execute the requested pipeline; returns (report_dict, exit_code)."""
     started = time.monotonic()
     try:
-        spec = _load_spec(spec_path)
+        spec, spec_sha256 = _load_spec(spec_path)
         if tol is not None:
             spec.tol = _positive_float("tol", tol)
         if grid_n is not None:
@@ -243,7 +240,7 @@ def run(spec_path, out_path, tasks=None, rect=None, tol=None, grid_n=None):
             except NUMERIC_REFUSALS as exc:
                 report["error"] = {"stage": "zeros", "transform": name,
                                    "type": type(exc).__name__, "message": str(exc)}
-                return _finish(report, EXIT_NUMERIC_REFUSAL, spec_path, out_path, started)
+                return _finish(report, EXIT_NUMERIC_REFUSAL, spec_sha256, out_path, started)
         z1, z21 = located
         comparison = compare_zero_sets(z1, z21, spec.delta)
         report["zero_sets"] = {"F1": z1.to_json(), "F21": z21.to_json()}
@@ -266,14 +263,14 @@ def run(spec_path, out_path, tasks=None, rect=None, tol=None, grid_n=None):
         if conflict:
             exit_code = EXIT_CONFLICT
 
-    return _finish(report, exit_code, spec_path, out_path, started)
+    return _finish(report, exit_code, spec_sha256, out_path, started)
 
 
-def _finish(report, exit_code, spec_path, out_path, started):
+def _finish(report, exit_code, spec_sha256, out_path, started):
     """Add the provenance block, write the report; returns (report, exit_code)."""
     report["provenance"] = {
         "tool": f"bezoutiant {__version__}",
-        "spec_sha256": _spec_hash(spec_path),
+        "spec_sha256": spec_sha256,
         "timing_s": round(time.monotonic() - started, 6),
     }
     _write_report(report, out_path)
@@ -290,7 +287,7 @@ def _write_report(report: dict, out_path) -> None:
 
 def emit_grid(spec_path, csv_path):
     """|F1| and |F21| over a grid_n x grid_n grid of the search rectangle."""
-    spec = _load_spec(spec_path)
+    spec, _ = _load_spec(spec_path)
     f1 = closed_form(spec.psi1, spec.a)
     f21 = reflected_transform(spec.psi2, spec.a)
     res = np.linspace(spec.rect.re_min, spec.rect.re_max, spec.grid_n)

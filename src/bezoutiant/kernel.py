@@ -112,8 +112,8 @@ class BezoutKernel:
         return piece.eval(x, t)
 
     @cached_property
-    def _float_pieces(self) -> tuple:
-        """Dense complex coefficients C[i, j] of x^i t^j for both pieces."""
+    def float_pieces(self) -> tuple:
+        """(lower, upper): dense complex coefficients C[i, j] of x^i t^j of each piece."""
         out = []
         for piece in (self.u_lower, self.u_upper):
             rows = 1 + max((i for i, _ in piece.terms), default=0)
@@ -128,22 +128,8 @@ class BezoutKernel:
         """Float evaluation on scalars or broadcastable arrays."""
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
-        lower, upper = (_horner_xt(c, x, t) for c in self._float_pieces)
+        lower, upper = (_horner_xt(c, x, t) for c in self.float_pieces)
         return np.where(x < t, lower, upper)
-
-    def u_grid(self, x, t) -> np.ndarray:
-        """U on the tensor grid of 1-D node arrays: entry [i, j] is U(x_i, t_j).
-
-        Each piece is V_x C V_t^T with Vandermonde matrices V, two small
-        matrix products; the triangle x_i < t_j takes the lower piece.
-        """
-        x = np.asarray(x, dtype=float)
-        t = np.asarray(t, dtype=float)
-        vander = lambda v, m: np.vander(v, m, increasing=True)
-        lower, out = ((vander(x, c.shape[0]) @ c) @ vander(t, c.shape[1]).T
-                      for c in self._float_pieces)
-        np.copyto(out, lower, where=x[:, None] < t[None, :])
-        return out
 
     def to_json(self):
         return {

@@ -19,7 +19,9 @@ to rounding.
 `_certified_windings` certifies the four children of a quadrisection
 together: at each doubling of the panels (4 to 256) it evaluates only the
 boxes not yet certified, and each box keeps the one-box rule (two
-successive integrals within `stab_tol` and within 0.1 of an integer).
+successive integrals within `stab_tol` and within 0.1 of an integer).  A
+box whose integral is not finite (F is 0 at a contour node) fails at the
+level that sees it.
 The seven candidate cut lines of a split are scored in one call too.
 
 Moment solve.  The same nodes also give the scaled moments
@@ -207,19 +209,24 @@ def _certified_windings(F, boxes, stab_tol=1e-3) -> list:
 
     Each box doubles its panels until two successive integrals agree to
     `stab_tol` and lie within 0.1 of an integer; a box that has not
-    certified at the last level raises.  Each level evaluates only the
-    boxes that are still open.  Returns one (count, sigma) pair per box,
-    sigma being the box's scaled moments (see `_winding_integrals`) at the
-    certifying level.
+    certified at the last level raises, and so does a box whose integral
+    is not finite (F vanishes at a contour node), at once.  Each level
+    evaluates only the boxes that are still open.  Returns one
+    (count, sigma) pair per box, sigma being the box's scaled moments (see
+    `_winding_integrals`) at the certifying level.
     """
     out = [None] * len(boxes)
     prev = [None] * len(boxes)
     open_ = list(range(len(boxes)))
     for panels in _PANEL_LEVELS:
-        sigmas = _winding_integrals(F, [boxes[i] for i in open_], panels)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sigmas = _winding_integrals(F, [boxes[i] for i in open_], panels)
         still = []
         for i, sigma in zip(open_, sigmas):
             val = complex(sigma[0])
+            if not np.isfinite(val):
+                raise NonIntegerWindingError(
+                    f"non-finite winding integral on {boxes[i]} at {panels} panels: {val}")
             if prev[i] is not None and abs(val - prev[i]) < stab_tol:
                 n = round(val.real)
                 if abs(val - n) <= 0.1:

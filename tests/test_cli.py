@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction as F
 from pathlib import Path
@@ -154,6 +155,35 @@ def test_missing_file_exit_code(tmp_path):
     code = main(["decide", "--input", str(tmp_path / "nope.json"),
                  "--output", str(out)])
     assert code == EXIT_INPUT_ERROR
+
+
+def test_spec_file_read_once(tmp_path, monkeypatch):
+    # the provenance hash comes from the bytes the spec was parsed from
+    path = FIXTURES / "cubic_vs_quadratic.json"
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(Path(file))
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    report, code = run(path, None, tasks=("decide",))
+    assert code == EXIT_OK
+    assert opened == [path]
+    assert report["provenance"]["spec_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe\x00{"])
+def test_unreadable_spec_writes_report(tmp_path, content):
+    # a directory cannot be read; bytes that decode to no JSON text are no spec
+    spec = tmp_path / "spec"
+    if content is None:
+        spec.mkdir()
+    else:
+        spec.write_bytes(content)
+    out = tmp_path / "out.json"
+    assert main(["verify", "--input", str(spec), "--output", str(out)]) == EXIT_INPUT_ERROR
+    assert json.loads(out.read_text())["error"]
 
 
 def test_spec_validation_paths():

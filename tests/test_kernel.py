@@ -15,6 +15,7 @@ from bezoutiant.kernel import (
     check_diagonal_continuity,
     normalize_pair,
 )
+from bezoutiant.operator_lab import Grid, kernel_matrix
 from conftest import random_admissible_poly
 
 ONE = Poly.of(1)
@@ -159,48 +160,55 @@ def test_coincidence_law_reflected_pairs(rng):
         assert k.u_lower.is_zero and k.u_upper.is_zero
 
 
-def test_u_grid_matches_u_float(rng):
-    # shared node values put entries on the diagonal x == t
-    xs = np.concatenate([np.linspace(0, 1, 13), [0.3, 0.7]])
-    ts = np.concatenate([np.linspace(0, 1, 9), [0.3, 0.55, 0.7]])
+def _kernel_values(k, grid):
+    """U(x_i, x_j) on the grid's nodes: the Nystrom matrix of T with c w_j divided out."""
+    return kernel_matrix(k, grid) / (complex(k.c) * grid.weights)
+
+
+def test_kernel_matrix_matches_u_float(rng):
+    # nodes at 0 and a, and repeated ones, put entries on and next to x == t
+    nodes = np.sort(np.concatenate([np.linspace(0, 1, 13), [0.3, 0.7, 0.7]]))
+    weights = np.linspace(0.5, 1.5, nodes.size) / nodes.size
     for a in (1, F(7, 3)):
+        grid = Grid(nodes * float(a), weights * float(a), float(a))
         for _ in range(3):
             k = build_kernel(normalize_pair(random_admissible_poly(rng, rng.randint(0, 8), a),
                                             random_admissible_poly(rng, rng.randint(0, 8), a), a))
-            got = k.u_grid(xs * float(a), ts * float(a))
-            want = k.u_float(xs[:, None] * float(a), ts[None, :] * float(a))
-            assert got.shape == (15, 12)
+            got = _kernel_values(k, grid)
+            want = k.u_float(grid.nodes[:, None], grid.nodes[None, :])
+            assert got.shape == (16, 16)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def _errors_against_exact(k, nodes, samples):
-    """Max |U - u_at| over sampled (i, j) of the tensor-grid and Horner forms."""
-    grid = k.u_grid(nodes, nodes)
+def _errors_against_exact(k, grid, samples):
+    """Max |U - u_at| over sampled (i, j) of the row-block and Horner forms."""
+    nodes = grid.nodes
+    blocks = _kernel_values(k, grid)
     horner = k.u_float(nodes[:, None], nodes[None, :])
     exact = np.array([complex(k.u_at(F(nodes[i]), F(nodes[j]))) for i, j in samples])
     rows, cols = np.array(samples).T
-    return (np.max(np.abs(grid[rows, cols] - exact)),
-            np.max(np.abs(horner[rows, cols] - exact)), np.max(np.abs(grid)))
+    return (np.max(np.abs(blocks[rows, cols] - exact)),
+            np.max(np.abs(horner[rows, cols] - exact)), np.max(np.abs(blocks)))
 
 
-def test_u_grid_matches_exact_kernel(rng):
-    nodes = (np.arange(64) + 0.5) / 64  # dyadic, so u_at sees the same points
+def test_kernel_matrix_matches_exact_kernel(rng):
+    grid = Grid.uniform(64, 1)  # dyadic nodes, so u_at sees the same points
     samples = [(i, j) for i in range(3, 64, 12) for j in range(5, 64, 17)]
     for d1, d2 in ((0, 1), (3, 5), (8, 6), (8, 8)):
         k = build_kernel(normalize_pair(random_admissible_poly(rng, d1, 1),
                                         random_admissible_poly(rng, d2, 1), 1))
-        err, _, scale = _errors_against_exact(k, nodes, samples)
+        err, _, scale = _errors_against_exact(k, grid, samples)
         assert err <= 1e-12 * scale, (d1, d2, err / scale)
 
 
-def test_u_grid_error_at_high_degree(rng):
+def test_kernel_matrix_error_at_high_degree(rng):
     # degree 16/16 loses digits to cancellation in either evaluation order;
-    # the tensor-grid form may not lose many more than Horner's
-    nodes = (np.arange(64) + 0.5) / 64
+    # the row-block form may not lose many more than Horner's
+    grid = Grid.uniform(64, 1)
     samples = [(i, j) for i in range(3, 64, 20) for j in range(1, 64, 21)]
     k = build_kernel(normalize_pair(random_admissible_poly(rng, 16, 1),
                                     random_admissible_poly(rng, 16, 1), 1))
-    err, horner_err, _ = _errors_against_exact(k, nodes, samples)
+    err, horner_err, _ = _errors_against_exact(k, grid, samples)
     assert err <= 2 * horner_err
 
 

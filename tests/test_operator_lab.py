@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -10,7 +11,6 @@ from bezoutiant.kernel import (
 )
 from bezoutiant.operator_lab import (
     Grid,
-    _suffix_sums,
     convergence_study,
     discretize_all,
     identity_residual,
@@ -71,7 +71,8 @@ def test_cumulative_operator_on_constants():
     # structured form reads it off the suffix sums: A 1 = i (a - S(w) + w / 2)
     g = Grid.uniform(16, 1)
     for axis, w in ((0, g.weights), (1, np.tile(g.weights, (3, 1)))):
-        got = 1j * (g.a - _suffix_sums(w, axis) + w / 2)
+        suffix = np.flip(np.cumsum(np.flip(w, axis), axis=axis), axis)
+        got = 1j * (g.a - suffix + w / 2)
         assert np.max(np.abs(got - 1j * g.nodes)) < 1e-14
 
 
@@ -133,7 +134,7 @@ def test_structured_residual_matches_dense(rng):
         psi2 = random_admissible_poly(rng, rng.randint(0, 8), a)
         for alpha, beta in PARAMETER_CHOICES:
             pair, k, mf = _setup(psi1, psi2, a, alpha, beta)
-            for n in (16, 33, 64):
+            for n in (16, 33, 64, 100):
                 for g in (Grid.uniform(n, a), _random_grid(n, a, seed=n)):
                     ops = discretize_all(pair, k, mf, g)
                     want = _dense_residual(pair, mf, g, ops.t)
@@ -148,3 +149,32 @@ def test_kernel_matrix_shape_and_scaling():
     assert m.shape == (10, 10)
     x, t = g.nodes[3], g.nodes[7]
     assert abs(m[3, 7] - complex(k.c) * k.u_float(x, t) * g.weights[7]) < 1e-15
+
+
+def test_kernel_matrix_matches_u_float_on_row_blocks(rng):
+    # sizes below, at and off multiples of the 32-row block
+    for a in (1, F(7, 3)):
+        pair, k, mf = _setup(random_admissible_poly(rng, 6, a), random_admissible_poly(rng, 4, a), a)
+        for n in (16, 33, 100, 257):
+            for g in (Grid.uniform(n, a), _random_grid(n, a, seed=n)):
+                want = complex(k.c) * k.u_float(g.nodes[:, None], g.nodes[None, :]) * g.weights
+                got = kernel_matrix(k, g)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (n, a)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_row_block_memory(rng):
+    # no n x n temporary besides T itself
+    pair, k, mf = _setup(random_admissible_poly(rng, 8, 1), random_admissible_poly(rng, 6, 1))
+    g = Grid.uniform(256, 1)
+    ops = discretize_all(pair, k, mf, g)
+    assert _traced_peak(lambda: identity_residual(ops)) < ops.t.nbytes
+    assert _traced_peak(lambda: kernel_matrix(k, g)) < 1.5 * ops.t.nbytes

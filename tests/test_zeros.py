@@ -2,6 +2,7 @@ import json
 import math
 import random
 import re
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -503,3 +504,33 @@ def test_multiple_zero_located_at_cluster_centroid(m, err, tol):
         assert zs.total_count == m
         assert [r.multiplicity for r in zs.zeros] == [m]
         assert abs(zs.zeros[0].z - complex(z0)) < err
+
+
+def test_non_finite_winding_fails_at_once(monkeypatch):
+    calls = []
+
+    def nan_for_second_box(F, boxes, panels):
+        calls.append(panels)
+        sigma = np.zeros((len(boxes), zeros._MOMENT_CAP + 1), dtype=complex)
+        sigma[1, 0] = complex("nan")
+        return sigma
+
+    monkeypatch.setattr(zeros, "_winding_integrals", nan_for_second_box)
+    with pytest.raises(NonIntegerWindingError, match="non-finite"):
+        _certified_windings(None, [(0, 1, 0, 1), (1, 2, 0, 1)])
+    assert calls == [4]
+
+
+class _VanishingOnContour:
+    """F = 0 at every contour node: F'/F divides by zero there."""
+
+    def eval_many(self, z, with_derivative=False):
+        return np.zeros_like(z), np.ones_like(z)
+
+
+def test_non_finite_winding_is_quiet():
+    # numpy's divide and invalid warnings become errors here: none may reach stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonIntegerWindingError, match="non-finite"):
+            _certified_winding(_VanishingOnContour(), (0, 1, 0, 1))
