@@ -113,12 +113,6 @@ class GaussianRational:
             return o
         return GaussianRational(self.re - o.re, self.im - o.im)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o - self
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return GaussianRational(self.re * other, self.im * other)
@@ -290,9 +284,6 @@ class Poly:
     def __sub__(self, other: "Poly") -> "Poly":
         n = max(len(self.coeffs), len(other.coeffs))
         return Poly(tuple(self.coeff(k) - other.coeff(k) for k in range(n)))
-
-    def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (GaussianRational, int, Fraction)):

@@ -2,8 +2,16 @@
 
 Differentiating Tf a total of Q+1 times (Q = deg Psi_1 >= deg Psi_2)
 produces a differential operator L(D) plus a convolution with the symbol
-V(x - t).  A nonnegative order of L(D) rules out common zeros of F_1 and
-the reflected transform F_{2,1}.  The monomial family x^m (a-x)^n admits a
+V(x - t).  The verdict does not read L(D): `decide` reports
+ZeroSetsCoincide when the normalized pair passes the coincidence test
+psi_1(x) = conj(psi_2(a - x)) and, for rational coefficients, NoCommonZeros
+for every other pair.  The order of L(D) is a reported diagnostic
+(`l_order`), and whether L(D) vanishes names the theorem.  That
+NoCommonZeros is wrong for a pair whose transforms share an algebraic
+zero: psi_1 = 1 - 3x + x^2, psi_2 = -5 + 7x + 3x^2 - x^3, a = 1 gives
+NoCommonZeros with l_order 2, yet F_1 and the reflected transform F_{2,1}
+both vanish at i.  The conflict gate of the CLI (exit 3) catches such a
+pair once the zeros are located.  The monomial family x^m (a-x)^n admits a
 closed order formula, cross-validated here against the general expansion.
 
 Both L(D) and V come from derivative values of the densities at the two

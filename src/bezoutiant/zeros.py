@@ -19,7 +19,7 @@ to rounding.
 `_certified_windings` certifies the four children of a quadrisection
 together: at each doubling of the panels (4 to 256) it evaluates only the
 boxes not yet certified, and each box keeps the one-box rule (two
-successive integrals within `stab_tol` and within 0.1 of an integer).  A
+successive integrals within 1e-3 and within 0.1 of an integer).  A
 box whose integral is not finite (F is 0 at a contour node) fails at the
 level that sees it.
 The seven candidate cut lines of a split are scored in one call too.
@@ -30,10 +30,9 @@ with c the box centre and r its half-diagonal; they are the power sums of
 the scaled zeros (z_j - c)/r, which lie in the unit disk (Delves and
 Lyness 1967).  Each certified box comes with them at no extra evaluation.
 A box with n zeros, 1 <= n <= _MOMENT_CAP, is solved in one step:
-Newton's identities turn sigma_1..sigma_n into a monic polynomial, a few
-vectorized Aberth steps give its roots (no LAPACK call), and one
-vectorized Newton run on F polishes all n of them, one fused `eval_many`
-call per step.  For n = 1 the start is the box's first-moment centroid.
+Newton's identities turn sigma_1..sigma_n into a monic polynomial,
+`np.roots` gives its roots, and one vectorized Newton run on F polishes
+all n of them, one fused `eval_many` call per step.  For n = 1 the start is the box's first-moment centroid.
 
 Acceptance.  The solve is accepted only if all n Newton runs converge
 inside the box padded by _ACCEPT_PAD * tol and the n zeros lie at least
@@ -141,9 +140,9 @@ def _box_corners(box):
     return [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
 
 
-def _boundary_samples(box, n_per_edge=128) -> np.ndarray:
+def _boundary_samples(box) -> np.ndarray:
     cs = _box_corners(box)
-    t = np.linspace(0.0, 1.0, n_per_edge, endpoint=False)
+    t = np.linspace(0.0, 1.0, 128, endpoint=False)
     return np.concatenate([a + (b - a) * t for a, b in zip(cs, cs[1:] + cs[:1])])
 
 
@@ -204,11 +203,11 @@ def _winding_integrals(F, boxes, panels_per_edge) -> np.ndarray:
     return moments / (2j * math.pi)
 
 
-def _certified_windings(F, boxes, stab_tol=1e-3) -> list:
+def _certified_windings(F, boxes) -> list:
     """Winding numbers of several boxes, certified together, with moments.
 
     Each box doubles its panels until two successive integrals agree to
-    `stab_tol` and lie within 0.1 of an integer; a box that has not
+    1e-3 and lie within 0.1 of an integer; a box that has not
     certified at the last level raises, and so does a box whose integral
     is not finite (F vanishes at a contour node), at once.  Each level
     evaluates only the boxes that are still open.  Returns one
@@ -227,7 +226,7 @@ def _certified_windings(F, boxes, stab_tol=1e-3) -> list:
             if not np.isfinite(val):
                 raise NonIntegerWindingError(
                     f"non-finite winding integral on {boxes[i]} at {panels} panels: {val}")
-            if prev[i] is not None and abs(val - prev[i]) < stab_tol:
+            if prev[i] is not None and abs(val - prev[i]) < 1e-3:
                 n = round(val.real)
                 if abs(val - n) <= 0.1:
                     out[i] = (int(n), sigma)
@@ -242,79 +241,68 @@ def _certified_windings(F, boxes, stab_tol=1e-3) -> list:
         f"winding integral did not certify an integer on {boxes[i]}: {prev[i]}")
 
 
-def _certified_winding(F, box, stab_tol=1e-3):
+def _certified_winding(F, box):
     """(count, sigma) of one box (see `_certified_windings`)."""
-    return _certified_windings(F, [box], stab_tol)[0]
+    return _certified_windings(F, [box])[0]
 
 
-def _guarded_box(F, rect: SearchRect, threshold_rel=1e-8, attempts=5):
-    """Expand the box outward until no boundary sample is dangerously small."""
+#: Times `_guarded_box` moves the boundary outward before it gives up.
+_NUDGES = 5
+
+
+def _guarded_box(F, rect: SearchRect):
+    """The rectangle as a box, moved outward until no boundary sample is small.
+
+    A sample is too small when |F| there is at most 1e-8 (1 + max |F|) over
+    the 128 samples per edge; nudge k = 1, 2, ... moves every edge out by
+    k * rect.boundary_margin more.
+    """
     box = (rect.re_min, rect.re_max, rect.im_min, rect.im_max)
-    for k in range(attempts + 1):
+    for k in range(_NUDGES + 1):
         vals = np.abs(F.eval_many(_boundary_samples(box)))
-        scale = float(np.max(vals))
-        if float(np.min(vals)) > threshold_rel * (1.0 + scale):
-            return box, scale
+        if float(np.min(vals)) > 1e-8 * (1.0 + float(np.max(vals))):
+            return box
         m = rect.boundary_margin * (k + 1)
         box = (box[0] - m, box[1] + m, box[2] - m, box[3] + m)
     raise BoundaryZeroError(
-        f"boundary |F| below threshold after {attempts} nudges")
+        f"boundary |F| below threshold after {_NUDGES} nudges")
 
 
 def count_zeros(F: ClosedTransform, rect: SearchRect) -> int:
     """Number of zeros of F inside the rectangle, with multiplicity."""
-    box, _ = _guarded_box(F, rect)
-    return _certified_winding(F, box)[0]
+    return _certified_winding(F, _guarded_box(F, rect))[0]
 
 
 # -- localization -----------------------------------------------------------
 
-def _power_sum_roots(sigma, n, max_iter=50):
+def _power_sum_roots(sigma, n):
     """The n numbers whose k-th power sums are sigma[k], k = 1..n.
 
     Newton's identities give the monic polynomial with these roots,
-    sigma_k + c_1 sigma_{k-1} + ... + c_{k-1} sigma_1 + k c_k = 0, and a vectorized
-    Aberth iteration finds its roots from n starts on a circle around their
-    mean.  Scaled moments (`_winding_integrals`) put the roots in the unit
-    disk, so the stopping test is absolute; the steps shrink cubically, so
-    after a step below 1e-8 the roots are as good as the moments.
+    sigma_k + c_1 sigma_{k-1} + ... + c_{k-1} sigma_1 + k c_k = 0, and
+    `np.roots` finds its roots (as eigenvalues of its companion matrix).
     """
     s = [complex(v) for v in sigma[:n + 1]]
     c = [1.0 + 0j]
     for k in range(1, n + 1):
         c.append(-(s[k] + sum(c[i] * s[k - i] for i in range(1, k))) / k)
-    z = s[1] / n + 0.8 * np.exp(2j * math.pi * (np.arange(n) + 0.25) / n)
-    eye = np.eye(n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(max_iter):
-            p, dp = 1.0, 0.0  # Horner for the polynomial and its derivative
-            for ck in c[1:]:
-                dp = dp * z + p
-                p = p * z + ck
-            w = p / dp
-            # sum over k != j of 1 / (z_j - z_k): the diagonal adds 1 / 1
-            repel = (1.0 / (z[:, None] - z + eye)).sum(axis=1) - 1.0
-            step = w / (1.0 - w * repel)
-            z = z - step
-            if not abs(step).max() > 1e-8:  # converged, or NaN
-                break
-    return z
+    return np.roots(c)
 
 
-def _newton(F, z0, tol: float, box, max_iter=60):
+def _newton(F, z0, tol: float, box):
     """Newton from every start in z0 at once: the converged points, or None.
 
     Per point, a step with F' = 0, or one that leaves the box padded by its
-    larger side, fails, and so does a point still moving after max_iter
-    steps; a point stops once |dz| <= tol.  One point failing fails all of
-    them.  Each step is one fused `eval_many` call for the points still
-    moving; when none is left, one more step polishes all of them.
+    larger side, fails, and so does a point still moving after 60 steps;
+    a point stops once |dz| <= tol.  One point failing fails all of them.
+    Each step is one fused `eval_many` call for the points still moving;
+    when none is left, one more step polishes all of them.
     """
     x0, x1, y0, y1 = box
     pad = max(x1 - x0, y1 - y0)
     z = np.array(z0, dtype=complex)
     moving = np.arange(z.size)
-    for _ in range(max_iter):
+    for _ in range(60):
         f, fp = F.eval_many(z[moving], with_derivative=True)
         if np.any(fp == 0):
             return None
@@ -419,7 +407,7 @@ def locate_zeros(F: ClosedTransform, rect: SearchRect, tol: float = 1e-10) -> Ze
     two zeros closer than the floor, raise ClusterUnresolvedError instead
     of being reported.
     """
-    box, _ = _guarded_box(F, rect)
+    box = _guarded_box(F, rect)
     total, sigma = _certified_winding(F, box)
     floor = 100.0 * tol
 
@@ -517,10 +505,6 @@ def compare_zero_sets(z1: ZeroSet, z2: ZeroSet, delta: float) -> CompareReport:
 class StructureFlags:
     no_real_zeros: bool
     no_conjugate_pairs: bool
-
-    def to_json(self):
-        return {"no_real_zeros": self.no_real_zeros,
-                "no_conjugate_pairs": self.no_conjugate_pairs}
 
 
 def structure_checks(zs: ZeroSet, axis_tol: float = 1e-7) -> StructureFlags:

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import math
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -20,6 +22,7 @@ from bezoutiant.cli import (
 from bezoutiant import cli
 from bezoutiant.exact import GR, Poly
 from bezoutiant.kernel import build_kernel, normalize_pair
+from bezoutiant.symbol import OUTCOME_COINCIDE, OUTCOME_NO_COMMON
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -318,3 +321,53 @@ def test_conflict_gate_never_fires_on_corpus(tmp_path):
                            tasks=("decide", "zeros"))
         assert report["conflict"] is False
         assert code != EXIT_CONFLICT
+
+
+def _force_outcome(monkeypatch, outcome):
+    """Make `cli.decide` report `outcome` and keep the rest of its verdict."""
+    real = cli.decide
+
+    def forced(*args):
+        return dataclasses.replace(real(*args), outcome=outcome)
+
+    monkeypatch.setattr(cli, "decide", forced)
+
+
+def test_conflict_gate_no_common_zeros_with_common_pairs(tmp_path, monkeypatch):
+    # F1 = F21 here: every located zero is common to both transforms
+    _force_outcome(monkeypatch, OUTCOME_NO_COMMON)
+    out = tmp_path / "o.json"
+    report, code = run(FIXTURES / "coincidence.json", out, tasks=("decide", "zeros"))
+    assert code == EXIT_CONFLICT
+    assert report["verdict"]["outcome"] == "NoCommonZeros"
+    assert report["conflict"] is True
+    assert len(report["comparison"]["common"]) == 8
+    assert json.loads(out.read_text()) == report
+
+
+def test_conflict_gate_coincidence_with_unmatched_zeros(tmp_path, monkeypatch):
+    # F1 has no zero in the rectangle and F21 has 4: the sets cannot coincide
+    _force_outcome(monkeypatch, OUTCOME_COINCIDE)
+    out = tmp_path / "o.json"
+    report, code = run(FIXTURES / "cubic_vs_quadratic.json", out, tasks=("decide", "zeros"))
+    assert code == EXIT_CONFLICT
+    assert report["conflict"] is True
+    assert report["zero_sets"]["F1"]["zeros"] == []
+    assert len(report["zero_sets"]["F21"]["zeros"]) == 4
+    assert json.loads(out.read_text()) == report
+
+
+def test_boundary_zero_exit_code(tmp_path):
+    # the bottom edge of [-4 pi, 4 pi] x [0, 1] runs through zeros of F1,
+    # and a boundary margin of 0 leaves the guard no room to move it
+    spec = tmp_path / "pinned.json"
+    spec.write_text(json.dumps({
+        "a": "1", "psi1": ["1"], "psi2": ["0", "1"],
+        "rect": {"re_min": -4 * math.pi, "re_max": 4 * math.pi, "im_min": 0, "im_max": 1,
+                 "boundary_margin": 0}}))
+    out = tmp_path / "o.json"
+    report, code = run(spec, out)
+    assert code == EXIT_NUMERIC_REFUSAL
+    assert json.loads(out.read_text()) == report
+    assert report["error"]["type"] == "BoundaryZeroError"
+    assert report["error"]["transform"] == "F1"

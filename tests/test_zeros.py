@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -18,9 +19,11 @@ from bezoutiant.zeros import (
     _GL_NODES,
     _GL_WEIGHTS,
     _SPLIT_FRACS,
+    BoundaryZeroError,
     ClusterUnresolvedError,
     NonIntegerWindingError,
     SearchRect,
+    _boundary_samples,
     _box_corners,
     _box_scale,
     _certified_winding,
@@ -153,11 +156,38 @@ def test_residual_invariant():
     rect = SearchRect(-20, 20, -8, 8)
     Ft = closed_form(TWO_T, 1)
     zs = locate_zeros(Ft, rect)
-    from bezoutiant.zeros import _boundary_samples
     sup = float(np.max(np.abs(Ft.eval_many(_boundary_samples(
         (rect.re_min, rect.re_max, rect.im_min, rect.im_max))))))
     for r in zs.zeros:
         assert r.residual <= 1e-9 * max(1.0, sup)
+
+
+# -- the boundary guard ---------------------------------------------------------
+
+#: The bottom edge of [-4 pi, 4 pi] x [0, 1] runs through the zeros -4 pi,
+#: -2 pi, 2 pi and 4 pi of the unit-mass transform on [0, 1].
+_ON_ZEROS = SearchRect(-4 * math.pi, 4 * math.pi, 0.0, 1.0)
+
+
+def test_guard_nudges_boundary_off_zeros():
+    Ft = closed_form(ONE, 1)
+    box = (_ON_ZEROS.re_min, _ON_ZEROS.re_max, _ON_ZEROS.im_min, _ON_ZEROS.im_max)
+    samples = _boundary_samples(box)
+    assert samples[32] == -2 * math.pi
+    assert abs(Ft.eval_many(samples[32:33])[0]) < 1e-15
+    m = _ON_ZEROS.boundary_margin  # one nudge is enough
+    assert _guarded_box(Ft, _ON_ZEROS) == (box[0] - m, box[1] + m, box[2] - m, box[3] + m)
+    assert count_zeros(Ft, _ON_ZEROS) == 4
+    got = sorted(locate_zeros(Ft, _ON_ZEROS).points(), key=lambda z: z.real)
+    assert len(got) == 4
+    for z, k in zip(got, (-2, -1, 1, 2)):
+        assert abs(z - 2 * math.pi * k) < 1e-12
+
+
+def test_guard_without_margin_refuses():
+    pinned = dataclasses.replace(_ON_ZEROS, boundary_margin=0.0)
+    with pytest.raises(BoundaryZeroError, match="after 5 nudges"):
+        count_zeros(closed_form(ONE, 1), pinned)
 
 
 # -- batched contour evaluation ----------------------------------------------
@@ -290,9 +320,9 @@ def _loose_acceptance(monkeypatch):
     several units outside the cell."""
     certified = zeros._certified_windings
 
-    def centres(F, boxes, stab_tol=1e-3):
+    def centres(F, boxes):
         return [(n, np.r_[sigma[0], np.zeros(sigma.size - 1)])
-                for n, sigma in certified(F, boxes, stab_tol)]
+                for n, sigma in certified(F, boxes)]
 
     monkeypatch.setattr(zeros, "_MOMENT_CAP", 1)
     monkeypatch.setattr(zeros, "_certified_windings", centres)
@@ -359,7 +389,7 @@ def test_located_zeros_match_mpmath(name):
     spec, F1, F21 = _fixture_transforms(name)
     for F in (F1, F21):
         zs = locate_zeros(F, spec.rect, spec.tol)
-        box, _ = _guarded_box(F, spec.rect)
+        box = _guarded_box(F, spec.rect)
         for r in zs.zeros:
             # a zero of multiplicity m is a simple zero of F^(m-1) at which
             # F, ..., F^(m-2) vanish too
@@ -381,7 +411,7 @@ def test_located_zeros_match_mpmath(name):
 # -- the moment solve ---------------------------------------------------------
 
 def test_power_sum_roots_rebuild_known_roots():
-    # Newton's identities and Aberth from the exact power sums of 7 roots
+    # Newton's identities and np.roots from the exact power sums of 7 roots
     q = Fraction
     roots = [GR(q(1, 2), q(1, 3)), GR(q(-2, 3), q(1, 5)), GR(q(1, 7), q(-3, 4)),
              GR(q(-1, 4), q(-1, 2)), GR(q(3, 5), q(-1, 6)), GR(0, q(4, 5)), GR(q(-4, 5), 0)]
