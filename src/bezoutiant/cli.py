@@ -146,7 +146,10 @@ class ProblemSpec:
         tol = _positive_float("tol", obj.get("tol", 1e-10))
         delta = _positive_float("delta", obj.get("delta", 1e-3))
 
-        tasks = tuple(obj.get("tasks", ["decide", "zeros"]))
+        tasks = obj.get("tasks", ["decide", "zeros"])
+        if not isinstance(tasks, list) or not all(isinstance(t, str) for t in tasks):
+            fail("tasks", f"must be a list of task names, got {tasks!r}")
+        tasks = tuple(tasks)
         for t in tasks:
             if t not in ALL_TASKS:
                 fail("tasks", f"unknown task {t!r} (known: {ALL_TASKS})")
@@ -163,12 +166,12 @@ def _grid_size(value) -> int:
 
 
 def _positive_float(path: str, value) -> float:
-    """value as a finite float > 0, else a SpecError at `path`."""
+    """value as a finite float > 0 (not a boolean), else a SpecError at `path`."""
     try:
         x = float(value)
     except (TypeError, ValueError) as exc:
         raise SpecError(path, str(exc)) from None
-    if not (math.isfinite(x) and x > 0):
+    if isinstance(value, bool) or not (math.isfinite(x) and x > 0):
         raise SpecError(path, f"must be a finite number > 0, got {value!r}")
     return x
 

@@ -84,11 +84,10 @@ class NormalizedPair:
 
 @dataclass(frozen=True)
 class MFunctions:
-    """Phi_k(t) = int_t^a psi_k and the induced M_1, M_2 polynomials."""
+    """Phi_k(t) = int_t^a psi_k and the induced M_2 polynomial."""
 
     phi1: Poly
     phi2: Poly
-    m1: Poly
     m2: Poly
     alpha: GaussianRational
     beta: GaussianRational
@@ -180,9 +179,8 @@ def build_m_functions(
     one = Poly.of(GR_ONE)
     # int_t^a psi = P(a) - P(t) with P(a) = 1, the normalized mass
     phi1, phi2 = (one - psi.antiderivative() for psi in (pair.psi1, pair.psi2))
-    m2 = (phi2 + phi1.reflect(a) - one) * (GR_ONE / denom)
-    m1 = phi2 - m2 * beta
-    return MFunctions(phi1, phi2, m1, m2, alpha, beta, a)
+    m2 = (phi2 + phi1.reflect(a) - one) / denom
+    return MFunctions(phi1, phi2, m2, alpha, beta, a)
 
 
 def _kernel_pieces(pair: NormalizedPair) -> tuple:

@@ -20,13 +20,17 @@ Both sets of exact data come from one pass over the density g:
   powers of a; the sums run on integer numerators over one common
   denominator, and each moment is reduced once.
 
-`derivative()` builds F' from F's own exact data: differentiating the
-closed form gives p'_j = i a p_j - (j-1) p_{j-1} and q'_j = -(j-1) q_{j-1}
-(the jets of i t g, since (t g)^(k) = t g^(k) + k g^(k-1)), and the
-moments are mu'_n = i mu_{n+1}, so only one new moment of g is computed.
-`eval_many(z, with_derivative=True)` returns (F(z), F'(z)) from one pass
-that shares the Taylor/Laurent split, 1/z and e^{iaz}; each value equals
-the separate evaluation bit for bit.
+F' needs no exact data of its own.  `eval_many(z, with_derivative=True)`
+returns (F(z), F'(z)) from one pass over F's float coefficients (Horner's
+rule with derivative; Higham, *Accuracy and Stability*, section 5.1):
+
+* Taylor form: the update dacc = dacc z + acc before acc = acc z + c;
+* Laurent form: with w = 1/z, P(w) = sum_j p_j w^j and Q(w) = sum_j q_j w^j
+  each step is t = acc + p, acc = t w, and d = d w + t carries P'(w) and
+  Q'(w); then F'(z) = e^{iaz} (i a P(w) - w^2 P'(w)) - w^2 Q'(w).
+
+Both values share the overflow check, the Taylor/Laurent split, 1/z and
+e^{iaz}, and F is bit for bit what `eval_many(z)` returns on its own.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exact import GR_I, GR_ZERO, GaussianRational, Poly, _frac, from_numerators, numerators
+from .exact import GaussianRational, Poly, _frac, from_numerators, numerators
 
 #: Crossover radius between the moment Taylor series and the Laurent form.
 SWITCH_RADIUS = 0.5
@@ -62,8 +66,8 @@ def _times_i_power(v: GaussianRational, j: int) -> GaussianRational:
     return GaussianRational(re, im)
 
 
-def _moments(g: Poly, a: Fraction, count: int, first: int = 0) -> tuple:
-    """mu_n = int_0^a t^n g(t) dt = sum_k g_k a^(n+k+1) / (n+k+1), first <= n < count."""
+def _moments(g: Poly, a: Fraction, count: int) -> tuple:
+    """mu_n = int_0^a t^n g(t) dt = sum_k g_k a^(n+k+1) / (n+k+1), n < count."""
     re, im, den = numerators(g.coeffs)
     top = count + len(re) - 1  # largest power n + k + 1
     p, q = a.numerator, a.denominator
@@ -71,7 +75,7 @@ def _moments(g: Poly, a: Fraction, count: int, first: int = 0) -> tuple:
     # a^m / m = w[m] / (q^top ell)
     w = [0] + [p ** m * q ** (top - m) * (ell // m) for m in range(1, top + 1)]
     mre, mim = [], []
-    for n in range(first, count):
+    for n in range(count):
         mre.append(sum(c * w[n + k + 1] for k, c in enumerate(re)))
         mim.append(sum(c * w[n + k + 1] for k, c in enumerate(im)))
     return from_numerators(mre, mim, den * q ** top * ell)
@@ -102,33 +106,6 @@ class ClosedTransform:
         plain = tuple(_times_i_power(v, j) for j, v in enumerate(g.jet(0), 1))
         return cls(a, g, osc, plain, _moments(g, a, g.degree + 1 + EXTRA_MOMENTS))
 
-    def derivative(self) -> "ClosedTransform":
-        """Closed form of F'(z) = i * int_0^a t e^{izt} g(t) dt, built once.
-
-        It comes from F's own exact data, with no second Taylor shift or
-        moment table.  Differentiating the closed form term by term gives
-
-            p'_j = i a p_j - (j-1) p_{j-1},    q'_j = -(j-1) q_{j-1},
-
-        for j = 1..deg+2; these are the jets of i t g(t), since
-        (t g)^(k)(x) = x g^(k)(x) + k g^(k-1)(x).  The moments are
-        mu'_n = i mu_{n+1}, so only the last one needs a new moment of g.
-        """
-        return self._derivative
-
-    @cached_property
-    def _derivative(self) -> "ClosedTransform":
-        a = self.a
-        p = self.osc + (GR_ZERO,)
-        q = self.plain + (GR_ZERO,)
-        n = len(p) if self.osc else 0
-        osc = tuple(_times_i_power(p[m] * a, 1) - p[m - 1] * m for m in range(n))
-        plain = tuple(-(q[m - 1] * m) for m in range(n))
-        count = len(self.moments)
-        mu = self.moments[1:] + _moments(self.density, a, count + 1, first=count)
-        return ClosedTransform(a, self.density.times_x() * GR_I, osc, plain,
-                               tuple(_times_i_power(m, 1) for m in mu))
-
     # -- float evaluation --------------------------------------------------
 
     @cached_property
@@ -146,41 +123,48 @@ class ClosedTransform:
     def eval_many(self, z, with_derivative: bool = False):
         """Vectorized evaluation at an array of complex points.
 
-        With `with_derivative` the result is the pair (F(z), F'(z)).  Both
-        share the overflow check, the Taylor/Laurent split, 1/z and
-        e^{iaz}, and each equals, bit for bit, what `eval_many` of F and of
-        `derivative()` returns on its own.
+        With `with_derivative` the result is the pair (F(z), F'(z)), F' by
+        Horner's rule with derivative in the same pass (see the module doc);
+        F-only calls carry no derivative accumulators.
         """
         z = np.asarray(z, dtype=complex)
-        forms = [self._float_data]
-        if with_derivative:
-            forms.append(self.derivative()._float_data)
-        a = forms[0][0]
+        a, osc, plain, taylor = self._float_data
         if np.any(np.abs(z.imag) * a > OVERFLOW_LIMIT):
             raise EvaluationOverflow(
                 f"|a Im z| exceeds {OVERFLOW_LIMIT}; result would overflow")
-        outs = [np.empty_like(z) for _ in forms]
+        f = np.empty_like(z)
+        fp = np.empty_like(z) if with_derivative else None
         small = np.abs(z) < SWITCH_RADIUS
         if np.any(small):
             zs = z[small]
-            for out, (_, _, _, taylor) in zip(outs, forms):
-                acc = np.zeros_like(zs)
-                for c in taylor[::-1]:
-                    acc = acc * zs + c
-                out[small] = acc
+            acc = dacc = np.zeros_like(zs)
+            for c in taylor[::-1]:
+                if with_derivative:
+                    dacc = dacc * zs + acc
+                acc = acc * zs + c
+            f[small] = acc
+            if with_derivative:
+                fp[small] = dacc
         large = ~small
         if np.any(large):
             zl = z[large]
             w = 1.0 / zl
             e = np.exp(1j * a * zl)
-            for out, (_, osc, plain, _) in zip(outs, forms):
-                acc_o = np.zeros_like(zl)
-                acc_p = np.zeros_like(zl)
-                for po, pp in zip(osc[::-1], plain[::-1]):
-                    acc_o = (acc_o + po) * w
-                    acc_p = (acc_p + pp) * w
-                out[large] = e * acc_o + acc_p
-        return tuple(outs) if with_derivative else outs[0]
+            acc_o = d_o = np.zeros_like(zl)
+            acc_p = d_p = np.zeros_like(zl)
+            for po, pp in zip(osc[::-1], plain[::-1]):
+                t_o = acc_o + po
+                t_p = acc_p + pp
+                if with_derivative:
+                    d_o = d_o * w + t_o
+                    d_p = d_p * w + t_p
+                acc_o = t_o * w
+                acc_p = t_p * w
+            f[large] = e * acc_o + acc_p
+            if with_derivative:
+                w2 = w * w
+                fp[large] = e * (1j * a * acc_o - w2 * d_o) - w2 * d_p
+        return (f, fp) if with_derivative else f
 
     def __call__(self, z: complex) -> complex:
         return complex(self.eval_many(np.array([z]))[0])

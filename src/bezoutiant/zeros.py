@@ -3,10 +3,11 @@
 Zeros inside a rectangle are counted by the winding integral of F'/F over
 the boundary, found from the contour's higher moments, isolated by
 recursive quadrisection where that fails, and polished by Newton
-iteration using the exact closed form of F'.  A cluster that no cell above
-the subdivision floor separates is reported as one zero of its multiplicity,
-located at its centroid.  This is the numerical side of the artifact: it
-never trusts the symbolic verdict and vice versa.
+iteration with F' from F's own float coefficients (Horner's rule with
+derivative in `eval_many`).  A cluster that no cell above the subdivision
+floor separates is reported as one zero of its multiplicity, located at its
+centroid.  This is the numerical side of the artifact: it never trusts the
+symbolic verdict and vice versa.
 
 Contour evaluation is batched and fused.  A winding integral cuts each
 edge into Gauss-Legendre panels, and one panel level of every box in a

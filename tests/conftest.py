@@ -1,10 +1,12 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from bezoutiant.exact import GR, Poly
+from bezoutiant.transform import ClosedTransform
 
 
 def random_rational(rng: random.Random, span: int = 6) -> Fraction:
@@ -54,6 +56,13 @@ def quadrature_transform(psi: Poly, a, z: complex, tol: float = 1e-12) -> comple
             return complex(total)
         prev = total
     return complex(prev)
+
+
+def transform_of_i_t(Ft: ClosedTransform) -> ClosedTransform:
+    """F' as the transform of i t g, built from scratch with as many moments
+    as Ft: an exact reference for the F' that `eval_many` derives from F."""
+    full = ClosedTransform.from_density(Ft.density.times_x() * GR(0, 1), Ft.a)
+    return replace(full, moments=full.moments[:len(Ft.moments)])
 
 
 @pytest.fixture

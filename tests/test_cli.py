@@ -198,9 +198,6 @@ def test_spec_validation_paths():
     with pytest.raises(SpecError, match="^grid_n:"):
         ProblemSpec.from_json({"a": "1", "psi1": ["1"], "psi2": ["1"],
                                "grid_n": 4})
-    with pytest.raises(SpecError, match="^tasks:"):
-        ProblemSpec.from_json({"a": "1", "psi1": ["1"], "psi2": ["1"],
-                               "tasks": ["frobnicate"]})
     with pytest.raises(SpecError, match="^coeff_class:"):
         ProblemSpec.from_json({"a": "1", "psi1": ["1"], "psi2": ["1"],
                                "coeff_class": "float32"})
@@ -209,6 +206,24 @@ def test_spec_validation_paths():
             with pytest.raises(SpecError, match=f"^{key}:"):
                 ProblemSpec.from_json({"a": "1", "psi1": ["1"], "psi2": ["1"],
                                        key: bad})
+
+
+@pytest.mark.parametrize("field", [
+    {"tasks": ["frobnicate"]}, {"tasks": None}, {"tasks": 5}, {"tasks": "decide"},
+    {"tasks": ["decide", 5]}, {"tol": True}, {"delta": False},
+], ids=["unknown-task", "tasks-null", "tasks-int", "tasks-string", "tasks-non-string",
+        "tol-true", "delta-false"])
+def test_malformed_field_exit_code(tmp_path, field):
+    # refused at the field's own path, and the CLI exits 1 with an error report
+    (key,) = field
+    with pytest.raises(SpecError, match=f"^{key}:"):
+        ProblemSpec.from_json({"a": "1", "psi1": ["1"], "psi2": ["1"], **field})
+    spec = json.loads((FIXTURES / "cubic_vs_quadratic.json").read_text())
+    bad = tmp_path / "bad_field.json"
+    bad.write_text(json.dumps({**spec, **field}))
+    out = tmp_path / "out.json"
+    assert main(["verify", "--input", str(bad), "--output", str(out)]) == EXIT_INPUT_ERROR
+    assert json.loads(out.read_text())["error"].startswith(f"{key}:")
 
 
 @pytest.mark.parametrize("tol", [0, -1, float("nan")])

@@ -47,7 +47,6 @@ def test_m_functions_fixture():
     assert mf.phi1 == Poly.of(1, -1)
     assert mf.phi2 == Poly.of(1, 0, -1)
     assert mf.m2 == Poly.of(0, 1, -1)
-    assert mf.m1 == Poly.of(1, 0, -1)
 
 
 def test_m_functions_defining_relation(rng):

@@ -37,6 +37,7 @@ from bezoutiant.zeros import (
     locate_zeros,
     structure_checks,
 )
+from conftest import transform_of_i_t
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -226,7 +227,7 @@ CRITERION_9_BOXES = [
 
 def test_winding_integrals_match_panel_loop():
     F = reflected_transform(Poly.of(1, GR(0, 2), -3, GR(1, 1)), 2)
-    Fp = F.derivative()
+    Fp = transform_of_i_t(F)
     boxes = [(-10.0, 3.0, -5.0, 2.0), (-3.1, 7.7, -1.0, 4.0), (0.1, 0.2, 0.3, 0.5),
              (-20.5, 20.0, -5.5, 5.5)]
     # 256 panels x 4 edges x 4 boxes spans several eval_many chunks
@@ -395,7 +396,7 @@ def test_located_zeros_match_mpmath(name):
             # F, ..., F^(m-2) vanish too
             ds = [F]
             while len(ds) <= r.multiplicity:
-                ds.append(ds[-1].derivative())
+                ds.append(transform_of_i_t(ds[-1]))
             mp = [_mp_transform(d) for d in ds]
             with mpmath.workdps(50):
                 root = mpmath.findroot(mp[-2], mpmath.mpc(r.z), df=mp[-1], solver="newton")
