@@ -131,16 +131,9 @@ class ProblemSpec:
         rect_obj = obj.get("rect", {})
         if not isinstance(rect_obj, dict):
             fail("rect", "must be an object")
-        try:
-            rect = SearchRect(
-                float(rect_obj.get("re_min", -30.0)),
-                float(rect_obj.get("re_max", 30.0)),
-                float(rect_obj.get("im_min", -5.0)),
-                float(rect_obj.get("im_max", 5.0)),
-                float(rect_obj.get("boundary_margin", 0.05)),
-            )
-        except (TypeError, ValueError) as exc:
-            fail("rect", str(exc))
+        rect = _search_rect(rect_obj.get("re_min", -30.0), rect_obj.get("re_max", 30.0),
+                            rect_obj.get("im_min", -5.0), rect_obj.get("im_max", 5.0),
+                            rect_obj.get("boundary_margin", 0.05))
 
         grid_n = _grid_size(obj.get("grid_n", 64))
         tol = _positive_float("tol", obj.get("tol", 1e-10))
@@ -163,6 +156,14 @@ def _grid_size(value) -> int:
     if not isinstance(value, int) or value < 16:
         raise SpecError("grid_n", "must be an integer >= 16")
     return value
+
+
+def _search_rect(*bounds) -> SearchRect:
+    """SearchRect(*bounds) as floats (finite, margin >= 0), else a SpecError at rect."""
+    try:
+        return SearchRect(*map(float, bounds))
+    except (TypeError, ValueError) as exc:
+        raise SpecError("rect", str(exc)) from None
 
 
 def _positive_float(path: str, value) -> float:
@@ -195,7 +196,11 @@ def _refinement_sizes(grid_n: int) -> list:
 
 
 def run(spec_path, out_path, tasks=None, rect=None, tol=None, grid_n=None):
-    """Execute the requested pipeline; returns (report_dict, exit_code)."""
+    """Execute the requested pipeline; returns (report_dict, exit_code).
+
+    `rect` overrides the spec's rectangle with (re_min, re_max, im_min,
+    im_max) and the default margin.
+    """
     started = time.monotonic()
     try:
         spec, spec_sha256 = _load_spec(spec_path)
@@ -203,6 +208,8 @@ def run(spec_path, out_path, tasks=None, rect=None, tol=None, grid_n=None):
             spec.tol = _positive_float("tol", tol)
         if grid_n is not None:
             spec.grid_n = _grid_size(grid_n)
+        if rect is not None:
+            spec.rect = _search_rect(*rect)
     except (SpecError, OSError) as exc:
         report = {"error": str(exc)}
         _write_report(report, out_path)
@@ -210,8 +217,6 @@ def run(spec_path, out_path, tasks=None, rect=None, tol=None, grid_n=None):
 
     if tasks is not None:
         spec.tasks = tuple(tasks)
-    if rect is not None:
-        spec.rect = rect
 
     report: dict = {"tasks": list(spec.tasks)}
     exit_code = EXIT_OK
@@ -283,9 +288,8 @@ def _finish(report, exit_code, spec_sha256, out_path, started):
 def _write_report(report: dict, out_path) -> None:
     if out_path is None:
         return
-    with open(out_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with open(out_path, "w") as fh:  # one write: json.dump writes chunk by chunk
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def emit_grid(spec_path, csv_path):
@@ -335,10 +339,9 @@ def main(argv=None) -> int:
             _, code = run(args.input, args.output, tasks=("decide",))
             return code
         if args.command == "verify":
-            rect = SearchRect(*args.rect) if args.rect else None
             _, code = run(args.input, args.output,
                           tasks=("decide", "zeros", "operator-check"),
-                          rect=rect, tol=args.tol, grid_n=args.grid)
+                          rect=args.rect, tol=args.tol, grid_n=args.grid)
             return code
         if args.command == "emit-grid":
             return emit_grid(args.input, args.csv)

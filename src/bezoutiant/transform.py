@@ -9,16 +9,19 @@ with Gaussian-rational Laurent coefficients.  Near z = 0 the closed form
 cancels catastrophically, so a truncated Taylor series built from the exact
 moments mu_n = int_0^a t^n g(t) dt is used instead.
 
-Both sets of exact data come from one pass over the density g:
+A transform holds only a and g and derives the rest on first use:
 
 * Laurent coefficients.  Integrating by parts j times gives
-  p_j = -i^j g^(j-1)(a) and q_j = i^j g^(j-1)(0), so `osc` and `plain`
-  are the jets of g at a and at 0 (`Poly.jet`, one Taylor shift each)
-  multiplied by units.
-* Moments.  With g(t) = sum_k g_k t^k,
-  mu_n = sum_k g_k a^(n+k+1) / (n+k+1), a sum over one table of the
-  powers of a; the sums run on integer numerators over one common
-  denominator, and each moment is reduced once.
+  p_j = -i^j g^(j-1)(a) and q_j = i^j g^(j-1)(0): the jets of g at a and
+  at 0 (`Poly.jet_numerators`, one Taylor shift each), with the units
+  applied to the integer numerators.  `osc` and `plain` reduce each entry
+  once; the floats `eval_many` reads divide each part once.
+* Moments.  mu_n = sum_k g_k a^(n+k+1) / (n+k+1), summed on integer
+  numerators over one table of the powers of a.  This big-integer table
+  is built only for `moments` or the first point with |z| < SWITCH_RADIUS.
+
+Python's int/int division and `Fraction.__float__` both round correctly,
+so every float is complex() of its exact coefficient, bit for bit.
 
 F' needs no exact data of its own.  `eval_many(z, with_derivative=True)`
 returns (F(z), F'(z)) from one pass over F's float coefficients (Horner's
@@ -42,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exact import GaussianRational, Poly, _frac, from_numerators, numerators
+from .exact import Poly, _frac, from_numerators, numerators
 
 #: Crossover radius between the moment Taylor series and the Laurent form.
 SWITCH_RADIUS = 0.5
@@ -58,17 +61,24 @@ class EvaluationOverflow(ValueError):
     """e^{|a Im z|} exceeds double range; evaluation refused, not extended."""
 
 
-def _times_i_power(v: GaussianRational, j: int) -> GaussianRational:
-    """i^j * v, exactly."""
-    re, im = v.re, v.im
-    for _ in range(j % 4):
-        re, im = -im, re
-    return GaussianRational(re, im)
+def _laurent_numerators(g: Poly, x, sign: int) -> tuple:
+    """(re, im, den) of sign i^j g^(j-1)(x), j = 1..deg+1, from g's jet at x."""
+    re, im, den = g.jet_numerators(x)
+    for k in range(len(re)):
+        for _ in range((k + 1) % 4):  # times i
+            re[k], im[k] = -im[k], re[k]
+    return [sign * r for r in re], [sign * m for m in im], den
 
 
-def _moments(g: Poly, a: Fraction, count: int) -> tuple:
-    """mu_n = int_0^a t^n g(t) dt = sum_k g_k a^(n+k+1) / (n+k+1), n < count."""
+def _floats(re, im, den) -> list:
+    """(re[k] + i im[k]) / den as complex floats, each part divided once."""
+    return [complex(r / den, m / den) for r, m in zip(re, im)]
+
+
+def _moments(g: Poly, a: Fraction) -> tuple:
+    """(re, im, den) of mu_n = sum_k g_k a^(n+k+1) / (n+k+1), n <= deg + EXTRA_MOMENTS."""
     re, im, den = numerators(g.coeffs)
+    count = g.degree + 1 + EXTRA_MOMENTS
     top = count + len(re) - 1  # largest power n + k + 1
     p, q = a.numerator, a.denominator
     ell = math.lcm(*range(1, top + 1))
@@ -78,7 +88,7 @@ def _moments(g: Poly, a: Fraction, count: int) -> tuple:
     for n in range(count):
         mre.append(sum(c * w[n + k + 1] for k, c in enumerate(re)))
         mim.append(sum(c * w[n + k + 1] for k, c in enumerate(im)))
-    return from_numerators(mre, mim, den * q ** top * ell)
+    return mre, mim, den * q ** top * ell
 
 
 @dataclass(frozen=True)
@@ -86,39 +96,47 @@ class ClosedTransform:
     """Exact closed form of F(z) = int_0^a e^{izt} g(t) dt.
 
     `density` is the integrand polynomial g (already conjugated/reflected
-    by the constructor helpers below).  `osc` and `plain` hold the Laurent
-    coefficients p_j, q_j of z^{-j} (index j-1); `moments` holds mu_n.
+    by the constructor helpers below).  The cached `osc` and `plain` hold
+    the Laurent coefficients p_j, q_j of z^{-j} (index j-1) and `moments`
+    holds mu_n; the floats `eval_many` reads are built on first use too.
     """
 
     a: Fraction
     density: Poly
-    osc: tuple
-    plain: tuple
-    moments: tuple
 
     @classmethod
     def from_density(cls, g: Poly, a) -> "ClosedTransform":
         a = _frac(a)
         if a <= 0:
             raise ValueError("interval endpoint a must be positive")
-        # p_j = -i^j g^(j-1)(a),  q_j = i^j g^(j-1)(0),  j = 1..deg+1
-        osc = tuple(-_times_i_power(v, j) for j, v in enumerate(g.jet(a), 1))
-        plain = tuple(_times_i_power(v, j) for j, v in enumerate(g.jet(0), 1))
-        return cls(a, g, osc, plain, _moments(g, a, g.degree + 1 + EXTRA_MOMENTS))
+        return cls(a, g)
+
+    @cached_property
+    def osc(self) -> tuple:
+        return from_numerators(*_laurent_numerators(self.density, self.a, -1))
+
+    @cached_property
+    def plain(self) -> tuple:
+        return from_numerators(*_laurent_numerators(self.density, 0, 1))
+
+    @cached_property
+    def moments(self) -> tuple:
+        return from_numerators(*_moments(self.density, self.a))
 
     # -- float evaluation --------------------------------------------------
 
     @cached_property
-    def _float_data(self):
-        a = float(self.a)
-        osc = np.array([complex(c) for c in self.osc] or [0j])
-        plain = np.array([complex(c) for c in self.plain] or [0j])
-        # Taylor coefficients of F at 0: mu_n i^n / n!
-        taylor = np.array(
-            [complex(m) * (1j ** n) / math.factorial(n)
-             for n, m in enumerate(self.moments)]
-        )
-        return a, osc, plain, taylor
+    def _laurent(self):
+        """(a, p, q) as floats; p and q hold one 0 for the zero density."""
+        osc = _floats(*_laurent_numerators(self.density, self.a, -1))
+        plain = _floats(*_laurent_numerators(self.density, 0, 1))
+        return float(self.a), np.array(osc or [0j]), np.array(plain or [0j])
+
+    @cached_property
+    def _taylor(self) -> np.ndarray:
+        """Taylor coefficients of F at 0: mu_n i^n / n!."""
+        return np.array([m * (1j ** n) / math.factorial(n)
+                         for n, m in enumerate(_floats(*_moments(self.density, self.a)))])
 
     def eval_many(self, z, with_derivative: bool = False):
         """Vectorized evaluation at an array of complex points.
@@ -128,7 +146,7 @@ class ClosedTransform:
         F-only calls carry no derivative accumulators.
         """
         z = np.asarray(z, dtype=complex)
-        a, osc, plain, taylor = self._float_data
+        a, osc, plain = self._laurent
         if np.any(np.abs(z.imag) * a > OVERFLOW_LIMIT):
             raise EvaluationOverflow(
                 f"|a Im z| exceeds {OVERFLOW_LIMIT}; result would overflow")
@@ -138,7 +156,7 @@ class ClosedTransform:
         if np.any(small):
             zs = z[small]
             acc = dacc = np.zeros_like(zs)
-            for c in taylor[::-1]:
+            for c in self._taylor[::-1]:
                 if with_derivative:
                     dacc = dacc * zs + acc
                 acc = acc * zs + c

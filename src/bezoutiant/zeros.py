@@ -87,8 +87,12 @@ class SearchRect:
     boundary_margin: float = 0.05
 
     def __post_init__(self):
+        if not all(map(math.isfinite, vars(self).values())):
+            raise ValueError("search rectangle bounds and boundary_margin must be finite")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise ValueError("search rectangle has empty interior")
+        if self.boundary_margin < 0:
+            raise ValueError("boundary_margin must be >= 0")
 
     def mirrored(self) -> "SearchRect":
         return SearchRect(self.re_min, self.re_max, -self.im_max, -self.im_min,

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -62,7 +61,11 @@ def transform_of_i_t(Ft: ClosedTransform) -> ClosedTransform:
     """F' as the transform of i t g, built from scratch with as many moments
     as Ft: an exact reference for the F' that `eval_many` derives from F."""
     full = ClosedTransform.from_density(Ft.density.times_x() * GR(0, 1), Ft.a)
-    return replace(full, moments=full.moments[:len(Ft.moments)])
+    n = len(Ft.moments)
+    # Cut the cached tables before the first evaluation reads them; each
+    # Taylor float depends on its own moment only.
+    full.__dict__.update(moments=full.moments[:n], _taylor=full._taylor[:n])
+    return full
 
 
 @pytest.fixture

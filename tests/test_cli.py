@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import io
 import json
 import math
 from fractions import Fraction as F
@@ -247,6 +248,49 @@ def test_bad_grid_override_exit_code(tmp_path, grid):
     code, report = _run_fixture("const_vs_linear.json", tmp_path, "verify", ("--grid", str(grid)))
     assert code == EXIT_INPUT_ERROR
     assert report["error"].startswith("grid_n:")
+
+
+@pytest.mark.parametrize("key, literal", [
+    ("re_max", "1e400"), ("re_min", "-1e400"), ("im_min", "NaN"), ("im_max", "Infinity"),
+    ("boundary_margin", "-1"), ("boundary_margin", "NaN"), ("boundary_margin", "1e400"),
+], ids=["re_max-overflow", "re_min-overflow", "im_min-nan", "im_max-inf",
+        "margin-negative", "margin-nan", "margin-overflow"])
+def test_bad_rect_exit_code(tmp_path, key, literal):
+    # non-finite bounds and a negative or non-finite margin are refused at
+    # rect, before any evaluation; the CLI exits 1 with an error report
+    rect = {"re_min": "-10", "re_max": "10", "im_min": "-5", "im_max": "5", key: literal}
+    text = ('{"a": "1", "psi1": ["0", "0", "0", "1"], "psi2": ["0", "0", "1"], "rect": {'
+            + ", ".join(f'"{k}": {v}' for k, v in rect.items()) + "}}")
+    with pytest.raises(SpecError, match="^rect:"):
+        ProblemSpec.from_json(json.loads(text))
+    bad = tmp_path / "bad_rect.json"
+    bad.write_text(text)
+    out = tmp_path / "out.json"
+    assert main(["verify", "--input", str(bad), "--output", str(out)]) == EXIT_INPUT_ERROR
+    assert json.loads(out.read_text())["error"].startswith("rect:")
+
+
+@pytest.mark.parametrize("bounds", [("10", "-10", "-5", "5"), ("-10", "inf", "-5", "5")],
+                         ids=["empty", "infinite"])
+def test_bad_rect_override_exit_code(tmp_path, bounds):
+    # verify --rect follows the problem file's rect rule
+    code, report = _run_fixture("cubic_vs_quadratic.json", tmp_path, "verify", ("--rect", *bounds))
+    assert code == EXIT_INPUT_ERROR
+    assert report["error"].startswith("rect:")
+
+
+@pytest.mark.parametrize("tasks", [
+    ("decide",), ("decide", "zeros"), ("decide", "kernel"), ("decide", "operator-check"),
+    ("decide", "zeros", "kernel", "operator-check"),
+])
+def test_report_bytes_match_json_dump(tmp_path, tasks):
+    # the report is written in one piece, byte for byte what json.dump wrote
+    out = tmp_path / "o.json"
+    report, _ = run(FIXTURES / "cubic_vs_quadratic.json", out, tasks=tasks, grid_n=32)
+    chunked = io.StringIO()
+    json.dump(report, chunked, indent=2, sort_keys=True)
+    chunked.write("\n")
+    assert out.read_bytes() == chunked.getvalue().encode()
 
 
 def test_grid_override_runs(tmp_path):

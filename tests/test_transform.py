@@ -1,11 +1,17 @@
+import json
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath.calculus.quadrature import GaussLegendre
 
+import bezoutiant.transform as transform
+from bezoutiant.cli import ProblemSpec
 from bezoutiant.exact import GR, Poly
 from bezoutiant.transform import (
     SWITCH_RADIUS,
@@ -14,6 +20,7 @@ from bezoutiant.transform import (
     closed_form,
     reflected_transform,
 )
+from bezoutiant.zeros import SearchRect, locate_zeros
 from conftest import (
     quadrature_transform,
     random_admissible_poly,
@@ -21,6 +28,7 @@ from conftest import (
     transform_of_i_t,
 )
 
+FIXTURES = Path(__file__).parent / "fixtures"
 ONE = Poly.of(1)
 T = Poly.of(0, 1)
 TWO_T = Poly.of(0, 2)
@@ -74,13 +82,56 @@ def test_switch_circle_consistency():
         for theta in np.linspace(0, 2 * math.pi, 17):
             for r in (0.25, 0.4, 0.49, 0.51, 0.7, 1.0):
                 z = r * np.exp(1j * theta)
-                small = np.polyval(Ft._float_data[3][::-1], z)
-                a_f, osc, plain, _ = Ft._float_data
+                small = np.polyval(Ft._taylor[::-1], z)
+                a_f, osc, plain = Ft._laurent
                 w = 1.0 / z
                 laurent = np.exp(1j * a_f * z) * np.polyval(
                     np.append(osc[::-1], 0), w
                 ) + np.polyval(np.append(plain[::-1], 0), w)
                 assert abs(small - laurent) < 1e-12
+
+
+def _heights(h):
+    parts = st.fractions(min_value=-h, max_value=h, max_denominator=h)
+    return st.one_of(st.builds(GR, parts), st.builds(GR, parts, parts))
+
+
+# degrees 0..16 and the zero density, real and Gaussian coefficients of
+# height 6 or 1e6
+densities = st.sampled_from([6, 10 ** 6]).flatmap(
+    lambda h: st.lists(_heights(h), max_size=17)).map(lambda cs: Poly(tuple(cs)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(densities, st.sampled_from([F(1), F(7, 3), F(1, 2)]))
+@example(Poly(()), F(1))
+@example(Poly.of(*[GR(F(10 ** 6 - k, 999_983), F(-k, 7)) for k in range(17)]), F(7, 3))
+def test_floats_are_complex_of_exact_coefficients(g, a):
+    # byte for byte, so the sign of a zero counts
+    Ft = ClosedTransform.from_density(g, a)
+    a_f, osc, plain = Ft._laurent
+    assert a_f == float(a)
+    assert osc.tobytes() == np.array([complex(c) for c in Ft.osc] or [0j]).tobytes()
+    assert plain.tobytes() == np.array([complex(c) for c in Ft.plain] or [0j]).tobytes()
+    taylor = [complex(m) * (1j ** n) / math.factorial(n) for n, m in enumerate(Ft.moments)]
+    assert Ft._taylor.tobytes() == np.array(taylor).tobytes()
+
+
+def test_taylor_table_built_on_first_small_point(monkeypatch):
+    spec = ProblemSpec.from_json(json.loads((FIXTURES / "cubic_vs_quadratic.json").read_text()))
+    Ft = closed_form(spec.psi1, spec.a)
+    locate_zeros(Ft, SearchRect(-10, 10, -5, 5))
+    assert "_laurent" in vars(Ft) and "_taylor" not in vars(Ft)
+    builds, build = [], transform._moments
+    monkeypatch.setattr(transform, "_moments", lambda *args: builds.append(args) or build(*args))
+    z = 0.3 * np.exp(0.7j)
+    value = Ft(z)
+    assert Ft(z) == value and len(builds) == 1
+    # the Taylor sum over complex() of the exact moments, as eval_many runs it
+    acc = np.zeros(1, dtype=complex)
+    for n, m in reversed(list(enumerate(Ft.moments))):
+        acc = acc * z + complex(m) * (1j ** n) / math.factorial(n)
+    assert value == acc[0]
 
 
 def test_reflection_fixes_constants():
@@ -115,7 +166,8 @@ def _horner_bound(Ft, z):
     """A priori rounding bound of `eval_many` of Ft at z (Higham, *Accuracy
     and Stability*, section 5.1): n eps times the sum of the moduli of the
     n terms of the Taylor or Laurent form that z falls in."""
-    a, osc, plain, taylor = Ft._float_data
+    a, osc, plain = Ft._laurent
+    taylor = Ft._taylor
     z = np.asarray(z, dtype=complex)
     r = np.abs(z)
     small = r < SWITCH_RADIUS
