@@ -20,7 +20,7 @@ refusal: the zero locator declined to answer (an evaluation would
 overflow, a winding number did not certify, a cluster stayed unresolved or
 the boundary could not be moved off a zero).  A refusal still writes the
 report, with its verdict and an `error` block naming the stage, the
-transform, the exception type and its message.
+transform, the exception type and its message (`emit-grid`: one stderr line).
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from . import __version__
 from .exact import Poly, parse_rational
 from .kernel import (
     NormalizedPair,
-    ZeroMassError,
     build_kernel,
     build_m_functions,
     normalize_pair,  # not called here; perfbench/spans.py wraps cli.normalize_pair
@@ -345,9 +344,12 @@ def main(argv=None) -> int:
             return code
         if args.command == "emit-grid":
             return emit_grid(args.input, args.csv)
-    except SpecError as exc:
+    except (SpecError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except NUMERIC_REFUSALS as exc:
+        print(f"numeric refusal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC_REFUSAL
     return EXIT_INPUT_ERROR
 
 

@@ -18,8 +18,8 @@ the end, which yields the same canonical `Fraction`s.  This covers
   den |r|^2, for r = (r_r + i r_i) / r_d;
 * derivative jets (`Poly.jet_numerators`): p^(k)(x) = k! [s^k] p(x + s)
   from one Taylor shift, with k! and the powers of x's denominator folded
-  into the integers, so callers that sum over jets (`symbol`) read the
-  integer lists directly and `Poly.jet` reduces each entry once.
+  into the integers, so the transforms' Laurent numerators (which `symbol`
+  sums over) are integer lists and `Poly.jet` reduces each entry once.
 """
 
 from __future__ import annotations
@@ -174,7 +174,6 @@ class GaussianRational:
 GR = GaussianRational.of
 GR_ZERO = GR(0)
 GR_ONE = GR(1)
-GR_I = GR(0, 1)
 
 
 def _as_gr(x) -> GaussianRational:
@@ -216,14 +215,14 @@ def taylor_shift(re: list, im: list, xr: int, xi: int = 0) -> None:
             im[j] += xr * m + xi * r
 
 
-def _shifted_numerators(coeffs, x: GaussianRational) -> tuple:
+def _shifted_numerators(numers: tuple, x: GaussianRational) -> tuple:
     """(re, im, den, xd) with [s^k] p(x + s) = (re[k] + i im[k]) xd^k / den.
 
     With x = (xr + i xi)/xd, xd^n p(x + w/xd) has Gaussian-integer
-    coefficients over the common denominator of p's coefficients; its w^k
-    coefficient comes from one Taylor shift by xr + i xi.
+    coefficients over p's common denominator (`numers` = p's `numerators`, left
+    unchanged); its w^k coefficient comes from one Taylor shift by xr + i xi.
     """
-    re, im, den = numerators(coeffs)
+    (re, im), den = map(list, numers[:2]), numers[2]
     (xr,), (xi,), xd = numerators((x,))
     n = len(re) - 1
     if xd != 1:
@@ -275,6 +274,11 @@ class Poly:
     def coeff(self, k: int) -> GaussianRational:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else GR_ZERO
 
+    @cached_property
+    def _numerators(self) -> tuple:
+        """`numerators(self.coeffs)`, computed once per polynomial; read-only."""
+        return numerators(self.coeffs)
+
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
@@ -299,7 +303,7 @@ class Poly:
 
     def __truediv__(self, r) -> "Poly":
         """p / r for a nonzero scalar r, each coefficient reduced once."""
-        pr, pi, den = numerators(self.coeffs)
+        pr, pi, den = self._numerators
         (rr,), (ri,), rd = numerators((_as_gr(r),))
         d = den * (rr * rr + ri * ri)
         if not d:
@@ -333,7 +337,7 @@ class Poly:
 
     def integral(self, lo, hi) -> GaussianRational:
         """int_lo^hi p = sum_k c_k (hi^(k+1) - lo^(k+1)) / (k+1), reduced once."""
-        re, im, den = numerators(self.coeffs)
+        re, im, den = self._numerators
         (l_re, h_re), (l_im, h_im), q = numerators((_as_gr(lo), _as_gr(hi)))
         top = len(re)
         ell = lcm(*range(1, top + 1))
@@ -357,7 +361,7 @@ class Poly:
     def compose_affine(self, c0, c1) -> "Poly":
         """Exact composition p(c0 + c1*t): a Taylor shift by c0, then t -> c1*t."""
         # the t^k coefficient of p(c0 + c1 t) is [s^k] p(c0 + s) c1^k
-        re, im, den, xd = _shifted_numerators(self.coeffs, _as_gr(c0))
+        re, im, den, xd = _shifted_numerators(self._numerators, _as_gr(c0))
         (yr,), (yi,), yd = numerators((_as_gr(c1),))
         yr, yi = yr * xd, yi * xd
         pr, pi = 1, 0  # (yr + i yi)^k
@@ -374,7 +378,7 @@ class Poly:
         n defaults to the degree.  p^(k)(x) = k! [s^k] p(x + s), read off
         one Taylor shift; k! and xd^k are folded into the integers.
         """
-        re, im, den, xd = _shifted_numerators(self.coeffs, _as_gr(x))
+        re, im, den, xd = _shifted_numerators(self._numerators, _as_gr(x))
         n = self.degree if n is None else n
         pad = [0] * (n + 1 - len(re))
         re, im = re[:n + 1] + pad, im[:n + 1] + pad

@@ -46,6 +46,7 @@ import numpy as np
 
 from .exact import (GR_ONE, GR_ZERO, GaussianRational, MPoly, Poly, _frac, numerators,
                     taylor_shift)
+from .transform import _laurent_numerators
 
 ALPHA_DEFAULT = GR_ONE
 BETA_DEFAULT = GR_ZERO
@@ -70,16 +71,24 @@ class NormalizedPair:
     r2: GaussianRational
 
     @cached_property
-    def jets(self) -> tuple:
-        """Derivatives of (Psi_2, conj Psi_1) at 0, then at a, k = 0..max degree.
+    def laurent(self) -> tuple:
+        """(P1, Q1, P21, Q21) of F_1 and F_{2,1} (`transform._laurent_numerators`),
+        padded to the larger degree.  conj Psi_1 has the conjugate jets of Psi_1;
+        Psi_2(a-t) has (-1)^k Psi_2^(k)(0) at a and (-1)^k Psi_2^(k)(a) at 0."""
+        n, a = max(self.psi1.degree, self.psi2.degree), self.a
+        g1 = (_conjugate(self.psi1.jet_numerators(x, n)) for x in (a, 0))
+        g21 = (_alternating(self.psi2.jet_numerators(x, n)) for x in (0, a))
+        return (*_laurent_numerators(*g1), *_laurent_numerators(*g21))
 
-        Each jet is an integer triple (re, im, den) from
-        `Poly.jet_numerators`: the k-th derivative is (re[k] + i im[k]) / den.
-        """
-        n = max(self.psi1.degree, self.psi2.degree)
-        g1 = self.psi1.conjugate()
-        return (self.psi2.jet_numerators(0, n), g1.jet_numerators(0, n),
-                self.psi2.jet_numerators(self.a, n), g1.jet_numerators(self.a, n))
+
+def _conjugate(jet: tuple) -> tuple:
+    """The conjugate of an integer triple (re, im, den)."""
+    return jet[0], [-v for v in jet[1]], jet[2]
+
+
+def _alternating(jet: tuple) -> tuple:
+    """An integer triple (re, im, den) with entry k multiplied by (-1)^k."""
+    return (*([-v if k % 2 else v for k, v in enumerate(vs)] for vs in jet[:2]), jet[2])
 
 
 @dataclass(frozen=True)

@@ -1,36 +1,31 @@
 """Symbol V(u), differential operator L(D), and the common-zero verdict.
 
-Differentiating Tf a total of Q+1 times (Q = deg Psi_1 >= deg Psi_2)
-produces a differential operator L(D) plus a convolution with the symbol
-V(x - t).  The verdict does not read L(D): `decide` reports
-ZeroSetsCoincide when the normalized pair passes the coincidence test
-psi_1(x) = conj(psi_2(a - x)) and, for rational coefficients, NoCommonZeros
-for every other pair.  The order of L(D) is a reported diagnostic
-(`l_order`), and whether L(D) vanishes names the theorem.  That
-NoCommonZeros is wrong for a pair whose transforms share an algebraic
-zero: psi_1 = 1 - 3x + x^2, psi_2 = -5 + 7x + 3x^2 - x^3, a = 1 gives
-NoCommonZeros with l_order 2, yet F_1 and the reflected transform F_{2,1}
-both vanish at i.  The conflict gate of the CLI (exit 3) catches such a
-pair once the zeros are located.  The monomial family x^m (a-x)^n admits a
-closed order formula, cross-validated here against the general expansion.
+Each transform is an exponential polynomial in w = 1/z,
 
-Both L(D) and V come from derivative values of the densities at the two
-endpoints, tabulated once per pair as integer numerators
-(`NormalizedPair.jets`, one Taylor shift per endpoint and density;
-`Poly.jet_numerators`).  With g1 = conj Psi_1 and Q = deg Psi_1, put
+    F(z) = e^{iaz} P(w) + Q(w),    p_j = -i^j g^(j-1)(a),  q_j = i^j g^(j-1)(0),
 
-    A_k = Psi_2^(k)(0),  B_k = (-1)^(k+1) g1^(k)(0),
-    C_k = Psi_2^(k)(a),  E_k = (-1)^k g1^(k)(a),          k = 0..Q,
+with g its density (`transform` module doc).  For the normalized, ordered
+pair (Q = deg Psi_1 >= deg Psi_2), P1, Q1 belong to F_1 (density
+g1 = conj Psi_1) and P21, Q21 to F_{2,1} (density Psi_2(a-t)), all four as
+integer numerators (`NormalizedPair.laurent`).  Everything here reads them:
 
-and W_r = sum_{i+j=r} (A_i B_j + E_i C_j), the bilinear boundary sum.  Then
+* L and V.  Differentiating Tf a total of Q+1 times gives a differential
+  operator L(D) plus a convolution with the symbol V(x - t), with
 
-    L(D) = sum_{s<Q} W_{Q-1-s} D^s,        V(u) = sum_{m<=Q} W_{Q+m} u^m / m!.
+      L(D) = sum_{s<Q} W_{Q-1-s} D^s,   V(u) = sum_{m<=Q} W_{Q+m} u^m / m!,
+      W_m = i^m [w^(m+2)] D,           D = P1 Q21 - P21 Q1.
 
-The second identity uses h(u) = g1(a-u), whose derivatives satisfy
-h^(p)(u) = (-1)^p g1^(p)(a-u), so the reflected products in V are
-derivatives of one polynomial and their Taylor coefficients at 0 are E_k.
-Each half of W is summed once, on integer numerators over one common
-denominator.
+  W_m is the paper's boundary sum sum_{i+j=m} [(-1)^i g1^(i)(a)
+  Psi_2^(j)(a) - (-1)^j Psi_2^(i)(0) g1^(j)(0)]; putting the jets into D
+  gives [w^(m+2)] D = (-i)^m W_m.  `l_operator` (m < Q) and `v_symbol`
+  (Q <= m <= 2Q) sum only the range they read, on integer numerators over
+  one denominator, and apply i^m once per output coefficient.
+* Coincidence.  psi_1 = conj psi_2(a-x) <=> Q1 = Q21: Q is g's jet at 0
+  times fixed units, and a polynomial is fixed by its jet at 0.
+* Symmetry.  psi_1 = conj psi_1(a-x) <=> Q1 = conj P1, since conj P1 is
+  the Q of the density conj g1(a-t) = Psi_1(a-t).
+
+Both equalities are exact, compared by cross-multiplying the numerators.
 
 V vanishes identically.  Put T_r(x) = sum_{i+j=r} (-1)^j Psi_2^(i)(x) g1^(j)(x);
 then W_r = T_r(a) - T_r(0).  In the derivative of T_r the inner terms
@@ -43,19 +38,25 @@ both derivatives of order r+1 > Q >= deg Psi_2 vanish, hence W_r = 0 and
 V = 0 for every polynomial pair.  `decide` therefore reads only L(D);
 `v_symbol` stays as a checked artifact of the paper's construction.
 
-The verdict reads every exact test from the normalized pair, the same
-densities L(D) and the kernel U are built from.  Dividing by the masses
-makes the tests scale-free: Psi_2 = c conj Psi_1(a-x) for a constant c
-(then F_{2,1} = c F_1) leaves normalized densities with
-psi_1 = conj psi_2(a-x), the coincidence case, and a density symmetric up
-to a unit factor is symmetric once normalized.  Both mirror tests read
-the same jets as L(D), since two polynomials agree iff all their
-derivatives at 0 do:
+At a common zero z0 != 0 of F_1 and F_{2,1}, (e^{iaz0}, 1) solves the 2x2
+system with rows (P1, Q1) and (P21, Q21) at w0 = 1/z0, so D(w0) = 0.
+"L != 0" thus proves only that every common nonzero zero z0 is algebraic;
+it does not rule z0 out.  The missing step is Hermite-Lindemann (ROADMAP
+item 1): e^{iaz0} is then transcendental, so P1, Q1, P21 and Q21 all
+vanish at w0, and the common nonzero zeros are the roots of their gcd.
 
-    coincident  <=>  g1^(k)(0) = (-1)^k Psi_2^(k)(a)       for all k,
-    symmetric   <=>  g1^(k)(0) = (-1)^k conj g1^(k)(a)     for all k,
-
-compared by cross-multiplying the integer numerators (`_mirrored`).
+`decide` reports ZeroSetsCoincide for a coincident normalized pair and,
+for rational coefficients, NoCommonZeros for every other pair; the order
+of L(D) is a diagnostic (`l_order`), and whether L(D) vanishes names the
+theorem.  That NoCommonZeros is wrong when the transforms share an
+algebraic zero: psi_1 = 1 - 3x + x^2, psi_2 = -5 + 7x + 3x^2 - x^3, a = 1
+gives l_order 2, yet all four Laurent polynomials of the ordered pair
+vanish at w = i.  The conflict gate of the CLI (exit 3) catches such a
+pair once the zeros are located.  Dividing by the masses makes the tests
+scale-free: Psi_2 = c conj Psi_1(a-x) (then F_{2,1} = c F_1) is coincident
+once normalized, and a density symmetric up to a unit factor is
+symmetric.  The monomial family x^m (a-x)^n admits a closed order
+formula, cross-validated here against the general expansion.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ from typing import Optional
 
 from .exact import GR, GR_ONE, Poly, _frac, from_numerators
 from .kernel import NormalizedPair, ZeroMassError, normalize_pair
+from .transform import _times_i_powers
 
 
 class OrderViolationError(ValueError):
@@ -109,58 +111,45 @@ class DiffOperator:
         return len(self.coeffs) - 1 if self.coeffs else None
 
 
-def _boundary_sums(pair: NormalizedPair, lo: int, hi: int) -> tuple:
-    """W_r = sum_{i+j=r} [A_i B_j + E_i C_j] for lo <= r < hi (see module doc)."""
-    (ar, ai, ad), (br, bi, bd), (cr, ci, cd), (er, ei, ed) = pair.jets
-    # B_k = (-1)^(k+1) g1^(k)(0), E_k = (-1)^k g1^(k)(a)
-    br, bi = ([v if k % 2 else -v for k, v in enumerate(vs)] for vs in (br, bi))
-    er, ei = ([-v if k % 2 else v for k, v in enumerate(vs)] for vs in (er, ei))
-    n = len(ar)
-    # both halves over lcm(ad bd, cd ed): the jets at a differ from those at
-    # 0 by powers of a's denominator, so this is cd ed, not all four dens
-    den = math.lcm(ad * bd, cd * ed)
-    s_scale, t_scale = den // (ad * bd), den // (cd * ed)
-    wr, wi = [], []
-    for r in range(lo, hi):
+def _w(pair: NormalizedPair, lo: int, hi: int) -> tuple:
+    """W_m = i^m [w^(m+2)] D, D = P1 Q21 - P21 Q1, for lo <= m < hi (module doc)."""
+    if pair.psi1.degree < pair.psi2.degree:
+        raise OrderViolationError("requires deg Psi_1 >= deg Psi_2")
+    (p1r, p1i, p1d), (q1r, q1i, q1d), (p2r, p2i, p2d), (q2r, q2i, q2d) = pair.laurent
+    n = len(p1r)
+    den = math.lcm(p1d * q2d, p2d * q1d)
+    s_scale, t_scale = den // (p1d * q2d), den // (p2d * q1d)
+    dr, di = [], []
+    for m in range(lo, hi):
         sr = si = tr = ti = 0
-        for i in range(max(0, r - n + 1), min(r, n - 1) + 1):
-            j = r - i
-            sr += ar[i] * br[j] - ai[i] * bi[j]
-            si += ar[i] * bi[j] + ai[i] * br[j]
-            tr += er[i] * cr[j] - ei[i] * ci[j]
-            ti += er[i] * ci[j] + ei[i] * cr[j]
-        wr.append(sr * s_scale + tr * t_scale)
-        wi.append(si * s_scale + ti * t_scale)
-    return from_numerators(wr, wi, den)
+        for k in range(max(0, m - n + 1), min(m, n - 1) + 1):
+            j = m - k
+            sr += p1r[k] * q2r[j] - p1i[k] * q2i[j]
+            si += p1r[k] * q2i[j] + p1i[k] * q2r[j]
+            tr += p2r[k] * q1r[j] - p2i[k] * q1i[j]
+            ti += p2r[k] * q1i[j] + p2i[k] * q1r[j]
+        dr.append(sr * s_scale - tr * t_scale)
+        di.append(si * s_scale - ti * t_scale)
+    return from_numerators(*_times_i_powers(dr, di, den, lo))
 
 
-def _mirrored(left, right, conjugate: bool) -> bool:
-    """left^(k)(0) == (-1)^k right^(k)(a) for every k, on two jet triples of
-    `NormalizedPair.jets`; with conjugate=True, conj right^(k)(a)."""
+def _equal(left, right, conjugate: bool = False) -> bool:
+    """left == right (conj right if `conjugate`) on integer triples, by cross-multiplying."""
     (lr, li, ld), (rr, ri, rd) = left, right
-    for k in range(len(lr)):
-        sr = -rd if k % 2 else rd
-        si = -sr if conjugate else sr
-        if lr[k] * sr != rr[k] * ld or li[k] * si != ri[k] * ld:
-            return False
-    return True
+    si = -rd if conjugate else rd
+    return (all(x * rd == y * ld for x, y in zip(lr, rr))
+            and all(x * si == y * ld for x, y in zip(li, ri)))
 
 
 def v_symbol(pair: NormalizedPair) -> Poly:
     """Exact symbol V(u): its u^m coefficient is W_{Q+m} / m!."""
-    q1, q2 = pair.psi1.degree, pair.psi2.degree
-    if q1 < q2:
-        raise OrderViolationError("requires deg Psi_1 >= deg Psi_2")
-    w = _boundary_sums(pair, q1, 2 * q1 + 1)
+    w = _w(pair, pair.psi1.degree, 2 * pair.psi1.degree + 1)
     return Poly(tuple(c * Fraction(1, math.factorial(m)) for m, c in enumerate(w)))
 
 
 def l_operator(pair: NormalizedPair) -> DiffOperator:
     """Exact coefficients of L(D) = sum_s W_{Q-1-s} D^s."""
-    q1, q2 = pair.psi1.degree, pair.psi2.degree
-    if q1 < q2:
-        raise OrderViolationError("requires deg Psi_1 >= deg Psi_2")
-    return DiffOperator(tuple(reversed(_boundary_sums(pair, 0, q1))))
+    return DiffOperator(tuple(reversed(_w(pair, 0, pair.psi1.degree))))
 
 
 def monomial_density(m: int, n: int, a) -> Poly:
@@ -239,13 +228,8 @@ class Verdict:
     pair: Optional[NormalizedPair] = field(default=None, compare=False, repr=False)
 
     def to_json(self):
-        return {
-            "outcome": self.outcome,
-            "theorem": self.theorem,
-            "no_real_zeros": self.no_real_zeros,
-            "no_conjugate_pairs": self.no_conjugate_pairs,
-            "diagnostics": self.diagnostics,
-        }
+        keys = ("outcome", "theorem", "no_real_zeros", "no_conjugate_pairs", "diagnostics")
+        return {k: getattr(self, k) for k in keys}
 
 
 def decide(psi1: Poly, psi2: Poly, a, coeff_class: str = COEFF_RATIONAL) -> Verdict:
@@ -258,12 +242,9 @@ def decide(psi1: Poly, psi2: Poly, a, coeff_class: str = COEFF_RATIONAL) -> Verd
     if coeff_class not in (COEFF_RATIONAL, COEFF_NONALGEBRAIC):
         raise ValueError(f"unknown coeff_class {coeff_class!r}")
     a = _frac(a)
-    diagnostics: dict = {"coeff_class": coeff_class, "swapped": False}
-
-    swapped = psi1.degree < psi2.degree
-    if swapped:
+    diagnostics: dict = {"coeff_class": coeff_class, "swapped": psi1.degree < psi2.degree}
+    if diagnostics["swapped"]:
         psi1, psi2 = psi2, psi1
-        diagnostics["swapped"] = True
 
     try:
         pair = normalize_pair(psi1, psi2, a)
@@ -273,10 +254,9 @@ def decide(psi1: Poly, psi2: Poly, a, coeff_class: str = COEFF_RATIONAL) -> Verd
                        False, False, diagnostics)
     diagnostics["normalizers"] = [pair.r1.to_json(), pair.r2.to_json()]
 
-    _, g1_0, psi2_a, g1_a = pair.jets
-    asym = not _mirrored(g1_0, g1_a, conjugate=True)  # psi_1(x) != conj(psi_1(a-x))
-    coincident = _mirrored(g1_0, psi2_a, conjugate=False)  # psi_1(x) == conj(psi_2(a-x))
-    diagnostics["coincidence"] = coincident
+    p1, q1, _, q21 = pair.laurent
+    asym = not _equal(q1, p1, conjugate=True)  # psi_1(x) != conj(psi_1(a-x))
+    diagnostics["coincidence"] = coincident = _equal(q1, q21)  # psi_1(x) == conj(psi_2(a-x))
     if coincident:
         return Verdict(OUTCOME_COINCIDE, "coincidence case", asym, asym,
                        diagnostics, pair)
@@ -286,10 +266,8 @@ def decide(psi1: Poly, psi2: Poly, a, coeff_class: str = COEFF_RATIONAL) -> Verd
     diagnostics["l_order"] = L.order
 
     if coeff_class == COEFF_RATIONAL:
-        if not L.is_zero:
-            theorem = "nonnegative operator order"
-        else:
-            theorem = "zero operator, exact coefficients"
+        theorem = ("zero operator, exact coefficients" if L.is_zero
+                   else "nonnegative operator order")
         return Verdict(OUTCOME_NO_COMMON, theorem, asym, asym, diagnostics, pair)
 
     diagnostics["reason"] = "zero symbol with non-algebraic coefficients: no criterion applies"

@@ -14,8 +14,9 @@ A transform holds only a and g and derives the rest on first use:
 * Laurent coefficients.  Integrating by parts j times gives
   p_j = -i^j g^(j-1)(a) and q_j = i^j g^(j-1)(0): the jets of g at a and
   at 0 (`Poly.jet_numerators`, one Taylor shift each), with the units
-  applied to the integer numerators.  `osc` and `plain` reduce each entry
-  once; the floats `eval_many` reads divide each part once.
+  applied to the integer numerators (`_laurent_numerators`, also read by
+  `NormalizedPair.laurent`).  `osc` and `plain` reduce each entry once;
+  the floats `eval_many` reads divide each part once.
 * Moments.  mu_n = sum_k g_k a^(n+k+1) / (n+k+1), summed on integer
   numerators over one table of the powers of a.  This big-integer table
   is built only for `moments` or the first point with |z| < SWITCH_RADIUS.
@@ -61,13 +62,16 @@ class EvaluationOverflow(ValueError):
     """e^{|a Im z|} exceeds double range; evaluation refused, not extended."""
 
 
-def _laurent_numerators(g: Poly, x, sign: int) -> tuple:
-    """(re, im, den) of sign i^j g^(j-1)(x), j = 1..deg+1, from g's jet at x."""
-    re, im, den = g.jet_numerators(x)
-    for k in range(len(re)):
-        for _ in range((k + 1) % 4):  # times i
-            re[k], im[k] = -im[k], re[k]
-    return [sign * r for r in re], [sign * m for m in im], den
+def _times_i_powers(re: list, im: list, den: int, e: int) -> tuple:
+    """(re, im, den) with entry k multiplied by i^(e + k)."""
+    # Re(i^p (r + i m)) is r, -m, -r, m for p = 0..3 (mod 4); Im(...) = Re(i^(p+3) ...)
+    parts, ks = (re, im, [-r for r in re], [-m for m in im]), range(len(re))
+    return [parts[(-e - k) % 4][k] for k in ks], [parts[(1 - e - k) % 4][k] for k in ks], den
+
+
+def _laurent_numerators(at_a: tuple, at_0: tuple) -> tuple:
+    """(P, Q), entry k = p_(k+1), q_(k+1), from g's jets at a and at 0 (integer triples)."""
+    return _times_i_powers(*at_a, 3), _times_i_powers(*at_0, 1)  # -i^j = i^(j+2)
 
 
 def _floats(re, im, den) -> list:
@@ -111,13 +115,16 @@ class ClosedTransform:
             raise ValueError("interval endpoint a must be positive")
         return cls(a, g)
 
+    def _pq(self) -> tuple:
+        return _laurent_numerators(*(self.density.jet_numerators(x) for x in (self.a, 0)))
+
     @cached_property
     def osc(self) -> tuple:
-        return from_numerators(*_laurent_numerators(self.density, self.a, -1))
+        return from_numerators(*self._pq()[0])
 
     @cached_property
     def plain(self) -> tuple:
-        return from_numerators(*_laurent_numerators(self.density, 0, 1))
+        return from_numerators(*self._pq()[1])
 
     @cached_property
     def moments(self) -> tuple:
@@ -128,8 +135,7 @@ class ClosedTransform:
     @cached_property
     def _laurent(self):
         """(a, p, q) as floats; p and q hold one 0 for the zero density."""
-        osc = _floats(*_laurent_numerators(self.density, self.a, -1))
-        plain = _floats(*_laurent_numerators(self.density, 0, 1))
+        osc, plain = (_floats(*pq) for pq in self._pq())
         return float(self.a), np.array(osc or [0j]), np.array(plain or [0j])
 
     @cached_property

@@ -373,6 +373,27 @@ def test_emit_grid(tmp_path):
     assert abs(float(center[2]) - 1.0) < 1e-12
 
 
+def test_emit_grid_missing_input(tmp_path, capsys):
+    code = main(["emit-grid", "--input", str(tmp_path / "nope.json"),
+                 "--csv", str(tmp_path / "grid.csv")])
+    assert code == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_emit_grid_numeric_refusal(tmp_path, capsys):
+    # Im z up to 800 with a = 1: e^{iaz} would overflow on the grid
+    spec = json.loads((FIXTURES / "grid_demo.json").read_text())
+    spec["rect"] = {"re_min": -10, "re_max": 10, "im_min": -800, "im_max": 800}
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(spec))
+    code = main(["emit-grid", "--input", str(path), "--csv", str(tmp_path / "grid.csv")])
+    assert code == EXIT_NUMERIC_REFUSAL
+    err = capsys.readouterr().err
+    assert err.startswith("numeric refusal: EvaluationOverflow:") and err.count("\n") == 1
+
+
 def test_conflict_gate_never_fires_on_corpus(tmp_path):
     for name in ("const_vs_linear.json", "coincidence.json",
                  "cubic_vs_quadratic.json"):

@@ -4,18 +4,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bezoutiant.exact import GR, Poly
+from bezoutiant.exact import GR, Poly, from_numerators
 from bezoutiant.kernel import build_kernel, normalize_pair
 from bezoutiant.symbol import (
     COEFF_NONALGEBRAIC,
     CoincidenceCaseError,
+    DiffOperator,
     OrderViolationError,
     TieCancellationError,
     OUTCOME_COINCIDE,
     OUTCOME_INCONCLUSIVE,
     OUTCOME_NO_COMMON,
-    _boundary_sums,
-    _mirrored,
+    _equal,
     decide,
     l_operator,
     monomial_density,
@@ -55,22 +55,37 @@ def _nth_derivative(p: Poly, n: int) -> Poly:
     return p
 
 
+def _laurent_poly(triple) -> Poly:
+    """sum_k c_k w^(k+1) from an integer triple of `NormalizedPair.laurent`."""
+    return Poly((GR(0),) + from_numerators(*triple))
+
+
+def _d(pair) -> Poly:
+    """D = P1 Q21 - P21 Q1 of the pair's transforms, in w = 1/z."""
+    p1, q1, p21, q21 = map(_laurent_poly, pair.laurent)
+    return p1 * q21 - p21 * q1
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(gaussian_polys, gaussian_polys, st.sampled_from([F(1), F(7, 3), F(1, 2)]))
 def test_boundary_sum_identity_and_zero_symbol(p, q, a):
-    # W_r = int_0^a (Psi_2^(r+1) g1 + (-1)^r Psi_2 g1^(r+1)), which is 0
-    # for r >= Q: V vanishes for every pair (symbol module doc)
+    # W_m = i^m [w^(m+2)] D equals int_0^a (Psi_2^(m+1) g1 + (-1)^m Psi_2
+    # g1^(m+1)), which is 0 for m >= Q: V vanishes for every pair (symbol
+    # module doc); L(D) and V read these W
     psi1, psi2 = (p, q) if p.degree >= q.degree else (q, p)
     assume(psi1.integral(0, a) and psi2.integral(0, a))
     pair = normalize_pair(psi1, psi2, a)
     Q = pair.psi1.degree
     g1 = pair.psi1.conjugate()
-    w = _boundary_sums(pair, 0, 2 * Q + 1)
-    for r, w_r in enumerate(w):
-        integrand = (_nth_derivative(pair.psi2, r + 1) * g1
-                     + pair.psi2 * _nth_derivative(g1, r + 1) * (-1) ** r)
-        assert w_r == integrand.integral(0, a)
+    d = _d(pair)
+    i_powers = (GR(1), GR(0, 1), GR(-1), GR(0, -1))
+    w = [d.coeff(m + 2) * i_powers[m % 4] for m in range(2 * Q + 1)]
+    for m, w_m in enumerate(w):
+        integrand = (_nth_derivative(pair.psi2, m + 1) * g1
+                     + pair.psi2 * _nth_derivative(g1, m + 1) * (-1) ** m)
+        assert w_m == integrand.integral(0, a)
     assert not any(w[Q:])
+    assert l_operator(pair) == DiffOperator(tuple(reversed(w[:Q])))
     assert v_symbol(pair).is_zero
 
 
@@ -99,19 +114,42 @@ def mirror_pairs(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(mirror_pairs())
 def test_mirror_tests_from_jets_match_reflect(case):
-    # the jet comparisons in `decide` against the reflect definitions
+    # the Laurent-numerator comparisons in `decide` against the reflect
+    # definitions: coincident iff Q1 = Q21, symmetric iff Q1 = conj P1
     psi1, psi2, a, kind = case
     assume(psi1.integral(0, a) and psi2.integral(0, a))
     pair = normalize_pair(psi1, psi2, a)
-    _, g1_0, psi2_a, g1_a = pair.jets
+    p1, q1, _, q21 = pair.laurent
     symmetric = pair.psi1 == pair.psi1.reflect(a)
     coincident = pair.psi1 == pair.psi2.reflect(a)
-    assert _mirrored(g1_0, g1_a, conjugate=True) == symmetric
-    assert _mirrored(g1_0, psi2_a, conjugate=False) == coincident
+    assert _equal(q1, p1, conjugate=True) == symmetric
+    assert _equal(q1, q21) == coincident
     if kind == "symmetric":
         assert symmetric
     if kind in ("coincident", "swapped coincident"):
         assert coincident
+
+
+def test_laurent_numerators_vanish_at_shared_algebraic_zero():
+    # decide swaps the pair; for the ordered pair F_1 and F_{2,1} share the
+    # zero z = -i, so D(1/z) = 0 there and, since e^{iaz} = e^a is
+    # transcendental, P1, Q1, P21 and Q21 all vanish at w = 1/z = i.  The
+    # verdict does not take this step yet: D is not the zero polynomial.
+    v = decide(Poly.of(1, -3, 1), Poly.of(-5, 7, 3, -1), 1)
+    assert v.diagnostics["swapped"]
+    assert not _d(v.pair).is_zero
+    assert all(_laurent_poly(t)(GR(0, 1)) == 0 for t in v.pair.laurent)
+
+
+def test_laurent_numerators_when_d_vanishes():
+    # F_{2,1} = (1 - iz) F_1: D = 0 and L(D) = 0, yet only the factor
+    # 1 - iz = (w - i)/w of F_{2,1} vanishes at w = i
+    pair = normalize_pair(Poly.of(0, 1, -1), Poly.of(-1, 3, -1), 1)
+    assert _d(pair).is_zero
+    assert l_operator(pair).is_zero
+    p1, q1, p21, q21 = (_laurent_poly(t)(GR(0, 1)) for t in pair.laurent)
+    assert p1 != 0 and q1 != 0
+    assert p21 == 0 and q21 == 0
 
 
 def test_v_symbol_order_violation():
