@@ -292,18 +292,17 @@ def _write_report(report: dict, out_path) -> None:
 
 
 def emit_grid(spec_path, csv_path):
-    """|F1| and |F21| over a grid_n x grid_n grid of the search rectangle."""
+    """|F1| and |F21| over a grid_n x grid_n grid of the search rectangle; every
+    row is evaluated before the CSV is opened, so a refusal leaves no file."""
     spec, _ = _load_spec(spec_path)
     f1 = closed_form(spec.psi1, spec.a)
     f21 = reflected_transform(spec.psi2, spec.a)
     res = np.linspace(spec.rect.re_min, spec.rect.re_max, spec.grid_n)
     ims = np.linspace(spec.rect.im_min, spec.rect.im_max, spec.grid_n)
+    rows = [(im, *(np.abs(F.eval_many(res + 1j * im)) for F in (f1, f21))) for im in ims]
     with open(csv_path, "w") as fh:
         fh.write("re,im,absF1,absF21\n")
-        for im in ims:
-            z = res + 1j * im
-            a1 = np.abs(f1.eval_many(z))
-            a2 = np.abs(f21.eval_many(z))
+        for im, a1, a2 in rows:
             for r, v1, v2 in zip(res, a1, a2):
                 fh.write(f"{float(r)!r},{float(im)!r},{float(v1)!r},{float(v2)!r}\n")
     return EXIT_OK

@@ -397,10 +397,9 @@ class Poly:
         """Coefficient-wise conjugate; equals conj(p(t)) for real t."""
         return Poly(tuple(c.conjugate() for c in self.coeffs))
 
-    def reflect(self, a, conjugate: bool = True) -> "Poly":
-        """t -> conj(p(a-t)); with conjugate=False, t -> p(a-t)."""
-        q = self.compose_affine(a, -1)
-        return q.conjugate() if conjugate else q
+    def reflect(self, a) -> "Poly":
+        """t -> conj(p(a-t))."""
+        return self.compose_affine(a, -1).conjugate()
 
     def times_x(self, k: int = 1) -> "Poly":
         if self.is_zero:

@@ -46,7 +46,7 @@ import numpy as np
 
 from .exact import (GR_ONE, GR_ZERO, GaussianRational, MPoly, Poly, _frac, numerators,
                     taylor_shift)
-from .transform import _laurent_numerators
+from .transform import _conjugate, _laurent_numerators
 
 ALPHA_DEFAULT = GR_ONE
 BETA_DEFAULT = GR_ZERO
@@ -72,23 +72,14 @@ class NormalizedPair:
 
     @cached_property
     def laurent(self) -> tuple:
-        """(P1, Q1, P21, Q21) of F_1 and F_{2,1} (`transform._laurent_numerators`),
-        padded to the larger degree.  conj Psi_1 has the conjugate jets of Psi_1;
-        Psi_2(a-t) has (-1)^k Psi_2^(k)(0) at a and (-1)^k Psi_2^(k)(a) at 0."""
+        """(P1, Q1, P21, Q21), padded to the larger degree: (P, Q) of F_1 = `closed_form(psi1)`
+        from the conjugate jets of Psi_1 (`transform._laurent_numerators`), and of
+        F_{2,1}, the reflection of F_2 = `closed_form(psi2)`: (conj Q2, conj P2)."""
         n, a = max(self.psi1.degree, self.psi2.degree), self.a
-        g1 = (_conjugate(self.psi1.jet_numerators(x, n)) for x in (a, 0))
-        g21 = (_alternating(self.psi2.jet_numerators(x, n)) for x in (0, a))
-        return (*_laurent_numerators(*g1), *_laurent_numerators(*g21))
-
-
-def _conjugate(jet: tuple) -> tuple:
-    """The conjugate of an integer triple (re, im, den)."""
-    return jet[0], [-v for v in jet[1]], jet[2]
-
-
-def _alternating(jet: tuple) -> tuple:
-    """An integer triple (re, im, den) with entry k multiplied by (-1)^k."""
-    return (*([-v if k % 2 else v for k, v in enumerate(vs)] for vs in jet[:2]), jet[2])
+        (p1, q1), (p2, q2) = (_laurent_numerators(*(_conjugate(psi.jet_numerators(x, n))
+                                                    for x in (a, 0)))
+                              for psi in (self.psi1, self.psi2))
+        return p1, q1, _conjugate(q2), _conjugate(p2)
 
 
 @dataclass(frozen=True)
@@ -195,7 +186,7 @@ def build_m_functions(
 def _kernel_pieces(pair: NormalizedPair) -> tuple:
     """(U_lower, U_upper) from the table of A(y, u); see the module doc."""
     pr, pi, pd = numerators(pair.psi2.coeffs)
-    gr, gi, gd = numerators(pair.psi1.conjugate().coeffs)
+    gr, gi, gd = _conjugate(pair.psi1._numerators)
     d1, d2 = len(gr) - 1, len(pr) - 1
     top = d1 + d2 + 1  # highest power of y in A, and total degree of U
     ell = lcm(*range(1, top + 1))

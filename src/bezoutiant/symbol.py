@@ -6,8 +6,9 @@ Each transform is an exponential polynomial in w = 1/z,
 
 with g its density (`transform` module doc).  For the normalized, ordered
 pair (Q = deg Psi_1 >= deg Psi_2), P1, Q1 belong to F_1 (density
-g1 = conj Psi_1) and P21, Q21 to F_{2,1} (density Psi_2(a-t)), all four as
-integer numerators (`NormalizedPair.laurent`).  Everything here reads them:
+g1 = conj Psi_1) and P21, Q21 to F_{2,1} = R(F_2), with R(F)(z) =
+e^{iaz} conj F(conj z) = (a, conj Q, conj P), all four as integer
+numerators (`NormalizedPair.laurent`).  Everything here reads them:
 
 * L and V.  Differentiating Tf a total of Q+1 times gives a differential
   operator L(D) plus a convolution with the symbol V(x - t), with
@@ -20,12 +21,13 @@ integer numerators (`NormalizedPair.laurent`).  Everything here reads them:
   gives [w^(m+2)] D = (-i)^m W_m.  `l_operator` (m < Q) and `v_symbol`
   (Q <= m <= 2Q) sum only the range they read, on integer numerators over
   one denominator, and apply i^m once per output coefficient.
-* Coincidence.  psi_1 = conj psi_2(a-x) <=> Q1 = Q21: Q is g's jet at 0
-  times fixed units, and a polynomial is fixed by its jet at 0.
-* Symmetry.  psi_1 = conj psi_1(a-x) <=> Q1 = conj P1, since conj P1 is
-  the Q of the density conj g1(a-t) = Psi_1(a-t).
+* Coincidence.  psi_1 = conj psi_2(a-x) <=> F_1 = R(F_2) <=> Q1 = conj P2
+  (= Q21): Q is g's jet at 0 times fixed units, and fixes g.
+* Symmetry.  psi_1 = conj psi_1(a-x) <=> F_1 = R(F_1) <=> Q1 = conj P1.
 
 Both equalities are exact, compared by cross-multiplying the numerators.
+For (F, R(F)), D = P conj P - Q conj Q; a real zero of F, or a zero whose
+conjugate is one too, is a common zero of F and R(F) (ROADMAP item 2).
 
 V vanishes identically.  Put T_r(x) = sum_{i+j=r} (-1)^j Psi_2^(i)(x) g1^(j)(x);
 then W_r = T_r(a) - T_r(0).  In the derivative of T_r the inner terms

@@ -1,38 +1,40 @@
-"""Closed forms and numerical evaluation of F(z) = int_0^a e^{izt} conj(Psi(t)) dt.
+"""Closed forms and numerical evaluation of F(z) = int_0^a e^{izt} g(t) dt.
 
-For a polynomial density the transform has an exact closed form obtained by
-repeated integration by parts,
+A transform is the exponential polynomial F = (a, P, Q) in w = 1/z,
 
-    F(z) = e^{iaz} * sum_j p_j z^{-j}  +  sum_j q_j z^{-j},    j = 1..deg+1,
+    F(z) = e^{iaz} P(w) + Q(w),   p_j = -i^j g^(j-1)(a),  q_j = i^j g^(j-1)(0),
 
-with Gaussian-rational Laurent coefficients.  Near z = 0 the closed form
-cancels catastrophically, so a truncated Taylor series built from the exact
-moments mu_n = int_0^a t^n g(t) dt is used instead.
+j = 1..deg+1, by repeated integration by parts.  `ClosedTransform` holds a
+and P, Q as integer triples (re, im, den), entry j-1 = (re + i im) / den.
+`from_density` takes g's jets at a and at 0 (`Poly.jet_numerators`) and
+applies the units to the integers (`_laurent_numerators`, also read by
+`NormalizedPair.laurent`).  All else is derived on first use: `osc` and
+`plain` reduce each entry once, the floats `eval_many` reads divide each
+part once, and g comes from Q, as g_k = g^(k)(0)/k! = q_(k+1)/(i^(k+1) k!).
 
-A transform holds only a and g and derives the rest on first use:
+Near z = 0 the Laurent form cancels catastrophically; a truncated Taylor
+series of the moments mu_n = int_0^a t^n g(t) dt = sum_k g_k a^(n+k+1) /
+(n+k+1) is used there, summed on integer numerators over one table of the
+powers of a, built only for `moments` or the first point with
+|z| < SWITCH_RADIUS.  Python's int/int division and `Fraction.__float__`
+both round correctly, so every float is complex() of its exact
+coefficient, bit for bit, whichever route built the triple.
 
-* Laurent coefficients.  Integrating by parts j times gives
-  p_j = -i^j g^(j-1)(a) and q_j = i^j g^(j-1)(0): the jets of g at a and
-  at 0 (`Poly.jet_numerators`, one Taylor shift each), with the units
-  applied to the integer numerators (`_laurent_numerators`, also read by
-  `NormalizedPair.laurent`).  `osc` and `plain` reduce each entry once;
-  the floats `eval_many` reads divide each part once.
-* Moments.  mu_n = sum_k g_k a^(n+k+1) / (n+k+1), summed on integer
-  numerators over one table of the powers of a.  This big-integer table
-  is built only for `moments` or the first point with |z| < SWITCH_RADIUS.
+Reflection.  R(F)(z) = e^{iaz} conj F(conj z) is (a, conj Q, conj P) and
+the transform of conj g(a-t): with the bar on the coefficients,
+conj F(conj z) = e^{-iaz} conj P(w) + conj Q(w) = int_0^a e^{-izt} conj g(t) dt,
+and the factor e^{iaz} swaps the parts or, with s = a - t, gives
+int_0^a e^{izs} conj g(a-s) ds.  So F_{2,1}, the transform of Psi_2(a-t),
+is the reflection of F_2 = `closed_form(Psi_2)`, with no density built.
+As e^{iaz} != 0, R(F)(z) = 0 iff F(conj z) = 0: the zeros of F_{2,1} are
+the conjugates of F_2's (acceptance criterion 8).
 
-Python's int/int division and `Fraction.__float__` both round correctly,
-so every float is complex() of its exact coefficient, bit for bit.
-
-F' needs no exact data of its own.  `eval_many(z, with_derivative=True)`
+F' needs no exact data of its own: `eval_many(z, with_derivative=True)`
 returns (F(z), F'(z)) from one pass over F's float coefficients (Horner's
-rule with derivative; Higham, *Accuracy and Stability*, section 5.1):
-
-* Taylor form: the update dacc = dacc z + acc before acc = acc z + c;
-* Laurent form: with w = 1/z, P(w) = sum_j p_j w^j and Q(w) = sum_j q_j w^j
-  each step is t = acc + p, acc = t w, and d = d w + t carries P'(w) and
-  Q'(w); then F'(z) = e^{iaz} (i a P(w) - w^2 P'(w)) - w^2 Q'(w).
-
+rule with derivative; Higham, *Accuracy and Stability*, section 5.1).  The
+Taylor form updates dacc = dacc z + acc before acc = acc z + c; in the
+Laurent form each step is t = acc + p, acc = t w, and d = d w + t carries
+P'(w) and Q'(w), so F'(z) = e^{iaz} (i a P(w) - w^2 P'(w)) - w^2 Q'(w).
 Both values share the overflow check, the Taylor/Laurent split, 1/z and
 e^{iaz}, and F is bit for bit what `eval_many(z)` returns on its own.
 """
@@ -46,7 +48,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exact import Poly, _frac, from_numerators, numerators
+from .exact import Poly, _frac, from_numerators
 
 #: Crossover radius between the moment Taylor series and the Laurent form.
 SWITCH_RADIUS = 0.5
@@ -69,6 +71,11 @@ def _times_i_powers(re: list, im: list, den: int, e: int) -> tuple:
     return [parts[(-e - k) % 4][k] for k in ks], [parts[(1 - e - k) % 4][k] for k in ks], den
 
 
+def _conjugate(numers: tuple) -> tuple:
+    """The conjugate of an integer triple (re, im, den)."""
+    return numers[0], [-v for v in numers[1]], numers[2]
+
+
 def _laurent_numerators(at_a: tuple, at_0: tuple) -> tuple:
     """(P, Q), entry k = p_(k+1), q_(k+1), from g's jets at a and at 0 (integer triples)."""
     return _times_i_powers(*at_a, 3), _times_i_powers(*at_0, 1)  # -i^j = i^(j+2)
@@ -81,7 +88,7 @@ def _floats(re, im, den) -> list:
 
 def _moments(g: Poly, a: Fraction) -> tuple:
     """(re, im, den) of mu_n = sum_k g_k a^(n+k+1) / (n+k+1), n <= deg + EXTRA_MOMENTS."""
-    re, im, den = numerators(g.coeffs)
+    re, im, den = g._numerators
     count = g.degree + 1 + EXTRA_MOMENTS
     top = count + len(re) - 1  # largest power n + k + 1
     p, q = a.numerator, a.denominator
@@ -95,36 +102,39 @@ def _moments(g: Poly, a: Fraction) -> tuple:
     return mre, mim, den * q ** top * ell
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClosedTransform:
-    """Exact closed form of F(z) = int_0^a e^{izt} g(t) dt.
-
-    `density` is the integrand polynomial g (already conjugated/reflected
-    by the constructor helpers below).  The cached `osc` and `plain` hold
-    the Laurent coefficients p_j, q_j of z^{-j} (index j-1) and `moments`
-    holds mu_n; the floats `eval_many` reads are built on first use too.
-    """
+    """F = (a, P, Q) of int_0^a e^{izt} g(t) dt; `p`, `q` hold p_j, q_j at index j-1."""
 
     a: Fraction
-    density: Poly
+    p: tuple
+    q: tuple
 
     @classmethod
     def from_density(cls, g: Poly, a) -> "ClosedTransform":
+        """The transform of g, from g's jets at a and at 0."""
         a = _frac(a)
         if a <= 0:
             raise ValueError("interval endpoint a must be positive")
-        return cls(a, g)
+        return cls(a, *_laurent_numerators(*(g.jet_numerators(x) for x in (a, 0))))
 
-    def _pq(self) -> tuple:
-        return _laurent_numerators(*(self.density.jet_numerators(x) for x in (self.a, 0)))
+    def reflection(self) -> "ClosedTransform":
+        """R(F)(z) = e^{iaz} conj F(conj z), the transform of conj g(a-t) (module doc)."""
+        return ClosedTransform(self.a, _conjugate(self.q), _conjugate(self.p))
 
     @cached_property
     def osc(self) -> tuple:
-        return from_numerators(*self._pq()[0])
+        return from_numerators(*self.p)
 
     @cached_property
     def plain(self) -> tuple:
-        return from_numerators(*self._pq()[1])
+        return from_numerators(*self.q)
+
+    @cached_property
+    def density(self) -> Poly:
+        """g from Q: g_k = q_(k+1) / (i^(k+1) k!), as 1 / i^j = conj i^j."""
+        jet = from_numerators(*_conjugate(_times_i_powers(*_conjugate(self.q), 1)))
+        return Poly(tuple(c * Fraction(1, math.factorial(k)) for k, c in enumerate(jet)))
 
     @cached_property
     def moments(self) -> tuple:
@@ -135,7 +145,7 @@ class ClosedTransform:
     @cached_property
     def _laurent(self):
         """(a, p, q) as floats; p and q hold one 0 for the zero density."""
-        osc, plain = (_floats(*pq) for pq in self._pq())
+        osc, plain = _floats(*self.p), _floats(*self.q)
         return float(self.a), np.array(osc or [0j]), np.array(plain or [0j])
 
     @cached_property
@@ -200,6 +210,5 @@ def closed_form(psi: Poly, a) -> ClosedTransform:
 
 
 def reflected_transform(psi2: Poly, a) -> ClosedTransform:
-    """F_{2,1}(z) = int_0^a e^{izt} Psi_2(a-t) dt (no conjugation)."""
-    return ClosedTransform.from_density(psi2.reflect(a, conjugate=False), a)
-
+    """F_{2,1}(z) = int_0^a e^{izt} Psi_2(a-t) dt, the reflection of `closed_form(psi2, a)`."""
+    return closed_form(psi2, a).reflection()

@@ -388,10 +388,12 @@ def test_emit_grid_numeric_refusal(tmp_path, capsys):
     spec["rect"] = {"re_min": -10, "re_max": 10, "im_min": -800, "im_max": 800}
     path = tmp_path / "far.json"
     path.write_text(json.dumps(spec))
-    code = main(["emit-grid", "--input", str(path), "--csv", str(tmp_path / "grid.csv")])
+    csv = tmp_path / "grid.csv"
+    code = main(["emit-grid", "--input", str(path), "--csv", str(csv)])
     assert code == EXIT_NUMERIC_REFUSAL
     err = capsys.readouterr().err
     assert err.startswith("numeric refusal: EvaluationOverflow:") and err.count("\n") == 1
+    assert not csv.exists()  # every row is evaluated before the file is opened
 
 
 def test_conflict_gate_never_fires_on_corpus(tmp_path):

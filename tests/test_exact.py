@@ -67,7 +67,8 @@ def test_poly_reflect_conj_examples():
     assert Poly.of(0, 2).reflect(1) == Poly.of(2, -2)
     # p = i t, a = 2: conj(i(2 - t)) = -2i + i t
     assert Poly.of(0, GR(0, 1)).reflect(2) == Poly.of(GR(0, -2), GR(0, 1))
-    assert Poly.of(0, GR(0, 1)).reflect(2, conjugate=False) == Poly.of(GR(0, 2), GR(0, -1))
+    # without the conjugation, p(a - t) = 2i - i t
+    assert Poly.of(0, GR(0, 1)).compose_affine(2, -1) == Poly.of(GR(0, 2), GR(0, -1))
 
 
 def test_compose_affine_examples():

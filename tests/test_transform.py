@@ -12,7 +12,9 @@ from mpmath.calculus.quadrature import GaussLegendre
 
 import bezoutiant.transform as transform
 from bezoutiant.cli import ProblemSpec
-from bezoutiant.exact import GR, Poly
+from bezoutiant.exact import GR, Poly, from_numerators
+from bezoutiant.kernel import NormalizedPair
+from bezoutiant.symbol import OUTCOME_COINCIDE, decide
 from bezoutiant.transform import (
     SWITCH_RADIUS,
     ClosedTransform,
@@ -151,11 +153,59 @@ def test_reflection_involution_exact(rng):
     for _ in range(10):
         psi = random_admissible_poly(rng, rng.randint(0, 5), 1)
         a = F(rng.randint(1, 3))
-        double = psi.reflect(a, conjugate=False).reflect(a, conjugate=False)
+        double = psi.compose_affine(a, -1).compose_affine(a, -1)
         assert double == psi
         t1 = ClosedTransform.from_density(psi, a)
         t2 = ClosedTransform.from_density(double, a)
         assert t1.osc == t2.osc and t1.plain == t2.plain
+
+
+def _densities_of_kind(h, gaussian):
+    parts = st.fractions(min_value=-h, max_value=h, max_denominator=h)
+    coeff = st.builds(GR, parts, parts) if gaussian else st.builds(GR, parts)
+    return st.lists(coeff, min_size=1, max_size=17).map(lambda cs: Poly(tuple(cs)))
+
+
+# two densities of degree <= 16, both real or both Gaussian, height 6 or 1e6
+density_pairs = st.tuples(st.sampled_from([6, 10 ** 6]), st.booleans()).flatmap(
+    lambda kind: st.tuples(_densities_of_kind(*kind), _densities_of_kind(*kind)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(density_pairs, st.sampled_from([F(1), F(7, 3), F(1, 2)]))
+def test_reflection_is_the_transform_of_the_reflected_density(psis, a):
+    psi1, psi2 = psis
+    F1, F21 = closed_form(psi1, a), reflected_transform(psi2, a)
+    ref = ClosedTransform.from_density(psi2.compose_affine(a, -1), a)
+    twice = F1.reflection().reflection()
+    for name in ("osc", "plain", "moments", "density"):
+        assert getattr(F21, name) == getattr(ref, name), name
+        assert getattr(twice, name) == getattr(F1, name), name
+    assert F21._laurent[0] == ref._laurent[0]
+    for got, want in zip((*F21._laurent[1:], F21._taylor), (*ref._laurent[1:], ref._taylor)):
+        assert got.tobytes() == want.tobytes()
+    # laurent reads only the densities and a, so the masses play no part here
+    pair = NormalizedPair(psi1, psi2, a, GR(1), GR(1))
+    n = max(psi1.degree, psi2.degree) + 1
+    for triple, exact in zip(pair.laurent, (F1.osc, F1.plain, F21.osc, F21.plain)):
+        assert from_numerators(*triple) == exact + (GR(0),) * (n - len(exact))
+
+
+def test_no_reflected_density_on_transform_paths(monkeypatch):
+    # the verdict, both transforms and their evaluation (Taylor and Laurent
+    # form) read (a, P, Q) only: no density is composed with a - t
+    def refuse(*args):
+        raise AssertionError("Poly.compose_affine called")
+    monkeypatch.setattr(Poly, "compose_affine", refuse)
+    z = np.array([0.0, 0.3 - 0.2j, 0.45j, 0.6, 2.0 + 1.0j, -7.5 - 0.3j])
+    gauss = (Poly.of(1, GR(0, 2), -3, GR(1, 1)), Poly.of(F(1, 2), GR(1, -1)), F(7, 3))
+    for psi1, psi2, a in ((ONE, TWO_T, 1), (TWO_T, Poly.of(2, -2), 1), gauss):
+        for p, q in ((psi1, psi2), (psi2, psi1)):
+            decide(p, q, a)
+        for Ft in (closed_form(psi1, a), reflected_transform(psi2, a)):
+            f, fp = Ft.eval_many(z, with_derivative=True)
+            assert np.all(np.isfinite(f)) and np.all(np.isfinite(fp))
+    assert decide(TWO_T, Poly.of(2, -2), 1).outcome == OUTCOME_COINCIDE
 
 
 def _fprime(Ft, z):
