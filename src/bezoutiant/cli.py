@@ -38,12 +38,7 @@ import numpy as np
 
 from . import __version__
 from .exact import Poly, parse_rational
-from .kernel import (
-    NormalizedPair,
-    build_kernel,
-    build_m_functions,
-    normalize_pair,  # not called here; perfbench/spans.py wraps cli.normalize_pair
-)
+from .kernel import build_kernel, build_m_functions, normalize_pair
 from .operator_lab import convergence_study
 from .symbol import (
     COEFF_NONALGEBRAIC,
@@ -158,7 +153,10 @@ def _grid_size(value) -> int:
 
 
 def _search_rect(*bounds) -> SearchRect:
-    """SearchRect(*bounds) as floats (finite, margin >= 0), else a SpecError at rect."""
+    """SearchRect(*bounds) as floats (finite, margin >= 0, no boolean), else a
+    SpecError at rect."""
+    if any(isinstance(b, bool) for b in bounds):
+        raise SpecError("rect", f"bounds must be numbers, not booleans: {bounds!r}")
     try:
         return SearchRect(*map(float, bounds))
     except (TypeError, ValueError) as exc:
@@ -227,9 +225,7 @@ def run(spec_path, out_path, tasks=None, rect=None, tol=None, grid_n=None):
 
     needs_pair = {"kernel", "operator-check"} & set(spec.tasks)
     if needs_pair and verdict.outcome != OUTCOME_INCONCLUSIVE:
-        pair = verdict.pair
-        if verdict.diagnostics["swapped"]:  # back to the spec's order
-            pair = NormalizedPair(pair.psi2, pair.psi1, pair.a, pair.r2, pair.r1)
+        pair = normalize_pair(spec.psi1, spec.psi2, spec.a)
         mf = build_m_functions(pair)
         kern = build_kernel(pair)
         if "kernel" in spec.tasks:
@@ -240,8 +236,7 @@ def run(spec_path, out_path, tasks=None, rect=None, tol=None, grid_n=None):
 
     if "zeros" in spec.tasks and verdict.outcome != OUTCOME_INCONCLUSIVE:
         located = []
-        for name, F in (("F1", closed_form(spec.psi1, spec.a)),
-                        ("F21", reflected_transform(spec.psi2, spec.a))):
+        for name, F in zip(("F1", "F21"), verdict.transforms):
             try:
                 located.append(locate_zeros(F, spec.rect, spec.tol))
             except NUMERIC_REFUSALS as exc:

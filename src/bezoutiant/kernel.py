@@ -46,7 +46,7 @@ import numpy as np
 
 from .exact import (GR_ONE, GR_ZERO, GaussianRational, MPoly, Poly, _frac, numerators,
                     taylor_shift)
-from .transform import _conjugate, _laurent_numerators
+from .transform import _conjugate
 
 ALPHA_DEFAULT = GR_ONE
 BETA_DEFAULT = GR_ZERO
@@ -62,24 +62,15 @@ class DegenerateChoiceError(ValueError):
 
 @dataclass(frozen=True)
 class NormalizedPair:
-    """Densities scaled to unit mass, with the original normalizers kept."""
+    """Densities scaled to unit mass, with the original normalizers kept; read
+    by the kernel, the M-functions, the operator check, `l_operator` and
+    `v_symbol`.  `decide` needs no normalized pair (`symbol` module doc)."""
 
     psi1: Poly
     psi2: Poly
     a: Fraction
     r1: GaussianRational
     r2: GaussianRational
-
-    @cached_property
-    def laurent(self) -> tuple:
-        """(P1, Q1, P21, Q21), padded to the larger degree: (P, Q) of F_1 = `closed_form(psi1)`
-        from the conjugate jets of Psi_1 (`transform._laurent_numerators`), and of
-        F_{2,1}, the reflection of F_2 = `closed_form(psi2)`: (conj Q2, conj P2)."""
-        n, a = max(self.psi1.degree, self.psi2.degree), self.a
-        (p1, q1), (p2, q2) = (_laurent_numerators(*(_conjugate(psi.jet_numerators(x, n))
-                                                    for x in (a, 0)))
-                              for psi in (self.psi1, self.psi2))
-        return p1, q1, _conjugate(q2), _conjugate(p2)
 
 
 @dataclass(frozen=True)

@@ -4,38 +4,41 @@ Each transform is an exponential polynomial in w = 1/z,
 
     F(z) = e^{iaz} P(w) + Q(w),    p_j = -i^j g^(j-1)(a),  q_j = i^j g^(j-1)(0),
 
-with g its density (`transform` module doc).  For the normalized, ordered
-pair (Q = deg Psi_1 >= deg Psi_2), P1, Q1 belong to F_1 (density
-g1 = conj Psi_1) and P21, Q21 to F_{2,1} = R(F_2), with R(F)(z) =
-e^{iaz} conj F(conj z) = (a, conj Q, conj P), all four as integer
-numerators (`NormalizedPair.laurent`).  Everything here reads them:
+with g its density (`transform` module doc).  `decide` reads the spec's
+pair as it is: P1, Q1 of F_1 = `closed_form(Psi_1)` (density g1 =
+conj Psi_1) and P21, Q21 of F_{2,1} = R(F_2), R(F)(z) = e^{iaz} conj F(conj z)
+= (a, conj Q, conj P), the integer triples the two transforms hold, which
+`Verdict.transforms` hands on to the zero locator.  Everything reads
 
-* L and V.  Differentiating Tf a total of Q+1 times gives a differential
-  operator L(D) plus a convolution with the symbol V(x - t), with
+    D = P1 Q21 - P21 Q1.
+
+* L and V.  For the normalized pair ordered so that Q = deg Psi_1 >=
+  deg Psi_2, differentiating Tf Q+1 times gives a differential operator
+  L(D) plus a convolution with the symbol V(x - t), with
 
       L(D) = sum_{s<Q} W_{Q-1-s} D^s,   V(u) = sum_{m<=Q} W_{Q+m} u^m / m!,
-      W_m = i^m [w^(m+2)] D,           D = P1 Q21 - P21 Q1.
 
-  W_m is the paper's boundary sum sum_{i+j=m} [(-1)^i g1^(i)(a)
-  Psi_2^(j)(a) - (-1)^j Psi_2^(i)(0) g1^(j)(0)]; putting the jets into D
-  gives [w^(m+2)] D = (-i)^m W_m.  `l_operator` (m < Q) and `v_symbol`
-  (Q <= m <= 2Q) sum only the range they read, on integer numerators over
-  one denominator, and apply i^m once per output coefficient.
-* Coincidence.  psi_1 = conj psi_2(a-x) <=> F_1 = R(F_2) <=> Q1 = conj P2
-  (= Q21): Q is g's jet at 0 times fixed units, and fixes g.
-* Symmetry.  psi_1 = conj psi_1(a-x) <=> F_1 = R(F_1) <=> Q1 = conj P1.
-
-Both equalities are exact, compared by cross-multiplying the numerators.
-For (F, R(F)), D = P conj P - Q conj Q; a real zero of F, or a zero whose
-conjugate is one too, is a common zero of F and R(F) (ROADMAP item 2).
+  and W_m = i^m [w^(m+2)] D is the paper's boundary sum sum_{i+j=m}
+  [(-1)^i g1^(i)(a) Psi_2^(j)(a) - (-1)^j Psi_2^(i)(0) g1^(j)(0)], as the
+  jets in D show.  `l_operator` (m < Q) and `v_symbol` (Q <= m <= 2Q) take
+  that pair and sum only the range they read, on integer numerators.
+* Mirror tests, normalized.  Coincidence psi_1 = conj psi_2(a-x) <=>
+  F_1 = R(F_2) <=> Q1 = Q21, as Q is g's jet at 0 times fixed units;
+  symmetry psi_1 = conj psi_1(a-x) <=> F_1 = R(F_1) <=> Q1 = conj P1.
+* Scale.  With masses R_k = int_0^a Psi_k, normalizing divides g1, so F_1,
+  by conj R1, and F_2 by conj R2, so R(F_2) by R2: D_norm = D / (conj R1 R2),
+  and on the spec's triples the tests read Q1 R2 = Q21 conj R1 and
+  Q1 R1 = conj P1 conj R1, compared exactly by cross-multiplying.
+* Swap.  Exchanging Psi_1 and Psi_2 gives F_1' = F_2, F_{2,1}' = R(F_1), so
+  D' = P2 conj P1 - conj Q1 Q2 = conj D (bars on the coefficients), and
+  W'_m vanishes where W_m does.  So the order of L(D) and whether L = 0
+  need no swap and no masses: `decide` reads W_m, m < Q = the larger degree.
+* For (F, R(F)), D = P conj P - Q conj Q: a real zero of F, or one whose
+  conjugate is one too, is a common zero of F and R(F) (ROADMAP item 2).
 
 V vanishes identically.  Put T_r(x) = sum_{i+j=r} (-1)^j Psi_2^(i)(x) g1^(j)(x);
 then W_r = T_r(a) - T_r(0).  In the derivative of T_r the inner terms
-telescope,
-
-    T_r' = Psi_2^(r+1) g1 + (-1)^r Psi_2 g1^(r+1),
-
-so W_r = int_0^a (Psi_2^(r+1) g1 + (-1)^r Psi_2 g1^(r+1)) dt.  For r >= Q
+telescope, T_r' = Psi_2^(r+1) g1 + (-1)^r Psi_2 g1^(r+1), and for r >= Q
 both derivatives of order r+1 > Q >= deg Psi_2 vanish, hence W_r = 0 and
 V = 0 for every polynomial pair.  `decide` therefore reads only L(D);
 `v_symbol` stays as a checked artifact of the paper's construction.
@@ -47,18 +50,17 @@ it does not rule z0 out.  The missing step is Hermite-Lindemann (ROADMAP
 item 1): e^{iaz0} is then transcendental, so P1, Q1, P21 and Q21 all
 vanish at w0, and the common nonzero zeros are the roots of their gcd.
 
-`decide` reports ZeroSetsCoincide for a coincident normalized pair and,
-for rational coefficients, NoCommonZeros for every other pair; the order
-of L(D) is a diagnostic (`l_order`), and whether L(D) vanishes names the
-theorem.  That NoCommonZeros is wrong when the transforms share an
-algebraic zero: psi_1 = 1 - 3x + x^2, psi_2 = -5 + 7x + 3x^2 - x^3, a = 1
-gives l_order 2, yet all four Laurent polynomials of the ordered pair
-vanish at w = i.  The conflict gate of the CLI (exit 3) catches such a
-pair once the zeros are located.  Dividing by the masses makes the tests
-scale-free: Psi_2 = c conj Psi_1(a-x) (then F_{2,1} = c F_1) is coincident
-once normalized, and a density symmetric up to a unit factor is
-symmetric.  The monomial family x^m (a-x)^n admits a closed order
-formula, cross-validated here against the general expansion.
+`decide` reports ZeroSetsCoincide for a coincident pair and, for rational
+coefficients, NoCommonZeros for every other pair; the order of L(D) is a
+diagnostic (`l_order`), and whether L(D) vanishes names the theorem.  That
+NoCommonZeros is wrong when the transforms share an algebraic zero:
+psi_1 = 1 - 3x + x^2, psi_2 = -5 + 7x + 3x^2 - x^3, a = 1 gives l_order 2,
+yet F_1 and F_{2,1} vanish at z = i, and all four Laurent polynomials at
+w = -i; the CLI's conflict gate (exit 3) catches it once the zeros are
+located.  The masses make the tests scale-free: Psi_2 = c conj Psi_1(a-x)
+(then F_{2,1} = c F_1) is coincident, and a density symmetric up to a unit
+factor is symmetric.  The monomial family x^m (a-x)^n admits a closed
+order formula, cross-validated here against the general expansion.
 """
 
 from __future__ import annotations
@@ -66,11 +68,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Optional
 
-from .exact import GR, GR_ONE, Poly, _frac, from_numerators
-from .kernel import NormalizedPair, ZeroMassError, normalize_pair
-from .transform import _times_i_powers
+from .exact import GR, GR_ONE, Poly, _frac, from_numerators, numerators
+# normalize_pair is not called here; perfbench/spans.py wraps symbol.normalize_pair
+from .kernel import NormalizedPair, normalize_pair
+from .transform import (ClosedTransform, _conjugate, _times_i_powers, closed_form,
+                        reflected_transform)
 
 
 class OrderViolationError(ValueError):
@@ -113,45 +118,53 @@ class DiffOperator:
         return len(self.coeffs) - 1 if self.coeffs else None
 
 
-def _w(pair: NormalizedPair, lo: int, hi: int) -> tuple:
+def _w(f1: ClosedTransform, f21: ClosedTransform, lo: int, hi: int) -> tuple:
     """W_m = i^m [w^(m+2)] D, D = P1 Q21 - P21 Q1, for lo <= m < hi (module doc)."""
-    if pair.psi1.degree < pair.psi2.degree:
-        raise OrderViolationError("requires deg Psi_1 >= deg Psi_2")
-    (p1r, p1i, p1d), (q1r, q1i, q1d), (p2r, p2i, p2d), (q2r, q2i, q2d) = pair.laurent
-    n = len(p1r)
+    (p1r, p1i, p1d), (q1r, q1i, q1d) = f1.p, f1.q
+    (p2r, p2i, p2d), (q2r, q2i, q2d) = f21.p, f21.q
+    n1, n2 = len(p1r), len(p2r)
     den = math.lcm(p1d * q2d, p2d * q1d)
     s_scale, t_scale = den // (p1d * q2d), den // (p2d * q1d)
     dr, di = [], []
     for m in range(lo, hi):
         sr = si = tr = ti = 0
-        for k in range(max(0, m - n + 1), min(m, n - 1) + 1):
+        for k in range(max(0, m - n2 + 1), min(m, n1 - 1) + 1):
             j = m - k
             sr += p1r[k] * q2r[j] - p1i[k] * q2i[j]
             si += p1r[k] * q2i[j] + p1i[k] * q2r[j]
-            tr += p2r[k] * q1r[j] - p2i[k] * q1i[j]
-            ti += p2r[k] * q1i[j] + p2i[k] * q1r[j]
+            tr += p2r[j] * q1r[k] - p2i[j] * q1i[k]
+            ti += p2r[j] * q1i[k] + p2i[j] * q1r[k]
         dr.append(sr * s_scale - tr * t_scale)
         di.append(si * s_scale - ti * t_scale)
     return from_numerators(*_times_i_powers(dr, di, den, lo))
 
 
-def _equal(left, right, conjugate: bool = False) -> bool:
-    """left == right (conj right if `conjugate`) on integer triples, by cross-multiplying."""
-    (lr, li, ld), (rr, ri, rd) = left, right
-    si = -rd if conjugate else rd
-    return (all(x * rd == y * ld for x, y in zip(lr, rr))
-            and all(x * si == y * ld for x, y in zip(li, ri)))
+def _equal(left, right, l_scale=GR_ONE, r_scale=GR_ONE, conjugate: bool = False) -> bool:
+    """left l_scale == right r_scale (conj right if `conjugate`) on integer triples,
+    by cross-multiplying; missing entries count as 0."""
+    (lr, li, ld), (rr, ri, rd) = left, _conjugate(right) if conjugate else right
+    (sr, tr), (si, ti), _ = numerators((l_scale, r_scale))  # one denominator, which cancels
+    return all((x * sr - y * si) * rd == (u * tr - v * ti) * ld
+               and (x * si + y * sr) * rd == (u * ti + v * tr) * ld
+               for x, y, u, v in zip_longest(lr, li, rr, ri, fillvalue=0))
+
+
+def _transforms(pair: NormalizedPair) -> tuple:
+    """(F_1, F_{2,1}) of the normalized pair, which must be ordered."""
+    if pair.psi1.degree < pair.psi2.degree:
+        raise OrderViolationError("requires deg Psi_1 >= deg Psi_2")
+    return closed_form(pair.psi1, pair.a), reflected_transform(pair.psi2, pair.a)
 
 
 def v_symbol(pair: NormalizedPair) -> Poly:
     """Exact symbol V(u): its u^m coefficient is W_{Q+m} / m!."""
-    w = _w(pair, pair.psi1.degree, 2 * pair.psi1.degree + 1)
+    w = _w(*_transforms(pair), pair.psi1.degree, 2 * pair.psi1.degree + 1)
     return Poly(tuple(c * Fraction(1, math.factorial(m)) for m, c in enumerate(w)))
 
 
 def l_operator(pair: NormalizedPair) -> DiffOperator:
     """Exact coefficients of L(D) = sum_s W_{Q-1-s} D^s."""
-    return DiffOperator(tuple(reversed(_w(pair, 0, pair.psi1.degree))))
+    return DiffOperator(tuple(reversed(_w(*_transforms(pair), 0, pair.psi1.degree))))
 
 
 def monomial_density(m: int, n: int, a) -> Poly:
@@ -219,15 +232,15 @@ COEFF_NONALGEBRAIC = "nonalgebraic-float"
 
 @dataclass(frozen=True)
 class Verdict:
-    """The verdict; `pair` is the normalized, ordered pair it was read from
-    (None when a mass vanishes), kept for the kernel and not reported."""
+    """The verdict; `transforms` is the spec-order (F_1, F_{2,1}) it was read
+    from, kept for the zero locator and not reported."""
 
     outcome: str
     theorem: str
     no_real_zeros: bool
     no_conjugate_pairs: bool
     diagnostics: dict = field(default_factory=dict)
-    pair: Optional[NormalizedPair] = field(default=None, compare=False, repr=False)
+    transforms: tuple = field(default=(), compare=False, repr=False)
 
     def to_json(self):
         keys = ("outcome", "theorem", "no_real_zeros", "no_conjugate_pairs", "diagnostics")
@@ -237,41 +250,43 @@ class Verdict:
 def decide(psi1: Poly, psi2: Poly, a, coeff_class: str = COEFF_RATIONAL) -> Verdict:
     """Render the common-zero verdict for F_1 and F_{2,1}.
 
-    The pair is normalized and ordered internally (deg Psi_1 >= deg Psi_2,
-    swap recorded in diagnostics); the structural flags always refer to the
-    F_1 of the ordered pair.
+    Everything is read from the spec-order transforms and the masses (module
+    doc: scale and swap).  `swapped` records deg Psi_1 < deg Psi_2, and the
+    structural flags refer to the density of higher degree (Psi_2 if swapped).
     """
     if coeff_class not in (COEFF_RATIONAL, COEFF_NONALGEBRAIC):
         raise ValueError(f"unknown coeff_class {coeff_class!r}")
     a = _frac(a)
-    diagnostics: dict = {"coeff_class": coeff_class, "swapped": psi1.degree < psi2.degree}
-    if diagnostics["swapped"]:
-        psi1, psi2 = psi2, psi1
+    f1, f2 = closed_form(psi1, a), closed_form(psi2, a)
+    f21 = f2.reflection()
+    transforms = (f1, f21)
+    swapped = psi1.degree < psi2.degree
+    diagnostics: dict = {"coeff_class": coeff_class, "swapped": swapped}
 
-    try:
-        pair = normalize_pair(psi1, psi2, a)
-    except ZeroMassError as exc:
-        diagnostics["reason"] = f"zero-mass density: {exc}"
+    r1, r2 = psi1.integral(0, a), psi2.integral(0, a)
+    if not r1 or not r2:
+        diagnostics["reason"] = "zero-mass density: a density has zero mass on [0, a]"
         return Verdict(OUTCOME_INCONCLUSIVE, "mass condition violated",
-                       False, False, diagnostics)
-    diagnostics["normalizers"] = [pair.r1.to_json(), pair.r2.to_json()]
+                       False, False, diagnostics, transforms)
+    diagnostics["normalizers"] = [r.to_json() for r in ((r2, r1) if swapped else (r1, r2))]
 
-    p1, q1, _, q21 = pair.laurent
-    asym = not _equal(q1, p1, conjugate=True)  # psi_1(x) != conj(psi_1(a-x))
-    diagnostics["coincidence"] = coincident = _equal(q1, q21)  # psi_1(x) == conj(psi_2(a-x))
+    f, r = (f2, r2) if swapped else (f1, r1)
+    asym = not _equal(f.q, f.p, r, r.conjugate(), conjugate=True)  # psi(x) != conj(psi(a-x))
+    # psi_1(x) == conj(psi_2(a-x)), both normalized
+    diagnostics["coincidence"] = coincident = _equal(f1.q, f21.q, r2, r1.conjugate())
     if coincident:
         return Verdict(OUTCOME_COINCIDE, "coincidence case", asym, asym,
-                       diagnostics, pair)
+                       diagnostics, transforms)
 
-    L = l_operator(pair)
+    L = DiffOperator(tuple(reversed(_w(f1, f21, 0, max(psi1.degree, psi2.degree)))))
     diagnostics["v_is_zero"] = True  # W_r = 0 for r >= Q (module doc)
     diagnostics["l_order"] = L.order
 
     if coeff_class == COEFF_RATIONAL:
         theorem = ("zero operator, exact coefficients" if L.is_zero
                    else "nonnegative operator order")
-        return Verdict(OUTCOME_NO_COMMON, theorem, asym, asym, diagnostics, pair)
+        return Verdict(OUTCOME_NO_COMMON, theorem, asym, asym, diagnostics, transforms)
 
     diagnostics["reason"] = "zero symbol with non-algebraic coefficients: no criterion applies"
     return Verdict(OUTCOME_INCONCLUSIVE, "no applicable criterion",
-                   asym, asym, diagnostics, pair)
+                   asym, asym, diagnostics, transforms)

@@ -7,10 +7,10 @@ A transform is the exponential polynomial F = (a, P, Q) in w = 1/z,
 j = 1..deg+1, by repeated integration by parts.  `ClosedTransform` holds a
 and P, Q as integer triples (re, im, den), entry j-1 = (re + i im) / den.
 `from_density` takes g's jets at a and at 0 (`Poly.jet_numerators`) and
-applies the units to the integers (`_laurent_numerators`, also read by
-`NormalizedPair.laurent`).  All else is derived on first use: `osc` and
-`plain` reduce each entry once, the floats `eval_many` reads divide each
-part once, and g comes from Q, as g_k = g^(k)(0)/k! = q_(k+1)/(i^(k+1) k!).
+applies the units to the integers; `symbol.decide` reads these triples as
+they are.  All else is derived on first use: `osc` and `plain` reduce each
+entry once, the floats `eval_many` reads divide each part once, and g comes
+from Q, as g_k = g^(k)(0)/k! = q_(k+1)/(i^(k+1) k!).
 
 Near z = 0 the Laurent form cancels catastrophically; a truncated Taylor
 series of the moments mu_n = int_0^a t^n g(t) dt = sum_k g_k a^(n+k+1) /
@@ -76,11 +76,6 @@ def _conjugate(numers: tuple) -> tuple:
     return numers[0], [-v for v in numers[1]], numers[2]
 
 
-def _laurent_numerators(at_a: tuple, at_0: tuple) -> tuple:
-    """(P, Q), entry k = p_(k+1), q_(k+1), from g's jets at a and at 0 (integer triples)."""
-    return _times_i_powers(*at_a, 3), _times_i_powers(*at_0, 1)  # -i^j = i^(j+2)
-
-
 def _floats(re, im, den) -> list:
     """(re[k] + i im[k]) / den as complex floats, each part divided once."""
     return [complex(r / den, m / den) for r, m in zip(re, im)]
@@ -116,7 +111,8 @@ class ClosedTransform:
         a = _frac(a)
         if a <= 0:
             raise ValueError("interval endpoint a must be positive")
-        return cls(a, *_laurent_numerators(*(g.jet_numerators(x) for x in (a, 0))))
+        at_a, at_0 = (g.jet_numerators(x) for x in (a, 0))
+        return cls(a, _times_i_powers(*at_a, 3), _times_i_powers(*at_0, 1))  # -i^j = i^(j+2)
 
     def reflection(self) -> "ClosedTransform":
         """R(F)(z) = e^{iaz} conj F(conj z), the transform of conj g(a-t) (module doc)."""

@@ -20,10 +20,11 @@ from bezoutiant.cli import (
     main,
     run,
 )
-from bezoutiant import cli
+from bezoutiant import cli, kernel, symbol
 from bezoutiant.exact import GR, Poly
 from bezoutiant.kernel import build_kernel, normalize_pair
-from bezoutiant.symbol import OUTCOME_COINCIDE, OUTCOME_NO_COMMON
+from bezoutiant.symbol import OUTCOME_COINCIDE, OUTCOME_NO_COMMON, decide
+from bezoutiant.transform import ClosedTransform
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -177,6 +178,36 @@ def test_spec_file_read_once(tmp_path, monkeypatch):
     assert report["provenance"]["spec_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def test_each_transform_built_once_and_decide_normalizes_nothing(monkeypatch):
+    # decide builds the spec's two transforms, and the zero locator reads
+    # the same two; no mass division runs on the verdict path
+    raw = ClosedTransform.__dict__["from_density"].__func__
+    built = []
+
+    def counted(cls, g, a):
+        built.append(g)
+        return raw(cls, g, a)
+
+    monkeypatch.setattr(ClosedTransform, "from_density", classmethod(counted))
+    for tasks in (("decide",), ("decide", "zeros")):
+        built.clear()
+        report, code = run(FIXTURES / "cubic_vs_quadratic.json", None, tasks=tasks)
+        assert code == EXIT_OK and ("zero_sets" in report) == ("zeros" in tasks)
+        assert len(built) == 2
+
+    def refuse(*args):
+        raise AssertionError("normalization on the verdict path")
+
+    for owner, attr in ((Poly, "__truediv__"), (kernel, "normalize_pair"),
+                        (symbol, "normalize_pair")):
+        monkeypatch.setattr(owner, attr, refuse)
+    scaled = (Poly.of(GR(1, 2), 3), Poly.of(GR(4, 8), GR(0, -6)), 1)  # Psi_2 = 2i conj Psi_1(1-x)
+    for psi1, psi2, a in ((Poly.of(1, 1, -1), Poly.of(1), 1), (Poly.of(1), Poly.of(0, 2), 1),
+                          scaled, (Poly.of(F(-1, 2), 1), Poly.of(1), 1)):
+        decide(psi1, psi2, a)
+    assert decide(*scaled).outcome == OUTCOME_COINCIDE
+
+
 @pytest.mark.parametrize("content", [None, b"\xff\xfe\x00{"])
 def test_unreadable_spec_writes_report(tmp_path, content):
     # a directory cannot be read; bytes that decode to no JSON text are no spec
@@ -212,8 +243,9 @@ def test_spec_validation_paths():
 @pytest.mark.parametrize("field", [
     {"tasks": ["frobnicate"]}, {"tasks": None}, {"tasks": 5}, {"tasks": "decide"},
     {"tasks": ["decide", 5]}, {"tol": True}, {"delta": False},
+    {"rect": {"re_min": True}}, {"rect": {"boundary_margin": False}},
 ], ids=["unknown-task", "tasks-null", "tasks-int", "tasks-string", "tasks-non-string",
-        "tol-true", "delta-false"])
+        "tol-true", "delta-false", "rect-re_min-true", "rect-margin-false"])
 def test_malformed_field_exit_code(tmp_path, field):
     # refused at the field's own path, and the CLI exits 1 with an error report
     (key,) = field

@@ -22,7 +22,7 @@ from bezoutiant.symbol import (
     monomial_order,
     v_symbol,
 )
-from bezoutiant.transform import closed_form
+from bezoutiant.transform import closed_form, reflected_transform
 from bezoutiant.zeros import SearchRect, locate_zeros, structure_checks
 from conftest import random_admissible_poly
 
@@ -56,14 +56,23 @@ def _nth_derivative(p: Poly, n: int) -> Poly:
 
 
 def _laurent_poly(triple) -> Poly:
-    """sum_k c_k w^(k+1) from an integer triple of `NormalizedPair.laurent`."""
+    """sum_k c_k w^(k+1) from an integer triple `p` or `q` of a transform."""
     return Poly((GR(0),) + from_numerators(*triple))
 
 
-def _d(pair) -> Poly:
-    """D = P1 Q21 - P21 Q1 of the pair's transforms, in w = 1/z."""
-    p1, q1, p21, q21 = map(_laurent_poly, pair.laurent)
+def _laurent_polys(f1, f21) -> tuple:
+    """(P1, Q1, P21, Q21) of two transforms, in w = 1/z."""
+    return tuple(_laurent_poly(t) for t in (f1.p, f1.q, f21.p, f21.q))
+
+
+def _d(f1, f21) -> Poly:
+    """D = P1 Q21 - P21 Q1 of F_1 and F_{2,1}, in w = 1/z."""
+    p1, q1, p21, q21 = _laurent_polys(f1, f21)
     return p1 * q21 - p21 * q1
+
+
+def _normalized_transforms(pair) -> tuple:
+    return closed_form(pair.psi1, pair.a), reflected_transform(pair.psi2, pair.a)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -77,7 +86,7 @@ def test_boundary_sum_identity_and_zero_symbol(p, q, a):
     pair = normalize_pair(psi1, psi2, a)
     Q = pair.psi1.degree
     g1 = pair.psi1.conjugate()
-    d = _d(pair)
+    d = _d(*_normalized_transforms(pair))
     i_powers = (GR(1), GR(0, 1), GR(-1), GR(0, -1))
     w = [d.coeff(m + 2) * i_powers[m % 4] for m in range(2 * Q + 1)]
     for m, w_m in enumerate(w):
@@ -115,39 +124,73 @@ def mirror_pairs(draw):
 @given(mirror_pairs())
 def test_mirror_tests_from_jets_match_reflect(case):
     # the Laurent-numerator comparisons in `decide` against the reflect
-    # definitions: coincident iff Q1 = Q21, symmetric iff Q1 = conj P1
+    # definitions of the normalized pair: coincident iff Q1 R2 = Q21 conj R1,
+    # symmetric iff Q1 R1 = conj P1 conj R1, on the spec's transforms
     psi1, psi2, a, kind = case
-    assume(psi1.integral(0, a) and psi2.integral(0, a))
+    r1, r2 = psi1.integral(0, a), psi2.integral(0, a)
+    assume(r1 and r2)
     pair = normalize_pair(psi1, psi2, a)
-    p1, q1, _, q21 = pair.laurent
+    f1, f21 = closed_form(psi1, a), reflected_transform(psi2, a)
     symmetric = pair.psi1 == pair.psi1.reflect(a)
     coincident = pair.psi1 == pair.psi2.reflect(a)
-    assert _equal(q1, p1, conjugate=True) == symmetric
-    assert _equal(q1, q21) == coincident
+    assert _equal(f1.q, f1.p, r1, r1.conjugate(), conjugate=True) == symmetric
+    assert _equal(f1.q, f21.q, r2, r1.conjugate()) == coincident
     if kind == "symmetric":
         assert symmetric
     if kind in ("coincident", "swapped coincident"):
         assert coincident
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(mirror_pairs())
+def test_decide_matches_the_normalized_ordered_pair(case):
+    # decide reads the spec's pair, unnormalized and unordered; the reference
+    # normalizes and orders it and reads l_operator and the unscaled tests
+    psi1, psi2, a, _ = case
+    r1, r2 = psi1.integral(0, a), psi2.integral(0, a)
+    assume(r1 and r2)
+    v = decide(psi1, psi2, a)
+    swapped = psi1.degree < psi2.degree
+    ordered = normalize_pair(*((psi2, psi1) if swapped else (psi1, psi2)), a)
+    g1, g21 = _normalized_transforms(ordered)
+    coincident = _equal(g1.q, g21.q)
+    asym = not _equal(g1.q, g1.p, conjugate=True)
+    assert v.diagnostics["swapped"] == swapped
+    assert v.diagnostics["normalizers"] == [ordered.r1.to_json(), ordered.r2.to_json()]
+    assert v.diagnostics["coincidence"] == coincident
+    assert v.no_real_zeros == v.no_conjugate_pairs == asym
+    if coincident:
+        assert (v.outcome, v.theorem) == (OUTCOME_COINCIDE, "coincidence case")
+    else:
+        L = l_operator(ordered)
+        assert v.outcome == OUTCOME_NO_COMMON
+        assert v.diagnostics["l_order"] == L.order
+        assert v.theorem == ("zero operator, exact coefficients" if L.is_zero
+                             else "nonnegative operator order")
+    # scale: D_spec = conj R1 R2 D_norm; swap: D of (psi2, psi1) is conj D
+    d = _d(*v.transforms)
+    assert d == _d(*_normalized_transforms(normalize_pair(psi1, psi2, a))) * (r1.conjugate() * r2)
+    assert _d(closed_form(psi2, a), reflected_transform(psi1, a)) == d.conjugate()
+
+
 def test_laurent_numerators_vanish_at_shared_algebraic_zero():
-    # decide swaps the pair; for the ordered pair F_1 and F_{2,1} share the
-    # zero z = -i, so D(1/z) = 0 there and, since e^{iaz} = e^a is
-    # transcendental, P1, Q1, P21 and Q21 all vanish at w = 1/z = i.  The
+    # in the spec's order, which decide reads, F_1 and F_{2,1} share the
+    # zero z = i, so D(1/z) = 0 there and, since e^{iaz} = e^-a is
+    # transcendental, P1, Q1, P21 and Q21 all vanish at w = 1/z = -i.  The
     # verdict does not take this step yet: D is not the zero polynomial.
     v = decide(Poly.of(1, -3, 1), Poly.of(-5, 7, 3, -1), 1)
     assert v.diagnostics["swapped"]
-    assert not _d(v.pair).is_zero
-    assert all(_laurent_poly(t)(GR(0, 1)) == 0 for t in v.pair.laurent)
+    assert not _d(*v.transforms).is_zero
+    assert all(t(GR(0, -1)) == 0 for t in _laurent_polys(*v.transforms))
 
 
 def test_laurent_numerators_when_d_vanishes():
     # F_{2,1} = (1 - iz) F_1: D = 0 and L(D) = 0, yet only the factor
     # 1 - iz = (w - i)/w of F_{2,1} vanishes at w = i
     pair = normalize_pair(Poly.of(0, 1, -1), Poly.of(-1, 3, -1), 1)
-    assert _d(pair).is_zero
+    assert _d(*_normalized_transforms(pair)).is_zero
     assert l_operator(pair).is_zero
-    p1, q1, p21, q21 = (_laurent_poly(t)(GR(0, 1)) for t in pair.laurent)
+    p1, q1, p21, q21 = (t(GR(0, 1)) for t in _laurent_polys(*_normalized_transforms(pair)))
     assert p1 != 0 and q1 != 0
     assert p21 == 0 and q21 == 0
 

@@ -13,7 +13,6 @@ from mpmath.calculus.quadrature import GaussLegendre
 import bezoutiant.transform as transform
 from bezoutiant.cli import ProblemSpec
 from bezoutiant.exact import GR, Poly, from_numerators
-from bezoutiant.kernel import NormalizedPair
 from bezoutiant.symbol import OUTCOME_COINCIDE, decide
 from bezoutiant.transform import (
     SWITCH_RADIUS,
@@ -184,11 +183,11 @@ def test_reflection_is_the_transform_of_the_reflected_density(psis, a):
     assert F21._laurent[0] == ref._laurent[0]
     for got, want in zip((*F21._laurent[1:], F21._taylor), (*ref._laurent[1:], ref._taylor)):
         assert got.tobytes() == want.tobytes()
-    # laurent reads only the densities and a, so the masses play no part here
-    pair = NormalizedPair(psi1, psi2, a, GR(1), GR(1))
-    n = max(psi1.degree, psi2.degree) + 1
-    for triple, exact in zip(pair.laurent, (F1.osc, F1.plain, F21.osc, F21.plain)):
-        assert from_numerators(*triple) == exact + (GR(0),) * (n - len(exact))
+    # the verdict reads (and hands on) exactly these two transforms
+    got1, got21 = decide(psi1, psi2, a).transforms
+    for triple, exact in zip((got1.p, got1.q, got21.p, got21.q),
+                             (F1.osc, F1.plain, F21.osc, F21.plain)):
+        assert from_numerators(*triple) == exact
 
 
 def test_no_reflected_density_on_transform_paths(monkeypatch):
