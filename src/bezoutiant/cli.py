@@ -146,9 +146,10 @@ class ProblemSpec:
 
 
 def _grid_size(value) -> int:
-    """value as a grid size (an integer >= 16), else a SpecError at grid_n."""
-    if not isinstance(value, int) or value < 16:
-        raise SpecError("grid_n", "must be an integer >= 16")
+    """value as a grid size (an integer in [16, 4096]), else a SpecError at
+    grid_n.  The operator check holds one n x n complex T: 256 MiB at 4096."""
+    if not isinstance(value, int) or not 16 <= value <= 4096:
+        raise SpecError("grid_n", "must be an integer in [16, 4096]")
     return value
 
 

@@ -19,7 +19,7 @@ the end, which yields the same canonical `Fraction`s.  This covers
 * derivative jets (`Poly.jet_numerators`): p^(k)(x) = k! [s^k] p(x + s)
   from one Taylor shift, with k! and the powers of x's denominator folded
   into the integers, so the transforms' Laurent numerators (which `symbol`
-  sums over) are integer lists and `Poly.jet` reduces each entry once.
+  sums over) are integer lists, each entry reduced once when read.
 """
 
 from __future__ import annotations
@@ -321,15 +321,9 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def derivative(self, order: int = 1) -> "Poly":
-        if order < 0:
-            raise ValueError("derivative order must be nonnegative")
+    def derivative(self) -> "Poly":
         cs = self.coeffs
-        for _ in range(order):
-            cs = tuple(cs[k] * k for k in range(1, len(cs)))
-            if not cs:
-                break
-        return Poly(cs)
+        return Poly(tuple(cs[k] * k for k in range(1, len(cs))))
 
     def antiderivative(self) -> "Poly":
         return Poly((GR_ZERO,) + tuple(
@@ -372,26 +366,19 @@ class Poly:
         return Poly(tuple(GaussianRational(Fraction(r, d), Fraction(i, d))
                           for r, i, d in zip(re, im, dens)))
 
-    def jet_numerators(self, x, n: int | None = None) -> tuple:
-        """(re, im, den) with p^(k)(x) = (re[k] + i im[k]) / den, k = 0..n.
+    def jet_numerators(self, x) -> tuple:
+        """(re, im, den) with p^(k)(x) = (re[k] + i im[k]) / den, k = 0..degree.
 
-        n defaults to the degree.  p^(k)(x) = k! [s^k] p(x + s), read off
-        one Taylor shift; k! and xd^k are folded into the integers.
+        p^(k)(x) = k! [s^k] p(x + s), read off one Taylor shift; k! and
+        xd^k are folded into the integers.
         """
         re, im, den, xd = _shifted_numerators(self._numerators, _as_gr(x))
-        n = self.degree if n is None else n
-        pad = [0] * (n + 1 - len(re))
-        re, im = re[:n + 1] + pad, im[:n + 1] + pad
         f = 1  # k! xd^k
-        for k in range(1, n + 1):
+        for k in range(1, len(re)):
             f *= k * xd
             re[k] *= f
             im[k] *= f
         return re, im, den
-
-    def jet(self, x, n: int | None = None) -> tuple:
-        """(p(x), p'(x), ..., p^(n)(x)), n defaulting to the degree."""
-        return from_numerators(*self.jet_numerators(x, n))
 
     def conjugate(self) -> "Poly":
         """Coefficient-wise conjugate; equals conj(p(t)) for real t."""

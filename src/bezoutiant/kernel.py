@@ -13,6 +13,13 @@ over s in [t, a] (x < t) resp. [t, a+t-x] (x > t).  Every identity this
 module checks (adjoint action on 1, diagonal continuity) is verified as
 an exact polynomial identity, never numerically.
 
+The paper allows any (alpha, beta) with s = conj(alpha) + beta != 0; they
+enter only through s, as c = -1/s and M_2 = (Phi_2 + conj Phi_1(a-x) - 1)/s.
+So T = c U and M_2 scale by 1/s, n_2 = -i s M_2 does not depend on s, and
+T*1 = conj M_2(a-x) and T B_1 - B_2* T = N_2 N_1* hold for every s exactly
+when they hold at s = 1, their residuals scaled by 1/|s|.  This module fixes
+s = 1: c = -1 and M_2 = Phi_2 + conj Phi_1(a-x) - 1.
+
 The kernel needs only one-dimensional integrals.  Put u = x - t and
 
     A(y, u) = int_0^y Psi_2(sigma) g1(sigma - u) d sigma.
@@ -48,16 +55,9 @@ from .exact import (GR_ONE, GR_ZERO, GaussianRational, MPoly, Poly, _frac, numer
                     taylor_shift)
 from .transform import _conjugate
 
-ALPHA_DEFAULT = GR_ONE
-BETA_DEFAULT = GR_ZERO
-
 
 class ZeroMassError(ValueError):
     """A density integrates to zero over [0, a]; the construction needs R != 0."""
-
-
-class DegenerateChoiceError(ValueError):
-    """conj(alpha) + beta = 0 is excluded."""
 
 
 @dataclass(frozen=True)
@@ -80,8 +80,6 @@ class MFunctions:
     phi1: Poly
     phi2: Poly
     m2: Poly
-    alpha: GaussianRational
-    beta: GaussianRational
     a: Fraction
 
 
@@ -158,20 +156,12 @@ def normalize_pair(psi1: Poly, psi2: Poly, a) -> NormalizedPair:
     return NormalizedPair(psi1 / r1, psi2 / r2, a, r1, r2)
 
 
-def build_m_functions(
-    pair: NormalizedPair,
-    alpha: GaussianRational = ALPHA_DEFAULT,
-    beta: GaussianRational = BETA_DEFAULT,
-) -> MFunctions:
-    denom = alpha.conjugate() + beta
-    if not denom:
-        raise DegenerateChoiceError("conj(alpha) + beta must be nonzero")
+def build_m_functions(pair: NormalizedPair) -> MFunctions:
     a = pair.a
     one = Poly.of(GR_ONE)
     # int_t^a psi = P(a) - P(t) with P(a) = 1, the normalized mass
     phi1, phi2 = (one - psi.antiderivative() for psi in (pair.psi1, pair.psi2))
-    m2 = (phi2 + phi1.reflect(a) - one) / denom
-    return MFunctions(phi1, phi2, m2, alpha, beta, a)
+    return MFunctions(phi1, phi2, phi2 + phi1.reflect(a) - one, a)
 
 
 def _kernel_pieces(pair: NormalizedPair) -> tuple:
@@ -249,18 +239,9 @@ def _kernel_pieces(pair: NormalizedPair) -> tuple:
     return to_mpoly(*lower), to_mpoly(ure, uim)
 
 
-def build_kernel(
-    pair: NormalizedPair,
-    alpha: GaussianRational = ALPHA_DEFAULT,
-    beta: GaussianRational = BETA_DEFAULT,
-) -> BezoutKernel:
-    """Exact kernel pieces from one table of one-dimensional integrals."""
-    denom = alpha.conjugate() + beta
-    if not denom:
-        raise DegenerateChoiceError("conj(alpha) + beta must be nonzero")
-    u_lower, u_upper = _kernel_pieces(pair)
-    c = -(GR_ONE / denom)  # R_k = 1 after normalization
-    return BezoutKernel(c, u_lower, u_upper, pair.a)
+def build_kernel(pair: NormalizedPair) -> BezoutKernel:
+    """Exact kernel pieces from one table of one-dimensional integrals; c = -1."""
+    return BezoutKernel(-GR_ONE, *_kernel_pieces(pair), pair.a)
 
 
 def adjoint_apply_to_one(k: BezoutKernel) -> Poly:

@@ -16,8 +16,7 @@ and 1 the vector of ones, the matrices are
     A[i, j] = i w_j (j < i),  i w_i / 2 (j = i),  0 (j > i)   f -> i int_0^x f
     B_k     = A + 1 r_k^T,    r_k = -i w conj(Phi_k(x))       P_k* f
     T[i, j] = c U(x_i, x_j) w_j
-    N_2 N_1* = n_2 (w conj(n_1))^T,  n_2 = -i (conj(alpha) + beta) M_2(x),
-                                     n_1 = conj(M_2(a - x)),
+    N_2 N_1* = n_2 (w conj(n_1))^T,  n_2 = -i M_2(x),  n_1 = conj(M_2(a - x)),
 
 and the L^2(0, a) adjoint of a matrix M is M* = W^{-1} M^H W, so that
 A*[i, j] = -i w_j for j > i and -i w_i / 2 on the diagonal.  With the
@@ -128,8 +127,7 @@ def discretize_all(
     # P_k* f = -i int_0^a f(t) conj(Phi_k(t)) dt
     row1, row2 = (-1j * w * np.conj(phi.eval_float(grid.nodes))
                   for phi in (mf.phi1, mf.phi2))
-    scale = complex(mf.alpha.conjugate() + mf.beta)
-    n2 = -1j * scale * mf.m2.eval_float(grid.nodes)
+    n2 = -1j * mf.m2.eval_float(grid.nodes)
     n1 = np.conj(mf.m2.eval_float(float(pair.a) - grid.nodes))
     return Discretization(grid, kernel_matrix(k, grid), row1, row2, n1, n2)
 

@@ -15,8 +15,13 @@ from Q, as g_k = g^(k)(0)/k! = q_(k+1)/(i^(k+1) k!).
 Near z = 0 the Laurent form cancels catastrophically; a truncated Taylor
 series of the moments mu_n = int_0^a t^n g(t) dt = sum_k g_k a^(n+k+1) /
 (n+k+1) is used there, summed on integer numerators over one table of the
-powers of a, built only for `moments` or the first point with
-|z| < SWITCH_RADIUS.  Python's int/int division and `Fraction.__float__`
+powers of a, built only for `moments` or the first point with |z| < r.
+Both r and the moment count come from a.  |mu_n| <= a^n int|g|, so the
+terms are bounded by (a|z|)^n / n! and peak near e^(a|z|): r = min(
+SWITCH_RADIUS, 10/a) keeps that peak below e^10, and the series keeps
+every n with (a r)^n / n! > 2^-64, and never fewer than deg + 1 +
+EXTRA_MOMENTS terms.  For a <= 6 that is r = SWITCH_RADIUS and deg + 1 +
+EXTRA_MOMENTS.  Python's int/int division and `Fraction.__float__`
 both round correctly, so every float is complex() of its exact
 coefficient, bit for bit, whichever route built the triple.
 
@@ -50,7 +55,7 @@ import numpy as np
 
 from .exact import Poly, _frac, from_numerators
 
-#: Crossover radius between the moment Taylor series and the Laurent form.
+#: Largest crossover radius between the moment Taylor series and the Laurent form.
 SWITCH_RADIUS = 0.5
 
 #: Extra moment terms beyond the density degree kept for the z ~ 0 series.
@@ -81,10 +86,20 @@ def _floats(re, im, den) -> list:
     return [complex(r / den, m / den) for r, m in zip(re, im)]
 
 
+def _taylor_radius(a: float) -> float:
+    """The radius r below which `eval_many` sums the Taylor series (module doc)."""
+    return min(SWITCH_RADIUS, 10 / a)
+
+
 def _moments(g: Poly, a: Fraction) -> tuple:
-    """(re, im, den) of mu_n = sum_k g_k a^(n+k+1) / (n+k+1), n <= deg + EXTRA_MOMENTS."""
+    """(re, im, den) of mu_n = sum_k g_k a^(n+k+1) / (n+k+1), for every n
+    with (a r)^n / n! > 2^-64 and at least n <= deg + EXTRA_MOMENTS."""
     re, im, den = g._numerators
-    count = g.degree + 1 + EXTRA_MOMENTS
+    x, count, term = float(a) * _taylor_radius(float(a)), 0, 1.0
+    while term > 2.0 ** -64:  # term = x^count / count!
+        count += 1
+        term *= x / count
+    count = max(count, g.degree + 1 + EXTRA_MOMENTS)
     top = count + len(re) - 1  # largest power n + k + 1
     p, q = a.numerator, a.denominator
     ell = math.lcm(*range(1, top + 1))
@@ -164,7 +179,7 @@ class ClosedTransform:
                 f"|a Im z| exceeds {OVERFLOW_LIMIT}; result would overflow")
         f = np.empty_like(z)
         fp = np.empty_like(z) if with_derivative else None
-        small = np.abs(z) < SWITCH_RADIUS
+        small = np.abs(z) < _taylor_radius(a)
         if np.any(small):
             zs = z[small]
             acc = dacc = np.zeros_like(zs)

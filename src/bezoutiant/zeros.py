@@ -512,15 +512,15 @@ class StructureFlags:
     no_conjugate_pairs: bool
 
 
-def structure_checks(zs: ZeroSet, axis_tol: float = 1e-7) -> StructureFlags:
-    pts = zs.points()
-    no_real = all(abs(z.imag) > axis_tol for z in pts)
+def structure_checks(zs: ZeroSet) -> StructureFlags:
+    pts, tol = zs.points(), 1e-7  # tol: distance to the real axis or a conjugate
+    no_real = all(abs(z.imag) > tol for z in pts)
     no_pairs = True
     for i, z in enumerate(pts):
-        if abs(z.imag) <= axis_tol:
+        if abs(z.imag) <= tol:
             continue
         for w in pts[i + 1:]:
-            if abs(w - z.conjugate()) <= axis_tol:
+            if abs(w - z.conjugate()) <= tol:
                 no_pairs = False
     return StructureFlags(no_real, no_pairs)
 

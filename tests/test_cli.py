@@ -227,9 +227,10 @@ def test_spec_validation_paths():
             ProblemSpec.from_json({"a": a, "psi1": ["1"], "psi2": ["1"]})
     with pytest.raises(SpecError, match="^psi2:"):
         ProblemSpec.from_json({"a": "1", "psi1": ["1"], "psi2": []})
-    with pytest.raises(SpecError, match="^grid_n:"):
-        ProblemSpec.from_json({"a": "1", "psi1": ["1"], "psi2": ["1"],
-                               "grid_n": 4})
+    for grid_n in (4, 4097):
+        with pytest.raises(SpecError, match="^grid_n:"):
+            ProblemSpec.from_json({"a": "1", "psi1": ["1"], "psi2": ["1"],
+                                   "grid_n": grid_n})
     with pytest.raises(SpecError, match="^coeff_class:"):
         ProblemSpec.from_json({"a": "1", "psi1": ["1"], "psi2": ["1"],
                                "coeff_class": "float32"})
@@ -274,9 +275,10 @@ def test_bad_tolerance_exit_code(tmp_path, tol):
         assert json.loads(out.read_text())["error"].startswith("tol:")
 
 
-@pytest.mark.parametrize("grid", [0, 4, 15])
+@pytest.mark.parametrize("grid", [0, 4, 15, 4097, 1000000])
 def test_bad_grid_override_exit_code(tmp_path, grid):
-    # verify --grid follows the problem file's grid_n rule
+    # verify --grid follows the problem file's grid_n rule; a grid too large
+    # for T in memory is refused before anything is allocated
     code, report = _run_fixture("const_vs_linear.json", tmp_path, "verify", ("--grid", str(grid)))
     assert code == EXIT_INPUT_ERROR
     assert report["error"].startswith("grid_n:")

@@ -15,9 +15,9 @@ from bezoutiant.cli import ProblemSpec
 from bezoutiant.exact import GR, Poly, from_numerators
 from bezoutiant.symbol import OUTCOME_COINCIDE, decide
 from bezoutiant.transform import (
-    SWITCH_RADIUS,
     ClosedTransform,
     EvaluationOverflow,
+    _taylor_radius,
     closed_form,
     reflected_transform,
 )
@@ -42,6 +42,15 @@ def test_closed_form_constant_density():
     assert Ft.moments[0] == GR(1)
     assert Ft.moments[1] == GR(F(1, 2))
     assert Ft.moments[2] == GR(F(1, 3))
+    # (e^{iaz} - 1)/(iz) near the origin for large a, where the Taylor terms
+    # would reach e^{a|z|} if the series were summed out to |z| = 0.49
+    z = np.array([0.49, 0.49j, -0.3 + 0.2j, 0.1, 0.05j])
+    for a in (20, 40, 60, 100):
+        with mpmath.workdps(40):
+            want = np.array([complex(mpmath.expm1(1j * a * mpmath.mpc(v)) / (1j * mpmath.mpc(v)))
+                             for v in z])
+        got = closed_form(ONE, a).eval_many(z)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), a
 
 
 def test_closed_form_linear_density():
@@ -219,7 +228,7 @@ def _horner_bound(Ft, z):
     taylor = Ft._taylor
     z = np.asarray(z, dtype=complex)
     r = np.abs(z)
-    small = r < SWITCH_RADIUS
+    small = r < _taylor_radius(a)
     with np.errstate(divide="ignore", invalid="ignore"):
         w = 1.0 / r
         laurent = w * (np.exp(-a * z.imag) * np.polyval(np.abs(osc[::-1]), w)
@@ -287,21 +296,24 @@ def _mp_derivative(Ft, nodes):
 def test_eval_many_derivative_vs_mpmath(rng):
     # 48 Gauss-Legendre nodes integrate e^{izt} times a polynomial of degree
     # <= 17 to far below 1e-40 for |z| a <= 14 (the Taylor remainder of the
-    # exponential past degree 95); the arithmetic runs at 40 digits
+    # exponential past degree 95), and 192 nodes for |z| a <= 240 (a = 40,
+    # where the Taylor series stops at |z| = 10/a); the arithmetic runs at
+    # 40 digits
     with mpmath.workdps(40):
-        nodes = GaussLegendre(mpmath.mp).calc_nodes(5, mpmath.mp.prec)
+        gl = GaussLegendre(mpmath.mp)
+        coarse, fine = (gl.calc_nodes(d, mpmath.mp.prec) for d in (5, 7))
         gen = np.random.default_rng(11)
         radii = np.array([0.25, 0.49, 0.51, 2.0, 6.0])
         err, err_ref = [], []
         for degree in range(17):
             for complex_coeffs in (False, True):
                 g = random_poly(rng, degree, complex_coeffs)
-                for a in (F(1), F(7, 3), F(1, 2)):
+                for a in (F(1), F(7, 3), F(1, 2), F(40)):
                     Ft = ClosedTransform.from_density(g, a)
                     Fd = transform_of_i_t(Ft)
                     z = radii * np.exp(2j * math.pi * gen.uniform(size=len(radii)))
                     _, fp = Ft.eval_many(z, with_derivative=True)
-                    exact = map(_mp_derivative(Ft, nodes), z)
+                    exact = map(_mp_derivative(Ft, fine if a == 40 else coarse), z)
                     e, e_ref = np.array([[float(abs(mpmath.mpc(v) - x)) for v in (u, r)]
                                          for u, r, x in zip(fp, Fd.eval_many(z), exact)]).T
                     # no worse than twice the reference, up to the reference's

@@ -70,6 +70,15 @@ def test_locate_constant_density():
         assert r.residual <= 1e-12
 
 
+def test_locate_near_origin_for_large_a():
+    # a = 40 puts the zeros 2 pi k / 40 inside |z| < 0.5, where the Taylor
+    # series is summed only out to |z| = 10/a
+    zs = locate_zeros(closed_form(ONE, 40), SearchRect(-0.46, 0.45, -0.3, 0.3))
+    assert zs.total_count == 4
+    want = [2 * math.pi * k / 40 for k in (-2, -1, 1, 2)]
+    assert all(abs(z - w) <= 1e-12 for z, w in zip(zs.points(), want))
+
+
 def test_locate_linear_density_all_complex():
     F2 = closed_form(TWO_T, 1)
     zs = locate_zeros(F2, SearchRect(-20, 20, -8, 8))
