@@ -14,11 +14,13 @@ Problem files are JSON with exact rational coefficient strings:
       "tasks": ["decide", "zeros"]
     }
 
-Exit codes: 0 success, 1 input error, 2 inconclusive verdict, 3 conflict
-between the symbolic verdict and the numerical zero comparison, 4 numeric
-refusal: the zero locator declined to answer (an evaluation would
-overflow, a winding number did not certify, a cluster stayed unresolved or
-the boundary could not be moved off a zero).  A refusal still writes the
+Exit codes: 0 success (CommonZeros included), 1 input error, 2 inconclusive
+verdict, 3 conflict between the symbolic verdict and the numerical zero
+comparison, 4 numeric refusal: the zero locator declined to answer (an
+evaluation would overflow, a winding number did not certify, a cluster
+stayed unresolved or the boundary could not be moved off a zero).  A
+kernel or operator check of a zero-mass density is skipped (`skipped`), as
+they need unit-mass densities.  A refusal still writes the
 report, with its verdict and an `error` block naming the stage, the
 transform, the exception type and its message (`emit-grid`: one stderr line).
 """
@@ -38,12 +40,13 @@ import numpy as np
 
 from . import __version__
 from .exact import Poly, parse_rational
-from .kernel import build_kernel, build_m_functions, normalize_pair
+from .kernel import ZeroMassError, build_kernel, build_m_functions, normalize_pair
 from .operator_lab import convergence_study
 from .symbol import (
     COEFF_NONALGEBRAIC,
     COEFF_RATIONAL,
     OUTCOME_COINCIDE,
+    OUTCOME_COMMON,
     OUTCOME_INCONCLUSIVE,
     OUTCOME_NO_COMMON,
     decide,
@@ -117,6 +120,8 @@ class ProblemSpec:
                 polys.append(Poly.from_json(items))
             except ValueError as exc:
                 fail(key, str(exc))
+            if polys[-1].is_zero:
+                fail(key, "identically zero density: every z would be a common zero")
 
         coeff_class = obj.get("coeff_class", COEFF_RATIONAL)
         if coeff_class not in (COEFF_RATIONAL, COEFF_NONALGEBRAIC):
@@ -226,14 +231,18 @@ def run(spec_path, out_path, tasks=None, rect=None, tol=None, grid_n=None):
 
     needs_pair = {"kernel", "operator-check"} & set(spec.tasks)
     if needs_pair and verdict.outcome != OUTCOME_INCONCLUSIVE:
-        pair = normalize_pair(spec.psi1, spec.psi2, spec.a)
-        mf = build_m_functions(pair)
-        kern = build_kernel(pair)
-        if "kernel" in spec.tasks:
-            report["kernel"] = kern.to_json()
-        if "operator-check" in spec.tasks:
-            report["operator"] = convergence_study(
-                pair, kern, mf, sizes=_refinement_sizes(spec.grid_n))
+        try:
+            pair = normalize_pair(spec.psi1, spec.psi2, spec.a)
+        except ZeroMassError as exc:  # the kernel needs unit-mass densities
+            report["skipped"] = {"tasks": sorted(needs_pair), "reason": str(exc)}
+        else:
+            mf = build_m_functions(pair)
+            kern = build_kernel(pair)
+            if "kernel" in spec.tasks:
+                report["kernel"] = kern.to_json()
+            if "operator-check" in spec.tasks:
+                report["operator"] = convergence_study(
+                    pair, kern, mf, sizes=_refinement_sizes(spec.grid_n))
 
     if "zeros" in spec.tasks and verdict.outcome != OUTCOME_INCONCLUSIVE:
         located = []
@@ -249,19 +258,17 @@ def run(spec_path, out_path, tasks=None, rect=None, tol=None, grid_n=None):
         report["zero_sets"] = {"F1": z1.to_json(), "F21": z21.to_json()}
         report["comparison"] = comparison.to_json()
 
-        conflict = False
-        if verdict.outcome == OUTCOME_NO_COMMON and comparison.has_common:
-            conflict = True
+        conflict = verdict.outcome == OUTCOME_NO_COMMON and comparison.has_common
+        if verdict.outcome == OUTCOME_COMMON:
+            # the common pairs located are the verdict's zeros in the rectangle
+            r, near = spec.rect, lambda u, vs: any(abs(u - v) <= spec.delta for v in vs)
+            want = [complex(z["re"], z["im"]) for z in verdict.diagnostics["common_zeros"]
+                    if r.re_min <= z["re"] <= r.re_max and r.im_min <= z["im"] <= r.im_max]
+            got = [z for z, _, _ in comparison.common]
+            conflict = not (all(near(u, want) for u in got) and all(near(v, got) for v in want))
         if verdict.outcome == OUTCOME_COINCIDE:
-            matched = (
-                len(z1.zeros) == len(z21.zeros)
-                and all(
-                    abs(a.z - b.z) <= spec.delta
-                    for a, b in zip(z1.zeros, z21.zeros)
-                )
-            )
-            if not matched:
-                conflict = True
+            conflict = len(z1.zeros) != len(z21.zeros) or any(
+                abs(u.z - v.z) > spec.delta for u, v in zip(z1.zeros, z21.zeros))
         report["conflict"] = conflict
         if conflict:
             exit_code = EXIT_CONFLICT

@@ -22,17 +22,19 @@ conj Psi_1) and P21, Q21 of F_{2,1} = R(F_2), R(F)(z) = e^{iaz} conj F(conj z)
   [(-1)^i g1^(i)(a) Psi_2^(j)(a) - (-1)^j Psi_2^(i)(0) g1^(j)(0)], as the
   jets in D show.  `l_operator` (m < Q) and `v_symbol` (Q <= m <= 2Q) take
   that pair and sum only the range they read, on integer numerators.
-* Mirror tests, normalized.  Coincidence psi_1 = conj psi_2(a-x) <=>
-  F_1 = R(F_2) <=> Q1 = Q21, as Q is g's jet at 0 times fixed units;
-  symmetry psi_1 = conj psi_1(a-x) <=> F_1 = R(F_1) <=> Q1 = conj P1.
-* Scale.  With masses R_k = int_0^a Psi_k, normalizing divides g1, so F_1,
-  by conj R1, and F_2 by conj R2, so R(F_2) by R2: D_norm = D / (conj R1 R2),
-  and on the spec's triples the tests read Q1 R2 = Q21 conj R1 and
-  Q1 R1 = conj P1 conj R1, compared exactly by cross-multiplying.
+* Mirror tests.  Coincidence psi_1 = c conj psi_2(a-x) <=> F_{2,1} = c' F_1
+  <=> Q21 = c' Q1 (Q is g's jet at 0 times fixed units); symmetry psi =
+  c conj psi(a-x) <=> F = c R(F) <=> Q = c conj P.  `_equal` tests both
+  for some c != 0, with no masses: g = c conj g(a-x) twice gives |c| = 1,
+  and nonzero masses fix c by F(0) = conj R to what normalizing divides
+  out, so the normalized pair is equal (to its mirror).
+* Scale.  Normalizing divides g1, so F_1, by conj R1 and F_2 by conj R2,
+  so R(F_2) by R2, with masses R_k = int_0^a Psi_k: D_norm = D / (conj R1 R2).
 * Swap.  Exchanging Psi_1 and Psi_2 gives F_1' = F_2, F_{2,1}' = R(F_1), so
   D' = P2 conj P1 - conj Q1 Q2 = conj D (bars on the coefficients), and
-  W'_m vanishes where W_m does.  So the order of L(D) and whether L = 0
-  need no swap and no masses: `decide` reads W_m, m < Q = the larger degree.
+  W'_m vanishes where W_m does.  So the order of L(D) and whether D = 0
+  need no swap and no masses: `decide` reads W_m, m < Q = the larger
+  degree, up to the first that is nonzero: l_order = Q - 1 - m0.
 * For (F, R(F)), D = P conj P - Q conj Q: a real zero of F, or one whose
   conjugate is one too, is a common zero of F and R(F) (ROADMAP item 2).
 
@@ -43,24 +45,28 @@ both derivatives of order r+1 > Q >= deg Psi_2 vanish, hence W_r = 0 and
 V = 0 for every polynomial pair.  `decide` therefore reads only L(D);
 `v_symbol` stays as a checked artifact of the paper's construction.
 
-At a common zero z0 != 0 of F_1 and F_{2,1}, (e^{iaz0}, 1) solves the 2x2
-system with rows (P1, Q1) and (P21, Q21) at w0 = 1/z0, so D(w0) = 0.
-"L != 0" thus proves only that every common nonzero zero z0 is algebraic;
-it does not rule z0 out.  The missing step is Hermite-Lindemann (ROADMAP
-item 1): e^{iaz0} is then transcendental, so P1, Q1, P21 and Q21 all
-vanish at w0, and the common nonzero zeros are the roots of their gcd.
-
-`decide` reports ZeroSetsCoincide for a coincident pair and, for rational
-coefficients, NoCommonZeros for every other pair; the order of L(D) is a
-diagnostic (`l_order`), and whether L(D) vanishes names the theorem.  That
-NoCommonZeros is wrong when the transforms share an algebraic zero:
-psi_1 = 1 - 3x + x^2, psi_2 = -5 + 7x + 3x^2 - x^3, a = 1 gives l_order 2,
-yet F_1 and F_{2,1} vanish at z = i, and all four Laurent polynomials at
-w = -i; the CLI's conflict gate (exit 3) catches it once the zeros are
-located.  The masses make the tests scale-free: Psi_2 = c conj Psi_1(a-x)
-(then F_{2,1} = c F_1) is coincident, and a density symmetric up to a unit
-factor is symmetric.  The monomial family x^m (a-x)^n admits a closed
-order formula, cross-validated here against the general expansion.
+The verdict.  At a common zero z0 != 0 of F_1 and F_{2,1}, (e^{iaz0}, 1)
+solves the 2x2 system with rows (P1, Q1) and (P21, Q21) at w0 = 1/z0, so
+D(w0) = 0.  If D != 0, z0 is thus algebraic, e^{iaz0} is transcendental
+(Hermite-Lindemann), and e^{iaz0} P1(w0) + Q1(w0) = 0 forces P1(w0) =
+Q1(w0) = 0, and likewise for P21, Q21: the common nonzero zeros are 1/w0
+for the roots w0 of G = gcd(P1, Q1, P21, Q21), each numerator first
+divided, exactly, by its power of w (w = 0 is z = infinity).  G is
+computed modulo p = PRIME with i -> SQRT_M1 (a ring map Z[i] -> GF(p), as
+p = 1 mod 4) on the Gaussian-integer numerators (a denominator is a
+constant factor).  Were deg G >= 1, Gauss's lemma would put G and its
+cofactors in Z[i][w], and if every input keeps its leading coefficient
+mod p, G's image keeps its degree and divides every image.  So a degree-0
+image gcd with intact leading coefficients proves G = 1; otherwise Euclid
+runs over Q(i).  No low-end zero of an image is stripped: it may come from
+a factor w - c of G with p | c.  z = 0 is a common zero iff F_1(0) =
+conj R1 and F_{2,1}(0) = R2 both vanish.  So the outcome is NoCommonZeros
+when G = 1 and a mass is nonzero, with the certificate (p, SQRT_M1) if the
+reduction decided, and otherwise CommonZeros.  With D = 0 no z0 need be
+algebraic, and a pair that is not coincident, such as psi_1 = x - x^2,
+psi_2 = -1 + 3x - x^2, a = 1 (F_{2,1} = (1 - iz) F_1), is Inconclusive
+(ROADMAP 1b).  The monomial family x^m (a-x)^n admits a closed order
+formula, cross-validated here against the general expansion.
 """
 
 from __future__ import annotations
@@ -71,7 +77,9 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Optional
 
-from .exact import GR, GR_ONE, Poly, _frac, from_numerators, numerators
+import numpy as np
+
+from .exact import GR, GR_ONE, Poly, _frac, from_numerators
 # normalize_pair is not called here; perfbench/spans.py wraps symbol.normalize_pair
 from .kernel import NormalizedPair, normalize_pair
 from .transform import (ClosedTransform, _conjugate, _times_i_powers, closed_form,
@@ -139,14 +147,16 @@ def _w(f1: ClosedTransform, f21: ClosedTransform, lo: int, hi: int) -> tuple:
     return from_numerators(*_times_i_powers(dr, di, den, lo))
 
 
-def _equal(left, right, l_scale=GR_ONE, r_scale=GR_ONE, conjugate: bool = False) -> bool:
-    """left l_scale == right r_scale (conj right if `conjugate`) on integer triples,
-    by cross-multiplying; missing entries count as 0."""
-    (lr, li, ld), (rr, ri, rd) = left, _conjugate(right) if conjugate else right
-    (sr, tr), (si, ti), _ = numerators((l_scale, r_scale))  # one denominator, which cancels
-    return all((x * sr - y * si) * rd == (u * tr - v * ti) * ld
-               and (x * si + y * sr) * rd == (u * ti + v * tr) * ld
-               for x, y, u, v in zip_longest(lr, li, rr, ri, fillvalue=0))
+def _equal(left, right, conjugate: bool = False) -> bool:
+    """left = c right (c conj right if `conjugate`) for a constant c != 0, on
+    integer triples (module doc: mirror tests); missing entries count as 0."""
+    (lr, li, _), (rr, ri, _) = left, _conjugate(right) if conjugate else right
+    rows = list(zip_longest(lr, li, rr, ri, fillvalue=0))
+    x0, y0, u0, v0 = next((row for row in rows if any(row)), (0, 0, 0, 0))
+    # left_k right_0 == right_k left_0 at the first nonzero row
+    return bool((x0 or y0) and (u0 or v0)) and all(
+        x * u0 - y * v0 == u * x0 - v * y0 and x * v0 + y * u0 == u * y0 + v * x0
+        for x, y, u, v in rows)
 
 
 def _transforms(pair: NormalizedPair) -> tuple:
@@ -222,7 +232,49 @@ def monomial_order(m1: int, n1: int, m2: int, n2: int, a) -> tuple:
     return r, leading
 
 
+#: p = 1 (mod 4), the first such prime above 2^30, and a square root of -1
+#: modulo p: i -> SQRT_M1 reduces Z[i] onto GF(p) (module doc: the verdict).
+PRIME = 1073741833
+SQRT_M1 = 357924867
+
+
+def _gcd(polys: list, inv, red) -> list:
+    """Monic gcd of nonzero ascending coefficient lists (reduced in place)
+    over a field, where `inv` inverts a nonzero element and `red` reduces one;
+    Euclid, shortest first, stops once the gcd has degree 0."""
+    polys = sorted(polys, key=len)
+    g = polys[0]
+    for f in polys[1:]:
+        while f and len(g) > 1:
+            c = inv(f[-1])
+            while len(g) >= len(f):  # g <- g mod f
+                q, shift = red(g[-1] * c), len(g) - len(f)
+                for k, y in enumerate(f):
+                    g[shift + k] = red(g[shift + k] - q * y)
+                while g and not g[-1]:
+                    g.pop()
+            g, f = f, g
+    c = inv(g[-1])
+    return [red(x * c) for x in g]
+
+
+def _laurent_gcd(*triples) -> tuple:
+    """(G, certificate): the monic gcd of the triples' polynomials without
+    their powers of w, and {p, sqrt_m1} if the reduction mod p proved G = 1."""
+    stripped = []
+    for re, im, den in triples:
+        k = next(k for k, (r, i) in enumerate(zip(re, im)) if r or i)
+        stripped.append((re[k:], im[k:], den))
+    images = [[(r + SQRT_M1 * i) % PRIME for r, i in zip(re, im)] for re, im, _ in stripped]
+    if all(f[-1] for f in images) and len(_gcd(images, lambda x: pow(x, -1, PRIME),
+                                               lambda x: x % PRIME)) == 1:
+        return (GR_ONE,), {"p": PRIME, "sqrt_m1": SQRT_M1}
+    exact = [list(from_numerators(*t)) for t in stripped]
+    return tuple(_gcd(exact, lambda x: GR_ONE / x, lambda x: x)), None
+
+
 OUTCOME_NO_COMMON = "NoCommonZeros"
+OUTCOME_COMMON = "CommonZeros"
 OUTCOME_COINCIDE = "ZeroSetsCoincide"
 OUTCOME_INCONCLUSIVE = "Inconclusive"
 
@@ -248,45 +300,46 @@ class Verdict:
 
 
 def decide(psi1: Poly, psi2: Poly, a, coeff_class: str = COEFF_RATIONAL) -> Verdict:
-    """Render the common-zero verdict for F_1 and F_{2,1}.
-
-    Everything is read from the spec-order transforms and the masses (module
-    doc: scale and swap).  `swapped` records deg Psi_1 < deg Psi_2, and the
-    structural flags refer to the density of higher degree (Psi_2 if swapped).
-    """
+    """The common-zero verdict for F_1 and F_{2,1}, read from the spec-order
+    transforms (module doc); the masses give `normalizers` and decide z = 0.
+    `swapped` records deg Psi_1 < deg Psi_2; the structural flags refer to
+    the density of higher degree (Psi_2 if swapped)."""
     if coeff_class not in (COEFF_RATIONAL, COEFF_NONALGEBRAIC):
         raise ValueError(f"unknown coeff_class {coeff_class!r}")
     a = _frac(a)
-    f1, f2 = closed_form(psi1, a), closed_form(psi2, a)
-    f21 = f2.reflection()
-    transforms = (f1, f21)
+    transforms = f1, f21 = closed_form(psi1, a), reflected_transform(psi2, a)
     swapped = psi1.degree < psi2.degree
-    diagnostics: dict = {"coeff_class": coeff_class, "swapped": swapped}
-
     r1, r2 = psi1.integral(0, a), psi2.integral(0, a)
-    if not r1 or not r2:
-        diagnostics["reason"] = "zero-mass density: a density has zero mass on [0, a]"
-        return Verdict(OUTCOME_INCONCLUSIVE, "mass condition violated",
-                       False, False, diagnostics, transforms)
-    diagnostics["normalizers"] = [r.to_json() for r in ((r2, r1) if swapped else (r1, r2))]
+    diagnostics: dict = {"coeff_class": coeff_class, "swapped": swapped, "normalizers": [
+        r.to_json() for r in ((r2, r1) if swapped else (r1, r2))]}
 
-    f, r = (f2, r2) if swapped else (f1, r1)
-    asym = not _equal(f.q, f.p, r, r.conjugate(), conjugate=True)  # psi(x) != conj(psi(a-x))
-    # psi_1(x) == conj(psi_2(a-x)), both normalized
-    diagnostics["coincidence"] = coincident = _equal(f1.q, f21.q, r2, r1.conjugate())
+    f = f21 if swapped else f1  # F_2 = c R(F_2) iff F_{2,1} = conj(c) R(F_{2,1})
+    asym = not _equal(f.q, f.p, conjugate=True)  # psi(x) != c conj(psi(a-x))
+    diagnostics["coincidence"] = coincident = _equal(f21.q, f1.q)  # psi_1 = c conj psi_2(a-x)
     if coincident:
         return Verdict(OUTCOME_COINCIDE, "coincidence case", asym, asym,
                        diagnostics, transforms)
 
-    L = DiffOperator(tuple(reversed(_w(f1, f21, 0, max(psi1.degree, psi2.degree)))))
+    top = max(psi1.degree, psi2.degree)
+    m0 = next((m for m in range(top) if _w(f1, f21, m, m + 1)[0]), None)
     diagnostics["v_is_zero"] = True  # W_r = 0 for r >= Q (module doc)
-    diagnostics["l_order"] = L.order
+    diagnostics["l_order"] = None if m0 is None else top - 1 - m0
 
-    if coeff_class == COEFF_RATIONAL:
-        theorem = ("zero operator, exact coefficients" if L.is_zero
-                   else "nonnegative operator order")
-        return Verdict(OUTCOME_NO_COMMON, theorem, asym, asym, diagnostics, transforms)
+    if coeff_class == COEFF_NONALGEBRAIC or m0 is None:
+        diagnostics["reason"] = (
+            "zero symbol with non-algebraic coefficients: no criterion applies"
+            if coeff_class == COEFF_NONALGEBRAIC
+            else "D \u2261 0 without coincidence (ROADMAP 1b)")
+        return Verdict(OUTCOME_INCONCLUSIVE, "no applicable criterion",
+                       asym, asym, diagnostics, transforms)
 
-    diagnostics["reason"] = "zero symbol with non-algebraic coefficients: no criterion applies"
-    return Verdict(OUTCOME_INCONCLUSIVE, "no applicable criterion",
-                   asym, asym, diagnostics, transforms)
+    g, diagnostics["certificate"] = _laurent_gcd(f1.p, f1.q, f21.p, f21.q)
+    origin = not r1 and not r2  # F_1(0) = conj R1, F_{2,1}(0) = R2
+    if len(g) == 1 and not origin:
+        return Verdict(OUTCOME_NO_COMMON, "Hermite-Lindemann: gcd(P1, Q1, P21, Q21) = 1",
+                       asym, asym, diagnostics, transforms)
+    zeros = [1 / w for w in np.roots([complex(c) for c in reversed(g)])] + [0j] * origin
+    diagnostics["gcd"] = [c.to_json() for c in g]
+    diagnostics["common_zeros"] = [{"re": float(z.real), "im": float(z.imag)} for z in zeros]
+    return Verdict(OUTCOME_COMMON, "Hermite-Lindemann: 1/w at the roots w of gcd(P1, Q1, "
+                   "P21, Q21), and 0 iff both masses vanish", asym, asym, diagnostics, transforms)

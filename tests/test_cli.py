@@ -126,10 +126,38 @@ def test_operator_check_grid_ladder(grid_n, sizes):
 
 
 def test_zero_mass_exit_code(tmp_path):
-    code, report = _run_fixture("zero_mass.json", tmp_path)
+    # psi1 = x - 1/2 has mass 0: the verdict needs no normalization, the
+    # kernel and the operator check do, and are skipped
+    code, report = _run_fixture("zero_mass.json", tmp_path, "verify")
+    assert code == EXIT_OK
+    assert report["verdict"]["outcome"] == "NoCommonZeros"
+    assert report["skipped"] == {"tasks": ["operator-check"],
+                                 "reason": "a density has zero mass on [0, a]"}
+    assert "operator" not in report
+    assert report["conflict"] is False
+    assert report["comparison"]["min_distance"] > 2.7
+
+
+def test_shared_zero_fixture(tmp_path):
+    # F_1 and F_{2,1} share z = i: G = w + i, and the locator finds that
+    # common pair and no other in the rectangle
+    code, report = _run_fixture("shared_zero.json", tmp_path, "verify")
+    assert code == EXIT_OK
+    verdict = report["verdict"]
+    assert verdict["outcome"] == "CommonZeros"
+    assert verdict["diagnostics"]["gcd"] == [{"re": "0", "im": "1"}, "1"]
+    assert verdict["diagnostics"]["certificate"] is None
+    (pair,) = report["comparison"]["common"]
+    assert abs(complex(pair["z1_re"], pair["z1_im"]) - 1j) < 1e-9
+    assert report["conflict"] is False
+
+
+def test_rational_factor_fixture_inconclusive(tmp_path):
+    # F_{2,1} = (1 - iz) F_1: D = 0 without coincidence
+    code, report = _run_fixture("rational_factor.json", tmp_path)
     assert code == EXIT_INCONCLUSIVE
     assert report["verdict"]["outcome"] == "Inconclusive"
-    assert "zero-mass" in report["verdict"]["diagnostics"]["reason"]
+    assert report["verdict"]["diagnostics"]["l_order"] is None
 
 
 def test_nonalgebraic_mode_inconclusive(tmp_path):
@@ -245,8 +273,10 @@ def test_spec_validation_paths():
     {"tasks": ["frobnicate"]}, {"tasks": None}, {"tasks": 5}, {"tasks": "decide"},
     {"tasks": ["decide", 5]}, {"tol": True}, {"delta": False},
     {"rect": {"re_min": True}}, {"rect": {"boundary_margin": False}},
+    {"psi1": ["0"]}, {"psi2": ["0", "0"]},
 ], ids=["unknown-task", "tasks-null", "tasks-int", "tasks-string", "tasks-non-string",
-        "tol-true", "delta-false", "rect-re_min-true", "rect-margin-false"])
+        "tol-true", "delta-false", "rect-re_min-true", "rect-margin-false",
+        "psi1-zero", "psi2-zero"])
 def test_malformed_field_exit_code(tmp_path, field):
     # refused at the field's own path, and the CLI exits 1 with an error report
     (key,) = field
@@ -471,6 +501,25 @@ def test_conflict_gate_coincidence_with_unmatched_zeros(tmp_path, monkeypatch):
     assert report["zero_sets"]["F1"]["zeros"] == []
     assert len(report["zero_sets"]["F21"]["zeros"]) == 4
     assert json.loads(out.read_text()) == report
+
+
+@pytest.mark.parametrize("zeros", [[], [1j, 2 - 1j], [1j, 50j]], ids=["missing", "extra", "outside"])
+def test_conflict_gate_common_zeros(tmp_path, monkeypatch, zeros):
+    # the located common pair at z = i must be the verdict's common zeros
+    # in the rectangle [-10, 10] x [-3, 3]: one missing or one extra
+    # inside is a conflict, one outside is not
+    real = cli.decide
+
+    def forced(*args):
+        v = real(*args)
+        listed = [{"re": z.real, "im": z.imag} for z in zeros]
+        return dataclasses.replace(v, diagnostics={**v.diagnostics, "common_zeros": listed})
+
+    monkeypatch.setattr(cli, "decide", forced)
+    report, code = run(FIXTURES / "shared_zero.json", None)
+    assert report["verdict"]["outcome"] == "CommonZeros"
+    assert report["conflict"] is (zeros != [1j, 50j])
+    assert code == (EXIT_OK if zeros == [1j, 50j] else EXIT_CONFLICT)
 
 
 def test_boundary_zero_exit_code(tmp_path):

@@ -4,24 +4,34 @@ Jets, moments, the kernel pieces, L(D) and V(u) are each recomputed
 from their textbook definitions with sympy (symbolic derivatives and
 integrals) and compared exactly on hypothesis-generated densities.
 
+The verdict is compared with gcd(P1, Q1, P21, Q21) over QQ_I, with the
+four Laurent numerators built from sympy derivatives of the densities, on
+generic, endpoint-zero, shared-zero and rational-factor pairs, with the
+package's prime and with p = 13, where most reductions fail and exact
+Euclid decides.
+
 The integer-numerator paths (masses, normalization, jets, L(D)) are also
 compared with the direct formulas evaluated one `Fraction` operation at a
 time, on densities up to degree 16 with coefficient heights up to 1e6.
 """
 
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 import sympy as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from bezoutiant import symbol
 from bezoutiant.exact import GR, GaussianRational, Poly, from_numerators
 from bezoutiant.kernel import build_kernel, normalize_pair
-from bezoutiant.symbol import DiffOperator, l_operator, v_symbol
+from bezoutiant.symbol import (OUTCOME_COINCIDE, OUTCOME_COMMON, OUTCOME_INCONCLUSIVE,
+                               OUTCOME_NO_COMMON, DiffOperator, decide, l_operator,
+                               v_symbol)
 from bezoutiant.transform import ClosedTransform
 
-s, u, x, t = sp.symbols("s u x t")
+s, u, x, t, w = sp.symbols("s u x t w")
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 gaussians = st.builds(GR, rationals, rationals)
@@ -167,6 +177,100 @@ def test_v_symbol_matches_textbook_sum(psi1, psi2, a):
         want += (-1) ** (k + 1) * d1[k].subs(s, 0) * d2[p].subs(s, u)
         want += (-1) ** p * d2[k].subs(s, A) * d1[p].subs(s, A - u)
     assert same(sym_poly(v_symbol(pair), u), want)
+
+
+def _laurent_sym(g, A):
+    """(P, Q) in w = 1/z of int_0^A e^{izs} g(s) ds for a sympy polynomial g:
+    p_j = -i^j g^(j-1)(A), q_j = i^j g^(j-1)(0)."""
+    P = Q = sp.Integer(0)
+    for j in range(1, sp.degree(g, s) + 2):
+        d = sp.diff(g, s, j - 1)
+        P -= sp.I ** j * d.subs(s, A) * w ** j
+        Q += sp.I ** j * d.subs(s, 0) * w ** j
+    return sp.Poly(P, w, domain="QQ_I"), sp.Poly(Q, w, domain="QQ_I")
+
+
+def oracle_verdict(psi1, psi2, a):
+    """(outcome, G ascending or None) from F_1 = int e^{izs} conj psi1(s) ds
+    and F_{2,1} = int e^{izs} psi2(a - s) ds."""
+    A = sp.Rational(a.numerator, a.denominator)
+    g1 = sym_poly(psi1.conjugate(), s)
+    g21 = sp.expand(sym_poly(psi2, s).subs(s, A - s))
+    p1, q1 = _laurent_sym(g1, A)
+    p21, q21 = _laurent_sym(g21, A)
+    if (q21 * q1.LC() - q1 * q21.LC()).is_zero:
+        return OUTCOME_COINCIDE, None
+    if (p1 * q21 - p21 * q1).is_zero:
+        return OUTCOME_INCONCLUSIVE, None
+    g = reduce(lambda f, h: f.gcd(h), (p1, q1, p21, q21)).terms_gcd()[1].monic()
+    origin = integrate(g1, 0, A) == 0 and integrate(g21, 0, A) == 0
+    if g.degree() == 0 and not origin:
+        return OUTCOME_NO_COMMON, None
+    return OUTCOME_COMMON, g.all_coeffs()[::-1]
+
+
+def _vanishing(h: Poly, a, s0) -> Poly:
+    """g = c0 + c1 t + t^2 h with G_x(s0) = sum_k g^(k)(x) s0^k = 0 at x = 0
+    and x = a; G_x(s0) = c0 + c1 (x + s0) + H_x(s0) fixes c0 and c1.  Then
+    P and Q of g's transform vanish at w0 = -i s0, so it vanishes at i/s0."""
+    h = h.times_x(2)
+
+    def big_h(x):
+        out, d, power = GR(0), h, Fraction(1)
+        while not d.is_zero:
+            out, d, power = out + d(x) * power, d.derivative(), power * s0
+        return out
+
+    c1 = (big_h(0) - big_h(a)) / a
+    return h + Poly.of(-big_h(0) - c1 * s0, c1)
+
+
+@st.composite
+def gcd_pairs(draw):
+    """(psi1, psi2, a, s0 or kind): generic pairs, pairs of densities that
+    vanish at 0 and a (each Laurent numerator then has a factor w^2), pairs
+    whose F_1 and F_{2,1} share the zero i/s0, and rational-factor pairs,
+    g21 = g1' + c g1 with g1(0) = g1(a) = 0, so that F_{2,1} = (c - iz) F_1."""
+    a = draw(wide_endpoints)
+    kind = draw(st.sampled_from(["generic", "endpoint-zero", "shared-zero", "rational-factor"]))
+    if kind == "generic":
+        psi1, psi2 = draw(polys(5)), draw(polys(5))
+    elif kind == "endpoint-zero":
+        psi1, psi2 = (draw(polys(3)) * Poly.of(0, a, -1) for _ in range(2))
+    elif kind == "shared-zero":
+        # s0 = 13: with p = 13 the factor w + i s0 of G reduces to w
+        kind = draw(st.sampled_from([Fraction(1), Fraction(-1, 2), Fraction(2, 3), Fraction(13)]))
+        g1, g21 = _vanishing(draw(polys(3)), a, kind), _vanishing(draw(polys(3)), a, kind)
+        psi1, psi2 = g1.conjugate(), g21.compose_affine(a, -1)
+    else:
+        g1 = draw(polys(3)) * Poly.of(0, a, -1)
+        psi1, psi2 = g1.conjugate(), (g1.derivative() + g1 * draw(gaussians)).compose_affine(a, -1)
+    assume(not psi1.is_zero and not psi2.is_zero)
+    return psi1, psi2, a, kind
+
+
+@pytest.mark.parametrize("prime", [None, (13, 5)], ids=["package-prime", "p13"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(gcd_pairs())
+def test_verdict_matches_sympy_gcd(prime, case):
+    psi1, psi2, a, s0 = case
+    with pytest.MonkeyPatch.context() as mp:
+        if prime:  # 5^2 = -1 (mod 13)
+            mp.setattr(symbol, "PRIME", prime[0])
+            mp.setattr(symbol, "SQRT_M1", prime[1])
+        v = decide(psi1, psi2, a)
+        reduced = {"p": symbol.PRIME, "sqrt_m1": symbol.SQRT_M1}
+    outcome, g = oracle_verdict(psi1, psi2, a)
+    assert v.outcome == outcome
+    if s0 == "rational-factor":
+        assert outcome == OUTCOME_INCONCLUSIVE
+    if outcome in (OUTCOME_NO_COMMON, OUTCOME_COMMON):
+        assert v.diagnostics["certificate"] in (None, reduced)
+    if outcome == OUTCOME_COMMON:
+        got = [sym(GaussianRational.from_json(c)) for c in v.diagnostics["gcd"]]
+        assert len(got) == len(g) and all(same(c, d) for c, d in zip(got, g))
+        if isinstance(s0, Fraction):  # the shared zero: G(-i s0) = 0
+            assert same(sp.Poly(g[::-1], w).eval(-sp.I * sp.Rational(s0)), 0)
 
 
 # -- Fraction-by-Fraction references for the integer-numerator paths --------
