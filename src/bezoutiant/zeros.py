@@ -10,19 +10,26 @@ centroid.  This is the numerical side of the artifact: it never trusts the
 symbolic verdict and vice versa.
 
 Contour evaluation is batched and fused.  A winding integral cuts each
-edge into Gauss-Legendre panels, and one panel level of every box in a
-batch (4 edges x all panels x 20 nodes) goes to `eval_many` as one array,
-in chunks of at most _CHUNK_POINTS points; each call returns F and F'
-together (`with_derivative=True`), sharing e^{iaz} and 1/z.  Each chunk
-adds its nodes' terms to the moments of the boxes they belong to, so no
-per-panel array outlives its chunk; the sums agree with a per-panel loop
-to rounding.
+edge into Gauss-Legendre panels, and the panel levels asked for, for every
+box in a batch (4 edges x all panels x 20 nodes), go to `eval_many` in
+chunks of at most _CHUNK_POINTS points, whole chunks of several levels
+sharing a call where they fit; each call returns F and F' together
+(`with_derivative=True`), sharing e^{iaz} and 1/z.  The moments are
+fused: each chunk fills one stacked array of the terms times u^0..u^7
+(u the scaled node), sums it over the nodes and over each box's rows in
+one reduction, and adds the result to the moments of the boxes the rows
+belong to, so no per-panel array outlives its chunk.  A level's sums run
+in the same order whichever levels share its calls, so its moments are
+the same bits as a call for it alone, and agree with a per-panel loop to
+rounding.
 `_certified_windings` certifies the four children of a quadrisection
 together: at each doubling of the panels (4 to 256) it evaluates only the
 boxes not yet certified, and each box keeps the one-box rule (two
-successive integrals within 1e-3 and within 0.1 of an integer).  A
-box whose integral is not finite (F is 0 at a contour node) fails at the
-level that sees it.
+successive integrals within 1e-3 and within 0.1 of an integer).  No box
+certifies at the first level, which has nothing to agree with, so the
+first two levels (4 and 8 panels) run in one call: for up to four boxes,
+3840 points in one `eval_many` call.  A box whose integral is not finite
+(F is 0 at a contour node) fails at the level that sees it.
 The seven candidate cut lines of a split are scored in one call too.
 
 Moment solve.  The same nodes also give the scaled moments
@@ -58,6 +65,7 @@ zero of that multiplicity if a tiny box around it certifies the same count.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -135,8 +143,9 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 _PANEL_LEVELS = (4, 8, 16, 32, 64, 128, 256)
 
 #: Most contour points handed to one `eval_many` call.  A batch of four
-#: boxes certifies at 8 panels in one call; a batch that runs to 256 panels
-#: is evaluated piecewise, so its temporaries stay a few hundred kB.
+#: boxes evaluates its first two levels (4 and 8 panels, 3840 points) in one
+#: call; a batch that runs to 256 panels is evaluated piecewise, so its
+#: temporaries stay a few hundred kB.
 _CHUNK_POINTS = 4096
 
 
@@ -168,44 +177,78 @@ def _box_scale(box):
     return complex(0.5 * (x0 + x1), 0.5 * (y0 + y1)), 0.5 * math.hypot(x1 - x0, y1 - y0)
 
 
-def _winding_integrals(F, boxes, panels_per_edge) -> np.ndarray:
-    """Scaled contour moments of each box, one row per box.
+@functools.cache
+def _panel_nodes(panels):
+    """Gauss-Legendre nodes t on [0, 1] cut into `panels` equal panels, one
+    row per panel, and the panel widths; built once per level, read-only."""
+    edges = np.linspace(0.0, 1.0, panels + 1)
+    width = edges[1:] - edges[:-1]
+    t = 0.5 * width[:, None] * _GL_NODES + 0.5 * (edges[1:] + edges[:-1])[:, None]
+    t.flags.writeable = width.flags.writeable = False
+    return t, width
 
-    Row entry k is sigma_k = (1/2 pi i) * integral of ((z - c)/r)^k F'/F dz
+
+def _panel_chunks(n_boxes, levels):
+    """Each level's panel rows, in the chunks of at most _CHUNK_POINTS points
+    that `_winding_integrals` sums.  A row is one panel of one edge; a chunk
+    is (moment row j * n_boxes + box, edge, nodes t, panel width) per row,
+    j indexing `levels`."""
+    step = _CHUNK_POINTS // _GL_NODES.size
+    for j, panels in enumerate(levels):
+        t, width = _panel_nodes(panels)
+        edge, panel = np.divmod(np.arange(4 * n_boxes * panels), panels)
+        for lo in range(0, edge.size, step):
+            e, p = edge[lo:lo + step], panel[lo:lo + step]
+            yield j * n_boxes + e // 4, e, t[p], width[p]
+
+
+def _winding_integrals(F, boxes, levels) -> np.ndarray:
+    """Scaled contour moments of each box at each panel level, shaped
+    (len(levels), len(boxes), _MOMENT_CAP + 1).
+
+    Entry k is sigma_k = (1/2 pi i) * integral of ((z - c)/r)^k F'/F dz
     around the box, k = 0.._MOMENT_CAP, with c and r from `_box_scale`:
     sigma_0 is the winding number, the number of zeros inside, and sigma_k
     the sum of the k-th powers of their scaled positions (Delves and
-    Lyness 1967).  Every edge of every box is cut into `panels_per_edge`
-    Gauss-Legendre panels.  A panel row holds the nodes of one panel; the
-    rows of all boxes are evaluated together, F and F' in one `eval_many`
-    call of at most _CHUNK_POINTS points, and each chunk adds its rows'
-    terms to the moments of the boxes they belong to.
+    Lyness 1967).  At a level of n panels every edge of every box is cut
+    into n Gauss-Legendre panels.  A panel row holds the nodes of one
+    panel; each level's rows go in chunks of at most _CHUNK_POINTS points
+    (`_panel_chunks`), and consecutive chunks that fit in _CHUNK_POINTS
+    points together share one `eval_many` call (F and F').  Each chunk
+    adds its rows' terms to the moments of the boxes they belong to, so a
+    level's moments are bit for bit those of a call for that level alone.
     """
     corners = np.array([_box_corners(b) for b in boxes])
     scales = [_box_scale(b) for b in boxes]
     centre = np.array([c for c, _ in scales])
     radius = np.array([r for _, r in scales])
     start = corners.ravel()
-    delta = np.roll(corners, -1, axis=1).ravel() - start
-    edges = np.linspace(0.0, 1.0, panels_per_edge + 1)
-    width = edges[1:] - edges[:-1]
-    t = 0.5 * width[:, None] * _GL_NODES + 0.5 * (edges[1:] + edges[:-1])[:, None]
-    edge, panel = np.divmod(np.arange(start.size * panels_per_edge), panels_per_edge)
-    moments = np.zeros((len(boxes), _MOMENT_CAP + 1), dtype=complex)
-    step = _CHUNK_POINTS // _GL_NODES.size
-    for lo in range(0, edge.size, step):
-        e, p = edge[lo:lo + step], panel[lo:lo + step]
+    delta = corners[:, [1, 2, 3, 0]].ravel() - start
+    moments = np.zeros((len(levels) * len(boxes), _MOMENT_CAP + 1), dtype=complex)
+    # A chunk of fewer than `step` rows is the last of its level, so the chunks
+    # that share a call belong to different levels and fill distinct moment rows.
+    calls, step = [], _CHUNK_POINTS // _GL_NODES.size
+    for chunk in _panel_chunks(len(boxes), levels):
+        if calls and sum(c[0].size for c in calls[-1]) + chunk[0].size <= step:
+            calls[-1].append(chunk)
+        else:
+            calls.append([chunk])
+    for call in calls:
+        row, e, t, width = (np.concatenate(parts) for parts in zip(*call))
         box = e // 4
-        z = start[e, None] + delta[e, None] * t[p]
+        z = start[e, None] + delta[e, None] * t
         f, fp = F.eval_many(z.ravel(), with_derivative=True)
-        terms = (delta[e] * 0.5 * width[p])[:, None] * _GL_WEIGHTS * (fp / f).reshape(z.shape)
+        # stack[k] holds the moment-k summands, the terms times ((z - c)/r)^k
+        stack = np.empty((_MOMENT_CAP + 1,) + z.shape, dtype=complex)
+        np.multiply((delta[e] * 0.5 * width)[:, None] * _GL_WEIGHTS,
+                    (fp / f).reshape(z.shape), out=stack[0])
         u = (z - centre[box, None]) / radius[box, None]
-        # the rows of one box are contiguous: sum each run of them
-        first = np.flatnonzero(np.r_[True, box[1:] != box[:-1]])
-        for k in range(_MOMENT_CAP + 1):
-            moments[box[first], k] += np.add.reduceat(np.sum(terms, axis=1), first)
-            terms = terms * u
-    return moments / (2j * math.pi)
+        for k in range(1, _MOMENT_CAP + 1):
+            np.multiply(stack[k - 1], u, out=stack[k])
+        # the rows of one box at one level are contiguous: sum each run of them
+        first = np.flatnonzero(np.concatenate(([True], row[1:] != row[:-1])))
+        moments[row[first]] += np.add.reduceat(np.sum(stack, axis=2), first, axis=1).T
+    return moments.reshape(len(levels), len(boxes), -1) / (2j * math.pi)
 
 
 def _certified_windings(F, boxes) -> list:
@@ -215,32 +258,36 @@ def _certified_windings(F, boxes) -> list:
     1e-3 and lie within 0.1 of an integer; a box that has not
     certified at the last level raises, and so does a box whose integral
     is not finite (F vanishes at a contour node), at once.  Each level
-    evaluates only the boxes that are still open.  Returns one
+    evaluates only the boxes that are still open; the first two levels
+    share one `_winding_integrals` call.  Returns one
     (count, sigma) pair per box, sigma being the box's scaled moments (see
     `_winding_integrals`) at the certifying level.
     """
     out = [None] * len(boxes)
     prev = [None] * len(boxes)
     open_ = list(range(len(boxes)))
-    for panels in _PANEL_LEVELS:
+    # the first level has no predecessor to agree with, so it certifies no
+    # box and leaves open_ as it was: it shares one evaluation with the second
+    for levels in [_PANEL_LEVELS[:2]] + [(n,) for n in _PANEL_LEVELS[2:]]:
         with np.errstate(divide="ignore", invalid="ignore"):
-            sigmas = _winding_integrals(F, [boxes[i] for i in open_], panels)
-        still = []
-        for i, sigma in zip(open_, sigmas):
-            val = complex(sigma[0])
-            if not np.isfinite(val):
-                raise NonIntegerWindingError(
-                    f"non-finite winding integral on {boxes[i]} at {panels} panels: {val}")
-            if prev[i] is not None and abs(val - prev[i]) < 1e-3:
-                n = round(val.real)
-                if abs(val - n) <= 0.1:
-                    out[i] = (int(n), sigma)
-                    continue
-            prev[i] = val
-            still.append(i)
-        open_ = still
-        if not open_:
-            return out
+            sigmas = _winding_integrals(F, [boxes[i] for i in open_], levels)
+        for panels, level in zip(levels, sigmas):
+            still = []
+            for i, sigma in zip(open_, level):
+                val = complex(sigma[0])
+                if not np.isfinite(val):
+                    raise NonIntegerWindingError(
+                        f"non-finite winding integral on {boxes[i]} at {panels} panels: {val}")
+                if prev[i] is not None and abs(val - prev[i]) < 1e-3:
+                    n = round(val.real)
+                    if abs(val - n) <= 0.1:
+                        out[i] = (int(n), sigma)
+                        continue
+                prev[i] = val
+                still.append(i)
+            open_ = still
+            if not open_:
+                return out
     i = open_[0]
     raise NonIntegerWindingError(
         f"winding integral did not certify an integer on {boxes[i]}: {prev[i]}")

@@ -277,6 +277,29 @@ def test_eval_many_with_derivative_bit_identical(rng):
             assert np.all(np.abs(fp - Fd.eval_many(pts)) <= 2 * _horner_bound(Fd, pts))
 
 
+def test_eval_many_shape_and_pointwise_bits(rng):
+    # any input shape comes back as it went in, and every value, F and F', has
+    # the bits of that point evaluated alone, whether the array holds Laurent
+    # points only (no Taylor mask), Taylor points only or both
+    gen = np.random.default_rng(3)
+    laurent = gen.uniform(-20, 20, 12) + 1j * gen.uniform(-4, 4, 12)
+    taylor = gen.uniform(-0.35, 0.35, 12) + 1j * gen.uniform(-0.35, 0.35, 12)
+    mixed = np.where(np.arange(12) % 3 == 0, taylor, laurent)
+    for g in (Poly(()), ONE, random_poly(rng, 7)):
+        Ft = ClosedTransform.from_density(g, F(7, 3))
+        for pts in (laurent, taylor, mixed):
+            for z in (pts[0], pts[:0], pts, pts.reshape(3, 4), pts.reshape(4, 3).T):
+                z = np.asarray(z)
+                alone = [Ft.eval_many(np.array([v]), with_derivative=True) for v in z.ravel()]
+                f, fp = Ft.eval_many(z, with_derivative=True)
+                f_only = Ft.eval_many(z)
+                assert f.shape == fp.shape == f_only.shape == z.shape
+                for got, want in ((f, [u for u, _ in alone]), (fp, [d for _, d in alone]),
+                                  (f_only, [u for u, _ in alone])):
+                    assert got.ravel().tobytes() == np.concatenate(want or [[]]).astype(
+                        complex).tobytes()
+
+
 def _mp_derivative(Ft, nodes):
     """F'(z) = int_0^a i t e^{izt} g(t) dt by Gauss-Legendre on the given
     mpmath nodes; i t g(t) times the weights is tabulated once per Ft."""

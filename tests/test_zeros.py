@@ -241,11 +241,18 @@ def test_winding_integrals_match_panel_loop():
              (-20.5, 20.0, -5.5, 5.5)]
     # 256 panels x 4 edges x 4 boxes spans several eval_many chunks
     for panels in (4, 8, 64, 256):
-        got = _winding_integrals(F, boxes, panels)
-        assert got.shape == (len(boxes), zeros._MOMENT_CAP + 1)
-        for box, sigma in zip(boxes, got):
+        got = _winding_integrals(F, boxes, (panels,))
+        assert got.shape == (1, len(boxes), zeros._MOMENT_CAP + 1)
+        for box, sigma in zip(boxes, got[0]):
             want = _panel_loop_winding(F, Fp, box, panels)
             assert np.all(np.abs(sigma - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+    # several levels in one call: each level is its own call's moments, bit for
+    # bit; (64, 128) on four boxes runs over several chunks of both levels
+    for levels, n in (((4, 8), 1), ((4, 8), 4), ((64, 128), 4)):
+        got = _winding_integrals(F, boxes[:n], levels)
+        assert got.shape == (len(levels), n, zeros._MOMENT_CAP + 1)
+        for panels, level in zip(levels, got):
+            assert np.array_equal(level, _winding_integrals(F, boxes[:n], (panels,))[0])
 
 
 def test_certified_windings_batch_equals_single():
@@ -549,16 +556,16 @@ def test_multiple_zero_located_at_cluster_centroid(m, err, tol):
 def test_non_finite_winding_fails_at_once(monkeypatch):
     calls = []
 
-    def nan_for_second_box(F, boxes, panels):
-        calls.append(panels)
-        sigma = np.zeros((len(boxes), zeros._MOMENT_CAP + 1), dtype=complex)
-        sigma[1, 0] = complex("nan")
+    def nan_for_second_box(F, boxes, levels):
+        calls.append(levels)
+        sigma = np.zeros((len(levels), len(boxes), zeros._MOMENT_CAP + 1), dtype=complex)
+        sigma[0, 1, 0] = complex("nan")
         return sigma
 
     monkeypatch.setattr(zeros, "_winding_integrals", nan_for_second_box)
-    with pytest.raises(NonIntegerWindingError, match="non-finite"):
+    with pytest.raises(NonIntegerWindingError, match="non-finite .* at 4 panels"):
         _certified_windings(None, [(0, 1, 0, 1), (1, 2, 0, 1)])
-    assert calls == [4]
+    assert calls == [(4, 8)]
 
 
 class _VanishingOnContour:
