@@ -401,13 +401,33 @@ class Poly:
 
     def eval_float(self, z):
         """Horner evaluation at a complex float or numpy array."""
-        acc = np.zeros_like(np.asarray(z, dtype=complex))
-        for c in self._complex_coeffs[::-1]:
-            acc = acc * z + c
-        return acc
+        return _horner(self._complex_coeffs, z)
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
+
+
+def _horner(coeffs: np.ndarray, z):
+    """sum_k coeffs[k] z^k by Horner's rule; each coeffs[k] broadcasts against z."""
+    z = np.asarray(z, dtype=complex)
+    acc = np.zeros_like(z)
+    for c in coeffs[::-1]:
+        acc *= z
+        acc += c
+    return acc[()]  # a scalar for a scalar z
+
+
+def eval_float_rows(polys, z: np.ndarray) -> np.ndarray:
+    """polys[k] at the points z[k], all rows in one Horner pass.
+
+    The coefficient table pads each polynomial with leading zeros up to the
+    longest one.  A row's accumulator stays exactly 0 through its padding,
+    so row k equals polys[k].eval_float(z[k]) bit for bit.
+    """
+    table = np.zeros((max(len(p._complex_coeffs) for p in polys), len(polys), 1), dtype=complex)
+    for k, p in enumerate(polys):
+        table[:len(p._complex_coeffs), k, 0] = p._complex_coeffs
+    return _horner(table, z)
 
 
 @dataclass(frozen=True)

@@ -45,9 +45,14 @@ no n x n array but T is formed.  The nodes ascend, so x_i < t_j exactly
 when j > i: rows [s, e) take the upper piece of U alone in the columns
 below s, the lower piece alone from e on, and both only in their diagonal
 block, split at its strict upper triangle.  Each piece is
-(V_x C)(diag(c w) V_t)^T with Vandermonde matrices V.  The residual walks
-the blocks bottom-up, continuing the column sums S_cols(W T) from a row
-carried up from the block below, in one whole-column cumsum's order.
+(V_x C)(diag(c w) V_t)^T, with V_x and V_t column slices of one complex
+Vandermonde matrix of the nodes, as wide as the widest piece dimension.
+The residual walks the blocks bottom-up in three (_BLOCK, n) buffers that
+every block reuses (a shorter last block uses their first rows).  The
+column sums S_cols(W T) continue from the row below: its sums are added
+into the block's last row of W T before the block's cumsum, which keeps
+one whole-column cumsum's order.  The weights are complex-typed, as every
+product with a complex array would cast them anyway.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exact import eval_float_rows
 from .kernel import BezoutKernel, MFunctions, NormalizedPair
 
 
@@ -100,19 +106,21 @@ _BLOCK = 32
 
 def kernel_matrix(k: BezoutKernel, grid: Grid) -> np.ndarray:
     """Nystrom matrix of T: T[i, j] = c U(x_i, t_j) w_j, in row blocks."""
-    x, n = grid.nodes, grid.n
-    vander = lambda m: np.vander(x, m, increasing=True)
+    n = grid.n
+    pieces = k.float_pieces
+    vander = np.vander(grid.nodes.astype(complex), max(d for p in pieces for d in p.shape),
+                       increasing=True)
     cw = complex(k.c) * grid.weights[:, None]
-    (xl, tl), (xu, tu) = ((vander(p.shape[0]) @ p, vander(p.shape[1]) * cw)
-                          for p in k.float_pieces)
+    (xl, tl), (xu, tu) = ((vander[:, :p.shape[0]] @ p, vander[:, :p.shape[1]] * cw)
+                          for p in pieces)
     t = np.empty((n, n), dtype=complex)
+    upper = np.triu(np.ones((_BLOCK, _BLOCK), bool), 1)
     for s in range(0, n, _BLOCK):
         e = min(s + _BLOCK, n)
         np.matmul(xu[s:e], tu[:s].T, out=t[s:e, :s])
         np.matmul(xl[s:e], tl[e:].T, out=t[s:e, e:])
-        diag = xu[s:e] @ tu[s:e].T
-        np.copyto(diag, xl[s:e] @ tl[s:e].T, where=np.triu(np.ones(diag.shape, bool), 1))
-        t[s:e, s:e] = diag
+        np.matmul(xu[s:e], tu[s:e].T, out=t[s:e, s:e])
+        np.copyto(t[s:e, s:e], xl[s:e] @ tl[s:e].T, where=upper[:e - s, :e - s])
     return t
 
 
@@ -123,38 +131,42 @@ def discretize_all(
     grid: Grid,
 ) -> Discretization:
     """T and the vectors r_1, r_2, n_1, n_2 on the grid."""
-    w = grid.weights
+    w, x = grid.weights, grid.nodes
+    phi1, phi2, m2, m2_reflected = eval_float_rows(
+        (mf.phi1, mf.phi2, mf.m2, mf.m2), np.stack([x, x, x, float(pair.a) - x]))
     # P_k* f = -i int_0^a f(t) conj(Phi_k(t)) dt
-    row1, row2 = (-1j * w * np.conj(phi.eval_float(grid.nodes))
-                  for phi in (mf.phi1, mf.phi2))
-    n2 = -1j * mf.m2.eval_float(grid.nodes)
-    n1 = np.conj(mf.m2.eval_float(float(pair.a) - grid.nodes))
+    row1, row2 = (-1j * w * np.conj(phi) for phi in (phi1, phi2))
+    n2, n1 = -1j * m2, np.conj(m2_reflected)
     return Discretization(grid, kernel_matrix(k, grid), row1, row2, n1, n2)
 
 
 def identity_residual(ops: Discretization) -> float:
     """Frobenius norm of T B_1 - B_2* T - N_2 N_1* on the common grid."""
-    w, t, n = ops.grid.weights, ops.t, ops.grid.n
+    t, n = ops.t, ops.grid.n
+    w = ops.grid.weights.astype(complex)
     # r = R / i has the norm of R
     left = 1j * np.stack([t.sum(axis=1), -np.conj(ops.row2) / w, -ops.n2], axis=1)
     right = np.stack([ops.row1, w @ t, w * np.conj(ops.n1)])
-    carry = np.zeros((1, n), dtype=complex)  # S_cols(W T) of the row below the block
+    # cols[0] carries S_cols(W T) of the row below the block (0 below the last row)
+    wt, cols, r = np.zeros((3, _BLOCK, n), dtype=complex)
     total = 0.0
     for e in range(n, 0, -_BLOCK):
         s = max(e - _BLOCK, 0)
-        blk = t[s:e]
-        wt = w[s:e, None] * blk
-        cols = np.cumsum(np.concatenate([carry, wt[::-1]]), axis=0)
-        carry = cols[-1:]
-        r = np.empty_like(blk)
-        np.cumsum(blk[:, ::-1], axis=1, out=r[:, ::-1])
-        r *= w
-        r += cols[:0:-1]
-        wt += blk * w
-        wt *= 0.5
-        r -= wt
-        r -= left[s:e] @ right
-        total += np.vdot(r, r).real
+        blk, wt_b, cols_b, r_b = t[s:e], wt[:e - s], cols[:e - s], r[:e - s]
+        np.multiply(w[s:e, None], blk, out=wt_b)
+        wt_b[-1] += cols[0]
+        np.cumsum(wt_b[::-1], axis=0, out=cols_b[::-1])  # S_cols(W T) of rows s..e-1
+        np.multiply(w[e - 1], blk[-1], out=wt_b[-1])  # the last row again, without the carry
+        np.multiply(blk, w, out=r_b)  # r as scratch: wt = T[i, j] (w_i + w_j) / 2
+        wt_b += r_b
+        wt_b *= 0.5
+        np.cumsum(blk[:, ::-1], axis=1, out=r_b[:, ::-1])
+        r_b *= w
+        r_b += cols_b
+        r_b -= wt_b
+        np.matmul(left[s:e], right, out=wt_b)
+        r_b -= wt_b
+        total += np.vdot(r_b, r_b).real
     return float(np.sqrt(total))
 
 

@@ -2,7 +2,9 @@ import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
+import pytest
 
+from bezoutiant import operator_lab
 from bezoutiant.exact import Poly
 from bezoutiant.kernel import (
     build_kernel,
@@ -134,6 +136,42 @@ def test_structured_residual_matches_dense(rng):
                 want = _dense_residual(pair, mf, g, ops.t)
                 got = identity_residual(ops)
                 assert abs(got - want) <= 1e-11 * want, (n, got, want)
+
+
+def test_discretize_all_vectors_match_per_polynomial_horner(rng):
+    # one Horner pass over a zero-padded table, equal bit for bit to each
+    # polynomial evaluated alone; unequal degrees and a constant density
+    # leave rows of padding
+    cases = [(random_admissible_poly(rng, 7, 1), random_admissible_poly(rng, 2, 1), 1),
+             (ONE, random_admissible_poly(rng, 5, F(7, 3)), F(7, 3)),
+             (random_admissible_poly(rng, 4, 1), ONE, 1)]
+    for psi1, psi2, a in cases:
+        pair, k, mf = _setup(psi1, psi2, a)
+        for g in (Grid.uniform(33, a), _random_grid(40, a, seed=3)):
+            ops = discretize_all(pair, k, mf, g)
+            w, x = g.weights, g.nodes
+            assert np.array_equal(ops.row1, -1j * w * np.conj(mf.phi1.eval_float(x)))
+            assert np.array_equal(ops.row2, -1j * w * np.conj(mf.phi2.eval_float(x)))
+            assert np.array_equal(ops.n2, -1j * mf.m2.eval_float(x))
+            assert np.array_equal(ops.n1, np.conj(mf.m2.eval_float(float(pair.a) - x)))
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 512])
+def test_row_block_size_leaves_results_unchanged(rng, monkeypatch, block):
+    # a partial block reuses the first rows of full-size buffers: a stale
+    # row left there would show up as a block-size dependence
+    pair, k, mf = _setup(random_admissible_poly(rng, 6, 1), random_admissible_poly(rng, 4, 1))
+    for n in (33, 100, 257):
+        g = Grid.uniform(n, 1)
+        ops = discretize_all(pair, k, mf, g)
+        want = identity_residual(ops)
+        with monkeypatch.context() as m:
+            m.setattr(operator_lab, "_BLOCK", block)
+            got = identity_residual(ops)
+            t = kernel_matrix(k, g)
+        assert abs(got - want) <= 1e-12 * want, (block, n)
+        u = complex(k.c) * k.u_float(g.nodes[:, None], g.nodes[None, :]) * g.weights
+        assert np.max(np.abs(t - u)) <= 1e-12 * np.max(np.abs(u)), (block, n)
 
 
 def test_kernel_matrix_shape_and_scaling():
