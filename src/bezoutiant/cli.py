@@ -14,15 +14,20 @@ Problem files are JSON with exact rational coefficient strings:
       "tasks": ["decide", "zeros"]
     }
 
-Exit codes: 0 success (CommonZeros included), 1 input error, 2 inconclusive
-verdict, 3 conflict between the symbolic verdict and the numerical zero
-comparison, 4 numeric refusal: the zero locator declined to answer (an
-evaluation would overflow, a winding number did not certify, a cluster
-stayed unresolved or the boundary could not be moved off a zero).  A
-kernel or operator check of a zero-mass density is skipped (`skipped`), as
-they need unit-mass densities.  A refusal still writes the
-report, with its verdict and an `error` block naming the stage, the
-transform, the exception type and its message (`emit-grid`: one stderr line).
+Exact literals (`a` and the coefficient parts) are integers, "p/q" or plain
+decimals; an exponent ("1e5") is an input error.
+
+Exit codes: 0 success (CommonZeros included), 1 input error (also an exact
+result too long to write as a decimal string: the report's `error` names
+`verdict` or `kernel`), 2 inconclusive verdict, 3 conflict between the
+symbolic verdict and the numerical zero comparison, 4 numeric refusal: the
+zero locator declined to answer (an evaluation would overflow, a winding
+number did not certify, a cluster stayed unresolved or the boundary could
+not be moved off a zero).  A kernel or operator check of a zero-mass
+density is skipped (`skipped`), as they need unit-mass densities.  A
+refusal still writes the report, with its verdict and an `error` block
+naming the stage, the transform, the exception type and its message
+(`emit-grid`: one stderr line).
 """
 
 from __future__ import annotations
@@ -35,11 +40,12 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from . import __version__
-from .exact import Poly, parse_rational
+from .exact import DigitLimitError, Poly, parse_rational
 from .kernel import ZeroMassError, build_kernel, build_m_functions, normalize_pair
 from .operator_lab import convergence_study
 from .symbol import (
@@ -224,7 +230,11 @@ def run(spec_path, out_path, tasks=None, rect=None, tol=None, grid_n=None):
     report: dict = {"tasks": list(spec.tasks)}
     exit_code = EXIT_OK
 
-    verdict = decide(spec.psi1, spec.psi2, spec.a, spec.coeff_class)
+    try:
+        verdict = decide(spec.psi1, spec.psi2, spec.a, spec.coeff_class)
+    except DigitLimitError as exc:  # the masses and the gcd are written exactly
+        report["error"] = f"verdict: {exc}"
+        return _finish(report, EXIT_INPUT_ERROR, spec_sha256, out_path, started)
     report["verdict"] = verdict.to_json()
     if verdict.outcome == OUTCOME_INCONCLUSIVE:
         exit_code = EXIT_INCONCLUSIVE
@@ -239,7 +249,11 @@ def run(spec_path, out_path, tasks=None, rect=None, tol=None, grid_n=None):
             mf = build_m_functions(pair)
             kern = build_kernel(pair)
             if "kernel" in spec.tasks:
-                report["kernel"] = kern.to_json()
+                try:
+                    report["kernel"] = kern.to_json()
+                except DigitLimitError as exc:
+                    report["error"] = f"kernel: {exc}"
+                    return _finish(report, EXIT_INPUT_ERROR, spec_sha256, out_path, started)
             if "operator-check" in spec.tasks:
                 report["operator"] = convergence_study(
                     pair, kern, mf, sizes=_refinement_sizes(spec.grid_n))
@@ -291,7 +305,44 @@ def _write_report(report: dict, out_path) -> None:
     if out_path is None:
         return
     with open(out_path, "w") as fh:  # one write: json.dump writes chunk by chunk
-        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        fh.write(_json_text(report) + "\n")
+
+
+def _json_text(value, indent: str = "") -> str:
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte, for str keys.
+
+    With an indent, Python's json module encodes in pure Python; this
+    writes the same text directly, strings through the C string encoder.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+                 for k, v in sorted(value.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json_text(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value in (math.inf, -math.inf):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def emit_grid(spec_path, csv_path):

@@ -1,14 +1,19 @@
 """Exact arithmetic core: Gaussian rationals and polynomials over them.
 
-Everything in this module is exact.  Coefficients are `fractions.Fraction`
-(arbitrary precision), and no operation here ever touches a float except
+Everything in this module is exact.  Coefficients are rationals of
+arbitrary precision, and no operation here ever touches a float except
 the explicit `*_float` evaluation helpers, which form the boundary to the
 numerical layers.
 
-Loops that would otherwise reduce a `Fraction` after every operation run on
-integer numerators over one common denominator instead (`numerators`,
-`from_numerators`, `taylor_shift`); each result entry is reduced once at
-the end, which yields the same canonical `Fraction`s.  This covers
+A `Poly` is one canonical integer triple (re, im, den): coefficient k is
+(re[k] + i im[k]) / den, den > 0, gcd(den, re..., im...) = 1, no trailing
+zero.  Every operation (parsing, ring operations, scalar division,
+calculus, affine composition, conjugation, jets) runs on the integers and
+puts its result in canonical form with one gcd over the whole triple;
+`Fraction`s appear only in the `GaussianRational` views (`coeffs`, values
+at a point), built when read.  An `MPoly` from the kernel build holds
+integer tables over one denominator in the same way and builds its term
+dict on first read.  In particular
 
 * definite integrals (`Poly.integral`): int_lo^hi p = sum_k c_k
   (hi^(k+1) - lo^(k+1)) / (k+1) is one sum of Gaussian-integer products
@@ -20,14 +25,20 @@ the end, which yields the same canonical `Fraction`s.  This covers
   from one Taylor shift, with k! and the powers of x's denominator folded
   into the integers, so the transforms' Laurent numerators (which `symbol`
   sums over) are integer lists, each entry reduced once when read.
+
+Exact values leave as JSON strings "p/q" or "p" (`_ratio_str`).  Python
+refuses to convert an integer of more than `sys.get_int_max_str_digits()`
+digits (4300 by default) to a string; that refusal is `DigitLimitError`.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from itertools import zip_longest
+from math import gcd, lcm
 from typing import Iterable, Union
 
 import numpy as np
@@ -35,11 +46,20 @@ import numpy as np
 RationalLike = Union[int, Fraction, str]
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse a rational literal of the form "p/q" or "p".
+class DigitLimitError(ValueError):
+    """An exact value has too many digits to be written as a decimal string."""
 
-    Raises ValueError on malformed input or zero denominator.
+
+def parse_rational(text: str) -> Fraction:
+    """Parse a rational literal: an integer "p", a ratio "p/q" or a plain
+    decimal such as "0.25".
+
+    Raises ValueError on malformed input, a zero denominator or an exponent
+    ("1e5"), which could ask for an integer of any size before any check.
     """
+    if "e" in text.lower():
+        raise ValueError(f"bad rational literal {text!r}: no exponent is accepted; "
+                         "write an integer, p/q or a plain decimal")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -54,6 +74,36 @@ def _frac(x: RationalLike) -> Fraction:
     if isinstance(x, str):
         return parse_rational(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
+
+
+def _json_parts(obj) -> tuple:
+    """(re, im) as Fractions from "p/q", an integer (real) or {"re": .., "im": ..}.
+
+    Any other part (a float, null, a boolean, a list) raises ValueError.
+    """
+    parts = (obj.get("re", 0), obj.get("im", 0)) if isinstance(obj, dict) else (obj, 0)
+    for part in parts:
+        if not isinstance(part, (str, int)) or isinstance(part, bool):
+            raise ValueError(f"bad Gaussian rational literal {obj!r}")
+    return _frac(parts[0]), _frac(parts[1])
+
+
+def _ratio_str(num: int, den: int) -> str:
+    """num / den in lowest terms, written as str(Fraction(num, den)) writes it."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:  # only int.__str__ raises here: the digit limit
+        raise DigitLimitError(f"an exact value exceeds the {sys.get_int_max_str_digits()}-digit "
+                              "limit of Python's int-to-string conversion") from None
+
+
+def _json_value(re: int, im: int, den: int):
+    """(re + i im) / den as `GaussianRational.to_json` writes it."""
+    if not im:
+        return _ratio_str(re, den)
+    return {"re": _ratio_str(re, den), "im": _ratio_str(im, den)}
 
 
 @dataclass(frozen=True)
@@ -79,16 +129,13 @@ class GaussianRational:
 
         Any other part (a float, null, a boolean, a list) raises ValueError.
         """
-        parts = (obj.get("re", 0), obj.get("im", 0)) if isinstance(obj, dict) else (obj, 0)
-        for part in parts:
-            if not isinstance(part, (str, int)) or isinstance(part, bool):
-                raise ValueError(f"bad Gaussian rational literal {obj!r}")
-        return cls(*parts)
+        return cls(*_json_parts(obj))
 
     def to_json(self):
         if self.im == 0:
-            return str(self.re)
-        return {"re": str(self.re), "im": str(self.im)}
+            return _ratio_str(self.re.numerator, self.re.denominator)
+        return {"re": _ratio_str(self.re.numerator, self.re.denominator),
+                "im": _ratio_str(self.im.numerator, self.im.denominator)}
 
     # -- arithmetic --------------------------------------------------------
 
@@ -215,14 +262,14 @@ def taylor_shift(re: list, im: list, xr: int, xi: int = 0) -> None:
             im[j] += xr * m + xi * r
 
 
-def _shifted_numerators(numers: tuple, x: GaussianRational) -> tuple:
+def _shifted_numerators(triple: tuple, x: GaussianRational) -> tuple:
     """(re, im, den, xd) with [s^k] p(x + s) = (re[k] + i im[k]) xd^k / den.
 
     With x = (xr + i xi)/xd, xd^n p(x + w/xd) has Gaussian-integer
-    coefficients over p's common denominator (`numers` = p's `numerators`, left
+    coefficients over p's denominator (`triple` = p's (re, im, den), left
     unchanged); its w^k coefficient comes from one Taylor shift by xr + i xi.
     """
-    (re, im), den = map(list, numers[:2]), numers[2]
+    (re, im), den = map(list, triple[:2]), triple[2]
     (xr,), (xi,), xd = numerators((x,))
     n = len(re) - 1
     if xd != 1:
@@ -234,104 +281,155 @@ def _shifted_numerators(numers: tuple, x: GaussianRational) -> tuple:
     return re, im, den * xd ** max(n, 0), xd
 
 
-@dataclass(frozen=True)
 class Poly:
     """Univariate polynomial with Gaussian-rational coefficients.
 
-    Coefficients are stored in ascending powers with trailing zeros
-    trimmed; the zero polynomial is the empty tuple (degree -1).
+    Held as one canonical integer triple `triple` = (re, im, den): the
+    coefficient of x^k is (re[k] + i im[k]) / den, with den > 0,
+    gcd(den, re..., im...) = 1 and no trailing zero coefficient; the zero
+    polynomial is ((), (), 1).  So two polynomials are equal exactly when
+    their triples are.  `coeffs`, the `GaussianRational` tuple in ascending
+    powers, is built on first read.
     """
 
-    coeffs: tuple
+    def __init__(self, coeffs):
+        self._set(*numerators([_as_gr(c) for c in coeffs]))
 
-    def __post_init__(self):
-        cs = tuple(_as_gr(c) for c in self.coeffs)
-        while cs and not cs[-1]:
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
+    @classmethod
+    def _of(cls, re, im, den: int) -> "Poly":
+        """The polynomial with coefficients (re[k] + i im[k]) / den, den > 0."""
+        p = cls.__new__(cls)
+        p._set(re, im, den)
+        return p
+
+    def _set(self, re, im, den: int) -> None:
+        """Store (re, im, den) in canonical form: trailing zeros trimmed, gcd divided out."""
+        n = len(re)
+        while n and not (re[n - 1] or im[n - 1]):
+            n -= 1
+        g = gcd(den, *re[:n], *im[:n])
+        if g == 1:
+            self.triple = (tuple(re[:n]), tuple(im[:n]), den)
+        else:
+            self.triple = (tuple(r // g for r in re[:n]), tuple(m // g for m in im[:n]), den // g)
 
     @classmethod
     def of(cls, *coeffs) -> "Poly":
-        return cls(tuple(coeffs))
+        return cls(coeffs)
 
     @classmethod
     def from_json(cls, items: Iterable) -> "Poly":
-        return cls(tuple(GaussianRational.from_json(c) for c in items))
+        """Coefficient literals (as `GaussianRational.from_json` reads them),
+        each part parsed to a `Fraction` and put straight over one denominator."""
+        parts = [_json_parts(c) for c in items]
+        den = lcm(*(f.denominator for pair in parts for f in pair))
+        return cls._of([re.numerator * (den // re.denominator) for re, _ in parts],
+                       [im.numerator * (den // im.denominator) for _, im in parts], den)
 
     def to_json(self):
-        return [c.to_json() for c in self.coeffs]
+        re, im, den = self.triple
+        return [_json_value(r, m, den) for r, m in zip(re, im)]
+
+    def __eq__(self, other):
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return self.triple == other.triple
+
+    def __hash__(self):
+        return hash(self.triple)
 
     # -- structure ---------------------------------------------------------
 
+    @cached_property
+    def coeffs(self) -> tuple:
+        return from_numerators(*self.triple)
+
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.triple[0]) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.triple[0]
 
     def coeff(self, k: int) -> GaussianRational:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else GR_ZERO
-
-    @cached_property
-    def _numerators(self) -> tuple:
-        """`numerators(self.coeffs)`, computed once per polynomial; read-only."""
-        return numerators(self.coeffs)
+        return self.coeffs[k] if 0 <= k <= self.degree else GR_ZERO
 
     # -- ring operations ---------------------------------------------------
 
+    def _combine(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign * other over the least common denominator."""
+        (ar, ai, ad), (br, bi, bd) = self.triple, other.triple
+        g = gcd(ad, bd)
+        sa, sb = bd // g, ad // g * sign
+        return Poly._of([x * sa + y * sb for x, y in zip_longest(ar, br, fillvalue=0)],
+                        [x * sa + y * sb for x, y in zip_longest(ai, bi, fillvalue=0)],
+                        ad // g * bd)
+
     def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(tuple(self.coeff(k) + other.coeff(k) for k in range(n)))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(tuple(self.coeff(k) - other.coeff(k) for k in range(n)))
+        return self._combine(other, -1)
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (GaussianRational, int, Fraction)):
-            g = _as_gr(other)
-            return Poly(tuple(c * g for c in self.coeffs))
-        out = [GR_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(tuple(out))
+        re, im, den = self.triple
+        if not isinstance(other, Poly):  # a scalar
+            (gr,), (gi,), gd = numerators((_as_gr(other),))
+            return Poly._of([x * gr - y * gi for x, y in zip(re, im)],
+                            [x * gi + y * gr for x, y in zip(re, im)], den * gd)
+        br, bi, bd = other.triple
+        out_re = [0] * (len(re) + len(br) - 1 or 1)
+        out_im = out_re[:]
+        for i, (x, y) in enumerate(zip(re, im)):
+            for j, (u, v) in enumerate(zip(br, bi), i):
+                out_re[j] += x * u - y * v
+                out_im[j] += x * v + y * u
+        return Poly._of(out_re, out_im, den * bd)
 
     __rmul__ = __mul__
 
     def __truediv__(self, r) -> "Poly":
-        """p / r for a nonzero scalar r, each coefficient reduced once."""
-        pr, pi, den = self._numerators
+        """p / r for a nonzero scalar r = (r_r + i r_i) / r_d: coefficient
+        (x + i y) / den becomes (x + i y)(r_r - i r_i) r_d / (den |r|^2)."""
+        pr, pi, den = self.triple
         (rr,), (ri,), rd = numerators((_as_gr(r),))
         d = den * (rr * rr + ri * ri)
         if not d:
             raise ZeroDivisionError("division of a polynomial by zero")
-        return Poly(tuple(GaussianRational(Fraction((x * rr + y * ri) * rd, d),
-                                           Fraction((y * rr - x * ri) * rd, d))
-                          for x, y in zip(pr, pi)))
+        return Poly._of([(x * rr + y * ri) * rd for x, y in zip(pr, pi)],
+                        [(y * rr - x * ri) * rd for x, y in zip(pr, pi)], d)
 
     # -- calculus ----------------------------------------------------------
 
     def __call__(self, x) -> GaussianRational:
-        x = _as_gr(x)
-        acc = GR_ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """p(x) by Horner's rule on integers: with x = (xr + i xi) / xd,
+        xd^n p(x) = sum_k c_k (xr + i xi)^k xd^(n-k) over den."""
+        re, im, den = self.triple
+        (xr,), (xi,), xd = numerators((_as_gr(x),))
+        sr = si = 0
+        scale = 1  # xd^(n-k)
+        for r, m in zip(reversed(re), reversed(im)):
+            sr, si = sr * xr - si * xi + r * scale, sr * xi + si * xr + m * scale
+            scale *= xd
+        d = den * scale // xd if re else 1  # den xd^n
+        return GaussianRational(Fraction(sr, d), Fraction(si, d))
 
     def derivative(self) -> "Poly":
-        cs = self.coeffs
-        return Poly(tuple(cs[k] * k for k in range(1, len(cs))))
+        re, im, den = self.triple
+        return Poly._of([k * r for k, r in enumerate(re)][1:],
+                        [k * m for k, m in enumerate(im)][1:], den)
 
     def antiderivative(self) -> "Poly":
-        return Poly((GR_ZERO,) + tuple(
-            c * Fraction(1, k + 1) for k, c in enumerate(self.coeffs)))
+        """The antiderivative vanishing at 0: c_k / (k+1) over den lcm(1..n)."""
+        re, im, den = self.triple
+        ell = lcm(*range(1, len(re) + 1))
+        return Poly._of([0] + [r * (ell // k) for k, r in enumerate(re, 1)],
+                        [0] + [m * (ell // k) for k, m in enumerate(im, 1)], den * ell)
 
     def integral(self, lo, hi) -> GaussianRational:
         """int_lo^hi p = sum_k c_k (hi^(k+1) - lo^(k+1)) / (k+1), reduced once."""
-        re, im, den = self._numerators
+        re, im, den = self.triple
         (l_re, h_re), (l_im, h_im), q = numerators((_as_gr(lo), _as_gr(hi)))
         top = len(re)
         ell = lcm(*range(1, top + 1))
@@ -354,17 +452,18 @@ class Poly:
 
     def compose_affine(self, c0, c1) -> "Poly":
         """Exact composition p(c0 + c1*t): a Taylor shift by c0, then t -> c1*t."""
-        # the t^k coefficient of p(c0 + c1 t) is [s^k] p(c0 + s) c1^k
-        re, im, den, xd = _shifted_numerators(self._numerators, _as_gr(c0))
+        # the t^k coefficient of p(c0 + c1 t) is [s^k] p(c0 + s) c1^k, over
+        # den yd^k; scaled by yd^(n-k) it is over den yd^n, n = degree
+        re, im, den, xd = _shifted_numerators(self.triple, _as_gr(c0))
         (yr,), (yi,), yd = numerators((_as_gr(c1),))
         yr, yi = yr * xd, yi * xd
+        n = len(re) - 1
         pr, pi = 1, 0  # (yr + i yi)^k
-        for k in range(len(re)):
-            re[k], im[k] = re[k] * pr - im[k] * pi, re[k] * pi + im[k] * pr
+        for k in range(n + 1):
+            s = yd ** (n - k)
+            re[k], im[k] = (re[k] * pr - im[k] * pi) * s, (re[k] * pi + im[k] * pr) * s
             pr, pi = pr * yr - pi * yi, pr * yi + pi * yr
-        dens = [den * yd ** k for k in range(len(re))]
-        return Poly(tuple(GaussianRational(Fraction(r, d), Fraction(i, d))
-                          for r, i, d in zip(re, im, dens)))
+        return Poly._of(re, im, den * yd ** max(n, 0))
 
     def jet_numerators(self, x) -> tuple:
         """(re, im, den) with p^(k)(x) = (re[k] + i im[k]) / den, k = 0..degree.
@@ -372,7 +471,7 @@ class Poly:
         p^(k)(x) = k! [s^k] p(x + s), read off one Taylor shift; k! and
         xd^k are folded into the integers.
         """
-        re, im, den, xd = _shifted_numerators(self._numerators, _as_gr(x))
+        re, im, den, xd = _shifted_numerators(self.triple, _as_gr(x))
         f = 1  # k! xd^k
         for k in range(1, len(re)):
             f *= k * xd
@@ -382,7 +481,8 @@ class Poly:
 
     def conjugate(self) -> "Poly":
         """Coefficient-wise conjugate; equals conj(p(t)) for real t."""
-        return Poly(tuple(c.conjugate() for c in self.coeffs))
+        re, im, den = self.triple
+        return Poly._of(re, [-m for m in im], den)
 
     def reflect(self, a) -> "Poly":
         """t -> conj(p(a-t))."""
@@ -391,13 +491,17 @@ class Poly:
     def times_x(self, k: int = 1) -> "Poly":
         if self.is_zero:
             return self
-        return Poly((GR_ZERO,) * k + self.coeffs)
+        re, im, den = self.triple
+        return Poly._of((0,) * k + re, (0,) * k + im, den)
 
     # -- float boundary ----------------------------------------------------
 
     @cached_property
     def _complex_coeffs(self) -> np.ndarray:
-        return np.array([complex(c) for c in self.coeffs] or [0j])
+        """re[k] / den + i im[k] / den; int/int division rounds correctly, as
+        `Fraction.__float__` does, so each value is complex(coeffs[k])."""
+        re, im, den = self.triple
+        return np.array([complex(r / den, m / den) for r, m in zip(re, im)] or [0j])
 
     def eval_float(self, z):
         """Horner evaluation at a complex float or numpy array."""
@@ -430,23 +534,71 @@ def eval_float_rows(polys, z: np.ndarray) -> np.ndarray:
     return _horner(table, z)
 
 
-@dataclass(frozen=True)
 class MPoly:
     """Polynomial in (x, t) over Gaussian rationals: a kernel piece of U.
 
-    `terms` maps exponent pairs (i, j) of x^i t^j to nonzero coefficients;
-    two pieces are equal when their term dicts are.
+    `table` = (re, im, den) holds integer rows: the coefficient of x^i t^j
+    is (re[i][j] + i im[i][j]) / den.  `terms` maps the exponent pairs
+    (i, j) of the nonzero coefficients to `GaussianRational`s; a piece
+    built `from_table` builds it on first read.  Two pieces are equal when
+    their term dicts are.
     """
 
-    terms: dict
-
-    def __post_init__(self):
+    def __init__(self, terms: dict):
         clean = {}
-        for exp, c in self.terms.items():
+        for exp, c in terms.items():
             c = _as_gr(c)
             if c:
                 clean[tuple(exp)] = c
-        object.__setattr__(self, "terms", clean)
+        self.terms = clean
+        re, im, den = numerators(list(clean.values()))
+        rows = [[0] * (1 + max((j for _, j in clean), default=0))
+                for _ in range(1 + max((i for i, _ in clean), default=0))]
+        table_re, table_im = rows, [row[:] for row in rows]
+        for (i, j), r, m in zip(clean, re, im):
+            table_re[i][j], table_im[i][j] = r, m
+        self.table = (table_re, table_im, den)
+
+    @classmethod
+    def from_table(cls, re: list, im: list, den: int) -> "MPoly":
+        """The piece with coefficients (re[i][j] + i im[i][j]) / den, den > 0."""
+        p = cls.__new__(cls)
+        p.table = (re, im, den)
+        return p
+
+    @cached_property
+    def terms(self) -> dict:
+        den = self.table[2]
+        return {(i, j): GaussianRational(Fraction(r, den), Fraction(m, den))
+                for i, j, r, m in self._entries()}
+
+    def _entries(self) -> list:
+        """(i, j, re, im) of every nonzero table entry, in sorted (i, j) order."""
+        re, im, _ = self.table
+        return [(i, j, r, m) for i, (row_re, row_im) in enumerate(zip(re, im))
+                for j, (r, m) in enumerate(zip(row_re, row_im)) if r or m]
+
+    @cached_property
+    def complex_table(self) -> np.ndarray:
+        """Dense complex coefficients C[i, j] of x^i t^j, as far as the nonzero
+        entries reach; each part is one int/int division, so C[i, j] is
+        complex() of the exact coefficient (see `Poly._complex_coeffs`)."""
+        entries, den = self._entries(), self.table[2]
+        out = np.zeros((1 + max((i for i, *_ in entries), default=0),
+                        1 + max((j for _, j, *_ in entries), default=0)), dtype=complex)
+        for i, j, r, m in entries:
+            out[i, j] = complex(r / den, m / den)
+        return out
+
+    def __eq__(self, other):
+        if not isinstance(other, MPoly):
+            return NotImplemented
+        return self.terms == other.terms
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"MPoly(terms={self.terms!r})"
 
     @property
     def is_zero(self) -> bool:
@@ -485,7 +637,8 @@ class MPoly:
         return acc
 
     def to_json(self):
-        return [
-            {"exp": list(exp), "coeff": c.to_json()}
-            for exp, c in sorted(self.terms.items())
-        ]
+        """[{"exp": [i, j], "coeff": ...}] in sorted (i, j) order, each
+        coefficient reduced by one gcd per part."""
+        den = self.table[2]
+        return [{"exp": [i, j], "coeff": _json_value(r, m, den)}
+                for i, j, r, m in self._entries()]

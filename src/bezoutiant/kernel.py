@@ -39,20 +39,21 @@ of each u-column by a gives the table of A(a+w, u), from which A(a-t, u)
 (w = -t), A(a+u, u) (w = u) and A(a, u) (w = 0) are read without further
 integration.  Expanding u^l = (x-t)^l by binomial sums returns both pieces
 in (x, t).  All of it runs on integer numerators over one common
-denominator, and each kernel coefficient is reduced once.
+denominator.  Each piece keeps those integer tables (`MPoly.from_table`):
+`float_pieces` divides their entries directly, `to_json` reduces each
+coefficient by one gcd, and the `GaussianRational` terms that `u_at`, the
+exact checks and `MPoly` arithmetic read are built on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import comb, lcm
 
 import numpy as np
 
-from .exact import (GR_ONE, GR_ZERO, GaussianRational, MPoly, Poly, _frac, numerators,
-                    taylor_shift)
+from .exact import GR_ONE, GR_ZERO, GaussianRational, MPoly, Poly, _frac, _ratio_str, taylor_shift
 from .transform import _conjugate
 
 
@@ -87,7 +88,8 @@ class MFunctions:
 class BezoutKernel:
     """Kernel c * U(x, t), with U stored per region as exact bivariate polys.
 
-    `u_lower` is valid for x < t, `u_upper` for x > t.
+    `u_lower` is valid for x < t, `u_upper` for x > t; from `build_kernel`
+    both hold integer tables over one denominator (module doc).
     """
 
     c: GaussianRational
@@ -99,18 +101,10 @@ class BezoutKernel:
         piece = self.u_lower if _frac(x) < _frac(t) else self.u_upper
         return piece.eval(x, t)
 
-    @cached_property
+    @property
     def float_pieces(self) -> tuple:
         """(lower, upper): dense complex coefficients C[i, j] of x^i t^j of each piece."""
-        out = []
-        for piece in (self.u_lower, self.u_upper):
-            rows = 1 + max((i for i, _ in piece.terms), default=0)
-            cols = 1 + max((j for _, j in piece.terms), default=0)
-            coeffs = np.zeros((rows, cols), dtype=complex)
-            for (i, j), c in piece.terms.items():
-                coeffs[i, j] = complex(c)
-            out.append(coeffs)
-        return tuple(out)
+        return self.u_lower.complex_table, self.u_upper.complex_table
 
     def u_float(self, x, t):
         """Float evaluation on scalars or broadcastable arrays."""
@@ -121,7 +115,7 @@ class BezoutKernel:
 
     def to_json(self):
         return {
-            "a": str(self.a),
+            "a": _ratio_str(self.a.numerator, self.a.denominator),
             "c": self.c.to_json(),
             "u_lower": self.u_lower.to_json(),
             "u_upper": self.u_upper.to_json(),
@@ -166,8 +160,8 @@ def build_m_functions(pair: NormalizedPair) -> MFunctions:
 
 def _kernel_pieces(pair: NormalizedPair) -> tuple:
     """(U_lower, U_upper) from the table of A(y, u); see the module doc."""
-    pr, pi, pd = numerators(pair.psi2.coeffs)
-    gr, gi, gd = _conjugate(pair.psi1._numerators)
+    pr, pi, pd = pair.psi2.triple
+    gr, gi, gd = _conjugate(pair.psi1.triple)
     d1, d2 = len(gr) - 1, len(pr) - 1
     top = d1 + d2 + 1  # highest power of y in A, and total degree of U
     ell = lcm(*range(1, top + 1))
@@ -232,11 +226,7 @@ def _kernel_pieces(pair: NormalizedPair) -> tuple:
         add(*lower, -lo_re[j], -lo_im[j], 0, 0, j)
         add(ure, uim, -up_re[j], -up_im[j], 0, 0, j)
 
-    def to_mpoly(re, im):
-        return MPoly({(i, j): GaussianRational(Fraction(re[i][j], den), Fraction(im[i][j], den))
-                      for i in size for j in size if re[i][j] or im[i][j]})
-
-    return to_mpoly(*lower), to_mpoly(ure, uim)
+    return MPoly.from_table(*lower, den), MPoly.from_table(ure, uim, den)
 
 
 def build_kernel(pair: NormalizedPair) -> BezoutKernel:

@@ -100,7 +100,7 @@ def _taylor_radius(a: float) -> float:
 def _moments(g: Poly, a: Fraction) -> tuple:
     """(re, im, den) of mu_n = sum_k g_k a^(n+k+1) / (n+k+1), for every n
     with (a r)^n / n! > 2^-64 and at least n <= deg + EXTRA_MOMENTS."""
-    re, im, den = g._numerators
+    re, im, den = g.triple
     x, count, term = float(a) * _taylor_radius(float(a)), 0, 1.0
     while term > 2.0 ** -64:  # term = x^count / count!
         count += 1
@@ -150,8 +150,10 @@ class ClosedTransform:
     @cached_property
     def density(self) -> Poly:
         """g from Q: g_k = q_(k+1) / (i^(k+1) k!), as 1 / i^j = conj i^j."""
-        jet = from_numerators(*_conjugate(_times_i_powers(*_conjugate(self.q), 1)))
-        return Poly(tuple(c * Fraction(1, math.factorial(k)) for k, c in enumerate(jet)))
+        re, im, den = _conjugate(_times_i_powers(*_conjugate(self.q), 1))
+        f = math.factorial(max(len(re) - 1, 0))  # entry k times f / k! over den f
+        return Poly._of([r * (f // math.factorial(k)) for k, r in enumerate(re)],
+                        [m * (f // math.factorial(k)) for k, m in enumerate(im)], den * f)
 
     @cached_property
     def moments(self) -> tuple:

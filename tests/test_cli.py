@@ -7,6 +7,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bezoutiant.cli import (
     EXIT_CONFLICT,
@@ -355,6 +357,74 @@ def test_report_bytes_match_json_dump(tmp_path, tasks):
     json.dump(report, chunked, indent=2, sort_keys=True)
     chunked.write("\n")
     assert out.read_bytes() == chunked.getvalue().encode()
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers(-2 ** 80, 2 ** 80)
+                 | st.floats(allow_nan=True, allow_infinity=True) | st.text())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.recursive(_JSON_SCALARS, lambda inner: (
+    st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4)), max_leaves=20))
+@example({"q\"uote": ["back\\slash", "\x00\x1f\n\t", "\u00e9\u2603\U0001f600"],
+          "": [[], {}, ()], "ints": [2 ** 64, -(2 ** 64) - 1, 0]})
+@example([-0.0, 5e-324, 1e300, math.nan, math.inf, -math.inf, True, False, None])
+def test_report_writer_matches_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.json")))
+def test_verify_report_bytes_match_json_dumps(tmp_path, name):
+    out = tmp_path / "o.json"
+    main(["verify", "--input", str(FIXTURES / name), "--output", str(out), "--grid", "32"])
+    report = json.loads(out.read_text())
+    assert out.read_bytes() == (json.dumps(report, indent=2, sort_keys=True) + "\n").encode()
+
+
+@pytest.mark.parametrize("a, prefix, reason", [(10 ** 400, "verdict:", "digit limit"),
+                                              ("1e2000", "a:", "exponent")],
+                         ids=["integer", "exponent"])
+def test_exact_value_past_the_digit_limit_is_an_input_error(tmp_path, a, prefix, reason):
+    # a = 10^400 gives masses of ~6800 digits, past int-to-str's 4300;
+    # "1e2000" is refused as an exponent before any integer is built
+    spec = tmp_path / "huge.json"
+    spec.write_text(json.dumps({"a": a, "psi1": [str(k) for k in range(1, 18)],
+                                "psi2": ["1", "1"], "tasks": ["decide"]}))
+    out = tmp_path / "out.json"
+    assert main(["decide", "--input", str(spec), "--output", str(out)]) == EXIT_INPUT_ERROR
+    error = json.loads(out.read_text())["error"]
+    assert error.startswith(prefix) and reason in error
+
+
+def test_kernel_past_the_digit_limit_is_an_input_error(tmp_path):
+    # with a = 10^300 the verdict's masses fit in 4300 digits, the kernel's do not
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"a": 10 ** 300, "psi1": [str(k) for k in range(1, 14)],
+                                "psi2": ["1", "2"], "tasks": ["decide", "kernel"]}))
+    out = tmp_path / "out.json"
+    report, code = run(spec, out)
+    assert code == EXIT_INPUT_ERROR and report["error"].startswith("kernel:")
+    assert "verdict" in report and "kernel" not in report
+    assert json.loads(out.read_text()) == report
+
+
+@pytest.mark.parametrize("literal", ["1e5", "1E-3", "-7e+2"])
+@pytest.mark.parametrize("key", ["a", "psi1", "psi2"])
+def test_exponent_literal_is_an_input_error(tmp_path, key, literal):
+    fields = {"a": "1", "psi1": ["1", "2"], "psi2": ["1"]}
+    fields[key] = literal if key == "a" else ["1", {"re": "0", "im": literal}]
+    bad = tmp_path / "exp.json"
+    bad.write_text(json.dumps(fields))
+    out = tmp_path / "out.json"
+    assert main(["decide", "--input", str(bad), "--output", str(out)]) == EXIT_INPUT_ERROR
+    error = json.loads(out.read_text())["error"]
+    assert error.startswith(f"{key}:") and "exponent" in error
+
+
+def test_decimal_literals_are_accepted():
+    spec = ProblemSpec.from_json({"a": "2.5", "psi1": ["0.25", "1"], "psi2": [" -1.5 "]})
+    assert spec.a == F(5, 2) and spec.psi1 == Poly.of(F(1, 4), 1) and spec.psi2 == Poly.of(F(-3, 2))
 
 
 def test_grid_override_runs(tmp_path):

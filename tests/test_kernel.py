@@ -196,3 +196,22 @@ def test_kernel_json():
     d = k.to_json()
     assert d["c"] == "-1"
     assert d["a"] == "1"
+
+
+def test_kernel_tables_match_their_terms(rng):
+    # the JSON and floats read off the integer tables equal those of the
+    # GaussianRational terms built from them, bit for bit
+    for _ in range(12):
+        a = rng.choice((1, F(7, 3), F(1, 2)))
+        psi1, psi2 = (random_admissible_poly(rng, rng.randint(0, 8), a, rng.random() < 0.7)
+                      for _ in range(2))
+        k = build_kernel(normalize_pair(psi1, psi2, a))
+        d = k.to_json()
+        for name, floats in zip(("u_lower", "u_upper"), k.float_pieces):
+            terms = getattr(k, name).terms
+            assert d[name] == [{"exp": list(e), "coeff": c.to_json()} for e, c in sorted(terms.items())]
+            want = np.zeros((1 + max((i for i, _ in terms), default=0),
+                             1 + max((j for _, j in terms), default=0)), dtype=complex)
+            for (i, j), c in terms.items():
+                want[i, j] = complex(c)
+            assert floats.shape == want.shape and floats.tobytes() == want.tobytes()

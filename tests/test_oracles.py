@@ -10,6 +10,9 @@ generic, endpoint-zero, shared-zero and rational-factor pairs, with the
 package's prime and with p = 13, where most reductions fail and exact
 Euclid decides.
 
+Every `Poly` operation is checked against sympy over QQ_I, and its integer
+triple for canonical form (den > 0, gcd 1, no trailing zero).
+
 The integer-numerator paths (masses, normalization, jets, L(D)) are also
 compared with the direct formulas evaluated one `Fraction` operation at a
 time, on densities up to degree 16 with coefficient heights up to 1e6.
@@ -17,6 +20,7 @@ time, on densities up to degree 16 with coefficient heights up to 1e6.
 
 from fractions import Fraction
 from functools import reduce
+from math import gcd
 
 import pytest
 import sympy as sp
@@ -103,6 +107,41 @@ def test_laurent_coefficients_match_sympy(g, a):
         unit = (-1) ** (j - 1) * (-sp.I) ** j
         assert same(sym(F.osc[j - 1]), unit * d.subs(s, A))
         assert same(sym(F.plain[j - 1]), -unit * d.subs(s, 0))
+
+
+sr = sp.Symbol("sr", real=True)
+
+
+def canonical(p: Poly) -> bool:
+    """den > 0, gcd(den, re..., im...) = 1 and no trailing zero coefficient."""
+    re, im, den = p.triple
+    return (len(re) == len(im) and den > 0 and gcd(den, *re, *im) == 1
+            and (not re or bool(re[-1] or im[-1])))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(polys(6), polys(6), st.one_of(gaussians, reals).filter(bool),
+       st.one_of(gaussians, reals), st.one_of(gaussians, reals), endpoints)
+def test_poly_operations_are_canonical_and_match_sympy(p, q, r, c0, c1, a):
+    P, Q, R, C0, C1 = sym_poly(p, s), sym_poly(q, s), sym(r), sym(c0), sym(c1)
+    A = sp.Rational(a.numerator, a.denominator)
+    cases = [
+        (Poly.from_json(p.to_json()), P), (Poly(p.coeffs), P),
+        (p + q, P + Q), (p - q, P - Q), (p * q, P * Q), (p * r, P * R), (r * p, P * R),
+        (p / r, P / R), (p.derivative(), sp.diff(P, s)),
+        (p.antiderivative(), integrate(P, 0, s)),
+        (p.compose_affine(c0, c1), P.subs(s, C0 + C1 * s)),  # Gaussian shifts included
+        (p.reflect(a), sp.conjugate(sym_poly(p, sr).subs(sr, A - sr)).subs(sr, s)),
+        (p.conjugate(), sp.conjugate(sym_poly(p, sr)).subs(sr, s)),
+        (p.times_x(2), P * s ** 2),
+    ]
+    for got, want in cases:
+        assert canonical(got)
+        assert sp.Poly(sym_poly(got, s) - sp.expand(want), s, domain="QQ_I").is_zero
+    assert p == Poly(p.coeffs) and hash(p) == hash(Poly(p.coeffs))
+    assert same(sym(p(c0)), P.subs(s, C0))
+    assert same(sym(p.integral(c0, c1)), integrate(P, C0, C1))
+    assert p._complex_coeffs.tolist() == ([complex(c) for c in p.coeffs] or [0j])
 
 
 def _normalized(psi1, psi2, a):
