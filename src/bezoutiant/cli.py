@@ -23,10 +23,12 @@ result too long to write as a decimal string: the report's `error` names
 symbolic verdict and the numerical zero comparison, 4 numeric refusal: the
 zero locator declined to answer (an evaluation would overflow, a winding
 number did not certify, a cluster stayed unresolved or the boundary could
-not be moved off a zero).  A kernel or operator check of a zero-mass
-density is skipped (`skipped`), as they need unit-mass densities.  A
-refusal still writes the report, with its verdict and an `error` block
-naming the stage, the transform, the exception type and its message
+not be moved off a zero), or an exact value of the operator check (a, the
+Phi/M_2 coefficients, the kernel's float tables) has no float image
+(`FloatRangeError`).  A kernel or operator check of a zero-mass density is
+skipped (`skipped`), as they need unit-mass densities.  A refusal still
+writes the report, with its verdict and an `error` block naming the stage,
+the transform (zeros only), the exception type and its message
 (`emit-grid`: one stderr line).
 """
 
@@ -45,7 +47,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__
-from .exact import DigitLimitError, Poly, parse_rational
+from .exact import DigitLimitError, FloatRangeError, Poly, parse_rational
 from .kernel import ZeroMassError, build_kernel, build_m_functions, normalize_pair
 from .operator_lab import convergence_study
 from .symbol import (
@@ -75,9 +77,9 @@ EXIT_INCONCLUSIVE = 2
 EXIT_CONFLICT = 3
 EXIT_NUMERIC_REFUSAL = 4
 
-#: Errors by which the zero locator refuses to answer (exit 4).
+#: Errors by which the zero locator or the operator check refuses to answer (exit 4).
 NUMERIC_REFUSALS = (EvaluationOverflow, NonIntegerWindingError,
-                    ClusterUnresolvedError, BoundaryZeroError)
+                    ClusterUnresolvedError, BoundaryZeroError, FloatRangeError)
 
 
 class SpecError(ValueError):
@@ -158,7 +160,9 @@ class ProblemSpec:
 
 def _grid_size(value) -> int:
     """value as a grid size (an integer in [16, 4096]), else a SpecError at
-    grid_n.  The operator check holds one n x n complex T: 256 MiB at 4096."""
+    grid_n.  Memory does not bind: the operator check holds O(n) generators
+    and (n, 32) blocks, never an n x n array.  The cap stays because the
+    residual's accuracy is measured against a reference only up to n = 256."""
     if not isinstance(value, int) or not 16 <= value <= 4096:
         raise SpecError("grid_n", "must be an integer in [16, 4096]")
     return value
@@ -255,8 +259,13 @@ def run(spec_path, out_path, tasks=None, rect=None, tol=None, grid_n=None):
                     report["error"] = f"kernel: {exc}"
                     return _finish(report, EXIT_INPUT_ERROR, spec_sha256, out_path, started)
             if "operator-check" in spec.tasks:
-                report["operator"] = convergence_study(
-                    pair, kern, mf, sizes=_refinement_sizes(spec.grid_n))
+                try:
+                    report["operator"] = convergence_study(
+                        pair, kern, mf, sizes=_refinement_sizes(spec.grid_n))
+                except NUMERIC_REFUSALS as exc:
+                    report["error"] = {"stage": "operator-check",
+                                       "type": type(exc).__name__, "message": str(exc)}
+                    return _finish(report, EXIT_NUMERIC_REFUSAL, spec_sha256, out_path, started)
 
     if "zeros" in spec.tasks and verdict.outcome != OUTCOME_INCONCLUSIVE:
         located = []

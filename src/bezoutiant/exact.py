@@ -2,8 +2,9 @@
 
 Everything in this module is exact.  Coefficients are rationals of
 arbitrary precision, and no operation here ever touches a float except
-the explicit `*_float` evaluation helpers, which form the boundary to the
-numerical layers.
+the explicit `*_float` evaluation helpers and `to_floats`, which form the
+boundary to the numerical layers; `to_floats` refuses a value outside
+float range with `FloatRangeError`.
 
 A `Poly` is one canonical integer triple (re, im, den): coefficient k is
 (re[k] + i im[k]) / den, den > 0, gcd(den, re..., im...) = 1, no trailing
@@ -48,6 +49,33 @@ RationalLike = Union[int, Fraction, str]
 
 class DigitLimitError(ValueError):
     """An exact value has too many digits to be written as a decimal string."""
+
+
+class FloatRangeError(ArithmeticError):
+    """An exact value has no usable float image: it overflows, or a nonzero
+    divisor (such as the interval end a) rounds to 0.0."""
+
+
+def to_floats(nums, den: int, what: str, divisor: bool = False) -> list:
+    """[m / den for m in nums], each correctly rounded (int/int division
+    rounds as `Fraction.__float__` does), as the float boundary of the
+    operator check.  Raises FloatRangeError naming `what` when a value
+    overflows, or, with `divisor`, when a nonzero value rounds to 0.0.
+    """
+    try:
+        out = [m / den for m in nums]
+    except OverflowError:
+        raise FloatRangeError(f"{what} is beyond float range") from None
+    if divisor and any(m and not v for m, v in zip(nums, out)):
+        raise FloatRangeError(f"{what} rounds to 0.0 as a float")
+    return out
+
+
+def float_endpoint(a) -> float:
+    """The interval end a > 0 (a rational or a float) as a float, through
+    `to_floats` as a divisor."""
+    a = Fraction(a)
+    return to_floats((a.numerator,), a.denominator, "the interval end a", divisor=True)[0]
 
 
 def parse_rational(text: str) -> Fraction:
@@ -498,10 +526,13 @@ class Poly:
 
     @cached_property
     def _complex_coeffs(self) -> np.ndarray:
-        """re[k] / den + i im[k] / den; int/int division rounds correctly, as
-        `Fraction.__float__` does, so each value is complex(coeffs[k])."""
+        """re[k] / den + i im[k] / den, each part correctly rounded by
+        `to_floats`, so each value is complex(coeffs[k])."""
         re, im, den = self.triple
-        return np.array([complex(r / den, m / den) for r, m in zip(re, im)] or [0j])
+        out = np.zeros(max(len(re), 1), dtype=complex)
+        out.real[:len(re)] = to_floats(re, den, "a polynomial coefficient")
+        out.imag[:len(im)] = to_floats(im, den, "a polynomial coefficient")
+        return out
 
     def eval_float(self, z):
         """Horner evaluation at a complex float or numpy array."""
@@ -577,18 +608,6 @@ class MPoly:
         re, im, _ = self.table
         return [(i, j, r, m) for i, (row_re, row_im) in enumerate(zip(re, im))
                 for j, (r, m) in enumerate(zip(row_re, row_im)) if r or m]
-
-    @cached_property
-    def complex_table(self) -> np.ndarray:
-        """Dense complex coefficients C[i, j] of x^i t^j, as far as the nonzero
-        entries reach; each part is one int/int division, so C[i, j] is
-        complex() of the exact coefficient (see `Poly._complex_coeffs`)."""
-        entries, den = self._entries(), self.table[2]
-        out = np.zeros((1 + max((i for i, *_ in entries), default=0),
-                        1 + max((j for _, j, *_ in entries), default=0)), dtype=complex)
-        for i, j, r, m in entries:
-            out[i, j] = complex(r / den, m / den)
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, MPoly):

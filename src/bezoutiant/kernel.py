@@ -40,20 +40,42 @@ of each u-column by a gives the table of A(a+w, u), from which A(a-t, u)
 integration.  Expanding u^l = (x-t)^l by binomial sums returns both pieces
 in (x, t).  All of it runs on integer numerators over one common
 denominator.  Each piece keeps those integer tables (`MPoly.from_table`):
-`float_pieces` divides their entries directly, `to_json` reduces each
-coefficient by one gcd, and the `GaussianRational` terms that `u_at`, the
-exact checks and `MPoly` arithmetic read are built on first read.
+`to_json` reduces each coefficient by one gcd, and the `GaussianRational`
+terms that `u_at`, the exact checks and `MPoly` arithmetic read are built
+on first read.
+
+The float tables (`float_pieces`, built on first read, so the `kernel`
+task never pays for them) are in the centered variables xi = 2x/a - 1 and
+tau = 2t/a - 1, in which [0, a] is [-1, 1] and no power exceeds 1 in size.
+They come exactly off the integer tables: with a = p/q, entry (i, j)
+times p^(i+j) (2q)^((dx-i)+(dt-j)) is shifted by one in each variable
+(additions only) and each part divided once by den (2q)^(dx+dt), so every
+float is the exact coefficient correctly rounded.  `u_float` and the
+operator check evaluate in xi and tau.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, lcm
+from operator import add
 
 import numpy as np
 
-from .exact import GR_ONE, GR_ZERO, GaussianRational, MPoly, Poly, _frac, _ratio_str, taylor_shift
+from .exact import (
+    GR_ONE,
+    GR_ZERO,
+    GaussianRational,
+    MPoly,
+    Poly,
+    _frac,
+    _ratio_str,
+    float_endpoint,
+    taylor_shift,
+    to_floats,
+)
 from .transform import _conjugate
 
 
@@ -101,16 +123,22 @@ class BezoutKernel:
         piece = self.u_lower if _frac(x) < _frac(t) else self.u_upper
         return piece.eval(x, t)
 
-    @property
+    @cached_property
     def float_pieces(self) -> tuple:
-        """(lower, upper): dense complex coefficients C[i, j] of x^i t^j of each piece."""
-        return self.u_lower.complex_table, self.u_upper.complex_table
+        """(lower, upper): dense complex coefficients C[i, j] of xi^i tau^j of
+        each piece, in the centered variables xi = 2x/a - 1, tau = 2t/a - 1
+        (module doc); built on first read."""
+        return tuple(_centered_table(piece.table, self.a) for piece in (self.u_lower, self.u_upper))
+
+    def centered(self, x):
+        """2x/a - 1: the variable of `float_pieces`, [0, a] onto [-1, 1]."""
+        return 2 * (np.asarray(x, dtype=float) / float_endpoint(self.a)) - 1  # 2x would overflow near 1e308
 
     def u_float(self, x, t):
-        """Float evaluation on scalars or broadcastable arrays."""
+        """Float evaluation on scalars or broadcastable arrays, in xi and tau."""
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
-        lower, upper = (_horner_xt(c, x, t) for c in self.float_pieces)
+        lower, upper = (_horner_xt(c, self.centered(x), self.centered(t)) for c in self.float_pieces)
         return np.where(x < t, lower, upper)
 
     def to_json(self):
@@ -120,6 +148,46 @@ class BezoutKernel:
             "u_lower": self.u_lower.to_json(),
             "u_upper": self.u_upper.to_json(),
         }
+
+
+def _shift_by_one(vectors: list) -> None:
+    """In place: vectors[k] becomes the s^k coefficient of
+    sum_k vectors[k] (s + 1)^k, elementwise (a Taylor shift by one, as
+    `taylor_shift` runs it, in additions only)."""
+    n = len(vectors) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            vectors[j] = list(map(add, vectors[j], vectors[j + 1]))
+
+
+def _centered_table(table: tuple, a: Fraction) -> np.ndarray:
+    """The piece with integer table (re, im, den) in xi = 2x/a - 1 and
+    tau = 2t/a - 1: complex C[i, j] of xi^i tau^j, trimmed to the piece's
+    nonzero extent (dx, dt).
+
+    With a = p/q, x^i t^j = p^(i+j) (xi+1)^i (tau+1)^j / (2q)^(i+j).  So entry
+    (i, j) times p^(i+j) (2q)^((dx-i)+(dt-j)), shifted by one in each
+    variable, is the centered table over den (2q)^(dx+dt), all in integers;
+    each part is then one correctly rounded division (`to_floats`).
+    """
+    re, im, den = table
+    cells = [(i, j) for i, (row_re, row_im) in enumerate(zip(re, im))
+             for j, (r, m) in enumerate(zip(row_re, row_im)) if r or m]
+    dx = max((i for i, _ in cells), default=0)
+    dt = max((j for _, j in cells), default=0)
+    p, q2 = a.numerator, 2 * a.denominator
+    scale = [p ** k * q2 ** (dx + dt - k) for k in range(dx + dt + 1)]
+    # cols[j]: the tau^j coefficients of the re rows 0..dx, then the im rows
+    cols = [[part[i][j] * scale[i + j] for part in (re, im) for i in range(dx + 1)]
+            for j in range(dt + 1)]
+    _shift_by_one(cols)
+    rows = [[col[h + i] for h in (0, dx + 1) for col in cols] for i in range(dx + 1)]
+    _shift_by_one(rows)
+    parts = [v for row in rows for v in row[:dt + 1]], [v for row in rows for v in row[dt + 1:]]
+    out = np.empty((dx + 1, dt + 1), dtype=complex)
+    out.real, out.imag = (np.reshape(to_floats(part, den * q2 ** (dx + dt), "a kernel coefficient"),
+                                     out.shape) for part in parts)
+    return out
 
 
 def _horner_xt(coeffs: np.ndarray, x: np.ndarray, t: np.ndarray):

@@ -10,8 +10,7 @@ kink).  The structural identity
 then holds up to discretization error, whose decay under grid refinement
 is the quantity reported here.
 
-None of the dense operator matrices is formed except T.  With W = diag(w)
-and 1 the vector of ones, the matrices are
+With W = diag(w) and 1 the vector of ones, the Nystrom matrices are
 
     A[i, j] = i w_j (j < i),  i w_i / 2 (j = i),  0 (j > i)   f -> i int_0^x f
     B_k     = A + 1 r_k^T,    r_k = -i w conj(Phi_k(x))       P_k* f
@@ -27,32 +26,63 @@ j to a is S_j(w f) - w_j f_j / 2, and
     (A* T)[i, j] = -i (S_i(w T[:, j]) - w_i T[i, j] / 2)   (along columns)
     (1 r_2^T)* T = (W^{-1} conj(r_2)) (w^T T).
 
-The residual is therefore
+The residual R = T B_1 - B_2* T - N_2 N_1* is therefore, with
+W^{-1} conj(r_2) = i Phi_2(x) and w conj(n_1) = w M_2(a - x),
 
-    T B_1 - B_2* T - N_2 N_1*
-        = i [S_rows(T) W + S_cols(W T) - T[i, j] (w_i + w_j) / 2]
-          + [T 1, -W^{-1} conj(r_2), -n_2] [r_1; w^T T; w conj(n_1)],
+    R / i = S_rows(T) W + S_cols(W T) - T[i, j] (w_i + w_j) / 2
+            - (T 1)_i w_j conj(Phi_1(x_j)) - Phi_2(x_i) (w^T T)_j
+            + M_2(x_i) w_j M_2(a - x_j).
 
-two cumulative sums and one n x 3 by 3 x n product: O(n^2) per grid for
-any positive weights, where the dense form costs two complex n^3 products.
-The sequential cumulative sums carry more rounding error than the dense
-products: on degree 3-8 pairs at n = 256 the residual is within 1e-11
-relative of a long-double evaluation of the dense form on the same T
-(dense float64: 2e-13), far below the discretization error it measures.
+Generators.  No n x n array is formed.  U is a polynomial on each
+triangle, so each triangle of T has rank at most r, the width of its
+piece's table (Vandebril, Van Barel and Mastronardi, Matrix Computations
+and Semiseparable Matrices, 2008; Eidelman and Gohberg, IEOT 34, 1999).
+The nodes ascend, so x_i < x_j exactly when j > i.  With V the
+Vandermonde matrix of the nodes' centered values, the x-sides a_l = V C_l
+and a_u = V C_u and the t-sides p = c w V and q = c w V (as wide as each
+table) give
 
-Row blocks.  T and the residual are computed _BLOCK = 32 rows at a time;
-no n x n array but T is formed.  The nodes ascend, so x_i < t_j exactly
-when j > i: rows [s, e) take the upper piece of U alone in the columns
-below s, the lower piece alone from e on, and both only in their diagonal
-block, split at its strict upper triangle.  Each piece is
-(V_x C)(diag(c w) V_t)^T, with V_x and V_t column slices of one complex
-Vandermonde matrix of the nodes, as wide as the widest piece dimension.
-The residual walks the blocks bottom-up in three (_BLOCK, n) buffers that
-every block reuses (a shorter last block uses their first rows).  The
-column sums S_cols(W T) continue from the row below: its sums are added
-into the block's last row of W T before the block's cumsum, which keeps
-one whole-column cumsum's order.  The weights are complex-typed, as every
-product with a complex array would cast them anyway.
+    T[i, j] = a_l[i] . p_j  (j > i),    a_u[i] . q_j  (j <= i).
+
+Every sum stays inside its own triangle: only the suffix sums
+P_j = S_j(p) and B_i = S_i(w a_u) and the prefix sums Q_j = sum_{k<j} q_k
+and A_j = sum_{k<j} w_k a_l[k] are formed, in one cumsum.  Then
+(T 1)_i = a_u[i] . (Q_i + q_i) + a_l[i] . (P_i - p_i) and
+(w^T T)_j = A_j . p_j + B_j . q_j, and R / i is X[i] . Y[j] with
+
+    j > i:   X = [a_l, -(A + w a_l / 2), 1 - Phi_2, -T 1, M_2]
+             Y = [w (P - p / 2), p, w^T T, w conj(Phi_1), w M_2(a - x)]
+    j <= i:  X = [T 1, -a_u, B - w a_u / 2, -Phi_2, M_2]
+             Y = [w (1 - conj(Phi_1)), w (Q + q / 2), q, w^T T, w M_2(a - x)],
+
+rank 2r + 3 on each triangle, for any positive weights.  A sum that
+crossed the diagonal would evaluate a piece outside its triangle, where
+large values cancel.  The pieces are tabled in the centered variables
+xi = 2x/a - 1 and tau = 2t/a - 1 (`BezoutKernel.float_pieces`), so every
+power is at most 1 in size; in x and t on [0, a] the monomials lose
+digits of their own.  A prototype with crossing sums in monomials was
+3.3e-10 off the dense residual.  Measured against the dense formula in
+fixed point at 2^-200 (the test's reference), at the float nodes and
+weights: on 96 random cases (degrees 0-8, a in {1, 7/3}, n in {64, 100},
+uniform and random grids) this form is at most 3.4e-12 off, the float64
+dense form 1.9e-11; on 24 cases with a in {40, 1/3} and n <= 64, 5.1e-12
+and 4.1e-12; on two degree-(8, 2) `kernel-operator` problems at n = 256,
+1.7e-12 and 5.6e-12, where the dense form is 5.0e-11 and 1.2e-10 off.
+
+Scale.  With T fixed, R is linear in the weights of A, B_k and N_2 N_1*,
+so R = a R' where R' takes v = w / a for those weights.  The generators
+are R' (v in place of w above, T unchanged) and `identity_residual`
+multiplies the norm by a.  With w itself, factors w^2 ~ a^2 would sit next
+to x-sides of size 1/a: at a = 2^-510 they are subnormal and the residual
+loses six digits.  With v, the same density shapes on [0, a] give a times
+the residual on [0, 1], to the bit for a power of two.
+
+Row blocks.  `identity_residual` forms R in blocks of _BLOCK = 32 rows
+and adds |R|^2 to a running sum.  Block [s, e) takes two products, each
+transposed so that the rows it keeps are contiguous: the lower generators
+with the columns from s on, the upper ones with the columns below e.  In
+the diagonal block the strict upper triangle comes from the first, the
+rest from the second.  Two (n, _BLOCK) buffers serve every block.
 """
 
 from __future__ import annotations
@@ -61,7 +91,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import eval_float_rows
+from .exact import eval_float_rows, float_endpoint
 from .kernel import BezoutKernel, MFunctions, NormalizedPair
 
 
@@ -78,7 +108,7 @@ class Grid:
     @classmethod
     def uniform(cls, n: int, a) -> "Grid":
         """Composite midpoint rule: interior nodes, weights summing to a."""
-        a = float(a)
+        a = float_endpoint(a)
         h = a / n
         nodes = (np.arange(n) + 0.5) * h
         return cls(nodes, np.full(n, h), a)
@@ -86,42 +116,34 @@ class Grid:
 
 @dataclass(frozen=True)
 class Discretization:
-    """The Nystrom matrix of T and the vectors that fix every other operator.
+    """T and the residual by their generators on each triangle, and the
+    vectors that fix every other operator (module doc).
 
+    `t_lower` = (a_l, p) and `t_upper` = (a_u, q): T[i, j] = a_l[i] . p[j]
+    for j > i and a_u[i] . q[j] for j <= i.  `r_lower` and `r_upper` =
+    (X, Y): R / (i a) is X[i] . Y[j] on the same triangles.
     `row1`, `row2` are r_1, r_2 of B_k = A + 1 r_k^T; `n1`, `n2` give
-    N_2 N_1* = n_2 (w conj(n_1))^T (see the module docstring).
+    N_2 N_1* = n_2 (w conj(n_1))^T.
     """
 
     grid: Grid
-    t: np.ndarray
+    t_lower: tuple
+    t_upper: tuple
+    r_lower: tuple
+    r_upper: tuple
     row1: np.ndarray
     row2: np.ndarray
     n1: np.ndarray
     n2: np.ndarray
 
 
-#: Rows of T per block in `kernel_matrix` and `identity_residual`.
+#: Rows of the residual per block in `identity_residual`.
 _BLOCK = 32
 
 
-def kernel_matrix(k: BezoutKernel, grid: Grid) -> np.ndarray:
-    """Nystrom matrix of T: T[i, j] = c U(x_i, t_j) w_j, in row blocks."""
-    n = grid.n
-    pieces = k.float_pieces
-    vander = np.vander(grid.nodes.astype(complex), max(d for p in pieces for d in p.shape),
-                       increasing=True)
-    cw = complex(k.c) * grid.weights[:, None]
-    (xl, tl), (xu, tu) = ((vander[:, :p.shape[0]] @ p, vander[:, :p.shape[1]] * cw)
-                          for p in pieces)
-    t = np.empty((n, n), dtype=complex)
-    upper = np.triu(np.ones((_BLOCK, _BLOCK), bool), 1)
-    for s in range(0, n, _BLOCK):
-        e = min(s + _BLOCK, n)
-        np.matmul(xu[s:e], tu[:s].T, out=t[s:e, :s])
-        np.matmul(xl[s:e], tl[e:].T, out=t[s:e, e:])
-        np.matmul(xu[s:e], tu[s:e].T, out=t[s:e, s:e])
-        np.copyto(t[s:e, s:e], xl[s:e] @ tl[s:e].T, where=upper[:e - s, :e - s])
-    return t
+def _rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u[i] . v[i] for every row i."""
+    return np.einsum("ij,ij->i", u, v)
 
 
 def discretize_all(
@@ -130,44 +152,61 @@ def discretize_all(
     mf: MFunctions,
     grid: Grid,
 ) -> Discretization:
-    """T and the vectors r_1, r_2, n_1, n_2 on the grid."""
-    w, x = grid.weights, grid.nodes
+    """The generators of T and of the residual R / a (module doc), and r_1,
+    r_2, n_1, n_2, on the grid."""
+    w, x, a, n = grid.weights, grid.nodes, grid.a, grid.n
     phi1, phi2, m2, m2_reflected = eval_float_rows(
-        (mf.phi1, mf.phi2, mf.m2, mf.m2), np.stack([x, x, x, float(pair.a) - x]))
+        (mf.phi1, mf.phi2, mf.m2, mf.m2), np.stack([x, x, x, a - x]))
     # P_k* f = -i int_0^a f(t) conj(Phi_k(t)) dt
     row1, row2 = (-1j * w * np.conj(phi) for phi in (phi1, phi2))
     n2, n1 = -1j * m2, np.conj(m2_reflected)
-    return Discretization(grid, kernel_matrix(k, grid), row1, row2, n1, n2)
+
+    lower, upper = k.float_pieces
+    rl, ru = lower.shape[1], upper.shape[1]
+    vander = np.vander(k.centered(x), max(*lower.shape, *upper.shape), increasing=True)
+    coeffs = np.zeros((vander.shape[1], rl + ru), dtype=complex)
+    coeffs[:lower.shape[0], :rl], coeffs[:upper.shape[0], rl:] = lower, upper
+    sides = vander @ coeffs
+    al, au = sides[:, :rl], sides[:, rl:]
+    cwv = complex(k.c) * w[:, None] * vander[:, :max(rl, ru)]
+    p, q = cwv[:, :rl], cwv[:, :ru]
+
+    # One cumsum: prefix sums of [q, v a_l], suffix sums of [p, v a_u] (run
+    # on reversed rows), v = w / a.  pre[j] sums the rows k < j; suf[j]
+    # those k >= j.
+    v = w / a
+    sums = np.zeros((n + 1, 2 * (rl + ru)), dtype=complex)
+    val, vau = v[:, None] * al, v[:, None] * au
+    np.cumsum(np.concatenate([q, val, p[::-1], vau[::-1]], axis=1), axis=0, out=sums[1:])
+    pre, suf = sums[:, :rl + ru], sums[::-1, rl + ru:]
+    q_pre, a_pre, p_suf, b_suf = pre[:n, :ru], pre[:n, ru:], suf[:n, :rl], suf[:n, rl:]
+    t1 = _rowdot(au, pre[1:, :ru]) + _rowdot(al, suf[1:, :rl])  # T 1
+    vt = _rowdot(a_pre, p) + _rowdot(b_suf, q)  # v^T T
+
+    vm2 = v * m2_reflected
+    r_lower = (np.column_stack([al, -(a_pre + 0.5 * val), 1 - phi2, -t1, m2]),
+               np.column_stack([v[:, None] * (p_suf - 0.5 * p), p, vt, v * np.conj(phi1), vm2]))
+    r_upper = (np.column_stack([t1, -au, b_suf - 0.5 * vau, -phi2, m2]),
+               np.column_stack([v * (1 - np.conj(phi1)), v[:, None] * (q_pre + 0.5 * q), q, vt, vm2]))
+    return Discretization(grid, (al, p), (au, q), r_lower, r_upper, row1, row2, n1, n2)
 
 
 def identity_residual(ops: Discretization) -> float:
-    """Frobenius norm of T B_1 - B_2* T - N_2 N_1* on the common grid."""
-    t, n = ops.t, ops.grid.n
-    w = ops.grid.weights.astype(complex)
-    # r = R / i has the norm of R
-    left = 1j * np.stack([t.sum(axis=1), -np.conj(ops.row2) / w, -ops.n2], axis=1)
-    right = np.stack([ops.row1, w @ t, w * np.conj(ops.n1)])
-    # cols[0] carries S_cols(W T) of the row below the block (0 below the last row)
-    wt, cols, r = np.zeros((3, _BLOCK, n), dtype=complex)
+    """Frobenius norm of T B_1 - B_2* T - N_2 N_1* on the common grid, from
+    the generators in row blocks (module doc)."""
+    n = ops.grid.n
+    (xl, yl), (xu, yu) = ops.r_lower, ops.r_upper
+    low_buf, up_buf = np.empty((2, n * _BLOCK), dtype=complex)
+    strict = np.arange(_BLOCK)[:, None] > np.arange(_BLOCK)  # j > i, read transposed
     total = 0.0
-    for e in range(n, 0, -_BLOCK):
-        s = max(e - _BLOCK, 0)
-        blk, wt_b, cols_b, r_b = t[s:e], wt[:e - s], cols[:e - s], r[:e - s]
-        np.multiply(w[s:e, None], blk, out=wt_b)
-        wt_b[-1] += cols[0]
-        np.cumsum(wt_b[::-1], axis=0, out=cols_b[::-1])  # S_cols(W T) of rows s..e-1
-        np.multiply(w[e - 1], blk[-1], out=wt_b[-1])  # the last row again, without the carry
-        np.multiply(blk, w, out=r_b)  # r as scratch: wt = T[i, j] (w_i + w_j) / 2
-        wt_b += r_b
-        wt_b *= 0.5
-        np.cumsum(blk[:, ::-1], axis=1, out=r_b[:, ::-1])
-        r_b *= w
-        r_b += cols_b
-        r_b -= wt_b
-        np.matmul(left[s:e], right, out=wt_b)
-        r_b -= wt_b
-        total += np.vdot(r_b, r_b).real
-    return float(np.sqrt(total))
+    for s in range(0, n, _BLOCK):
+        e = min(s + _BLOCK, n)
+        b = e - s
+        low = np.matmul(yl[s:], xl[s:e].T, out=low_buf[:(n - s) * b].reshape(n - s, b))
+        up = np.matmul(yu[:e], xu[s:e].T, out=up_buf[:e * b].reshape(e, b))
+        np.copyto(up[s:], low[:b], where=strict[:b, :b])
+        total += np.vdot(low[b:], low[b:]).real + np.vdot(up, up).real
+    return ops.grid.a * float(np.sqrt(total))
 
 
 def convergence_study(

@@ -68,6 +68,14 @@ def transform_of_i_t(Ft: ClosedTransform) -> ClosedTransform:
     return full
 
 
+def t_from_generators(ops) -> np.ndarray:
+    """The Nystrom matrix of T that a `Discretization`'s generators imply:
+    T[i, j] = a_l[i] . p[j] for j > i and a_u[i] . q[j] for j <= i."""
+    (al, p), (au, q) = ops.t_lower, ops.t_upper
+    above = np.triu(np.ones((ops.grid.n, ops.grid.n), dtype=bool), 1)
+    return np.where(above, al @ p.T, au @ q.T)
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

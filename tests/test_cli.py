@@ -409,6 +409,25 @@ def test_kernel_past_the_digit_limit_is_an_input_error(tmp_path):
     assert json.loads(out.read_text()) == report
 
 
+@pytest.mark.parametrize("a, reason", [("1" + "0" * 320, "beyond float range"),
+                                       ("1/1" + "0" * 400, "rounds to 0.0")],
+                         ids=["a=10^320", "a=10^-400"])
+def test_operator_check_outside_float_range_is_a_refusal(tmp_path, a, reason):
+    # the verdict is exact and stands; the operator check has no float a
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"a": a, "psi1": ["1"], "psi2": ["1", "1"],
+                                "tasks": ["decide", "kernel", "operator-check"]}))
+    out = tmp_path / "out.json"
+    report, code = run(spec, out)
+    assert code == EXIT_NUMERIC_REFUSAL
+    assert json.loads(out.read_text()) == report
+    assert report["verdict"]["outcome"] == "NoCommonZeros" and "kernel" in report
+    assert "operator" not in report
+    error = report["error"]
+    assert error["stage"] == "operator-check" and error["type"] == "FloatRangeError"
+    assert reason in error["message"]
+
+
 @pytest.mark.parametrize("literal", ["1e5", "1E-3", "-7e+2"])
 @pytest.mark.parametrize("key", ["a", "psi1", "psi2"])
 def test_exponent_literal_is_an_input_error(tmp_path, key, literal):

@@ -2,7 +2,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from bezoutiant.exact import GR, MPoly, Poly, from_numerators, parse_rational
+from bezoutiant.exact import (
+    GR,
+    FloatRangeError,
+    MPoly,
+    Poly,
+    float_endpoint,
+    from_numerators,
+    parse_rational,
+)
 from conftest import random_gr, random_poly
 
 
@@ -130,3 +138,14 @@ def test_mpoly_definite_integral():
     assert MPoly({(1, 1): 2}).definite_integral("t", 3) == Poly.of(0, 9, 0, -1)
     assert MPoly({(1, 2): 1}).definite_integral(1, F(2)) == Poly.of(0, 0, F(3, 2))
     assert MPoly({}).definite_integral(0, "t").is_zero
+
+
+def test_float_boundary_refuses_values_out_of_range():
+    # a coefficient past 1.8e308 has no float; an endpoint a that rounds to
+    # 0.0 would be divided by; tiny coefficients just round
+    with pytest.raises(FloatRangeError, match="beyond float range"):
+        Poly.of(0, GR(0, 10 ** 400)).eval_float(0.5)
+    assert Poly.of(1, F(1, 10 ** 400)).eval_float(0.5) == 1
+    with pytest.raises(FloatRangeError, match="rounds to 0.0"):
+        float_endpoint(F(1, 10 ** 400))
+    assert float_endpoint(F(7, 3)) == 7 / 3 and float_endpoint(F(5e-324)) == 5e-324

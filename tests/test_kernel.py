@@ -1,5 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction as F
+from math import comb
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from bezoutiant.kernel import (
     check_diagonal_continuity,
     normalize_pair,
 )
-from bezoutiant.operator_lab import Grid, kernel_matrix
-from conftest import random_admissible_poly
+from bezoutiant.operator_lab import Grid, discretize_all
+from conftest import random_admissible_poly, t_from_generators
 
 ONE = Poly.of(1)
 TWO_T = Poly.of(0, 2)
@@ -138,9 +139,12 @@ def test_coincidence_law_reflected_pairs(rng):
         assert k.u_lower.is_zero and k.u_upper.is_zero
 
 
-def _kernel_values(k, grid):
-    """U(x_i, x_j) on the grid's nodes: the Nystrom matrix of T with c w_j divided out."""
-    return kernel_matrix(k, grid) / (complex(k.c) * grid.weights)
+def _kernel_values(pair, grid):
+    """(k, U(x_i, x_j) on the grid's nodes): the Nystrom matrix of T that the
+    operator check's generators imply, with c w_j divided out."""
+    k = build_kernel(pair)
+    ops = discretize_all(pair, k, build_m_functions(pair), grid)
+    return k, t_from_generators(ops) / (complex(k.c) * grid.weights)
 
 
 def test_kernel_matrix_matches_u_float(rng):
@@ -150,44 +154,46 @@ def test_kernel_matrix_matches_u_float(rng):
     for a in (1, F(7, 3)):
         grid = Grid(nodes * float(a), weights * float(a), float(a))
         for _ in range(3):
-            k = build_kernel(normalize_pair(random_admissible_poly(rng, rng.randint(0, 8), a),
-                                            random_admissible_poly(rng, rng.randint(0, 8), a), a))
-            got = _kernel_values(k, grid)
+            k, got = _kernel_values(normalize_pair(random_admissible_poly(rng, rng.randint(0, 8), a),
+                                                   random_admissible_poly(rng, rng.randint(0, 8), a), a),
+                                    grid)
             want = k.u_float(grid.nodes[:, None], grid.nodes[None, :])
             assert got.shape == (16, 16)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def _errors_against_exact(k, grid, samples):
-    """Max |U - u_at| over sampled (i, j) of the row-block and Horner forms."""
+def _errors_against_exact(pair, grid, samples):
+    """Max |U - u_at| over sampled (i, j) of the generator and Horner forms."""
     nodes = grid.nodes
-    blocks = _kernel_values(k, grid)
+    k, generators = _kernel_values(pair, grid)
     horner = k.u_float(nodes[:, None], nodes[None, :])
     exact = np.array([complex(k.u_at(F(nodes[i]), F(nodes[j]))) for i, j in samples])
     rows, cols = np.array(samples).T
-    return (np.max(np.abs(blocks[rows, cols] - exact)),
-            np.max(np.abs(horner[rows, cols] - exact)), np.max(np.abs(blocks)))
+    return (np.max(np.abs(generators[rows, cols] - exact)),
+            np.max(np.abs(horner[rows, cols] - exact)), np.max(np.abs(generators)))
 
 
 def test_kernel_matrix_matches_exact_kernel(rng):
+    # both triangles and the diagonal, where T takes the upper piece
     grid = Grid.uniform(64, 1)  # dyadic nodes, so u_at sees the same points
-    samples = [(i, j) for i in range(3, 64, 12) for j in range(5, 64, 17)]
+    samples = [(i, j) for i in range(3, 64, 12) for j in range(5, 64, 17)] + [(i, i) for i in range(0, 64, 9)]
     for d1, d2 in ((0, 1), (3, 5), (8, 6), (8, 8)):
-        k = build_kernel(normalize_pair(random_admissible_poly(rng, d1, 1),
-                                        random_admissible_poly(rng, d2, 1), 1))
-        err, _, scale = _errors_against_exact(k, grid, samples)
+        err, _, scale = _errors_against_exact(normalize_pair(random_admissible_poly(rng, d1, 1),
+                                                             random_admissible_poly(rng, d2, 1), 1),
+                                              grid, samples)
         assert err <= 1e-12 * scale, (d1, d2, err / scale)
 
 
 def test_kernel_matrix_error_at_high_degree(rng):
-    # degree 16/16 loses digits to cancellation in either evaluation order;
-    # the row-block form may not lose many more than Horner's
+    # degree 16/16: in x and t both evaluation orders lost digits to
+    # cancellation (5e-12 to 6e-11 of the largest entry); in the centered
+    # variables the generator form keeps 1e-12 of it, as Horner's does
     grid = Grid.uniform(64, 1)
     samples = [(i, j) for i in range(3, 64, 20) for j in range(1, 64, 21)]
-    k = build_kernel(normalize_pair(random_admissible_poly(rng, 16, 1),
-                                    random_admissible_poly(rng, 16, 1), 1))
-    err, horner_err, _ = _errors_against_exact(k, grid, samples)
-    assert err <= 2 * horner_err
+    err, horner_err, scale = _errors_against_exact(
+        normalize_pair(random_admissible_poly(rng, 16, 1), random_admissible_poly(rng, 16, 1), 1),
+        grid, samples)
+    assert err <= 1e-12 * scale and horner_err <= 1e-12 * scale, (err / scale, horner_err / scale)
 
 
 def test_kernel_json():
@@ -199,19 +205,36 @@ def test_kernel_json():
 
 
 def test_kernel_tables_match_their_terms(rng):
-    # the JSON and floats read off the integer tables equal those of the
-    # GaussianRational terms built from them, bit for bit
+    # the JSON read off the integer tables equals that of the
+    # GaussianRational terms built from them
     for _ in range(12):
         a = rng.choice((1, F(7, 3), F(1, 2)))
         psi1, psi2 = (random_admissible_poly(rng, rng.randint(0, 8), a, rng.random() < 0.7)
                       for _ in range(2))
         k = build_kernel(normalize_pair(psi1, psi2, a))
         d = k.to_json()
-        for name, floats in zip(("u_lower", "u_upper"), k.float_pieces):
+        for name in ("u_lower", "u_upper"):
             terms = getattr(k, name).terms
             assert d[name] == [{"exp": list(e), "coeff": c.to_json()} for e, c in sorted(terms.items())]
+
+
+def test_float_pieces_are_the_centered_coefficients(rng):
+    # with x = h (xi + 1), h = a / 2, the xi^r tau^s coefficient is
+    # sum_{i >= r, j >= s} C[i, j] h^(i+j) C(i, r) C(j, s), here in Fractions;
+    # each float must be that value correctly rounded, bit for bit, on the
+    # nonzero extent of the piece
+    for a in (1, F(7, 3), F(1, 2), 40) * 3:
+        psi1, psi2 = (random_admissible_poly(rng, rng.randint(0, 8), a, rng.random() < 0.7)
+                      for _ in range(2))
+        k = build_kernel(normalize_pair(psi1, psi2, a))
+        h = F(a) / 2
+        for piece, floats in zip((k.u_lower, k.u_upper), k.float_pieces):
+            terms = piece.terms
             want = np.zeros((1 + max((i for i, _ in terms), default=0),
                              1 + max((j for _, j in terms), default=0)), dtype=complex)
-            for (i, j), c in terms.items():
-                want[i, j] = complex(c)
+            for r, s in np.ndindex(want.shape):
+                parts = [sum((getattr(c, part) * h ** (i + j) * comb(i, r) * comb(j, s)
+                              for (i, j), c in terms.items() if i >= r and j >= s), F(0))
+                         for part in ("re", "im")]
+                want[r, s] = complex(*map(float, parts))
             assert floats.shape == want.shape and floats.tobytes() == want.tobytes()

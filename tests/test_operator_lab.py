@@ -1,11 +1,12 @@
 import tracemalloc
 from fractions import Fraction as F
+from math import isqrt
 
 import numpy as np
 import pytest
 
 from bezoutiant import operator_lab
-from bezoutiant.exact import Poly
+from bezoutiant.exact import GR, Poly
 from bezoutiant.kernel import (
     build_kernel,
     build_m_functions,
@@ -16,9 +17,8 @@ from bezoutiant.operator_lab import (
     convergence_study,
     discretize_all,
     identity_residual,
-    kernel_matrix,
 )
-from conftest import random_admissible_poly
+from conftest import random_admissible_poly, t_from_generators
 
 ONE = Poly.of(1)
 TWO_T = Poly.of(0, 2)
@@ -42,7 +42,7 @@ def _adjoint(m, grid):
 
 
 def _dense_residual(pair, mf, grid, t_mat):
-    """Reference: every operator as a dense matrix, two complex n^3 products."""
+    """Every operator as a dense matrix, two complex n^3 products."""
     n, w, x = grid.n, grid.weights, grid.nodes
     a_mat = 1j * (np.tril(np.ones((n, n)), -1) * w[None, :] + np.diag(w) * 0.5)
     ones = np.ones(n, dtype=complex)
@@ -53,6 +53,118 @@ def _dense_residual(pair, mf, grid, t_mat):
     n1 = np.conj(np.asarray(mf.m2.eval_float(float(pair.a) - x), complex))
     res = t_mat @ b1 - _adjoint(b2, grid) @ t_mat - np.outer(n2, w * np.conj(n1))
     return float(np.linalg.norm(res, "fro"))
+
+
+#: Fractional bits of the fixed-point reference below: 2^-200 is about 6e-61.
+_K = 200
+
+
+class _Fixed:
+    """Complex fixed-point arrays: the value is (re + i im) / 2^_K, with re
+    and im numpy arrays of Python integers.  Sums are exact; a product is
+    rounded down to _K bits."""
+
+    def __init__(self, re, im):
+        self.re, self.im = re, im
+
+    @classmethod
+    def of(cls, values):
+        """Rationals, floats or Gaussian rationals, rounded down to _K bits."""
+        def fix(v):
+            v = F(v)
+            return (v.numerator << _K) // v.denominator
+        parts = np.array([(fix(v.re), fix(v.im)) if hasattr(v, "im") else (fix(v), 0)
+                          for v in np.ravel(np.array(values, dtype=object))], dtype=object)
+        shape = np.shape(values)
+        return cls(parts[:, 0].reshape(shape), parts[:, 1].reshape(shape))
+
+    def __add__(self, other):
+        return _Fixed(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return _Fixed(self.re - other.re, self.im - other.im)
+
+    def __neg__(self):
+        return _Fixed(-self.re, -self.im)
+
+    def __mul__(self, other):
+        return _Fixed((self.re * other.re - self.im * other.im) >> _K,
+                      (self.re * other.im + self.im * other.re) >> _K)
+
+    def __getitem__(self, key):
+        return _Fixed(self.re[key], self.im[key])
+
+    def scale(self, real):
+        """Times a real fixed-point integer array."""
+        return _Fixed((self.re * real) >> _K, (self.im * real) >> _K)
+
+    def times_i(self):
+        return _Fixed(-self.im, self.re)
+
+    def conj(self):
+        return _Fixed(self.re, -self.im)
+
+    def half(self):
+        return _Fixed(self.re >> 1, self.im >> 1)
+
+    def reshape(self, *shape):
+        return _Fixed(self.re.reshape(shape), self.im.reshape(shape))
+
+    def sum(self, axis):
+        return _Fixed(self.re.sum(axis=axis), self.im.sum(axis=axis))
+
+    def suffix_sums(self, axis):
+        """S_j = sum_{k >= j} along `axis`."""
+        def suffix(v):
+            return np.flip(np.cumsum(np.flip(v, axis), axis=axis), axis)
+        return _Fixed(suffix(self.re), suffix(self.im))
+
+
+def _reference_residual(pair, k, mf, grid):
+    """||T B_1 - B_2* T - N_2 N_1*||_F in fixed point at 2^-200, at the float
+    nodes and weights taken exactly.
+
+    T[i, j] = c U(x_i, x_j) w_j from the exact kernel tables, U_lower for
+    j > i.  The products with the triangular A are the sums they stand for,
+    (T A)[i, j] = i w_j (S_j(T[i, :]) - T[i, j] / 2) and
+    (A* T)[i, j] = -i (S_i(w T[:, j]) - w_i T[i, j] / 2), which hold exactly
+    in integers; W^{-1} conj(r_2) = i Phi_2(x).  Only products round.
+    """
+    n, a = grid.n, pair.a
+    nodes, weights = [F(v) for v in grid.nodes], [F(v) for v in grid.weights]
+    assert all((v * 2 ** _K).denominator == 1 for v in nodes + weights)
+    xs, ws = _Fixed.of(nodes), _Fixed.of(weights)
+    values = []
+    for piece in (k.u_lower, k.u_upper):
+        re, im, den = piece.table
+        coeff = _Fixed.of([[GR(F(r, den), F(m, den)) for r, m in zip(*rows)] for rows in zip(re, im)])
+        acc = None  # Horner in x over rows, each row a polynomial in t
+        for row in range(len(re) - 1, -1, -1):
+            in_t = coeff[row:row + 1, -1:]
+            for col in range(len(re[0]) - 2, -1, -1):
+                in_t = in_t.scale(xs.re[None, :]) + coeff[row:row + 1, col:col + 1]
+            acc = in_t if acc is None else acc.scale(xs.re[:, None]) + in_t
+        values.append(acc)
+    above = np.triu(np.ones((n, n), dtype=bool), 1)
+    u = _Fixed(*(np.where(above, *np.broadcast_arrays(lo, up))
+                 for lo, up in ((values[0].re, values[1].re), (values[0].im, values[1].im))))
+    t = (u * _Fixed.of([[k.c]])).scale(ws.re[None, :])
+    wt_mat = t.scale(ws.re[:, None])
+
+    phi1, phi2, m2, m2_reflected = (_Fixed.of([poly(v) for v in vals]) for poly, vals in (
+        (mf.phi1, nodes), (mf.phi2, nodes), (mf.m2, nodes), (mf.m2, [a - v for v in nodes])))
+    ta = (t.suffix_sums(1) - t.half()).scale(ws.re[None, :]).times_i()
+    adjoint_a_t = -(wt_mat.suffix_sums(0) - wt_mat.half()).times_i()
+    row1 = -phi1.conj().scale(ws.re).times_i()  # r_1 = -i w conj(Phi_1)
+    n2 = -m2.times_i()  # n_2 = -i M_2(x); w conj(n_1) = w M_2(a - x)
+    t1, wt = t.sum(1), wt_mat.sum(0)
+
+    def outer(u, v):
+        return u.reshape(n, 1) * v.reshape(1, n)
+
+    res = (ta + outer(t1, row1) - adjoint_a_t - outer(phi2.times_i(), wt)
+           - outer(n2, m2_reflected.scale(ws.re)))
+    return isqrt(int((res.re * res.re + res.im * res.im).sum())) / 2 ** _K
 
 
 def test_grid_uniform():
@@ -81,7 +193,7 @@ def test_adjoint_applied_to_one_matches_exact():
     for n in (32, 64):
         g = Grid.uniform(n, 1)
         ops = discretize_all(pair, k, mf, g)
-        got = _adjoint(ops.t, g) @ np.ones(g.n)
+        got = _adjoint(t_from_generators(ops), g) @ np.ones(g.n)
         want = np.asarray(exact.eval_float(g.nodes), dtype=complex)
         errs.append(np.max(np.abs(got - want)))
     assert errs[0] < 1e-2
@@ -92,7 +204,7 @@ def test_coincidence_discretization_is_zero():
     pair, k, mf = _setup(ONE, ONE)
     for g in (Grid.uniform(32, 1), _random_grid(33, 1, seed=7)):
         ops = discretize_all(pair, k, mf, g)
-        assert np.all(ops.t == 0)
+        assert not np.any(ops.t_lower[0]) and not np.any(ops.t_upper[0])
         assert identity_residual(ops) == 0.0
 
 
@@ -125,17 +237,35 @@ def test_identity_holds_for_every_parameter_choice():
 
 
 def test_structured_residual_matches_dense(rng):
-    # same float64 T on both sides: only the assembly of the residual differs
+    # against the dense formula in fixed point at 2^-200, at the same nodes
+    # and weights: the float64 dense form itself is up to 1.9e-11 off it.
+    # The literal matrix products in float64 check the reference's algebra.
     for a in (1, F(7, 3), 1, F(7, 3)):
         psi1 = random_admissible_poly(rng, rng.randint(0, 8), a)
         psi2 = random_admissible_poly(rng, rng.randint(0, 8), a)
         pair, k, mf = _setup(psi1, psi2, a)
         for n in (16, 33, 64, 100):
             for g in (Grid.uniform(n, a), _random_grid(n, a, seed=n)):
+                want = _reference_residual(pair, k, mf, g)
                 ops = discretize_all(pair, k, mf, g)
-                want = _dense_residual(pair, mf, g, ops.t)
                 got = identity_residual(ops)
                 assert abs(got - want) <= 1e-11 * want, (n, got, want)
+                dense = _dense_residual(pair, mf, g, t_from_generators(ops))
+                assert abs(dense - want) <= 1e-10 * want, (n, dense, want)
+
+
+def test_residual_scales_with_the_interval():
+    # the same density shapes on [0, a]: the residual is a times that on
+    # [0, 1], where a power-of-two a scales every float exactly; with the
+    # weights themselves in the generators, w^2 is subnormal at a = 2^-510
+    # and the residual lost six digits
+    psi1, psi2 = Poly.of(1, 2), Poly.of(3, -1)
+    base = convergence_study(*_setup(psi1, psi2), sizes=(32, 64))["residuals"]
+    for a in (F(1, 2 ** 510), F(2) ** 500):
+        pair, k, mf = _setup(psi1.compose_affine(0, 1 / a), psi2.compose_affine(0, 1 / a), a)
+        got = convergence_study(pair, k, mf, sizes=(32, 64))["residuals"]
+        for g, b in zip(got, base):
+            assert abs(g - float(a) * b) <= 1e-12 * float(a) * b, (a, g, b)
 
 
 def test_discretize_all_vectors_match_per_polynomial_horner(rng):
@@ -158,39 +288,38 @@ def test_discretize_all_vectors_match_per_polynomial_horner(rng):
 
 @pytest.mark.parametrize("block", [1, 7, 64, 512])
 def test_row_block_size_leaves_results_unchanged(rng, monkeypatch, block):
-    # a partial block reuses the first rows of full-size buffers: a stale
-    # row left there would show up as a block-size dependence
+    # a partial block reuses the first rows of full-size buffers, and the
+    # diagonal block mixes both products: a stale row or a wrong triangle
+    # would show up as a block-size dependence
     pair, k, mf = _setup(random_admissible_poly(rng, 6, 1), random_admissible_poly(rng, 4, 1))
     for n in (33, 100, 257):
-        g = Grid.uniform(n, 1)
-        ops = discretize_all(pair, k, mf, g)
+        ops = discretize_all(pair, k, mf, Grid.uniform(n, 1))
         want = identity_residual(ops)
         with monkeypatch.context() as m:
             m.setattr(operator_lab, "_BLOCK", block)
             got = identity_residual(ops)
-            t = kernel_matrix(k, g)
         assert abs(got - want) <= 1e-12 * want, (block, n)
-        u = complex(k.c) * k.u_float(g.nodes[:, None], g.nodes[None, :]) * g.weights
-        assert np.max(np.abs(t - u)) <= 1e-12 * np.max(np.abs(u)), (block, n)
 
 
 def test_kernel_matrix_shape_and_scaling():
     pair, k, mf = _setup(ONE, TWO_T)
     g = Grid.uniform(10, 1)
-    m = kernel_matrix(k, g)
+    m = t_from_generators(discretize_all(pair, k, mf, g))
     assert m.shape == (10, 10)
-    x, t = g.nodes[3], g.nodes[7]
-    assert abs(m[3, 7] - complex(k.c) * k.u_float(x, t) * g.weights[7]) < 1e-15
+    for i, j in ((3, 7), (7, 3), (5, 5)):
+        x, t = g.nodes[i], g.nodes[j]
+        assert abs(m[i, j] - complex(k.c) * k.u_float(x, t) * g.weights[j]) < 1e-15
 
 
 def test_kernel_matrix_matches_u_float_on_row_blocks(rng):
-    # sizes below, at and off multiples of the 32-row block
+    # the generators' T against the Horner evaluation, on sizes below, at
+    # and off multiples of the 32-row block
     for a in (1, F(7, 3)):
         pair, k, mf = _setup(random_admissible_poly(rng, 6, a), random_admissible_poly(rng, 4, a), a)
         for n in (16, 33, 100, 257):
             for g in (Grid.uniform(n, a), _random_grid(n, a, seed=n)):
                 want = complex(k.c) * k.u_float(g.nodes[:, None], g.nodes[None, :]) * g.weights
-                got = kernel_matrix(k, g)
+                got = t_from_generators(discretize_all(pair, k, mf, g))
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (n, a)
 
 
@@ -204,9 +333,9 @@ def _traced_peak(fn):
 
 
 def test_row_block_memory(rng):
-    # no n x n temporary besides T itself
+    # no n x n array: at n = 4096 a dense complex T alone is 256 MiB
     pair, k, mf = _setup(random_admissible_poly(rng, 8, 1), random_admissible_poly(rng, 6, 1))
-    g = Grid.uniform(256, 1)
-    ops = discretize_all(pair, k, mf, g)
-    assert _traced_peak(lambda: identity_residual(ops)) < ops.t.nbytes
-    assert _traced_peak(lambda: kernel_matrix(k, g)) < 1.5 * ops.t.nbytes
+    g = Grid.uniform(4096, 1)
+    k.float_pieces  # the exact tables are not the operator check's memory
+    peak = _traced_peak(lambda: identity_residual(discretize_all(pair, k, mf, g)))
+    assert peak < 32 * 2 ** 20, peak
