@@ -23,10 +23,12 @@ result too long to write as a decimal string: the report's `error` names
 symbolic verdict and the numerical zero comparison, 4 numeric refusal: the
 zero locator declined to answer (an evaluation would overflow, a winding
 number did not certify, a cluster stayed unresolved or the boundary could
-not be moved off a zero), or an exact value of the operator check (a, the
-Phi/M_2 coefficients, the kernel's float tables) has no float image
-(`FloatRangeError`).  A kernel or operator check of a zero-mass density is
-skipped (`skipped`), as they need unit-mass densities.  A refusal still
+not be moved off a zero), or an exact value that the zero locator or the
+operator check reads (a, the transforms' Laurent coefficients and
+moments, the Phi/M_2 coefficients, the kernel's float tables) has no float
+image (`FloatRangeError`, from `exact.to_floats`).  A kernel or operator
+check of a zero-mass density is skipped (`skipped`), as they need
+unit-mass densities.  A refusal still
 writes the report, with its verdict and an `error` block naming the stage,
 the transform (zeros only), the exception type and its message
 (`emit-grid`: one stderr line).
@@ -51,7 +53,6 @@ from .exact import DigitLimitError, FloatRangeError, Poly, parse_rational
 from .kernel import ZeroMassError, build_kernel, build_m_functions, normalize_pair
 from .operator_lab import convergence_study
 from .symbol import (
-    COEFF_NONALGEBRAIC,
     COEFF_RATIONAL,
     OUTCOME_COINCIDE,
     OUTCOME_COMMON,
@@ -95,7 +96,6 @@ class ProblemSpec:
     a: Fraction
     psi1: Poly
     psi2: Poly
-    coeff_class: str = COEFF_RATIONAL
     rect: SearchRect = field(default_factory=lambda: SearchRect(-30, 30, -5, 5))
     grid_n: int = 64
     tol: float = 1e-10
@@ -132,8 +132,8 @@ class ProblemSpec:
                 fail(key, "identically zero density: every z would be a common zero")
 
         coeff_class = obj.get("coeff_class", COEFF_RATIONAL)
-        if coeff_class not in (COEFF_RATIONAL, COEFF_NONALGEBRAIC):
-            fail("coeff_class", f"unknown value {coeff_class!r}")
+        if coeff_class != COEFF_RATIONAL:
+            fail("coeff_class", f"unknown value {coeff_class!r} (only {COEFF_RATIONAL!r})")
 
         rect_obj = obj.get("rect", {})
         if not isinstance(rect_obj, dict):
@@ -154,8 +154,7 @@ class ProblemSpec:
             if t not in ALL_TASKS:
                 fail("tasks", f"unknown task {t!r} (known: {ALL_TASKS})")
 
-        return cls(a, polys[0], polys[1], coeff_class, rect, grid_n, tol,
-                   delta, tasks)
+        return cls(a, polys[0], polys[1], rect, grid_n, tol, delta, tasks)
 
 
 def _grid_size(value) -> int:
@@ -235,7 +234,7 @@ def run(spec_path, out_path, tasks=None, rect=None, tol=None, grid_n=None):
     exit_code = EXIT_OK
 
     try:
-        verdict = decide(spec.psi1, spec.psi2, spec.a, spec.coeff_class)
+        verdict = decide(spec.psi1, spec.psi2, spec.a)
     except DigitLimitError as exc:  # the masses and the gcd are written exactly
         report["error"] = f"verdict: {exc}"
         return _finish(report, EXIT_INPUT_ERROR, spec_sha256, out_path, started)

@@ -1,10 +1,11 @@
 """Exact arithmetic core: Gaussian rationals and polynomials over them.
 
 Everything in this module is exact.  Coefficients are rationals of
-arbitrary precision, and no operation here ever touches a float except
-the explicit `*_float` evaluation helpers and `to_floats`, which form the
-boundary to the numerical layers; `to_floats` refuses a value outside
-float range with `FloatRangeError`.
+arbitrary precision, and nothing here evaluates in floats.  `to_floats`
+(with `float_endpoint` for the interval end a) is the one way out: every
+float that the zero locator and the operator check read is an exact value
+divided once by it, correctly rounded, and a value outside float range is
+refused with `FloatRangeError`.
 
 A `Poly` is one canonical integer triple (re, im, den): coefficient k is
 (re[k] + i im[k]) / den, den > 0, gcd(den, re..., im...) = 1, no trailing
@@ -42,8 +43,6 @@ from itertools import zip_longest
 from math import gcd, lcm
 from typing import Iterable, Union
 
-import numpy as np
-
 RationalLike = Union[int, Fraction, str]
 
 
@@ -58,9 +57,10 @@ class FloatRangeError(ArithmeticError):
 
 def to_floats(nums, den: int, what: str, divisor: bool = False) -> list:
     """[m / den for m in nums], each correctly rounded (int/int division
-    rounds as `Fraction.__float__` does), as the float boundary of the
-    operator check.  Raises FloatRangeError naming `what` when a value
-    overflows, or, with `divisor`, when a nonzero value rounds to 0.0.
+    rounds as `Fraction.__float__` does): the one float boundary of the
+    package, for the transforms, the M-functions and the kernel.  Raises
+    FloatRangeError naming `what` when a value overflows, or, with
+    `divisor`, when a nonzero value rounds to 0.0.
     """
     try:
         out = [m / den for m in nums]
@@ -522,47 +522,8 @@ class Poly:
         re, im, den = self.triple
         return Poly._of((0,) * k + re, (0,) * k + im, den)
 
-    # -- float boundary ----------------------------------------------------
-
-    @cached_property
-    def _complex_coeffs(self) -> np.ndarray:
-        """re[k] / den + i im[k] / den, each part correctly rounded by
-        `to_floats`, so each value is complex(coeffs[k])."""
-        re, im, den = self.triple
-        out = np.zeros(max(len(re), 1), dtype=complex)
-        out.real[:len(re)] = to_floats(re, den, "a polynomial coefficient")
-        out.imag[:len(im)] = to_floats(im, den, "a polynomial coefficient")
-        return out
-
-    def eval_float(self, z):
-        """Horner evaluation at a complex float or numpy array."""
-        return _horner(self._complex_coeffs, z)
-
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
-
-
-def _horner(coeffs: np.ndarray, z):
-    """sum_k coeffs[k] z^k by Horner's rule; each coeffs[k] broadcasts against z."""
-    z = np.asarray(z, dtype=complex)
-    acc = np.zeros_like(z)
-    for c in coeffs[::-1]:
-        acc *= z
-        acc += c
-    return acc[()]  # a scalar for a scalar z
-
-
-def eval_float_rows(polys, z: np.ndarray) -> np.ndarray:
-    """polys[k] at the points z[k], all rows in one Horner pass.
-
-    The coefficient table pads each polynomial with leading zeros up to the
-    longest one.  A row's accumulator stays exactly 0 through its padding,
-    so row k equals polys[k].eval_float(z[k]) bit for bit.
-    """
-    table = np.zeros((max(len(p._complex_coeffs) for p in polys), len(polys), 1), dtype=complex)
-    for k, p in enumerate(polys):
-        table[:len(p._complex_coeffs), k, 0] = p._complex_coeffs
-    return _horner(table, z)
 
 
 class MPoly:

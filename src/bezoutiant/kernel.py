@@ -44,14 +44,15 @@ denominator.  Each piece keeps those integer tables (`MPoly.from_table`):
 terms that `u_at`, the exact checks and `MPoly` arithmetic read are built
 on first read.
 
-The float tables (`float_pieces`, built on first read, so the `kernel`
-task never pays for them) are in the centered variables xi = 2x/a - 1 and
-tau = 2t/a - 1, in which [0, a] is [-1, 1] and no power exceeds 1 in size.
-They come exactly off the integer tables: with a = p/q, entry (i, j)
-times p^(i+j) (2q)^((dx-i)+(dt-j)) is shifted by one in each variable
-(additions only) and each part divided once by den (2q)^(dx+dt), so every
-float is the exact coefficient correctly rounded.  `u_float` and the
-operator check evaluate in xi and tau.
+The float tables, `BezoutKernel.float_pieces` and `MFunctions.float_table`
+(built on first read, so the `kernel` task never pays for them), are in
+the centered variables xi = 2x/a - 1 and tau = 2t/a - 1, in which [0, a]
+is [-1, 1] and no power exceeds 1 in size.  `_center` centers one
+variable exactly, on integers; the kernel pieces are centered along each
+axis, and Phi_1, Phi_2 and M_2 stacked as one set of vectors.  Each part
+is then divided once through `exact.to_floats`, so every float is the
+exact coefficient correctly rounded, and one past float range is a
+`FloatRangeError`.  `u_float` and the operator check evaluate in xi and tau.
 """
 
 from __future__ import annotations
@@ -105,6 +106,27 @@ class MFunctions:
     m2: Poly
     a: Fraction
 
+    @cached_property
+    def float_table(self) -> np.ndarray:
+        """(m, 4) complex: column c holds the xi^k coefficients of Phi_1,
+        Phi_2, M_2(x) and M_2(a - x), xi = 2x/a - 1 (module doc); built
+        on first read.  As xi(a - x) = -xi(x), the last column is M_2's with
+        its odd coefficients negated."""
+        polys = (self.phi1, self.phi2, self.m2)
+        m = max(len(p.triple[0]) for p in polys)
+        # vectors[k]: the x^k coefficients of the three, re and im parts
+        vectors = [[part[k] if k < len(part) else 0 for p in polys for part in p.triple[:2]]
+                   for k in range(m)]
+        scale = _center(vectors, self.a)
+        out = np.empty((m, 4), dtype=complex)
+        for c, p in enumerate(polys):
+            out.real[:, c], out.imag[:, c] = (
+                to_floats([v[2 * c + h] for v in vectors], p.triple[2] * scale,
+                          "an M-function coefficient") for h in (0, 1))
+        out[:, 3] = out[:, 2]
+        out[1::2, 3] = -out[1::2, 2]
+        return out
+
 
 @dataclass(frozen=True)
 class BezoutKernel:
@@ -150,14 +172,24 @@ class BezoutKernel:
         }
 
 
-def _shift_by_one(vectors: list) -> None:
-    """In place: vectors[k] becomes the s^k coefficient of
-    sum_k vectors[k] (s + 1)^k, elementwise (a Taylor shift by one, as
-    `taylor_shift` runs it, in additions only)."""
+def _center(vectors: list, a: Fraction) -> int:
+    """In place: `vectors` holds the x^k coefficients, k = 0..n, of integer
+    vectors (elementwise); they become the xi^k coefficients times (2q)^n,
+    xi = 2x/a - 1, a = p/q.  Returns (2q)^n.
+
+    x^k = p^k (xi + 1)^k / (2q)^k, so coefficient k times p^k (2q)^(n-k),
+    shifted by one (a Taylor shift as `taylor_shift` runs it, in additions
+    only), is the centered coefficient over (2q)^n.
+    """
+    p, q2 = a.numerator, 2 * a.denominator
     n = len(vectors) - 1
+    for k, v in enumerate(vectors):
+        scale = p ** k * q2 ** (n - k)
+        vectors[k] = [e * scale for e in v]
     for i in range(n):
         for j in range(n - 1, i - 1, -1):
             vectors[j] = list(map(add, vectors[j], vectors[j + 1]))
+    return q2 ** n
 
 
 def _centered_table(table: tuple, a: Fraction) -> np.ndarray:
@@ -165,28 +197,24 @@ def _centered_table(table: tuple, a: Fraction) -> np.ndarray:
     tau = 2t/a - 1: complex C[i, j] of xi^i tau^j, trimmed to the piece's
     nonzero extent (dx, dt).
 
-    With a = p/q, x^i t^j = p^(i+j) (xi+1)^i (tau+1)^j / (2q)^(i+j).  So entry
-    (i, j) times p^(i+j) (2q)^((dx-i)+(dt-j)), shifted by one in each
-    variable, is the centered table over den (2q)^(dx+dt), all in integers;
-    each part is then one correctly rounded division (`to_floats`).
+    `_center` along t (the columns), then along x (the rows), gives the
+    centered table over den (2q)^(dt+dx), all in integers; each part is
+    then one correctly rounded division (`to_floats`).
     """
     re, im, den = table
     cells = [(i, j) for i, (row_re, row_im) in enumerate(zip(re, im))
              for j, (r, m) in enumerate(zip(row_re, row_im)) if r or m]
     dx = max((i for i, _ in cells), default=0)
     dt = max((j for _, j in cells), default=0)
-    p, q2 = a.numerator, 2 * a.denominator
-    scale = [p ** k * q2 ** (dx + dt - k) for k in range(dx + dt + 1)]
     # cols[j]: the tau^j coefficients of the re rows 0..dx, then the im rows
-    cols = [[part[i][j] * scale[i + j] for part in (re, im) for i in range(dx + 1)]
-            for j in range(dt + 1)]
-    _shift_by_one(cols)
+    cols = [[part[i][j] for part in (re, im) for i in range(dx + 1)] for j in range(dt + 1)]
+    den *= _center(cols, a)
     rows = [[col[h + i] for h in (0, dx + 1) for col in cols] for i in range(dx + 1)]
-    _shift_by_one(rows)
+    den *= _center(rows, a)
     parts = [v for row in rows for v in row[:dt + 1]], [v for row in rows for v in row[dt + 1:]]
     out = np.empty((dx + 1, dt + 1), dtype=complex)
-    out.real, out.imag = (np.reshape(to_floats(part, den * q2 ** (dx + dt), "a kernel coefficient"),
-                                     out.shape) for part in parts)
+    out.real, out.imag = (np.reshape(to_floats(part, den, "a kernel coefficient"), out.shape)
+                          for part in parts)
     return out
 
 

@@ -60,14 +60,21 @@ crossed the diagonal would evaluate a piece outside its triangle, where
 large values cancel.  The pieces are tabled in the centered variables
 xi = 2x/a - 1 and tau = 2t/a - 1 (`BezoutKernel.float_pieces`), so every
 power is at most 1 in size; in x and t on [0, a] the monomials lose
-digits of their own.  A prototype with crossing sums in monomials was
-3.3e-10 off the dense residual.  Measured against the dense formula in
+digits of their own.  Phi_1, Phi_2, M_2(x) and M_2(a - x) come off the
+same Vandermonde matrix V, from their xi-coefficients
+(`MFunctions.float_table`; xi(a - x) = -xi(x)), in the product that gives
+the x-sides.  In x their coefficients are of size about a^-k and drop
+terms: at a = 1e200, Phi_2's x^2 coefficient for Psi_2 = 1 + t rounds to
+0.0.  A prototype with crossing sums in monomials was 3.3e-10 off the
+dense residual.  Measured against the dense formula in
 fixed point at 2^-200 (the test's reference), at the float nodes and
 weights: on 96 random cases (degrees 0-8, a in {1, 7/3}, n in {64, 100},
 uniform and random grids) this form is at most 3.4e-12 off, the float64
 dense form 1.9e-11; on 24 cases with a in {40, 1/3} and n <= 64, 5.1e-12
 and 4.1e-12; on two degree-(8, 2) `kernel-operator` problems at n = 256,
 1.7e-12 and 5.6e-12, where the dense form is 5.0e-11 and 1.2e-10 off.
+With Phi_1, Phi_2 and M_2 in x, three further draws of 96 such cases were
+at most 1.3e-11 off; with them in xi, at most 4.9e-12.
 
 Scale.  With T fixed, R is linear in the weights of A, B_k and N_2 N_1*,
 so R = a R' where R' takes v = w / a for those weights.  The generators
@@ -91,7 +98,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import eval_float_rows, float_endpoint
+from .exact import float_endpoint
 from .kernel import BezoutKernel, MFunctions, NormalizedPair
 
 
@@ -122,8 +129,6 @@ class Discretization:
     `t_lower` = (a_l, p) and `t_upper` = (a_u, q): T[i, j] = a_l[i] . p[j]
     for j > i and a_u[i] . q[j] for j <= i.  `r_lower` and `r_upper` =
     (X, Y): R / (i a) is X[i] . Y[j] on the same triangles.
-    `row1`, `row2` are r_1, r_2 of B_k = A + 1 r_k^T; `n1`, `n2` give
-    N_2 N_1* = n_2 (w conj(n_1))^T.
     """
 
     grid: Grid
@@ -131,10 +136,6 @@ class Discretization:
     t_upper: tuple
     r_lower: tuple
     r_upper: tuple
-    row1: np.ndarray
-    row2: np.ndarray
-    n1: np.ndarray
-    n2: np.ndarray
 
 
 #: Rows of the residual per block in `identity_residual`.
@@ -152,22 +153,18 @@ def discretize_all(
     mf: MFunctions,
     grid: Grid,
 ) -> Discretization:
-    """The generators of T and of the residual R / a (module doc), and r_1,
-    r_2, n_1, n_2, on the grid."""
+    """The generators of T and of the residual R / a on the grid (module doc)."""
     w, x, a, n = grid.weights, grid.nodes, grid.a, grid.n
-    phi1, phi2, m2, m2_reflected = eval_float_rows(
-        (mf.phi1, mf.phi2, mf.m2, mf.m2), np.stack([x, x, x, a - x]))
-    # P_k* f = -i int_0^a f(t) conj(Phi_k(t)) dt
-    row1, row2 = (-1j * w * np.conj(phi) for phi in (phi1, phi2))
-    n2, n1 = -1j * m2, np.conj(m2_reflected)
-
     lower, upper = k.float_pieces
+    mtab = mf.float_table
     rl, ru = lower.shape[1], upper.shape[1]
-    vander = np.vander(k.centered(x), max(*lower.shape, *upper.shape), increasing=True)
-    coeffs = np.zeros((vander.shape[1], rl + ru), dtype=complex)
-    coeffs[:lower.shape[0], :rl], coeffs[:upper.shape[0], rl:] = lower, upper
+    vander = np.vander(k.centered(x), max(*lower.shape, *upper.shape, len(mtab)), increasing=True)
+    coeffs = np.zeros((vander.shape[1], rl + ru + 4), dtype=complex)
+    coeffs[:lower.shape[0], :rl], coeffs[:upper.shape[0], rl:rl + ru] = lower, upper
+    coeffs[:len(mtab), rl + ru:] = mtab
     sides = vander @ coeffs
-    al, au = sides[:, :rl], sides[:, rl:]
+    al, au = sides[:, :rl], sides[:, rl:rl + ru]
+    phi1, phi2, m2, m2_reflected = sides[:, rl + ru:].T  # M_2(a - x) as xi -> -xi
     cwv = complex(k.c) * w[:, None] * vander[:, :max(rl, ru)]
     p, q = cwv[:, :rl], cwv[:, :ru]
 
@@ -188,7 +185,7 @@ def discretize_all(
                np.column_stack([v[:, None] * (p_suf - 0.5 * p), p, vt, v * np.conj(phi1), vm2]))
     r_upper = (np.column_stack([t1, -au, b_suf - 0.5 * vau, -phi2, m2]),
                np.column_stack([v * (1 - np.conj(phi1)), v[:, None] * (q_pre + 0.5 * q), q, vt, vm2]))
-    return Discretization(grid, (al, p), (au, q), r_lower, r_upper, row1, row2, n1, n2)
+    return Discretization(grid, (al, p), (au, q), r_lower, r_upper)
 
 
 def identity_residual(ops: Discretization) -> float:

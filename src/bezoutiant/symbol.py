@@ -278,8 +278,8 @@ OUTCOME_COMMON = "CommonZeros"
 OUTCOME_COINCIDE = "ZeroSetsCoincide"
 OUTCOME_INCONCLUSIVE = "Inconclusive"
 
+#: The one coefficient class: exact Gaussian rationals (reported in `diagnostics`).
 COEFF_RATIONAL = "rational"
-COEFF_NONALGEBRAIC = "nonalgebraic-float"
 
 
 @dataclass(frozen=True)
@@ -299,18 +299,16 @@ class Verdict:
         return {k: getattr(self, k) for k in keys}
 
 
-def decide(psi1: Poly, psi2: Poly, a, coeff_class: str = COEFF_RATIONAL) -> Verdict:
+def decide(psi1: Poly, psi2: Poly, a) -> Verdict:
     """The common-zero verdict for F_1 and F_{2,1}, read from the spec-order
     transforms (module doc); the masses give `normalizers` and decide z = 0.
     `swapped` records deg Psi_1 < deg Psi_2; the structural flags refer to
     the density of higher degree (Psi_2 if swapped)."""
-    if coeff_class not in (COEFF_RATIONAL, COEFF_NONALGEBRAIC):
-        raise ValueError(f"unknown coeff_class {coeff_class!r}")
     a = _frac(a)
     transforms = f1, f21 = closed_form(psi1, a), reflected_transform(psi2, a)
     swapped = psi1.degree < psi2.degree
     r1, r2 = psi1.integral(0, a), psi2.integral(0, a)
-    diagnostics: dict = {"coeff_class": coeff_class, "swapped": swapped, "normalizers": [
+    diagnostics: dict = {"coeff_class": COEFF_RATIONAL, "swapped": swapped, "normalizers": [
         r.to_json() for r in ((r2, r1) if swapped else (r1, r2))]}
 
     f = f21 if swapped else f1  # F_2 = c R(F_2) iff F_{2,1} = conj(c) R(F_{2,1})
@@ -325,11 +323,8 @@ def decide(psi1: Poly, psi2: Poly, a, coeff_class: str = COEFF_RATIONAL) -> Verd
     diagnostics["v_is_zero"] = True  # W_r = 0 for r >= Q (module doc)
     diagnostics["l_order"] = None if m0 is None else top - 1 - m0
 
-    if coeff_class == COEFF_NONALGEBRAIC or m0 is None:
-        diagnostics["reason"] = (
-            "zero symbol with non-algebraic coefficients: no criterion applies"
-            if coeff_class == COEFF_NONALGEBRAIC
-            else "D \u2261 0 without coincidence (ROADMAP 1b)")
+    if m0 is None:
+        diagnostics["reason"] = "D \u2261 0 without coincidence (ROADMAP 1b)"
         return Verdict(OUTCOME_INCONCLUSIVE, "no applicable criterion",
                        asym, asym, diagnostics, transforms)
 

@@ -9,8 +9,12 @@ and P, Q as integer triples (re, im, den), entry j-1 = (re + i im) / den.
 `from_density` takes g's jets at a and at 0 (`Poly.jet_numerators`) and
 applies the units to the integers; `symbol.decide` reads these triples as
 they are.  All else is derived on first use: `osc` and `plain` reduce each
-entry once, the floats `eval_many` reads divide each part once, and g comes
-from Q, as g_k = g^(k)(0)/k! = q_(k+1)/(i^(k+1) k!).
+entry once, and g comes from Q, as g_k = g^(k)(0)/k! = q_(k+1)/(i^(k+1) k!).
+
+Every float `eval_many` reads leaves the exact data through
+`exact.to_floats` (a through `float_endpoint`): a Laurent coefficient or
+moment past float range, or an a that rounds to 0.0, raises
+`FloatRangeError` on the first evaluation, a numeric refusal (exit 4).
 
 Near z = 0 the Laurent form cancels catastrophically; a truncated Taylor
 series of the moments mu_n = int_0^a t^n g(t) dt = sum_k g_k a^(n+k+1) /
@@ -59,7 +63,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exact import Poly, _frac, from_numerators
+from .exact import Poly, _frac, float_endpoint, from_numerators, to_floats
 
 #: Largest crossover radius between the moment Taylor series and the Laurent form.
 SWITCH_RADIUS = 0.5
@@ -87,9 +91,10 @@ def _conjugate(numers: tuple) -> tuple:
     return numers[0], [-v for v in numers[1]], numers[2]
 
 
-def _floats(re, im, den) -> list:
-    """(re[k] + i im[k]) / den as complex floats, each part divided once."""
-    return [complex(r / den, m / den) for r, m in zip(re, im)]
+def _to_complex(numers: tuple, what: str) -> list:
+    """(re[k] + i im[k]) / den as complex floats, each part through `to_floats`."""
+    re, im, den = numers
+    return [complex(r, m) for r, m in zip(to_floats(re, den, what), to_floats(im, den, what))]
 
 
 def _taylor_radius(a: float) -> float:
@@ -101,7 +106,8 @@ def _moments(g: Poly, a: Fraction) -> tuple:
     """(re, im, den) of mu_n = sum_k g_k a^(n+k+1) / (n+k+1), for every n
     with (a r)^n / n! > 2^-64 and at least n <= deg + EXTRA_MOMENTS."""
     re, im, den = g.triple
-    x, count, term = float(a) * _taylor_radius(float(a)), 0, 1.0
+    a_f = float_endpoint(a)
+    x, count, term = a_f * _taylor_radius(a_f), 0, 1.0
     while term > 2.0 ** -64:  # term = x^count / count!
         count += 1
         term *= x / count
@@ -164,14 +170,15 @@ class ClosedTransform:
     @cached_property
     def _laurent(self):
         """(a, p, q) as floats; p and q hold one 0 for the zero density."""
-        osc, plain = _floats(*self.p), _floats(*self.q)
-        return float(self.a), np.array(osc or [0j]), np.array(plain or [0j])
+        a = float_endpoint(self.a)
+        osc, plain = (_to_complex(numers, "a Laurent coefficient") for numers in (self.p, self.q))
+        return a, np.array(osc or [0j]), np.array(plain or [0j])
 
     @cached_property
     def _taylor(self) -> np.ndarray:
         """Taylor coefficients of F at 0: mu_n i^n / n!."""
-        return np.array([m * (1j ** n) / math.factorial(n)
-                         for n, m in enumerate(_floats(*_moments(self.density, self.a)))])
+        moments = _to_complex(_moments(self.density, self.a), "a moment")
+        return np.array([m * (1j ** n) / math.factorial(n) for n, m in enumerate(moments)])
 
     @cached_property
     def _horner(self) -> np.ndarray:

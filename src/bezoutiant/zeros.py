@@ -101,6 +101,11 @@ class SearchRect:
             raise ValueError("search rectangle has empty interior")
         if self.boundary_margin < 0:
             raise ValueError("boundary_margin must be >= 0")
+        reach = self.boundary_margin * _NUDGES * (_NUDGES + 1) / 2  # `_guarded_box`'s last box
+        if not all(math.isfinite((hi + reach) - (lo - reach))
+                   for lo, hi in ((self.re_min, self.re_max), (self.im_min, self.im_max))):
+            raise ValueError("search rectangle, moved out by every boundary nudge, "
+                             "is wider or taller than float range")
 
     def mirrored(self) -> "SearchRect":
         return SearchRect(self.re_min, self.re_max, -self.im_max, -self.im_min,

@@ -34,6 +34,13 @@ def random_admissible_poly(rng: random.Random, degree: int, a, complex_coeffs=Tr
             return p
 
 
+def eval_complex(p: Poly, x):
+    """p at the floats x by Horner's rule on complex() of its exact
+    coefficients: a float evaluation in x that shares no code with the
+    package's."""
+    return np.polynomial.polynomial.polyval(np.asarray(x), [complex(c) for c in p.coeffs] or [0j])
+
+
 def quadrature_transform(psi: Poly, a, z: complex, tol: float = 1e-12) -> complex:
     """Independent oracle: adaptive Gauss-Legendre of int_0^a e^{izt} conj(Psi(t)) dt.
 
@@ -50,7 +57,7 @@ def quadrature_transform(psi: Poly, a, z: complex, tol: float = 1e-12) -> comple
         for lo, hi in zip(edges[:-1], edges[1:]):
             t = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
             w = 0.5 * (hi - lo) * weights
-            total += np.sum(w * np.exp(1j * z * t) * g.eval_float(t))
+            total += np.sum(w * np.exp(1j * z * t) * eval_complex(g, t))
         if prev is not None and abs(total - prev) <= tol * (1 + abs(total)):
             return complex(total)
         prev = total

@@ -163,9 +163,14 @@ def test_rational_factor_fixture_inconclusive(tmp_path):
 
 
 def test_nonalgebraic_mode_inconclusive(tmp_path):
-    code, report = _run_fixture("nonalgebraic_mode.json", tmp_path)
-    assert code == EXIT_INCONCLUSIVE
-    assert report["verdict"]["diagnostics"]["coeff_class"] == "nonalgebraic-float"
+    # the nonalgebraic-float mode is gone: its spec is an input error at
+    # coeff_class, not an Inconclusive verdict
+    spec = tmp_path / "nonalgebraic_mode.json"
+    spec.write_text(json.dumps({"a": "1", "psi1": ["0", "2"], "psi2": ["1"],
+                                "coeff_class": "nonalgebraic-float", "tasks": ["decide"]}))
+    out = tmp_path / "out.json"
+    assert main(["decide", "--input", str(spec), "--output", str(out)]) == EXIT_INPUT_ERROR
+    assert json.loads(out.read_text())["error"].startswith("coeff_class:")
 
 
 def test_malformed_rational_exit_code(tmp_path):
@@ -261,9 +266,10 @@ def test_spec_validation_paths():
         with pytest.raises(SpecError, match="^grid_n:"):
             ProblemSpec.from_json({"a": "1", "psi1": ["1"], "psi2": ["1"],
                                    "grid_n": grid_n})
-    with pytest.raises(SpecError, match="^coeff_class:"):
-        ProblemSpec.from_json({"a": "1", "psi1": ["1"], "psi2": ["1"],
-                               "coeff_class": "float32"})
+    for coeff_class in ("float32", "nonalgebraic-float"):
+        with pytest.raises(SpecError, match="^coeff_class:"):
+            ProblemSpec.from_json({"a": "1", "psi1": ["1"], "psi2": ["1"],
+                                   "coeff_class": coeff_class})
     for key in ("tol", "delta"):
         for bad in (0, -1, float("nan"), float("inf"), "1e-3x", None):
             with pytest.raises(SpecError, match=f"^{key}:"):
@@ -334,6 +340,22 @@ def test_bad_rect_exit_code(tmp_path, key, literal):
     out = tmp_path / "out.json"
     assert main(["verify", "--input", str(bad), "--output", str(out)]) == EXIT_INPUT_ERROR
     assert json.loads(out.read_text())["error"].startswith("rect:")
+
+
+@pytest.mark.parametrize("rect", [{"re_min": -1e308, "re_max": 1e308, "im_min": -1, "im_max": 1},
+                                  {"re_min": -1, "re_max": 1, "im_min": -1e308, "im_max": 1e308},
+                                  {"re_min": -1, "re_max": 1, "im_min": -1, "im_max": 1,
+                                   "boundary_margin": 1e308}],
+                         ids=["width", "height", "margin"])
+def test_rect_span_beyond_float_range_exit_code(tmp_path, rect):
+    # finite bounds and margin whose nudged box overflows: the boundary
+    # samples would be NaN, so the rectangle is refused at rect before any
+    # evaluation
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"a": "1", "psi1": ["-1"], "psi2": ["-1"], "rect": rect}))
+    report, code = run(spec, tmp_path / "out.json")
+    assert code == EXIT_INPUT_ERROR
+    assert report["error"].startswith("rect: search rectangle, moved out by every boundary nudge")
 
 
 @pytest.mark.parametrize("bounds", [("10", "-10", "-5", "5"), ("-10", "inf", "-5", "5")],
@@ -426,6 +448,43 @@ def test_operator_check_outside_float_range_is_a_refusal(tmp_path, a, reason):
     error = report["error"]
     assert error["stage"] == "operator-check" and error["type"] == "FloatRangeError"
     assert reason in error["message"]
+
+
+#: Specs whose zero locator has no float image: Laurent coefficients of F_1
+#: past 1.8e308, an a past float range, and an a that rounds to 0.0.
+ZEROS_OUT_OF_FLOAT_RANGE = {
+    "laurent-overflow": ({"a": "1", "psi1": ["1", "1" + "0" * 400], "psi2": ["1"]},
+                         "a Laurent coefficient is beyond float range"),
+    "a=10^400": ({"a": "1" + "0" * 400, "psi1": ["1"], "psi2": ["1", "1"]},
+                 "the interval end a is beyond float range"),
+    "a=10^-400": ({"a": "1/1" + "0" * 400, "psi1": ["1"], "psi2": ["1", "1"]},
+                  "the interval end a rounds to 0.0 as a float"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ZEROS_OUT_OF_FLOAT_RANGE))
+def test_zero_locator_outside_float_range_is_a_refusal(tmp_path, case):
+    # each used to end in a traceback (OverflowError, ZeroDivisionError)
+    # with no report; the exact verdict stands
+    fields, message = ZEROS_OUT_OF_FLOAT_RANGE[case]
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**fields, "tasks": ["decide", "zeros"]}))
+    out = tmp_path / "out.json"
+    report, code = run(spec, out)
+    assert code == EXIT_NUMERIC_REFUSAL
+    assert json.loads(out.read_text()) == report and "verdict" in report
+    assert report["error"] == {"stage": "zeros", "transform": "F1",
+                               "type": "FloatRangeError", "message": message}
+
+
+def test_emit_grid_outside_float_range_is_a_refusal(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(ZEROS_OUT_OF_FLOAT_RANGE["laurent-overflow"][0]))
+    csv = tmp_path / "grid.csv"
+    assert main(["emit-grid", "--input", str(spec), "--csv", str(csv)]) == EXIT_NUMERIC_REFUSAL
+    err = capsys.readouterr().err
+    assert err.startswith("numeric refusal: FloatRangeError:") and err.count("\n") == 1
+    assert not csv.exists()
 
 
 @pytest.mark.parametrize("literal", ["1e5", "1E-3", "-7e+2"])

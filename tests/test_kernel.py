@@ -238,3 +238,24 @@ def test_float_pieces_are_the_centered_coefficients(rng):
                          for part in ("re", "im")]
                 want[r, s] = complex(*map(float, parts))
             assert floats.shape == want.shape and floats.tobytes() == want.tobytes()
+
+
+def test_m_function_table_is_the_centered_coefficients(rng):
+    # with x = h (xi + 1), h = a / 2, the xi^r coefficient of p is
+    # sum_{k >= r} c_k h^k C(k, r), here in Fractions; each float must be
+    # that value correctly rounded (equal as floats: a negated zero is -0.0),
+    # and M_2(a - x) is M_2 at -xi
+    for a in (1, F(7, 3), F(1, 2), 40, F(10) ** 200) * 2:
+        psi1, psi2 = (random_admissible_poly(rng, rng.randint(0, 8), a, rng.random() < 0.7)
+                      for _ in range(2))
+        mf = build_m_functions(normalize_pair(psi1, psi2, a))
+        h = F(a) / 2
+        want = np.zeros(mf.float_table.shape, dtype=complex)
+        for col, (poly, sign) in enumerate(((mf.phi1, 1), (mf.phi2, 1), (mf.m2, 1), (mf.m2, -1))):
+            cs = poly.coeffs
+            for r in range(len(want)):
+                parts = [sum((getattr(c, part) * h ** k * comb(k, r)
+                              for k, c in enumerate(cs) if k >= r), F(0)) * sign ** r
+                         for part in ("re", "im")]
+                want[r, col] = complex(*map(float, parts))
+        assert np.array_equal(mf.float_table, want)

@@ -18,7 +18,7 @@ from bezoutiant.operator_lab import (
     discretize_all,
     identity_residual,
 )
-from conftest import random_admissible_poly, t_from_generators
+from conftest import eval_complex, random_admissible_poly, t_from_generators
 
 ONE = Poly.of(1)
 TWO_T = Poly.of(0, 2)
@@ -46,11 +46,10 @@ def _dense_residual(pair, mf, grid, t_mat):
     n, w, x = grid.n, grid.weights, grid.nodes
     a_mat = 1j * (np.tril(np.ones((n, n)), -1) * w[None, :] + np.diag(w) * 0.5)
     ones = np.ones(n, dtype=complex)
-    b1, b2 = (a_mat + np.outer(ones, -1j * w * np.conj(np.asarray(phi.eval_float(x), complex)))
+    b1, b2 = (a_mat + np.outer(ones, -1j * w * np.conj(eval_complex(phi, x)))
               for phi in (mf.phi1, mf.phi2))
-    m2 = np.asarray(mf.m2.eval_float(x), complex)
-    n2 = -1j * m2
-    n1 = np.conj(np.asarray(mf.m2.eval_float(float(pair.a) - x), complex))
+    n2 = -1j * eval_complex(mf.m2, x)
+    n1 = np.conj(eval_complex(mf.m2, float(pair.a) - x))
     res = t_mat @ b1 - _adjoint(b2, grid) @ t_mat - np.outer(n2, w * np.conj(n1))
     return float(np.linalg.norm(res, "fro"))
 
@@ -194,7 +193,7 @@ def test_adjoint_applied_to_one_matches_exact():
         g = Grid.uniform(n, 1)
         ops = discretize_all(pair, k, mf, g)
         got = _adjoint(t_from_generators(ops), g) @ np.ones(g.n)
-        want = np.asarray(exact.eval_float(g.nodes), dtype=complex)
+        want = eval_complex(exact, g.nodes)
         errs.append(np.max(np.abs(got - want)))
     assert errs[0] < 1e-2
     assert errs[0] / errs[1] > 3.0
@@ -268,22 +267,38 @@ def test_residual_scales_with_the_interval():
             assert abs(g - float(a) * b) <= 1e-12 * float(a) * b, (a, g, b)
 
 
-def test_discretize_all_vectors_match_per_polynomial_horner(rng):
-    # one Horner pass over a zero-padded table, equal bit for bit to each
-    # polynomial evaluated alone; unequal degrees and a constant density
-    # leave rows of padding
-    cases = [(random_admissible_poly(rng, 7, 1), random_admissible_poly(rng, 2, 1), 1),
-             (ONE, random_admissible_poly(rng, 5, F(7, 3)), F(7, 3)),
-             (random_admissible_poly(rng, 4, 1), ONE, 1)]
-    for psi1, psi2, a in cases:
+def test_discretize_all_vectors_match_exact_values(rng):
+    # Phi_1, Phi_2, M_2(x) and M_2(a - x) as the residual's generators hold
+    # them, against Poly.__call__ at the float nodes taken as Fractions:
+    # within a few ulps of the largest value, for every a.  Evaluated in x,
+    # Phi_2's coefficients of size a^-k lost whole terms at a = 1e200.
+    eps = 2.0 ** -52
+    for a in (1, F(7, 3), F(1, 3), 40, F(10) ** 200) * 3:
+        a = F(a)
+        psi1, psi2 = (random_admissible_poly(rng, rng.randint(0, 8), 1).compose_affine(0, 1 / a)
+                      for _ in range(2))
         pair, k, mf = _setup(psi1, psi2, a)
         for g in (Grid.uniform(33, a), _random_grid(40, a, seed=3)):
             ops = discretize_all(pair, k, mf, g)
-            w, x = g.weights, g.nodes
-            assert np.array_equal(ops.row1, -1j * w * np.conj(mf.phi1.eval_float(x)))
-            assert np.array_equal(ops.row2, -1j * w * np.conj(mf.phi2.eval_float(x)))
-            assert np.array_equal(ops.n2, -1j * mf.m2.eval_float(x))
-            assert np.array_equal(ops.n1, np.conj(mf.m2.eval_float(float(pair.a) - x)))
+            (xl, yl), (xu, _) = ops.r_lower, ops.r_upper
+            v = g.weights / g.a
+            nodes = [F(x) for x in g.nodes]
+            for got, poly, at, conj in ((-xu[:, -2], mf.phi2, nodes, False),
+                                        (xl[:, -1], mf.m2, nodes, False),
+                                        (yl[:, -2] / v, mf.phi1, nodes, True),
+                                        (yl[:, -1] / v, mf.m2, [a - x for x in nodes], False)):
+                want = np.array([complex(poly(x).conjugate() if conj else poly(x)) for x in at])
+                bound = 8 * eps * np.max(np.abs(want))
+                assert np.max(np.abs(got - want)) <= bound, (a, poly)
+
+
+@pytest.mark.parametrize("a", [F(10) ** 200, F(15) * F(10) ** 307])
+def test_operator_check_at_extreme_intervals(a):
+    # Psi_1 = 1, Psi_2 = 1 + t: in x, Phi_2's t^2 coefficient (about 1e-400
+    # at a = 1e200) rounded to 0.0 and the ratio read 0.9992
+    pair, k, mf = _setup(ONE, Poly.of(1, 1), a)
+    study = convergence_study(pair, k, mf, sizes=(32, 64, 128))
+    assert all(3.2 <= r <= 4.8 for r in study["ratios"]), study
 
 
 @pytest.mark.parametrize("block", [1, 7, 64, 512])

@@ -28,7 +28,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bezoutiant import symbol
-from bezoutiant.exact import GR, GaussianRational, Poly, from_numerators
+from bezoutiant.exact import GR, GaussianRational, Poly, from_numerators, to_floats
 from bezoutiant.kernel import build_kernel, normalize_pair
 from bezoutiant.symbol import (OUTCOME_COINCIDE, OUTCOME_COMMON, OUTCOME_INCONCLUSIVE,
                                OUTCOME_NO_COMMON, DiffOperator, decide, l_operator,
@@ -141,7 +141,9 @@ def test_poly_operations_are_canonical_and_match_sympy(p, q, r, c0, c1, a):
     assert p == Poly(p.coeffs) and hash(p) == hash(Poly(p.coeffs))
     assert same(sym(p(c0)), P.subs(s, C0))
     assert same(sym(p.integral(c0, c1)), integrate(P, C0, C1))
-    assert p._complex_coeffs.tolist() == ([complex(c) for c in p.coeffs] or [0j])
+    re, im, den = p.triple
+    assert to_floats(re, den, "c") == [float(c.re) for c in p.coeffs]
+    assert to_floats(im, den, "c") == [float(c.im) for c in p.coeffs]
 
 
 def _normalized(psi1, psi2, a):

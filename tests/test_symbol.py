@@ -8,7 +8,6 @@ from bezoutiant import symbol
 from bezoutiant.exact import GR, Poly, from_numerators
 from bezoutiant.kernel import build_kernel, normalize_pair
 from bezoutiant.symbol import (
-    COEFF_NONALGEBRAIC,
     CoincidenceCaseError,
     DiffOperator,
     OrderViolationError,
@@ -344,18 +343,6 @@ def test_decide_rational_never_inconclusive(rng):
         p2 = random_admissible_poly(rng, rng.randint(0, 5), 1)
         v = decide(p1, p2, 1)
         assert v.outcome in (OUTCOME_NO_COMMON, OUTCOME_COMMON, OUTCOME_COINCIDE)
-
-
-def test_decide_nonalgebraic_path():
-    # The symbol identity makes V vanish for every polynomial pair (the
-    # bilinear sum is a constant concomitant), so the non-algebraic path
-    # can only ever report the coincidence case or fall back to
-    # inconclusive -- never a zero-free certificate.
-    v = decide(TWO_T, ONE, 1, coeff_class=COEFF_NONALGEBRAIC)
-    assert v.outcome == OUTCOME_INCONCLUSIVE
-    assert v.diagnostics["v_is_zero"]
-    v = decide(ONE, ONE, 1, coeff_class=COEFF_NONALGEBRAIC)
-    assert v.outcome == OUTCOME_COINCIDE
 
 
 def test_verdict_kernel_consistency(rng):
