@@ -26,7 +26,10 @@ number did not certify, a cluster stayed unresolved or the boundary could
 not be moved off a zero), or an exact value that the zero locator or the
 operator check reads (a, the transforms' Laurent coefficients and
 moments, the Phi/M_2 coefficients, the kernel's float tables) has no float
-image (`FloatRangeError`, from `exact.to_floats`).  A kernel or operator
+image (`FloatRangeError`, from `exact.to_floats`), or the operator check
+finds a residual of exactly 0.0 for a pair that does not coincide
+(`FloatRangeError` too: the pair differs by less than float resolution
+on [0, a]).  A kernel or operator
 check of a zero-mass density is skipped (`skipped`), as they need
 unit-mass densities.  A refusal still
 writes the report, with its verdict and an `error` block naming the stage,
@@ -259,8 +262,13 @@ def run(spec_path, out_path, tasks=None, rect=None, tol=None, grid_n=None):
                     return _finish(report, EXIT_INPUT_ERROR, spec_sha256, out_path, started)
             if "operator-check" in spec.tasks:
                 try:
-                    report["operator"] = convergence_study(
+                    operator = convergence_study(
                         pair, kern, mf, sizes=_refinement_sizes(spec.grid_n))
+                    if verdict.outcome != OUTCOME_COINCIDE and 0.0 in operator["residuals"]:
+                        # only a coincidence pair satisfies the identity exactly
+                        raise FloatRangeError("identity residual of a pair that does not "
+                                              "coincide is 0.0: below float resolution")
+                    report["operator"] = operator
                 except NUMERIC_REFUSALS as exc:
                     report["error"] = {"stage": "operator-check",
                                        "type": type(exc).__name__, "message": str(exc)}

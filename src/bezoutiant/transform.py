@@ -76,7 +76,7 @@ OVERFLOW_LIMIT = 700.0
 
 
 class EvaluationOverflow(ValueError):
-    """e^{|a Im z|} exceeds double range; evaluation refused, not extended."""
+    """F or F' exceeds double range; evaluation refused, not extended."""
 
 
 def _times_i_powers(re: list, im: list, den: int, e: int) -> tuple:
@@ -211,18 +211,30 @@ class ClosedTransform:
 
         With `with_derivative` the result is the pair (F(z), F'(z)), F' by
         Horner's rule with derivative in the same pass (see the module doc);
-        F-only calls skip the derivative steps.
+        F-only calls skip the derivative steps.  A point with |a Im z| past
+        OVERFLOW_LIMIT is refused before any evaluation; a value that still
+        leaves float range (a large coefficient times e^{|a Im z|}) is
+        refused after it, with no overflow warning: numpy's floating-point
+        error flags, not a pass over the values, tell.
         """
         z = np.asarray(z, dtype=complex)
-        a = self._laurent[0]
-        if np.any(np.abs(z.imag) * a > OVERFLOW_LIMIT):
+        if np.any(np.abs(z.imag) * self._laurent[0] > OVERFLOW_LIMIT):
             raise EvaluationOverflow(
                 f"|a Im z| exceeds {OVERFLOW_LIMIT}; result would overflow")
+        flags = []  # numpy reports each overflow or invalid operation here, not as a warning
+        with np.errstate(over="call", invalid="call", call=lambda kind, _: flags.append(kind)):
+            f, fp = self._eval(z, with_derivative)
+        if flags:
+            raise EvaluationOverflow(f"F or F' leaves float range ({flags[0]} in the evaluation)")
+        return (f, fp) if with_derivative else f
+
+    def _eval(self, z, with_derivative):
+        """(F, F' or None) at z: Taylor series inside the radius, Laurent form outside."""
+        a = self._laurent[0]
         small = np.abs(z) < _taylor_radius(a)
         if not np.any(small):
             f, fp = self._laurent_sum(z.ravel(), a, with_derivative)
-            f = f.reshape(z.shape)
-            return (f, fp.reshape(z.shape)) if with_derivative else f
+            return f.reshape(z.shape), (fp.reshape(z.shape) if with_derivative else None)
         f = np.empty_like(z)
         fp = np.empty_like(z) if with_derivative else None
         zs = z[small]
@@ -239,7 +251,7 @@ class ClosedTransform:
             f[large], fl = self._laurent_sum(z[large], a, with_derivative)
             if with_derivative:
                 fp[large] = fl
-        return (f, fp) if with_derivative else f
+        return f, fp
 
     def __call__(self, z: complex) -> complex:
         return complex(self.eval_many(np.array([z]))[0])

@@ -1,13 +1,11 @@
 """Argument-principle zero localization for the exponential transforms.
 
 Zeros inside a rectangle are counted by the winding integral of F'/F over
-the boundary, found from the contour's higher moments, isolated by
-recursive quadrisection where that fails, and polished by Newton
-iteration with F' from F's own float coefficients (Horner's rule with
-derivative in `eval_many`).  A cluster that no cell above the subdivision
-floor separates is reported as one zero of its multiplicity, located at its
-centroid.  This is the numerical side of the artifact: it never trusts the
-symbolic verdict and vice versa.
+the boundary, found with their multiplicities from the contour's higher
+moments, isolated by recursive quadrisection where that fails, and
+polished by Newton iteration with F' from F's own float coefficients
+(Horner's rule with derivative in `eval_many`).  This is the numerical
+side of the artifact: it never trusts the symbolic verdict and vice versa.
 
 Contour evaluation is batched and fused.  A winding integral cuts each
 edge into Gauss-Legendre panels, and the panel levels asked for, for every
@@ -15,13 +13,13 @@ box in a batch (4 edges x all panels x 20 nodes), go to `eval_many` in
 chunks of at most _CHUNK_POINTS points, whole chunks of several levels
 sharing a call where they fit; each call returns F and F' together
 (`with_derivative=True`), sharing e^{iaz} and 1/z.  The moments are
-fused: each chunk fills one stacked array of the terms times u^0..u^7
-(u the scaled node), sums it over the nodes and over each box's rows in
-one reduction, and adds the result to the moments of the boxes the rows
-belong to, so no per-panel array outlives its chunk.  A level's sums run
-in the same order whichever levels share its calls, so its moments are
-the same bits as a call for it alone, and agree with a per-panel loop to
-rounding.
+fused: each chunk fills one stacked array of the terms times
+u^0..u^_MOMENT_CAP (u the scaled node), sums it over the nodes and over
+each box's rows in one reduction, and adds the result to the moments of
+the boxes the rows belong to, so no per-panel array outlives its chunk.
+A level's sums run in the same order whichever levels share its calls,
+so its moments are the same bits as a call for it alone, and agree with
+a per-panel loop to rounding.
 `_certified_windings` certifies the four children of a quadrisection
 together: at each doubling of the panels (4 to 256) it evaluates only the
 boxes not yet certified, and each box keeps the one-box rule (two
@@ -37,18 +35,29 @@ sigma_k = (1/2 pi i) * integral of ((z - c)/r)^k F'/F dz, k <= _MOMENT_CAP,
 with c the box centre and r its half-diagonal; they are the power sums of
 the scaled zeros (z_j - c)/r, which lie in the unit disk (Delves and
 Lyness 1967).  Each certified box comes with them at no extra evaluation.
-A box with n zeros, 1 <= n <= _MOMENT_CAP, is solved in one step:
-Newton's identities turn sigma_1..sigma_n into a monic polynomial,
-`np.roots` gives its roots, and one vectorized Newton run on F polishes
-all n of them, one fused `eval_many` call per step.  For n = 1 the start is the box's first-moment centroid.
+A box with n zeros, 1 <= n <= (_MOMENT_CAP + 1) // 2, is solved in one
+step from sigma_0..sigma_{2n-1} (`_pencil`; Kravanja, Sakurai and Van
+Barel, BIT 39, 1999): the numerical rank of the Hankel matrix
+H_0 = [sigma_{i+j}] is the number of distinct zeros, the eigenvalues of
+the pencil (H_1, H_0), H_1 = [sigma_{i+j+1}], are those zeros, and a
+Vandermonde solve gives their multiplicities.  A multiple zero is one
+eigenvalue, found to rounding, where the roots of a polynomial in the
+power sums would split it by about sqrt(eps).  One vectorized Newton run
+on F polishes every zero, a zero of multiplicity m by z - m F/F', one
+fused `eval_many` call per step; near a multiple zero F is rounding
+noise, and a step that does not lower |F| there is undone.
 
-Acceptance.  The solve is accepted only if all n Newton runs converge
-inside the box padded by _ACCEPT_PAD * tol and the n zeros lie at least
-the subdivision floor 100 * tol apart; otherwise the box is quadrisected
-and its children are solved the same way, so a start that runs to a
-neighbour's zero, or two starts that find one zero, cannot claim it.
-`locate_zeros` raises ClusterUnresolvedError rather than report a zero
-outside the guarded box or two zeros closer than the floor.
+Acceptance.  The solve is accepted only if the multiplicities round to
+positive integers summing to n, every Newton run converges inside the
+box padded by _ACCEPT_PAD * tol, and each multiple zero passes its
+cluster check.  Zeros that end closer than the subdivision floor
+100 * tol merge into one, at their weighted mean, with the sum of their
+multiplicities, so a start that runs to a zero another start found makes
+a multiple zero that its check refuses.  Otherwise the box is
+quadrisected and its children are solved the same way; a cell below the
+floor whose zeros are still unsolved raises ClusterUnresolvedError.
+`locate_zeros` also raises it rather than report a zero outside the
+guarded box or two zeros of different cells closer than the floor.
 
 Split retry.  `_split_coord` ranks its candidate lines by the smallest
 |F| sampled on them.  If the children of the best pair of cuts do not
@@ -57,14 +66,21 @@ pair is tried; only when every pair fails is the best pair's error
 raised.  A zero on or near the first cut line therefore no longer ends
 the search.
 
-Clusters.  A cell below the subdivision floor whose zeros were not solved
-is located at its centroid c + r sigma_1 / sigma_0, the mean of its zeros,
-from the moments it already has (no F'' is built), and is reported as one
-zero of that multiplicity if a tiny box around it certifies the same count.
+Clusters.  A zero of multiplicity m > 1 is reported only if a tiny box
+around it, of half-width max(20 tol, 1e-9), certifies winding m
+(`_cluster_certified`).  Within about eps^(1/m) of such a zero F is
+rounding noise, and a contour there certifies 0 or nothing (a double
+zero of a degree-4 density at z = 3 certifies 0 up to a half-width of
+2e-8 and 2 from 2e-6; a triple one at 5/2 + i/2, 3 only from 2e-3), so
+a box that does not certify m is tried ten times wider, up to
+_CLUSTER_REACH.  In floats,
+m zeros that close to one another cannot be told from one zero of
+multiplicity m.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -83,7 +99,7 @@ class NonIntegerWindingError(RuntimeError):
 
 
 class ClusterUnresolvedError(RuntimeError):
-    """Subdivision floor reached with more than one unresolved zero."""
+    """Subdivision floor reached with zeros unsolved, or zeros closer than it."""
 
 
 @dataclass(frozen=True)
@@ -102,10 +118,9 @@ class SearchRect:
         if self.boundary_margin < 0:
             raise ValueError("boundary_margin must be >= 0")
         reach = self.boundary_margin * _NUDGES * (_NUDGES + 1) / 2  # `_guarded_box`'s last box
-        if not all(math.isfinite((hi + reach) - (lo - reach))
-                   for lo, hi in ((self.re_min, self.re_max), (self.im_min, self.im_max))):
+        if max(map(abs, (self.re_min, self.re_max, self.im_min, self.im_max))) + reach > _FAR:
             raise ValueError("search rectangle, moved out by every boundary nudge, "
-                             "is wider or taller than float range")
+                             f"reaches past {_FAR:g}")
 
     def mirrored(self) -> "SearchRect":
         return SearchRect(self.re_min, self.re_max, -self.im_max, -self.im_min,
@@ -129,15 +144,9 @@ class ZeroSet:
         return [r.z for r in self.zeros]
 
     def to_json(self):
-        return {
-            "rect": vars(self.rect),
-            "total_count": self.total_count,
-            "zeros": [
-                {"re": r.z.real, "im": r.z.imag,
-                 "multiplicity": r.multiplicity, "residual": r.residual}
-                for r in self.zeros
-            ],
-        }
+        zeros = [{"re": r.z.real, "im": r.z.imag, "multiplicity": r.multiplicity,
+                  "residual": r.residual} for r in self.zeros]
+        return {"rect": vars(self.rect), "total_count": self.total_count, "zeros": zeros}
 
 
 # -- contour machinery ------------------------------------------------------
@@ -165,15 +174,26 @@ def _boundary_samples(box) -> np.ndarray:
     return np.concatenate([a + (b - a) * t for a, b in zip(cs, cs[1:] + cs[:1])])
 
 
-#: Most zeros a box may hold to be solved from its contour moments
-#: (`_moment_solve`); a box with more is quadrisected first.  Every moment
-#: costs one more multiply and sum per contour node, on every box
-#: evaluated, and the roots Newton's identities give lose accuracy as their
-#: number grows, so a failed solve (a wasted Newton pass) gets likelier.
-#: A rectangle 40 wide and 10 high held at most 6 zeros for the densities
-#: of degree <= 8 at a = 1 tried, so it is solved in one step; wider ones
-#: are split until their boxes hold this few.
-_MOMENT_CAP = 7
+#: Highest moment sigma_k every contour computes.  A box of n zeros is
+#: solved from sigma_0..sigma_{2n-1} (`_pencil`), so a box of at most
+#: (_MOMENT_CAP + 1) // 2 = 7 zeros is solved and one with more is
+#: quadrisected first.  Every moment costs one more multiply and sum per
+#: contour node, on every box evaluated.  A rectangle 40 wide and 10 high
+#: held at most 6 zeros for the densities of degree <= 8 at a = 1 tried, so
+#: it is solved in one step; wider ones are split until their boxes hold
+#: this few.
+_MOMENT_CAP = 13
+
+#: Singular values of the Hankel matrix H_0 below this fraction of its
+#: largest count as zero: the rest are its numerical rank, the number of
+#: distinct zeros in the box.  The double and triple zeros tried left
+#: 1e-16 to 3e-14 (rounding); two simple zeros a scaled distance s apart
+#: leave about s^2 / 6, so zeros 1e-6 r or more apart stay distinct (two at
+#: 3 and 3 + 1e-5 in a box of r = 10.5 do; at 1e-11 they were one double).
+_RANK_CUT = 1e-13
+
+#: Index i + j of the Hankel matrices [sigma_{i+j}] of every box solved.
+_HANKEL = np.add.outer(np.arange(_MOMENT_CAP // 2 + 1), np.arange(_MOMENT_CAP // 2 + 1))
 
 
 def _box_scale(box):
@@ -224,9 +244,7 @@ def _winding_integrals(F, boxes, levels) -> np.ndarray:
     level's moments are bit for bit those of a call for that level alone.
     """
     corners = np.array([_box_corners(b) for b in boxes])
-    scales = [_box_scale(b) for b in boxes]
-    centre = np.array([c for c, _ in scales])
-    radius = np.array([r for _, r in scales])
+    centre, radius = map(np.array, zip(*[_box_scale(b) for b in boxes]))
     start = corners.ravel()
     delta = corners[:, [1, 2, 3, 0]].ravel() - start
     moments = np.zeros((len(levels) * len(boxes), _MOMENT_CAP + 1), dtype=complex)
@@ -283,11 +301,10 @@ def _certified_windings(F, boxes) -> list:
                 if not np.isfinite(val):
                     raise NonIntegerWindingError(
                         f"non-finite winding integral on {boxes[i]} at {panels} panels: {val}")
-                if prev[i] is not None and abs(val - prev[i]) < 1e-3:
-                    n = round(val.real)
-                    if abs(val - n) <= 0.1:
-                        out[i] = (int(n), sigma)
-                        continue
+                n = round(val.real)
+                if prev[i] is not None and abs(val - prev[i]) < 1e-3 and abs(val - n) <= 0.1:
+                    out[i] = (n, sigma)
+                    continue
                 prev[i] = val
                 still.append(i)
             open_ = still
@@ -306,6 +323,10 @@ def _certified_winding(F, box):
 #: Times `_guarded_box` moves the boundary outward before it gives up.
 _NUDGES = 5
 
+#: Farthest coordinate a search rectangle may reach, nudges included:
+#: `eval_many` forms 1/z, and |z|^2 overflows past about 1e154.
+_FAR = 1e150
+
 
 def _guarded_box(F, rect: SearchRect):
     """The rectangle as a box, moved outward until no boundary sample is small.
@@ -321,8 +342,7 @@ def _guarded_box(F, rect: SearchRect):
             return box
         m = rect.boundary_margin * (k + 1)
         box = (box[0] - m, box[1] + m, box[2] - m, box[3] + m)
-    raise BoundaryZeroError(
-        f"boundary |F| below threshold after {_NUDGES} nudges")
+    raise BoundaryZeroError(f"boundary |F| below threshold after {_NUDGES} nudges")
 
 
 def count_zeros(F: ClosedTransform, rect: SearchRect) -> int:
@@ -332,47 +352,73 @@ def count_zeros(F: ClosedTransform, rect: SearchRect) -> int:
 
 # -- localization -----------------------------------------------------------
 
-def _power_sum_roots(sigma, n):
-    """The n numbers whose k-th power sums are sigma[k], k = 1..n.
+def _pencil(sigma, n):
+    """The distinct scaled zeros of a box of n zeros and their
+    multiplicities, from sigma_0..sigma_{2n-1}; None if the multiplicities
+    do not round to positive integers summing to n.
 
-    Newton's identities give the monic polynomial with these roots,
-    sigma_k + c_1 sigma_{k-1} + ... + c_{k-1} sigma_1 + k c_k = 0, and
-    `np.roots` finds its roots (as eigenvalues of its companion matrix).
+    H_0 = [sigma_{i+j}] and H_1 = [sigma_{i+j+1}], i, j < n, are
+    V^T M V and V^T M U V, V the Vandermonde matrix of the distinct zeros,
+    M their multiplicities and U the zeros on a diagonal.  So the numerical
+    rank k of H_0 is the number of distinct zeros, the eigenvalues of the
+    pencil of their leading k x k blocks (V^T M V with V square there) are
+    the zeros, and sum_j m_j u_j^p = sigma_p, p < k, gives the multiplicities
+    (Kravanja, Sakurai and Van Barel, BIT 39, 1999).  sigma_0 is taken as
+    n, its certified value, so for n = 1 the zero is sigma_1.
     """
-    s = [complex(v) for v in sigma[:n + 1]]
-    c = [1.0 + 0j]
-    for k in range(1, n + 1):
-        c.append(-(s[k] + sum(c[i] * s[k - i] for i in range(1, k))) / k)
-    return np.roots(c)
+    s = np.array(sigma[:2 * n], dtype=complex)
+    s[0] = n  # the certified count: sigma_0 exactly
+    sv = np.linalg.svd(s[_HANKEL[:n, :n]], compute_uv=False)
+    k = int(np.count_nonzero(sv > _RANK_CUT * sv[0]))
+    u = np.linalg.eigvals(np.linalg.solve(s[_HANKEL[:k, :k]], s[_HANKEL[:k, :k] + 1]))
+    if k == n:  # n distinct zeros: each is simple
+        return u, np.ones(n, dtype=int)
+    mult = np.rint(np.linalg.lstsq(np.vander(u, increasing=True).T, s[:k], rcond=None)[0].real)
+    if np.any(mult < 1) or mult.sum() != n:
+        return None
+    return u, mult.astype(int)
 
 
-def _newton(F, z0, tol: float, box):
+def _newton(F, z0, m, tol: float, box):
     """Newton from every start in z0 at once: the converged points, or None.
 
-    Per point, a step with F' = 0, or one that leaves the box padded by its
-    larger side, fails, and so does a point still moving after 60 steps;
-    a point stops once |dz| <= tol.  One point failing fails all of them.
-    Each step is one fused `eval_many` call for the points still moving;
-    when none is left, one more step polishes all of them.
+    A point of multiplicity m (an integer array, one per start) steps by
+    z - m F/F', which converges quadratically to a zero of that
+    multiplicity.  Per simple point, a step with F' = 0, or one that leaves
+    the box padded by its larger side, fails, and so does a point still
+    moving after 60 steps; a point stops once |dz| <= tol.  One point
+    failing fails all of them.  Within about
+    eps^(1/m) of a zero of multiplicity m > 1, F is rounding noise and the
+    step goes anywhere: such a point stops at the first step that would
+    leave the padded box or not lower |F|, the step undone.  Each step is
+    one fused `eval_many` call for the points still moving; when none is
+    left, one more step polishes the simple points.
     """
     x0, x1, y0, y1 = box
     pad = max(x1 - x0, y1 - y0)
     z = np.array(z0, dtype=complex)
+    back, low = z.copy(), np.full(z.size, np.inf)  # each point before its last step, and |F| there
     moving = np.arange(z.size)
     for _ in range(60):
         f, fp = F.eval_many(z[moving], with_derivative=True)
+        if m.max() > 1:  # a multiple zero's step that did not lower |F| is undone
+            keep = (m[moving] == 1) | (np.abs(f) < low[moving])
+            z[moving[~keep]] = back[moving[~keep]]
+            moving, f, fp = moving[keep], f[keep], fp[keep]
+            back[moving], low[moving] = z[moving], np.abs(f)
         if np.any(fp == 0):
             return None
-        dz = f / fp
-        z[moving] -= dz
-        zm = z[moving]
-        if not np.all((x0 - pad <= zm.real) & (zm.real <= x1 + pad)
-                      & (y0 - pad <= zm.imag) & (zm.imag <= y1 + pad)):
+        dz = m[moving] * f / fp
+        zm = z[moving] - dz
+        inside = ((x0 - pad <= zm.real) & (zm.real <= x1 + pad)
+                  & (y0 - pad <= zm.imag) & (zm.imag <= y1 + pad))
+        if not np.all(inside | (m[moving] > 1)):
             return None
-        moving = moving[np.abs(dz) > tol]
+        z[moving[inside]] = zm[inside]
+        moving = moving[inside & (np.abs(dz) > tol)]
         if moving.size == 0:
             f, fp = F.eval_many(z, with_derivative=True)
-            return z - np.divide(f, fp, out=np.zeros_like(z), where=fp != 0)
+            return z - np.divide(f, fp, out=np.zeros_like(z), where=(fp != 0) & (m == 1))
     return None
 
 
@@ -401,6 +447,10 @@ def _split_coord(F, lo, hi, other_lo, other_hi, vertical) -> list:
 #: multiples of `tol` outside the cell.
 _ACCEPT_PAD = 10.0
 
+#: Widest half-width `_cluster_certified` tries for a multiple zero's box:
+#: a triple zero of the degree-6 densities tried certifies from 2e-3.
+_CLUSTER_REACH = 1e-2
+
 
 def _in_box(z, box, pad=0.0):
     x0, x1, y0, y1 = box
@@ -408,20 +458,51 @@ def _in_box(z, box, pad=0.0):
 
 
 def _moment_solve(F, box, count, sigma, tol, floor):
-    """The box's `count` zeros from its scaled moments, or None.
+    """The box's `count` zeros from its scaled moments, as (z, multiplicity)
+    pairs, or None.
 
-    The roots of the power sums sigma_1..sigma_count start one vectorized
-    Newton run.  The result is accepted only if every start converges
-    inside the box padded by _ACCEPT_PAD * tol and the zeros lie at least
-    `floor` apart.
+    The pencil's zeros start one vectorized Newton run, each with its
+    multiplicity.  Zeros that end closer than `floor` merge into one, at
+    their weighted mean, with the sum of their multiplicities.  The result
+    is accepted only if every start converges inside the box padded by
+    _ACCEPT_PAD * tol and a tiny box around each multiple zero certifies
+    its multiplicity (`_cluster_certified`).
     """
+    solved = _pencil(sigma, count)
+    if solved is None:
+        return None
     c, r = _box_scale(box)
-    z = _newton(F, c + r * _power_sum_roots(sigma, count), tol, box)
+    z = _newton(F, c + r * solved[0], solved[1], tol, box)
     if z is None or not all(_in_box(w, box, pad=_ACCEPT_PAD * tol) for w in z):
         return None
-    if any(abs(w - v) < floor for i, w in enumerate(z) for v in z[:i]):
+    merged = []
+    for w, m in zip(z, solved[1]):
+        for v, k in [p for p in merged if abs(w - p[0]) < floor][:1]:
+            merged.remove((v, k))
+            w, m = (k * v + m * w) / (k + m), k + m
+        merged.append((complex(w), int(m)))
+    if not all(m == 1 or _cluster_certified(F, w, m, tol) for w, m in merged):
         return None
-    return [complex(w) for w in z]
+    return merged
+
+
+def _cluster_certified(F, z, m, tol):
+    """Whether a tiny box around z certifies winding m.
+
+    The box has half-width max(20 tol, 1e-9), and is tried again ten times
+    wider while that stays within _CLUSTER_REACH: within about eps^(1/m)
+    of a zero of multiplicity m, F is rounding noise, and there a box's
+    winding does not certify or certifies 0.
+    """
+    eps = max(20.0 * tol, 1e-9)
+    while True:
+        with contextlib.suppress(NonIntegerWindingError):
+            box = (z.real - eps, z.real + eps, z.imag - eps, z.imag + eps)
+            if _certified_winding(F, box)[0] == m:
+                return True
+        eps *= 10.0
+        if eps > _CLUSTER_REACH:
+            return False
 
 
 def _quadrisect(F, box, count):
@@ -436,10 +517,8 @@ def _quadrisect(F, box, count):
     first_error = None
     for xs, ys in zip(_split_coord(F, x0, x1, y0, y1, vertical=True),
                       _split_coord(F, y0, y1, x0, x1, vertical=False)):
-        children = [
-            (x0, xs, y0, ys), (xs, x1, y0, ys),
-            (x0, xs, ys, y1), (xs, x1, ys, y1),
-        ]
+        children = [(lo, hi, bottom, top) for bottom, top in ((y0, ys), (ys, y1))
+                    for lo, hi in ((x0, xs), (xs, x1))]
         try:
             results = _certified_windings(F, children)
         except NonIntegerWindingError as exc:
@@ -454,15 +533,15 @@ def _quadrisect(F, box, count):
 
 
 def locate_zeros(F: ClosedTransform, rect: SearchRect, tol: float = 1e-10) -> ZeroSet:
-    """Every zero in the rectangle, from contour moments or quadrisection.
+    """Every zero in the rectangle with its multiplicity, from contour
+    moments or quadrisection.
 
-    A cell with at most _MOMENT_CAP zeros is solved from its scaled
-    moments (`_moment_solve`); a cell with more, or whose solve is not
-    accepted, is quadrisected.  A cell below the subdivision floor
-    100 * tol whose zeros are still unsolved is reported at its centroid,
-    as one zero of their multiplicity.  A zero outside the guarded box, or
-    two zeros closer than the floor, raise ClusterUnresolvedError instead
-    of being reported.
+    A cell with at most (_MOMENT_CAP + 1) // 2 zeros is solved from its
+    scaled moments (`_moment_solve`); a cell with more, or whose solve is
+    not accepted, is quadrisected.  A cell below the subdivision floor
+    100 * tol whose zeros are still unsolved, a zero outside the guarded
+    box, or two zeros closer than the floor raise ClusterUnresolvedError
+    instead of being reported.
     """
     box = _guarded_box(F, rect)
     total, sigma = _certified_winding(F, box)
@@ -470,35 +549,18 @@ def locate_zeros(F: ClosedTransform, rect: SearchRect, tol: float = 1e-10) -> Ze
 
     found: list = []
 
-    def resolve_cluster(b, count, sigma):
-        # the first moment is the mean of the cell's zeros: the cluster's position
-        c, r = _box_scale(b)
-        z = complex(c + r * sigma[1] / sigma[0])
-        eps = max(20.0 * tol, 1e-9)
-        tiny = (z.real - eps, z.real + eps, z.imag - eps, z.imag + eps)
-        try:
-            if _certified_winding(F, tiny)[0] == count:
-                found.append((z, count))
-                return
-        except (NonIntegerWindingError, ZeroDivisionError):
-            pass
-        raise ClusterUnresolvedError(
-            f"cell {b} holds {count} zeros below the subdivision floor")
-
     def process(b, count, sigma):
-        x0, x1, y0, y1 = b
         if count == 0:
             return
-        if count <= _MOMENT_CAP:
+        if count <= (_MOMENT_CAP + 1) // 2:
             zs = _moment_solve(F, b, count, sigma, tol, floor)
             if zs is not None:
-                found.extend((z, 1) for z in zs)
+                found.extend(zs)
                 return
-            # Newton escaped, failed, left the cell or found a zero twice:
-            # tighten the cell first.
-        if math.hypot(x1 - x0, y1 - y0) < floor:
-            resolve_cluster(b, count, sigma)
-            return
+            # the pencil, Newton or a cluster's tiny box refused: tighten the cell
+        if 2.0 * _box_scale(b)[1] < floor:  # the cell's diagonal
+            raise ClusterUnresolvedError(
+                f"cell {b} holds {count} unsolved zeros below the subdivision floor")
         children, results = _quadrisect(F, b, count)
         for c, (n, c_sigma) in zip(children, results):
             process(c, n, c_sigma)
@@ -547,15 +609,9 @@ class CompareReport:
 
 def compare_zero_sets(z1: ZeroSet, z2: ZeroSet, delta: float) -> CompareReport:
     """Pairs of zeros closer than delta; empty list certifies disjointness."""
-    best = math.inf
-    common = []
-    for r1 in z1.zeros:
-        for r2 in z2.zeros:
-            d = abs(r1.z - r2.z)
-            best = min(best, d)
-            if d <= delta:
-                common.append((r1.z, r2.z, d))
-    return CompareReport(best, tuple(common), delta)
+    pairs = [(r1.z, r2.z, abs(r1.z - r2.z)) for r1 in z1.zeros for r2 in z2.zeros]
+    return CompareReport(min((d for _, _, d in pairs), default=math.inf),
+                         tuple(p for p in pairs if p[2] <= delta), delta)
 
 
 @dataclass(frozen=True)
@@ -567,14 +623,9 @@ class StructureFlags:
 def structure_checks(zs: ZeroSet) -> StructureFlags:
     pts, tol = zs.points(), 1e-7  # tol: distance to the real axis or a conjugate
     no_real = all(abs(z.imag) > tol for z in pts)
-    no_pairs = True
-    for i, z in enumerate(pts):
-        if abs(z.imag) <= tol:
-            continue
-        for w in pts[i + 1:]:
-            if abs(w - z.conjugate()) <= tol:
-                no_pairs = False
-    return StructureFlags(no_real, no_pairs)
+    pairs = any(abs(w - z.conjugate()) <= tol
+                for i, z in enumerate(pts) if abs(z.imag) > tol for w in pts[i + 1:])
+    return StructureFlags(no_real, not pairs)
 
 
 # -- Bessel reference oracle ------------------------------------------------

@@ -345,12 +345,13 @@ def test_bad_rect_exit_code(tmp_path, key, literal):
 @pytest.mark.parametrize("rect", [{"re_min": -1e308, "re_max": 1e308, "im_min": -1, "im_max": 1},
                                   {"re_min": -1, "re_max": 1, "im_min": -1e308, "im_max": 1e308},
                                   {"re_min": -1, "re_max": 1, "im_min": -1, "im_max": 1,
-                                   "boundary_margin": 1e308}],
-                         ids=["width", "height", "margin"])
+                                   "boundary_margin": 1e308},
+                                  {"re_min": -1e300, "re_max": 1e300, "im_min": -1, "im_max": 1}],
+                         ids=["width", "height", "margin", "far"])
 def test_rect_span_beyond_float_range_exit_code(tmp_path, rect):
-    # finite bounds and margin whose nudged box overflows: the boundary
-    # samples would be NaN, so the rectangle is refused at rect before any
-    # evaluation
+    # finite bounds and margin whose nudged box overflows, or reaches so far
+    # that 1/z does (|z|^2 past float range): the boundary samples would be
+    # NaN, so the rectangle is refused at rect before any evaluation
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"a": "1", "psi1": ["-1"], "psi2": ["-1"], "rect": rect}))
     report, code = run(spec, tmp_path / "out.json")
@@ -432,10 +433,13 @@ def test_kernel_past_the_digit_limit_is_an_input_error(tmp_path):
 
 
 @pytest.mark.parametrize("a, reason", [("1" + "0" * 320, "beyond float range"),
-                                       ("1/1" + "0" * 400, "rounds to 0.0")],
-                         ids=["a=10^320", "a=10^-400"])
+                                       ("1/1" + "0" * 400, "rounds to 0.0"),
+                                       ("1/1" + "0" * 300, "below float resolution")],
+                         ids=["a=10^320", "a=10^-400", "a=10^-300"])
 def test_operator_check_outside_float_range_is_a_refusal(tmp_path, a, reason):
-    # the verdict is exact and stands; the operator check has no float a
+    # the verdict is exact and stands; the operator check has no float a, or
+    # (at a = 10^-300) finds residuals of exactly 0.0, which only a
+    # coincidence pair may have
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"a": a, "psi1": ["1"], "psi2": ["1", "1"],
                                 "tasks": ["decide", "kernel", "operator-check"]}))
@@ -460,6 +464,20 @@ ZEROS_OUT_OF_FLOAT_RANGE = {
     "a=10^-400": ({"a": "1/1" + "0" * 400, "psi1": ["1"], "psi2": ["1", "1"]},
                   "the interval end a rounds to 0.0 as a float"),
 }
+
+
+def test_zero_locator_overflow_with_coefficients_in_float_range(tmp_path):
+    # every Laurent coefficient is a float, but p_1 = 1.48e202 i times
+    # e^{a |Im z|} on the nudged boundary is not: EvaluationOverflow, with no
+    # overflow warning (an error here), where a NaN boundary once gave
+    # BoundaryZeroError
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"a": "148", "psi1": ["-1", "-1" + "0" * 200], "psi2": ["-1"],
+                                "rect": {"re_min": -3, "re_max": 3, "im_min": -1, "im_max": 1},
+                                "tasks": ["decide", "zeros"]}))
+    report, code = run(spec, tmp_path / "out.json")
+    assert code == EXIT_NUMERIC_REFUSAL and "verdict" in report
+    assert report["error"]["stage"] == "zeros" and report["error"]["type"] == "EvaluationOverflow"
 
 
 @pytest.mark.parametrize("case", sorted(ZEROS_OUT_OF_FLOAT_RANGE))

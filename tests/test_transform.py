@@ -369,6 +369,17 @@ def test_overflow_guard():
         Ft(1j * 1e4)
 
 
+def test_overflow_of_a_large_coefficient_is_refused():
+    # |a Im z| = 259 is far inside OVERFLOW_LIMIT, but p_1 = 1.48e202 i times
+    # e^259 is not a float: a refusal, with no overflow warning (an error here)
+    Ft = closed_form(Poly.of(-1, -10 ** 200), 148)
+    z = np.array([1.0 - 1.0j, 2.0 - 1.75j])
+    assert np.all(np.isfinite(Ft.eval_many(z[:1], with_derivative=True)))
+    for with_derivative in (False, True):
+        with pytest.raises(EvaluationOverflow, match="float range"):
+            Ft.eval_many(z, with_derivative=with_derivative)
+
+
 def test_call_matches_eval_many():
     Ft = closed_form(ONE, 1)
     assert Ft(0.3) == Ft.eval_many(np.array([0.3]))[0]

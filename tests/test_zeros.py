@@ -427,23 +427,31 @@ def test_located_zeros_match_mpmath(name):
 
 # -- the moment solve ---------------------------------------------------------
 
-def test_power_sum_roots_rebuild_known_roots():
-    # Newton's identities and np.roots from the exact power sums of 7 roots
+def test_pencil_rebuilds_roots_with_multiplicities():
+    # the Hankel pencil on the exact power sums of 4 distinct roots of
+    # multiplicities 1, 2, 3 and 1: 7 zeros, sigma_0..sigma_13
     q = Fraction
-    roots = [GR(q(1, 2), q(1, 3)), GR(q(-2, 3), q(1, 5)), GR(q(1, 7), q(-3, 4)),
-             GR(q(-1, 4), q(-1, 2)), GR(q(3, 5), q(-1, 6)), GR(0, q(4, 5)), GR(q(-4, 5), 0)]
-    sigma = [GR(len(roots))]
-    powers = [GR(1)] * len(roots)
-    for _ in range(len(roots)):
-        powers = [p * r for p, r in zip(powers, roots)]
+    roots = [(GR(q(1, 2), q(1, 3)), 1), (GR(q(-2, 3), q(1, 5)), 2),
+             (GR(q(1, 7), q(-3, 4)), 3), (GR(q(-4, 5), 0), 1)]
+    n = sum(m for _, m in roots)
+    sigma, powers = [], [GR(m) for _, m in roots]
+    for _ in range(2 * n):
         sigma.append(sum(powers[1:], powers[0]))
-    got = zeros._power_sum_roots(np.array([complex(s) for s in sigma]), len(roots))
-    want = [complex(r) for r in roots]
-    assert len(got) == len(want)
-    for w in want:
-        assert min(abs(g - w) for g in got) <= 1e-12
-    for g in got:
-        assert min(abs(g - w) for w in want) <= 1e-12
+        powers = [p * r for p, (r, _) in zip(powers, roots)]
+    got, mult = zeros._pencil(np.array([complex(s) for s in sigma]), n)
+    assert sorted(mult) == [1, 1, 2, 3]
+    for r, m in roots:
+        i = int(np.argmin(np.abs(got - complex(r))))
+        assert abs(got[i] - complex(r)) <= 1e-12 and mult[i] == m
+
+
+def test_pencil_refuses_weights_that_are_not_multiplicities():
+    # a box of 3 zeros with 2 distinct: weights 2.6 at 0.5 and 0.4 at -0.25i
+    # are refused (0.4 rounds to 0); 1.9 and 1.1 are a double and a simple zero
+    def sums(w1, w2):
+        return np.array([w1 * 0.5 ** k + w2 * (-0.25j) ** k for k in range(2 * 3)])
+    assert zeros._pencil(sums(2.6, 0.4), 3) is None
+    assert sorted(zeros._pencil(sums(1.9, 1.1), 3)[1]) == [1, 2]
 
 
 def _forced_quadrisection(monkeypatch):
@@ -494,17 +502,19 @@ def test_moment_solve_matches_forced_quadrisection(monkeypatch):
 
 
 def test_moment_solve_falls_back_to_quadrisection(monkeypatch):
-    # all starts on one point: Newton finds one zero n times, the solve is
-    # refused and the cell is quadrisected as if it had no moment solve
+    # all starts on one point: Newton finds one zero n times, they merge
+    # into one zero of multiplicity n whose tiny box certifies winding 1, so
+    # the solve is refused and the cell is quadrisected as if it had no
+    # moment solve
     spec, F1, F21 = _fixture_transforms("gaussian_quartic_cubic")
-    roots, refused = zeros._power_sum_roots, []
+    pencil, refused = zeros._pencil, []
 
     def one_point(sigma, n):
         refused.append(n > 1)
-        return np.full(n, roots(sigma, n)[0])
+        return np.full(n, pencil(sigma, n)[0][0]), np.ones(n, dtype=int)
 
     with monkeypatch.context() as m:
-        m.setattr(zeros, "_power_sum_roots", one_point)
+        m.setattr(zeros, "_pencil", one_point)
         got = [locate_zeros(F, spec.rect, spec.tol) for F in (F1, F21)]
     assert any(refused)
     _forced_quadrisection(monkeypatch)
@@ -519,10 +529,11 @@ def test_moment_solve_rejects_a_zero_outside_its_box(monkeypatch):
     box = (4.0, 8.5, -1.0, 1.0)
     n, sigma = _certified_winding(Ft, box)
     assert n == 1
-    assert np.allclose(zeros._moment_solve(Ft, box, n, sigma, 1e-10, 1e-8), [2 * math.pi])
+    [(z, m)] = zeros._moment_solve(Ft, box, n, sigma, 1e-10, 1e-8)
+    assert abs(z - 2 * math.pi) < 1e-12 and m == 1
     c, r = _box_scale(box)
-    monkeypatch.setattr(zeros, "_power_sum_roots",
-                        lambda sigma, n: np.array([(4 * math.pi - c) / r]))
+    monkeypatch.setattr(zeros, "_pencil",
+                        lambda sigma, n: (np.array([(4 * math.pi - c) / r]), np.array([1])))
     assert zeros._moment_solve(Ft, box, n, sigma, 1e-10, 1e-8) is None
 
 
@@ -539,18 +550,48 @@ def _multiple_zero_density(z0, m):
     return h
 
 
-@pytest.mark.parametrize("tol", [1e-3, 1e-4])
+@pytest.mark.parametrize("tol", [1e-3, 1e-4, 1e-10])
 @pytest.mark.parametrize("m, err", [(2, 1e-10), (3, 1e-6)])
 def test_multiple_zero_located_at_cluster_centroid(m, err, tol):
-    # no cell above the floor 100 tol separates the m zeros at z0, so the
-    # cluster is reported once, with multiplicity m, at its centroid
+    # the pencil sees the m zeros at z0 as one eigenvalue of multiplicity m,
+    # the cluster's centroid, and a tiny box around it certifies winding m;
+    # at the default tol every one is within 1e-10 of z0
     rect = SearchRect(-10, 10, -3, 3)
     for z0 in (GR(3), GR(Fraction(5, 2), Fraction(1, 2)), GR(7, -1)):
         F = ClosedTransform.from_density(_multiple_zero_density(z0, m), 1)
         zs = locate_zeros(F, rect, tol)
         assert zs.total_count == m
         assert [r.multiplicity for r in zs.zeros] == [m]
-        assert abs(zs.zeros[0].z - complex(z0)) < err
+        assert abs(zs.zeros[0].z - complex(z0)) < (1e-10 if tol == 1e-10 else err)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_newton_steps_to_a_multiple_zero_by_its_multiplicity(m):
+    # z - m F/F' converges quadratically from 0.014 away, then stops where
+    # F is rounding noise (a step that does not lower |F| is undone)
+    F = ClosedTransform.from_density(_multiple_zero_density(GR(3), m), 1)
+    calls = []
+
+    class Counted:
+        def eval_many(self, z, with_derivative=False):
+            calls.append(z.size)
+            return F.eval_many(z, with_derivative)
+
+    z = zeros._newton(Counted(), [3.01 - 0.01j], np.array([m]), 1e-10, (2, 4, -1, 1))
+    assert abs(z[0] - 3) < 1e-4 and len(calls) <= 6
+
+
+def test_close_simple_zeros_stay_two_zeros():
+    # zeros at 3 and 3 + 1e-5: the pencil of the 20 x 6 box keeps them
+    # apart (rank 2), so they are not reported as one double zero; F' is
+    # small there, so each is fixed only to about 1e-9
+    h = Poly.of(0, 1) * Poly.of(1, -1) * Poly.of(0, 1) * Poly.of(1, -1)
+    for z0 in (GR(3), GR(3 + Fraction(1, 10 ** 5))):
+        h = h.derivative() + h * (GR(0, 1) * z0)
+    zs = locate_zeros(ClosedTransform.from_density(h, 1), SearchRect(-10, 10, -3, 3))
+    assert [r.multiplicity for r in zs.zeros] == [1, 1]
+    for r, want in zip(zs.zeros, (3, 3 + 1e-5)):
+        assert abs(r.z - want) < 1e-8
 
 
 def test_non_finite_winding_fails_at_once(monkeypatch):
