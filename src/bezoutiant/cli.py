@@ -52,7 +52,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__
-from .exact import DigitLimitError, FloatRangeError, Poly, parse_rational
+from .exact import DigitLimitError, FloatRangeError, Poly, rational_from_json
 from .kernel import ZeroMassError, build_kernel, build_m_functions, normalize_pair
 from .operator_lab import convergence_study
 from .symbol import (
@@ -116,7 +116,7 @@ class ProblemSpec:
         if "a" not in obj:
             fail("a", "missing")
         try:
-            a = parse_rational(str(obj["a"]))
+            a = rational_from_json(obj["a"])
         except ValueError as exc:
             fail("a", str(exc))
         if a <= 0:

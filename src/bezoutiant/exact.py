@@ -17,16 +17,24 @@ at a point), built when read.  An `MPoly` from the kernel build holds
 integer tables over one denominator in the same way and builds its term
 dict on first read.  In particular
 
+* spec literals (`Poly.from_json`): a plain ASCII "p" or "p/q" goes
+  straight to `int` and over one lcm, so no `Fraction` is built; every
+  other literal goes through `parse_rational`, which words every refusal;
 * definite integrals (`Poly.integral`): int_lo^hi p = sum_k c_k
-  (hi^(k+1) - lo^(k+1)) / (k+1) is one sum of Gaussian-integer products
-  over den q^(n+1) lcm(1..n+1), with q the bounds' common denominator;
+  (hi^(k+1) - lo^(k+1)) / (k+1) is one sum of integer products over
+  den q^(n+1) lcm(1..n+1), with q the bounds' common denominator; real
+  bounds (the masses, over [0, a]) multiply integer powers only, and
+  Gaussian bounds Gaussian-integer ones;
 * division by a scalar (`Poly.__truediv__`): each coefficient of p / r is
   one Gaussian-integer product (p_r + i p_i)(r_r - i r_i) r_d over
   den |r|^2, for r = (r_r + i r_i) / r_d;
 * derivative jets (`Poly.jet_numerators`): p^(k)(x) = k! [s^k] p(x + s)
   from one Taylor shift, with k! and the powers of x's denominator folded
   into the integers, so the transforms' Laurent numerators (which `symbol`
-  sums over) are integer lists, each entry reduced once when read.
+  sums over) are integer lists, each entry reduced once when read.  At a
+  real x (the transforms take jets at 0 and a) x's numerator and
+  denominator are read directly and the shift runs on each part alone,
+  in integer multiply-adds (none at x = 0).
 
 Exact values leave as JSON strings "p/q" or "p" (`_ratio_str`).  Python
 refuses to convert an integer of more than `sys.get_int_max_str_digits()`
@@ -35,6 +43,7 @@ digits (4300 by default) to a string; that refusal is `DigitLimitError`.
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,6 +87,9 @@ def float_endpoint(a) -> float:
     return to_floats((a.numerator,), a.denominator, "the interval end a", divisor=True)[0]
 
 
+_EXPONENT = re.compile(r"[\d.][eE][-+]?\d")  # every exponent that `Fraction` reads
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse a rational literal: an integer "p", a ratio "p/q" or a plain
     decimal such as "0.25".
@@ -85,7 +97,7 @@ def parse_rational(text: str) -> Fraction:
     Raises ValueError on malformed input, a zero denominator or an exponent
     ("1e5"), which could ask for an integer of any size before any check.
     """
-    if "e" in text.lower():
+    if _EXPONENT.search(text):
         raise ValueError(f"bad rational literal {text!r}: no exponent is accepted; "
                          "write an integer, p/q or a plain decimal")
     try:
@@ -104,16 +116,63 @@ def _frac(x: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-def _json_parts(obj) -> tuple:
-    """(re, im) as Fractions from "p/q", an integer (real) or {"re": .., "im": ..}.
+def _literal(part) -> tuple:
+    """(p, q) with part = p / q, q > 0 and not always in lowest terms, for
+    one JSON part: an integer or a rational literal.
 
-    Any other part (a float, null, a boolean, a list) raises ValueError.
+    A plain ASCII "p" or "p/q" (an optional "-" on p) goes straight to
+    `int`; every other literal goes through `parse_rational`, whose checks
+    and error text it keeps (decimals, signs on q, "+", "_", non-ASCII
+    digits, a zero q, an exponent, a literal past int's digit limit).  A
+    float, null, a boolean or a list raises ValueError.
     """
-    parts = (obj.get("re", 0), obj.get("im", 0)) if isinstance(obj, dict) else (obj, 0)
+    if isinstance(part, str):
+        num, slash, den = part.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        if digits.isdigit() and digits.isascii() and (
+                not slash or den.isdigit() and den.isascii()):
+            try:
+                p, q = int(num), int(den) if slash else 1
+            except ValueError:  # past the digit limit: parse_rational words it
+                pass
+            else:
+                if q:
+                    return p, q
+        f = parse_rational(part)
+        return f.numerator, f.denominator
+    if isinstance(part, int) and not isinstance(part, bool):
+        return part, 1
+    raise ValueError(f"bad rational literal {part!r}: write a string such as \"p/q\" or an integer")
+
+
+def rational_from_json(value) -> Fraction:
+    """One rational from JSON, read as one part of a coefficient literal."""
+    return Fraction(*_literal(value))
+
+
+_PART_KEYS = frozenset(("re", "im"))
+
+
+def _json_parts(obj) -> tuple:
+    """(re, im) as `_literal` pairs (p, q) from "p/q", an integer (real) or
+    {"re": .., "im": ..} with one or both of those keys.
+
+    Any other part (a float, null, a boolean, a list), any other key and an
+    empty object raise ValueError.
+    """
+    if isinstance(obj, dict):
+        if not obj or not obj.keys() <= _PART_KEYS:
+            unknown = [k for k in obj if k not in _PART_KEYS]
+            raise ValueError(f"bad Gaussian rational literal {obj!r}: "
+                             + (f"unknown key {unknown[0]!r}" if unknown else "no key")
+                             + "; the keys are 're' and 'im'")
+        parts = (obj.get("re", 0), obj.get("im", 0))
+    else:
+        parts = (obj, 0)
     for part in parts:
         if not isinstance(part, (str, int)) or isinstance(part, bool):
             raise ValueError(f"bad Gaussian rational literal {obj!r}")
-    return _frac(parts[0]), _frac(parts[1])
+    return _literal(parts[0]), _literal(parts[1])
 
 
 def _ratio_str(num: int, den: int) -> str:
@@ -153,11 +212,14 @@ class GaussianRational:
 
     @classmethod
     def from_json(cls, obj) -> "GaussianRational":
-        """Accepts "p/q" or an integer (real) or {"re": "p/q", "im": "r/s"}.
+        """Accepts "p/q" or an integer (real) or {"re": "p/q", "im": "r/s"}
+        (one key may be left out).
 
-        Any other part (a float, null, a boolean, a list) raises ValueError.
+        Any other part (a float, null, a boolean, a list), any other key and
+        an empty object raise ValueError.
         """
-        return cls(*_json_parts(obj))
+        (p, q), (r, s) = _json_parts(obj)
+        return cls(Fraction(p, q), Fraction(r, s))
 
     def to_json(self):
         if self.im == 0:
@@ -280,8 +342,13 @@ def taylor_shift(re: list, im: list, xr: int, xi: int = 0) -> None:
 
     Integer (re, im) lists in ascending powers; Horner's rule run once per
     degree, O(n^2) Gaussian-integer multiply-adds (von zur Gathen and
-    Gerhard 1997, method B).
+    Gerhard 1997, method B).  A real x (xi = 0) shifts each part on its
+    own: integer multiply-adds by xr, plain additions when xr = 1.
     """
+    if not xi:
+        _shift_real(re, xr)
+        _shift_real(im, xr)
+        return
     n = len(re) - 1
     for i in range(n):
         for j in range(n - 1, i - 1, -1):
@@ -290,7 +357,34 @@ def taylor_shift(re: list, im: list, xr: int, xi: int = 0) -> None:
             im[j] += xr * m + xi * r
 
 
-def _shifted_numerators(triple: tuple, x: GaussianRational) -> tuple:
+def _shift_real(c: list, x: int) -> None:
+    """In place: c(x + s) from c(s) for an integer x; each pass of Horner's
+    rule keeps its running value in one accumulator."""
+    n = len(c) - 1
+    if not any(c):
+        return
+    for i in range(n):
+        acc = c[n]
+        if x == 1:
+            for j in range(n - 1, i - 1, -1):
+                acc += c[j]
+                c[j] = acc
+        else:
+            for j in range(n - 1, i - 1, -1):
+                acc = c[j] + x * acc
+                c[j] = acc
+
+
+def _point(x) -> tuple:
+    """(xr, xi, xd) with x = (xr + i xi) / xd, xd > 0; a real x (an int or
+    a Fraction) is read off directly, with no `GaussianRational`."""
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, 0, x.denominator
+    (xr,), (xi,), xd = numerators((_as_gr(x),))
+    return xr, xi, xd
+
+
+def _shifted_numerators(triple: tuple, x) -> tuple:
     """(re, im, den, xd) with [s^k] p(x + s) = (re[k] + i im[k]) xd^k / den.
 
     With x = (xr + i xi)/xd, xd^n p(x + w/xd) has Gaussian-integer
@@ -298,7 +392,7 @@ def _shifted_numerators(triple: tuple, x: GaussianRational) -> tuple:
     unchanged); its w^k coefficient comes from one Taylor shift by xr + i xi.
     """
     (re, im), den = map(list, triple[:2]), triple[2]
-    (xr,), (xi,), xd = numerators((x,))
+    xr, xi, xd = _point(x)
     n = len(re) - 1
     if xd != 1:
         for j in range(n + 1):
@@ -348,11 +442,12 @@ class Poly:
     @classmethod
     def from_json(cls, items: Iterable) -> "Poly":
         """Coefficient literals (as `GaussianRational.from_json` reads them),
-        each part parsed to a `Fraction` and put straight over one denominator."""
+        each part read as integers p / q (`_literal`) and put straight over
+        one denominator; canonical form reduces the triple once."""
         parts = [_json_parts(c) for c in items]
-        den = lcm(*(f.denominator for pair in parts for f in pair))
-        return cls._of([re.numerator * (den // re.denominator) for re, _ in parts],
-                       [im.numerator * (den // im.denominator) for _, im in parts], den)
+        den = lcm(*(q for pair in parts for _, q in pair))
+        return cls._of([p * (den // q) for (p, q), _ in parts],
+                       [p * (den // q) for _, (p, q) in parts], den)
 
     def to_json(self):
         re, im, den = self.triple
@@ -403,7 +498,7 @@ class Poly:
     def __mul__(self, other) -> "Poly":
         re, im, den = self.triple
         if not isinstance(other, Poly):  # a scalar
-            (gr,), (gi,), gd = numerators((_as_gr(other),))
+            gr, gi, gd = _point(other)
             return Poly._of([x * gr - y * gi for x, y in zip(re, im)],
                             [x * gi + y * gr for x, y in zip(re, im)], den * gd)
         br, bi, bd = other.triple
@@ -421,7 +516,7 @@ class Poly:
         """p / r for a nonzero scalar r = (r_r + i r_i) / r_d: coefficient
         (x + i y) / den becomes (x + i y)(r_r - i r_i) r_d / (den |r|^2)."""
         pr, pi, den = self.triple
-        (rr,), (ri,), rd = numerators((_as_gr(r),))
+        rr, ri, rd = _point(r)
         d = den * (rr * rr + ri * ri)
         if not d:
             raise ZeroDivisionError("division of a polynomial by zero")
@@ -434,7 +529,7 @@ class Poly:
         """p(x) by Horner's rule on integers: with x = (xr + i xi) / xd,
         xd^n p(x) = sum_k c_k (xr + i xi)^k xd^(n-k) over den."""
         re, im, den = self.triple
-        (xr,), (xi,), xd = numerators((_as_gr(x),))
+        xr, xi, xd = _point(x)
         sr = si = 0
         scale = 1  # xd^(n-k)
         for r, m in zip(reversed(re), reversed(im)):
@@ -456,23 +551,36 @@ class Poly:
                         [0] + [m * (ell // k) for k, m in enumerate(im, 1)], den * ell)
 
     def integral(self, lo, hi) -> GaussianRational:
-        """int_lo^hi p = sum_k c_k (hi^(k+1) - lo^(k+1)) / (k+1), reduced once."""
+        """int_lo^hi p = sum_k c_k (hi^(k+1) - lo^(k+1)) / (k+1), reduced once.
+
+        Real bounds (ints or Fractions) multiply integer powers only."""
         re, im, den = self.triple
-        (l_re, h_re), (l_im, h_im), q = numerators((_as_gr(lo), _as_gr(hi)))
         top = len(re)
         ell = lcm(*range(1, top + 1))
         # with bounds L/q and H/q, term k is c_k (H^m - L^m) q^(top-m) (ell/m)
         # over q^top ell, m = k + 1
         sr = si = 0
-        hm_re, hm_im, lm_re, lm_im = 1, 0, 1, 0  # H^m, L^m
-        for k in range(top):
-            m = k + 1
-            hm_re, hm_im = hm_re * h_re - hm_im * h_im, hm_re * h_im + hm_im * h_re
-            lm_re, lm_im = lm_re * l_re - lm_im * l_im, lm_re * l_im + lm_im * l_re
-            w = q ** (top - m) * (ell // m)
-            dr, di = (hm_re - lm_re) * w, (hm_im - lm_im) * w
-            sr += re[k] * dr - im[k] * di
-            si += re[k] * di + im[k] * dr
+        if isinstance(lo, (int, Fraction)) and isinstance(hi, (int, Fraction)):
+            q = lcm(lo.denominator, hi.denominator)
+            low, high = lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator)
+            hm = lm = 1  # H^m, L^m
+            for m, (r, i) in enumerate(zip(re, im), 1):
+                hm *= high
+                lm *= low
+                w = (hm - lm) * q ** (top - m) * (ell // m)
+                sr += r * w
+                si += i * w
+        else:
+            (l_re, h_re), (l_im, h_im), q = numerators((_as_gr(lo), _as_gr(hi)))
+            hm_re, hm_im, lm_re, lm_im = 1, 0, 1, 0
+            for k in range(top):
+                m = k + 1
+                hm_re, hm_im = hm_re * h_re - hm_im * h_im, hm_re * h_im + hm_im * h_re
+                lm_re, lm_im = lm_re * l_re - lm_im * l_im, lm_re * l_im + lm_im * l_re
+                w = q ** (top - m) * (ell // m)
+                dr, di = (hm_re - lm_re) * w, (hm_im - lm_im) * w
+                sr += re[k] * dr - im[k] * di
+                si += re[k] * di + im[k] * dr
         d = den * q ** top * ell
         return GaussianRational(Fraction(sr, d), Fraction(si, d))
 
@@ -482,8 +590,8 @@ class Poly:
         """Exact composition p(c0 + c1*t): a Taylor shift by c0, then t -> c1*t."""
         # the t^k coefficient of p(c0 + c1 t) is [s^k] p(c0 + s) c1^k, over
         # den yd^k; scaled by yd^(n-k) it is over den yd^n, n = degree
-        re, im, den, xd = _shifted_numerators(self.triple, _as_gr(c0))
-        (yr,), (yi,), yd = numerators((_as_gr(c1),))
+        re, im, den, xd = _shifted_numerators(self.triple, c0)
+        yr, yi, yd = _point(c1)
         yr, yi = yr * xd, yi * xd
         n = len(re) - 1
         pr, pi = 1, 0  # (yr + i yi)^k
@@ -497,9 +605,9 @@ class Poly:
         """(re, im, den) with p^(k)(x) = (re[k] + i im[k]) / den, k = 0..degree.
 
         p^(k)(x) = k! [s^k] p(x + s), read off one Taylor shift; k! and
-        xd^k are folded into the integers.
+        xd^k are folded into the integers.  At x = 0 no shift runs.
         """
-        re, im, den, xd = _shifted_numerators(self.triple, _as_gr(x))
+        re, im, den, xd = _shifted_numerators(self.triple, x)
         f = 1  # k! xd^k
         for k in range(1, len(re)):
             f *= k * xd
@@ -508,9 +616,12 @@ class Poly:
         return re, im, den
 
     def conjugate(self) -> "Poly":
-        """Coefficient-wise conjugate; equals conj(p(t)) for real t."""
+        """Coefficient-wise conjugate; equals conj(p(t)) for real t.  Negating
+        the imaginary parts keeps the triple canonical, so no gcd runs."""
         re, im, den = self.triple
-        return Poly._of(re, [-m for m in im], den)
+        p = Poly.__new__(Poly)
+        p.triple = (re, tuple(-m for m in im), den)
+        return p
 
     def reflect(self, a) -> "Poly":
         """t -> conj(p(a-t))."""

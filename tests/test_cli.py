@@ -190,6 +190,39 @@ def test_bad_coefficient_literal_exit_code(tmp_path, literal):
     assert json.loads(out.read_text())["error"].startswith("psi1:")
 
 
+@pytest.mark.parametrize("key", ["psi1", "psi2"])
+@pytest.mark.parametrize("literal, named", [({"re": "1", "imag": "2"}, "'imag'"),
+                                            ({"real": "1"}, "'real'"), ({}, "no key")],
+                         ids=["imag", "real", "empty"])
+def test_unknown_coefficient_key_is_an_input_error(tmp_path, key, literal, named):
+    # the keys of a coefficient object are one or both of "re" and "im":
+    # {"re": "1", "imag": "2"} is not read as 1, nor {} as 0
+    fields = {"a": "1", "psi1": ["1", "2"], "psi2": ["1"]}
+    fields[key] = fields[key] + [literal]
+    bad = tmp_path / "bad_key.json"
+    bad.write_text(json.dumps(fields))
+    out = tmp_path / "out.json"
+    assert main(["decide", "--input", str(bad), "--output", str(out)]) == EXIT_INPUT_ERROR
+    error = json.loads(out.read_text())["error"]
+    assert error.startswith(f"{key}:") and named in error
+
+
+@pytest.mark.parametrize("a, reason", [(True, "True"), (None, "None"), ("seven", "seven"),
+                                       (0.1, "0.1"), ([1], "[1]")],
+                         ids=["true", "null", "word", "float", "list"])
+def test_a_is_read_as_one_coefficient_part(tmp_path, a, reason):
+    # no str() on the way: a boolean, null or a float is refused by type, and
+    # only a numeric literal with an exponent gets the exponent message
+    bad = tmp_path / "bad_a.json"
+    bad.write_text(json.dumps({"a": a, "psi1": ["1", "2"], "psi2": ["1"]}))
+    out = tmp_path / "out.json"
+    assert main(["decide", "--input", str(bad), "--output", str(out)]) == EXIT_INPUT_ERROR
+    error = json.loads(out.read_text())["error"]
+    assert error.startswith("a:") and reason in error and "exponent" not in error
+    for good, value in ((7, F(7)), ("7/3", F(7, 3)), (" 2.5 ", F(5, 2))):
+        assert ProblemSpec.from_json({"a": good, "psi1": ["1"], "psi2": ["1"]}).a == value
+
+
 def test_missing_file_exit_code(tmp_path):
     out = tmp_path / "out.json"
     code = main(["decide", "--input", str(tmp_path / "nope.json"),

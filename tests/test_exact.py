@@ -47,7 +47,8 @@ def test_json_roundtrip():
     assert GaussianRational.from_json(q.to_json()) == q
     assert GaussianRational.from_json("5/9") == GR(F(5, 9))
     assert GaussianRational.from_json({"im": -3}) == GR(0, -3)
-    for bad in (1.5, None, True, {"re": 0.5}, {"re": "1", "im": None}, {"im": [1]}):
+    for bad in (1.5, None, True, {"re": 0.5}, {"re": "1", "im": None}, {"im": [1]},
+                {"re": "1", "imag": "2"}, {"real": "1"}, {}):
         with pytest.raises(ValueError, match="bad Gaussian rational literal"):
             GaussianRational.from_json(bad)
 

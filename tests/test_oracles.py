@@ -16,6 +16,10 @@ triple for canonical form (den > 0, gcd 1, no trailing zero).
 The integer-numerator paths (masses, normalization, jets, L(D)) are also
 compared with the direct formulas evaluated one `Fraction` operation at a
 time, on densities up to degree 16 with coefficient heights up to 1e6.
+The real-point paths (Taylor shifts by an integer, jets at 0, 2 and 7/3,
+affine composition at a real c0, masses with real bounds) are compared
+with the general Gaussian-integer path, and the spec literal reader with
+the one `Fraction` a literal at a time that it replaced.
 """
 
 from fractions import Fraction
@@ -28,7 +32,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bezoutiant import symbol
-from bezoutiant.exact import GR, GaussianRational, Poly, from_numerators, to_floats
+from bezoutiant.exact import (GR, GaussianRational, Poly, from_numerators, taylor_shift,
+                              to_floats)
 from bezoutiant.kernel import build_kernel, normalize_pair
 from bezoutiant.symbol import (OUTCOME_COINCIDE, OUTCOME_COMMON, OUTCOME_INCONCLUSIVE,
                                OUTCOME_NO_COMMON, DiffOperator, decide, l_operator,
@@ -395,3 +400,118 @@ def test_normalize_and_l_operator_match_fraction_reference(psi1, psi2, a):
     assert (pair.psi1, pair.psi2, pair.r1, pair.r2) == (n1, n2, r1, r2)
     assert pair.psi1.integral(0, a) == pair.psi2.integral(0, a) == GR(1)
     assert l_operator(pair) == l_operator_ref(n1, n2, a)
+
+
+# -- the spec literal reader against the Fraction path ----------------------
+
+def parse_ref(text):
+    """A rational literal as the reader read it one `Fraction` at a time:
+    any "e" is an exponent, the rest is `Fraction(text.strip())`."""
+    if "e" in text.lower():
+        raise ValueError(f"bad rational literal {text!r}: no exponent is accepted; "
+                         "write an integer, p/q or a plain decimal")
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad rational literal {text!r}: {exc}") from None
+
+
+def read_ref(literals):
+    """Poly.from_json's result (or error text) on the Fraction path."""
+    try:
+        return Poly(tuple(GR(parse_ref(t)) for t in literals)).triple
+    except ValueError as exc:
+        return str(exc)
+
+
+def read(literals):
+    try:
+        return Poly.from_json(literals).triple
+    except ValueError as exc:
+        return str(exc)
+
+
+LITERALS = ["3/6", "-12/8", "007", "-0/5", " 3 ", "+3", "1_000", "٣", "0.25", "-2", "1/0",
+            "3/-4", "--3", "3/", "/3", "1e5", "", "-", "0/0", "1" * 5000, "1/" + "7" * 5000]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(st.sampled_from(LITERALS),
+                          st.text(alphabet="0123456789-+/ ._٣", max_size=7),
+                          st.builds("{}/{}".format, st.integers(-10 ** 30, 10 ** 30),
+                                    st.integers(1, 10 ** 12))),
+                min_size=1, max_size=4))
+@example(["3/6", "-12/8", "007", "-0/5", " 3 ", "+3", "1_000", "٣", "0.25"])
+@example(["1" * 5000])
+def test_literal_reader_matches_fraction_path(literals):
+    # same canonical triple for every valid literal, and the same error text
+    # (from the first bad literal) otherwise
+    assert read(literals) == read_ref(literals)
+
+
+# -- real points against the general Gaussian path ---------------------------
+
+def gaussian_shift(re, im, xr, xi):
+    """In place: the Taylor shift by xr + i xi as Gaussian-integer multiply-adds."""
+    n = len(re) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            r, m = re[j + 1], im[j + 1]
+            re[j] += xr * r - xi * m
+            im[j] += xr * m + xi * r
+
+
+def jet_gaussian(p, x):
+    """p.jet_numerators(x) with the shift run by `gaussian_shift`."""
+    (re, im), den = map(list, p.triple[:2]), p.triple[2]
+    xr, xd, n = x.numerator, x.denominator, len(re) - 1
+    re = [r * xd ** (n - j) for j, r in enumerate(re)]
+    im = [m * xd ** (n - j) for j, m in enumerate(im)]
+    gaussian_shift(re, im, xr, 0)
+    f = 1
+    for k in range(1, n + 1):
+        f *= k * xd
+        re[k], im[k] = re[k] * f, im[k] * f
+    return re, im, den * xd ** max(n, 0)
+
+
+@NUMERATORS
+@given(tall_polys(), st.integers(-10 ** 6, 10 ** 6))
+def test_real_taylor_shift_matches_gaussian_shift(p, xr):
+    for x in (xr, 1, 0):
+        re, im = list(p.triple[0]), list(p.triple[1])
+        want_re, want_im = re[:], im[:]
+        taylor_shift(re, im, x)
+        gaussian_shift(want_re, want_im, x, 0)
+        assert (re, im) == (want_re, want_im)
+
+
+@NUMERATORS
+@given(tall_polys())
+def test_real_jets_match_gaussian_shift(p):
+    for x in (Fraction(0), Fraction(2), Fraction(7, 3)):
+        want = jet_gaussian(p, x)
+        for at in (x, GR(x)) if x.denominator > 1 else (x, int(x), GR(x)):
+            assert p.jet_numerators(at) == want
+
+
+@NUMERATORS
+@given(tall_polys(), st.sampled_from([Fraction(0), Fraction(2), Fraction(-7, 3)]), gaussians)
+def test_compose_affine_at_a_real_point_matches_gaussian_powers(p, c0, c1):
+    # sum_k c_k (c0 + c1 t)^k, the powers of c0 + c1 t as Gaussian products
+    want, power = Poly.of(), Poly.of(1)
+    for c in p.coeffs:
+        want = want + power * c
+        power = power * Poly.of(c0, c1)
+    assert p.compose_affine(c0, c1) == want
+    assert canonical(p.compose_affine(c0, c1))
+
+
+@NUMERATORS
+@given(tall_polys())
+def test_real_integral_matches_gaussian_bounds(p):
+    for a in (1, Fraction(7, 3), Fraction(10 ** 300), Fraction(1, 10 ** 300)):
+        got = p.integral(0, a)
+        assert got == p.integral(GR(0), GR(a))  # Gaussian-integer powers
+        assert p.integral(a, 0) == -got
+        assert p.integral(Fraction(1, 2), a) == p.integral(GR(Fraction(1, 2)), GR(a))
