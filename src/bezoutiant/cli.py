@@ -23,18 +23,17 @@ result too long to write as a decimal string: the report's `error` names
 symbolic verdict and the numerical zero comparison, 4 numeric refusal: the
 zero locator declined to answer (an evaluation would overflow, a winding
 number did not certify, a cluster stayed unresolved or the boundary could
-not be moved off a zero), or an exact value that the zero locator or the
-operator check reads (a, the transforms' Laurent coefficients and
-moments, the Phi/M_2 coefficients, the kernel's float tables) has no float
-image (`FloatRangeError`, from `exact.to_floats`), or the operator check
-finds a residual of exactly 0.0 for a pair that does not coincide
+not be moved off a zero), or an exact value that the verdict, the zero
+locator or the operator check reads as a float (the common zeros, a, the
+transforms' Laurent coefficients and moments, the Phi/M_2 coefficients,
+the kernel's float tables) has none (`FloatRangeError`), or the operator
+check finds a residual of exactly 0.0 for a pair that does not coincide
 (`FloatRangeError` too: the pair differs by less than float resolution
-on [0, a]).  A kernel or operator
-check of a zero-mass density is skipped (`skipped`), as they need
-unit-mass densities.  A refusal still
-writes the report, with its verdict and an `error` block naming the stage,
-the transform (zeros only), the exception type and its message
-(`emit-grid`: one stderr line).
+on [0, a]).  A kernel or operator check of a zero-mass density is skipped
+(`skipped`), as they need unit-mass densities.  A refusal still writes
+the report, with its verdict (if one was reached) and an `error` block
+naming the stage, the transform (zeros only), the exception type and its
+message (`emit-grid`: one stderr line).
 """
 
 from __future__ import annotations
@@ -171,25 +170,23 @@ def _grid_size(value) -> int:
 
 
 def _search_rect(*bounds) -> SearchRect:
-    """SearchRect(*bounds) as floats (finite, margin >= 0, no boolean), else a
-    SpecError at rect."""
-    if any(isinstance(b, bool) for b in bounds):
-        raise SpecError("rect", f"bounds must be numbers, not booleans: {bounds!r}")
+    """SearchRect(*bounds) as floats (finite, margin >= 0, no boolean or
+    string), else a SpecError at rect."""
+    if any(isinstance(b, (bool, str)) for b in bounds):
+        raise SpecError("rect", f"bounds must be numbers, not booleans or strings: {bounds!r}")
     try:
         return SearchRect(*map(float, bounds))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past float range
         raise SpecError("rect", str(exc)) from None
 
 
 def _positive_float(path: str, value) -> float:
-    """value as a finite float > 0 (not a boolean), else a SpecError at `path`."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError) as exc:
-        raise SpecError(path, str(exc)) from None
-    if isinstance(value, bool) or not (math.isfinite(x) and x > 0):
-        raise SpecError(path, f"must be a finite number > 0, got {value!r}")
-    return x
+    """value as a finite float > 0 (a number: not a boolean or a string),
+    else a SpecError at `path`."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and (
+            0 < value <= sys.float_info.max):
+        return float(value)
+    raise SpecError(path, f"must be a finite number > 0, got {value!r}")
 
 
 def _load_spec(spec_path) -> tuple[ProblemSpec, str]:
@@ -241,6 +238,9 @@ def run(spec_path, out_path, tasks=None, rect=None, tol=None, grid_n=None):
     except DigitLimitError as exc:  # the masses and the gcd are written exactly
         report["error"] = f"verdict: {exc}"
         return _finish(report, EXIT_INPUT_ERROR, spec_sha256, out_path, started)
+    except FloatRangeError as exc:  # a common zero with no float image
+        report["error"] = {"stage": "verdict", "type": type(exc).__name__, "message": str(exc)}
+        return _finish(report, EXIT_NUMERIC_REFUSAL, spec_sha256, out_path, started)
     report["verdict"] = verdict.to_json()
     if verdict.outcome == OUTCOME_INCONCLUSIVE:
         exit_code = EXIT_INCONCLUSIVE

@@ -51,22 +51,23 @@ D(w0) = 0.  If D != 0, z0 is thus algebraic, e^{iaz0} is transcendental
 (Hermite-Lindemann), and e^{iaz0} P1(w0) + Q1(w0) = 0 forces P1(w0) =
 Q1(w0) = 0, and likewise for P21, Q21: the common nonzero zeros are 1/w0
 for the roots w0 of G = gcd(P1, Q1, P21, Q21), each numerator first
-divided, exactly, by its power of w (w = 0 is z = infinity).  G is
-computed modulo p = PRIME with i -> SQRT_M1 (a ring map Z[i] -> GF(p), as
-p = 1 mod 4) on the Gaussian-integer numerators (a denominator is a
-constant factor).  Were deg G >= 1, Gauss's lemma would put G and its
-cofactors in Z[i][w], and if every input keeps its leading coefficient
-mod p, G's image keeps its degree and divides every image.  So a degree-0
-image gcd with intact leading coefficients proves G = 1; otherwise Euclid
-runs over Q(i).  No low-end zero of an image is stripped: it may come from
-a factor w - c of G with p | c.  z = 0 is a common zero iff F_1(0) =
-conj R1 and F_{2,1}(0) = R2 both vanish.  So the outcome is NoCommonZeros
-when G = 1 and a mass is nonzero, with the certificate (p, SQRT_M1) if the
-reduction decided, and otherwise CommonZeros.  With D = 0 no z0 need be
-algebraic, and a pair that is not coincident, such as psi_1 = x - x^2,
-psi_2 = -1 + 3x - x^2, a = 1 (F_{2,1} = (1 - iz) F_1), is Inconclusive
-(ROADMAP 1b).  The monomial family x^m (a-x)^n admits a closed order
-formula, cross-validated here against the general expansion.
+divided, exactly, by its power of w (w = 0 is z = infinity).  G comes
+from images of the Gaussian-integer numerators (a denominator is a
+constant factor) under i -> +-s, ring maps Z[i] -> GF(p) for the primes
+p = 1 (mod 4) from PRIME up, s^2 = -1 (mod p).  By Gauss's lemma, if each
+input keeps its leading coefficient mod p, G's image keeps its degree and
+divides every image: a degree-0 image gcd proves G = 1, with certificate
+(p, s), and otherwise a candidate rebuilt from images of least degree is
+G once it divides all four numerators (`_laurent_gcd`).  No low-end zero
+of an image is stripped: it may come from a factor w - c of G with p | c.
+z = 0 is a common zero iff F_1(0) = conj R1 and F_{2,1}(0) = R2 vanish.
+So the outcome is NoCommonZeros when G = 1 and a mass is nonzero, and
+otherwise CommonZeros (a FloatRangeError if a zero has no float image).
+With D = 0 no z0 need be algebraic, and a pair that is not coincident,
+such as psi_1 = x - x^2, psi_2 = -1 + 3x - x^2, a = 1 (F_{2,1} =
+(1 - iz) F_1), is Inconclusive (ROADMAP 1b).  The monomial family
+x^m (a-x)^n admits a closed order formula, cross-validated here against
+the general expansion.
 """
 
 from __future__ import annotations
@@ -74,16 +75,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import zip_longest
 from typing import Optional
 
 import numpy as np
 
-from .exact import GR, GR_ONE, Poly, _frac, from_numerators
+from .exact import GR, FloatRangeError, Poly, _frac, from_numerators
 # normalize_pair is not called here; perfbench/spans.py wraps symbol.normalize_pair
 from .kernel import NormalizedPair, normalize_pair
-from .transform import (ClosedTransform, _conjugate, _times_i_powers, closed_form,
-                        reflected_transform)
+from .transform import (ClosedTransform, _conjugate, _times_i_powers, _to_complex,
+                        closed_form, reflected_transform)
 
 
 class OrderViolationError(ValueError):
@@ -180,7 +182,7 @@ def l_operator(pair: NormalizedPair) -> DiffOperator:
 def monomial_density(m: int, n: int, a) -> Poly:
     """x^m (a - x)^n as an exact polynomial."""
     lin = Poly.of(GR(_frac(a)), GR(-1))
-    out = Poly.of(GR_ONE)
+    out = Poly.of(1)
     for _ in range(n):
         out = out * lin
     return out.times_x(m)
@@ -232,45 +234,102 @@ def monomial_order(m1: int, n1: int, m2: int, n2: int, a) -> tuple:
     return r, leading
 
 
-#: p = 1 (mod 4), the first such prime above 2^30, and a square root of -1
-#: modulo p: i -> SQRT_M1 reduces Z[i] onto GF(p) (module doc: the verdict).
+#: p = 1 (mod 4), the first such prime above 2^30: the primes p = 1 (mod 4)
+#: from here up are the moduli of the search for G (module doc: the verdict).
 PRIME = 1073741833
-SQRT_M1 = 357924867
+
+@cache
+def _modulus(n: int) -> tuple:
+    """(p, s): the least prime p >= n, p = n = 1 (mod 4), by trial division,
+    and s = c^((p-1)/4), c the least non-residue mod p: s^2 = -1 (mod p)."""
+    while not all(n % d for d in range(3, math.isqrt(n) + 1, 2)):
+        n += 4
+    c = next(c for c in range(2, n) if pow(c, (n - 1) // 2, n) == n - 1)
+    return n, pow(c, (n - 1) // 4, n)
 
 
-def _gcd(polys: list, inv, red) -> list:
-    """Monic gcd of nonzero ascending coefficient lists (reduced in place)
-    over a field, where `inv` inverts a nonzero element and `red` reduces one;
-    Euclid, shortest first, stops once the gcd has degree 0."""
-    polys = sorted(polys, key=len)
-    g = polys[0]
-    for f in polys[1:]:
+def _gcd(polys: list, p: int) -> list:
+    """Monic gcd over GF(p) of nonzero ascending coefficient lists (reduced
+    in place); Euclid, shortest first, stops once the gcd has degree 0."""
+    g, *rest = sorted(polys, key=len)
+    for f in rest:
         while f and len(g) > 1:
-            c = inv(f[-1])
+            c = pow(f[-1], -1, p)
             while len(g) >= len(f):  # g <- g mod f
-                q, shift = red(g[-1] * c), len(g) - len(f)
-                for k, y in enumerate(f):
-                    g[shift + k] = red(g[shift + k] - q * y)
+                q, shift = g[-1] * c % p, len(g) - len(f)
+                for k, y in enumerate(f, shift):
+                    g[k] = (g[k] - q * y) % p
                 while g and not g[-1]:
                     g.pop()
             g, f = f, g
-    c = inv(g[-1])
-    return [red(x * c) for x in g]
+    c = pow(g[-1], -1, p)
+    return [x * c % p for x in g]
+
+
+def _ratrec(u: int, m: int):
+    """(a, b) with a = b u (mod m), |a|, b <= sqrt(m/2) and gcd(a, b) = 1,
+    or None (Wang, Guy & Davenport, SIGSAM Bull. 16, 1982)."""
+    bound, (r0, r1, t0, t1) = math.isqrt(m // 2), (m, u, 0, 1)
+    while r1 > bound:
+        r0, r1, t0, t1 = r1, r0 % r1, t1, t0 - r0 // r1 * t1
+    if abs(t1) <= bound and math.gcd(r1, t1) == 1:
+        return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _divides(c: tuple, f: tuple) -> bool:
+    """c | f in Q(i)[w], for Gaussian-integer lists (re, im), c's leading
+    coefficient a real integer L: long division of L^(deg f - deg c + 1) f
+    by c, exact in Z[i][w] at each step, leaves remainder 0."""
+    (cr, ci), m = c, len(c[0]) - 1
+    scale = cr[m] ** max(len(f[0]) - m, 0)
+    fr, fi = [x * scale for x in f[0]], [y * scale for y in f[1]]
+    for shift in range(len(fr) - 1 - m, -1, -1):
+        qr, qi = fr.pop() // cr[m], fi.pop() // cr[m]
+        for k, (x, y) in enumerate(zip(cr[:m], ci[:m]), shift):
+            fr[k] -= qr * x - qi * y
+            fi[k] -= qr * y + qi * x
+    return not any(fr) and not any(fi)
 
 
 def _laurent_gcd(*triples) -> tuple:
     """(G, certificate): the monic gcd of the triples' polynomials without
-    their powers of w, and {p, sqrt_m1} if the reduction mod p proved G = 1."""
+    their powers of w, as a `Poly`, and {p, sqrt_m1} if an image proved G = 1.
+    Brown's modular gcd (J. ACM 18, 1971): the images under i -> +-s give
+    u, v = x +- s y for each coefficient x + i y of G; the primes of least
+    image degree are combined by CRT and rebuilt by rational reconstruction,
+    and a candidate that one more prime leaves unchanged is G if it divides
+    every stripped numerator exactly: its degree, the least, is >= deg G."""
     stripped = []
-    for re, im, den in triples:
+    for re, im, _ in triples:
         k = next(k for k, (r, i) in enumerate(zip(re, im)) if r or i)
-        stripped.append((re[k:], im[k:], den))
-    images = [[(r + SQRT_M1 * i) % PRIME for r, i in zip(re, im)] for re, im, _ in stripped]
-    if all(f[-1] for f in images) and len(_gcd(images, lambda x: pow(x, -1, PRIME),
-                                               lambda x: x % PRIME)) == 1:
-        return (GR_ONE,), {"p": PRIME, "sqrt_m1": SQRT_M1}
-    exact = [list(from_numerators(*t)) for t in stripped]
-    return tuple(_gcd(exact, lambda x: GR_ONE / x, lambda x: x)), None
+        stripped.append((re[k:], im[k:]))
+    n, least, last = PRIME, math.inf, None
+    while True:
+        p, s = _modulus(n)
+        n, images = p + 4, []
+        for t in (s, p - s):
+            fs = [[(r + t * i) % p for r, i in zip(re, im)] for re, im in stripped]
+            if not all(f[-1] for f in fs):  # a leading coefficient vanishes mod p
+                break
+            images.append(_gcd(fs, p))
+            if len(images[-1]) == 1:  # 0 = the image degree >= deg G
+                return Poly._of((1,), (0,), 1), {"p": p, "sqrt_m1": t}
+        if len(images) < 2 or len(images[0]) != len(images[1]) or len(images[0]) > least:
+            continue
+        if len(images[0]) != least:  # the first prime, or one of lower image degree
+            least, modulus, residues = len(images[0]), 1, [0] * 2 * len(images[0])
+        h, c = (p + 1) // 2, pow(modulus, -1, p)  # 1/2 and 1/modulus mod p; 1/s = -s
+        xy = [(u + v) * h for u, v in zip(*images)] + [(v - u) * h * s for u, v in zip(*images)]
+        residues = [r + modulus * ((x - r) * c % p) for r, x in zip(residues, xy)]
+        modulus *= p
+        parts = [_ratrec(r, modulus) for r in residues]
+        if None not in parts:
+            den = math.lcm(*(b for _, b in parts))
+            nums = [a * (den // b) for a, b in parts]
+            candidate = Poly._of(nums[:least], nums[least:], den)
+            if candidate == last and all(_divides(candidate.triple[:2], f) for f in stripped):
+                return candidate, None
+            last = candidate
 
 
 OUTCOME_NO_COMMON = "NoCommonZeros"
@@ -330,11 +389,15 @@ def decide(psi1: Poly, psi2: Poly, a) -> Verdict:
 
     g, diagnostics["certificate"] = _laurent_gcd(f1.p, f1.q, f21.p, f21.q)
     origin = not r1 and not r2  # F_1(0) = conj R1, F_{2,1}(0) = R2
-    if len(g) == 1 and not origin:
+    if not g.degree and not origin:
         return Verdict(OUTCOME_NO_COMMON, "Hermite-Lindemann: gcd(P1, Q1, P21, Q21) = 1",
                        asym, asym, diagnostics, transforms)
-    zeros = [1 / w for w in np.roots([complex(c) for c in reversed(g)])] + [0j] * origin
-    diagnostics["gcd"] = [c.to_json() for c in g]
+    coeffs = _to_complex(g.triple, "a coefficient of the gcd G")
+    with np.errstate(all="ignore"):  # a root w that is 0.0 as a float gives z = inf
+        zeros = [1 / w for w in np.roots(coeffs[::-1])] + [0j] * origin
+    if not np.isfinite(zeros).all():
+        raise FloatRangeError("a common zero 1/w of the gcd G is beyond float range")
+    diagnostics["gcd"] = g.to_json()
     diagnostics["common_zeros"] = [{"re": float(z.real), "im": float(z.imag)} for z in zeros]
     return Verdict(OUTCOME_COMMON, "Hermite-Lindemann: 1/w at the roots w of gcd(P1, Q1, "
                    "P21, Q21), and 0 iff both masses vanish", asym, asym, diagnostics, transforms)

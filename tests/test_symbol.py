@@ -1,10 +1,16 @@
+import importlib.util
+import random
+import sys
+import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bezoutiant import symbol
+from bezoutiant.cli import ProblemSpec
 from bezoutiant.exact import GR, Poly, from_numerators
 from bezoutiant.kernel import build_kernel, normalize_pair
 from bezoutiant.symbol import (
@@ -322,12 +328,45 @@ def test_decide_zero_mass_decided():
     v = decide(Poly.of(F(-1, 2), 1), ONE, 1)
     assert v.outcome == OUTCOME_NO_COMMON
     assert v.diagnostics["normalizers"] == ["0", "1"]
-    assert v.diagnostics["certificate"] == {"p": symbol.PRIME, "sqrt_m1": symbol.SQRT_M1}
+    # s = 5^((p-1)/4), 5 the least non-residue mod PRIME
+    assert v.diagnostics["certificate"] == {"p": symbol.PRIME, "sqrt_m1": 357924867}
     # both masses zero: F_1(0) = conj R1 = 0 = R2 = F_{2,1}(0), and G = 1
     v = decide(Poly.of(F(-1, 2), 1), Poly.of(F(1, 6), -1, 1), 1)
     assert v.outcome == OUTCOME_COMMON
     assert v.diagnostics["gcd"] == ["1"]
     assert v.diagnostics["common_zeros"] == [{"re": 0.0, "im": 0.0}]
+
+
+def _benchmark_pair(name):
+    """The size criteria's pairs, from the benchmark's generator: a degree
+    48/47 pair sharing the zero i, and a degree 64/63 generic pair whose
+    Psi_1 has the top coefficient PRIME, so P1 and Q1 lose theirs mod PRIME."""
+    where = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", where)
+    gen = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclasses
+    spec.loader.exec_module(gen)
+    if name == "shared-zero-48":
+        pair = gen.shared_zero_pair(random.Random(3), 48, 47, 6, True, 1, 1)
+    else:
+        pair = gen.generic_pair(random.Random(5), 64, 63, 6, True, 1)
+        pair.psi1[-1] = gen.q_real(symbol.PRIME)
+    return ProblemSpec.from_json(gen.problem_json(pair, ["decide"]))
+
+
+@pytest.mark.parametrize("name", ["shared-zero-48", "prime-top-64"])
+def test_decide_size_criteria_within_two_seconds(name):
+    # an exact Euclid over Q(i) took minutes on these pairs; the modular
+    # gcd takes milliseconds
+    spec = _benchmark_pair(name)
+    start = time.perf_counter()
+    v = decide(spec.psi1, spec.psi2, spec.a)
+    assert time.perf_counter() - start < 2
+    if name == "shared-zero-48":
+        assert v.outcome == OUTCOME_COMMON and v.diagnostics["certificate"] is None
+        assert v.diagnostics["gcd"] == [{"re": "0", "im": "1"}, "1"]
+    else:  # the next prime p = 1 (mod 4) and 5^((p-1)/4)
+        assert v.outcome == OUTCOME_NO_COMMON
+        assert v.diagnostics["certificate"] == {"p": 1073741857, "sqrt_m1": 735529907}
 
 
 def test_decide_swap_symmetry(rng):
