@@ -30,7 +30,9 @@ the kernel's float tables) has none (`FloatRangeError`), or the operator
 check finds a residual of exactly 0.0 for a pair that does not coincide
 (`FloatRangeError` too: the pair differs by less than float resolution
 on [0, a]).  A kernel or operator check of a zero-mass density is skipped
-(`skipped`), as they need unit-mass densities.  A refusal still writes
+(`skipped`), as they need unit-mass densities; after an inconclusive
+verdict the zeros, kernel and operator-check tasks are skipped, and
+`skipped` gives the verdict's reason.  A refusal still writes
 the report, with its verdict (if one was reached) and an `error` block
 naming the stage, the transform (zeros only), the exception type and its
 message (`emit-grid`: one stderr line).
@@ -55,7 +57,6 @@ from .exact import DigitLimitError, FloatRangeError, Poly, rational_from_json
 from .kernel import ZeroMassError, build_kernel, build_m_functions, normalize_pair
 from .operator_lab import convergence_study
 from .symbol import (
-    COEFF_RATIONAL,
     OUTCOME_COINCIDE,
     OUTCOME_COMMON,
     OUTCOME_INCONCLUSIVE,
@@ -73,6 +74,9 @@ from .zeros import (
 )
 
 ALL_TASKS = ("decide", "zeros", "kernel", "operator-check")
+
+#: The one coefficient class a spec may name: exact Gaussian rationals.
+COEFF_RATIONAL = "rational"
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -243,10 +247,14 @@ def run(spec_path, out_path, tasks=None, rect=None, tol=None, grid_n=None):
         return _finish(report, EXIT_NUMERIC_REFUSAL, spec_sha256, out_path, started)
     report["verdict"] = verdict.to_json()
     if verdict.outcome == OUTCOME_INCONCLUSIVE:
-        exit_code = EXIT_INCONCLUSIVE
+        skipped = sorted(set(spec.tasks) - {"decide"})
+        if skipped:
+            report["skipped"] = {"tasks": skipped, "reason": "verdict "
+                                 f"{OUTCOME_INCONCLUSIVE}: {verdict.diagnostics['reason']}"}
+        return _finish(report, EXIT_INCONCLUSIVE, spec_sha256, out_path, started)
 
     needs_pair = {"kernel", "operator-check"} & set(spec.tasks)
-    if needs_pair and verdict.outcome != OUTCOME_INCONCLUSIVE:
+    if needs_pair:
         try:
             pair = normalize_pair(spec.psi1, spec.psi2, spec.a)
         except ZeroMassError as exc:  # the kernel needs unit-mass densities
@@ -274,7 +282,7 @@ def run(spec_path, out_path, tasks=None, rect=None, tol=None, grid_n=None):
                                        "type": type(exc).__name__, "message": str(exc)}
                     return _finish(report, EXIT_NUMERIC_REFUSAL, spec_sha256, out_path, started)
 
-    if "zeros" in spec.tasks and verdict.outcome != OUTCOME_INCONCLUSIVE:
+    if "zeros" in spec.tasks:
         located = []
         for name, F in zip(("F1", "F21"), verdict.transforms):
             try:

@@ -13,9 +13,10 @@ zero.  Every operation (parsing, ring operations, scalar division,
 calculus, affine composition, conjugation, jets) runs on the integers and
 puts its result in canonical form with one gcd over the whole triple;
 `Fraction`s appear only in the `GaussianRational` views (`coeffs`, values
-at a point), built when read.  An `MPoly` from the kernel build holds
-integer tables over one denominator in the same way and builds its term
-dict on first read.  In particular
+at a point), built when read.  An `MPoly`, a kernel piece, is one integer
+table over one denominator, and its exact operations run on its rows as
+`Poly`s, so no package code does `GaussianRational` arithmetic.  In
+particular
 
 * spec literals (`Poly.from_json`): a plain ASCII "p" or "p/q" goes
   straight to `int` and over one lcm, so no `Fraction` is built; every
@@ -198,17 +199,13 @@ class GaussianRational:
     """Complex number with exact rational real and imaginary parts."""
 
     re: Fraction
-    im: Fraction
+    im: Fraction = Fraction(0)
 
     def __post_init__(self):
         object.__setattr__(self, "re", _frac(self.re))
         object.__setattr__(self, "im", _frac(self.im))
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def of(cls, re: RationalLike, im: RationalLike = 0) -> "GaussianRational":
-        return cls(re, im)
 
     @classmethod
     def from_json(cls, obj) -> "GaussianRational":
@@ -233,7 +230,7 @@ class GaussianRational:
         if isinstance(other, GaussianRational):
             return other
         if isinstance(other, (int, Fraction)):
-            return GaussianRational.of(other)
+            return GaussianRational(other)
         return NotImplemented
 
     def __add__(self, other):
@@ -290,9 +287,7 @@ class GaussianRational:
         return f"GR({self.re}, {self.im})"
 
 
-GR = GaussianRational.of
-GR_ZERO = GR(0)
-GR_ONE = GR(1)
+GR = GaussianRational
 
 
 def _as_gr(x) -> GaussianRational:
@@ -457,9 +452,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.triple[0]
 
-    def coeff(self, k: int) -> GaussianRational:
-        return self.coeffs[k] if 0 <= k <= self.degree else GR_ZERO
-
     # -- ring operations ---------------------------------------------------
 
     def _combine(self, other: "Poly", sign: int) -> "Poly":
@@ -622,96 +614,63 @@ class Poly:
 class MPoly:
     """Polynomial in (x, t) over Gaussian rationals: a kernel piece of U.
 
-    `table` = (re, im, den) holds integer rows: the coefficient of x^i t^j
-    is (re[i][j] + i im[i][j]) / den.  `terms` maps the exponent pairs
-    (i, j) of the nonzero coefficients to `GaussianRational`s; a piece
-    built `from_table` builds it on first read.  Two pieces are equal when
-    their term dicts are.
+    Its one state, `table` = (re, im, den), holds integer rows: the
+    coefficient of x^i t^j is (re[i][j] + i im[i][j]) / den, den > 0.
+    `terms` lists the nonzero entries; equality, evaluation and
+    integration read the x-rows as integer `Poly`s in t.
     """
 
-    def __init__(self, terms: dict):
-        clean = {}
-        for exp, c in terms.items():
-            c = _as_gr(c)
-            if c:
-                clean[tuple(exp)] = c
-        self.terms = clean
-        re, im, den = numerators(list(clean.values()))
-        rows = [[0] * (1 + max((j for _, j in clean), default=0))
-                for _ in range(1 + max((i for i, _ in clean), default=0))]
-        table_re, table_im = rows, [row[:] for row in rows]
-        for (i, j), r, m in zip(clean, re, im):
-            table_re[i][j], table_im[i][j] = r, m
-        self.table = (table_re, table_im, den)
+    def __init__(self, re: list, im: list, den: int):
+        self.table = (re, im, den)
 
-    @classmethod
-    def from_table(cls, re: list, im: list, den: int) -> "MPoly":
-        """The piece with coefficients (re[i][j] + i im[i][j]) / den, den > 0."""
-        p = cls.__new__(cls)
-        p.table = (re, im, den)
-        return p
-
-    @cached_property
-    def terms(self) -> dict:
-        den = self.table[2]
-        return {(i, j): GaussianRational(Fraction(r, den), Fraction(m, den))
-                for i, j, r, m in self._entries()}
-
-    def _entries(self) -> list:
+    @property
+    def terms(self) -> list:
         """(i, j, re, im) of every nonzero table entry, in sorted (i, j) order."""
         re, im, _ = self.table
         return [(i, j, r, m) for i, (row_re, row_im) in enumerate(zip(re, im))
                 for j, (r, m) in enumerate(zip(row_re, row_im)) if r or m]
 
+    def rows(self) -> list:
+        """[p_0, .., p_n]: p = sum_i x^i p_i(t), each p_i a `Poly`, p_n != 0."""
+        re, im, den = self.table
+        rows = [Poly._of(r, m, den) for r, m in zip(re, im)]
+        while rows and rows[-1].is_zero:
+            rows.pop()
+        return rows
+
     def __eq__(self, other):
         if not isinstance(other, MPoly):
             return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"MPoly(terms={self.terms!r})"
+        return self.rows() == other.rows()
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.rows()
 
     def __mul__(self, other) -> "MPoly":
-        """Product with a scalar."""
-        g = _as_gr(other)
-        return MPoly({e: c * g for e, c in self.terms.items()})
+        """Product with a scalar g = (g_r + i g_i) / g_d, on the integers."""
+        re, im, den = self.table
+        gr, gi, gd = _point(other)
+        return MPoly([[x * gr - y * gi for x, y in zip(*row)] for row in zip(re, im)],
+                     [[x * gi + y * gr for x, y in zip(*row)] for row in zip(re, im)], den * gd)
 
     def definite_integral(self, lo, hi) -> Poly:
         """int_lo^hi p(s, t) ds as a polynomial in t; each bound is a rational or "t"."""
-        out = [GR_ZERO] * (1 + max((i + 1 + j for i, j in self.terms), default=-1))
-        for (i, j), c in self.terms.items():
-            c = c * Fraction(1, i + 1)  # s^i -> (hi^(i+1) - lo^(i+1)) / (i+1)
+        out = Poly.of()
+        for i, row in enumerate(self.rows(), 1):  # s^(i-1) -> (hi^i - lo^i) / i
             for bound, sign in ((hi, 1), (lo, -1)):
                 if bound == "t":
-                    out[i + 1 + j] += c * sign
+                    out += row.times_x(i) * Fraction(sign, i)
                 else:
-                    out[j] += c * (sign * _frac(bound) ** (i + 1))
-        return Poly(tuple(out))
+                    out += row * (sign * _frac(bound) ** i / i)
+        return out
 
-    def eval(self, x, t) -> GaussianRational:
-        """Exact p(x, t); the powers of each variable are tabulated once."""
-        powers = []
-        for k, v in enumerate((x, t)):
-            v = _as_gr(v)
-            v = v if v.im else v.re  # real powers scale coefficients without a complex product
-            row = [1]
-            for _ in range(max((e[k] for e in self.terms), default=0)):
-                row.append(row[-1] * v)
-            powers.append(row)
-        acc = GR_ZERO
-        for (i, j), c in self.terms.items():
-            acc = acc + c * powers[0][i] * powers[1][j]
-        return acc
+    def eval(self, x, t):
+        """Exact p(x, t): the rows' values at t as the coefficients of a `Poly` in x."""
+        return Poly([row(t) for row in self.rows()])(x)
 
     def to_json(self):
         """[{"exp": [i, j], "coeff": ...}] in sorted (i, j) order, each
         coefficient reduced by one gcd per part."""
         den = self.table[2]
-        return [{"exp": [i, j], "coeff": _json_value(r, m, den)}
-                for i, j, r, m in self._entries()]
+        return [{"exp": [i, j], "coeff": _json_value(r, m, den)} for i, j, r, m in self.terms]

@@ -39,10 +39,9 @@ of each u-column by a gives the table of A(a+w, u), from which A(a-t, u)
 (w = -t), A(a+u, u) (w = u) and A(a, u) (w = 0) are read without further
 integration.  Expanding u^l = (x-t)^l by binomial sums returns both pieces
 in (x, t).  All of it runs on integer numerators over one common
-denominator.  Each piece keeps those integer tables (`MPoly.from_table`):
-`to_json` reduces each coefficient by one gcd, and the `GaussianRational`
-terms that `u_at`, the exact checks and `MPoly` arithmetic read are built
-on first read.
+denominator.  Each piece is those integer tables (`MPoly`): `to_json`
+reduces each coefficient by one gcd, and `u_at` and the exact checks read
+the tables' rows as integer `Poly`s.
 
 The float tables, `BezoutKernel.float_pieces` and `MFunctions.float_table`
 (built on first read, so the `kernel` task never pays for them), are in
@@ -66,8 +65,7 @@ from operator import add
 import numpy as np
 
 from .exact import (
-    GR_ONE,
-    GR_ZERO,
+    GR,
     GaussianRational,
     MPoly,
     Poly,
@@ -150,7 +148,7 @@ class BezoutKernel:
         """(lower, upper): dense complex coefficients C[i, j] of xi^i tau^j of
         each piece, in the centered variables xi = 2x/a - 1, tau = 2t/a - 1
         (module doc); built on first read."""
-        return tuple(_centered_table(piece.table, self.a) for piece in (self.u_lower, self.u_upper))
+        return tuple(_centered_table(piece, self.a) for piece in (self.u_lower, self.u_upper))
 
     def centered(self, x):
         """2x/a - 1: the variable of `float_pieces`, [0, a] onto [-1, 1]."""
@@ -192,20 +190,18 @@ def _center(vectors: list, a: Fraction) -> int:
     return q2 ** n
 
 
-def _centered_table(table: tuple, a: Fraction) -> np.ndarray:
-    """The piece with integer table (re, im, den) in xi = 2x/a - 1 and
-    tau = 2t/a - 1: complex C[i, j] of xi^i tau^j, trimmed to the piece's
-    nonzero extent (dx, dt).
+def _centered_table(piece: MPoly, a: Fraction) -> np.ndarray:
+    """The piece in xi = 2x/a - 1 and tau = 2t/a - 1: complex C[i, j] of
+    xi^i tau^j, trimmed to the piece's nonzero extent (dx, dt).
 
     `_center` along t (the columns), then along x (the rows), gives the
     centered table over den (2q)^(dt+dx), all in integers; each part is
     then one correctly rounded division (`to_floats`).
     """
-    re, im, den = table
-    cells = [(i, j) for i, (row_re, row_im) in enumerate(zip(re, im))
-             for j, (r, m) in enumerate(zip(row_re, row_im)) if r or m]
-    dx = max((i for i, _ in cells), default=0)
-    dt = max((j for _, j in cells), default=0)
+    re, im, den = piece.table
+    terms = piece.terms
+    dx = max((i for i, *_ in terms), default=0)
+    dt = max((j for _, j, *_ in terms), default=0)
     # cols[j]: the tau^j coefficients of the re rows 0..dx, then the im rows
     cols = [[part[i][j] for part in (re, im) for i in range(dx + 1)] for j in range(dt + 1)]
     den *= _center(cols, a)
@@ -248,7 +244,7 @@ def normalize_pair(psi1: Poly, psi2: Poly, a) -> NormalizedPair:
 
 def build_m_functions(pair: NormalizedPair) -> MFunctions:
     a = pair.a
-    one = Poly.of(GR_ONE)
+    one = Poly.of(1)
     # int_t^a psi = P(a) - P(t) with P(a) = 1, the normalized mass
     phi1, phi2 = (one - psi.antiderivative() for psi in (pair.psi1, pair.psi2))
     return MFunctions(phi1, phi2, phi2 + phi1.reflect(a) - one, a)
@@ -322,12 +318,12 @@ def _kernel_pieces(pair: NormalizedPair) -> tuple:
         add(*lower, -lo_re[j], -lo_im[j], 0, 0, j)
         add(ure, uim, -up_re[j], -up_im[j], 0, 0, j)
 
-    return MPoly.from_table(*lower, den), MPoly.from_table(ure, uim, den)
+    return MPoly(*lower, den), MPoly(ure, uim, den)
 
 
 def build_kernel(pair: NormalizedPair) -> BezoutKernel:
     """Exact kernel pieces from one table of one-dimensional integrals; c = -1."""
-    return BezoutKernel(-GR_ONE, *_kernel_pieces(pair), pair.a)
+    return BezoutKernel(GR(-1), *_kernel_pieces(pair), pair.a)
 
 
 def adjoint_apply_to_one(k: BezoutKernel) -> Poly:
@@ -346,11 +342,8 @@ def check_adjoint_identity(k: BezoutKernel, mf: MFunctions) -> bool:
 
 
 def _on_diagonal(u: MPoly) -> Poly:
-    """p(x, x) as a univariate polynomial."""
-    cs = [GR_ZERO] * (1 + max((i + j for i, j in u.terms), default=-1))
-    for (i, j), c in u.terms.items():
-        cs[i + j] += c
-    return Poly(tuple(cs))
+    """p(x, x) = sum_i x^i p_i(x) as a univariate polynomial."""
+    return sum((row.times_x(i) for i, row in enumerate(u.rows())), Poly.of())
 
 
 def check_diagonal_continuity(k: BezoutKernel) -> bool:

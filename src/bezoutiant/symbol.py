@@ -74,9 +74,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cache
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from typing import Optional
 
 import numpy as np
@@ -129,7 +128,8 @@ class DiffOperator:
 
 
 def _w(f1: ClosedTransform, f21: ClosedTransform, lo: int, hi: int) -> tuple:
-    """W_m = i^m [w^(m+2)] D, D = P1 Q21 - P21 Q1, for lo <= m < hi (module doc)."""
+    """(re, im, den) with W_m = (re[m - lo] + i im[m - lo]) / den, for lo <= m < hi:
+    W_m = i^m [w^(m+2)] D, D = P1 Q21 - P21 Q1 (module doc)."""
     (p1r, p1i, p1d), (q1r, q1i, q1d) = f1.p, f1.q
     (p2r, p2i, p2d), (q2r, q2i, q2d) = f21.p, f21.q
     n1, n2 = len(p1r), len(p2r)
@@ -146,7 +146,7 @@ def _w(f1: ClosedTransform, f21: ClosedTransform, lo: int, hi: int) -> tuple:
             ti += p2r[j] * q1i[k] + p2i[j] * q1r[k]
         dr.append(sr * s_scale - tr * t_scale)
         di.append(si * s_scale - ti * t_scale)
-    return from_numerators(*_times_i_powers(dr, di, den, lo))
+    return _times_i_powers(dr, di, den, lo)
 
 
 def _equal(left, right, conjugate: bool = False) -> bool:
@@ -169,19 +169,23 @@ def _transforms(pair: NormalizedPair) -> tuple:
 
 
 def v_symbol(pair: NormalizedPair) -> Poly:
-    """Exact symbol V(u): its u^m coefficient is W_{Q+m} / m!."""
-    w = _w(*_transforms(pair), pair.psi1.degree, 2 * pair.psi1.degree + 1)
-    return Poly(tuple(c * Fraction(1, math.factorial(m)) for m, c in enumerate(w)))
+    """Exact symbol V(u): its u^m coefficient is W_{Q+m} / m!, m = 0..Q,
+    on integers over den Q!."""
+    q = pair.psi1.degree
+    re, im, den = _w(*_transforms(pair), q, 2 * q + 1)
+    f = [math.factorial(q) // math.factorial(m) for m in range(q + 1)]  # q! / m!
+    return Poly._of([x * c for x, c in zip(re, f)], [y * c for y, c in zip(im, f)], den * f[0])
 
 
 def l_operator(pair: NormalizedPair) -> DiffOperator:
     """Exact coefficients of L(D) = sum_s W_{Q-1-s} D^s."""
-    return DiffOperator(tuple(reversed(_w(*_transforms(pair), 0, pair.psi1.degree))))
+    w = from_numerators(*_w(*_transforms(pair), 0, pair.psi1.degree))
+    return DiffOperator(tuple(reversed(w)))
 
 
 def monomial_density(m: int, n: int, a) -> Poly:
     """x^m (a - x)^n as an exact polynomial."""
-    lin = Poly.of(GR(_frac(a)), GR(-1))
+    lin = Poly.of(_frac(a), -1)
     out = Poly.of(1)
     for _ in range(n):
         out = out * lin
@@ -220,8 +224,8 @@ def monomial_order(m1: int, n1: int, m2: int, n2: int, a) -> tuple:
     r = max(r1, r2)
     if r < 0:
         raise AssertionError("internal: r < 0 outside the coincidence case")
-    b1 = GR(Fraction((-1) ** (m1 + 1)) * a ** (n1 + n2) * math.factorial(m2) * math.factorial(m1))
-    b2 = GR(Fraction((-1) ** n2) * a ** (m1 + m2) * math.factorial(n2) * math.factorial(n1))
+    b1 = (-1) ** (m1 + 1) * a ** (n1 + n2) * math.factorial(m2) * math.factorial(m1)
+    b2 = (-1) ** n2 * a ** (m1 + m2) * math.factorial(n2) * math.factorial(n1)
     if r1 == r2:
         leading = b1 + b2
         if not leading:
@@ -231,18 +235,39 @@ def monomial_order(m1: int, n1: int, m2: int, n2: int, a) -> tuple:
                 "is strictly smaller")
     else:
         leading = b1 if r1 > r2 else b2
-    return r, leading
+    return r, GR(leading)
 
 
 #: p = 1 (mod 4), the first such prime above 2^30: the primes p = 1 (mod 4)
 #: from here up are the moduli of the search for G (module doc: the verdict).
 PRIME = 1073741833
 
+#: Miller-Rabin bases: together they decide primality exactly below 3.1e23
+#: (psi_12; Sorenson & Webster, Math. Comp. 86, 2017), far above the moduli.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin over `_BASES` for n > 1; an n that a base
+    divides is prime iff it is that base.  With n - 1 = d 2^r, d odd, a base
+    b is a witness to n composite unless b^d = 1 or b^(d 2^k) = -1 (mod n)
+    for some k < r."""
+    if any(n % b == 0 for b in _BASES):
+        return n in _BASES
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # the lowest set bit of n - 1
+    d = (n - 1) >> r
+    for b in _BASES:
+        x = pow(b, d, n)  # then its squares, up to b^(d 2^(r-1))
+        if x != 1 and n - 1 not in accumulate(range(r - 1), lambda y, _: y * y % n, initial=x):
+            return False
+    return True
+
+
 @cache
 def _modulus(n: int) -> tuple:
-    """(p, s): the least prime p >= n, p = n = 1 (mod 4), by trial division,
-    and s = c^((p-1)/4), c the least non-residue mod p: s^2 = -1 (mod p)."""
-    while not all(n % d for d in range(3, math.isqrt(n) + 1, 2)):
+    """(p, s): the least prime p >= n, p = n = 1 (mod 4), n > 1, and
+    s = c^((p-1)/4), c the least non-residue mod p: s^2 = -1 (mod p)."""
+    while not _is_prime(n):
         n += 4
     c = next(c for c in range(2, n) if pow(c, (n - 1) // 2, n) == n - 1)
     return n, pow(c, (n - 1) // 4, n)
@@ -337,9 +362,6 @@ OUTCOME_COMMON = "CommonZeros"
 OUTCOME_COINCIDE = "ZeroSetsCoincide"
 OUTCOME_INCONCLUSIVE = "Inconclusive"
 
-#: The one coefficient class: exact Gaussian rationals (reported in `diagnostics`).
-COEFF_RATIONAL = "rational"
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -367,7 +389,7 @@ def decide(psi1: Poly, psi2: Poly, a) -> Verdict:
     transforms = f1, f21 = closed_form(psi1, a), reflected_transform(psi2, a)
     swapped = psi1.degree < psi2.degree
     r1, r2 = psi1.integral(0, a), psi2.integral(0, a)
-    diagnostics: dict = {"coeff_class": COEFF_RATIONAL, "swapped": swapped, "normalizers": [
+    diagnostics: dict = {"swapped": swapped, "normalizers": [
         r.to_json() for r in ((r2, r1) if swapped else (r1, r2))]}
 
     f = f21 if swapped else f1  # F_2 = c R(F_2) iff F_{2,1} = conj(c) R(F_{2,1})
@@ -378,8 +400,7 @@ def decide(psi1: Poly, psi2: Poly, a) -> Verdict:
                        diagnostics, transforms)
 
     top = max(psi1.degree, psi2.degree)
-    m0 = next((m for m in range(top) if _w(f1, f21, m, m + 1)[0]), None)
-    diagnostics["v_is_zero"] = True  # W_r = 0 for r >= Q (module doc)
+    m0 = next((m for m in range(top) if _w(f1, f21, m, m + 1)[:2] != ([0], [0])), None)
     diagnostics["l_order"] = None if m0 is None else top - 1 - m0
 
     if m0 is None:

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -120,24 +124,46 @@ def test_zero_trimming_and_degree():
     assert Poly.of().degree == -1
 
 
-def test_mpoly_roundtrip(rng):
-    # 3x^2 + x t - 1/2, with zero terms dropped
-    p = MPoly({(2, 0): 3, (1, 1): 1, (0, 0): GR(F(-1, 2)), (0, 3): 0})
-    assert p.terms.keys() == {(2, 0), (1, 1), (0, 0)}
+def real_mpoly(rows, den=1):
+    """The MPoly with real integer table `rows` over `den`."""
+    return MPoly(rows, [[0] * len(row) for row in rows], den)
+
+
+def test_mpoly_roundtrip():
+    # 3x^2 + x t - 1/2 over den 2, with a zero column t^3 and a zero row x^3
+    p = real_mpoly([[-1, 0, 0, 0], [0, 2, 0, 0], [6, 0, 0, 0], [0, 0, 0, 0]], 2)
+    assert p.terms == [(0, 0, -1, 0), (1, 1, 2, 0), (2, 0, 6, 0)]
     assert p.eval(F(1, 2), 2) == GR(F(3, 4) + 1 - F(1, 2))
-    assert p.eval(GR(0, 1), 1) == GR(-3, 1) + GR(F(-1, 2))
-    assert p == MPoly(dict(p.terms)) and p != p * 2
+    assert p.eval(GR(0, 1), 1) == GR(F(-7, 2), 1)
+    # the same polynomial over another denominator, without the zero row and column
+    assert p == real_mpoly([[-2, 0], [0, 4], [12, 0]], 4) and p != p * 2
     assert (p * GR(0, 1)).eval(1, 1) == GR(0, F(7, 2))
-    assert MPoly({(0, 0): 0}).is_zero
+    assert (p * GR(0, 1)).table == ([[0] * 4] * 4, [[-1, 0, 0, 0], [0, 2, 0, 0], [6, 0, 0, 0],
+                                                    [0, 0, 0, 0]], 2)
+    assert real_mpoly([[0]]).is_zero and real_mpoly([]).is_zero and not p.is_zero
     assert p.to_json()[0] == {"exp": [0, 0], "coeff": "-1/2"}
+    assert p.to_json()[2] == {"exp": [2, 0], "coeff": "3"}
 
 
 def test_mpoly_definite_integral():
     # int_0^t 2s ds = t^2;  int_t^3 2s t ds = 9t - t^3;  int_1^2 s t^2 ds = 3/2 t^2
-    assert MPoly({(1, 0): 2}).definite_integral(0, "t") == Poly.of(0, 0, 1)
-    assert MPoly({(1, 1): 2}).definite_integral("t", 3) == Poly.of(0, 9, 0, -1)
-    assert MPoly({(1, 2): 1}).definite_integral(1, F(2)) == Poly.of(0, 0, F(3, 2))
-    assert MPoly({}).definite_integral(0, "t").is_zero
+    assert real_mpoly([[0], [2]]).definite_integral(0, "t") == Poly.of(0, 0, 1)
+    assert real_mpoly([[0, 0], [0, 2]]).definite_integral("t", 3) == Poly.of(0, 9, 0, -1)
+    assert real_mpoly([[0, 0, 0], [0, 0, 1]]).definite_integral(1, F(2)) == Poly.of(0, 0, F(3, 2))
+    assert real_mpoly([]).definite_integral(0, "t").is_zero
+    # int_0^1 (x/3 + i t) ds = 1/6 + i t, over den 3
+    assert MPoly([[0, 0], [1, 0]], [[0, 3], [0, 0]], 3).definite_integral(0, 1) == Poly.of(
+        F(1, 6), GR(0, 1))
+
+
+def test_exact_core_imports_no_numpy():
+    # the package re-exports nothing, so importing `bezoutiant.exact`
+    # loads the standard library only
+    import bezoutiant.exact
+    src = str(Path(bezoutiant.exact.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, bezoutiant.exact; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_float_boundary_refuses_values_out_of_range():

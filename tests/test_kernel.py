@@ -74,8 +74,9 @@ def test_kernel_coincidence_vanishes():
 def test_kernel_fixture():
     pair = normalize_pair(ONE, TWO_T, 1)
     k = build_kernel(pair)
-    assert k.u_lower == MPoly({(1, 0): -2, (1, 1): 2})  # -2x(1-t)
-    assert k.u_upper == MPoly({(0, 1): -2, (1, 1): 2})  # -2t(1-x)
+    zero = [[0, 0], [0, 0]]
+    assert k.u_lower == MPoly([[0, 0], [-2, 2]], zero, 1)  # -2x(1-t)
+    assert k.u_upper == MPoly([[0, -2], [0, 2]], zero, 1)  # -2t(1-x)
     assert k.c == GR(-1)
     # diagonal value -2x(1-x)
     assert k.u_at(F(1, 4), F(1, 4)) == GR(F(-2, 4) * F(3, 4))
@@ -107,12 +108,14 @@ def test_exact_checks_reject_a_perturbed_coefficient(rng):
         k, mf = build_kernel(pair), build_m_functions(pair)
         assert check_adjoint_identity(k, mf) and check_diagonal_continuity(k)
         for piece in ("u_lower", "u_upper"):
-            terms = dict(getattr(k, piece).terms)
-            exp = rng.choice(sorted(terms))
-            for delta in (GR(F(1, 7)), GR(0, F(1, 7))):
-                bad = replace(k, **{piece: MPoly({**terms, exp: terms[exp] + delta})})
-                assert not check_adjoint_identity(bad, mf), (piece, exp, delta)
-                assert not check_diagonal_continuity(bad), (piece, exp, delta)
+            re, im, den = getattr(k, piece).table
+            i, j, *_ = rng.choice(getattr(k, piece).terms)
+            for part in (0, 1):  # 1/7 or i/7 added to the x^i t^j coefficient
+                table = [[[7 * v for v in row] for row in rows] for rows in (re, im)]
+                table[part][i][j] += den
+                bad = replace(k, **{piece: MPoly(*table, 7 * den)})
+                assert not check_adjoint_identity(bad, mf), (piece, i, j, part)
+                assert not check_diagonal_continuity(bad), (piece, i, j, part)
 
 
 def test_adjoint_identity_random(rng):
@@ -205,8 +208,8 @@ def test_kernel_json():
 
 
 def test_kernel_tables_match_their_terms(rng):
-    # the JSON read off the integer tables equals that of the
-    # GaussianRational terms built from them
+    # `terms` lists every nonzero table entry, and the JSON written from
+    # them equals that of the GaussianRational each one is
     for _ in range(12):
         a = rng.choice((1, F(7, 3), F(1, 2)))
         psi1, psi2 = (random_admissible_poly(rng, rng.randint(0, 8), a, rng.random() < 0.7)
@@ -214,8 +217,12 @@ def test_kernel_tables_match_their_terms(rng):
         k = build_kernel(normalize_pair(psi1, psi2, a))
         d = k.to_json()
         for name in ("u_lower", "u_upper"):
-            terms = getattr(k, name).terms
-            assert d[name] == [{"exp": list(e), "coeff": c.to_json()} for e, c in sorted(terms.items())]
+            piece = getattr(k, name)
+            re, im, den = piece.table
+            assert piece.terms == [(i, j, re[i][j], im[i][j]) for i in range(len(re))
+                                   for j in range(len(re[i])) if re[i][j] or im[i][j]]
+            assert d[name] == [{"exp": [i, j], "coeff": GR(F(r, den), F(m, den)).to_json()}
+                               for i, j, r, m in piece.terms]
 
 
 def test_float_pieces_are_the_centered_coefficients(rng):
@@ -229,13 +236,13 @@ def test_float_pieces_are_the_centered_coefficients(rng):
         k = build_kernel(normalize_pair(psi1, psi2, a))
         h = F(a) / 2
         for piece, floats in zip((k.u_lower, k.u_upper), k.float_pieces):
-            terms = piece.terms
-            want = np.zeros((1 + max((i for i, _ in terms), default=0),
-                             1 + max((j for _, j in terms), default=0)), dtype=complex)
+            terms, den = piece.terms, piece.table[2]
+            want = np.zeros((1 + max((i for i, *_ in terms), default=0),
+                             1 + max((j for _, j, *_ in terms), default=0)), dtype=complex)
             for r, s in np.ndindex(want.shape):
-                parts = [sum((getattr(c, part) * h ** (i + j) * comb(i, r) * comb(j, s)
-                              for (i, j), c in terms.items() if i >= r and j >= s), F(0))
-                         for part in ("re", "im")]
+                parts = [sum((F(c[part], den) * h ** (i + j) * comb(i, r) * comb(j, s)
+                              for i, j, *c in terms if i >= r and j >= s), F(0))
+                         for part in (0, 1)]
                 want[r, s] = complex(*map(float, parts))
             assert floats.shape == want.shape and floats.tobytes() == want.tobytes()
 

@@ -177,8 +177,9 @@ def test_kernel_pieces_match_sympy_integration(a, psi1, psi2):
     upper = integrate(integrand, t, A + t - x)
 
     def piece(mp):
-        return sum((sym(c) * x ** i * t ** j for (i, j), c in mp.terms.items()),
-                   sp.Integer(0))
+        den = mp.table[2]
+        return sum(((sp.Rational(r, den) + sp.I * sp.Rational(m, den)) * x ** i * t ** j
+                    for i, j, r, m in mp.terms), sp.Integer(0))
 
     for got, want in ((k.u_lower, lower), (k.u_upper, upper)):
         assert sp.Poly(piece(got) - want, x, t, domain="QQ_I").is_zero
@@ -380,6 +381,28 @@ def test_laurent_gcd_matches_sympy_gcd():
 
     check()
     assert max(primes) >= 3
+
+
+@pytest.mark.parametrize("start", [symbol.PRIME, 13], ids=["package-prime", "p13"])
+def test_modulus_primes_match_sympy(start):
+    # the Miller-Rabin search steps through the same primes p = 1 (mod 4)
+    # as sympy's primality test, each with a square root of -1 mod p
+    n = start
+    for _ in range(60):
+        p, s = symbol._modulus(n)
+        assert p == next(q for q in range(n, 2 * n, 4) if sp.isprime(q))
+        assert pow(s, 2, p) == p - 1
+        n = p + 4
+
+
+def test_miller_rabin_matches_sympy():
+    assert [n for n in range(2, 5000) if symbol._is_prime(n)] == list(sp.primerange(2, 5000))
+    # strong pseudoprimes to the bases 2..7, 2..11, 2..13, 2..17 and 2..23
+    for n in (3215031751, 2152302898747, 3474749660383, 341550071728321, 3825123056546413051):
+        assert not sp.isprime(n) and not symbol._is_prime(n)
+    # psi_12, the least strong pseudoprime to all twelve bases: below it
+    # the test is exact, and every modulus searched is far below it
+    assert not sp.isprime(318665857834031151167461) and symbol._is_prime(318665857834031151167461)
 
 
 # -- Fraction-by-Fraction references for the integer-numerator paths --------

@@ -95,7 +95,8 @@ def test_boundary_sum_identity_and_zero_symbol(p, q, a):
     g1 = pair.psi1.conjugate()
     d = _d(*_normalized_transforms(pair))
     i_powers = (GR(1), GR(0, 1), GR(-1), GR(0, -1))
-    w = [d.coeff(m + 2) * i_powers[m % 4] for m in range(2 * Q + 1)]
+    coeffs = d.coeffs + (GR(0),) * (2 * Q + 3)  # [w^k] D, zero past its degree
+    w = [coeffs[m + 2] * i_powers[m % 4] for m in range(2 * Q + 1)]
     for m, w_m in enumerate(w):
         integrand = (_nth_derivative(pair.psi2, m + 1) * g1
                      + pair.psi2 * _nth_derivative(g1, m + 1) * (-1) ** m)
