@@ -1,4 +1,4 @@
-"""Exact arithmetic core: Gaussian rationals and polynomials over them.
+"""Exact arithmetic core: polynomials over the Gaussian rationals.
 
 Everything in this module is exact.  Coefficients are rationals of
 arbitrary precision, and nothing here evaluates in floats.  `to_floats`
@@ -7,35 +7,35 @@ float that the zero locator and the operator check read is an exact value
 divided once by it, correctly rounded, and a value outside float range is
 refused with `FloatRangeError`.
 
-A `Poly` is one canonical integer triple (re, im, den): coefficient k is
-(re[k] + i im[k]) / den, den > 0, gcd(den, re..., im...) = 1, no trailing
-zero.  Every operation (parsing, ring operations, scalar division,
-calculus, affine composition, conjugation, jets) runs on the integers and
-puts its result in canonical form with one gcd over the whole triple;
-`Fraction`s appear only in the `GaussianRational` views (`coeffs`, values
-at a point), built when read.  An `MPoly`, a kernel piece, is one integer
-table over one denominator, and its exact operations run on its rows as
-`Poly`s, so no package code does `GaussianRational` arithmetic.  In
-particular
+An exact scalar is an integer triple (re, im, den) = (re + i im) / den,
+den > 0, reduced once (`_reduced`): the shape of one `Poly` coefficient.
+Values at a point (`Poly.__call__`, `MPoly.eval`) and definite integrals
+(`Poly.integral`) are returned as such triples, and `_json_value` writes
+one.  A `Poly` is one canonical integer triple (re, im, den): coefficient
+k is (re[k] + i im[k]) / den, den > 0, gcd(den, re..., im...) = 1, no
+trailing zero.  Every operation (parsing, ring operations, scalar
+division, calculus, reflection, conjugation, jets) runs on the integers
+and puts its result in canonical form with one gcd over the whole triple.
+An `MPoly`, a kernel piece, is one integer table over one denominator,
+and its exact operations run on its rows as `Poly`s.  In particular
 
 * spec literals (`Poly.from_json`): a plain ASCII "p" or "p/q" goes
   straight to `int` and over one lcm, so no `Fraction` is built; every
   other literal goes through `parse_rational`, which words every refusal;
-* definite integrals (`Poly.integral`): int_lo^hi p = sum_k c_k
-  (hi^(k+1) - lo^(k+1)) / (k+1) is one sum of integer products over
-  den q^(n+1) lcm(1..n+1), with q the bounds' common denominator; real
-  bounds (the masses, over [0, a]) multiply integer powers only, and
-  Gaussian bounds Gaussian-integer ones;
+* definite integrals (`Poly.integral`, over real bounds; the masses are
+  over [0, a]): int_lo^hi p = sum_k c_k (hi^(k+1) - lo^(k+1)) / (k+1) is
+  one sum of integer products over den q^(n+1) lcm(1..n+1), with q the
+  bounds' common denominator;
 * division by a scalar (`Poly.__truediv__`): each coefficient of p / r is
   one Gaussian-integer product (p_r + i p_i)(r_r - i r_i) r_d over
   den |r|^2, for r = (r_r + i r_i) / r_d;
-* derivative jets (`Poly.jet_numerators`): p^(k)(x) = k! [s^k] p(x + s)
-  from one Taylor shift, with k! and the powers of x's denominator folded
-  into the integers, so the transforms' Laurent numerators (which `symbol`
-  sums over) are integer lists, each entry reduced once when read.  At a
-  real x (the transforms take jets at 0 and a) x's numerator and
-  denominator are read directly and the shift runs on each part alone,
-  in integer multiply-adds (none at x = 0).
+* derivative jets (`Poly.jet_numerators`) at a real x (the transforms
+  take them at 0 and a): p^(k)(x) = k! [s^k] p(x + s) from one Taylor
+  shift of each part (`_shift_real`, integer multiply-adds, none at
+  x = 0), with k! and the powers of x's denominator folded into the
+  integers, so the transforms' Laurent numerators (which `symbol` sums
+  over) are integer lists, each entry reduced once when read.  The same
+  shift gives the reflection t -> conj p(a - t).
 
 Exact values leave as JSON strings "p/q" or "p" (`_ratio_str`).  Python
 refuses to convert an integer of more than `sys.get_int_max_str_digits()`
@@ -46,9 +46,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import zip_longest
 from math import gcd, lcm
 from typing import Iterable, Union
@@ -188,155 +186,27 @@ def _ratio_str(num: int, den: int) -> str:
 
 
 def _json_value(re: int, im: int, den: int):
-    """(re + i im) / den as `GaussianRational.to_json` writes it."""
+    """The exact scalar (re + i im) / den as JSON: "p/q" (or "p") when real,
+    else {"re": "p/q", "im": "r/s"}."""
     if not im:
         return _ratio_str(re, den)
     return {"re": _ratio_str(re, den), "im": _ratio_str(im, den)}
 
 
-@dataclass(frozen=True)
-class GaussianRational:
-    """Complex number with exact rational real and imaginary parts."""
-
-    re: Fraction
-    im: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "re", _frac(self.re))
-        object.__setattr__(self, "im", _frac(self.im))
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_json(cls, obj) -> "GaussianRational":
-        """Accepts "p/q" or an integer (real) or {"re": "p/q", "im": "r/s"}
-        (one key may be left out).
-
-        Any other part (a float, null, a boolean, a list), any other key and
-        an empty object raise ValueError.
-        """
-        (p, q), (r, s) = _json_parts(obj)
-        return cls(Fraction(p, q), Fraction(r, s))
-
-    def to_json(self):
-        if self.im == 0:
-            return _ratio_str(self.re.numerator, self.re.denominator)
-        return {"re": _ratio_str(self.re.numerator, self.re.denominator),
-                "im": _ratio_str(self.im.numerator, self.im.denominator)}
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _coerce(self, other) -> "GaussianRational":
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return GaussianRational(self.re - o.re, self.im - o.im)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re * other, self.im * other)
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
-
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self.re == o.re and self.im == o.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __repr__(self):
-        if self.im == 0:
-            return f"GR({self.re})"
-        return f"GR({self.re}, {self.im})"
-
-
-GR = GaussianRational
-
-
-def _as_gr(x) -> GaussianRational:
-    if isinstance(x, GaussianRational):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GR(x)
-    raise TypeError(f"cannot interpret {x!r} as a Gaussian rational")
-
-
-def numerators(values) -> tuple:
-    """Integer numerators (re, im) of Gaussian rationals over their least common denominator."""
-    den = 1
-    for v in values:
-        den = lcm(den, v.re.denominator, v.im.denominator)
-    re = [v.re.numerator * (den // v.re.denominator) for v in values]
-    im = [v.im.numerator * (den // v.im.denominator) for v in values]
-    return re, im, den
-
-
-def from_numerators(re, im, den) -> tuple:
-    """Gaussian rationals (re[k] + i im[k]) / den, each reduced once."""
-    return tuple(GaussianRational(Fraction(r, den), Fraction(i, den))
-                 for r, i in zip(re, im))
-
-
-def taylor_shift(re: list, im: list, xr: int, xi: int = 0) -> None:
-    """In place: coefficients of p(x + s) from those of p(s), x = xr + i xi.
-
-    Integer (re, im) lists in ascending powers; Horner's rule run once per
-    degree, O(n^2) Gaussian-integer multiply-adds (von zur Gathen and
-    Gerhard 1997, method B).  A real x (xi = 0) shifts each part on its
-    own: integer multiply-adds by xr, plain additions when xr = 1.
-    """
-    if not xi:
-        _shift_real(re, xr)
-        _shift_real(im, xr)
-        return
-    n = len(re) - 1
-    for i in range(n):
-        for j in range(n - 1, i - 1, -1):
-            r, m = re[j + 1], im[j + 1]
-            re[j] += xr * r - xi * m
-            im[j] += xr * m + xi * r
+def _reduced(re: int, im: int, den: int) -> tuple:
+    """The exact scalar (re + i im) / den, den > 0, in lowest terms."""
+    g = gcd(re, im, den)
+    return re // g, im // g, den // g
 
 
 def _shift_real(c: list, x: int) -> None:
-    """In place: c(x + s) from c(s) for an integer x; each pass of Horner's
-    rule keeps its running value in one accumulator."""
+    """In place: the coefficients of c(x + s) from those of c(s), for an
+    integer list c in ascending powers and an integer x.
+
+    Horner's rule run once per degree, O(n^2) integer multiply-adds (von
+    zur Gathen and Gerhard 1997, method B), plain additions when x = 1;
+    each pass keeps its running value in one accumulator.
+    """
     n = len(c) - 1
     if not any(c):
         return
@@ -353,30 +223,33 @@ def _shift_real(c: list, x: int) -> None:
 
 
 def _point(x) -> tuple:
-    """(xr, xi, xd) with x = (xr + i xi) / xd, xd > 0; a real x (an int or
-    a Fraction) is read off directly, with no `GaussianRational`."""
-    if isinstance(x, (int, Fraction)):
-        return x.numerator, 0, x.denominator
-    (xr,), (xi,), xd = numerators((_as_gr(x),))
-    return xr, xi, xd
+    """(xr, xi, xd) with x = (xr + i xi) / xd, xd > 0, for an exact scalar
+    triple or a rational (an int, a Fraction or a literal)."""
+    if isinstance(x, tuple):
+        return x
+    x = _frac(x)
+    return x.numerator, 0, x.denominator
 
 
 def _shifted_numerators(triple: tuple, x) -> tuple:
-    """(re, im, den, xd) with [s^k] p(x + s) = (re[k] + i im[k]) xd^k / den.
+    """(re, im, den, xd) with [s^k] p(x + s) = (re[k] + i im[k]) xd^k / den,
+    for a real x.
 
-    With x = (xr + i xi)/xd, xd^n p(x + w/xd) has Gaussian-integer
-    coefficients over p's denominator (`triple` = p's (re, im, den), left
-    unchanged); its w^k coefficient comes from one Taylor shift by xr + i xi.
+    With x = xr/xd, xd^n p(x + w/xd) has Gaussian-integer coefficients over
+    p's denominator (`triple` = p's (re, im, den), left unchanged); its w^k
+    coefficient comes from one Taylor shift of each part by xr.
     """
     (re, im), den = map(list, triple[:2]), triple[2]
-    xr, xi, xd = _point(x)
+    x = _frac(x)
+    xr, xd = x.numerator, x.denominator
     n = len(re) - 1
     if xd != 1:
         for j in range(n + 1):
             re[j] *= xd ** (n - j)
             im[j] *= xd ** (n - j)
-    if xr or xi:
-        taylor_shift(re, im, xr, xi)
+    if xr:
+        _shift_real(re, xr)
+        _shift_real(im, xr)
     return re, im, den * xd ** max(n, 0), xd
 
 
@@ -387,12 +260,8 @@ class Poly:
     coefficient of x^k is (re[k] + i im[k]) / den, with den > 0,
     gcd(den, re..., im...) = 1 and no trailing zero coefficient; the zero
     polynomial is ((), (), 1).  So two polynomials are equal exactly when
-    their triples are.  `coeffs`, the `GaussianRational` tuple in ascending
-    powers, is built on first read.
+    their triples are.
     """
-
-    def __init__(self, coeffs):
-        self._set(*numerators([_as_gr(c) for c in coeffs]))
 
     @classmethod
     def _of(cls, re, im, den: int) -> "Poly":
@@ -414,13 +283,20 @@ class Poly:
 
     @classmethod
     def of(cls, *coeffs) -> "Poly":
-        return cls(coeffs)
+        """The polynomial with the given coefficients in ascending powers,
+        each a rational or an (re, im) pair of rationals."""
+        parts = [tuple(map(_frac, c)) if isinstance(c, tuple) else (_frac(c), Fraction(0))
+                 for c in coeffs]
+        den = lcm(*(f.denominator for pair in parts for f in pair))
+        return cls._of([r.numerator * (den // r.denominator) for r, _ in parts],
+                       [m.numerator * (den // m.denominator) for _, m in parts], den)
 
     @classmethod
     def from_json(cls, items: Iterable) -> "Poly":
-        """Coefficient literals (as `GaussianRational.from_json` reads them),
-        each part read as integers p / q (`_literal`) and put straight over
-        one denominator; canonical form reduces the triple once."""
+        """Coefficient literals: "p/q" or an integer (real) or {"re": "p/q",
+        "im": "r/s"} (one key may be left out), as `_json_parts` reads them.
+        Each part is read as integers p / q (`_literal`) and put straight
+        over one denominator; canonical form reduces the triple once."""
         parts = [_json_parts(c) for c in items]
         den = lcm(*(q for pair in parts for _, q in pair))
         return cls._of([p * (den // q) for (p, q), _ in parts],
@@ -439,10 +315,6 @@ class Poly:
         return hash(self.triple)
 
     # -- structure ---------------------------------------------------------
-
-    @cached_property
-    def coeffs(self) -> tuple:
-        return from_numerators(*self.triple)
 
     @property
     def degree(self) -> int:
@@ -499,9 +371,10 @@ class Poly:
 
     # -- calculus ----------------------------------------------------------
 
-    def __call__(self, x) -> GaussianRational:
-        """p(x) by Horner's rule on integers: with x = (xr + i xi) / xd,
-        xd^n p(x) = sum_k c_k (xr + i xi)^k xd^(n-k) over den."""
+    def __call__(self, x) -> tuple:
+        """The exact scalar p(x), by Horner's rule on integers: with
+        x = (xr + i xi) / xd, xd^n p(x) = sum_k c_k (xr + i xi)^k xd^(n-k)
+        over den."""
         re, im, den = self.triple
         xr, xi, xd = _point(x)
         sr = si = 0
@@ -510,7 +383,7 @@ class Poly:
             sr, si = sr * xr - si * xi + r * scale, sr * xi + si * xr + m * scale
             scale *= xd
         d = den * scale // xd if re else 1  # den xd^n
-        return GaussianRational(Fraction(sr, d), Fraction(si, d))
+        return _reduced(sr, si, d)
 
     def derivative(self) -> "Poly":
         re, im, den = self.triple
@@ -524,62 +397,35 @@ class Poly:
         return Poly._of([0] + [r * (ell // k) for k, r in enumerate(re, 1)],
                         [0] + [m * (ell // k) for k, m in enumerate(im, 1)], den * ell)
 
-    def integral(self, lo, hi) -> GaussianRational:
-        """int_lo^hi p = sum_k c_k (hi^(k+1) - lo^(k+1)) / (k+1), reduced once.
-
-        Real bounds (ints or Fractions) multiply integer powers only."""
+    def integral(self, lo, hi) -> tuple:
+        """The exact scalar int_lo^hi p = sum_k c_k (hi^(k+1) - lo^(k+1)) /
+        (k+1) for real bounds, on integer powers only, reduced once."""
         re, im, den = self.triple
+        lo, hi = _frac(lo), _frac(hi)
         top = len(re)
         ell = lcm(*range(1, top + 1))
         # with bounds L/q and H/q, term k is c_k (H^m - L^m) q^(top-m) (ell/m)
         # over q^top ell, m = k + 1
+        q = lcm(lo.denominator, hi.denominator)
+        low, high = lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator)
         sr = si = 0
-        if isinstance(lo, (int, Fraction)) and isinstance(hi, (int, Fraction)):
-            q = lcm(lo.denominator, hi.denominator)
-            low, high = lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator)
-            hm = lm = 1  # H^m, L^m
-            for m, (r, i) in enumerate(zip(re, im), 1):
-                hm *= high
-                lm *= low
-                w = (hm - lm) * q ** (top - m) * (ell // m)
-                sr += r * w
-                si += i * w
-        else:
-            (l_re, h_re), (l_im, h_im), q = numerators((_as_gr(lo), _as_gr(hi)))
-            hm_re, hm_im, lm_re, lm_im = 1, 0, 1, 0
-            for k in range(top):
-                m = k + 1
-                hm_re, hm_im = hm_re * h_re - hm_im * h_im, hm_re * h_im + hm_im * h_re
-                lm_re, lm_im = lm_re * l_re - lm_im * l_im, lm_re * l_im + lm_im * l_re
-                w = q ** (top - m) * (ell // m)
-                dr, di = (hm_re - lm_re) * w, (hm_im - lm_im) * w
-                sr += re[k] * dr - im[k] * di
-                si += re[k] * di + im[k] * dr
-        d = den * q ** top * ell
-        return GaussianRational(Fraction(sr, d), Fraction(si, d))
+        hm = lm = 1  # H^m, L^m
+        for m, (r, i) in enumerate(zip(re, im), 1):
+            hm *= high
+            lm *= low
+            w = (hm - lm) * q ** (top - m) * (ell // m)
+            sr += r * w
+            si += i * w
+        return _reduced(sr, si, den * q ** top * ell)
 
     # -- transforms of the argument ---------------------------------------
-
-    def compose_affine(self, c0, c1) -> "Poly":
-        """Exact composition p(c0 + c1*t): a Taylor shift by c0, then t -> c1*t."""
-        # the t^k coefficient of p(c0 + c1 t) is [s^k] p(c0 + s) c1^k, over
-        # den yd^k; scaled by yd^(n-k) it is over den yd^n, n = degree
-        re, im, den, xd = _shifted_numerators(self.triple, c0)
-        yr, yi, yd = _point(c1)
-        yr, yi = yr * xd, yi * xd
-        n = len(re) - 1
-        pr, pi = 1, 0  # (yr + i yi)^k
-        for k in range(n + 1):
-            s = yd ** (n - k)
-            re[k], im[k] = (re[k] * pr - im[k] * pi) * s, (re[k] * pi + im[k] * pr) * s
-            pr, pi = pr * yr - pi * yi, pr * yi + pi * yr
-        return Poly._of(re, im, den * yd ** max(n, 0))
 
     def jet_numerators(self, x) -> tuple:
         """(re, im, den) with p^(k)(x) = (re[k] + i im[k]) / den, k = 0..degree.
 
         p^(k)(x) = k! [s^k] p(x + s), read off one Taylor shift; k! and
-        xd^k are folded into the integers.  At x = 0 no shift runs.
+        xd^k are folded into the integers.  x is real; at x = 0 no shift
+        runs.
         """
         re, im, den, xd = _shifted_numerators(self.triple, x)
         f = 1  # k! xd^k
@@ -598,8 +444,15 @@ class Poly:
         return p
 
     def reflect(self, a) -> "Poly":
-        """t -> conj(p(a-t))."""
-        return self.compose_affine(a, -1).conjugate()
+        """t -> conj(p(a-t)) for a real a: the Taylor shift by a gives p(a + s);
+        s = -t negates the odd coefficients, and the conjugation the
+        imaginary parts."""
+        re, im, den, xd = _shifted_numerators(self.triple, a)
+        f = 1  # (-xd)^k
+        for k in range(len(re)):
+            re[k], im[k] = re[k] * f, -im[k] * f
+            f *= -xd
+        return Poly._of(re, im, den)
 
     def times_x(self, k: int = 1) -> "Poly":
         if self.is_zero:
@@ -608,7 +461,7 @@ class Poly:
         return Poly._of((0,) * k + re, (0,) * k + im, den)
 
     def __repr__(self):
-        return f"Poly({list(self.coeffs)!r})"
+        return f"Poly({self.triple!r})"
 
 
 class MPoly:
@@ -665,9 +518,13 @@ class MPoly:
                     out += row * (sign * _frac(bound) ** i / i)
         return out
 
-    def eval(self, x, t):
-        """Exact p(x, t): the rows' values at t as the coefficients of a `Poly` in x."""
-        return Poly([row(t) for row in self.rows()])(x)
+    def eval(self, x, t) -> tuple:
+        """The exact scalar p(x, t): the rows' values at t, over one
+        denominator, as the coefficients of a `Poly` in x."""
+        values = [row(t) for row in self.rows()]
+        den = lcm(*(d for *_, d in values))
+        return Poly._of([r * (den // d) for r, _, d in values],
+                        [m * (den // d) for _, m, d in values], den)(x)
 
     def to_json(self):
         """[{"exp": [i, j], "coeff": ...}] in sorted (i, j) order, each

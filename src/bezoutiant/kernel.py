@@ -40,8 +40,10 @@ of each u-column by a gives the table of A(a+w, u), from which A(a-t, u)
 integration.  Expanding u^l = (x-t)^l by binomial sums returns both pieces
 in (x, t).  All of it runs on integer numerators over one common
 denominator.  Each piece is those integer tables (`MPoly`): `to_json`
-reduces each coefficient by one gcd, and `u_at` and the exact checks read
-the tables' rows as integer `Poly`s.
+reduces each coefficient by one gcd, and `u_at` (an exact scalar triple)
+and the exact checks read the tables' rows as integer `Poly`s.  The
+constant c = -1 is the integer -1, and the masses R_k of `NormalizedPair`
+are exact scalar triples (re, im, den), as `Poly.integral` returns them.
 
 The float tables, `BezoutKernel.float_pieces` and `MFunctions.float_table`
 (built on first read, so the `kernel` task never pays for them), are in
@@ -64,17 +66,7 @@ from operator import add
 
 import numpy as np
 
-from .exact import (
-    GR,
-    GaussianRational,
-    MPoly,
-    Poly,
-    _frac,
-    _ratio_str,
-    float_endpoint,
-    taylor_shift,
-    to_floats,
-)
+from .exact import MPoly, Poly, _frac, _ratio_str, _shift_real, float_endpoint, to_floats
 from .transform import _conjugate
 
 
@@ -91,8 +83,8 @@ class NormalizedPair:
     psi1: Poly
     psi2: Poly
     a: Fraction
-    r1: GaussianRational
-    r2: GaussianRational
+    r1: tuple  # the masses R_k as exact scalars (re, im, den)
+    r2: tuple
 
 
 @dataclass(frozen=True)
@@ -134,12 +126,13 @@ class BezoutKernel:
     both hold integer tables over one denominator (module doc).
     """
 
-    c: GaussianRational
+    c: int
     u_lower: MPoly
     u_upper: MPoly
     a: Fraction
 
-    def u_at(self, x, t) -> GaussianRational:
+    def u_at(self, x, t) -> tuple:
+        """The exact scalar U(x, t) at rational x and t."""
         piece = self.u_lower if _frac(x) < _frac(t) else self.u_upper
         return piece.eval(x, t)
 
@@ -164,7 +157,7 @@ class BezoutKernel:
     def to_json(self):
         return {
             "a": _ratio_str(self.a.numerator, self.a.denominator),
-            "c": self.c.to_json(),
+            "c": str(self.c),
             "u_lower": self.u_lower.to_json(),
             "u_upper": self.u_upper.to_json(),
         }
@@ -176,7 +169,7 @@ def _center(vectors: list, a: Fraction) -> int:
     xi = 2x/a - 1, a = p/q.  Returns (2q)^n.
 
     x^k = p^k (xi + 1)^k / (2q)^k, so coefficient k times p^k (2q)^(n-k),
-    shifted by one (a Taylor shift as `taylor_shift` runs it, in additions
+    shifted by one (a Taylor shift as `_shift_real` runs it, in additions
     only), is the centered coefficient over (2q)^n.
     """
     p, q2 = a.numerator, 2 * a.denominator
@@ -237,7 +230,7 @@ def normalize_pair(psi1: Poly, psi2: Poly, a) -> NormalizedPair:
         raise ValueError("interval endpoint a must be positive")
     r1 = psi1.integral(0, a)
     r2 = psi2.integral(0, a)
-    if not r1 or not r2:
+    if not (r1[0] or r1[1]) or not (r2[0] or r2[1]):
         raise ZeroMassError("a density has zero mass on [0, a]")
     return NormalizedPair(psi1 / r1, psi2 / r2, a, r1, r2)
 
@@ -280,7 +273,8 @@ def _kernel_pieces(pair: NormalizedPair) -> tuple:
     for l in range(d1 + 1):
         cre = [are[j][l] * q ** (top - j) for j in size]
         cim = [aim[j][l] * q ** (top - j) for j in size]
-        taylor_shift(cre, cim, p)
+        _shift_real(cre, p)
+        _shift_real(cim, p)
         for i in size:
             sre[i][l], sim[i][l] = cre[i] * q ** i, cim[i] * q ** i
             are[i][l], aim[i][l] = are[i][l] * q ** top, aim[i][l] * q ** top
@@ -323,7 +317,7 @@ def _kernel_pieces(pair: NormalizedPair) -> tuple:
 
 def build_kernel(pair: NormalizedPair) -> BezoutKernel:
     """Exact kernel pieces from one table of one-dimensional integrals; c = -1."""
-    return BezoutKernel(GR(-1), *_kernel_pieces(pair), pair.a)
+    return BezoutKernel(-1, *_kernel_pieces(pair), pair.a)
 
 
 def adjoint_apply_to_one(k: BezoutKernel) -> Poly:

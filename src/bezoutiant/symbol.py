@@ -80,7 +80,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exact import GR, FloatRangeError, Poly, _frac, from_numerators
+from .exact import FloatRangeError, Poly, _frac, _json_value, _reduced
 # normalize_pair is not called here; perfbench/spans.py wraps symbol.normalize_pair
 from .kernel import NormalizedPair, normalize_pair
 from .transform import (ClosedTransform, _conjugate, _times_i_powers, _to_complex,
@@ -107,13 +107,14 @@ class TieCancellationError(ArithmeticError):
 
 @dataclass(frozen=True)
 class DiffOperator:
-    """L(D) = sum_s coeffs[s] D^s; the zero operator has empty coeffs."""
+    """L(D) = sum_s coeffs[s] D^s, each coefficient an exact scalar triple
+    (re, im, den); the zero operator has empty coeffs."""
 
     coeffs: tuple
 
     def __post_init__(self):
         cs = tuple(self.coeffs)
-        while cs and not cs[-1]:
+        while cs and not (cs[-1][0] or cs[-1][1]):
             cs = cs[:-1]
         object.__setattr__(self, "coeffs", cs)
 
@@ -178,9 +179,9 @@ def v_symbol(pair: NormalizedPair) -> Poly:
 
 
 def l_operator(pair: NormalizedPair) -> DiffOperator:
-    """Exact coefficients of L(D) = sum_s W_{Q-1-s} D^s."""
-    w = from_numerators(*_w(*_transforms(pair), 0, pair.psi1.degree))
-    return DiffOperator(tuple(reversed(w)))
+    """Exact coefficients of L(D) = sum_s W_{Q-1-s} D^s, each reduced once."""
+    re, im, den = _w(*_transforms(pair), 0, pair.psi1.degree)
+    return DiffOperator(tuple(_reduced(r, m, den) for r, m in zip(reversed(re), reversed(im))))
 
 
 def monomial_density(m: int, n: int, a) -> Poly:
@@ -193,7 +194,8 @@ def monomial_density(m: int, n: int, a) -> Poly:
 
 
 def monomial_order(m1: int, n1: int, m2: int, n2: int, a) -> tuple:
-    """Closed order formula for the monomial family; returns (r, leading).
+    """Closed order formula for the monomial family; returns (r, leading),
+    the leading coefficient a real `Fraction`.
 
     r = max(n1 - m2 - 1, m1 - n2 - 1).  The leading coefficient comes from
     the lowest-derivative boundary terms:
@@ -235,7 +237,7 @@ def monomial_order(m1: int, n1: int, m2: int, n2: int, a) -> tuple:
                 "is strictly smaller")
     else:
         leading = b1 if r1 > r2 else b2
-    return r, GR(leading)
+    return r, leading
 
 
 #: p = 1 (mod 4), the first such prime above 2^30: the primes p = 1 (mod 4)
@@ -390,7 +392,7 @@ def decide(psi1: Poly, psi2: Poly, a) -> Verdict:
     swapped = psi1.degree < psi2.degree
     r1, r2 = psi1.integral(0, a), psi2.integral(0, a)
     diagnostics: dict = {"swapped": swapped, "normalizers": [
-        r.to_json() for r in ((r2, r1) if swapped else (r1, r2))]}
+        _json_value(*r) for r in ((r2, r1) if swapped else (r1, r2))]}
 
     f = f21 if swapped else f1  # F_2 = c R(F_2) iff F_{2,1} = conj(c) R(F_{2,1})
     asym = not _equal(f.q, f.p, conjugate=True)  # psi(x) != c conj(psi(a-x))
@@ -409,7 +411,7 @@ def decide(psi1: Poly, psi2: Poly, a) -> Verdict:
                        asym, asym, diagnostics, transforms)
 
     g, diagnostics["certificate"] = _laurent_gcd(f1.p, f1.q, f21.p, f21.q)
-    origin = not r1 and not r2  # F_1(0) = conj R1, F_{2,1}(0) = R2
+    origin = not (r1[0] or r1[1] or r2[0] or r2[1])  # F_1(0) = conj R1, F_{2,1}(0) = R2
     if not g.degree and not origin:
         return Verdict(OUTCOME_NO_COMMON, "Hermite-Lindemann: gcd(P1, Q1, P21, Q21) = 1",
                        asym, asym, diagnostics, transforms)

@@ -8,26 +8,28 @@ j = 1..deg+1, by repeated integration by parts.  `ClosedTransform` holds a
 and P, Q as integer triples (re, im, den), entry j-1 = (re + i im) / den.
 `from_density` takes g's jets at a and at 0 (`Poly.jet_numerators`) and
 applies the units to the integers; `symbol.decide` reads these triples as
-they are.  All else is derived on first use: `osc` and `plain` reduce each
-entry once, and g comes from Q, as g_k = g^(k)(0)/k! = q_(k+1)/(i^(k+1) k!).
+they are.  g is derived on first use, from Q, as g_k = g^(k)(0)/k! =
+q_(k+1)/(i^(k+1) k!).
 
 Every float `eval_many` reads leaves the exact data through
-`exact.to_floats` (a through `float_endpoint`): a Laurent coefficient or
-moment past float range, or an a that rounds to 0.0, raises
+`exact.to_floats` (a through `float_endpoint`): a Laurent or Taylor
+coefficient past float range, or an a that rounds to 0.0, raises
 `FloatRangeError` on the first evaluation, a numeric refusal (exit 4).
 
 Near z = 0 the Laurent form cancels catastrophically; a truncated Taylor
 series of the moments mu_n = int_0^a t^n g(t) dt = sum_k g_k a^(n+k+1) /
 (n+k+1) is used there, summed on integer numerators over one table of the
-powers of a, built only for `moments` or the first point with |z| < r.
+powers of a, built only for the first point with |z| < r.
 Both r and the moment count come from a.  |mu_n| <= a^n int|g|, so the
 terms are bounded by (a|z|)^n / n! and peak near e^(a|z|): r = min(
 SWITCH_RADIUS, 10/a) keeps that peak below e^10, and the series keeps
 every n with (a r)^n / n! > 2^-64, and never fewer than deg + 1 +
 EXTRA_MOMENTS terms.  For a <= 6 that is r = SWITCH_RADIUS and deg + 1 +
-EXTRA_MOMENTS.  Python's int/int division and `Fraction.__float__`
-both round correctly, so every float is complex() of its exact
-coefficient, bit for bit, whichever route built the triple.
+EXTRA_MOMENTS.  The Taylor coefficients mu_n i^n / n! are built on the
+integers too (i^n permutes the parts, n! joins the denominator), so no
+factorial overflows a float and no power of 1j rounds.  Python's int/int
+division rounds correctly, so every float, Laurent or Taylor, is its
+exact coefficient correctly rounded, part by part.
 
 Reflection.  R(F)(z) = e^{iaz} conj F(conj z) is (a, conj Q, conj P) and
 the transform of conj g(a-t): with the bar on the coefficients,
@@ -63,7 +65,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exact import Poly, _frac, float_endpoint, from_numerators, to_floats
+from .exact import Poly, _frac, float_endpoint, to_floats
 
 #: Largest crossover radius between the moment Taylor series and the Laurent form.
 SWITCH_RADIUS = 0.5
@@ -146,24 +148,12 @@ class ClosedTransform:
         return ClosedTransform(self.a, _conjugate(self.q), _conjugate(self.p))
 
     @cached_property
-    def osc(self) -> tuple:
-        return from_numerators(*self.p)
-
-    @cached_property
-    def plain(self) -> tuple:
-        return from_numerators(*self.q)
-
-    @cached_property
     def density(self) -> Poly:
         """g from Q: g_k = q_(k+1) / (i^(k+1) k!), as 1 / i^j = conj i^j."""
         re, im, den = _conjugate(_times_i_powers(*_conjugate(self.q), 1))
         f = math.factorial(max(len(re) - 1, 0))  # entry k times f / k! over den f
         return Poly._of([r * (f // math.factorial(k)) for k, r in enumerate(re)],
                         [m * (f // math.factorial(k)) for k, m in enumerate(im)], den * f)
-
-    @cached_property
-    def moments(self) -> tuple:
-        return from_numerators(*_moments(self.density, self.a))
 
     # -- float evaluation --------------------------------------------------
 
@@ -176,9 +166,14 @@ class ClosedTransform:
 
     @cached_property
     def _taylor(self) -> np.ndarray:
-        """Taylor coefficients of F at 0: mu_n i^n / n!."""
-        moments = _to_complex(_moments(self.density, self.a), "a moment")
-        return np.array([m * (1j ** n) / math.factorial(n) for n, m in enumerate(moments)])
+        """Taylor coefficients of F at 0, mu_n i^n / n!, each correctly
+        rounded: entry n times N!/n! over den N!, N the last n."""
+        re, im, den = _times_i_powers(*_moments(self.density, self.a), 0)
+        f = math.factorial(len(re) - 1)
+        scale = [f // math.factorial(n) for n in range(len(re))]
+        return np.array(_to_complex(([r * c for r, c in zip(re, scale)],
+                                     [m * c for m, c in zip(im, scale)], den * f),
+                                    "a Taylor coefficient"))
 
     @cached_property
     def _horner(self) -> np.ndarray:

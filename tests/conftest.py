@@ -1,27 +1,60 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
 
-from bezoutiant.exact import GR, Poly
-from bezoutiant.transform import ClosedTransform
+from bezoutiant.exact import Poly
+from bezoutiant.transform import ClosedTransform, _moments
 
 
 def random_rational(rng: random.Random, span: int = 6) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.randint(1, span))
 
 
-def random_gr(rng: random.Random, span: int = 6, complex_coeffs: bool = True):
-    im = random_rational(rng, span) if complex_coeffs else 0
-    return GR(random_rational(rng, span), im)
+def random_gaussian(rng: random.Random, span: int = 6, complex_coeffs: bool = True) -> tuple:
+    """A random Gaussian rational as an (re, im) pair of Fractions."""
+    im = random_rational(rng, span) if complex_coeffs else Fraction(0)
+    return random_rational(rng, span), im
+
+
+def triple_of(re, im=0) -> tuple:
+    """The exact scalar re + i im (rationals) as its triple (re, im, den) in
+    lowest terms: over lcm of the two denominators no common factor is left."""
+    re, im = Fraction(re), Fraction(im)
+    den = lcm(re.denominator, im.denominator)
+    return re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den
+
+
+def as_fractions(value: tuple) -> tuple:
+    """The exact scalar (re, im, den) as an (re, im) pair of Fractions."""
+    re, im, den = value
+    return Fraction(re, den), Fraction(im, den)
+
+
+def complex_of(value: tuple) -> complex:
+    """The exact scalar (re, im, den) as a complex float, each part correctly rounded."""
+    return complex(*map(float, as_fractions(value)))
+
+
+def fractions_of(triple: tuple) -> list:
+    """The entries (re[k] + i im[k]) / den of an integer triple as (re, im)
+    pairs of Fractions."""
+    re, im, den = triple
+    return [as_fractions((r, m, den)) for r, m in zip(re, im)]
+
+
+def is_zero(value: tuple) -> bool:
+    """Whether the exact scalar (re, im, den) is 0."""
+    return not (value[0] or value[1])
 
 
 def random_poly(rng: random.Random, degree: int, complex_coeffs: bool = True) -> Poly:
     """Random polynomial of exactly the given degree."""
     while True:
-        coeffs = [random_gr(rng, complex_coeffs=complex_coeffs) for _ in range(degree + 1)]
-        p = Poly(tuple(coeffs))
+        p = Poly.of(*(random_gaussian(rng, complex_coeffs=complex_coeffs)
+                      for _ in range(degree + 1)))
         if p.degree == degree:
             return p
 
@@ -30,7 +63,7 @@ def random_admissible_poly(rng: random.Random, degree: int, a, complex_coeffs=Tr
     """Random density with nonzero mass on [0, a]."""
     while True:
         p = random_poly(rng, degree, complex_coeffs)
-        if p.integral(0, a):
+        if not is_zero(p.integral(0, a)):
             return p
 
 
@@ -38,7 +71,9 @@ def eval_complex(p: Poly, x):
     """p at the floats x by Horner's rule on complex() of its exact
     coefficients: a float evaluation in x that shares no code with the
     package's."""
-    return np.polynomial.polynomial.polyval(np.asarray(x), [complex(c) for c in p.coeffs] or [0j])
+    re, im, den = p.triple
+    return np.polynomial.polynomial.polyval(
+        np.asarray(x), [complex(r / den, m / den) for r, m in zip(re, im)] or [0j])
 
 
 def quadrature_transform(psi: Poly, a, z: complex, tol: float = 1e-12) -> complex:
@@ -67,11 +102,11 @@ def quadrature_transform(psi: Poly, a, z: complex, tol: float = 1e-12) -> comple
 def transform_of_i_t(Ft: ClosedTransform) -> ClosedTransform:
     """F' as the transform of i t g, built from scratch with as many moments
     as Ft: an exact reference for the F' that `eval_many` derives from F."""
-    full = ClosedTransform.from_density(Ft.density.times_x() * GR(0, 1), Ft.a)
-    n = len(Ft.moments)
-    # Cut the cached tables before the first evaluation reads them; each
+    full = ClosedTransform.from_density(Ft.density.times_x() * (0, 1, 1), Ft.a)
+    n = len(_moments(Ft.density, Ft.a)[0])
+    # Cut the cached table before the first evaluation reads it; each
     # Taylor float depends on its own moment only.
-    full.__dict__.update(moments=full.moments[:n], _taylor=full._taylor[:n])
+    full.__dict__.update(_taylor=full._taylor[:n])
     return full
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from bezoutiant.cli import EXIT_CONFLICT, run
-from bezoutiant.exact import GR, Poly
+from bezoutiant.exact import Poly
 from bezoutiant.kernel import (
     build_kernel,
     build_m_functions,
@@ -215,7 +215,7 @@ def test_criterion_07_operator_convergence():
               "transform zeros within 1e-8")
 def test_criterion_08_conjugation_law():
     rect = SearchRect(-20, 20, -4, 4)
-    for psi2 in (ONE, TWO_T, Poly.of(0, 0, 1), Poly.of(1, GR(1, 1))):
+    for psi2 in (ONE, TWO_T, Poly.of(0, 0, 1), Poly.of(1, (1, 1))):
         z2 = locate_zeros(closed_form(psi2, 1), rect)
         z21 = locate_zeros(reflected_transform(psi2, 1), rect.mirrored())
         conj_pts = sorted((z.conjugate() for z in z2.points()),

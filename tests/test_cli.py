@@ -4,12 +4,15 @@ import importlib.util
 import io
 import json
 import math
+import pkgutil
+import random
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import QQ, QQ_I
 
 from bezoutiant.cli import (
     ALL_TASKS,
@@ -24,10 +27,10 @@ from bezoutiant.cli import (
     main,
     run,
 )
+import bezoutiant
 from bezoutiant import cli, kernel, symbol
-from bezoutiant.exact import GR, GaussianRational, Poly
-from bezoutiant.kernel import (build_kernel, build_m_functions, check_adjoint_identity,
-                               check_diagonal_continuity, normalize_pair)
+from bezoutiant.exact import Poly
+from bezoutiant.kernel import build_kernel, normalize_pair
 from bezoutiant.symbol import OUTCOME_COINCIDE, OUTCOME_NO_COMMON, decide
 from bezoutiant.transform import ClosedTransform
 
@@ -73,8 +76,8 @@ def test_verify_coincidence(tmp_path):
 
 def test_scaled_gaussian_pair_coincides(tmp_path):
     # psi2 = c conj(psi1(a - x)), so F21 = c F1 and the zero sets coincide
-    a, c = F(7, 3), GR(F(-3, 2), F(5, 4))
-    psi1 = Poly.of(GR(1, 2), 3, GR(F(-1, 2), F(1, 3)), GR(0, -2))
+    a, c = F(7, 3), (-6, 5, 4)  # -3/2 + (5/4) i
+    psi1 = Poly.of((1, 2), 3, (F(-1, 2), F(1, 3)), (0, -2))
     spec = tmp_path / "scaled.json"
     spec.write_text(json.dumps({
         "a": "7/3", "psi1": psi1.to_json(), "psi2": (psi1.reflect(a) * c).to_json(),
@@ -98,8 +101,8 @@ def test_full_task_list_via_run(tmp_path):
 
 def test_kernel_of_swapped_pair_keeps_spec_order(tmp_path):
     # decide orders the pair by degree; the kernel is built on the spec's order
-    psi1 = Poly.of(GR(1, 2), F(-1, 3))
-    psi2 = Poly.of(3, GR(0, -1), GR(F(1, 2), 1), 2)
+    psi1 = Poly.of((1, 2), F(-1, 3))
+    psi2 = Poly.of(3, (0, -1), (F(1, 2), 1), 2)
     spec = tmp_path / "swapped.json"
     spec.write_text(json.dumps({"a": "7/3", "psi1": psi1.to_json(),
                                 "psi2": psi2.to_json()}))
@@ -179,37 +182,75 @@ def test_inconclusive_verdict_names_the_tasks_it_skips(tmp_path):
     assert code == EXIT_INCONCLUSIVE and "skipped" not in report
 
 
-def test_no_gaussian_rational_arithmetic(monkeypatch):
-    # the exact paths run on integer triples and tables: a GaussianRational
-    # is only built as a value handed out, never added, multiplied or negated
-    def reports():
-        out = []
-        for path in sorted(FIXTURES.glob("*.json")):
-            report, code = run(path, None, tasks=ALL_TASKS)
-            report.pop("provenance", None)
-            out.append((path.name, code, report))
-        return out
+def _qq_i(re, im, den):
+    """The exact scalar (re + i im) / den in sympy's QQ_I."""
+    return QQ_I(QQ(re, den), QQ(im, den))
 
-    want = reports()
 
-    def refuse(*args):
-        raise AssertionError("GaussianRational arithmetic")
+def _horner(coeffs, x):
+    acc = QQ_I(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
-    for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__neg__", "conjugate"):
-        monkeypatch.setattr(GaussianRational, name, refuse)
-    assert reports() == want
 
-    a = F(7, 3)
-    pair = normalize_pair(Poly.of(GR(1, 2), -3, GR(0, 1), 5), Poly.of(GR(-1, 1), 2, GR(3, -2)), a)
-    assert symbol.l_operator(pair).order is not None
-    assert symbol.v_symbol(pair).is_zero
-    assert symbol.monomial_order(1, 1, 0, 0, a) == (0, GR(F(14, 3)))  # the tie: 2a
-    assert symbol.monomial_density(1, 2, a) == Poly.of(0, a * a, -2 * a, 1)
-    k, mf = build_kernel(pair), build_m_functions(pair)
-    assert check_adjoint_identity(k, mf) and check_diagonal_continuity(k)
-    for x, t in ((F(1, 3), F(2)), (F(2), F(1, 3)), (F(1), F(1))):
-        exact = complex(k.u_at(x, t))
-        assert abs(exact - k.u_float(float(x), float(t))) <= 1e-12 * max(1.0, abs(exact))
+_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+_polys = st.lists(st.one_of(_rationals, st.tuples(_rationals, _rationals)),
+                  min_size=1, max_size=7).map(lambda cs: Poly.of(*cs))
+
+
+def test_exact_values_are_integer_triples():
+    # one exact scalar from the spec to the JSON: no module has a second
+    # scalar type, and every exact value handed out is an integer triple
+    # (re, im, den) in lowest terms, equal to sympy's QQ_I arithmetic
+    for info in pkgutil.iter_modules(bezoutiant.__path__):
+        module = importlib.import_module(f"bezoutiant.{info.name}")
+        assert not hasattr(module, "GaussianRational") and not hasattr(module, "GR"), info.name
+    assert not hasattr(Poly.of(1), "coeffs")
+    assert symbol.monomial_order(1, 1, 0, 0, F(7, 3)) == (0, F(14, 3))  # the tie: 2a
+
+    def same(value, want):
+        re, im, den = value
+        return den > 0 and math.gcd(re, im, den) == 1 and _qq_i(re, im, den) == want
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_polys, _polys, _rationals, _rationals, st.sampled_from([F(1), F(7, 3), F(1, 2)]))
+    def check(p, q, x, t, a):
+        cs = [_qq_i(r, m, p.triple[2]) for r, m in zip(*p.triple[:2])]
+        anti = [QQ_I(0)] + [c * QQ(1, k) for k, c in enumerate(cs, 1)]
+        X, T, A = (QQ_I(QQ(v.numerator, v.denominator)) for v in (x, t, a))
+        assert same(p(x), _horner(cs, X))
+        assert same(p.integral(x, t), _horner(anti, T) - _horner(anti, X))
+        masses = [_horner([QQ_I(0)] + [_qq_i(r, m, f.triple[2] * k) for k, (r, m)
+                                       in enumerate(zip(*f.triple[:2]), 1)], A) for f in (p, q)]
+        if QQ_I(0) in masses:
+            return
+        pair = normalize_pair(p, q, a)
+        assert same(pair.r1, masses[0]) and same(pair.r2, masses[1])
+        k = build_kernel(pair)
+        piece = k.u_lower if x < t else k.u_upper
+        den = piece.table[2]
+        assert same(k.u_at(x, t), sum((_qq_i(r, m, den) * X ** i * T ** j
+                                       for i, j, r, m in piece.terms), QQ_I(0)))
+
+    check()
+
+
+def test_high_degree_density_near_the_origin_writes_a_report(tmp_path):
+    # degree 140 keeps 173 moments, and n! is past float range from n = 171:
+    # the Taylor table near z = 0 is built on the integers, so `verify` on
+    # [-0.3, 0.3]^2 ends with a report, not a traceback
+    rng = random.Random(140)
+    spec = tmp_path / "deg140.json"
+    spec.write_text(json.dumps({
+        "a": "1", "psi1": [str(rng.randint(-6, 6)) for _ in range(140)] + ["1"],
+        "psi2": ["1", "2"],
+        "rect": {"re_min": -0.3, "re_max": 0.3, "im_min": -0.3, "im_max": 0.3}}))
+    out = tmp_path / "deg140.report.json"
+    code = main(["verify", "--input", str(spec), "--output", str(out)])
+    report = json.loads(out.read_text(), parse_constant=pytest.fail)
+    assert code in (EXIT_OK, EXIT_NUMERIC_REFUSAL) and "verdict" in report
+    assert code == EXIT_NUMERIC_REFUSAL or "zero_sets" in report
 
 
 def test_frozen_tracer_targets_resolve():
@@ -337,7 +378,7 @@ def test_each_transform_built_once_and_decide_normalizes_nothing(monkeypatch):
     for owner, attr in ((Poly, "__truediv__"), (kernel, "normalize_pair"),
                         (symbol, "normalize_pair")):
         monkeypatch.setattr(owner, attr, refuse)
-    scaled = (Poly.of(GR(1, 2), 3), Poly.of(GR(4, 8), GR(0, -6)), 1)  # Psi_2 = 2i conj Psi_1(1-x)
+    scaled = (Poly.of((1, 2), 3), Poly.of((4, 8), (0, -6)), 1)  # Psi_2 = 2i conj Psi_1(1-x)
     for psi1, psi2, a in ((Poly.of(1, 1, -1), Poly.of(1), 1), (Poly.of(1), Poly.of(0, 2), 1),
                           scaled, (Poly.of(F(-1, 2), 1), Poly.of(1), 1)):
         decide(psi1, psi2, a)

@@ -7,16 +7,15 @@ from pathlib import Path
 import pytest
 
 from bezoutiant.exact import (
-    GR,
     FloatRangeError,
     MPoly,
     Poly,
+    _json_value,
     float_endpoint,
-    from_numerators,
     parse_rational,
     to_floats,
 )
-from conftest import random_gr, random_poly
+from conftest import as_fractions, random_poly
 
 
 def test_parse_rational():
@@ -28,44 +27,39 @@ def test_parse_rational():
         parse_rational("abc")
 
 
-def test_gaussian_rational_field_ops():
-    q = GR(F(1, 2), F(-3, 4))
-    assert q.conjugate().conjugate() == q
-    r = GR(F(2, 3), F(5))
-    assert q * r == r * q
-    assert (q * r) * q == q * (r * q)
-    assert (q + r) - r == q
-
-
 def test_gaussian_rational_lowest_terms():
-    q = GR(F(2, 4), F(6, 8))
-    assert q.re.denominator == 2 and q.re.numerator == 1
-    assert q.im == F(3, 4)
+    # an exact value is the integer triple (re, im, den), reduced once:
+    # 2/4 + (6/8) i is (2 + 3i) / 4
+    assert Poly.of((F(2, 4), F(6, 8)))(0) == (2, 3, 4)
+    assert Poly.of(0, 4).integral(0, 1) == (2, 0, 1)
+    assert Poly.of().integral(0, 1) == Poly.of()(5) == (0, 0, 1)
 
 
 def test_json_roundtrip():
-    from bezoutiant.exact import GaussianRational
-    q = GR(F(1, 3), F(-2, 7))
-    assert GaussianRational.from_json(q.to_json()) == q
-    assert GaussianRational.from_json("5/9") == GR(F(5, 9))
-    assert GaussianRational.from_json({"im": -3}) == GR(0, -3)
+    q = Poly.of((F(1, 3), F(-2, 7)))
+    assert q.to_json() == [{"re": "1/3", "im": "-2/7"}] == [_json_value(*q(0))]
+    assert Poly.from_json(q.to_json()) == q
+    assert Poly.from_json(["5/9"]) == Poly.of(F(5, 9))
+    assert Poly.from_json([{"im": -3}]) == Poly.of((0, -3))
     for bad in (1.5, None, True, {"re": 0.5}, {"re": "1", "im": None}, {"im": [1]},
                 {"re": "1", "imag": "2"}, {"real": "1"}, {}):
         with pytest.raises(ValueError, match="bad Gaussian rational literal"):
-            GaussianRational.from_json(bad)
+            Poly.from_json([bad])
 
 
 def test_poly_eval_examples():
-    assert Poly.of(0, 2)(F(1, 2)) == GR(1)
-    assert Poly.of(0, -1, 1)(0) == GR(0)
-    p = Poly.of(0, GR(0, 1), 3)  # 3t^2 + i t
-    assert p(F(1, 3)) == GR(F(1, 3), F(1, 3))
+    assert Poly.of(0, 2)(F(1, 2)) == (1, 0, 1)
+    assert Poly.of(0, -1, 1)(0) == (0, 0, 1)
+    p = Poly.of(0, (0, 1), 3)  # 3t^2 + i t
+    assert p(F(1, 3)) == (1, 1, 3)
+    assert p((0, 1, 1)) == (-4, 0, 1)  # at t = i: 3 i^2 + i i = -4
 
 
 def test_poly_definite_integral_examples():
-    assert Poly.of(1).integral(0, 1) == GR(1)
-    assert Poly.of(0, 1).integral(0, 1) == GR(F(1, 2))
-    assert Poly.of(0, 2, -1).integral(0, 2) == GR(F(4, 3))
+    assert Poly.of(1).integral(0, 1) == (1, 0, 1)
+    assert Poly.of(0, 1).integral(0, 1) == (1, 0, 2)
+    assert Poly.of(0, 2, -1).integral(0, 2) == (4, 0, 3)
+    assert Poly.of((0, 3)).integral(F(1, 2), 1) == (0, 3, 2)
 
 
 def test_poly_derivative_examples():
@@ -78,31 +72,29 @@ def test_poly_reflect_conj_examples():
     assert Poly.of(1).reflect(1) == Poly.of(1)
     assert Poly.of(0, 2).reflect(1) == Poly.of(2, -2)
     # p = i t, a = 2: conj(i(2 - t)) = -2i + i t
-    assert Poly.of(0, GR(0, 1)).reflect(2) == Poly.of(GR(0, -2), GR(0, 1))
+    assert Poly.of(0, (0, 1)).reflect(2) == Poly.of((0, -2), (0, 1))
     # without the conjugation, p(a - t) = 2i - i t
-    assert Poly.of(0, GR(0, 1)).compose_affine(2, -1) == Poly.of(GR(0, 2), GR(0, -1))
-
-
-def test_compose_affine_examples():
+    assert Poly.of(0, (0, 1)).reflect(2).conjugate() == Poly.of((0, 2), (0, -1))
     p = Poly.of(1, 2, 3)  # 1 + 2t + 3t^2
-    assert p.compose_affine(1, 1) == Poly.of(6, 8, 3)
-    assert p.compose_affine(0, 2) == Poly.of(1, 4, 12)
-    # p(i + (1/2) t) = -2 + 2i + (1 + 3i) t + (3/4) t^2
-    assert p.compose_affine(GR(0, 1), F(1, 2)) == Poly.of(GR(-2, 2), GR(1, 3), F(3, 4))
-    assert Poly.of().compose_affine(3, 5).is_zero
+    assert p.reflect(1) == Poly.of(6, -8, 3)
+    assert p.reflect(F(1, 2)) == Poly.of(F(11, 4), -5, 3)
+    assert Poly.of().reflect(3).is_zero
 
 
 def test_jet_examples():
     p = Poly.of(1, 2, 3)
-    assert from_numerators(*p.jet_numerators(1)) == (GR(6), GR(8), GR(6))
+    assert p.jet_numerators(1) == ([6, 8, 6], [0, 0, 0], 1)
+    # at 1/2: 11/4, 5, 6 over the denominator 4 (k! and 2^k folded in)
+    assert p.jet_numerators(F(1, 2)) == ([11, 5 * 4, 6 * 4], [0, 0, 0], 4)
     assert Poly.of().jet_numerators(2) == ([], [], 1)
 
 
 def test_integral_additivity(rng):
     for _ in range(25):
         p = random_poly(rng, rng.randint(0, 6))
-        lo, mid, hi = (GR(F(rng.randint(-9, 9), rng.randint(1, 5))) for _ in range(3))
-        assert p.integral(lo, hi) == p.integral(lo, mid) + p.integral(mid, hi)
+        lo, mid, hi = (F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3))
+        whole, left, right = (as_fractions(p.integral(*b)) for b in ((lo, hi), (lo, mid), (mid, hi)))
+        assert whole == (left[0] + right[0], left[1] + right[1])
 
 
 def test_reflect_involution(rng):
@@ -133,12 +125,12 @@ def test_mpoly_roundtrip():
     # 3x^2 + x t - 1/2 over den 2, with a zero column t^3 and a zero row x^3
     p = real_mpoly([[-1, 0, 0, 0], [0, 2, 0, 0], [6, 0, 0, 0], [0, 0, 0, 0]], 2)
     assert p.terms == [(0, 0, -1, 0), (1, 1, 2, 0), (2, 0, 6, 0)]
-    assert p.eval(F(1, 2), 2) == GR(F(3, 4) + 1 - F(1, 2))
-    assert p.eval(GR(0, 1), 1) == GR(F(-7, 2), 1)
+    assert p.eval(F(1, 2), 2) == (5, 0, 4)  # 3/4 + 1 - 1/2
+    assert p.eval((0, 1, 1), 1) == (-7, 2, 2)  # -3 + i - 1/2
     # the same polynomial over another denominator, without the zero row and column
     assert p == real_mpoly([[-2, 0], [0, 4], [12, 0]], 4) and p != p * 2
-    assert (p * GR(0, 1)).eval(1, 1) == GR(0, F(7, 2))
-    assert (p * GR(0, 1)).table == ([[0] * 4] * 4, [[-1, 0, 0, 0], [0, 2, 0, 0], [6, 0, 0, 0],
+    assert (p * (0, 1, 1)).eval(1, 1) == (0, 7, 2)
+    assert (p * (0, 1, 1)).table == ([[0] * 4] * 4, [[-1, 0, 0, 0], [0, 2, 0, 0], [6, 0, 0, 0],
                                                     [0, 0, 0, 0]], 2)
     assert real_mpoly([[0]]).is_zero and real_mpoly([]).is_zero and not p.is_zero
     assert p.to_json()[0] == {"exp": [0, 0], "coeff": "-1/2"}
@@ -153,7 +145,7 @@ def test_mpoly_definite_integral():
     assert real_mpoly([]).definite_integral(0, "t").is_zero
     # int_0^1 (x/3 + i t) ds = 1/6 + i t, over den 3
     assert MPoly([[0, 0], [1, 0]], [[0, 3], [0, 0]], 3).definite_integral(0, 1) == Poly.of(
-        F(1, 6), GR(0, 1))
+        F(1, 6), (0, 1))
 
 
 def test_exact_core_imports_no_numpy():

@@ -24,7 +24,8 @@ from pathlib import Path
 import pytest
 
 from bezoutiant.cli import ProblemSpec, run
-from bezoutiant.transform import closed_form, reflected_transform
+from bezoutiant.exact import _json_value
+from bezoutiant.transform import _moments, closed_form, reflected_transform
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
@@ -34,11 +35,16 @@ CASES = sorted(p.stem for p in FIXTURES.glob("*.json") if p.stem != "bad_rationa
 HIGHDEG_CASES = sorted(p.stem for p in (FIXTURES / "highdeg").glob("*.json"))
 
 
+def _values_json(triple):
+    re, im, den = triple
+    return [_json_value(r, m, den) for r, m in zip(re, im)]
+
+
 def _transform_json(F):
     return {
-        "osc": [c.to_json() for c in F.osc],
-        "plain": [c.to_json() for c in F.plain],
-        "moments": [c.to_json() for c in F.moments],
+        "osc": _values_json(F.p),
+        "plain": _values_json(F.q),
+        "moments": _values_json(_moments(F.density, F.a)),
     }
 
 

@@ -1,11 +1,11 @@
 from dataclasses import replace
 from fractions import Fraction as F
-from math import comb
+from math import comb, gcd
 
 import numpy as np
 import pytest
 
-from bezoutiant.exact import GR, MPoly, Poly
+from bezoutiant.exact import MPoly, Poly, _json_value
 from bezoutiant.kernel import (
     ZeroMassError,
     adjoint_apply_to_one,
@@ -16,7 +16,8 @@ from bezoutiant.kernel import (
     normalize_pair,
 )
 from bezoutiant.operator_lab import Grid, discretize_all
-from conftest import random_admissible_poly, t_from_generators
+from conftest import (as_fractions, complex_of, fractions_of, is_zero, random_admissible_poly,
+                      t_from_generators)
 
 ONE = Poly.of(1)
 TWO_T = Poly.of(0, 2)
@@ -24,9 +25,11 @@ TWO_T = Poly.of(0, 2)
 
 def test_normalize_examples():
     pair = normalize_pair(ONE, ONE, 1)
-    assert pair.psi1 == ONE and pair.r1 == GR(1)
+    assert pair.psi1 == ONE and pair.r1 == (1, 0, 1)
     pair = normalize_pair(Poly.of(0, 1), ONE, 1)
-    assert pair.psi1 == TWO_T and pair.r1 == GR(F(1, 2))
+    assert pair.psi1 == TWO_T and pair.r1 == (1, 0, 2)
+    pair = normalize_pair(Poly.of((0, 2)), ONE, 1)  # the mass 2i
+    assert pair.psi1 == ONE and pair.r1 == (0, 2, 1)
     with pytest.raises(ZeroMassError):
         normalize_pair(Poly.of(F(-1, 2), 1), ONE, 1)
     for a in (0, -1, F(-1, 2)):
@@ -57,12 +60,13 @@ def test_m_functions_defining_relation(rng):
             1,
         )
         mf = build_m_functions(pair)
-        x = GR(F(3, 7))
+        x = F(3, 7)
         # s M_2 = Phi_2 + conj Phi_1(a - x) - 1 at s = conj(alpha) + beta = 1
-        assert mf.m2(x) == mf.phi2(x) + mf.phi1.reflect(pair.a)(x) - GR(1)
+        m2, phi2, phi1 = (as_fractions(p(x)) for p in (mf.m2, mf.phi2, mf.phi1.reflect(pair.a)))
+        assert m2 == (phi2[0] + phi1[0] - 1, phi2[1] + phi1[1])
         # Phi boundary values under normalization
-        assert mf.phi1(0) == GR(1) and mf.phi1(pair.a) == GR(0)
-        assert mf.phi2(0) == GR(1) and mf.phi2(pair.a) == GR(0)
+        assert mf.phi1(0) == (1, 0, 1) and mf.phi1(pair.a) == (0, 0, 1)
+        assert mf.phi2(0) == (1, 0, 1) and mf.phi2(pair.a) == (0, 0, 1)
 
 
 def test_kernel_coincidence_vanishes():
@@ -77,9 +81,9 @@ def test_kernel_fixture():
     zero = [[0, 0], [0, 0]]
     assert k.u_lower == MPoly([[0, 0], [-2, 2]], zero, 1)  # -2x(1-t)
     assert k.u_upper == MPoly([[0, -2], [0, 2]], zero, 1)  # -2t(1-x)
-    assert k.c == GR(-1)
+    assert k.c == -1
     # diagonal value -2x(1-x)
-    assert k.u_at(F(1, 4), F(1, 4)) == GR(F(-2, 4) * F(3, 4))
+    assert k.u_at(F(1, 4), F(1, 4)) == (-3, 0, 8)
 
 
 def test_diagonal_continuity(rng):
@@ -135,7 +139,7 @@ def test_coincidence_law_reflected_pairs(rng):
     for _ in range(8):
         psi2 = random_admissible_poly(rng, rng.randint(0, 4), 1)
         psi1 = psi2.reflect(1)
-        if not psi1.integral(0, 1):
+        if is_zero(psi1.integral(0, 1)):
             continue
         pair = normalize_pair(psi1, psi2, 1)
         k = build_kernel(pair)
@@ -170,7 +174,7 @@ def _errors_against_exact(pair, grid, samples):
     nodes = grid.nodes
     k, generators = _kernel_values(pair, grid)
     horner = k.u_float(nodes[:, None], nodes[None, :])
-    exact = np.array([complex(k.u_at(F(nodes[i]), F(nodes[j]))) for i, j in samples])
+    exact = np.array([complex_of(k.u_at(F(nodes[i]), F(nodes[j]))) for i, j in samples])
     rows, cols = np.array(samples).T
     return (np.max(np.abs(generators[rows, cols] - exact)),
             np.max(np.abs(horner[rows, cols] - exact)), np.max(np.abs(generators)))
@@ -209,7 +213,7 @@ def test_kernel_json():
 
 def test_kernel_tables_match_their_terms(rng):
     # `terms` lists every nonzero table entry, and the JSON written from
-    # them equals that of the GaussianRational each one is
+    # them equals that of the exact scalar (re, im, den) each one is
     for _ in range(12):
         a = rng.choice((1, F(7, 3), F(1, 2)))
         psi1, psi2 = (random_admissible_poly(rng, rng.randint(0, 8), a, rng.random() < 0.7)
@@ -221,8 +225,15 @@ def test_kernel_tables_match_their_terms(rng):
             re, im, den = piece.table
             assert piece.terms == [(i, j, re[i][j], im[i][j]) for i in range(len(re))
                                    for j in range(len(re[i])) if re[i][j] or im[i][j]]
-            assert d[name] == [{"exp": [i, j], "coeff": GR(F(r, den), F(m, den)).to_json()}
+            assert d[name] == [{"exp": [i, j], "coeff": _json_value(r, m, den)}
                                for i, j, r, m in piece.terms]
+            for x, t in ((0, 1), (F(1, 3), F(1, 2)), (F(1, 2), F(1, 3))):
+                # u_at is the value of the piece on x's side of t, reduced once
+                if (x < t) == (name == "u_lower"):
+                    want = tuple(sum((F(c[h], den) * F(x) ** i * F(t) ** j
+                                      for i, j, *c in piece.terms), F(0)) for h in (0, 1))
+                    value = k.u_at(x, t)
+                    assert as_fractions(value) == want and gcd(*value) == 1
 
 
 def test_float_pieces_are_the_centered_coefficients(rng):
@@ -259,10 +270,10 @@ def test_m_function_table_is_the_centered_coefficients(rng):
         h = F(a) / 2
         want = np.zeros(mf.float_table.shape, dtype=complex)
         for col, (poly, sign) in enumerate(((mf.phi1, 1), (mf.phi2, 1), (mf.m2, 1), (mf.m2, -1))):
-            cs = poly.coeffs
+            cs = fractions_of(poly.triple)
             for r in range(len(want)):
-                parts = [sum((getattr(c, part) * h ** k * comb(k, r)
+                parts = [sum((c[part] * h ** k * comb(k, r)
                               for k, c in enumerate(cs) if k >= r), F(0)) * sign ** r
-                         for part in ("re", "im")]
+                         for part in (0, 1)]
                 want[r, col] = complex(*map(float, parts))
         assert np.array_equal(mf.float_table, want)

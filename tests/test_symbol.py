@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from bezoutiant import symbol
 from bezoutiant.cli import ProblemSpec
-from bezoutiant.exact import GR, Poly, from_numerators
+from bezoutiant.exact import Poly, _json_value
 from bezoutiant.kernel import build_kernel, normalize_pair
 from bezoutiant.symbol import (
     CoincidenceCaseError,
@@ -31,7 +31,7 @@ from bezoutiant.symbol import (
 )
 from bezoutiant.transform import closed_form, reflected_transform
 from bezoutiant.zeros import SearchRect, locate_zeros, structure_checks
-from conftest import random_admissible_poly
+from conftest import as_fractions, fractions_of, is_zero, random_admissible_poly, triple_of
 
 ONE = Poly.of(1)
 TWO_T = Poly.of(0, 2)
@@ -46,14 +46,14 @@ def test_v_symbol_coincidence_pairs(rng):
     for _ in range(6):
         psi2 = random_admissible_poly(rng, rng.randint(1, 4), 1)
         psi1 = psi2.reflect(1)
-        if not psi1.integral(0, 1) or psi1.degree < psi2.degree:
+        if is_zero(psi1.integral(0, 1)) or psi1.degree < psi2.degree:
             continue
         assert v_symbol(normalize_pair(psi1, psi2, 1)).is_zero
 
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
-gaussian_polys = st.lists(st.builds(GR, rationals, rationals), min_size=1,
-                          max_size=11).map(lambda cs: Poly(tuple(cs)))
+gaussian_polys = st.lists(st.tuples(rationals, rationals), min_size=1,
+                          max_size=11).map(lambda cs: Poly.of(*cs))
 
 
 def _nth_derivative(p: Poly, n: int) -> Poly:
@@ -64,7 +64,7 @@ def _nth_derivative(p: Poly, n: int) -> Poly:
 
 def _laurent_poly(triple) -> Poly:
     """sum_k c_k w^(k+1) from an integer triple `p` or `q` of a transform."""
-    return Poly((GR(0),) + from_numerators(*triple))
+    return Poly.of(0, *fractions_of(triple))
 
 
 def _laurent_polys(f1, f21) -> tuple:
@@ -89,24 +89,25 @@ def test_boundary_sum_identity_and_zero_symbol(p, q, a):
     # g1^(m+1)), which is 0 for m >= Q: V vanishes for every pair (symbol
     # module doc); L(D) and V read these W
     psi1, psi2 = (p, q) if p.degree >= q.degree else (q, p)
-    assume(psi1.integral(0, a) and psi2.integral(0, a))
+    assume(not is_zero(psi1.integral(0, a)) and not is_zero(psi2.integral(0, a)))
     pair = normalize_pair(psi1, psi2, a)
     Q = pair.psi1.degree
     g1 = pair.psi1.conjugate()
     d = _d(*_normalized_transforms(pair))
-    i_powers = (GR(1), GR(0, 1), GR(-1), GR(0, -1))
-    coeffs = d.coeffs + (GR(0),) * (2 * Q + 3)  # [w^k] D, zero past its degree
-    w = [coeffs[m + 2] * i_powers[m % 4] for m in range(2 * Q + 1)]
+    i_powers = ((1, 0), (0, 1), (-1, 0), (0, -1))
+    coeffs = fractions_of(d.triple) + [(0, 0)] * (2 * Q + 3)  # [w^k] D, zero past its degree
+    w = [(x * c - y * s, x * s + y * c)  # i^m [w^(m+2)] D, m = 0..2Q
+         for (x, y), (c, s) in zip(coeffs[2:2 * Q + 3], i_powers * (Q + 1))]
     for m, w_m in enumerate(w):
         integrand = (_nth_derivative(pair.psi2, m + 1) * g1
                      + pair.psi2 * _nth_derivative(g1, m + 1) * (-1) ** m)
-        assert w_m == integrand.integral(0, a)
-    assert not any(w[Q:])
-    assert l_operator(pair) == DiffOperator(tuple(reversed(w[:Q])))
+        assert w_m == as_fractions(integrand.integral(0, a))
+    assert all(w_m == (0, 0) for w_m in w[Q:])
+    assert l_operator(pair) == DiffOperator(tuple(triple_of(*w_m) for w_m in reversed(w[:Q])))
     assert v_symbol(pair).is_zero
 
 
-UNITS = [GR(1), GR(-1), GR(0, 1), GR(0, -1), GR(F(3, 5), F(4, 5))]
+UNITS = [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1), (3, 4, 5)]
 
 
 @st.composite
@@ -117,9 +118,9 @@ def mirror_pairs(draw):
     a = draw(st.sampled_from([F(1), F(7, 3), F(1, 2)]))
     kind = draw(st.sampled_from(["random", "coincident", "symmetric"]))
     if kind == "coincident":  # Psi_2 = c conj Psi_1(a-x)
-        c = draw(st.builds(GR, rationals, rationals))
-        assume(c)
-        q = p.reflect(a) * c
+        c = draw(st.tuples(rationals, rationals))
+        assume(c != (0, 0))
+        q = p.reflect(a) * triple_of(*c)
     elif kind == "symmetric":  # p = u conj p(a-x) for the unit u
         p = p + p.reflect(a) * draw(st.sampled_from(UNITS))
     if draw(st.booleans()):
@@ -136,7 +137,7 @@ def test_mirror_tests_from_jets_match_reflect(case):
     # Q1 = c conj P1, for a constant c != 0, on the spec's transforms
     psi1, psi2, a, kind = case
     r1, r2 = psi1.integral(0, a), psi2.integral(0, a)
-    assume(r1 and r2)
+    assume(not is_zero(r1) and not is_zero(r2))
     pair = normalize_pair(psi1, psi2, a)
     f1, f21 = closed_form(psi1, a), reflected_transform(psi2, a)
     symmetric = pair.psi1 == pair.psi1.reflect(a)
@@ -156,7 +157,7 @@ def test_decide_matches_the_normalized_ordered_pair(case):
     # normalizes and orders it and reads l_operator and the mirror tests
     psi1, psi2, a, _ = case
     r1, r2 = psi1.integral(0, a), psi2.integral(0, a)
-    assume(r1 and r2)
+    assume(not is_zero(r1) and not is_zero(r2))
     v = decide(psi1, psi2, a)
     swapped = psi1.degree < psi2.degree
     ordered = normalize_pair(*((psi2, psi1) if swapped else (psi1, psi2)), a)
@@ -164,7 +165,7 @@ def test_decide_matches_the_normalized_ordered_pair(case):
     coincident = _equal(g1.q, g21.q)
     asym = not _equal(g1.q, g1.p, conjugate=True)
     assert v.diagnostics["swapped"] == swapped
-    assert v.diagnostics["normalizers"] == [ordered.r1.to_json(), ordered.r2.to_json()]
+    assert v.diagnostics["normalizers"] == [_json_value(*ordered.r1), _json_value(*ordered.r2)]
     assert v.diagnostics["coincidence"] == coincident
     assert v.no_real_zeros == v.no_conjugate_pairs == asym
     if coincident:
@@ -176,7 +177,8 @@ def test_decide_matches_the_normalized_ordered_pair(case):
         assert (v.outcome == OUTCOME_INCONCLUSIVE) == L.is_zero
     # scale: D_spec = conj R1 R2 D_norm; swap: D of (psi2, psi1) is conj D
     d = _d(*v.transforms)
-    assert d == _d(*_normalized_transforms(normalize_pair(psi1, psi2, a))) * (r1.conjugate() * r2)
+    scale = Poly.of(as_fractions(r1)).conjugate() * Poly.of(as_fractions(r2))  # conj R1 R2
+    assert d == _d(*_normalized_transforms(normalize_pair(psi1, psi2, a))) * scale
     assert _d(closed_form(psi2, a), reflected_transform(psi1, a)) == d.conjugate()
 
 
@@ -188,9 +190,9 @@ def test_laurent_numerators_vanish_at_shared_algebraic_zero():
     v = decide(Poly.of(1, -3, 1), Poly.of(-5, 7, 3, -1), 1)
     assert v.diagnostics["swapped"]
     assert not _d(*v.transforms).is_zero
-    assert all(t(GR(0, -1)) == 0 for t in _laurent_polys(*v.transforms))
+    assert all(is_zero(t((0, -1, 1))) for t in _laurent_polys(*v.transforms))
     assert v.outcome == OUTCOME_COMMON
-    assert v.diagnostics["gcd"] == [GR(0, 1).to_json(), "1"]
+    assert v.diagnostics["gcd"] == [{"re": "0", "im": "1"}, "1"]
     (z,) = v.diagnostics["common_zeros"]
     assert abs(complex(z["re"], z["im"]) - 1j) < 1e-15
 
@@ -201,9 +203,9 @@ def test_laurent_numerators_when_d_vanishes():
     pair = normalize_pair(Poly.of(0, 1, -1), Poly.of(-1, 3, -1), 1)
     assert _d(*_normalized_transforms(pair)).is_zero
     assert l_operator(pair).is_zero
-    p1, q1, p21, q21 = (t(GR(0, 1)) for t in _laurent_polys(*_normalized_transforms(pair)))
-    assert p1 != 0 and q1 != 0
-    assert p21 == 0 and q21 == 0
+    p1, q1, p21, q21 = (t((0, 1, 1)) for t in _laurent_polys(*_normalized_transforms(pair)))
+    assert not is_zero(p1) and not is_zero(q1)
+    assert is_zero(p21) and is_zero(q21)
     v = decide(Poly.of(0, 1, -1), Poly.of(-1, 3, -1), 1)
     assert v.outcome == OUTCOME_INCONCLUSIVE and v.diagnostics["l_order"] is None
     assert v.diagnostics["reason"].startswith("D \u2261 0 without coincidence")
@@ -216,9 +218,9 @@ def test_v_symbol_order_violation():
 
 def test_l_operator_examples():
     L = l_operator(normalize_pair(TWO_T, ONE, 1))
-    assert L.coeffs == (GR(2),) and L.order == 0
+    assert L.coeffs == ((2, 0, 1),) and L.order == 0
     L = l_operator(normalize_pair(TWO_T, TWO_T, 1))
-    assert L.coeffs == (GR(4),) and L.order == 0
+    assert L.coeffs == ((4, 0, 1),) and L.order == 0
     L = l_operator(normalize_pair(ONE, ONE, 1))
     assert L.is_zero and L.order is None
 
@@ -239,10 +241,10 @@ def test_monomial_order_tie_case_leading():
     # contributions add up (B1 = 1, B2 = 1); the exact operator is the
     # constant 2 before normalization
     r, lead = monomial_order(1, 1, 0, 0, 1)
-    assert r == 0 and lead == GR(2)
+    assert r == 0 and lead == 2 and isinstance(lead, F)
     pair = normalize_pair(monomial_density(1, 1, 1), ONE, 1)
     # normalized densities rescale the operator by 1/(conj(R1) R2) = 6
-    assert l_operator(pair).coeffs == (GR(12),)
+    assert l_operator(pair).coeffs == ((12, 0, 1),)
 
 
 def test_monomial_order_tie_cancellation():
@@ -288,7 +290,7 @@ def test_decide_coincidence(rng):
     assert v.outcome == OUTCOME_COINCIDE
     for _ in range(6):
         psi1 = random_admissible_poly(rng, rng.randint(0, 5), F(7, 3))
-        c = GR(F(rng.randint(-9, 9), rng.randint(1, 4)), F(rng.randint(1, 9), 3))
+        c = triple_of(F(rng.randint(-9, 9), rng.randint(1, 4)), F(rng.randint(1, 9), 3))
         v = decide(psi1, psi1.reflect(F(7, 3)) * c, F(7, 3))
         assert v.outcome == OUTCOME_COINCIDE and v.diagnostics["coincidence"]
 
@@ -296,7 +298,7 @@ def test_decide_coincidence(rng):
 def test_decide_flags_symmetric_up_to_unit_factor():
     # psi1 = i(1 + x - x^2) equals -conj(psi1(1 - x)); once normalized it
     # is symmetric, and F1 does have real zeros
-    psi1 = Poly.of(GR(0, 1), GR(0, 1), GR(0, -1))
+    psi1 = Poly.of((0, 1), (0, 1), (0, -1))
     assert psi1 == psi1.reflect(1) * -1
     v = decide(psi1, ONE, 1)
     assert v.outcome == OUTCOME_NO_COMMON

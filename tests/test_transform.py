@@ -12,17 +12,19 @@ from mpmath.calculus.quadrature import GaussLegendre
 
 import bezoutiant.transform as transform
 from bezoutiant.cli import ProblemSpec
-from bezoutiant.exact import GR, Poly, from_numerators
+from bezoutiant.exact import Poly
 from bezoutiant.symbol import OUTCOME_COINCIDE, decide
 from bezoutiant.transform import (
     ClosedTransform,
     EvaluationOverflow,
+    _moments,
     _taylor_radius,
     closed_form,
     reflected_transform,
 )
 from bezoutiant.zeros import SearchRect, locate_zeros
 from conftest import (
+    fractions_of,
     quadrature_transform,
     random_admissible_poly,
     random_poly,
@@ -37,11 +39,9 @@ TWO_T = Poly.of(0, 2)
 
 def test_closed_form_constant_density():
     Ft = closed_form(ONE, 1)
-    assert Ft.osc == (GR(0, -1),)       # 1/i
-    assert Ft.plain == (GR(0, 1),)      # -1/i
-    assert Ft.moments[0] == GR(1)
-    assert Ft.moments[1] == GR(F(1, 2))
-    assert Ft.moments[2] == GR(F(1, 3))
+    assert fractions_of(Ft.p) == [(0, -1)]  # 1/i
+    assert fractions_of(Ft.q) == [(0, 1)]   # -1/i
+    assert fractions_of(_moments(Ft.density, Ft.a))[:3] == [(1, 0), (F(1, 2), 0), (F(1, 3), 0)]
     # (e^{iaz} - 1)/(iz) near the origin for large a, where the Taylor terms
     # would reach e^{a|z|} if the series were summed out to |z| = 0.49
     z = np.array([0.49, 0.49j, -0.3 + 0.2j, 0.1, 0.05j])
@@ -56,8 +56,8 @@ def test_closed_form_constant_density():
 def test_closed_form_linear_density():
     # int_0^1 t e^{izt} dt = e^{iz}/(iz) + e^{iz}/z^2 - 1/z^2
     Ft = closed_form(T, 1)
-    assert Ft.osc == (GR(0, -1), GR(1))
-    assert Ft.plain == (GR(0), GR(-1))
+    assert fractions_of(Ft.p) == [(0, -1), (1, 0)]
+    assert fractions_of(Ft.q) == [(0, 0), (-1, 0)]
     z = 1.0
     expect = np.exp(1j) / 1j + np.exp(1j) - 1
     assert abs(Ft(z) - expect) < 1e-14
@@ -73,7 +73,7 @@ def test_eval_examples():
 
 
 def test_quadrature_oracle_agreement(rng):
-    densities = [ONE, T, TWO_T, Poly.of(0, 2, -1), Poly.of(1, GR(0, 1), 3)]
+    densities = [ONE, T, TWO_T, Poly.of(0, 2, -1), Poly.of(1, (0, 1), 3)]
     for _ in range(3):
         densities.append(random_admissible_poly(rng, rng.randint(1, 5), 1))
     for psi in densities:
@@ -103,28 +103,56 @@ def test_switch_circle_consistency():
 
 def _heights(h):
     parts = st.fractions(min_value=-h, max_value=h, max_denominator=h)
-    return st.one_of(st.builds(GR, parts), st.builds(GR, parts, parts))
+    return st.one_of(parts, st.tuples(parts, parts))
 
 
 # degrees 0..16 and the zero density, real and Gaussian coefficients of
 # height 6 or 1e6
 densities = st.sampled_from([6, 10 ** 6]).flatmap(
-    lambda h: st.lists(_heights(h), max_size=17)).map(lambda cs: Poly(tuple(cs)))
+    lambda h: st.lists(_heights(h), max_size=17)).map(lambda cs: Poly.of(*cs))
+
+
+def _rounded(values) -> np.ndarray:
+    """(re, im) pairs of Fractions as complex floats, each part correctly
+    rounded (`Fraction.__float__`)."""
+    return np.array([complex(float(x), float(y)) for x, y in values], dtype=complex)
+
+
+def _taylor_ref(moments) -> np.ndarray:
+    """mu_n i^n / n! from (re, im) Fraction pairs mu_n, correctly rounded."""
+    units = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^n
+    return _rounded(((x * c - y * s) / math.factorial(n), (x * s + y * c) / math.factorial(n))
+                    for n, ((x, y), (c, s)) in enumerate(zip(moments, units * len(moments))))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(densities, st.sampled_from([F(1), F(7, 3), F(1, 2)]))
-@example(Poly(()), F(1))
-@example(Poly.of(*[GR(F(10 ** 6 - k, 999_983), F(-k, 7)) for k in range(17)]), F(7, 3))
+@example(Poly.of(), F(1))
+@example(Poly.of(*[(F(10 ** 6 - k, 999_983), F(-k, 7)) for k in range(17)]), F(7, 3))
 def test_floats_are_complex_of_exact_coefficients(g, a):
-    # byte for byte, so the sign of a zero counts
+    # byte for byte, so the sign of a zero counts: every float is its exact
+    # coefficient correctly rounded, part by part
     Ft = ClosedTransform.from_density(g, a)
     a_f, osc, plain = Ft._laurent
     assert a_f == float(a)
-    assert osc.tobytes() == np.array([complex(c) for c in Ft.osc] or [0j]).tobytes()
-    assert plain.tobytes() == np.array([complex(c) for c in Ft.plain] or [0j]).tobytes()
-    taylor = [complex(m) * (1j ** n) / math.factorial(n) for n, m in enumerate(Ft.moments)]
-    assert Ft._taylor.tobytes() == np.array(taylor).tobytes()
+    assert osc.tobytes() == (_rounded(fractions_of(Ft.p)) if g.triple[0] else np.array([0j])).tobytes()
+    assert plain.tobytes() == (_rounded(fractions_of(Ft.q)) if g.triple[0] else np.array([0j])).tobytes()
+    want = _taylor_ref(fractions_of(_moments(Ft.density, Ft.a)))
+    assert Ft._taylor.tobytes() == want.tobytes()
+
+
+def test_taylor_coefficients_are_correctly_rounded_up_to_n_200():
+    # a density of degree 168 keeps 201 moments: n! overflows a float past
+    # n = 170 and 1j ** n rounds past n = 100, so the table is built exactly;
+    # mu_n = sum_k g_k a^(n+k+1) / (n+k+1), one Fraction at a time
+    gen = np.random.default_rng(168)
+    coeffs = [int(c) for c in gen.integers(-6, 7, 168)] + [1]
+    a = F(7, 3)
+    Ft = ClosedTransform.from_density(Poly.of(*coeffs), a)
+    assert len(Ft._taylor) == 201
+    moments = [(sum(c * a ** (n + k + 1) / (n + k + 1) for k, c in enumerate(coeffs)), F(0))
+               for n in range(201)]
+    assert Ft._taylor.tobytes() == _taylor_ref(moments).tobytes()
 
 
 def test_taylor_table_built_on_first_small_point(monkeypatch):
@@ -137,16 +165,16 @@ def test_taylor_table_built_on_first_small_point(monkeypatch):
     z = 0.3 * np.exp(0.7j)
     value = Ft(z)
     assert Ft(z) == value and len(builds) == 1
-    # the Taylor sum over complex() of the exact moments, as eval_many runs it
+    # the Taylor sum over the correctly rounded mu_n i^n / n!, as eval_many runs it
     acc = np.zeros(1, dtype=complex)
-    for n, m in reversed(list(enumerate(Ft.moments))):
-        acc = acc * z + complex(m) * (1j ** n) / math.factorial(n)
+    for c in _taylor_ref(fractions_of(_moments(Ft.density, Ft.a)))[::-1]:
+        acc = acc * z + c
     assert value == acc[0]
 
 
 def test_reflection_fixes_constants():
-    assert reflected_transform(ONE, 1).osc == closed_form(ONE, 1).osc
-    assert reflected_transform(ONE, 1).plain == closed_form(ONE, 1).plain
+    F21, F1 = reflected_transform(ONE, 1), closed_form(ONE, 1)
+    assert fractions_of(F21.p) == fractions_of(F1.p) and fractions_of(F21.q) == fractions_of(F1.q)
 
 
 def test_reflected_linear_value():
@@ -161,17 +189,17 @@ def test_reflection_involution_exact(rng):
     for _ in range(10):
         psi = random_admissible_poly(rng, rng.randint(0, 5), 1)
         a = F(rng.randint(1, 3))
-        double = psi.compose_affine(a, -1).compose_affine(a, -1)
+        double = psi.reflect(a).conjugate().reflect(a).conjugate()  # psi(a - (a - t))
         assert double == psi
         t1 = ClosedTransform.from_density(psi, a)
         t2 = ClosedTransform.from_density(double, a)
-        assert t1.osc == t2.osc and t1.plain == t2.plain
+        assert t1.p == t2.p and t1.q == t2.q
 
 
 def _densities_of_kind(h, gaussian):
     parts = st.fractions(min_value=-h, max_value=h, max_denominator=h)
-    coeff = st.builds(GR, parts, parts) if gaussian else st.builds(GR, parts)
-    return st.lists(coeff, min_size=1, max_size=17).map(lambda cs: Poly(tuple(cs)))
+    coeff = st.tuples(parts, parts) if gaussian else parts
+    return st.lists(coeff, min_size=1, max_size=17).map(lambda cs: Poly.of(*cs))
 
 
 # two densities of degree <= 16, both real or both Gaussian, height 6 or 1e6
@@ -184,29 +212,29 @@ density_pairs = st.tuples(st.sampled_from([6, 10 ** 6]), st.booleans()).flatmap(
 def test_reflection_is_the_transform_of_the_reflected_density(psis, a):
     psi1, psi2 = psis
     F1, F21 = closed_form(psi1, a), reflected_transform(psi2, a)
-    ref = ClosedTransform.from_density(psi2.compose_affine(a, -1), a)
+    ref = ClosedTransform.from_density(psi2.reflect(a).conjugate(), a)  # psi2(a - t)
     twice = F1.reflection().reflection()
-    for name in ("osc", "plain", "moments", "density"):
-        assert getattr(F21, name) == getattr(ref, name), name
-        assert getattr(twice, name) == getattr(F1, name), name
+    for name in ("p", "q"):
+        assert fractions_of(getattr(F21, name)) == fractions_of(getattr(ref, name)), name
+        assert fractions_of(getattr(twice, name)) == fractions_of(getattr(F1, name)), name
+    assert F21.density == ref.density and twice.density == F1.density
+    assert fractions_of(_moments(F21.density, a)) == fractions_of(_moments(ref.density, a))
     assert F21._laurent[0] == ref._laurent[0]
     for got, want in zip((*F21._laurent[1:], F21._taylor), (*ref._laurent[1:], ref._taylor)):
         assert got.tobytes() == want.tobytes()
     # the verdict reads (and hands on) exactly these two transforms
     got1, got21 = decide(psi1, psi2, a).transforms
-    for triple, exact in zip((got1.p, got1.q, got21.p, got21.q),
-                             (F1.osc, F1.plain, F21.osc, F21.plain)):
-        assert from_numerators(*triple) == exact
+    assert (got1.p, got1.q, got21.p, got21.q) == (F1.p, F1.q, F21.p, F21.q)
 
 
 def test_no_reflected_density_on_transform_paths(monkeypatch):
     # the verdict, both transforms and their evaluation (Taylor and Laurent
     # form) read (a, P, Q) only: no density is composed with a - t
     def refuse(*args):
-        raise AssertionError("Poly.compose_affine called")
-    monkeypatch.setattr(Poly, "compose_affine", refuse)
+        raise AssertionError("Poly.reflect called")
+    monkeypatch.setattr(Poly, "reflect", refuse)
     z = np.array([0.0, 0.3 - 0.2j, 0.45j, 0.6, 2.0 + 1.0j, -7.5 - 0.3j])
-    gauss = (Poly.of(1, GR(0, 2), -3, GR(1, 1)), Poly.of(F(1, 2), GR(1, -1)), F(7, 3))
+    gauss = (Poly.of(1, (0, 2), -3, (1, 1)), Poly.of(F(1, 2), (1, -1)), F(7, 3))
     for psi1, psi2, a in ((ONE, TWO_T, 1), (TWO_T, Poly.of(2, -2), 1), gauss):
         for p, q in ((psi1, psi2), (psi2, psi1)):
             decide(p, q, a)
@@ -285,7 +313,7 @@ def test_eval_many_shape_and_pointwise_bits(rng):
     laurent = gen.uniform(-20, 20, 12) + 1j * gen.uniform(-4, 4, 12)
     taylor = gen.uniform(-0.35, 0.35, 12) + 1j * gen.uniform(-0.35, 0.35, 12)
     mixed = np.where(np.arange(12) % 3 == 0, taylor, laurent)
-    for g in (Poly(()), ONE, random_poly(rng, 7)):
+    for g in (Poly.of(), ONE, random_poly(rng, 7)):
         Ft = ClosedTransform.from_density(g, F(7, 3))
         for pts in (laurent, taylor, mixed):
             for z in (pts[0], pts[:0], pts, pts.reshape(3, 4), pts.reshape(4, 3).T):
@@ -305,7 +333,7 @@ def _mp_derivative(Ft, nodes):
     mpmath nodes; i t g(t) times the weights is tabulated once per Ft."""
     def mpq(x):
         return mpmath.mpf(x.numerator) / x.denominator
-    g = [mpmath.mpc(mpq(c.re), mpq(c.im)) for c in Ft.density.coeffs][::-1] or [0]
+    g = [mpmath.mpc(mpq(x), mpq(y)) for x, y in fractions_of(Ft.density.triple)][::-1] or [0]
     h = mpq(Ft.a) / 2
     ts = [h * (x + 1) for x, _ in nodes]
     ws = [1j * h * w * t * mpmath.polyval(g, t) for (_, w), t in zip(nodes, ts)]

@@ -10,10 +10,11 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from sympy.polys.domains import QQ_I
 
 from bezoutiant import zeros
 from bezoutiant.cli import ProblemSpec
-from bezoutiant.exact import GR, Poly
+from bezoutiant.exact import Poly
 from bezoutiant.transform import ClosedTransform, closed_form, reflected_transform
 from bezoutiant.zeros import (
     _GL_NODES,
@@ -37,7 +38,7 @@ from bezoutiant.zeros import (
     locate_zeros,
     structure_checks,
 )
-from conftest import transform_of_i_t
+from conftest import fractions_of, transform_of_i_t, triple_of
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -131,7 +132,7 @@ def test_structure_checks_vacuous():
 
 def test_conjugation_law():
     # zeros(F21) = conj(zeros(F2)) on mirrored rectangles
-    for psi2 in (TWO_T, Poly.of(0, 0, 1), Poly.of(1, GR(0, 1))):
+    for psi2 in (TWO_T, Poly.of(0, 0, 1), Poly.of(1, (0, 1))):
         rect = SearchRect(-20, 20, -4, 4)
         z2 = locate_zeros(closed_form(psi2, 1), rect)
         z21 = locate_zeros(reflected_transform(psi2, 1), rect.mirrored())
@@ -235,7 +236,7 @@ CRITERION_9_BOXES = [
 
 
 def test_winding_integrals_match_panel_loop():
-    F = reflected_transform(Poly.of(1, GR(0, 2), -3, GR(1, 1)), 2)
+    F = reflected_transform(Poly.of(1, (0, 2), -3, (1, 1)), 2)
     Fp = transform_of_i_t(F)
     boxes = [(-10.0, 3.0, -5.0, 2.0), (-3.1, 7.7, -1.0, 4.0), (0.1, 0.2, 0.3, 0.5),
              (-20.5, 20.0, -5.5, 5.5)]
@@ -380,7 +381,7 @@ def _mp_transform(F):
     for |z| < 1, else I_k = int_0^a t^k e^{izt} dt by integrating by parts."""
     def mpq(x):
         return mpmath.mpf(x.numerator) / x.denominator
-    g = [mpmath.mpc(mpq(c.re), mpq(c.im)) for c in F.density.coeffs]
+    g = [mpmath.mpc(mpq(x), mpq(y)) for x, y in fractions_of(F.density.triple)]
     a = mpq(F.a)
 
     def f(z):
@@ -431,18 +432,21 @@ def test_pencil_rebuilds_roots_with_multiplicities():
     # the Hankel pencil on the exact power sums of 4 distinct roots of
     # multiplicities 1, 2, 3 and 1: 7 zeros, sigma_0..sigma_13
     q = Fraction
-    roots = [(GR(q(1, 2), q(1, 3)), 1), (GR(q(-2, 3), q(1, 5)), 2),
-             (GR(q(1, 7), q(-3, 4)), 3), (GR(q(-4, 5), 0), 1)]
+    roots = [(QQ_I(q(1, 2), q(1, 3)), 1), (QQ_I(q(-2, 3), q(1, 5)), 2),
+             (QQ_I(q(1, 7), q(-3, 4)), 3), (QQ_I(q(-4, 5), 0), 1)]
     n = sum(m for _, m in roots)
-    sigma, powers = [], [GR(m) for _, m in roots]
+    sigma, powers = [], [QQ_I(m) for _, m in roots]
     for _ in range(2 * n):
         sigma.append(sum(powers[1:], powers[0]))
         powers = [p * r for p, (r, _) in zip(powers, roots)]
-    got, mult = zeros._pencil(np.array([complex(s) for s in sigma]), n)
+
+    def to_complex(v):
+        return complex(float(v.x), float(v.y))
+    got, mult = zeros._pencil(np.array([to_complex(s) for s in sigma]), n)
     assert sorted(mult) == [1, 1, 2, 3]
     for r, m in roots:
-        i = int(np.argmin(np.abs(got - complex(r))))
-        assert abs(got[i] - complex(r)) <= 1e-12 and mult[i] == m
+        i = int(np.argmin(np.abs(got - to_complex(r))))
+        assert abs(got[i] - to_complex(r)) <= 1e-12 and mult[i] == m
 
 
 def test_pencil_refuses_weights_that_are_not_multiplicities():
@@ -486,8 +490,8 @@ def test_moment_solve_matches_forced_quadrisection(monkeypatch):
     cases = []
     for degree in range(1, 9):
         for half_width in (10, 20, 10, 20):
-            coeffs = [GR(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(degree)]
-            coeffs.append(GR(rng.choice([-6, -3, 1, 2, 5]), rng.randint(-6, 6)))
+            coeffs = [(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(degree)]
+            coeffs.append((rng.choice([-6, -3, 1, 2, 5]), rng.randint(-6, 6)))
             cases.append((closed_form(Poly.of(*coeffs), 1),
                           SearchRect(-half_width, half_width, -5, 5)))
     solved = [_outcome(F, rect) for F, rect in cases]
@@ -540,13 +544,14 @@ def test_moment_solve_rejects_a_zero_outside_its_box(monkeypatch):
 # -- multiple zeros -------------------------------------------------------------
 
 def _multiple_zero_density(z0, m):
-    """(D + i z0)^m [t^m (1-t)^m].  Its transform on [0, 1] is, by parts,
-    (i (z0 - z))^m times that of t^m (1-t)^m: a zero of multiplicity m at z0."""
+    """(D + i z0)^m [t^m (1-t)^m], z0 an (re, im) pair.  Its transform on
+    [0, 1] is, by parts, (i (z0 - z))^m times that of t^m (1-t)^m: a zero
+    of multiplicity m at z0."""
     h = Poly.of(1)
     for _ in range(m):
         h = h * Poly.of(0, 1) * Poly.of(1, -1)
     for _ in range(m):
-        h = h.derivative() + h * (GR(0, 1) * z0)
+        h = h.derivative() + h * triple_of(-z0[1], z0[0])
     return h
 
 
@@ -557,19 +562,19 @@ def test_multiple_zero_located_at_cluster_centroid(m, err, tol):
     # the cluster's centroid, and a tiny box around it certifies winding m;
     # at the default tol every one is within 1e-10 of z0
     rect = SearchRect(-10, 10, -3, 3)
-    for z0 in (GR(3), GR(Fraction(5, 2), Fraction(1, 2)), GR(7, -1)):
+    for z0 in ((3, 0), (Fraction(5, 2), Fraction(1, 2)), (7, -1)):
         F = ClosedTransform.from_density(_multiple_zero_density(z0, m), 1)
         zs = locate_zeros(F, rect, tol)
         assert zs.total_count == m
         assert [r.multiplicity for r in zs.zeros] == [m]
-        assert abs(zs.zeros[0].z - complex(z0)) < (1e-10 if tol == 1e-10 else err)
+        assert abs(zs.zeros[0].z - complex(*map(float, z0))) < (1e-10 if tol == 1e-10 else err)
 
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_newton_steps_to_a_multiple_zero_by_its_multiplicity(m):
     # z - m F/F' converges quadratically from 0.014 away, then stops where
     # F is rounding noise (a step that does not lower |F| is undone)
-    F = ClosedTransform.from_density(_multiple_zero_density(GR(3), m), 1)
+    F = ClosedTransform.from_density(_multiple_zero_density((3, 0), m), 1)
     calls = []
 
     class Counted:
@@ -586,8 +591,8 @@ def test_close_simple_zeros_stay_two_zeros():
     # apart (rank 2), so they are not reported as one double zero; F' is
     # small there, so each is fixed only to about 1e-9
     h = Poly.of(0, 1) * Poly.of(1, -1) * Poly.of(0, 1) * Poly.of(1, -1)
-    for z0 in (GR(3), GR(3 + Fraction(1, 10 ** 5))):
-        h = h.derivative() + h * (GR(0, 1) * z0)
+    for z0 in (3, 3 + Fraction(1, 10 ** 5)):
+        h = h.derivative() + h * triple_of(0, z0)  # i z0
     zs = locate_zeros(ClosedTransform.from_density(h, 1), SearchRect(-10, 10, -3, 3))
     assert [r.multiplicity for r in zs.zeros] == [1, 1]
     for r, want in zip(zs.zeros, (3, 3 + 1e-5)):
