@@ -75,9 +75,16 @@ def test_poly_reflect_conj_examples():
     assert Poly.of(0, (0, 1)).reflect(2) == Poly.of((0, -2), (0, 1))
     # without the conjugation, p(a - t) = 2i - i t
     assert Poly.of(0, (0, 1)).reflect(2).conjugate() == Poly.of((0, 2), (0, -1))
+
+
+def test_compose_affine_examples():
+    # the affine substitutions left on Poly are real: t -> a - t through
+    # reflect, and t -> (a - b) + t through two reflections
     p = Poly.of(1, 2, 3)  # 1 + 2t + 3t^2
     assert p.reflect(1) == Poly.of(6, -8, 3)
     assert p.reflect(F(1, 2)) == Poly.of(F(11, 4), -5, 3)
+    assert p.reflect(1).reflect(0) == Poly.of(6, 8, 3)  # p(1 + t)
+    assert p.reflect(F(1, 2)).reflect(F(3, 2)) == Poly.of(2, -4, 3)  # p(t - 1)
     assert Poly.of().reflect(3).is_zero
 
 
