@@ -17,6 +17,10 @@ Problem files are JSON with exact rational coefficient strings:
 Exact literals (`a` and the coefficient parts) are integers, "p/q" or plain
 decimals; an exponent ("1e5") is an input error.
 
+A report is one line, `json.dumps(report, sort_keys=True)` and a newline:
+ASCII, keys sorted, written by the standard library's C encoder
+(`python -m json.tool report.json` indents it).
+
 Exit codes: 0 success (CommonZeros included), 1 input error (also an exact
 result too long to write as a decimal string: the report's `error` names
 `verdict` or `kernel`), 2 inconclusive verdict, 3 conflict between the
@@ -43,12 +47,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -102,7 +104,7 @@ class ProblemSpec:
     a: Fraction
     psi1: Poly
     psi2: Poly
-    rect: SearchRect = field(default_factory=lambda: SearchRect(-30, 30, -5, 5))
+    rect: SearchRect = SearchRect(-30.0, 30.0, -5.0, 5.0)  # frozen, so one shared default
     grid_n: int = 64
     tol: float = 1e-10
     delta: float = 1e-3
@@ -144,15 +146,14 @@ class ProblemSpec:
         rect_obj = obj.get("rect", {})
         if not isinstance(rect_obj, dict):
             fail("rect", "must be an object")
-        rect = _search_rect(rect_obj.get("re_min", -30.0), rect_obj.get("re_max", 30.0),
-                            rect_obj.get("im_min", -5.0), rect_obj.get("im_max", 5.0),
-                            rect_obj.get("boundary_margin", 0.05))
+        # a field the file leaves out takes the class default (the margin: SearchRect's)
+        rect = _search_rect(*(rect_obj.get(k, v) for k, v in vars(cls.rect).items()))
 
-        grid_n = _grid_size(obj.get("grid_n", 64))
-        tol = _positive_float("tol", obj.get("tol", 1e-10))
-        delta = _positive_float("delta", obj.get("delta", 1e-3))
+        grid_n = _grid_size(obj.get("grid_n", cls.grid_n))
+        tol = _positive_float("tol", obj.get("tol", cls.tol))
+        delta = _positive_float("delta", obj.get("delta", cls.delta))
 
-        tasks = obj.get("tasks", ["decide", "zeros"])
+        tasks = obj.get("tasks", list(cls.tasks))
         if not isinstance(tasks, list) or not all(isinstance(t, str) for t in tasks):
             fail("tasks", f"must be a list of task names, got {tasks!r}")
         tasks = tuple(tasks)
@@ -260,7 +261,6 @@ def run(spec_path, out_path, tasks=None, rect=None, tol=None, grid_n=None):
         except ZeroMassError as exc:  # the kernel needs unit-mass densities
             report["skipped"] = {"tasks": sorted(needs_pair), "reason": str(exc)}
         else:
-            mf = build_m_functions(pair)
             kern = build_kernel(pair)
             if "kernel" in spec.tasks:
                 try:
@@ -270,8 +270,8 @@ def run(spec_path, out_path, tasks=None, rect=None, tol=None, grid_n=None):
                     return _finish(report, EXIT_INPUT_ERROR, spec_sha256, out_path, started)
             if "operator-check" in spec.tasks:
                 try:
-                    operator = convergence_study(
-                        pair, kern, mf, sizes=_refinement_sizes(spec.grid_n))
+                    operator = convergence_study(pair, kern, build_m_functions(pair),
+                                                 sizes=_refinement_sizes(spec.grid_n))
                     if verdict.outcome != OUTCOME_COINCIDE and 0.0 in operator["residuals"]:
                         # only a coincidence pair satisfies the identity exactly
                         raise FloatRangeError("identity residual of a pair that does not "
@@ -328,45 +328,8 @@ def _finish(report, exit_code, spec_sha256, out_path, started):
 def _write_report(report: dict, out_path) -> None:
     if out_path is None:
         return
-    with open(out_path, "w") as fh:  # one write: json.dump writes chunk by chunk
-        fh.write(_json_text(report) + "\n")
-
-
-def _json_text(value, indent: str = "") -> str:
-    """json.dumps(value, indent=2, sort_keys=True), byte for byte, for str keys.
-
-    With an indent, Python's json module encodes in pure Python; this
-    writes the same text directly, strings through the C string encoder.
-    """
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    inner = indent + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner)
-                 for k, v in sorted(value.items())]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [_json_text(v, inner) for v in value]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value in (math.inf, -math.inf):
-            return "Infinity" if value > 0 else "-Infinity"
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    with open(out_path, "w") as fh:  # json.dump would encode in pure Python, chunk by chunk
+        fh.write(json.dumps(report, sort_keys=True) + "\n")
 
 
 def emit_grid(spec_path, csv_path):

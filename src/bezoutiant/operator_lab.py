@@ -210,7 +210,7 @@ def convergence_study(
     pair: NormalizedPair,
     k: BezoutKernel,
     mf: MFunctions,
-    sizes=(32, 64, 128, 256),
+    sizes,
 ) -> dict:
     """Residuals and refinement ratios over a sequence of grid sizes.
 

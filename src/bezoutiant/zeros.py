@@ -626,30 +626,3 @@ def structure_checks(zs: ZeroSet) -> StructureFlags:
     pairs = any(abs(w - z.conjugate()) <= tol
                 for i, z in enumerate(pts) if abs(z.imag) > tol for w in pts[i + 1:])
     return StructureFlags(no_real, not pairs)
-
-
-# -- Bessel reference oracle ------------------------------------------------
-
-def bessel_reference(n: int, x_max: float) -> list:
-    """Positive zeros of J_{n+1/2} up to x_max, via the spherical form.
-
-    Spherical j_0 has zeros at k*pi; zeros of successive orders interlace,
-    so each level is bracketed between consecutive zeros of the previous
-    one and refined with Brent's method.
-    """
-    from scipy.optimize import brentq
-    from scipy.special import spherical_jn
-
-    if not (0 <= n <= 20):
-        raise ValueError("order n must be in [0, 20]")
-    if not (0 < x_max <= 200):
-        raise ValueError("x_max must be in (0, 200]")
-    upper = x_max + (n + 2) * math.pi
-    zeros = [k * math.pi for k in range(1, int(upper / math.pi) + 2)]
-    for order in range(1, n + 1):
-        f = lambda x: spherical_jn(order, x)
-        zeros = [
-            brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16)
-            for lo, hi in zip(zeros[:-1], zeros[1:])
-        ]
-    return [z for z in zeros if z <= x_max]

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import lcm, pi
 
 import numpy as np
 import pytest
@@ -116,6 +116,31 @@ def t_from_generators(ops) -> np.ndarray:
     (al, p), (au, q) = ops.t_lower, ops.t_upper
     above = np.triu(np.ones((ops.grid.n, ops.grid.n), dtype=bool), 1)
     return np.where(above, al @ p.T, au @ q.T)
+
+
+def bessel_reference(n: int, x_max: float) -> list:
+    """Positive zeros of J_{n+1/2} up to x_max, via the spherical form.
+
+    Spherical j_0 has zeros at k*pi; zeros of successive orders interlace,
+    so each level is bracketed between consecutive zeros of the previous
+    one and refined with Brent's method.
+    """
+    from scipy.optimize import brentq
+    from scipy.special import spherical_jn
+
+    if not (0 <= n <= 20):
+        raise ValueError("order n must be in [0, 20]")
+    if not (0 < x_max <= 200):
+        raise ValueError("x_max must be in (0, 200]")
+    upper = x_max + (n + 2) * pi
+    zeros = [k * pi for k in range(1, int(upper / pi) + 2)]
+    for order in range(1, n + 1):
+        f = lambda x: spherical_jn(order, x)
+        zeros = [
+            brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16)
+            for lo, hi in zip(zeros[:-1], zeros[1:])
+        ]
+    return [z for z in zeros if z <= x_max]
 
 
 @pytest.fixture

@@ -35,13 +35,12 @@ from bezoutiant.symbol import (
 from bezoutiant.transform import closed_form, reflected_transform
 from bezoutiant.zeros import (
     SearchRect,
-    bessel_reference,
     compare_zero_sets,
     count_zeros,
     locate_zeros,
     structure_checks,
 )
-from conftest import random_admissible_poly
+from conftest import bessel_reference, random_admissible_poly
 
 FIXTURES = Path(__file__).parent / "fixtures"
 RESULTS = []

@@ -32,13 +32,12 @@ from bezoutiant.zeros import (
     _guarded_box,
     _split_coord,
     _winding_integrals,
-    bessel_reference,
     compare_zero_sets,
     count_zeros,
     locate_zeros,
     structure_checks,
 )
-from conftest import fractions_of, transform_of_i_t, triple_of
+from conftest import bessel_reference, fractions_of, transform_of_i_t, triple_of
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
