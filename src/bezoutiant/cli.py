@@ -21,25 +21,32 @@ A report is one line, `json.dumps(report, sort_keys=True)` and a newline:
 ASCII, keys sorted, written by the standard library's C encoder
 (`python -m json.tool report.json` indents it).
 
-Exit codes: 0 success (CommonZeros included), 1 input error (also an exact
+Exit codes: 0 success (CommonZeros included), 1 input error (a field the
+spec does not know, such as "grid" for grid_n, included; also an exact
 result too long to write as a decimal string: the report's `error` names
 `verdict` or `kernel`), 2 inconclusive verdict, 3 conflict between the
-symbolic verdict and the numerical zero comparison, 4 numeric refusal: the
-zero locator declined to answer (an evaluation would overflow, a winding
-number did not certify, a cluster stayed unresolved or the boundary could
-not be moved off a zero), or an exact value that the verdict, the zero
-locator or the operator check reads as a float (the common zeros, a, the
-transforms' Laurent coefficients and moments, the Phi/M_2 coefficients,
-the kernel's float tables) has none (`FloatRangeError`), or the operator
-check finds a residual of exactly 0.0 for a pair that does not coincide
-(`FloatRangeError` too: the pair differs by less than float resolution
-on [0, a]).  A kernel or operator check of a zero-mass density is skipped
+symbolic verdict and the numerical zero comparison: a located common pair
+(zeros of F1 and F21 within `delta`) has a member farther than `delta`
+from every zero the verdict makes common for its transform, or a zero the
+verdict requires has no pair member within `delta`.  NoCommonZeros makes
+and requires none; CommonZeros makes its `common_zeros` common and
+requires those in the rectangle; ZeroSetsCoincide makes and requires every
+located zero of each transform.  4 numeric refusal: the zero locator
+declined to answer (an evaluation would overflow, a winding number did not
+certify, a cluster stayed unresolved or the boundary could not be moved
+off a zero), or an exact value that the verdict, the zero locator or the
+operator check reads as a float (the common zeros, a, the transforms'
+Laurent coefficients and moments, the Phi/M_2 coefficients, the kernel's
+float tables) has none (`FloatRangeError`), or the operator check finds a
+residual of exactly 0.0 for a pair that does not coincide
+(`FloatRangeError` too: the pair differs by less than float resolution on
+[0, a]).  A kernel or operator check of a zero-mass density is skipped
 (`skipped`), as they need unit-mass densities; after an inconclusive
 verdict the zeros, kernel and operator-check tasks are skipped, and
-`skipped` gives the verdict's reason.  A refusal still writes
-the report, with its verdict (if one was reached) and an `error` block
-naming the stage, the transform (zeros only), the exception type and its
-message (`emit-grid`: one stderr line).
+`skipped` gives the verdict's reason.  A refusal still writes the report,
+with its verdict (if one was reached) and an `error` block naming the
+stage, the transform (zeros only), the exception type and its message
+(`emit-grid`: one stderr line).
 """
 
 from __future__ import annotations
@@ -60,9 +67,7 @@ from .kernel import ZeroMassError, build_kernel, build_m_functions, normalize_pa
 from .operator_lab import convergence_study
 from .symbol import (
     OUTCOME_COINCIDE,
-    OUTCOME_COMMON,
     OUTCOME_INCONCLUSIVE,
-    OUTCOME_NO_COMMON,
     decide,
 )
 from .transform import EvaluationOverflow, closed_form, reflected_transform
@@ -118,6 +123,9 @@ class ProblemSpec:
         def fail(path, msg):
             raise SpecError(path, msg)
 
+        for key in obj:  # a misspelt field would otherwise run at its default
+            if key != "coeff_class" and key not in cls.__dataclass_fields__:
+                fail(key, "unknown field")
         if "a" not in obj:
             fail("a", "missing")
         try:
@@ -146,6 +154,9 @@ class ProblemSpec:
         rect_obj = obj.get("rect", {})
         if not isinstance(rect_obj, dict):
             fail("rect", "must be an object")
+        for key in rect_obj:
+            if key not in vars(cls.rect):
+                fail("rect", f"unknown field {key!r}")
         # a field the file leaves out takes the class default (the margin: SearchRect's)
         rect = _search_rect(*(rect_obj.get(k, v) for k, v in vars(cls.rect).items()))
 
@@ -234,28 +245,36 @@ def run(spec_path, out_path, tasks=None, rect=None, tol=None, grid_n=None):
 
     if tasks is not None:
         spec.tasks = tuple(tasks)
-
     report: dict = {"tasks": list(spec.tasks)}
-    exit_code = EXIT_OK
-
+    at = {"stage": "verdict"}
     try:
-        verdict = decide(spec.psi1, spec.psi2, spec.a)
-    except DigitLimitError as exc:  # the masses and the gcd are written exactly
-        report["error"] = f"verdict: {exc}"
-        return _finish(report, EXIT_INPUT_ERROR, spec_sha256, out_path, started)
-    except FloatRangeError as exc:  # a common zero with no float image
-        report["error"] = {"stage": "verdict", "type": type(exc).__name__, "message": str(exc)}
-        return _finish(report, EXIT_NUMERIC_REFUSAL, spec_sha256, out_path, started)
+        exit_code = _run_stages(spec, report, at)
+    except DigitLimitError as exc:  # an exact result too long for a decimal string
+        report["error"], exit_code = f"{at['stage']}: {exc}", EXIT_INPUT_ERROR
+    except NUMERIC_REFUSALS as exc:
+        report["error"] = {**at, "type": type(exc).__name__, "message": str(exc)}
+        exit_code = EXIT_NUMERIC_REFUSAL
+    report["provenance"] = {"tool": f"bezoutiant {__version__}", "spec_sha256": spec_sha256,
+                            "timing_s": round(time.monotonic() - started, 6)}
+    _write_report(report, out_path)
+    return report, exit_code
+
+
+def _run_stages(spec: ProblemSpec, report: dict, at: dict) -> int:
+    """Run the spec's tasks into `report`; returns the exit code.  `at` names the
+    stage that runs (`zeros` with its `transform`), for `run` to report a refusal."""
+    verdict = decide(spec.psi1, spec.psi2, spec.a)
     report["verdict"] = verdict.to_json()
     if verdict.outcome == OUTCOME_INCONCLUSIVE:
         skipped = sorted(set(spec.tasks) - {"decide"})
         if skipped:
             report["skipped"] = {"tasks": skipped, "reason": "verdict "
                                  f"{OUTCOME_INCONCLUSIVE}: {verdict.diagnostics['reason']}"}
-        return _finish(report, EXIT_INCONCLUSIVE, spec_sha256, out_path, started)
+        return EXIT_INCONCLUSIVE
 
     needs_pair = {"kernel", "operator-check"} & set(spec.tasks)
     if needs_pair:
+        at["stage"] = "kernel"
         try:
             pair = normalize_pair(spec.psi1, spec.psi2, spec.a)
         except ZeroMassError as exc:  # the kernel needs unit-mass densities
@@ -263,66 +282,43 @@ def run(spec_path, out_path, tasks=None, rect=None, tol=None, grid_n=None):
         else:
             kern = build_kernel(pair)
             if "kernel" in spec.tasks:
-                try:
-                    report["kernel"] = kern.to_json()
-                except DigitLimitError as exc:
-                    report["error"] = f"kernel: {exc}"
-                    return _finish(report, EXIT_INPUT_ERROR, spec_sha256, out_path, started)
+                report["kernel"] = kern.to_json()
             if "operator-check" in spec.tasks:
-                try:
-                    operator = convergence_study(pair, kern, build_m_functions(pair),
-                                                 sizes=_refinement_sizes(spec.grid_n))
-                    if verdict.outcome != OUTCOME_COINCIDE and 0.0 in operator["residuals"]:
-                        # only a coincidence pair satisfies the identity exactly
-                        raise FloatRangeError("identity residual of a pair that does not "
-                                              "coincide is 0.0: below float resolution")
-                    report["operator"] = operator
-                except NUMERIC_REFUSALS as exc:
-                    report["error"] = {"stage": "operator-check",
-                                       "type": type(exc).__name__, "message": str(exc)}
-                    return _finish(report, EXIT_NUMERIC_REFUSAL, spec_sha256, out_path, started)
+                at["stage"] = "operator-check"
+                operator = convergence_study(pair, kern, build_m_functions(pair),
+                                             sizes=_refinement_sizes(spec.grid_n))
+                if verdict.outcome != OUTCOME_COINCIDE and 0.0 in operator["residuals"]:
+                    # only a coincidence pair satisfies the identity exactly
+                    raise FloatRangeError("identity residual of a pair that does not "
+                                          "coincide is 0.0: below float resolution")
+                report["operator"] = operator
 
-    if "zeros" in spec.tasks:
-        located = []
-        for name, F in zip(("F1", "F21"), verdict.transforms):
-            try:
-                located.append(locate_zeros(F, spec.rect, spec.tol))
-            except NUMERIC_REFUSALS as exc:
-                report["error"] = {"stage": "zeros", "transform": name,
-                                   "type": type(exc).__name__, "message": str(exc)}
-                return _finish(report, EXIT_NUMERIC_REFUSAL, spec_sha256, out_path, started)
-        z1, z21 = located
-        comparison = compare_zero_sets(z1, z21, spec.delta)
-        report["zero_sets"] = {"F1": z1.to_json(), "F21": z21.to_json()}
-        report["comparison"] = comparison.to_json()
+    if "zeros" not in spec.tasks:
+        return EXIT_OK
+    located = []
+    for name, F in zip(("F1", "F21"), verdict.transforms):
+        at.update(stage="zeros", transform=name)
+        located.append(locate_zeros(F, spec.rect, spec.tol))
+    z1, z21 = located
+    comparison = compare_zero_sets(z1, z21, spec.delta)
+    report["zero_sets"] = {"F1": z1.to_json(), "F21": z21.to_json()}
+    report["comparison"] = comparison.to_json()
 
-        conflict = verdict.outcome == OUTCOME_NO_COMMON and comparison.has_common
-        if verdict.outcome == OUTCOME_COMMON:
-            # the common pairs located are the verdict's zeros in the rectangle
-            r, near = spec.rect, lambda u, vs: any(abs(u - v) <= spec.delta for v in vs)
-            want = [complex(z["re"], z["im"]) for z in verdict.diagnostics["common_zeros"]
-                    if r.re_min <= z["re"] <= r.re_max and r.im_min <= z["im"] <= r.im_max]
-            got = [z for z, _, _ in comparison.common]
-            conflict = not (all(near(u, want) for u in got) and all(near(v, got) for v in want))
-        if verdict.outcome == OUTCOME_COINCIDE:
-            conflict = len(z1.zeros) != len(z21.zeros) or any(
-                abs(u.z - v.z) > spec.delta for u, v in zip(z1.zeros, z21.zeros))
-        report["conflict"] = conflict
-        if conflict:
-            exit_code = EXIT_CONFLICT
-
-    return _finish(report, exit_code, spec_sha256, out_path, started)
-
-
-def _finish(report, exit_code, spec_sha256, out_path, started):
-    """Add the provenance block, write the report; returns (report, exit_code)."""
-    report["provenance"] = {
-        "tool": f"bezoutiant {__version__}",
-        "spec_sha256": spec_sha256,
-        "timing_s": round(time.monotonic() - started, 6),
-    }
-    _write_report(report, out_path)
-    return report, exit_code
+    # the zeros the verdict makes common and those it requires, per transform
+    if verdict.outcome == OUTCOME_COINCIDE:
+        made = required = (z1.points(), z21.points())
+    else:  # CommonZeros lists them; NoCommonZeros has none
+        r = spec.rect
+        common = [complex(z["re"], z["im"]) for z in verdict.diagnostics.get("common_zeros", ())]
+        inside = [z for z in common
+                  if r.re_min <= z.real <= r.re_max and r.im_min <= z.imag <= r.im_max]
+        made, required = (common, common), (inside, inside)
+    near = lambda u, vs: any(abs(u - v) <= spec.delta for v in vs)
+    members = [[c[i] for c in comparison.common] for i in (0, 1)]  # the pairs' F1, F21 zeros
+    report["conflict"] = conflict = not all(
+        all(near(u, ms) for u in ps) and all(near(v, ps) for v in rs)
+        for ms, rs, ps in zip(made, required, members))
+    return EXIT_CONFLICT if conflict else EXIT_OK
 
 
 def _write_report(report: dict, out_path) -> None:
@@ -375,13 +371,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "decide":
-            _, code = run(args.input, args.output, tasks=("decide",))
-            return code
+            return run(args.input, args.output, tasks=("decide",))[1]
         if args.command == "verify":
-            _, code = run(args.input, args.output,
-                          tasks=("decide", "zeros", "operator-check"),
-                          rect=args.rect, tol=args.tol, grid_n=args.grid)
-            return code
+            return run(args.input, args.output, tasks=("decide", "zeros", "operator-check"),
+                       rect=args.rect, tol=args.tol, grid_n=args.grid)[1]
         if args.command == "emit-grid":
             return emit_grid(args.input, args.csv)
     except (SpecError, OSError) as exc:

@@ -591,10 +591,6 @@ class CompareReport:
     common: tuple
     delta: float
 
-    @property
-    def has_common(self) -> bool:
-        return bool(self.common)
-
     def to_json(self):
         return {
             "min_distance": self.min_distance if math.isfinite(self.min_distance) else None,

@@ -427,9 +427,11 @@ def test_spec_validation_paths():
     {"rect": {"re_min": True}}, {"rect": {"boundary_margin": False}},
     {"psi1": ["0"]}, {"psi2": ["0", "0"]},
     {"tol": "1e-3"}, {"delta": " 0.5 "}, {"rect": {"re_min": "-3"}},
+    {"grid": 128}, {"rect": {"re_min": -10, "re_max": 10, "im_mn": -1, "im_max": 1}},
 ], ids=["unknown-task", "tasks-null", "tasks-int", "tasks-string", "tasks-non-string",
         "tol-true", "delta-false", "rect-re_min-true", "rect-margin-false",
-        "psi1-zero", "psi2-zero", "tol-string", "delta-string", "rect-re_min-string"])
+        "psi1-zero", "psi2-zero", "tol-string", "delta-string", "rect-re_min-string",
+        "unknown-field", "rect-unknown-field"])
 def test_malformed_field_exit_code(tmp_path, field):
     # refused at the field's own path, and the CLI exits 1 with an error report
     (key,) = field
@@ -816,6 +818,30 @@ def test_conflict_gate_coincidence_with_unmatched_zeros(tmp_path, monkeypatch):
     assert report["zero_sets"]["F1"]["zeros"] == []
     assert len(report["zero_sets"]["F21"]["zeros"]) == 4
     assert json.loads(out.read_text()) == report
+
+
+@pytest.mark.parametrize("moved", [0, 2], ids=["reordered", "one-moved"])
+def test_conflict_gate_coincidence_matches_zeros_by_distance(tmp_path, monkeypatch, moved):
+    # F21's zeros are F1's listed in reverse order, the first moved by
+    # `moved` * delta: the sets coincide whatever their order, and a zero
+    # 2 * delta from every zero of the other set is a conflict
+    _force_outcome(monkeypatch, OUTCOME_COINCIDE)
+    real, located = cli.locate_zeros, []
+
+    def reversed_f21(F, rect, tol):
+        if not located:
+            located.append(real(F, rect, tol))
+            return located[0]
+        first, *rest = located[0].zeros[::-1]
+        first = dataclasses.replace(first, z=first.z + moved * 1e-3)
+        return dataclasses.replace(located[0], zeros=(first, *rest))
+
+    monkeypatch.setattr(cli, "locate_zeros", reversed_f21)
+    report, code = run(FIXTURES / "coincidence.json", None, tasks=("decide", "zeros"))
+    assert report["comparison"]["delta"] == 1e-3
+    assert len(report["zero_sets"]["F21"]["zeros"]) == 8
+    assert report["conflict"] is bool(moved)
+    assert code == (EXIT_CONFLICT if moved else EXIT_OK)
 
 
 @pytest.mark.parametrize("zeros", [[], [1j, 2 - 1j], [1j, 50j]], ids=["missing", "extra", "outside"])
