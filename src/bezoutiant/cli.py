@@ -36,9 +36,9 @@ declined to answer (an evaluation would overflow, a winding number did not
 certify, a cluster stayed unresolved or the boundary could not be moved
 off a zero), or an exact value that the verdict, the zero locator or the
 operator check reads as a float (the common zeros, a, the transforms'
-Laurent coefficients and moments, the Phi/M_2 coefficients, the kernel's
-float tables) has none (`FloatRangeError`), or the operator check finds a
-residual of exactly 0.0 for a pair that does not coincide
+Laurent coefficients and density samples, the Phi/M_2 coefficients, the
+kernel's float tables) has none (`FloatRangeError`), or the operator
+check finds a residual of exactly 0.0 for a pair that does not coincide
 (`FloatRangeError` too: the pair differs by less than float resolution on
 [0, a]).  A kernel or operator check of a zero-mass density is skipped
 (`skipped`), as they need unit-mass densities; after an inconclusive

@@ -47,6 +47,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from functools import cached_property
 from itertools import zip_longest
 from math import gcd, lcm
 from typing import Iterable, Union
@@ -469,14 +470,14 @@ class MPoly:
 
     Its one state, `table` = (re, im, den), holds integer rows: the
     coefficient of x^i t^j is (re[i][j] + i im[i][j]) / den, den > 0.
-    `terms` lists the nonzero entries; equality, evaluation and
-    integration read the x-rows as integer `Poly`s in t.
+    `terms` lists the nonzero entries, built once; equality, evaluation
+    and integration read the x-rows as integer `Poly`s in t.
     """
 
     def __init__(self, re: list, im: list, den: int):
         self.table = (re, im, den)
 
-    @property
+    @cached_property
     def terms(self) -> list:
         """(i, j, re, im) of every nonzero table entry, in sorted (i, j) order."""
         re, im, _ = self.table

@@ -67,7 +67,6 @@ from operator import add
 import numpy as np
 
 from .exact import MPoly, Poly, _frac, _ratio_str, _shift_real, float_endpoint, to_floats
-from .transform import _conjugate
 
 
 class ZeroMassError(ValueError):
@@ -246,7 +245,7 @@ def build_m_functions(pair: NormalizedPair) -> MFunctions:
 def _kernel_pieces(pair: NormalizedPair) -> tuple:
     """(U_lower, U_upper) from the table of A(y, u); see the module doc."""
     pr, pi, pd = pair.psi2.triple
-    gr, gi, gd = _conjugate(pair.psi1.triple)
+    gr, gi, gd = pair.psi1.conjugate().triple
     d1, d2 = len(gr) - 1, len(pr) - 1
     top = d1 + d2 + 1  # highest power of y in A, and total degree of U
     ell = lcm(*range(1, top + 1))

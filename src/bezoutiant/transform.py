@@ -12,24 +12,19 @@ they are.  g is derived on first use, from Q, as g_k = g^(k)(0)/k! =
 q_(k+1)/(i^(k+1) k!).
 
 Every float `eval_many` reads leaves the exact data through
-`exact.to_floats` (a through `float_endpoint`): a Laurent or Taylor
-coefficient past float range, or an a that rounds to 0.0, raises
+`exact.to_floats` (a through `float_endpoint`): a Laurent coefficient or a
+density sample past float range, or an a that rounds to 0.0, raises
 `FloatRangeError` on the first evaluation, a numeric refusal (exit 4).
 
-Near z = 0 the Laurent form cancels catastrophically; a truncated Taylor
-series of the moments mu_n = int_0^a t^n g(t) dt = sum_k g_k a^(n+k+1) /
-(n+k+1) is used there, summed on integer numerators over one table of the
-powers of a, built only for the first point with |z| < r.
-Both r and the moment count come from a.  |mu_n| <= a^n int|g|, so the
-terms are bounded by (a|z|)^n / n! and peak near e^(a|z|): r = min(
-SWITCH_RADIUS, 10/a) keeps that peak below e^10, and the series keeps
-every n with (a r)^n / n! > 2^-64, and never fewer than deg + 1 +
-EXTRA_MOMENTS terms.  For a <= 6 that is r = SWITCH_RADIUS and deg + 1 +
-EXTRA_MOMENTS.  The Taylor coefficients mu_n i^n / n! are built on the
-integers too (i^n permutes the parts, n! joins the denominator), so no
-factorial overflows a float and no power of 1j rounds.  Python's int/int
-division rounds correctly, so every float, Laurent or Taylor, is its
-exact coefficient correctly rounded, part by part.
+Near z = 0 the Laurent form cancels catastrophically; for |z| < r =
+min(SWITCH_RADIUS, 10/a) an N-node Gauss-Legendre rule on [0, a] sums
+F(z) = sum_k W_k e^{izt_k}, W_k = w_k g(t_k) (Trefethen, *SIAM Rev.* 50,
+2008), built only for the first point inside r.  F(z) = sum_n (iz)^n / n!
+int_0^a t^n g(t) dt has terms below (a|z|)^n / n! int|g|; with M the first
+n where (a r)^n / n! <= 2^-64, N = ceil((deg g + M) / 2) nodes integrate
+every earlier term exactly.  Each g(t_k) is the exact value at the float
+node t_k, found on the integers and correctly rounded; w_k is taken from
+P_N' at numpy's refined node s_k, as w_k = a / ((1 - s_k^2) P_N'(s_k)^2).
 
 Reflection.  R(F)(z) = e^{iaz} conj F(conj z) is (a, conj Q, conj P) and
 the transform of conj g(a-t): with the bar on the coefficients,
@@ -41,19 +36,19 @@ As e^{iaz} != 0, R(F)(z) = 0 iff F(conj z) = 0: the zeros of F_{2,1} are
 the conjugates of F_2's (acceptance criterion 8).
 
 F' needs no exact data of its own: `eval_many(z, with_derivative=True)`
-returns (F(z), F'(z)) from one pass over F's float coefficients (Horner's
-rule with derivative; Higham, *Accuracy and Stability*, section 5.1).  The
-Taylor form updates dacc = dacc z + acc before acc = acc z + c; in the
-Laurent form each step is t = acc + p, acc = t w, and d = d w + t carries
-P'(w) and Q'(w), so F'(z) = e^{iaz} (i a P(w) - w^2 P'(w)) - w^2 Q'(w).
-Both values share the overflow check, the Taylor/Laurent split, 1/z and
-e^{iaz}, and F is bit for bit what `eval_many(z)` returns on its own.
-P and Q go through one Horner pass: the accumulators are one (2, N)
+returns (F(z), F'(z)) from one pass over F's float data (Horner's
+rule with derivative; Higham, *Accuracy and Stability*, section 5.1).  In
+the Laurent form each step is t = acc + p, acc = t w, and d = d w + t
+carries P'(w) and Q'(w), so F'(z) = e^{iaz} (i a P(w) - w^2 P'(w)) -
+w^2 Q'(w); the rule adds i t_k W_k e^{izt_k}.  Both values share the
+overflow check, the split at r, 1/z, e^{iaz} and e^{izt_k}, and F is bit
+for bit what `eval_many(z)` returns on its own.
+P and Q go through one Horner pass: the accumulators are one two-row
 array, stepped in place with the rows (p_j, q_j) of one cached table, so
 each add or multiply of a step is one numpy call for both; the arithmetic
-per point is unchanged.  A call with no point inside the Taylor radius
-evaluates its array as it is, with no mask copy or scatter; every value
-has the bits of that point evaluated alone.
+per point is unchanged.  A call with no point inside r evaluates its
+array as it is, with no mask copy or scatter; every value has the bits of
+that point evaluated alone.
 """
 
 from __future__ import annotations
@@ -67,11 +62,8 @@ import numpy as np
 
 from .exact import Poly, _frac, float_endpoint, to_floats
 
-#: Largest crossover radius between the moment Taylor series and the Laurent form.
+#: Largest crossover radius between the Gauss-Legendre rule and the Laurent form.
 SWITCH_RADIUS = 0.5
-
-#: Extra moment terms beyond the density degree kept for the z ~ 0 series.
-EXTRA_MOMENTS = 32
 
 #: |a * Im z| beyond which exp() would overflow double range.
 OVERFLOW_LIMIT = 700.0
@@ -97,33 +89,6 @@ def _to_complex(numers: tuple, what: str) -> list:
     """(re[k] + i im[k]) / den as complex floats, each part through `to_floats`."""
     re, im, den = numers
     return [complex(r, m) for r, m in zip(to_floats(re, den, what), to_floats(im, den, what))]
-
-
-def _taylor_radius(a: float) -> float:
-    """The radius r below which `eval_many` sums the Taylor series (module doc)."""
-    return min(SWITCH_RADIUS, 10 / a)
-
-
-def _moments(g: Poly, a: Fraction) -> tuple:
-    """(re, im, den) of mu_n = sum_k g_k a^(n+k+1) / (n+k+1), for every n
-    with (a r)^n / n! > 2^-64 and at least n <= deg + EXTRA_MOMENTS."""
-    re, im, den = g.triple
-    a_f = float_endpoint(a)
-    x, count, term = a_f * _taylor_radius(a_f), 0, 1.0
-    while term > 2.0 ** -64:  # term = x^count / count!
-        count += 1
-        term *= x / count
-    count = max(count, g.degree + 1 + EXTRA_MOMENTS)
-    top = count + len(re) - 1  # largest power n + k + 1
-    p, q = a.numerator, a.denominator
-    ell = math.lcm(*range(1, top + 1))
-    # a^m / m = w[m] / (q^top ell)
-    w = [0] + [p ** m * q ** (top - m) * (ell // m) for m in range(1, top + 1)]
-    mre, mim = [], []
-    for n in range(count):
-        mre.append(sum(c * w[n + k + 1] for k, c in enumerate(re)))
-        mim.append(sum(c * w[n + k + 1] for k, c in enumerate(im)))
-    return mre, mim, den * q ** top * ell
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,15 +130,30 @@ class ClosedTransform:
         return a, np.array(osc or [0j]), np.array(plain or [0j])
 
     @cached_property
-    def _taylor(self) -> np.ndarray:
-        """Taylor coefficients of F at 0, mu_n i^n / n!, each correctly
-        rounded: entry n times N!/n! over den N!, N the last n."""
-        re, im, den = _times_i_powers(*_moments(self.density, self.a), 0)
-        f = math.factorial(len(re) - 1)
-        scale = [f // math.factorial(n) for n in range(len(re))]
-        return np.array(_to_complex(([r * c for r, c in zip(re, scale)],
-                                     [m * c for m, c in zip(im, scale)], den * f),
-                                    "a Taylor coefficient"))
+    def _rule(self) -> tuple:
+        """Nodes t_k, weights W_k = w_k g(t_k) and i t_k W_k of the rule
+        inside the radius (module doc).  The nodes are integers n_k over d,
+        the largest of their power-of-two denominators, and d^deg g(t_k) =
+        sum_j g_j n_k^j d^(deg-j) is one integer per part."""
+        a = self._laurent[0]
+        x, m, term = min(a * SWITCH_RADIUS, 10.0), 0, 1.0  # x = a r
+        while term > 2.0 ** -64:  # term = x^m / m!
+            m += 1
+            term *= x / m
+        re, im, den = self.density.triple
+        deg = max(len(re) - 1, 0)
+        legendre, n = np.polynomial.legendre, (deg + m + 1) // 2
+        s = legendre.leggauss(n)[0]  # its weights read P_n' at the nodes before their Newton step
+        w = a / ((1 - s) * (1 + s) * legendre.legval(s, legendre.legder([0] * n + [1])) ** 2)
+        t = a / 2 * (s + 1)
+        ratios = [v.as_integer_ratio() for v in t.tolist()]
+        d = max(q for _, q in ratios)
+        nodes = np.array([p * (d // q) for p, q in ratios], dtype=object)
+        sr = si = np.zeros(len(t), dtype=object)
+        for k, (r, i) in enumerate(zip(re[::-1], im[::-1])):  # k = deg - j
+            sr, si = sr * nodes + r * d ** k, si * nodes + i * d ** k
+        weights = w * np.array(_to_complex((sr, si, den * d ** deg), "a density sample"))
+        return t, weights, 1j * t * weights
 
     @cached_property
     def _horner(self) -> np.ndarray:
@@ -201,6 +181,17 @@ class ClosedTransform:
         w2 = w * w
         return f, e * (1j * a * acc[0] - w2 * d[0]) - w2 * d[1]
 
+    def _rule_sum(self, z, with_derivative):
+        """F (and F', else None) at 1-D z by the Gauss-Legendre rule, one node at a time."""
+        f = np.zeros_like(z)
+        fp = np.zeros_like(z) if with_derivative else None
+        for t, w, dw in zip(*self._rule):
+            e = np.exp(1j * t * z)
+            f += w * e
+            if with_derivative:
+                fp += dw * e
+        return f, fp
+
     def eval_many(self, z, with_derivative: bool = False):
         """Vectorized evaluation at an array of complex points.
 
@@ -224,28 +215,20 @@ class ClosedTransform:
         return (f, fp) if with_derivative else f
 
     def _eval(self, z, with_derivative):
-        """(F, F' or None) at z: Taylor series inside the radius, Laurent form outside."""
+        """(F, F' or None) at z: the rule inside the radius, the Laurent form outside."""
         a = self._laurent[0]
-        small = np.abs(z) < _taylor_radius(a)
+        small = np.abs(z) < min(SWITCH_RADIUS, 10 / a)
         if not np.any(small):
             f, fp = self._laurent_sum(z.ravel(), a, with_derivative)
             return f.reshape(z.shape), (fp.reshape(z.shape) if with_derivative else None)
         f = np.empty_like(z)
         fp = np.empty_like(z) if with_derivative else None
-        zs = z[small]
-        acc = dacc = np.zeros_like(zs)
-        for c in self._taylor[::-1]:
-            if with_derivative:
-                dacc = dacc * zs + acc
-            acc = acc * zs + c
-        f[small] = acc
+        f[small], fs = self._rule_sum(z[small], with_derivative)
         if with_derivative:
-            fp[small] = dacc
-        large = ~small
-        if np.any(large):
-            f[large], fl = self._laurent_sum(z[large], a, with_derivative)
-            if with_derivative:
-                fp[large] = fl
+            fp[small] = fs
+        f[~small], fl = self._laurent_sum(z[~small], a, with_derivative)
+        if with_derivative:
+            fp[~small] = fl
         return f, fp
 
     def __call__(self, z: complex) -> complex:

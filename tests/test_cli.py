@@ -239,8 +239,8 @@ def test_exact_values_are_integer_triples():
 
 
 def test_high_degree_density_near_the_origin_writes_a_report(tmp_path):
-    # degree 140 keeps 173 moments, and n! is past float range from n = 171:
-    # the Taylor table near z = 0 is built on the integers, so `verify` on
+    # degree 140: near z = 0 every density sample of the Gauss-Legendre rule
+    # is computed on the integers, and no n! is formed, so `verify` on
     # [-0.3, 0.3]^2 ends with a report, not a traceback
     rng = random.Random(140)
     spec = tmp_path / "deg140.json"

@@ -1,9 +1,9 @@
 """Outputs on the fixture corpus, compared with recorded golden files.
 
 Each file in `golden/` holds the `decide`+`kernel` report (without its
-provenance block) and the Laurent coefficients and moments of F_1 and
-F_{2,1}.  Every entry is an exact rational string, so equality here means
-bit-identical exact output.
+provenance block) and the Laurent coefficients of F_1 and F_{2,1}.  Every
+entry is an exact rational string, so equality here means bit-identical
+exact output.
 
 Each file in `golden_zeros/` holds the exit code and the `zero_sets`,
 `comparison` and `conflict` entries of the `decide`+`zeros` report, the
@@ -25,7 +25,7 @@ import pytest
 
 from bezoutiant.cli import ProblemSpec, run
 from bezoutiant.exact import _json_value
-from bezoutiant.transform import _moments, closed_form, reflected_transform
+from bezoutiant.transform import closed_form, reflected_transform
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
@@ -41,11 +41,7 @@ def _values_json(triple):
 
 
 def _transform_json(F):
-    return {
-        "osc": _values_json(F.p),
-        "plain": _values_json(F.q),
-        "moments": _values_json(_moments(F.density, F.a)),
-    }
+    return {"osc": _values_json(F.p), "plain": _values_json(F.q)}
 
 
 def record(name: str, folder: Path = FIXTURES) -> dict:

@@ -1,6 +1,10 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction as F
 from math import comb, gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,6 +213,18 @@ def test_kernel_json():
     d = k.to_json()
     assert d["c"] == "-1"
     assert d["a"] == "1"
+    # each piece builds its term list once, for the float table and the JSON alike
+    assert k.u_lower.terms is k.u_lower.terms and k.u_upper.terms is k.u_upper.terms
+
+
+def test_kernel_imports_no_transform():
+    # the kernel, a reproduction of the paper's operator, reads the exact
+    # core only: importing it leaves the transform evaluator unloaded
+    import bezoutiant.kernel
+    src = str(Path(bezoutiant.kernel.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, bezoutiant.kernel; sys.exit('bezoutiant.transform' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_kernel_tables_match_their_terms(rng):

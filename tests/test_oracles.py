@@ -1,6 +1,6 @@
 """Independent oracles for the exact core.
 
-Jets, moments, the kernel pieces, L(D) and V(u) are each recomputed
+Jets, the kernel pieces, L(D) and V(u) are each recomputed
 from their textbook definitions with sympy (symbolic derivatives and
 integrals) and compared exactly on hypothesis-generated densities.
 
@@ -41,7 +41,7 @@ from bezoutiant.kernel import build_kernel, normalize_pair
 from bezoutiant.symbol import (OUTCOME_COINCIDE, OUTCOME_COMMON, OUTCOME_INCONCLUSIVE,
                                OUTCOME_NO_COMMON, DiffOperator, decide, l_operator,
                                v_symbol)
-from bezoutiant.transform import ClosedTransform, _moments
+from bezoutiant.transform import ClosedTransform
 from conftest import fractions_of, is_zero, triple_of
 
 s, u, x, t, w = sp.symbols("s u x t w")
@@ -104,18 +104,6 @@ def test_jet_matches_sympy_derivatives(p, at):
     assert len(jet) == p.degree + 1
     for k, value in enumerate(jet):
         assert same(sym(value), sp.diff(expr, s, k).subs(s, sym(at)))
-
-
-@ORACLE
-@given(polys(6), endpoints)
-def test_moments_match_sympy_integrals(g, a):
-    F = ClosedTransform.from_density(g, a)
-    expr = sym_poly(g, s)
-    A = sp.Rational(a.numerator, a.denominator)
-    moments = entries(_moments(F.density, F.a))
-    assert len(moments) == g.degree + 33
-    for n in (0, 1, 5, len(moments) - 1):
-        assert same(sym(moments[n]), integrate(s ** n * expr, 0, A))
 
 
 @ORACLE

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -10,20 +11,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.calculus.quadrature import GaussLegendre
 
-import bezoutiant.transform as transform
 from bezoutiant.cli import ProblemSpec
 from bezoutiant.exact import Poly
 from bezoutiant.symbol import OUTCOME_COINCIDE, decide
 from bezoutiant.transform import (
+    SWITCH_RADIUS,
     ClosedTransform,
     EvaluationOverflow,
-    _moments,
-    _taylor_radius,
     closed_form,
     reflected_transform,
 )
 from bezoutiant.zeros import SearchRect, locate_zeros
 from conftest import (
+    as_fractions,
+    eval_complex,
     fractions_of,
     quadrature_transform,
     random_admissible_poly,
@@ -41,9 +42,12 @@ def test_closed_form_constant_density():
     Ft = closed_form(ONE, 1)
     assert fractions_of(Ft.p) == [(0, -1)]  # 1/i
     assert fractions_of(Ft.q) == [(0, 1)]   # -1/i
-    assert fractions_of(_moments(Ft.density, Ft.a))[:3] == [(1, 0), (F(1, 2), 0), (F(1, 3), 0)]
-    # (e^{iaz} - 1)/(iz) near the origin for large a, where the Taylor terms
-    # would reach e^{a|z|} if the series were summed out to |z| = 0.49
+    # its rule integrates t^n, n < 2N, to rounding: mu_n = 1 / (n + 1)
+    t, weights, _ = Ft._rule
+    moments = [np.sum(weights * t ** n) for n in range(2 * len(t))]
+    assert moments == pytest.approx([1 / (n + 1) for n in range(2 * len(t))], rel=1e-15)
+    # (e^{iaz} - 1)/(iz) near the origin for large a, where a Taylor series
+    # would reach e^{a|z|} before it cancels, were it summed out to |z| = 0.49
     z = np.array([0.49, 0.49j, -0.3 + 0.2j, 0.1, 0.05j])
     for a in (20, 40, 60, 100):
         with mpmath.workdps(40):
@@ -66,7 +70,7 @@ def test_closed_form_linear_density():
 def test_eval_examples():
     Ft = closed_form(ONE, 1)
     assert abs(Ft(2 * math.pi)) < 1e-13
-    assert Ft(0) == 1
+    assert abs(Ft(0) - 1) <= 2 * np.finfo(float).eps  # the rule's sum of weights
     G = closed_form(Poly.of(0, 2, -1), 2)  # t(2-t) on [0, 2]
     # Oracle value computed by quadrature ahead of the build: -4/pi^2.
     assert abs(G(math.pi) - (-4 / math.pi ** 2)) < 1e-12
@@ -86,19 +90,20 @@ def test_quadrature_oracle_agreement(rng):
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
+def _radius(Ft) -> float:
+    """The radius r = min(SWITCH_RADIUS, 10/a) inside which `eval_many` sums the rule."""
+    return min(SWITCH_RADIUS, 10 / Ft._laurent[0])
+
+
 def test_switch_circle_consistency():
-    for psi, a in ((ONE, 1), (TWO_T, 1), (Poly.of(0, 2, -1), 2)):
+    # on |z| = r, where `eval_many` switches, the rule and the Laurent form
+    # agree on F and on F'
+    gauss = (Poly.of(1, (0, 2), -3), F(7, 3))
+    for psi, a in ((ONE, 1), (TWO_T, 1), (Poly.of(0, 2, -1), 2), gauss):
         Ft = closed_form(psi, a)
-        for theta in np.linspace(0, 2 * math.pi, 17):
-            for r in (0.25, 0.4, 0.49, 0.51, 0.7, 1.0):
-                z = r * np.exp(1j * theta)
-                small = np.polyval(Ft._taylor[::-1], z)
-                a_f, osc, plain = Ft._laurent
-                w = 1.0 / z
-                laurent = np.exp(1j * a_f * z) * np.polyval(
-                    np.append(osc[::-1], 0), w
-                ) + np.polyval(np.append(plain[::-1], 0), w)
-                assert abs(small - laurent) < 1e-12
+        z = _radius(Ft) * np.exp(1j * np.linspace(0, 2 * math.pi, 17))
+        for rule, laurent in zip(Ft._rule_sum(z, True), Ft._laurent_sum(z, Ft._laurent[0], True)):
+            assert np.all(np.abs(rule - laurent) < 1e-12)
 
 
 def _heights(h):
@@ -118,13 +123,6 @@ def _rounded(values) -> np.ndarray:
     return np.array([complex(float(x), float(y)) for x, y in values], dtype=complex)
 
 
-def _taylor_ref(moments) -> np.ndarray:
-    """mu_n i^n / n! from (re, im) Fraction pairs mu_n, correctly rounded."""
-    units = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^n
-    return _rounded(((x * c - y * s) / math.factorial(n), (x * s + y * c) / math.factorial(n))
-                    for n, ((x, y), (c, s)) in enumerate(zip(moments, units * len(moments))))
-
-
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(densities, st.sampled_from([F(1), F(7, 3), F(1, 2)]))
 @example(Poly.of(), F(1))
@@ -137,38 +135,98 @@ def test_floats_are_complex_of_exact_coefficients(g, a):
     assert a_f == float(a)
     assert osc.tobytes() == (_rounded(fractions_of(Ft.p)) if g.triple[0] else np.array([0j])).tobytes()
     assert plain.tobytes() == (_rounded(fractions_of(Ft.q)) if g.triple[0] else np.array([0j])).tobytes()
-    want = _taylor_ref(fractions_of(_moments(Ft.density, Ft.a)))
-    assert Ft._taylor.tobytes() == want.tobytes()
+    # the rule: Gauss-Legendre nodes on [0, a], and weights times g(t_k),
+    # each sample the exact value at the float node, correctly rounded
+    # (w_k = a / ((1 - s_k^2) P_N'(s_k)^2) at numpy's Newton-refined nodes s_k)
+    t, weights, derivative_weights = Ft._rule
+    legendre, n = np.polynomial.legendre, len(t)
+    s = legendre.leggauss(n)[0]
+    w = a_f / ((1 - s) * (1 + s) * legendre.legval(s, legendre.legder([0] * n + [1])) ** 2)
+    assert t.tobytes() == (a_f / 2 * (s + 1)).tobytes()
+    samples = _rounded(as_fractions(Ft.density(F(v))) for v in t.tolist())
+    assert weights.tobytes() == (w * samples).tobytes()
+    assert derivative_weights.tobytes() == (1j * t * weights).tobytes()
 
 
-def test_taylor_coefficients_are_correctly_rounded_up_to_n_200():
-    # a density of degree 168 keeps 201 moments: n! overflows a float past
-    # n = 170 and 1j ** n rounds past n = 100, so the table is built exactly;
-    # mu_n = sum_k g_k a^(n+k+1) / (n+k+1), one Fraction at a time
+def _mp_reference(g: Poly, a, z, terms: int) -> tuple:
+    """(F(z), F'(z)) from the series sum_n (iz)^n / n! mu_n, F' with i mu_(n+1),
+    cut after `terms` terms, on the exact moments mu_n = int_0^a t^n g, at 40
+    digits."""
+    def mpc(value):
+        re, im, den = value
+        return mpmath.mpc(mpmath.mpf(re) / den, mpmath.mpf(im) / den)
+    with mpmath.workdps(40):
+        mu = [mpc(g.times_x(n).integral(0, a)) for n in range(terms + 1)]
+        out = []
+        for v in z:
+            iz, f, fp = 1j * mpmath.mpc(v.real, v.imag), 0, 0
+            for n in range(terms - 1, -1, -1):  # Horner's rule in iz, 1/n! folded in
+                f = f * iz / (n + 1) + mu[n]
+                fp = fp * iz / (n + 1) + 1j * mu[n + 1]
+            out.append((complex(f), complex(fp)))
+    return tuple(np.array(part) for part in zip(*out))
+
+
+def _scales(g: Poly, a, z) -> tuple:
+    """S(z) = int_0^a |g(t)| e^{-t Im z} dt and S_1(z), with a factor t, by the
+    midpoint rule on 2,000 cells: the scales of F and F'."""
+    t = (np.arange(2000) + 0.5) * float(a) / 2000
+    y = np.abs(eval_complex(g, t))[:, None] * np.exp(-np.outer(t, z.imag)) * float(a) / 2000
+    return y.sum(axis=0), (t[:, None] * y).sum(axis=0)
+
+
+def test_rule_is_within_1e_12_of_the_scale_inside_the_radius():
+    # degrees 0-64 at a = 1, 7/3, 40 and 100; for a >= 40 a Taylor series of
+    # the moments, its coefficients correctly rounded, is up to 3.5e-9 S off
+    rng = random.Random(37)
+    gen = np.random.default_rng(37)
+    for degree in range(65):
+        for a in (F(1), F(7, 3), F(40), F(100)):
+            g = random_poly(rng, degree)
+            Ft = ClosedTransform.from_density(g, a)
+            r = _radius(Ft)
+            radius = 0.99 * r * np.sqrt(gen.uniform(size=4))  # uniform in |z| < 0.99 r
+            z = radius * np.exp(2j * math.pi * gen.uniform(size=4))
+            f, fp = Ft.eval_many(z, with_derivative=True)
+            want, want_p = _mp_reference(g, a, z, 30 + int(5 * float(a) * r))
+            s, s1 = _scales(g, a, z)
+            assert np.all(np.abs(f - want) <= 1e-12 * s), (degree, a)
+            assert np.all(np.abs(fp - want_p) <= 1e-12 * s1), (degree, a)
+
+
+def test_degree_168_density_near_the_origin_vs_mpmath():
+    # every sample is the density's exact value at its node, correctly
+    # rounded, at any degree: no n! and no power of 1j is formed
     gen = np.random.default_rng(168)
-    coeffs = [int(c) for c in gen.integers(-6, 7, 168)] + [1]
+    g = Poly.of(*[int(c) for c in gen.integers(-6, 7, 168)], 1)
     a = F(7, 3)
-    Ft = ClosedTransform.from_density(Poly.of(*coeffs), a)
-    assert len(Ft._taylor) == 201
-    moments = [(sum(c * a ** (n + k + 1) / (n + k + 1) for k, c in enumerate(coeffs)), F(0))
-               for n in range(201)]
-    assert Ft._taylor.tobytes() == _taylor_ref(moments).tobytes()
+    Ft = ClosedTransform.from_density(g, a)
+    z = np.array([0.0, 0.1, 0.3j, -0.2 - 0.25j, 0.49 * np.exp(2.5j), -0.45j])
+    f, fp = Ft.eval_many(z, with_derivative=True)
+    want, want_p = _mp_reference(g, a, z, 60)
+    s, s1 = _scales(g, a, z)
+    assert np.all(np.abs(f - want) <= 1e-12 * s)
+    assert np.all(np.abs(fp - want_p) <= 1e-12 * s1)
 
 
-def test_taylor_table_built_on_first_small_point(monkeypatch):
+def test_rule_built_on_first_small_point(monkeypatch):
     spec = ProblemSpec.from_json(json.loads((FIXTURES / "cubic_vs_quadratic.json").read_text()))
     Ft = closed_form(spec.psi1, spec.a)
     locate_zeros(Ft, SearchRect(-10, 10, -5, 5))
-    assert "_laurent" in vars(Ft) and "_taylor" not in vars(Ft)
-    builds, build = [], transform._moments
-    monkeypatch.setattr(transform, "_moments", lambda *args: builds.append(args) or build(*args))
+    assert "_laurent" in vars(Ft) and "_rule" not in vars(Ft)
+    builds, build = [], np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: builds.append(n) or build(n))
     z = 0.3 * np.exp(0.7j)
     value = Ft(z)
-    assert Ft(z) == value and len(builds) == 1
-    # the Taylor sum over the correctly rounded mu_n i^n / n!, as eval_many runs it
+    assert Ft(z) == value and "_rule" in vars(Ft)
+    # N = ceil((deg g + M) / 2) nodes, M the first n with (a r)^n / n! <= 2^-64
+    x = float(spec.a) * _radius(Ft)
+    m = next(n for n in range(1, 200) if x ** n / math.factorial(n) <= 2.0 ** -64)
+    assert builds == [math.ceil((Ft.density.degree + m) / 2)]
+    # the rule's sum, node by node, as eval_many runs it
     acc = np.zeros(1, dtype=complex)
-    for c in _taylor_ref(fractions_of(_moments(Ft.density, Ft.a)))[::-1]:
-        acc = acc * z + c
+    for t, w, _ in zip(*Ft._rule):
+        acc += w * np.exp(1j * t * np.array([z]))
     assert value == acc[0]
 
 
@@ -218,9 +276,8 @@ def test_reflection_is_the_transform_of_the_reflected_density(psis, a):
         assert fractions_of(getattr(F21, name)) == fractions_of(getattr(ref, name)), name
         assert fractions_of(getattr(twice, name)) == fractions_of(getattr(F1, name)), name
     assert F21.density == ref.density and twice.density == F1.density
-    assert fractions_of(_moments(F21.density, a)) == fractions_of(_moments(ref.density, a))
     assert F21._laurent[0] == ref._laurent[0]
-    for got, want in zip((*F21._laurent[1:], F21._taylor), (*ref._laurent[1:], ref._taylor)):
+    for got, want in zip((*F21._laurent[1:], *F21._rule), (*ref._laurent[1:], *ref._rule)):
         assert got.tobytes() == want.tobytes()
     # the verdict reads (and hands on) exactly these two transforms
     got1, got21 = decide(psi1, psi2, a).transforms
@@ -228,8 +285,8 @@ def test_reflection_is_the_transform_of_the_reflected_density(psis, a):
 
 
 def test_no_reflected_density_on_transform_paths(monkeypatch):
-    # the verdict, both transforms and their evaluation (Taylor and Laurent
-    # form) read (a, P, Q) only: no density is composed with a - t
+    # the verdict, both transforms and their evaluation (the rule and the
+    # Laurent form) read (a, P, Q) only: no density is composed with a - t
     def refuse(*args):
         raise AssertionError("Poly.reflect called")
     monkeypatch.setattr(Poly, "reflect", refuse)
@@ -251,18 +308,21 @@ def _fprime(Ft, z):
 def _horner_bound(Ft, z):
     """A priori rounding bound of `eval_many` of Ft at z (Higham, *Accuracy
     and Stability*, section 5.1): n eps times the sum of the moduli of the
-    n terms of the Taylor or Laurent form that z falls in."""
+    n terms of the rule or the Laurent form that z falls in; for the rule,
+    N eps sum_k |W_k| e^{-t_k Im z}.  For the transform of i t g, which is
+    F', W_k carries the factor t_k."""
     a, osc, plain = Ft._laurent
-    taylor = Ft._taylor
+    t, weights, _ = Ft._rule
     z = np.asarray(z, dtype=complex)
     r = np.abs(z)
-    small = r < _taylor_radius(a)
+    small = r < _radius(Ft)
     with np.errstate(divide="ignore", invalid="ignore"):
         w = 1.0 / r
         laurent = w * (np.exp(-a * z.imag) * np.polyval(np.abs(osc[::-1]), w)
                        + np.polyval(np.abs(plain[::-1]), w))
-    terms = np.where(small, np.polyval(np.abs(taylor[::-1]), r), laurent)
-    n = np.where(small, len(taylor), len(osc) + 1)
+    rule = (np.abs(weights) @ np.exp(-np.outer(t, z.imag))).reshape(z.shape)
+    terms = np.where(small, rule, laurent)
+    n = np.where(small, len(t), len(osc) + 1)
     return n * np.finfo(float).eps * terms
 
 
@@ -295,7 +355,7 @@ def test_eval_many_with_derivative_bit_identical(rng):
     for k in range(12):
         Ft = ClosedTransform.from_density(random_poly(rng, rng.randint(0, 12)), F(7, 3))
         Fd = transform_of_i_t(Ft)
-        # |z| < 0.5 (Taylor) and |z| >= 0.5 (Laurent) mixed in one array
+        # |z| < 0.5 (the rule) and |z| >= 0.5 (Laurent) mixed in one array
         small = gen.uniform(-0.35, 0.35, 9) + 1j * gen.uniform(-0.35, 0.35, 9)
         large = gen.uniform(-20, 20, 40) + 1j * gen.uniform(-4, 4, 40)
         z = gen.permutation(np.concatenate([small, large, [0.5, 0.5j, 0.0]]))
@@ -308,14 +368,14 @@ def test_eval_many_with_derivative_bit_identical(rng):
 def test_eval_many_shape_and_pointwise_bits(rng):
     # any input shape comes back as it went in, and every value, F and F', has
     # the bits of that point evaluated alone, whether the array holds Laurent
-    # points only (no Taylor mask), Taylor points only or both
+    # points only (no mask), points inside the radius only or both
     gen = np.random.default_rng(3)
     laurent = gen.uniform(-20, 20, 12) + 1j * gen.uniform(-4, 4, 12)
-    taylor = gen.uniform(-0.35, 0.35, 12) + 1j * gen.uniform(-0.35, 0.35, 12)
-    mixed = np.where(np.arange(12) % 3 == 0, taylor, laurent)
+    inside = gen.uniform(-0.35, 0.35, 12) + 1j * gen.uniform(-0.35, 0.35, 12)
+    mixed = np.where(np.arange(12) % 3 == 0, inside, laurent)
     for g in (Poly.of(), ONE, random_poly(rng, 7)):
         Ft = ClosedTransform.from_density(g, F(7, 3))
-        for pts in (laurent, taylor, mixed):
+        for pts in (laurent, inside, mixed):
             for z in (pts[0], pts[:0], pts, pts.reshape(3, 4), pts.reshape(4, 3).T):
                 z = np.asarray(z)
                 alone = [Ft.eval_many(np.array([v]), with_derivative=True) for v in z.ravel()]
@@ -348,8 +408,7 @@ def test_eval_many_derivative_vs_mpmath(rng):
     # 48 Gauss-Legendre nodes integrate e^{izt} times a polynomial of degree
     # <= 17 to far below 1e-40 for |z| a <= 14 (the Taylor remainder of the
     # exponential past degree 95), and 192 nodes for |z| a <= 240 (a = 40,
-    # where the Taylor series stops at |z| = 10/a); the arithmetic runs at
-    # 40 digits
+    # where the rule stops at |z| = 10/a); the arithmetic runs at 40 digits
     with mpmath.workdps(40):
         gl = GaussLegendre(mpmath.mp)
         coarse, fine = (gl.calc_nodes(d, mpmath.mp.prec) for d in (5, 7))
