@@ -66,8 +66,8 @@ otherwise CommonZeros (a FloatRangeError if a zero has no float image).
 With D = 0 no z0 need be algebraic, and a pair that is not coincident,
 such as psi_1 = x - x^2, psi_2 = -1 + 3x - x^2, a = 1 (F_{2,1} =
 (1 - iz) F_1), is Inconclusive (ROADMAP 1b).  The monomial family
-x^m (a-x)^n admits a closed order formula, cross-validated here against
-the general expansion.
+x^m (a-x)^n admits a closed order formula, cross-validated against the
+verdict's l_order (acceptance criterion 3).
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ import math
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import accumulate, zip_longest
-from typing import Optional
 
 import numpy as np
 
@@ -103,29 +102,6 @@ class TieCancellationError(ArithmeticError):
     of L(D) drops below the max-formula value; the closed form does not
     apply and the caller must fall back to the general expansion.
     """
-
-
-@dataclass(frozen=True)
-class DiffOperator:
-    """L(D) = sum_s coeffs[s] D^s, each coefficient an exact scalar triple
-    (re, im, den); the zero operator has empty coeffs."""
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        cs = tuple(self.coeffs)
-        while cs and not (cs[-1][0] or cs[-1][1]):
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def order(self) -> Optional[int]:
-        """Largest s with nonzero coefficient, or None for the zero operator."""
-        return len(self.coeffs) - 1 if self.coeffs else None
 
 
 def _w(f1: ClosedTransform, f21: ClosedTransform, lo: int, hi: int) -> tuple:
@@ -178,10 +154,13 @@ def v_symbol(pair: NormalizedPair) -> Poly:
     return Poly._of([x * c for x, c in zip(re, f)], [y * c for y, c in zip(im, f)], den * f[0])
 
 
-def l_operator(pair: NormalizedPair) -> DiffOperator:
-    """Exact coefficients of L(D) = sum_s W_{Q-1-s} D^s, each reduced once."""
+def l_operator(pair: NormalizedPair) -> tuple:
+    """Exact coefficients of L(D) = sum_s W_{Q-1-s} D^s in ascending powers
+    of D, each reduced once, up to the highest nonzero one: () is L = 0."""
     re, im, den = _w(*_transforms(pair), 0, pair.psi1.degree)
-    return DiffOperator(tuple(_reduced(r, m, den) for r, m in zip(reversed(re), reversed(im))))
+    w = [_reduced(r, m, den) for r, m in zip(re, im)]  # W_m, m < Q
+    m0 = next((m for m, (r, i, _) in enumerate(w) if r or i), len(w))
+    return tuple(reversed(w[m0:]))
 
 
 def monomial_density(m: int, n: int, a) -> Poly:

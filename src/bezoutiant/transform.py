@@ -15,6 +15,8 @@ Every float `eval_many` reads leaves the exact data through
 `exact.to_floats` (a through `float_endpoint`): a Laurent coefficient or a
 density sample past float range, or an a that rounds to 0.0, raises
 `FloatRangeError` on the first evaluation, a numeric refusal (exit 4).
+A value of F or F' past float range raises `EvaluationOverflow`, also
+exit 4, read from numpy's flags of the same call (`eval_many`).
 
 Near z = 0 the Laurent form cancels catastrophically; for |z| < r =
 min(SWITCH_RADIUS, 10/a) an N-node Gauss-Legendre rule on [0, a] sums
@@ -41,8 +43,8 @@ rule with derivative; Higham, *Accuracy and Stability*, section 5.1).  In
 the Laurent form each step is t = acc + p, acc = t w, and d = d w + t
 carries P'(w) and Q'(w), so F'(z) = e^{iaz} (i a P(w) - w^2 P'(w)) -
 w^2 Q'(w); the rule adds i t_k W_k e^{izt_k}.  Both values share the
-overflow check, the split at r, 1/z, e^{iaz} and e^{izt_k}, and F is bit
-for bit what `eval_many(z)` returns on its own.
+refusal of a value past float range, the split at r, 1/z, e^{iaz} and
+e^{izt_k}, and F is bit for bit what `eval_many(z)` returns on its own.
 P and Q go through one Horner pass: the accumulators are one two-row
 array, stepped in place with the rows (p_j, q_j) of one cached table, so
 each add or multiply of a step is one numpy call for both; the arithmetic
@@ -64,9 +66,6 @@ from .exact import Poly, _frac, float_endpoint, to_floats
 
 #: Largest crossover radius between the Gauss-Legendre rule and the Laurent form.
 SWITCH_RADIUS = 0.5
-
-#: |a * Im z| beyond which exp() would overflow double range.
-OVERFLOW_LIMIT = 700.0
 
 
 class EvaluationOverflow(ValueError):
@@ -197,16 +196,13 @@ class ClosedTransform:
 
         With `with_derivative` the result is the pair (F(z), F'(z)), F' by
         Horner's rule with derivative in the same pass (see the module doc);
-        F-only calls skip the derivative steps.  A point with |a Im z| past
-        OVERFLOW_LIMIT is refused before any evaluation; a value that still
-        leaves float range (a large coefficient times e^{|a Im z|}) is
-        refused after it, with no overflow warning: numpy's floating-point
-        error flags, not a pass over the values, tell.
+        F-only calls skip the derivative steps.  Every value returned is
+        finite: one that leaves float range (e^{|a Im z|} past it, or a
+        large coefficient times it) is refused after the evaluation, with
+        no overflow warning; numpy's floating-point error flags, not a pass
+        over the values, tell.
         """
         z = np.asarray(z, dtype=complex)
-        if np.any(np.abs(z.imag) * self._laurent[0] > OVERFLOW_LIMIT):
-            raise EvaluationOverflow(
-                f"|a Im z| exceeds {OVERFLOW_LIMIT}; result would overflow")
         flags = []  # numpy reports each overflow or invalid operation here, not as a warning
         with np.errstate(over="call", invalid="call", call=lambda kind, _: flags.append(kind)):
             f, fp = self._eval(z, with_derivative)

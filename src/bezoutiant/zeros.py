@@ -431,15 +431,14 @@ def _split_coord(F, lo, hi, other_lo, other_hi, vertical) -> list:
 
     Each cut line is sampled at 33 points, all lines in one `eval_many`
     call.  Lines rank by the smallest |F| seen on them, largest first;
-    ties keep the order of _SPLIT_FRACS and lines with a NaN sample come
-    last.
+    ties keep the order of _SPLIT_FRACS.
     """
     cs = [lo + frac * (hi - lo) for frac in _SPLIT_FRACS]
     c = np.array(cs)[:, None]
     t = np.linspace(other_lo, other_hi, 33)
     z = (c + 1j * t) if vertical else (t + 1j * c)
     mins = np.min(np.abs(F.eval_many(z.ravel())).reshape(z.shape), axis=1)
-    order = sorted(range(len(cs)), key=lambda k: (bool(np.isnan(mins[k])), -mins[k]))
+    order = sorted(range(len(cs)), key=lambda k: -mins[k])
     return [cs[k] for k in order]
 
 

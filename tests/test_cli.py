@@ -400,7 +400,15 @@ def test_unreadable_spec_writes_report(tmp_path, content):
     assert json.loads(out.read_text())["error"]
 
 
-def test_spec_validation_paths():
+def test_spec_validation_paths(tmp_path):
+    with pytest.raises(SpecError, match=r"^\$: problem spec must be a JSON object"):
+        ProblemSpec.from_json([])
+    with pytest.raises(SpecError, match="^a: missing"):
+        ProblemSpec.from_json({"psi1": ["1"], "psi2": ["1"]})
+    bad, out = tmp_path / "no_a.json", tmp_path / "out.json"
+    bad.write_text(json.dumps({"psi1": ["1"], "psi2": ["1"]}))
+    assert main(["verify", "--input", str(bad), "--output", str(out)]) == EXIT_INPUT_ERROR
+    assert json.loads(out.read_text())["error"].startswith("a: missing")
     for a in ("-1", "0"):
         with pytest.raises(SpecError, match="^a: must be positive"):
             ProblemSpec.from_json({"a": a, "psi1": ["1"], "psi2": ["1"]})
@@ -554,6 +562,33 @@ def test_cli_runs_without_scipy(tmp_path):
     done = subprocess.run([sys.executable, "-c", _NO_SCIPY, spec, str(tmp_path)], env=env)
     assert done.returncode == 0
     assert {p.name for p in tmp_path.iterdir()} == {"decide.json", "verify.json", "grid.csv"}
+
+
+def test_module_entry_point(tmp_path):
+    # `python -m bezoutiant.cli`, the console script's target: one sorted-key
+    # line per report, and an overflow refused by the evaluation's own flags;
+    # far up the plane (Im z 750 to 800) F is small and finite, not refused
+    src = str(Path(bezoutiant.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    spec, far, out = str(FIXTURES / "cubic_vs_quadratic.json"), tmp_path / "far.json", tmp_path / "o.json"
+    far.write_text(json.dumps({"psi1": ["1"], "psi2": ["1", "1"], "a": "1", "rect": {
+        "re_min": -10, "re_max": 10, "im_min": 750, "im_max": 800}}))
+
+    def entry(*argv):
+        out.unlink(missing_ok=True)
+        done = subprocess.run([sys.executable, "-m", "bezoutiant.cli", *argv, "--output", str(out)],
+                              env=env)
+        return done.returncode, out.read_text()
+
+    code, text = entry("decide", "--input", spec)
+    assert code == EXIT_OK and text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+    code, text = entry("verify", "--input", spec, "--rect", "-10", "10", "-800", "800")
+    assert code == EXIT_NUMERIC_REFUSAL
+    assert json.loads(text)["error"]["type"] == "EvaluationOverflow"
+    code, text = entry("verify", "--input", str(far))
+    report = json.loads(text)
+    assert code == EXIT_OK and not report["conflict"]
+    assert [report["zero_sets"][F]["total_count"] for F in ("F1", "F21")] == [0, 0]
 
 
 @pytest.mark.parametrize("a, prefix, reason", [(10 ** 400, "verdict:", "digit limit"),

@@ -451,14 +451,18 @@ def test_normalized_density_value_at_zero(rng):
 
 
 def test_overflow_guard():
+    # F(z) = (e^{iz} - 1) / (iz) for psi = 1, a = 1: only a value past float
+    # range is refused, however large |a Im z| is
     Ft = closed_form(ONE, 1)
-    with pytest.raises(EvaluationOverflow):
-        Ft(1j * 1e4)
+    assert Ft(1j * 1e4) == pytest.approx(1e-4, rel=1e-15)
+    assert Ft(-705j) == pytest.approx(math.expm1(705) / 705, rel=1e-14)
+    with pytest.raises(EvaluationOverflow, match="float range"):
+        Ft(-1j * 1e4)
 
 
 def test_overflow_of_a_large_coefficient_is_refused():
-    # |a Im z| = 259 is far inside OVERFLOW_LIMIT, but p_1 = 1.48e202 i times
-    # e^259 is not a float: a refusal, with no overflow warning (an error here)
+    # e^{|a Im z|} = e^259 is a float, but p_1 = 1.48e202 i times it is not:
+    # a refusal, with no overflow warning (an error here)
     Ft = closed_form(Poly.of(-1, -10 ** 200), 148)
     z = np.array([1.0 - 1.0j, 2.0 - 1.75j])
     assert np.all(np.isfinite(Ft.eval_many(z[:1], with_derivative=True)))

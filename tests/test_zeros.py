@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from sympy.polys.domains import QQ_I
 
-from bezoutiant import zeros
+from bezoutiant import cli, zeros
 from bezoutiant.cli import ProblemSpec
 from bezoutiant.exact import Poly
 from bezoutiant.transform import ClosedTransform, closed_form, reflected_transform
@@ -626,3 +626,57 @@ def test_non_finite_winding_is_quiet():
         warnings.simplefilter("error")
         with pytest.raises(NonIntegerWindingError, match="non-finite"):
             _certified_winding(_VanishingOnContour(), (0, 1, 0, 1))
+
+
+# -- the locator's refusals --------------------------------------------------
+
+def _four_box_windings(monkeypatch, answer):
+    """`_certified_windings` with its four-box calls, those of `_quadrisect`,
+    answered by `answer()`; returns the list of those calls."""
+    certified, calls = zeros._certified_windings, []
+
+    def patched(F, boxes):
+        if len(boxes) != 4:
+            return certified(F, boxes)
+        calls.append(boxes)
+        return answer()
+
+    monkeypatch.setattr(zeros, "_certified_windings", patched)
+    return calls
+
+
+def test_quadrisect_refuses_child_counts_that_do_not_add_up(monkeypatch):
+    # F = (e^{iz} - 1) / (iz) has the zeros +-2 pi in the box; children that
+    # hold one zero each, for every pair of cuts, raise the best pair's error
+    monkeypatch.setattr(zeros, "_MOMENT_CAP", 1)
+    calls = _four_box_windings(monkeypatch, lambda: [(1, None)] * 4)
+    with pytest.raises(NonIntegerWindingError,
+                       match=r"^child counts \[1, 1, 1, 1\] do not sum to parent count 2$"):
+        locate_zeros(closed_form(ONE, 1), SearchRect(-10, 10, -1, 1))
+    assert len(calls) == len(_SPLIT_FRACS)
+
+
+def test_quadrisect_reraises_when_every_pair_of_cuts_fails(monkeypatch):
+    monkeypatch.setattr(zeros, "_MOMENT_CAP", 1)
+    tries = iter(range(len(_SPLIT_FRACS)))
+
+    def fail():
+        raise NonIntegerWindingError(f"pair {next(tries)} does not certify")
+
+    calls = _four_box_windings(monkeypatch, fail)
+    with pytest.raises(NonIntegerWindingError, match="^pair 0 does not certify$"):
+        locate_zeros(closed_form(ONE, 1), SearchRect(-10, 10, -1, 1))
+    assert len(calls) == len(_SPLIT_FRACS)
+
+
+def test_unsolved_zeros_below_the_subdivision_floor_are_refused(monkeypatch):
+    # no moment solve is accepted: cells shrink to the floor 100 tol = 1
+    monkeypatch.setattr(zeros, "_moment_solve", lambda *args: None)
+    with pytest.raises(ClusterUnresolvedError, match=r"^cell \(.*\) holds 1 unsolved zeros "
+                                                     r"below the subdivision floor$"):
+        locate_zeros(closed_form(ONE, 1), SearchRect(-10, 10, -1, 1), tol=1e-2)
+    report, code = cli.run(FIXTURES / "cubic_vs_quadratic.json", None, tol=1e-2)
+    assert code == cli.EXIT_NUMERIC_REFUSAL
+    assert report["error"]["type"] == "ClusterUnresolvedError"
+    assert report["error"]["stage"] == "zeros"
+    assert report["error"]["message"].startswith("cell (")
