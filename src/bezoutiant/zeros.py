@@ -7,27 +7,15 @@ polished by Newton iteration with F' from F's own float coefficients
 (Horner's rule with derivative in `eval_many`).  This is the numerical
 side of the artifact: it never trusts the symbolic verdict and vice versa.
 
-Contour evaluation is batched and fused.  A winding integral cuts each
-edge into Gauss-Legendre panels, and the panel levels asked for, for every
-box in a batch (4 edges x all panels x 20 nodes), go to `eval_many` in
-chunks of at most _CHUNK_POINTS points, whole chunks of several levels
-sharing a call where they fit; each call returns F and F' together
-(`with_derivative=True`), sharing e^{iaz} and 1/z.  The moments are
-fused: each chunk fills one stacked array of the terms times
-u^0..u^_MOMENT_CAP (u the scaled node), sums it over the nodes and over
-each box's rows in one reduction, and adds the result to the moments of
-the boxes the rows belong to, so no per-panel array outlives its chunk.
-A level's sums run in the same order whichever levels share its calls,
-so its moments are the same bits as a call for it alone, and agree with
-a per-panel loop to rounding.
-`_certified_windings` certifies the four children of a quadrisection
-together: at each doubling of the panels (4 to 256) it evaluates only the
-boxes not yet certified, and each box keeps the one-box rule (two
-successive integrals within 1e-3 and within 0.1 of an integer).  No box
-certifies at the first level, which has nothing to agree with, so the
-first two levels (4 and 8 panels) run in one call: for up to four boxes,
-3840 points in one `eval_many` call.  A box whose integral is not finite
-(F is 0 at a contour node) fails at the level that sees it.
+Contour evaluation is fused.  A winding integral cuts each edge of one
+box into Gauss-Legendre panels; the panel levels asked for go to one
+`eval_many` call, which returns F and F' together (`with_derivative=True`),
+sharing e^{iaz} and 1/z, and one stacked array of the terms times
+u^0..u^_MOMENT_CAP (u the scaled node) gives every moment.
+`_certified_winding` doubles the panels from 4 to 256.  No box certifies
+at the first level, which has nothing to agree with, so levels 4 and 8
+(960 points) share one call and each later level has one of its own; at
+256 panels the moment stack is 4.6 MB.
 The seven candidate cut lines of a split are scored in one call too.
 
 Moment solve.  The same nodes also give the scaled moments
@@ -153,14 +141,8 @@ class ZeroSet:
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 
-#: Panels per edge tried in turn by `_certified_windings`.
+#: Panels per edge tried in turn by `_certified_winding`.
 _PANEL_LEVELS = (4, 8, 16, 32, 64, 128, 256)
-
-#: Most contour points handed to one `eval_many` call.  A batch of four
-#: boxes evaluates its first two levels (4 and 8 panels, 3840 points) in one
-#: call; a batch that runs to 256 panels is evaluated piecewise, so its
-#: temporaries stay a few hundred kB.
-_CHUNK_POINTS = 4096
 
 
 def _box_corners(box):
@@ -203,121 +185,79 @@ def _box_scale(box):
 
 
 @functools.cache
-def _panel_nodes(panels):
-    """Gauss-Legendre nodes t on [0, 1] cut into `panels` equal panels, one
-    row per panel, and the panel widths; built once per level, read-only."""
-    edges = np.linspace(0.0, 1.0, panels + 1)
-    width = edges[1:] - edges[:-1]
-    t = 0.5 * width[:, None] * _GL_NODES + 0.5 * (edges[1:] + edges[:-1])[:, None]
-    t.flags.writeable = width.flags.writeable = False
-    return t, width
+def _panel_nodes(levels):
+    """The contour nodes of the panel levels `levels`, read-only and built
+    once per levels tuple: one row per panel, the four edges' rows of each
+    level in turn, as (Gauss-Legendre nodes t on [0, 1], each row's edge,
+    each row's panel width, first row of each level)."""
+    rows = []
+    for panels in levels:
+        edges = np.linspace(0.0, 1.0, panels + 1)
+        width = edges[1:] - edges[:-1]
+        t = 0.5 * width[:, None] * _GL_NODES + 0.5 * (edges[1:] + edges[:-1])[:, None]
+        rows.append((np.tile(t, (4, 1)), np.repeat(np.arange(4), panels), np.tile(width, 4)))
+    table = [np.concatenate(parts) for parts in zip(*rows)]
+    table.append(np.cumsum([0] + [4 * panels for panels in levels[:-1]]))
+    for part in table:
+        part.flags.writeable = False
+    return tuple(table)
 
 
-def _panel_chunks(n_boxes, levels):
-    """Each level's panel rows, in the chunks of at most _CHUNK_POINTS points
-    that `_winding_integrals` sums.  A row is one panel of one edge; a chunk
-    is (moment row j * n_boxes + box, edge, nodes t, panel width) per row,
-    j indexing `levels`."""
-    step = _CHUNK_POINTS // _GL_NODES.size
-    for j, panels in enumerate(levels):
-        t, width = _panel_nodes(panels)
-        edge, panel = np.divmod(np.arange(4 * n_boxes * panels), panels)
-        for lo in range(0, edge.size, step):
-            e, p = edge[lo:lo + step], panel[lo:lo + step]
-            yield j * n_boxes + e // 4, e, t[p], width[p]
-
-
-def _winding_integrals(F, boxes, levels) -> np.ndarray:
-    """Scaled contour moments of each box at each panel level, shaped
-    (len(levels), len(boxes), _MOMENT_CAP + 1).
+def _winding_integrals(F, box, levels) -> np.ndarray:
+    """Scaled contour moments of the box at each panel level, shaped
+    (len(levels), _MOMENT_CAP + 1).
 
     Entry k is sigma_k = (1/2 pi i) * integral of ((z - c)/r)^k F'/F dz
     around the box, k = 0.._MOMENT_CAP, with c and r from `_box_scale`:
     sigma_0 is the winding number, the number of zeros inside, and sigma_k
     the sum of the k-th powers of their scaled positions (Delves and
-    Lyness 1967).  At a level of n panels every edge of every box is cut
-    into n Gauss-Legendre panels.  A panel row holds the nodes of one
-    panel; each level's rows go in chunks of at most _CHUNK_POINTS points
-    (`_panel_chunks`), and consecutive chunks that fit in _CHUNK_POINTS
-    points together share one `eval_many` call (F and F').  Each chunk
-    adds its rows' terms to the moments of the boxes they belong to, so a
-    level's moments are bit for bit those of a call for that level alone.
+    Lyness 1967).  At a level of n panels every edge is cut into n
+    Gauss-Legendre panels.  All levels' nodes go to one `eval_many` call
+    (F and F'); each row of nodes is summed, then each level's rows in
+    order, so a level's moments are bit for bit those of a call for that
+    level alone.
     """
-    corners = np.array([_box_corners(b) for b in boxes])
-    centre, radius = map(np.array, zip(*[_box_scale(b) for b in boxes]))
-    start = corners.ravel()
-    delta = corners[:, [1, 2, 3, 0]].ravel() - start
-    moments = np.zeros((len(levels) * len(boxes), _MOMENT_CAP + 1), dtype=complex)
-    # A chunk of fewer than `step` rows is the last of its level, so the chunks
-    # that share a call belong to different levels and fill distinct moment rows.
-    calls, step = [], _CHUNK_POINTS // _GL_NODES.size
-    for chunk in _panel_chunks(len(boxes), levels):
-        if calls and sum(c[0].size for c in calls[-1]) + chunk[0].size <= step:
-            calls[-1].append(chunk)
-        else:
-            calls.append([chunk])
-    for call in calls:
-        row, e, t, width = (np.concatenate(parts) for parts in zip(*call))
-        box = e // 4
-        z = start[e, None] + delta[e, None] * t
-        f, fp = F.eval_many(z.ravel(), with_derivative=True)
-        # stack[k] holds the moment-k summands, the terms times ((z - c)/r)^k
-        stack = np.empty((_MOMENT_CAP + 1,) + z.shape, dtype=complex)
-        np.multiply((delta[e] * 0.5 * width)[:, None] * _GL_WEIGHTS,
-                    (fp / f).reshape(z.shape), out=stack[0])
-        u = (z - centre[box, None]) / radius[box, None]
-        for k in range(1, _MOMENT_CAP + 1):
-            np.multiply(stack[k - 1], u, out=stack[k])
-        # the rows of one box at one level are contiguous: sum each run of them
-        first = np.flatnonzero(np.concatenate(([True], row[1:] != row[:-1])))
-        moments[row[first]] += np.add.reduceat(np.sum(stack, axis=2), first, axis=1).T
-    return moments.reshape(len(levels), len(boxes), -1) / (2j * math.pi)
-
-
-def _certified_windings(F, boxes) -> list:
-    """Winding numbers of several boxes, certified together, with moments.
-
-    Each box doubles its panels until two successive integrals agree to
-    1e-3 and lie within 0.1 of an integer; a box that has not
-    certified at the last level raises, and so does a box whose integral
-    is not finite (F vanishes at a contour node), at once.  Each level
-    evaluates only the boxes that are still open; the first two levels
-    share one `_winding_integrals` call.  Returns one
-    (count, sigma) pair per box, sigma being the box's scaled moments (see
-    `_winding_integrals`) at the certifying level.
-    """
-    out = [None] * len(boxes)
-    prev = [None] * len(boxes)
-    open_ = list(range(len(boxes)))
-    # the first level has no predecessor to agree with, so it certifies no
-    # box and leaves open_ as it was: it shares one evaluation with the second
-    for levels in [_PANEL_LEVELS[:2]] + [(n,) for n in _PANEL_LEVELS[2:]]:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sigmas = _winding_integrals(F, [boxes[i] for i in open_], levels)
-        for panels, level in zip(levels, sigmas):
-            still = []
-            for i, sigma in zip(open_, level):
-                val = complex(sigma[0])
-                if not np.isfinite(val):
-                    raise NonIntegerWindingError(
-                        f"non-finite winding integral on {boxes[i]} at {panels} panels: {val}")
-                n = round(val.real)
-                if prev[i] is not None and abs(val - prev[i]) < 1e-3 and abs(val - n) <= 0.1:
-                    out[i] = (n, sigma)
-                    continue
-                prev[i] = val
-                still.append(i)
-            open_ = still
-            if not open_:
-                return out
-    i = open_[0]
-    raise NonIntegerWindingError(
-        f"winding integral did not certify an integer on {boxes[i]}: {prev[i]}")
+    t, edge, width, first = _panel_nodes(levels)
+    corners = np.array(_box_corners(box))
+    start, delta = corners[edge], (corners[[1, 2, 3, 0]] - corners)[edge]
+    centre, radius = _box_scale(box)
+    z = start[:, None] + delta[:, None] * t
+    f, fp = F.eval_many(z.ravel(), with_derivative=True)
+    # stack[k] holds the moment-k summands, the terms times ((z - c)/r)^k
+    stack = np.empty((_MOMENT_CAP + 1,) + z.shape, dtype=complex)
+    np.multiply((delta * 0.5 * width)[:, None] * _GL_WEIGHTS,
+                (fp / f).reshape(z.shape), out=stack[0])
+    u = (z - centre) / radius
+    for k in range(1, _MOMENT_CAP + 1):
+        np.multiply(stack[k - 1], u, out=stack[k])
+    return np.add.reduceat(np.sum(stack, axis=2), first, axis=1).T / (2j * math.pi)
 
 
 def _certified_winding(F, box):
-    """(count, sigma) of one box (see `_certified_windings`)."""
-    return _certified_windings(F, [box])[0]
+    """The box's winding number, certified, and its scaled moments sigma
+    (see `_winding_integrals`) at the certifying level: (count, sigma).
+
+    The panels double from 4 to 256 until two successive integrals agree
+    to 1e-3 and lie within 0.1 of an integer; a box that has not certified
+    at the last level raises, and so does a box whose integral is not
+    finite (F vanishes at a contour node), at once.  The first level has
+    no predecessor to agree with, so it shares one evaluation with the
+    second.
+    """
+    prev = None
+    for levels in [_PANEL_LEVELS[:2]] + [(n,) for n in _PANEL_LEVELS[2:]]:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sigmas = _winding_integrals(F, box, levels)
+        for panels, sigma in zip(levels, sigmas):
+            val = complex(sigma[0])
+            if not np.isfinite(val):
+                raise NonIntegerWindingError(
+                    f"non-finite winding integral on {box} at {panels} panels: {val}")
+            n = round(val.real)
+            if prev is not None and abs(val - prev) < 1e-3 and abs(val - n) <= 0.1:
+                return n, sigma
+            prev = val
+    raise NonIntegerWindingError(f"winding integral did not certify an integer on {box}: {prev}")
 
 
 #: Times `_guarded_box` moves the boundary outward before it gives up.
@@ -508,9 +448,10 @@ def _quadrisect(F, box, count):
     """Four children of the box and their (count, sigma) pairs; the counts sum to count.
 
     The ranked cut lines of `_split_coord` are paired best with best,
-    second with second, and so on; a pair whose children do not certify,
-    or whose counts do not add up, gives way to the next.  If none works,
-    the best pair's error is raised.
+    second with second, and so on.  The children are certified one by one;
+    a pair with a child that does not certify, or whose counts do not add
+    up, gives way to the next.  If none works, the best pair's error is
+    raised.
     """
     x0, x1, y0, y1 = box
     first_error = None
@@ -519,7 +460,7 @@ def _quadrisect(F, box, count):
         children = [(lo, hi, bottom, top) for bottom, top in ((y0, ys), (ys, y1))
                     for lo, hi in ((x0, xs), (xs, x1))]
         try:
-            results = _certified_windings(F, children)
+            results = [_certified_winding(F, child) for child in children]
         except NonIntegerWindingError as exc:
             first_error = first_error or exc
             continue

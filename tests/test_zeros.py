@@ -2,7 +2,7 @@ import dataclasses
 import json
 import math
 import random
-import re
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -28,7 +28,6 @@ from bezoutiant.zeros import (
     _box_corners,
     _box_scale,
     _certified_winding,
-    _certified_windings,
     _guarded_box,
     _split_coord,
     _winding_integrals,
@@ -200,7 +199,7 @@ def test_guard_without_margin_refuses():
         count_zeros(closed_form(ONE, 1), pinned)
 
 
-# -- batched contour evaluation ----------------------------------------------
+# -- contour evaluation --------------------------------------------------------
 
 def _panel_loop_winding(F, Fp, box, panels_per_edge):
     """The scalar oracle: two eval_many calls per panel, one panel at a time.
@@ -225,55 +224,59 @@ def _panel_loop_winding(F, Fp, box, panels_per_edge):
     return np.array(sigma) / (2j * math.pi)
 
 
-#: Criterion 9's rectangles and the zero counts of (e^{iz} - 1)/(iz) in them.
-CRITERION_9_BOXES = [
-    ((-1, 1, -1, 1), 0), ((-7, 7, -1, 1), 2), ((5, 8, -1, 1), 1),
-    ((-13, 13, -1, 1), 4), ((1, 5, -1, 1), 0), ((-40, 40, -1, 1), 12),
-    ((6, 7, -1, 1), 1), ((12, 13, -1, 1), 1), ((-26, -5, -1, 1), 4),
-    ((0.5, 3, -1, 1), 0),
-]
-
-
 def test_winding_integrals_match_panel_loop():
     F = reflected_transform(Poly.of(1, (0, 2), -3, (1, 1)), 2)
     Fp = transform_of_i_t(F)
-    boxes = [(-10.0, 3.0, -5.0, 2.0), (-3.1, 7.7, -1.0, 4.0), (0.1, 0.2, 0.3, 0.5),
-             (-20.5, 20.0, -5.5, 5.5)]
-    # 256 panels x 4 edges x 4 boxes spans several eval_many chunks
-    for panels in (4, 8, 64, 256):
-        got = _winding_integrals(F, boxes, (panels,))
-        assert got.shape == (1, len(boxes), zeros._MOMENT_CAP + 1)
-        for box, sigma in zip(boxes, got[0]):
+    for box in [(-10.0, 3.0, -5.0, 2.0), (-3.1, 7.7, -1.0, 4.0), (0.1, 0.2, 0.3, 0.5),
+                (-20.5, 20.0, -5.5, 5.5)]:
+        for panels in (4, 8, 64, 256):
+            [sigma] = _winding_integrals(F, box, (panels,))
+            assert sigma.shape == (zeros._MOMENT_CAP + 1,)
             want = _panel_loop_winding(F, Fp, box, panels)
             assert np.all(np.abs(sigma - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
-    # several levels in one call: each level is its own call's moments, bit for
-    # bit; (64, 128) on four boxes runs over several chunks of both levels
-    for levels, n in (((4, 8), 1), ((4, 8), 4), ((64, 128), 4)):
-        got = _winding_integrals(F, boxes[:n], levels)
-        assert got.shape == (len(levels), n, zeros._MOMENT_CAP + 1)
-        for panels, level in zip(levels, got):
-            assert np.array_equal(level, _winding_integrals(F, boxes[:n], (panels,))[0])
+        # several levels in one call: each level is its own call's moments, bit for bit
+        for levels in ((4, 8), (64, 128)):
+            got = _winding_integrals(F, box, levels)
+            assert got.shape == (len(levels), zeros._MOMENT_CAP + 1)
+            for panels, sigma in zip(levels, got):
+                assert np.array_equal(sigma, _winding_integrals(F, box, (panels,))[0])
 
 
-def test_certified_windings_batch_equals_single():
+class _Counted:
+    """F with the size of each `eval_many` call recorded."""
+
+    def __init__(self, F):
+        self.F, self.calls = F, []
+
+    def eval_many(self, z, with_derivative=False):
+        self.calls.append(z.size)
+        return self.F.eval_many(z, with_derivative)
+
+
+def test_certified_winding_evaluates_each_level_once():
+    # levels 4 and 8 share one eval_many call; every later level is one more
     Ft = closed_form(ONE, 1)
-    boxes = [box for box, _ in CRITERION_9_BOXES]
-    batch = _certified_windings(Ft, boxes)
-    single = [_certified_winding(Ft, b) for b in boxes]
-    assert [n for n, _ in batch] == [n for n, _ in single]
-    assert [n for n, _ in batch] == [want for _, want in CRITERION_9_BOXES]
-    for (_, sigma), (_, sigma1) in zip(batch, single):
-        assert np.all(np.abs(sigma - sigma1) <= 1e-12 * np.maximum(1.0, np.abs(sigma1)))
+    small = _Counted(Ft)
+    assert _certified_winding(small, (5, 8, -1, 1))[0] == 1
+    assert small.calls == [4 * 20 * (4 + 8)]
+    wide = _Counted(Ft)
+    assert _certified_winding(wide, (-40, 40, -1, 1))[0] == 12
+    later = zeros._PANEL_LEVELS[2:len(wide.calls) + 1]
+    assert len(wide.calls) >= 2 and wide.calls == [4 * 20 * (4 + 8)] + [4 * 20 * n for n in later]
 
 
-def test_certified_windings_error_names_failing_box():
-    # zeros of (e^{iz} - 1)/(iz) at 2 pi and 4 pi lie on these boxes' edges
-    Ft = closed_form(ONE, 1)
-    good, bad, worse = (5, 8, -1, 1), (1, 2 * math.pi, -1, 1), (4 * math.pi, 14, -1, 1)
-    with pytest.raises(NonIntegerWindingError, match=re.escape(str(bad))):
-        _certified_windings(Ft, [good, bad, worse])
-    with pytest.raises(NonIntegerWindingError, match=re.escape(str(worse))):
-        _certified_windings(Ft, [worse, good])
+def test_winding_integrals_memory_at_256_panels():
+    # the moment stack of 256 panels x 4 edges x 20 nodes x 14 moments is 4.6 MB
+    F = reflected_transform(Poly.of(1, (0, 2), -3, (1, 1)), 2)
+    box = (-20.5, 20.0, -5.5, 5.5)
+    _winding_integrals(F, box, (256,))  # the node table and F's float data, built once
+    tracemalloc.start()
+    try:
+        _winding_integrals(F, box, (256,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_split_coord_ranks_every_candidate():
@@ -335,14 +338,14 @@ def _loose_acceptance(monkeypatch):
     """The acceptance this locator once had: only one-zero cells solved,
     Newton from each cell's centre (sigma_1 = 0), its result kept up to
     several units outside the cell."""
-    certified = zeros._certified_windings
+    certified = zeros._certified_winding
 
-    def centres(F, boxes):
-        return [(n, np.r_[sigma[0], np.zeros(sigma.size - 1)])
-                for n, sigma in certified(F, boxes)]
+    def centre(F, box):
+        n, sigma = certified(F, box)
+        return n, np.r_[sigma[0], np.zeros(sigma.size - 1)]
 
     monkeypatch.setattr(zeros, "_MOMENT_CAP", 1)
-    monkeypatch.setattr(zeros, "_certified_windings", centres)
+    monkeypatch.setattr(zeros, "_certified_winding", centre)
     monkeypatch.setattr(zeros, "_ACCEPT_PAD", 4e10)
 
 
@@ -573,16 +576,9 @@ def test_multiple_zero_located_at_cluster_centroid(m, err, tol):
 def test_newton_steps_to_a_multiple_zero_by_its_multiplicity(m):
     # z - m F/F' converges quadratically from 0.014 away, then stops where
     # F is rounding noise (a step that does not lower |F| is undone)
-    F = ClosedTransform.from_density(_multiple_zero_density((3, 0), m), 1)
-    calls = []
-
-    class Counted:
-        def eval_many(self, z, with_derivative=False):
-            calls.append(z.size)
-            return F.eval_many(z, with_derivative)
-
-    z = zeros._newton(Counted(), [3.01 - 0.01j], np.array([m]), 1e-10, (2, 4, -1, 1))
-    assert abs(z[0] - 3) < 1e-4 and len(calls) <= 6
+    F = _Counted(ClosedTransform.from_density(_multiple_zero_density((3, 0), m), 1))
+    z = zeros._newton(F, [3.01 - 0.01j], np.array([m]), 1e-10, (2, 4, -1, 1))
+    assert abs(z[0] - 3) < 1e-4 and len(F.calls) <= 6
 
 
 def test_close_simple_zeros_stay_two_zeros():
@@ -601,15 +597,16 @@ def test_close_simple_zeros_stay_two_zeros():
 def test_non_finite_winding_fails_at_once(monkeypatch):
     calls = []
 
-    def nan_for_second_box(F, boxes, levels):
+    def nan_at_first_level(F, box, levels):
         calls.append(levels)
-        sigma = np.zeros((len(levels), len(boxes), zeros._MOMENT_CAP + 1), dtype=complex)
-        sigma[0, 1, 0] = complex("nan")
+        sigma = np.zeros((len(levels), zeros._MOMENT_CAP + 1), dtype=complex)
+        sigma[0, 0] = complex("nan")
         return sigma
 
-    monkeypatch.setattr(zeros, "_winding_integrals", nan_for_second_box)
-    with pytest.raises(NonIntegerWindingError, match="non-finite .* at 4 panels"):
-        _certified_windings(None, [(0, 1, 0, 1), (1, 2, 0, 1)])
+    monkeypatch.setattr(zeros, "_winding_integrals", nan_at_first_level)
+    with pytest.raises(NonIntegerWindingError,
+                       match=r"non-finite .* on \(0, 1, 0, 1\) at 4 panels"):
+        _certified_winding(None, (0, 1, 0, 1))
     assert calls == [(4, 8)]
 
 
@@ -630,18 +627,17 @@ def test_non_finite_winding_is_quiet():
 
 # -- the locator's refusals --------------------------------------------------
 
-def _four_box_windings(monkeypatch, answer):
-    """`_certified_windings` with its four-box calls, those of `_quadrisect`,
-    answered by `answer()`; returns the list of those calls."""
-    certified, calls = zeros._certified_windings, []
+def _child_windings(monkeypatch, answer):
+    """`_certified_winding` with every call after the first (the guarded
+    box's), here those of `_quadrisect`, answered by `answer()`; returns
+    the boxes of all calls."""
+    certified, calls = zeros._certified_winding, []
 
-    def patched(F, boxes):
-        if len(boxes) != 4:
-            return certified(F, boxes)
-        calls.append(boxes)
-        return answer()
+    def patched(F, box):
+        calls.append(box)
+        return certified(F, box) if len(calls) == 1 else answer()
 
-    monkeypatch.setattr(zeros, "_certified_windings", patched)
+    monkeypatch.setattr(zeros, "_certified_winding", patched)
     return calls
 
 
@@ -649,24 +645,25 @@ def test_quadrisect_refuses_child_counts_that_do_not_add_up(monkeypatch):
     # F = (e^{iz} - 1) / (iz) has the zeros +-2 pi in the box; children that
     # hold one zero each, for every pair of cuts, raise the best pair's error
     monkeypatch.setattr(zeros, "_MOMENT_CAP", 1)
-    calls = _four_box_windings(monkeypatch, lambda: [(1, None)] * 4)
+    calls = _child_windings(monkeypatch, lambda: (1, None))
     with pytest.raises(NonIntegerWindingError,
                        match=r"^child counts \[1, 1, 1, 1\] do not sum to parent count 2$"):
         locate_zeros(closed_form(ONE, 1), SearchRect(-10, 10, -1, 1))
-    assert len(calls) == len(_SPLIT_FRACS)
+    assert len(calls) == 1 + 4 * len(_SPLIT_FRACS)
 
 
 def test_quadrisect_reraises_when_every_pair_of_cuts_fails(monkeypatch):
+    # each pair of cuts stops at its first child that does not certify
     monkeypatch.setattr(zeros, "_MOMENT_CAP", 1)
     tries = iter(range(len(_SPLIT_FRACS)))
 
     def fail():
         raise NonIntegerWindingError(f"pair {next(tries)} does not certify")
 
-    calls = _four_box_windings(monkeypatch, fail)
+    calls = _child_windings(monkeypatch, fail)
     with pytest.raises(NonIntegerWindingError, match="^pair 0 does not certify$"):
         locate_zeros(closed_form(ONE, 1), SearchRect(-10, 10, -1, 1))
-    assert len(calls) == len(_SPLIT_FRACS)
+    assert len(calls) == 1 + len(_SPLIT_FRACS)
 
 
 def test_unsolved_zeros_below_the_subdivision_floor_are_refused(monkeypatch):
