@@ -178,8 +178,11 @@ class ProblemSpec:
 def _grid_size(value) -> int:
     """value as a grid size (an integer in [16, 4096]), else a SpecError at
     grid_n.  Memory does not bind: the operator check holds O(n) generators
-    and (n, 32) blocks, never an n x n array.  The cap stays because the
-    residual's accuracy is measured against a reference only up to n = 256."""
+    and (n, 32) blocks, never an n x n array.  At n = 4096 the kept grids
+    of the ladder 512-4096 hold their bases (`operator_lab`, Grid bases):
+    3.4 MB for a degree-(3, 2) pair (table width 5), 11.8 MB at degree 16
+    (width 18).  The cap stays because the residual's accuracy is measured
+    against a reference only up to n = 256."""
     if not isinstance(value, int) or not 16 <= value <= 4096:
         raise SpecError("grid_n", "must be an integer in [16, 4096]")
     return value

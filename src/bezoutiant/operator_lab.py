@@ -46,7 +46,8 @@ table) give
 
 Every sum stays inside its own triangle: only the suffix sums
 P_j = S_j(p) and B_i = S_i(w a_u) and the prefix sums Q_j = sum_{k<j} q_k
-and A_j = sum_{k<j} w_k a_l[k] are formed, in one cumsum.  Then
+and A_j = sum_{k<j} w_k a_l[k] are formed, A and B in one cumsum (P and
+Q are the grid's, below).  Then
 (T 1)_i = a_u[i] . (Q_i + q_i) + a_l[i] . (P_i - p_i) and
 (w^T T)_j = A_j . p_j + B_j . q_j, and R / i is X[i] . Y[j] with
 
@@ -84,6 +85,21 @@ to x-sides of size 1/a: at a = 2^-510 they are subnormal and the residual
 loses six digits.  With v, the same density shapes on [0, a] give a times
 the residual on [0, 1], to the bit for a power of two.
 
+Grid bases.  V, p = q = c w V, the prefix and suffix sums of p and the
+blocks v (P - p / 2) and v (Q + q / 2) depend on the nodes, the weights
+and c alone.  A grid builds them on first use (`Grid.bases`), as wide as
+the widest table asked so far, and again wider when a wider table asks;
+`discretize_all` does only the problem's part: the one product for the
+x-sides and the M-function columns, the cumsums of v a_l and v a_u, the
+four row dots and the assembly.  `np.vander` forms column k as column
+k - 1 times xi, each cumsum runs down its own column and every other step
+is elementwise, so no column depends on the width; the product reads the
+first columns, the same operands a fresh grid has.  Every generator and
+residual is therefore a fresh grid's, bit for bit.  `Grid.uniform` keeps
+the last _GRIDS = 4 grids, one per (n, float a): a refinement ladder, so
+repeated problems in one process build each rung's bases once.  The kept
+arrays are read-only; they take 88 bytes per node and table column.
+
 Row blocks.  `identity_residual` forms R in blocks of _BLOCK = 32 rows
 and adds |R|^2 to a running sum.  Block [s, e) takes two products, each
 transposed so that the rows it keeps are contiguous: the lower generators
@@ -94,12 +110,56 @@ rest from the second.  Two (n, _BLOCK) buffers serve every block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .exact import float_endpoint
 from .kernel import BezoutKernel, MFunctions, NormalizedPair
+
+#: Uniform grids that `Grid.uniform` keeps: a refinement ladder has at most four.
+_GRIDS = 4
+
+
+@dataclass(frozen=True)
+class GridBases:
+    """The node-only parts of the generators on one grid, `width` columns
+    wide, for the kernel constant c (module doc, Grid bases).  Read-only.
+
+    `vander` is V, xi^k at the nodes; `p` is c w V (p = q); `pre[j]` and
+    `suf[j]` sum the rows k < j and k >= j of p; `y_lower` = v (P - p / 2)
+    and `y_upper` = v (Q + q / 2), v = w / a.
+    """
+
+    vander: np.ndarray
+    p: np.ndarray
+    pre: np.ndarray
+    suf: np.ndarray
+    y_lower: np.ndarray
+    y_upper: np.ndarray
+    v: np.ndarray
+
+    @property
+    def width(self) -> int:
+        return self.vander.shape[1]
+
+    @classmethod
+    def build(cls, grid: "Grid", c, width: int) -> "GridBases":
+        n, w = grid.n, grid.weights
+        vander = np.vander(2 * (grid.nodes / grid.a) - 1, width, increasing=True)  # 2x would overflow near 1e308
+        p = complex(c) * w[:, None] * vander
+        # pre and suf in one array: prefix sums of p, and of p's reversed rows
+        sums = np.zeros((2, n + 1, width), dtype=complex)
+        np.cumsum(p, axis=0, out=sums[0, 1:])
+        np.cumsum(p[::-1], axis=0, out=sums[1, 1:])
+        pre, suf = sums[0], sums[1, ::-1]
+        v = w / grid.a
+        bases = cls(vander, p, pre, suf, v[:, None] * (suf[:n] - 0.5 * p),
+                    v[:, None] * (pre[:n] + 0.5 * p), v)
+        for part in vars(bases).values():
+            part.flags.writeable = False
+        return bases
 
 
 @dataclass(frozen=True)
@@ -107,6 +167,7 @@ class Grid:
     nodes: np.ndarray
     weights: np.ndarray
     a: float
+    _bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -114,11 +175,25 @@ class Grid:
 
     @classmethod
     def uniform(cls, n: int, a) -> "Grid":
-        """Composite midpoint rule: interior nodes, weights summing to a."""
-        a = float_endpoint(a)
-        h = a / n
-        nodes = (np.arange(n) + 0.5) * h
-        return cls(nodes, np.full(n, h), a)
+        """Composite midpoint rule: interior nodes, weights summing to a.
+        The last _GRIDS grids asked for are kept, with their bases."""
+        return _uniform(n, float_endpoint(a))
+
+    def bases(self, c, width: int) -> GridBases:
+        """The grid's bases for the constant c, at least `width` columns wide:
+        built on first use, and again wider when a wider table asks."""
+        got = self._bases.get(c)
+        if got is None or got.width < width:
+            got = self._bases[c] = GridBases.build(self, c, width)
+        return got
+
+
+@lru_cache(maxsize=_GRIDS)
+def _uniform(n: int, a: float) -> Grid:
+    h = a / n
+    nodes, weights = (np.arange(n) + 0.5) * h, np.full(n, h)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return Grid(nodes, weights, a)
 
 
 @dataclass(frozen=True)
@@ -153,38 +228,38 @@ def discretize_all(
     mf: MFunctions,
     grid: Grid,
 ) -> Discretization:
-    """The generators of T and of the residual R / a on the grid (module doc)."""
-    w, x, a, n = grid.weights, grid.nodes, grid.a, grid.n
+    """The generators of T and of the residual R / a on the grid (module doc);
+    the node-only parts come from `grid.bases`."""
+    n = grid.n
     lower, upper = k.float_pieces
     mtab = mf.float_table
     rl, ru = lower.shape[1], upper.shape[1]
-    vander = np.vander(k.centered(x), max(*lower.shape, *upper.shape, len(mtab)), increasing=True)
-    coeffs = np.zeros((vander.shape[1], rl + ru + 4), dtype=complex)
+    width = max(*lower.shape, *upper.shape, len(mtab))
+    b = grid.bases(k.c, width)
+    coeffs = np.zeros((width, rl + ru + 4), dtype=complex)
     coeffs[:lower.shape[0], :rl], coeffs[:upper.shape[0], rl:rl + ru] = lower, upper
     coeffs[:len(mtab), rl + ru:] = mtab
-    sides = vander @ coeffs
+    sides = b.vander[:, :width] @ coeffs
     al, au = sides[:, :rl], sides[:, rl:rl + ru]
     phi1, phi2, m2, m2_reflected = sides[:, rl + ru:].T  # M_2(a - x) as xi -> -xi
-    cwv = complex(k.c) * w[:, None] * vander[:, :max(rl, ru)]
-    p, q = cwv[:, :rl], cwv[:, :ru]
+    p, q = b.p[:, :rl], b.p[:, :ru]
 
-    # One cumsum: prefix sums of [q, v a_l], suffix sums of [p, v a_u] (run
-    # on reversed rows), v = w / a.  pre[j] sums the rows k < j; suf[j]
+    # One cumsum: prefix sums of v a_l, suffix sums of v a_u (run on
+    # reversed rows), v = w / a.  a_pre[j] sums the rows k < j; b_suf[j]
     # those k >= j.
-    v = w / a
-    sums = np.zeros((n + 1, 2 * (rl + ru)), dtype=complex)
+    v = b.v
+    sums = np.zeros((n + 1, rl + ru), dtype=complex)
     val, vau = v[:, None] * al, v[:, None] * au
-    np.cumsum(np.concatenate([q, val, p[::-1], vau[::-1]], axis=1), axis=0, out=sums[1:])
-    pre, suf = sums[:, :rl + ru], sums[::-1, rl + ru:]
-    q_pre, a_pre, p_suf, b_suf = pre[:n, :ru], pre[:n, ru:], suf[:n, :rl], suf[:n, rl:]
-    t1 = _rowdot(au, pre[1:, :ru]) + _rowdot(al, suf[1:, :rl])  # T 1
+    np.cumsum(np.concatenate([val, vau[::-1]], axis=1), axis=0, out=sums[1:])
+    a_pre, b_suf = sums[:n, :rl], sums[::-1][:n, rl:]
+    t1 = _rowdot(au, b.pre[1:, :ru]) + _rowdot(al, b.suf[1:, :rl])  # T 1
     vt = _rowdot(a_pre, p) + _rowdot(b_suf, q)  # v^T T
 
-    vm2 = v * m2_reflected
+    vm2, phi1_conj = v * m2_reflected, np.conj(phi1)
     r_lower = (np.column_stack([al, -(a_pre + 0.5 * val), 1 - phi2, -t1, m2]),
-               np.column_stack([v[:, None] * (p_suf - 0.5 * p), p, vt, v * np.conj(phi1), vm2]))
+               np.column_stack([b.y_lower[:, :rl], p, vt, v * phi1_conj, vm2]))
     r_upper = (np.column_stack([t1, -au, b_suf - 0.5 * vau, -phi2, m2]),
-               np.column_stack([v * (1 - np.conj(phi1)), v[:, None] * (q_pre + 0.5 * q), q, vt, vm2]))
+               np.column_stack([v * (1 - phi1_conj), b.y_upper[:, :ru], q, vt, vm2]))
     return Discretization(grid, (al, p), (au, q), r_lower, r_upper)
 
 

@@ -1,11 +1,16 @@
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction as F
 from math import isqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bezoutiant import operator_lab
+from bezoutiant import cli, operator_lab
 from bezoutiant.exact import Poly
 from bezoutiant.kernel import (
     build_kernel,
@@ -365,3 +370,82 @@ def test_row_block_memory(rng):
     k.float_pieces  # the exact tables are not the operator check's memory
     peak = _traced_peak(lambda: identity_residual(discretize_all(pair, k, mf, g)))
     assert peak < 32 * 2 ** 20, peak
+
+
+def _bits(ops):
+    """Every generator of a discretization as raw bytes."""
+    return [x.tobytes() for part in (ops.t_lower, ops.t_upper, ops.r_lower, ops.r_upper) for x in part]
+
+
+def test_memoized_grid_gives_a_fresh_grids_bits(rng):
+    # a memoized grid's bases grow with the tables asked for, and may then be
+    # wider than a problem needs (the random pairs again after the degree-16
+    # one); each column is built alone, so generators and residuals equal a
+    # fresh grid's bit for bit
+    for a in (1, F(7, 3), 40):
+        degrees = [(16, rng.randint(0, 16))] + [(rng.randint(0, 16), rng.randint(0, 16)) for _ in range(4)]
+        problems = [_setup(random_admissible_poly(rng, d1, a), random_admissible_poly(rng, d2, a), a)
+                    for d1, d2 in degrees]
+        for n in (16, 33, 100, 257):
+            g = Grid.uniform(n, a)
+            for pair, k, mf in problems[1:] + problems:
+                assert Grid.uniform(n, a) is g
+                fresh = Grid(g.nodes.copy(), g.weights.copy(), g.a)
+                got, want = discretize_all(pair, k, mf, g), discretize_all(pair, k, mf, fresh)
+                assert _bits(got) == _bits(want), (a, n, pair.psi1.degree, pair.psi2.degree)
+                assert identity_residual(got) == identity_residual(want)
+
+
+_DEG16 = [[[k % 5 - 2, 1 - k % 3] for k in range(17)], [[3 - k % 4, k % 2] for k in range(10)]]
+_DEG2 = [[[1, 0], [0, 1], [2, -1]], [[2, 1], [-1, 0]]]
+
+
+def _state_call(kind, arg, out):
+    """A convergence study of the pair `arg` (coefficient lists), or cli.run
+    on cubic_vs_quadratic.json at grid_n `arg`, as JSON values (the report
+    without its timing)."""
+    if kind == "study":
+        pair, k, mf = _setup(*(Poly.of(*map(tuple, c)) for c in arg))
+        result = convergence_study(pair, k, mf, (32, 64, 128, 256))
+    else:
+        spec = Path(__file__).parent / "fixtures" / "cubic_vs_quadratic.json"
+        result = cli.run(str(spec), out, tasks=("decide", "kernel", "operator-check"), grid_n=arg)
+        del result[0]["provenance"]["timing_s"]
+    return json.loads(json.dumps(result))
+
+
+_FRESH = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from test_operator_lab import _state_call
+print(json.dumps(_state_call(*json.loads(sys.argv[2]))))
+"""
+
+
+def test_grid_memo_leaves_no_state_in_results(tmp_path):
+    # bases built for one problem and grown for another: every result equals
+    # the same call in a fresh process
+    calls = [("study", _DEG16), ("study", _DEG2), ("study", _DEG16), ("run", 64), ("run", 256), ("run", 64)]
+    got = [_state_call(kind, arg, str(tmp_path / "in.json")) for kind, arg in calls]
+    src = str(Path(operator_lab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    fresh = {}
+    for (kind, arg), result in zip(calls, got):
+        key = json.dumps([kind, arg, str(tmp_path / "fresh.json")])
+        if key not in fresh:
+            done = subprocess.run([sys.executable, "-c", _FRESH, str(Path(__file__).parent), key],
+                                  env=env, capture_output=True, text=True, check=True)
+            fresh[key] = json.loads(done.stdout)
+        assert result == fresh[key], (kind, arg)
+    assert got[0]["residuals"] != got[1]["residuals"] and got[3][0]["operator"]["sizes"] == [32, 64]
+
+
+def test_grid_memo_is_bounded_and_read_only():
+    g = Grid.uniform(40, 1)
+    assert Grid.uniform(40, F(1)) is g
+    for part in (g.nodes, g.weights, *vars(g.bases(-1, 5)).values()):
+        with pytest.raises(ValueError):
+            part[0] = 0
+    for n in range(41, 41 + 2 * operator_lab._GRIDS):
+        Grid.uniform(n, 1)
+    assert operator_lab._uniform.cache_info().currsize == operator_lab._GRIDS
