@@ -38,9 +38,9 @@ triangle, so each triangle of T has rank at most r, the width of its
 piece's table (Vandebril, Van Barel and Mastronardi, Matrix Computations
 and Semiseparable Matrices, 2008; Eidelman and Gohberg, IEOT 34, 1999).
 The nodes ascend, so x_i < x_j exactly when j > i.  With V the
-Vandermonde matrix of the nodes' centered values, the x-sides a_l = V C_l
-and a_u = V C_u and the t-sides p = c w V and q = c w V (as wide as each
-table) give
+Vandermonde matrix of the nodes' centered values, the x-sides
+a_l = c V C_l and a_u = c V C_u and the t-sides p = w V and q = w V (as
+wide as each table) give
 
     T[i, j] = a_l[i] . p_j  (j > i),    a_u[i] . q_j  (j <= i).
 
@@ -85,20 +85,24 @@ to x-sides of size 1/a: at a = 2^-510 they are subnormal and the residual
 loses six digits.  With v, the same density shapes on [0, a] give a times
 the residual on [0, 1], to the bit for a power of two.
 
-Grid bases.  V, p = q = c w V, the prefix and suffix sums of p and the
-blocks v (P - p / 2) and v (Q + q / 2) depend on the nodes, the weights
-and c alone.  A grid builds them on first use (`Grid.bases`), as wide as
-the widest table asked so far, and again wider when a wider table asks;
-`discretize_all` does only the problem's part: the one product for the
-x-sides and the M-function columns, the cumsums of v a_l and v a_u, the
-four row dots and the assembly.  `np.vander` forms column k as column
-k - 1 times xi, each cumsum runs down its own column and every other step
-is elementwise, so no column depends on the width; the product reads the
-first columns, the same operands a fresh grid has.  Every generator and
+Grid bases.  V, p = q = w V, the prefix and suffix sums of p and the
+blocks v (P - p / 2) and v (Q + q / 2) depend on the nodes and the
+weights alone, and are real.  The kernel constant c scales the piece
+tables' columns of the x-side product instead; `build_kernel`'s c = -1
+negates them exactly, so each generator product is the one that c on the
+t-sides would give, to the bit.  A grid builds its bases on first use
+(`Grid.bases`), as wide as the widest table asked so far, and again
+wider when a wider table asks; `discretize_all` does only the problem's
+part: the one product for the x-sides and the M-function columns, the
+cumsums of v a_l and v a_u, the four row dots and the assembly.
+`np.vander` forms column k as column k - 1 times xi, each cumsum runs
+down its own column and every other step is elementwise, so no column
+depends on the width; the product reads the first columns, the same
+operands a fresh grid has.  Every generator and
 residual is therefore a fresh grid's, bit for bit.  `Grid.uniform` keeps
 the last _GRIDS = 4 grids, one per (n, float a): a refinement ladder, so
 repeated problems in one process build each rung's bases once.  The kept
-arrays are read-only; they take 88 bytes per node and table column.
+arrays are read-only; they take 48 bytes per node and table column.
 
 Row blocks.  `identity_residual` forms R in blocks of _BLOCK = 32 rows
 and adds |R|^2 to a running sum.  Block [s, e) takes two products, each
@@ -125,9 +129,9 @@ _GRIDS = 4
 @dataclass(frozen=True)
 class GridBases:
     """The node-only parts of the generators on one grid, `width` columns
-    wide, for the kernel constant c (module doc, Grid bases).  Read-only.
+    wide (module doc, Grid bases).  Read-only.
 
-    `vander` is V, xi^k at the nodes; `p` is c w V (p = q); `pre[j]` and
+    `vander` is V, xi^k at the nodes; `p` is w V (p = q); `pre[j]` and
     `suf[j]` sum the rows k < j and k >= j of p; `y_lower` = v (P - p / 2)
     and `y_upper` = v (Q + q / 2), v = w / a.
     """
@@ -145,12 +149,12 @@ class GridBases:
         return self.vander.shape[1]
 
     @classmethod
-    def build(cls, grid: "Grid", c, width: int) -> "GridBases":
+    def build(cls, grid: "Grid", width: int) -> "GridBases":
         n, w = grid.n, grid.weights
         vander = np.vander(2 * (grid.nodes / grid.a) - 1, width, increasing=True)  # 2x would overflow near 1e308
-        p = complex(c) * w[:, None] * vander
+        p = w[:, None] * vander
         # pre and suf in one array: prefix sums of p, and of p's reversed rows
-        sums = np.zeros((2, n + 1, width), dtype=complex)
+        sums = np.zeros((2, n + 1, width))
         np.cumsum(p, axis=0, out=sums[0, 1:])
         np.cumsum(p[::-1], axis=0, out=sums[1, 1:])
         pre, suf = sums[0], sums[1, ::-1]
@@ -167,7 +171,7 @@ class Grid:
     nodes: np.ndarray
     weights: np.ndarray
     a: float
-    _bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _bases: GridBases | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -179,13 +183,12 @@ class Grid:
         The last _GRIDS grids asked for are kept, with their bases."""
         return _uniform(n, float_endpoint(a))
 
-    def bases(self, c, width: int) -> GridBases:
-        """The grid's bases for the constant c, at least `width` columns wide:
-        built on first use, and again wider when a wider table asks."""
-        got = self._bases.get(c)
-        if got is None or got.width < width:
-            got = self._bases[c] = GridBases.build(self, c, width)
-        return got
+    def bases(self, width: int) -> GridBases:
+        """The grid's bases, at least `width` columns wide: built on first
+        use, and again wider when a wider table asks."""
+        if self._bases is None or self._bases.width < width:
+            object.__setattr__(self, "_bases", GridBases.build(self, width))
+        return self._bases
 
 
 @lru_cache(maxsize=_GRIDS)
@@ -229,15 +232,20 @@ def discretize_all(
     grid: Grid,
 ) -> Discretization:
     """The generators of T and of the residual R / a on the grid (module doc);
-    the node-only parts come from `grid.bases`."""
+    the node-only parts come from `grid.bases`.
+
+    `pair` is not read: k and mf hold all that the pair fixes.  It keeps
+    `grid` at args[3], where the benchmark's `grid_cells` counter
+    (`perfbench/spans.py`) reads the grid size."""
     n = grid.n
     lower, upper = k.float_pieces
     mtab = mf.float_table
     rl, ru = lower.shape[1], upper.shape[1]
     width = max(*lower.shape, *upper.shape, len(mtab))
-    b = grid.bases(k.c, width)
+    b = grid.bases(width)
     coeffs = np.zeros((width, rl + ru + 4), dtype=complex)
     coeffs[:lower.shape[0], :rl], coeffs[:upper.shape[0], rl:rl + ru] = lower, upper
+    coeffs[:, :rl + ru] *= k.c  # T = c U w: c on the x-sides (module doc)
     coeffs[:len(mtab), rl + ru:] = mtab
     sides = b.vander[:, :width] @ coeffs
     al, au = sides[:, :rl], sides[:, rl:rl + ru]

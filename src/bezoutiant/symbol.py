@@ -65,9 +65,10 @@ So the outcome is NoCommonZeros when G = 1 and a mass is nonzero, and
 otherwise CommonZeros (a FloatRangeError if a zero has no float image).
 With D = 0 no z0 need be algebraic, and a pair that is not coincident,
 such as psi_1 = x - x^2, psi_2 = -1 + 3x - x^2, a = 1 (F_{2,1} =
-(1 - iz) F_1), is Inconclusive (ROADMAP 1b).  The monomial family
-x^m (a-x)^n admits a closed order formula, cross-validated against the
-verdict's l_order (acceptance criterion 3).
+(1 - iz) F_1), is Inconclusive (ROADMAP 1b).  The paper's closed order
+formula for the monomial family x^m (a-x)^n is a test oracle
+(`tests/conftest.py`), checked against the verdict's l_order (acceptance
+criterion 3).
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import accumulate, zip_longest
+from itertools import zip_longest
 
 import numpy as np
 
@@ -88,20 +89,6 @@ from .transform import (ClosedTransform, _conjugate, _times_i_powers, _to_comple
 
 class OrderViolationError(ValueError):
     """deg Psi_1 < deg Psi_2; caller must order the pair first."""
-
-
-class CoincidenceCaseError(ValueError):
-    """n1 = m2 and m1 = n2: zero sets coincide, order formula inapplicable."""
-
-
-class TieCancellationError(ArithmeticError):
-    """Tied candidate orders with cancelling leading coefficients.
-
-    For symmetric pairs (m1 = n1, m2 = n2 with m1 + m2 even) the two
-    boundary contributions at degree r cancel exactly and the true order
-    of L(D) drops below the max-formula value; the closed form does not
-    apply and the caller must fall back to the general expansion.
-    """
 
 
 def _w(f1: ClosedTransform, f21: ClosedTransform, lo: int, hi: int) -> tuple:
@@ -163,85 +150,17 @@ def l_operator(pair: NormalizedPair) -> tuple:
     return tuple(reversed(w[m0:]))
 
 
-def monomial_density(m: int, n: int, a) -> Poly:
-    """x^m (a - x)^n as an exact polynomial."""
-    lin = Poly.of(_frac(a), -1)
-    out = Poly.of(1)
-    for _ in range(n):
-        out = out * lin
-    return out.times_x(m)
-
-
-def monomial_order(m1: int, n1: int, m2: int, n2: int, a) -> tuple:
-    """Closed order formula for the monomial family; returns (r, leading),
-    the leading coefficient a real `Fraction`.
-
-    r = max(n1 - m2 - 1, m1 - n2 - 1).  The leading coefficient comes from
-    the lowest-derivative boundary terms:
-
-        B1 = (-1)^{m1+1} a^{n1+n2} m2! m1!   (left endpoint),
-        B2 = (-1)^{n2}   a^{m1+m2} n2! n1!   (right endpoint),
-
-    single term when the candidate orders differ, B1 + B2 in the tie case.
-    (Expanding the boundary sums directly gives the (-1)^{m1+1} sign for
-    B1; a cruder sign convention would misclassify pairs like
-    m1 = n1 = 1, m2 = n2 = 0, where the exact operator is the nonzero
-    constant 2.)  The coefficients match the general expansion exactly up
-    to the positive normalization factor of the densities, which is
-    cross-validated over the full exponent range in the test suite.
-
-    Raises TieCancellationError when B1 + B2 = 0: then the true order
-    drops below r and the closed formula does not apply.
-    """
-    a = _frac(a)
-    if min(m1, n1, m2, n2) < 0:
-        raise ValueError("exponents must be nonnegative")
-    if m1 + n1 < m2 + n2:
-        raise OrderViolationError("requires Q1 = m1+n1 >= Q2 = m2+n2")
-    if n1 == m2 and m1 == n2:
-        raise CoincidenceCaseError("zero sets coincide; order formula inapplicable")
-    r1 = n1 - m2 - 1
-    r2 = m1 - n2 - 1
-    r = max(r1, r2)
-    if r < 0:
-        raise AssertionError("internal: r < 0 outside the coincidence case")
-    b1 = (-1) ** (m1 + 1) * a ** (n1 + n2) * math.factorial(m2) * math.factorial(m1)
-    b2 = (-1) ** n2 * a ** (m1 + m2) * math.factorial(n2) * math.factorial(n1)
-    if r1 == r2:
-        leading = b1 + b2
-        if not leading:
-            raise TieCancellationError(
-                f"boundary contributions cancel at degree {r} for "
-                f"(m1,n1,m2,n2)=({m1},{n1},{m2},{n2}); the operator order "
-                "is strictly smaller")
-    else:
-        leading = b1 if r1 > r2 else b2
-    return r, leading
-
-
 #: p = 1 (mod 4), the first such prime above 2^30: the primes p = 1 (mod 4)
 #: from here up are the moduli of the search for G (module doc: the verdict).
 PRIME = 1073741833
 
-#: Miller-Rabin bases: together they decide primality exactly below 3.1e23
-#: (psi_12; Sorenson & Webster, Math. Comp. 86, 2017), far above the moduli.
-_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin over `_BASES` for n > 1; an n that a base
-    divides is prime iff it is that base.  With n - 1 = d 2^r, d odd, a base
-    b is a witness to n composite unless b^d = 1 or b^(d 2^k) = -1 (mod n)
-    for some k < r."""
-    if any(n % b == 0 for b in _BASES):
-        return n in _BASES
-    r = ((n - 1) & (1 - n)).bit_length() - 1  # the lowest set bit of n - 1
-    d = (n - 1) >> r
-    for b in _BASES:
-        x = pow(b, d, n)  # then its squares, up to b^(d 2^(r-1))
-        if x != 1 and n - 1 not in accumulate(range(r - 1), lambda y, _: y * y % n, initial=x):
-            return False
-    return True
+    """Trial division of n > 1 by 2, 3 and the d = 6k +- 1 <= isqrt(n) (any
+    other d has the factor 2 or 3): about 11,000 divisions near PRIME, and
+    `_modulus` is cached, so a process tests each prime once."""
+    return n in (2, 3) or n % 2 != 0 and n % 3 != 0 and all(
+        n % d and n % (d + 2) for d in range(5, math.isqrt(n) + 1, 6))
 
 
 @cache

@@ -110,10 +110,6 @@ class SearchRect:
             raise ValueError("search rectangle, moved out by every boundary nudge, "
                              f"reaches past {_FAR:g}")
 
-    def mirrored(self) -> "SearchRect":
-        return SearchRect(self.re_min, self.re_max, -self.im_max, -self.im_min,
-                          self.boundary_margin)
-
 
 @dataclass(frozen=True)
 class ZeroRecord:
@@ -283,11 +279,6 @@ def _guarded_box(F, rect: SearchRect):
         m = rect.boundary_margin * (k + 1)
         box = (box[0] - m, box[1] + m, box[2] - m, box[3] + m)
     raise BoundaryZeroError(f"boundary |F| below threshold after {_NUDGES} nudges")
-
-
-def count_zeros(F: ClosedTransform, rect: SearchRect) -> int:
-    """Number of zeros of F inside the rectangle, with multiplicity."""
-    return _certified_winding(F, _guarded_box(F, rect))[0]
 
 
 # -- localization -----------------------------------------------------------

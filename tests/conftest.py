@@ -1,12 +1,15 @@
+import dataclasses
 import random
 from fractions import Fraction
-from math import lcm, pi
+from math import factorial, lcm, pi
 
 import numpy as np
 import pytest
 
 from bezoutiant.exact import Poly
+from bezoutiant.symbol import OrderViolationError
 from bezoutiant.transform import ClosedTransform
+from bezoutiant.zeros import SearchRect, _certified_winding, _guarded_box
 
 
 def random_rational(rng: random.Random, span: int = 6) -> Fraction:
@@ -111,6 +114,89 @@ def t_from_generators(ops) -> np.ndarray:
     (al, p), (au, q) = ops.t_lower, ops.t_upper
     above = np.triu(np.ones((ops.grid.n, ops.grid.n), dtype=bool), 1)
     return np.where(above, al @ p.T, au @ q.T)
+
+
+class CoincidenceCaseError(ValueError):
+    """n1 = m2 and m1 = n2: zero sets coincide, order formula inapplicable."""
+
+
+class TieCancellationError(ArithmeticError):
+    """Tied candidate orders with cancelling leading coefficients.
+
+    For symmetric pairs (m1 = n1, m2 = n2 with m1 + m2 even) the two
+    boundary contributions at degree r cancel exactly and the true order
+    of L(D) drops below the max-formula value; the closed form does not
+    apply and the caller must fall back to the general expansion.
+    """
+
+
+def monomial_density(m: int, n: int, a) -> Poly:
+    """x^m (a - x)^n as an exact polynomial."""
+    lin = Poly.of(Fraction(a), -1)
+    out = Poly.of(1)
+    for _ in range(n):
+        out = out * lin
+    return out.times_x(m)
+
+
+def monomial_order(m1: int, n1: int, m2: int, n2: int, a) -> tuple:
+    """The paper's closed order formula for the monomial family, an oracle
+    for the verdict's l_order; returns (r, leading), the leading
+    coefficient a real `Fraction`.
+
+    r = max(n1 - m2 - 1, m1 - n2 - 1).  The leading coefficient comes from
+    the lowest-derivative boundary terms:
+
+        B1 = (-1)^{m1+1} a^{n1+n2} m2! m1!   (left endpoint),
+        B2 = (-1)^{n2}   a^{m1+m2} n2! n1!   (right endpoint),
+
+    single term when the candidate orders differ, B1 + B2 in the tie case.
+    (Expanding the boundary sums directly gives the (-1)^{m1+1} sign for
+    B1; a cruder sign convention would misclassify pairs like
+    m1 = n1 = 1, m2 = n2 = 0, where the exact operator is the nonzero
+    constant 2.)  The coefficients match the general expansion exactly up
+    to the positive normalization factor of the densities.
+
+    Raises TieCancellationError when B1 + B2 = 0: then the true order
+    drops below r and the closed formula does not apply.
+    """
+    a = Fraction(a)
+    if min(m1, n1, m2, n2) < 0:
+        raise ValueError("exponents must be nonnegative")
+    if m1 + n1 < m2 + n2:
+        raise OrderViolationError("requires Q1 = m1+n1 >= Q2 = m2+n2")
+    if n1 == m2 and m1 == n2:
+        raise CoincidenceCaseError("zero sets coincide; order formula inapplicable")
+    r1 = n1 - m2 - 1
+    r2 = m1 - n2 - 1
+    r = max(r1, r2)
+    if r < 0:
+        raise AssertionError("internal: r < 0 outside the coincidence case")
+    b1 = (-1) ** (m1 + 1) * a ** (n1 + n2) * factorial(m2) * factorial(m1)
+    b2 = (-1) ** n2 * a ** (m1 + m2) * factorial(n2) * factorial(n1)
+    if r1 == r2:
+        leading = b1 + b2
+        if not leading:
+            raise TieCancellationError(
+                f"boundary contributions cancel at degree {r} for "
+                f"(m1,n1,m2,n2)=({m1},{n1},{m2},{n2}); the operator order "
+                "is strictly smaller")
+    else:
+        leading = b1 if r1 > r2 else b2
+    return r, leading
+
+
+def count_zeros(F: ClosedTransform, rect: SearchRect) -> int:
+    """Number of zeros of F inside the rectangle, with multiplicity: the
+    certified winding number around the rectangle that the locator's
+    boundary guard moves off any zero."""
+    return _certified_winding(F, _guarded_box(F, rect))[0]
+
+
+def mirrored(rect: SearchRect) -> SearchRect:
+    """The rectangle reflected in the real axis: where the zeros of R(F),
+    the conjugates of F's, lie."""
+    return dataclasses.replace(rect, im_min=-rect.im_max, im_max=-rect.im_min)
 
 
 def bessel_reference(n: int, x_max: float) -> list:

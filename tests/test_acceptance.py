@@ -25,21 +25,25 @@ from bezoutiant.operator_lab import convergence_study
 from bezoutiant.symbol import (
     OUTCOME_COINCIDE,
     OUTCOME_NO_COMMON,
-    CoincidenceCaseError,
-    TieCancellationError,
     decide,
-    monomial_density,
-    monomial_order,
 )
 from bezoutiant.transform import closed_form, reflected_transform
 from bezoutiant.zeros import (
     SearchRect,
     compare_zero_sets,
-    count_zeros,
     locate_zeros,
     structure_checks,
 )
-from conftest import bessel_reference, random_admissible_poly
+from conftest import (
+    CoincidenceCaseError,
+    TieCancellationError,
+    bessel_reference,
+    count_zeros,
+    mirrored,
+    monomial_density,
+    monomial_order,
+    random_admissible_poly,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 RESULTS = []
@@ -212,7 +216,7 @@ def test_criterion_08_conjugation_law():
     rect = SearchRect(-20, 20, -4, 4)
     for psi2 in (ONE, TWO_T, Poly.of(0, 0, 1), Poly.of(1, (1, 1))):
         z2 = locate_zeros(closed_form(psi2, 1), rect)
-        z21 = locate_zeros(reflected_transform(psi2, 1), rect.mirrored())
+        z21 = locate_zeros(reflected_transform(psi2, 1), mirrored(rect))
         conj_pts = sorted((z.conjugate() for z in z2.points()),
                           key=lambda z: (z.real, z.imag))
         pts = z21.points()

@@ -35,6 +35,7 @@ from bezoutiant.exact import Poly
 from bezoutiant.kernel import build_kernel, normalize_pair
 from bezoutiant.symbol import OUTCOME_COINCIDE, OUTCOME_NO_COMMON, decide
 from bezoutiant.transform import ClosedTransform
+from conftest import monomial_order
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -209,7 +210,7 @@ def test_exact_values_are_integer_triples():
         module = importlib.import_module(f"bezoutiant.{info.name}")
         assert not hasattr(module, "GaussianRational") and not hasattr(module, "GR"), info.name
     assert not hasattr(Poly.of(1), "coeffs")
-    assert symbol.monomial_order(1, 1, 0, 0, F(7, 3)) == (0, F(14, 3))  # the tie: 2a
+    assert monomial_order(1, 1, 0, 0, F(7, 3)) == (0, F(14, 3))  # the tie: 2a
 
     def same(value, want):
         re, im, den = value

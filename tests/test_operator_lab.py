@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -342,6 +343,23 @@ def test_kernel_matrix_shape_and_scaling():
         assert abs(m[i, j] - complex(k.c) * k.u_float(x, t) * g.weights[j]) < 1e-15
 
 
+def test_kernel_constant_scales_t_and_shares_the_grid_bases(rng):
+    # build_kernel's c is -1, and no run varies it; c = 2 scales T to
+    # 2 U(x_i, x_j) w_j, and kernels of other widths or constants read the
+    # grid's one bases object
+    g = Grid.uniform(64, 1)
+    pair, k, mf = _setup(random_admissible_poly(rng, 6, 1), random_admissible_poly(rng, 4, 1))
+    doubled = dataclasses.replace(k, c=2)
+    want = 2 * k.u_float(g.nodes[:, None], g.nodes[None, :]) * g.weights
+    got = t_from_generators(discretize_all(pair, doubled, mf, g))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    bases = g.bases(1)
+    narrow, _, mf2 = _setup(ONE, TWO_T)
+    discretize_all(narrow, build_kernel(narrow), mf2, g)
+    discretize_all(pair, k, mf, g)
+    assert g.bases(1) is bases
+
+
 def test_kernel_matrix_matches_u_float_on_row_blocks(rng):
     # the generators' T against the Horner evaluation, on sizes below, at
     # and off multiples of the 32-row block
@@ -443,7 +461,7 @@ def test_grid_memo_leaves_no_state_in_results(tmp_path):
 def test_grid_memo_is_bounded_and_read_only():
     g = Grid.uniform(40, 1)
     assert Grid.uniform(40, F(1)) is g
-    for part in (g.nodes, g.weights, *vars(g.bases(-1, 5)).values()):
+    for part in (g.nodes, g.weights, *vars(g.bases(5)).values()):
         with pytest.raises(ValueError):
             part[0] = 0
     for n in range(41, 41 + 2 * operator_lab._GRIDS):

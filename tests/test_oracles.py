@@ -392,7 +392,7 @@ def test_laurent_gcd_matches_sympy_gcd():
 
 @pytest.mark.parametrize("start", [symbol.PRIME, 13], ids=["package-prime", "p13"])
 def test_modulus_primes_match_sympy(start):
-    # the Miller-Rabin search steps through the same primes p = 1 (mod 4)
+    # the trial-division search steps through the same primes p = 1 (mod 4)
     # as sympy's primality test, each with a square root of -1 mod p
     n = start
     for _ in range(60):
@@ -402,14 +402,14 @@ def test_modulus_primes_match_sympy(start):
         n = p + 4
 
 
-def test_miller_rabin_matches_sympy():
+def test_trial_division_matches_sympy():
     assert [n for n in range(2, 5000) if symbol._is_prime(n)] == list(sp.primerange(2, 5000))
-    # strong pseudoprimes to the bases 2..7, 2..11, 2..13, 2..17 and 2..23
-    for n in (3215031751, 2152302898747, 3474749660383, 341550071728321, 3825123056546413051):
-        assert not sp.isprime(n) and not symbol._is_prime(n)
-    # psi_12, the least strong pseudoprime to all twelve bases: below it
-    # the test is exact, and every modulus searched is far below it
-    assert not sp.isprime(318665857834031151167461) and symbol._is_prime(318665857834031151167461)
+    # composites whose least factor is isqrt(n) or just below it: the last
+    # divisor tried is isqrt(n) itself
+    for q in (32749, 46337, 65521):
+        r = sp.nextprime(q)
+        assert not symbol._is_prime(q * q) and not symbol._is_prime(q * r)
+        assert symbol._is_prime(r) and sp.isprime(r)
 
 
 # -- QQ_I references for the integer-numerator paths ------------------------

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import random
 import sys
 import time
@@ -10,13 +11,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bezoutiant import symbol
-from bezoutiant.cli import ProblemSpec
+from bezoutiant.cli import ProblemSpec, main
 from bezoutiant.exact import Poly, _json_value
 from bezoutiant.kernel import build_kernel, normalize_pair
 from bezoutiant.symbol import (
-    CoincidenceCaseError,
     OrderViolationError,
-    TieCancellationError,
     OUTCOME_COINCIDE,
     OUTCOME_COMMON,
     OUTCOME_INCONCLUSIVE,
@@ -24,13 +23,21 @@ from bezoutiant.symbol import (
     _equal,
     decide,
     l_operator,
-    monomial_density,
-    monomial_order,
     v_symbol,
 )
 from bezoutiant.transform import closed_form, reflected_transform
 from bezoutiant.zeros import SearchRect, locate_zeros, structure_checks
-from conftest import as_fractions, fractions_of, is_zero, random_admissible_poly, triple_of
+from conftest import (
+    CoincidenceCaseError,
+    TieCancellationError,
+    as_fractions,
+    fractions_of,
+    is_zero,
+    monomial_density,
+    monomial_order,
+    random_admissible_poly,
+    triple_of,
+)
 
 ONE = Poly.of(1)
 TWO_T = Poly.of(0, 2)
@@ -304,6 +311,25 @@ def test_decide_flags_symmetric_up_to_unit_factor():
     zs = locate_zeros(closed_form(psi1, 1), SearchRect(-20, 20, -5, 5))
     assert zs.total_count == 6
     assert not structure_checks(zs).no_real_zeros
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: no_real_zeros is read from mirror "
+                   "symmetry, not proved from gcd(P, Q) of (F, R(F))")
+@pytest.mark.parametrize("psi1, rect", [
+    # h'' + 9h, h = t^2 (1-t)^2 (1+t): F_1 has the real zeros -3 and 3
+    ([2, -6, -3, 11, -9, 9], None),
+    # its conjugate, the density, is h' + 3i h, h = t^2 (1-t): F_1 has the real zero 3
+    ([0, 2, {"re": -3, "im": -3}, {"re": 0, "im": 3}],
+     {"re_min": -10, "re_max": 10, "im_min": -4, "im_max": 4.3}),
+], ids=["real", "gaussian"])
+def test_item2_counterexamples_are_not_claimed_free_of_real_zeros(tmp_path, psi1, rect):
+    # `verify` exits 0 with NoCommonZeros and locates these zeros, yet the
+    # verdict claims no_real_zeros: true
+    spec, out = tmp_path / "spec.json", tmp_path / "report.json"
+    spec.write_text(json.dumps({"a": "1", "psi1": psi1, "psi2": [1],
+                                **({"rect": rect} if rect else {})}))
+    main(["verify", "--input", str(spec), "--output", str(out)])
+    assert json.loads(out.read_text())["verdict"]["no_real_zeros"] is not True
 
 
 def test_decide_symmetric_density_flags():

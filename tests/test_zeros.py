@@ -32,11 +32,11 @@ from bezoutiant.zeros import (
     _split_coord,
     _winding_integrals,
     compare_zero_sets,
-    count_zeros,
     locate_zeros,
     structure_checks,
 )
-from conftest import bessel_reference, fractions_of, transform_of_i_t, triple_of
+from conftest import (bessel_reference, count_zeros, fractions_of, mirrored, transform_of_i_t,
+                      triple_of)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -133,7 +133,7 @@ def test_conjugation_law():
     for psi2 in (TWO_T, Poly.of(0, 0, 1), Poly.of(1, (0, 1))):
         rect = SearchRect(-20, 20, -4, 4)
         z2 = locate_zeros(closed_form(psi2, 1), rect)
-        z21 = locate_zeros(reflected_transform(psi2, 1), rect.mirrored())
+        z21 = locate_zeros(reflected_transform(psi2, 1), mirrored(rect))
         conj_pts = sorted((z.conjugate() for z in z2.points()),
                           key=lambda z: (z.real, z.imag))
         pts21 = z21.points()
