@@ -21,17 +21,21 @@ A report is one line, `json.dumps(report, sort_keys=True)` and a newline:
 ASCII, keys sorted, written by the standard library's C encoder
 (`python -m json.tool report.json` indents it).
 
-Exit codes: 0 success (CommonZeros included), 1 input error (a field the
-spec does not know, such as "grid" for grid_n, included; also an exact
-result too long to write as a decimal string: the report's `error` names
-`verdict` or `kernel`), 2 inconclusive verdict, 3 conflict between the
-symbolic verdict and the numerical zero comparison: a located common pair
-(zeros of F1 and F21 within `delta`) has a member farther than `delta`
-from every zero the verdict makes common for its transform, or a zero the
-verdict requires has no pair member within `delta`.  NoCommonZeros makes
-and requires none; CommonZeros makes its `common_zeros` common and
-requires those in the rectangle; ZeroSetsCoincide makes and requires every
-located zero of each transform.  4 numeric refusal: the zero locator
+One engine, `symbol.relate`, gives the verdict from (F1, F21) and the
+structure flags from (F, R(F)), F the flagged transform (F21 if `swapped`).
+Exit codes: 0 success (every outcome), 1 input error (a field the spec
+does not know, such as "grid" for grid_n, included; also an exact result
+too long to write as a decimal string: the report's `error` names
+`verdict` or `kernel`), 3 conflict between the symbolic verdict and the
+numerical zero comparison: a located common pair (zeros of F1 and F21
+within `delta`) has a member farther than `delta` from every zero the
+verdict makes common for its transform, a zero the verdict requires has
+no pair member within `delta`, or `structure_checks` on F's located zeros
+contradicts a `true` flag.  NoCommonZeros makes and requires none;
+CommonZeros makes its `common_zeros` common and requires those in the
+rectangle; ZeroSetsCoincide makes every located zero of each transform
+common and requires those not within `delta` of an `exceptional_zeros`
+entry.  (2 is no longer used.)  4 numeric refusal: the zero locator
 declined to answer (an evaluation would overflow, a winding number did not
 certify, a cluster stayed unresolved or the boundary could not be moved
 off a zero), or an exact value that the verdict, the zero locator or the
@@ -41,12 +45,10 @@ kernel's float tables) has none (`FloatRangeError`), or the operator
 check finds a residual of exactly 0.0 for a pair that does not coincide
 (`FloatRangeError` too: the pair differs by less than float resolution on
 [0, a]).  A kernel or operator check of a zero-mass density is skipped
-(`skipped`), as they need unit-mass densities; after an inconclusive
-verdict the zeros, kernel and operator-check tasks are skipped, and
-`skipped` gives the verdict's reason.  A refusal still writes the report,
-with its verdict (if one was reached) and an `error` block naming the
-stage, the transform (zeros only), the exception type and its message
-(`emit-grid`: one stderr line).
+(`skipped`), as they need unit-mass densities.  A refusal still writes
+the report, with its verdict (if one was reached) and an `error` block
+naming the stage, the transform (zeros only), the exception type and its
+message (`emit-grid`: one stderr line).
 """
 
 from __future__ import annotations
@@ -65,11 +67,7 @@ from . import __version__
 from .exact import DigitLimitError, FloatRangeError, Poly, rational_from_json
 from .kernel import ZeroMassError, build_kernel, build_m_functions, normalize_pair
 from .operator_lab import convergence_study
-from .symbol import (
-    OUTCOME_COINCIDE,
-    OUTCOME_INCONCLUSIVE,
-    decide,
-)
+from .symbol import OUTCOME_COINCIDE, decide
 from .transform import EvaluationOverflow, closed_form, reflected_transform
 from .zeros import (
     BoundaryZeroError,
@@ -78,6 +76,7 @@ from .zeros import (
     SearchRect,
     compare_zero_sets,
     locate_zeros,
+    structure_checks,
 )
 
 ALL_TASKS = ("decide", "zeros", "kernel", "operator-check")
@@ -87,7 +86,6 @@ COEFF_RATIONAL = "rational"
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
-EXIT_INCONCLUSIVE = 2
 EXIT_CONFLICT = 3
 EXIT_NUMERIC_REFUSAL = 4
 
@@ -268,13 +266,6 @@ def _run_stages(spec: ProblemSpec, report: dict, at: dict) -> int:
     stage that runs (`zeros` with its `transform`), for `run` to report a refusal."""
     verdict = decide(spec.psi1, spec.psi2, spec.a)
     report["verdict"] = verdict.to_json()
-    if verdict.outcome == OUTCOME_INCONCLUSIVE:
-        skipped = sorted(set(spec.tasks) - {"decide"})
-        if skipped:
-            report["skipped"] = {"tasks": skipped, "reason": "verdict "
-                                 f"{OUTCOME_INCONCLUSIVE}: {verdict.diagnostics['reason']}"}
-        return EXIT_INCONCLUSIVE
-
     needs_pair = {"kernel", "operator-check"} & set(spec.tasks)
     if needs_pair:
         at["stage"] = "kernel"
@@ -308,19 +299,23 @@ def _run_stages(spec: ProblemSpec, report: dict, at: dict) -> int:
     report["comparison"] = comparison.to_json()
 
     # the zeros the verdict makes common and those it requires, per transform
+    near = lambda u, vs: any(abs(u - v) <= spec.delta for v in vs)
+    points = lambda key: [complex(z["re"], z["im"]) for z in verdict.diagnostics.get(key, ())]
     if verdict.outcome == OUTCOME_COINCIDE:
-        made = required = (z1.points(), z21.points())
+        made, exceptional = (z1.points(), z21.points()), points("exceptional_zeros")
+        required = [[z for z in zs if not near(z, exceptional)] for zs in made]
     else:  # CommonZeros lists them; NoCommonZeros has none
-        r = spec.rect
-        common = [complex(z["re"], z["im"]) for z in verdict.diagnostics.get("common_zeros", ())]
+        r, common = spec.rect, points("common_zeros")
         inside = [z for z in common
                   if r.re_min <= z.real <= r.re_max and r.im_min <= z.imag <= r.im_max]
         made, required = (common, common), (inside, inside)
-    near = lambda u, vs: any(abs(u - v) <= spec.delta for v in vs)
     members = [[c[i] for c in comparison.common] for i in (0, 1)]  # the pairs' F1, F21 zeros
+    claims = (verdict.no_real_zeros, verdict.no_conjugate_pairs)  # StructureFlags' order
+    seen = vars(structure_checks(z21 if verdict.diagnostics["swapped"] else z1)).values()
     report["conflict"] = conflict = not all(
         all(near(u, ms) for u in ps) and all(near(v, ps) for v in rs)
-        for ms, rs, ps in zip(made, required, members))
+        for ms, rs, ps in zip(made, required, members)) or any(
+        claim and not held for claim, held in zip(claims, seen))
     return EXIT_CONFLICT if conflict else EXIT_OK
 
 

@@ -19,7 +19,6 @@ from sympy.polys.domains import QQ, QQ_I
 from bezoutiant.cli import (
     ALL_TASKS,
     EXIT_CONFLICT,
-    EXIT_INCONCLUSIVE,
     EXIT_INPUT_ERROR,
     EXIT_NUMERIC_REFUSAL,
     EXIT_OK,
@@ -35,7 +34,6 @@ from bezoutiant.exact import Poly
 from bezoutiant.kernel import build_kernel, normalize_pair
 from bezoutiant.symbol import OUTCOME_COINCIDE, OUTCOME_NO_COMMON, decide
 from bezoutiant.transform import ClosedTransform
-from conftest import monomial_order
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -163,26 +161,22 @@ def test_shared_zero_fixture(tmp_path):
     assert report["conflict"] is False
 
 
-def test_rational_factor_fixture_inconclusive(tmp_path):
-    # F_{2,1} = (1 - iz) F_1: D = 0 without coincidence
-    code, report = _run_fixture("rational_factor.json", tmp_path)
-    assert code == EXIT_INCONCLUSIVE
-    assert report["verdict"]["outcome"] == "Inconclusive"
-    assert report["verdict"]["diagnostics"]["l_order"] is None
-
-
-def test_inconclusive_verdict_names_the_tasks_it_skips(tmp_path):
-    # after an Inconclusive verdict the zeros, kernel and operator-check
-    # tasks do not run, and the report says so under `skipped`
+def test_rational_factor_fixture_coincides_off_its_exceptional_zero(tmp_path):
+    # F_{2,1} = (1 - iz) F_1: D = 0, so the zero sets agree except at the
+    # zero -i of r(1/z) = 1 - iz, r = (w - i)/w; every task runs, and the
+    # located zero -i of F_{2,1} is not required of F_1
     report, code = run(FIXTURES / "rational_factor.json", tmp_path / "o.json", tasks=ALL_TASKS)
-    assert code == EXIT_INCONCLUSIVE
-    assert report["skipped"] == {
-        "tasks": ["kernel", "operator-check", "zeros"],
-        "reason": "verdict Inconclusive: D \u2261 0 without coincidence (ROADMAP 1b)"}
-    assert not {"kernel", "operator", "zero_sets", "comparison", "conflict"} & report.keys()
-    assert json.loads((tmp_path / "o.json").read_text())["skipped"] == report["skipped"]
-    report, code = run(FIXTURES / "rational_factor.json", None, tasks=("decide",))
-    assert code == EXIT_INCONCLUSIVE and "skipped" not in report
+    assert code == EXIT_OK
+    verdict = report["verdict"]
+    assert verdict["outcome"] == OUTCOME_COINCIDE and not verdict["diagnostics"]["coincidence"]
+    assert verdict["diagnostics"]["ratio"] == {"n": [{"re": "0", "im": "-1"}, "1"],
+                                               "d": ["0", "1"]}
+    (z,) = verdict["diagnostics"]["exceptional_zeros"]
+    assert abs(complex(z["re"], z["im"]) + 1j) < 1e-15
+    assert "skipped" not in report and report["kernel"]["u_lower"] and report["operator"]
+    assert any(abs(complex(p["re"], p["im"]) + 1j) < 1e-9
+               for p in report["zero_sets"]["F21"]["zeros"])
+    assert report["conflict"] is False
 
 
 def _qq_i(re, im, den):
@@ -210,7 +204,6 @@ def test_exact_values_are_integer_triples():
         module = importlib.import_module(f"bezoutiant.{info.name}")
         assert not hasattr(module, "GaussianRational") and not hasattr(module, "GR"), info.name
     assert not hasattr(Poly.of(1), "coeffs")
-    assert monomial_order(1, 1, 0, 0, F(7, 3)) == (0, F(14, 3))  # the tie: 2a
 
     def same(value, want):
         re, im, den = value

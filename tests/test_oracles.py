@@ -38,8 +38,8 @@ from sympy.polys.domains import QQ, QQ_I
 
 from bezoutiant.exact import Poly, _shift_real, to_floats
 from bezoutiant.kernel import build_kernel, normalize_pair
-from bezoutiant.symbol import (OUTCOME_COINCIDE, OUTCOME_COMMON, OUTCOME_INCONCLUSIVE,
-                               OUTCOME_NO_COMMON, decide, l_operator, v_symbol)
+from bezoutiant.symbol import (OUTCOME_COINCIDE, OUTCOME_COMMON, OUTCOME_NO_COMMON, decide,
+                               l_operator, v_symbol)
 from bezoutiant.transform import ClosedTransform
 from conftest import fractions_of, is_zero, triple_of
 
@@ -246,17 +246,17 @@ def _laurent_sym(g, A):
 
 
 def oracle_verdict(psi1, psi2, a):
-    """(outcome, G ascending or None) from F_1 = int e^{izs} conj psi1(s) ds
-    and F_{2,1} = int e^{izs} psi2(a - s) ds."""
+    """(outcome, G ascending or r = P21/P1) from F_1 = int e^{izs} conj
+    psi1(s) ds and F_{2,1} = int e^{izs} psi2(a - s) ds; r as a sympy
+    expression in w, None if it is constant."""
     A = sp.Rational(a.numerator, a.denominator)
     g1 = sym_poly(psi1.conjugate(), s)
     g21 = sp.expand(sym_poly(psi2, s).subs(s, A - s))
     p1, q1 = _laurent_sym(g1, A)
     p21, q21 = _laurent_sym(g21, A)
-    if (q21 * q1.LC() - q1 * q21.LC()).is_zero:
-        return OUTCOME_COINCIDE, None
     if (p1 * q21 - p21 * q1).is_zero:
-        return OUTCOME_INCONCLUSIVE, None
+        r = sp.cancel(p21.as_expr() / p1.as_expr())
+        return OUTCOME_COINCIDE, (None if r.free_symbols == set() else r)
     g = reduce(lambda f, h: f.gcd(h), (p1, q1, p21, q21)).terms_gcd()[1].monic()
     origin = integrate(g1, 0, A) == 0 and integrate(g21, 0, A) == 0
     if g.degree() == 0 and not origin:
@@ -302,10 +302,14 @@ def test_common_zero_beyond_float_range_is_a_refusal(tmp_path, s0):
 def gcd_pairs(draw):
     """(psi1, psi2, a, s0 or kind): generic pairs, pairs of densities that
     vanish at 0 and a (each Laurent numerator then has a factor w^2), pairs
-    whose F_1 and F_{2,1} share the zero i/s0, and rational-factor pairs,
-    g21 = g1' + c g1 with g1(0) = g1(a) = 0, so that F_{2,1} = (c - iz) F_1."""
+    whose F_1 and F_{2,1} share the zero i/s0, rational-factor pairs,
+    g21 = g1' + c g1 with g1(0) = g1(a) = 0, so that F_{2,1} = (c - iz) F_1,
+    and rational-ratio pairs g1 = q(D) g0, g21 = p(D) g0 for polynomials p,
+    q of degree <= 3 and g0 with a triple zero at 0 and a, so that
+    F_{2,1} = p(-iz) / q(-iz) F_1."""
     a = draw(wide_endpoints)
-    kind = draw(st.sampled_from(["generic", "endpoint-zero", "shared-zero", "rational-factor"]))
+    kind = draw(st.sampled_from(["generic", "endpoint-zero", "shared-zero", "rational-factor",
+                                 "rational-ratio"]))
     if kind == "generic":
         psi1, psi2 = draw(polys(5)), draw(polys(5))
     elif kind == "endpoint-zero":
@@ -315,9 +319,16 @@ def gcd_pairs(draw):
         kind = draw(st.sampled_from([Fraction(1), Fraction(-1, 2), Fraction(2, 3), Fraction(13)]))
         g1, g21 = _vanishing(draw(polys(3)), a, kind), _vanishing(draw(polys(3)), a, kind)
         psi1, psi2 = g1.conjugate(), g21.reflect(a).conjugate()  # psi2(t) = g21(a - t)
-    else:
+    elif kind == "rational-factor":
         g1 = draw(polys(3)) * Poly.of(0, a, -1)
         g21 = g1.derivative() + g1 * scalar(draw(gaussians))
+        psi1, psi2 = g1.conjugate(), g21.reflect(a).conjugate()
+    else:  # the transform of g0^(k) is (-iz)^k F_0 for k <= 3
+        g0 = draw(polys(2)) * Poly.of(0, a, -1) * Poly.of(0, a, -1) * Poly.of(0, a, -1)
+        derivatives = [g0, g0.derivative(), g0.derivative().derivative(),
+                       g0.derivative().derivative().derivative()]
+        g1, g21 = (sum((d * scalar(draw(gaussians)) for d in derivatives[:draw(st.integers(1, 4))]),
+                       Poly.of(0)) for _ in range(2))
         psi1, psi2 = g1.conjugate(), g21.reflect(a).conjugate()
     assume(not psi1.is_zero and not psi2.is_zero)
     return psi1, psi2, a, kind
@@ -337,8 +348,29 @@ def test_verdict_matches_sympy_gcd(prime, case):
         v = decide(psi1, psi2, a)
     outcome, g = oracle_verdict(psi1, psi2, a)
     assert v.outcome == outcome
-    if s0 == "rational-factor":
-        assert outcome == OUTCOME_INCONCLUSIVE
+    if outcome == OUTCOME_COINCIDE:  # g is r = P21/P1, None if constant
+        assert v.diagnostics["coincidence"] == (g is None)
+        if g is not None:
+            ratio = v.diagnostics["ratio"]
+            n, d = (sym_poly(Poly.from_json(ratio[k]), w) for k in ("n", "d"))
+            assert sp.simplify(n / d - g) == 0
+            # zeros and poles of r(1/z): 1/w at the nonzero roots of r's numerator
+            # and denominator, and 0 if their degrees differ (r at w = infinity);
+            # a multiple root has a float error near eps^(1/m)
+            top, bottom = (sp.Poly(e, w) for e in sp.fraction(sp.cancel(g)))
+            want = [1 / complex(x) for e in (top, bottom)
+                    for x in e.terms_gcd()[1].nroots(maxsteps=500)]
+            want += [0j] * (top.degree() != bottom.degree())
+            got = [complex(z["re"], z["im"]) for z in v.diagnostics["exceptional_zeros"]]
+            assert len(got) == len(want)
+            assert all(min(abs(z - u) for u in got) <= 1e-4 * (1 + abs(z)) for z in want)
+    if s0 == "rational-factor":  # F_{2,1} = (c - iz) F_1: r = c - i/w = (c w - i)/w
+        c = sp.simplify(g + sp.I / w)
+        assert outcome == OUTCOME_COINCIDE and not c.free_symbols
+        # r(1/z) = c - iz vanishes at z = -i c (at z = 0 when c = 0: deg n < deg d)
+        (z,) = v.diagnostics["exceptional_zeros"]
+        want = complex(-sp.I * c)
+        assert abs(complex(z["re"], z["im"]) - want) <= 1e-12 * (1 + abs(want))
     if outcome in (OUTCOME_NO_COMMON, OUTCOME_COMMON):
         cert = v.diagnostics["certificate"]
         assert cert is None or (cert["p"] >= start and sp.isprime(cert["p"])
@@ -373,11 +405,12 @@ def test_laurent_gcd_matches_sympy_gcd():
         with pytest.MonkeyPatch.context() as mp:
             modulus = symbol._modulus
             mp.setattr(symbol, "_modulus", lambda n: calls.append(n) or modulus(n))
-            g, cert = symbol._laurent_gcd(*(f.triple for f in inputs))
+            g, cert, coprime = symbol._laurent_gcd(*(f.triple for f in inputs))
         primes.append(len(calls))
         want = reduce(lambda f, h: f.gcd(h), (sp.Poly(sym_poly(f, w), w, domain="QQ_I")
                                               for f in inputs)).terms_gcd()[1].monic()
         assert (cert is None) == (want.degree() > 0)
+        assert coprime is None  # the first two share G, of degree >= 1
         assert g.degree == want.degree()
         assert all(same(sym(c), d) for c, d in zip(entries(g.triple), want.all_coeffs()[::-1]))
         # the division that accepts G refuses (w + 2) G: w + 2 is prime to w
@@ -388,6 +421,13 @@ def test_laurent_gcd_matches_sympy_gcd():
 
     check()
     assert max(primes) >= 3
+    # `coprime` is the certificate only when the first two alone have an image
+    # gcd of degree 0: not for w + 1 and w^2 - 1, though all four have gcd 1
+    tail = (Poly.of(5, 1), Poly.of(7, 1))
+    for first, alone in (((Poly.of(2, 1), Poly.of(3, 1)), True),
+                         ((Poly.of(1, 1), Poly.of(-1, 0, 1)), False)):
+        g, cert, coprime = symbol._laurent_gcd(*(f.triple for f in (*first, *tail)))
+        assert g.degree == 0 and cert and (coprime == cert) == alone
 
 
 @pytest.mark.parametrize("start", [symbol.PRIME, 13], ids=["package-prime", "p13"])

@@ -19,7 +19,6 @@ SRC = ROOT / "src" / "bezoutiant"
 
 #: (module, name) -> the ROADMAP item that gives it a reader.
 WAITING = {
-    ("zeros", "structure_checks"): "item 2",
     ("kernel", "check_adjoint_identity"): "item 21",
     ("kernel", "check_diagonal_continuity"): "item 21",
 }

@@ -1,5 +1,4 @@
 import importlib.util
-import json
 import random
 import sys
 import time
@@ -7,22 +6,22 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+import sympy as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bezoutiant import symbol
-from bezoutiant.cli import ProblemSpec, main
+from bezoutiant.cli import ProblemSpec, run
 from bezoutiant.exact import Poly, _json_value
 from bezoutiant.kernel import build_kernel, normalize_pair
 from bezoutiant.symbol import (
     OrderViolationError,
     OUTCOME_COINCIDE,
     OUTCOME_COMMON,
-    OUTCOME_INCONCLUSIVE,
     OUTCOME_NO_COMMON,
-    _equal,
     decide,
     l_operator,
+    relate,
     v_symbol,
 )
 from bezoutiant.transform import closed_form, reflected_transform
@@ -119,12 +118,15 @@ UNITS = [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1), (3, 4, 5)]
 
 @st.composite
 def mirror_pairs(draw):
-    """(psi1, psi2, a, kind): random, scaled-coincident or unit-symmetric
-    pairs, in either degree order."""
+    """(psi1, psi2, a, kind): random, scaled-coincident, unit-symmetric or
+    planted pairs, in either degree order."""
     p, q = draw(gaussian_polys), draw(gaussian_polys)
     a = draw(st.sampled_from([F(1), F(7, 3), F(1, 2)]))
-    kind = draw(st.sampled_from(["random", "coincident", "symmetric"]))
-    if kind == "coincident":  # Psi_2 = c conj Psi_1(a-x)
+    kind = draw(st.sampled_from(["random", "coincident", "symmetric", "planted"]))
+    if kind == "planted":  # h'' + c^2 h, h with double zeros at 0 and a: real zeros +-c
+        h = p * Poly.of(0, a, -1) * Poly.of(0, a, -1)
+        p = h.derivative().derivative() + h * draw(st.sampled_from([1, 4, F(1, 9)]))
+    elif kind == "coincident":  # Psi_2 = c conj Psi_1(a-x)
         c = draw(st.tuples(rationals, rationals))
         assume(c != (0, 0))
         q = p.reflect(a) * triple_of(*c)
@@ -139,9 +141,9 @@ def mirror_pairs(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(mirror_pairs())
 def test_mirror_tests_from_jets_match_reflect(case):
-    # the proportionality tests in `decide` against the reflect definitions
-    # of the normalized pair: coincident iff Q21 = c Q1, symmetric iff
-    # Q1 = c conj P1, for a constant c != 0, on the spec's transforms
+    # the engine's constant ratio against the reflect definitions of the
+    # normalized pair: coincident iff F21 = c F1, symmetric iff F1 = c R(F1),
+    # for a constant c != 0, on the spec's transforms
     psi1, psi2, a, kind = case
     r1, r2 = psi1.integral(0, a), psi2.integral(0, a)
     assume(not is_zero(r1) and not is_zero(r2))
@@ -149,8 +151,11 @@ def test_mirror_tests_from_jets_match_reflect(case):
     f1, f21 = closed_form(psi1, a), reflected_transform(psi2, a)
     symmetric = pair.psi1 == pair.psi1.reflect(a)
     coincident = pair.psi1 == pair.psi2.reflect(a)
-    assert _equal(f1.q, f1.p, conjugate=True) == symmetric
-    assert _equal(f21.q, f1.q) == coincident
+
+    def constant_ratio(rel):
+        return rel.ratio is not None and rel.ratio[0].degree == rel.ratio[1].degree == 0
+    assert constant_ratio(relate(f1, f1.reflection())) == symmetric
+    assert constant_ratio(relate(f1, f21)) == coincident
     if kind == "symmetric":
         assert symmetric
     if kind in ("coincident", "swapped coincident"):
@@ -168,25 +173,46 @@ def test_decide_matches_the_normalized_ordered_pair(case):
     v = decide(psi1, psi2, a)
     swapped = psi1.degree < psi2.degree
     ordered = normalize_pair(*((psi2, psi1) if swapped else (psi1, psi2)), a)
-    g1, g21 = _normalized_transforms(ordered)
-    coincident = _equal(g1.q, g21.q)
-    asym = not _equal(g1.q, g1.p, conjugate=True)
+    coincident = ordered.psi1 == ordered.psi2.reflect(a)
     assert v.diagnostics["swapped"] == swapped
     assert v.diagnostics["normalizers"] == [_json_value(*ordered.r1), _json_value(*ordered.r2)]
     assert v.diagnostics["coincidence"] == coincident
-    assert v.no_real_zeros == v.no_conjugate_pairs == asym
+    assert (v.no_real_zeros, v.no_conjugate_pairs, v.diagnostics.get("structure_gcd")) == (
+        _sympy_flags(v.transforms[swapped], ordered.r1))
+    L = l_operator(ordered)
     if coincident:
         assert (v.outcome, v.theorem) == (OUTCOME_COINCIDE, "coincidence case")
+    elif L == ():  # D = 0 with a ratio that is not constant
+        assert v.outcome == OUTCOME_COINCIDE and "ratio" in v.diagnostics
     else:
-        L = l_operator(ordered)
-        assert v.diagnostics["l_order"] == (len(L) - 1 if L else None)
+        assert v.diagnostics["l_order"] == len(L) - 1
         # the outcome and G against sympy: test_oracles.py
-        assert (v.outcome == OUTCOME_INCONCLUSIVE) == (L == ())
     # scale: D_spec = conj R1 R2 D_norm; swap: D of (psi2, psi1) is conj D
     d = _d(*v.transforms)
     scale = Poly.of(as_fractions(r1)).conjugate() * Poly.of(as_fractions(r2))  # conj R1 R2
     assert d == _d(*_normalized_transforms(normalize_pair(psi1, psi2, a))) * scale
     assert _d(closed_form(psi2, a), reflected_transform(psi1, a)) == d.conjugate()
+
+
+def _sympy_flags(f, mass) -> tuple:
+    """(no_real_zeros, no_conjugate_pairs, structure_gcd) of the transform f
+    with conjugate mass conj `mass`, from sympy: D = P conj P - Q conj Q of
+    (f, R(f)) and H = gcd(P, Q, conj Q, conj P) without its power of w."""
+    w = sp.Symbol("w")
+    p, q = (sp.Poly(sum((sp.Rational(r, den) + sp.I * sp.Rational(m, den)) * w ** (k + 1)
+                        for k, (r, m) in enumerate(zip(re, im))), w, domain="QQ_I")
+            for re, im, den in (f.p, f.q))
+    pc, qc = (sp.Poly([sp.conjugate(c) for c in t.all_coeffs()], w, domain="QQ_I")
+              for t in (p, q))
+    h = p.gcd(q).gcd(qc).gcd(pc).terms_gcd()[1].monic()
+    if (p * pc - q * qc).is_zero:
+        proved, gcd = None, None
+    elif h.degree() == 0:
+        proved, gcd = True, None
+    else:
+        proved, gcd = None, [_json_value(*triple_of(str(sp.re(c)), str(sp.im(c))))
+                             for c in h.all_coeffs()[::-1]]
+    return (False if is_zero(mass) else proved), proved, gcd
 
 
 def test_laurent_numerators_vanish_at_shared_algebraic_zero():
@@ -213,9 +239,13 @@ def test_laurent_numerators_when_d_vanishes():
     p1, q1, p21, q21 = (t((0, 1, 1)) for t in _laurent_polys(*_normalized_transforms(pair)))
     assert not is_zero(p1) and not is_zero(q1)
     assert is_zero(p21) and is_zero(q21)
+    # so the verdict is ZeroSetsCoincide with r = (w - i)/w and the
+    # exceptional zero 1/i = -i, where F_{2,1} has a zero that F_1 lacks
     v = decide(Poly.of(0, 1, -1), Poly.of(-1, 3, -1), 1)
-    assert v.outcome == OUTCOME_INCONCLUSIVE and v.diagnostics["l_order"] is None
-    assert v.diagnostics["reason"].startswith("D \u2261 0 without coincidence")
+    assert v.outcome == OUTCOME_COINCIDE and "l_order" not in v.diagnostics
+    assert v.diagnostics["ratio"] == {"n": [{"re": "0", "im": "-1"}, "1"], "d": ["0", "1"]}
+    assert v.diagnostics["exceptional_zeros"] == [{"re": 0.0, "im": -1.0}]
+    assert not v.diagnostics["coincidence"]
 
 
 def test_v_symbol_order_violation():
@@ -313,23 +343,28 @@ def test_decide_flags_symmetric_up_to_unit_factor():
     assert not structure_checks(zs).no_real_zeros
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: no_real_zeros is read from mirror "
-                   "symmetry, not proved from gcd(P, Q) of (F, R(F))")
-@pytest.mark.parametrize("psi1, rect", [
+@pytest.mark.parametrize("name, gcd", [
     # h'' + 9h, h = t^2 (1-t)^2 (1+t): F_1 has the real zeros -3 and 3
-    ([2, -6, -3, 11, -9, 9], None),
+    ("item2_real", ["-1/9", "0", "1"]),
     # its conjugate, the density, is h' + 3i h, h = t^2 (1-t): F_1 has the real zero 3
-    ([0, 2, {"re": -3, "im": -3}, {"re": 0, "im": 3}],
-     {"re_min": -10, "re_max": 10, "im_min": -4, "im_max": 4.3}),
-], ids=["real", "gaussian"])
-def test_item2_counterexamples_are_not_claimed_free_of_real_zeros(tmp_path, psi1, rect):
-    # `verify` exits 0 with NoCommonZeros and locates these zeros, yet the
-    # verdict claims no_real_zeros: true
-    spec, out = tmp_path / "spec.json", tmp_path / "report.json"
-    spec.write_text(json.dumps({"a": "1", "psi1": psi1, "psi2": [1],
-                                **({"rect": rect} if rect else {})}))
-    main(["verify", "--input", str(spec), "--output", str(out)])
-    assert json.loads(out.read_text())["verdict"]["no_real_zeros"] is not True
+    ("item2_gaussian", ["-1/3", "1"]),
+    # psi1 = 3t^2 - 1 has mass 0, so F_1(0) = 0
+    ("item2_origin", None),
+], ids=["real", "gaussian", "origin"])
+def test_item2_counterexamples_are_not_claimed_free_of_real_zeros(name, gcd):
+    # `verify` locates these real zeros; H = gcd(P, Q, conj Q, conj P) of
+    # (F_1, R(F_1)) has the roots 1/3 and -1/3, or 1/3 (flags not decided),
+    # or H = 1 and the mass is 0 (no_real_zeros false, no conjugate pair proved)
+    report, code = run(Path(__file__).parent / "fixtures" / f"{name}.json", None,
+                       tasks=("decide", "zeros"))
+    assert code == 0 and report["conflict"] is False
+    v = report["verdict"]
+    assert v["diagnostics"].get("structure_gcd") == gcd
+    flags = (None, None) if gcd else (False, True)
+    assert (v["no_real_zeros"], v["no_conjugate_pairs"]) == flags
+    zs = [complex(z["re"], z["im"]) for z in report["zero_sets"]["F1"]["zeros"]]
+    want = {"item2_real": [-3, 3], "item2_gaussian": [3], "item2_origin": [0]}[name]
+    assert all(any(abs(z - x) < 1e-9 for z in zs) for x in want)
 
 
 def test_decide_symmetric_density_flags():

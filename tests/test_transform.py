@@ -279,7 +279,12 @@ def test_reflection_is_the_transform_of_the_reflected_density(psis, a):
     assert F21._laurent[0] == ref._laurent[0]
     for got, want in zip((*F21._laurent[1:], *F21._rule), (*ref._laurent[1:], *ref._rule)):
         assert got.tobytes() == want.tobytes()
-    # the verdict reads (and hands on) exactly these two transforms
+    # the verdict reads (and hands on) exactly these two transforms; a zero
+    # density, whose transform vanishes everywhere, it refuses
+    if psi1.is_zero or psi2.is_zero:
+        with pytest.raises(ValueError, match="^identically zero density"):
+            decide(psi1, psi2, a)
+        return
     got1, got21 = decide(psi1, psi2, a).transforms
     assert (got1.p, got1.q, got21.p, got21.q) == (F1.p, F1.q, F21.p, F21.q)
 
