@@ -30,22 +30,21 @@ H_0 = [sigma_{i+j}] is the number of distinct zeros, the eigenvalues of
 the pencil (H_1, H_0), H_1 = [sigma_{i+j+1}], are those zeros, and a
 Vandermonde solve gives their multiplicities.  A multiple zero is one
 eigenvalue, found to rounding, where the roots of a polynomial in the
-power sums would split it by about sqrt(eps).  One vectorized Newton run
-on F polishes every zero, a zero of multiplicity m by z - m F/F', one
-fused `eval_many` call per step; near a multiple zero F is rounding
-noise, and a step that does not lower |F| there is undone.
+power sums would split it by about sqrt(eps); it is reported as that
+eigenvalue, since within about eps^(1/m) of it F is rounding noise and
+Newton has nothing to polish with.  One vectorized Newton run on F
+polishes the simple zeros, one fused `eval_many` call per step.
 
 Acceptance.  The solve is accepted only if the multiplicities round to
-positive integers summing to n, every Newton run converges inside the
-box padded by _ACCEPT_PAD * tol, and each multiple zero passes its
-cluster check.  Zeros that end closer than the subdivision floor
-100 * tol merge into one, at their weighted mean, with the sum of their
-multiplicities, so a start that runs to a zero another start found makes
-a multiple zero that its check refuses.  Otherwise the box is
-quadrisected and its children are solved the same way; a cell below the
-floor whose zeros are still unsolved raises ClusterUnresolvedError.
-`locate_zeros` also raises it rather than report a zero outside the
-guarded box or two zeros of different cells closer than the floor.
+positive integers summing to n, the Newton run converges, every zero
+lies inside the box padded by _ACCEPT_PAD * tol, no two of them lie
+closer than the subdivision floor 100 * tol (so a start that runs to a
+zero another start found refuses the solve), and each multiple zero
+passes its cluster check.  Otherwise the box is quadrisected and its
+children are solved the same way; a cell below the floor whose zeros
+are still unsolved raises ClusterUnresolvedError.  `locate_zeros` also
+raises it rather than report a zero outside the guarded box or two
+zeros of different cells closer than the floor.
 
 Split retry.  `_split_coord` ranks its candidate lines by the smallest
 |F| sampled on them.  If the children of the best pair of cuts do not
@@ -310,46 +309,33 @@ def _pencil(sigma, n):
     return u, mult.astype(int)
 
 
-def _newton(F, z0, m, tol: float, box):
+def _newton(F, z0, tol: float, box):
     """Newton from every start in z0 at once: the converged points, or None.
 
-    A point of multiplicity m (an integer array, one per start) steps by
-    z - m F/F', which converges quadratically to a zero of that
-    multiplicity.  Per simple point, a step with F' = 0, or one that leaves
-    the box padded by its larger side, fails, and so does a point still
-    moving after 60 steps; a point stops once |dz| <= tol.  One point
-    failing fails all of them.  Within about
-    eps^(1/m) of a zero of multiplicity m > 1, F is rounding noise and the
-    step goes anywhere: such a point stops at the first step that would
-    leave the padded box or not lower |F|, the step undone.  Each step is
-    one fused `eval_many` call for the points still moving; when none is
-    left, one more step polishes the simple points.
+    A step with F' = 0, or one that leaves the box padded by its larger
+    side, fails, and so does a point still moving after 60 steps; a point
+    stops once |dz| <= tol.  One point failing fails all of them.  Each
+    step is one fused `eval_many` call for the points still moving; when
+    none is left, one more step polishes them all.
     """
     x0, x1, y0, y1 = box
     pad = max(x1 - x0, y1 - y0)
     z = np.array(z0, dtype=complex)
-    back, low = z.copy(), np.full(z.size, np.inf)  # each point before its last step, and |F| there
     moving = np.arange(z.size)
     for _ in range(60):
         f, fp = F.eval_many(z[moving], with_derivative=True)
-        if m.max() > 1:  # a multiple zero's step that did not lower |F| is undone
-            keep = (m[moving] == 1) | (np.abs(f) < low[moving])
-            z[moving[~keep]] = back[moving[~keep]]
-            moving, f, fp = moving[keep], f[keep], fp[keep]
-            back[moving], low[moving] = z[moving], np.abs(f)
         if np.any(fp == 0):
             return None
-        dz = m[moving] * f / fp
+        dz = f / fp
         zm = z[moving] - dz
-        inside = ((x0 - pad <= zm.real) & (zm.real <= x1 + pad)
-                  & (y0 - pad <= zm.imag) & (zm.imag <= y1 + pad))
-        if not np.all(inside | (m[moving] > 1)):
+        if not np.all((x0 - pad <= zm.real) & (zm.real <= x1 + pad)
+                      & (y0 - pad <= zm.imag) & (zm.imag <= y1 + pad)):
             return None
-        z[moving[inside]] = zm[inside]
-        moving = moving[inside & (np.abs(dz) > tol)]
+        z[moving] = zm
+        moving = moving[np.abs(dz) > tol]
         if moving.size == 0:
             f, fp = F.eval_many(z, with_derivative=True)
-            return z - np.divide(f, fp, out=np.zeros_like(z), where=(fp != 0) & (m == 1))
+            return z - np.divide(f, fp, out=np.zeros_like(z), where=fp != 0)
     return None
 
 
@@ -387,33 +373,34 @@ def _in_box(z, box, pad=0.0):
     return x0 - pad <= z.real <= x1 + pad and y0 - pad <= z.imag <= y1 + pad
 
 
-def _moment_solve(F, box, count, sigma, tol, floor):
+def _moment_solve(F, box, count, sigma, tol):
     """The box's `count` zeros from its scaled moments, as (z, multiplicity)
     pairs, or None.
 
-    The pencil's zeros start one vectorized Newton run, each with its
-    multiplicity.  Zeros that end closer than `floor` merge into one, at
-    their weighted mean, with the sum of their multiplicities.  The result
-    is accepted only if every start converges inside the box padded by
-    _ACCEPT_PAD * tol and a tiny box around each multiple zero certifies
-    its multiplicity (`_cluster_certified`).
+    The pencil's simple zeros start one vectorized Newton run; each
+    multiple zero is the pencil's eigenvalue.  The result is accepted only
+    if the run converges, every zero lies inside the box padded by
+    _ACCEPT_PAD * tol, no two lie closer than the subdivision floor
+    100 * tol, and a tiny box around each multiple zero certifies its
+    multiplicity (`_cluster_certified`).
     """
     solved = _pencil(sigma, count)
     if solved is None:
         return None
     c, r = _box_scale(box)
-    z = _newton(F, c + r * solved[0], solved[1], tol, box)
-    if z is None or not all(_in_box(w, box, pad=_ACCEPT_PAD * tol) for w in z):
+    z, mult = c + r * solved[0], solved[1]
+    simple = mult == 1
+    polished = _newton(F, z[simple], tol, box) if simple.any() else z[simple]
+    if polished is None:
         return None
-    merged = []
-    for w, m in zip(z, solved[1]):
-        for v, k in [p for p in merged if abs(w - p[0]) < floor][:1]:
-            merged.remove((v, k))
-            w, m = (k * v + m * w) / (k + m), k + m
-        merged.append((complex(w), int(m)))
-    if not all(m == 1 or _cluster_certified(F, w, m, tol) for w, m in merged):
+    z[simple] = polished
+    floor = 100.0 * tol
+    if (not all(_in_box(w, box, pad=_ACCEPT_PAD * tol) for w in z)
+            or any(abs(w - v) < floor for i, w in enumerate(z) for v in z[i + 1:])):
         return None
-    return merged
+    if not all(m == 1 or _cluster_certified(F, w, m, tol) for w, m in zip(z, mult)):
+        return None
+    return [(complex(w), int(m)) for w, m in zip(z, mult)]
 
 
 def _cluster_certified(F, z, m, tol):
@@ -484,7 +471,7 @@ def locate_zeros(F: ClosedTransform, rect: SearchRect, tol: float = 1e-10) -> Ze
         if count == 0:
             return
         if count <= (_MOMENT_CAP + 1) // 2:
-            zs = _moment_solve(F, b, count, sigma, tol, floor)
+            zs = _moment_solve(F, b, count, sigma, tol)
             if zs is not None:
                 found.extend(zs)
                 return
